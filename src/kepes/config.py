@@ -9,6 +9,7 @@ ConfigError naming the offending key.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,9 +119,12 @@ KNOWN_KEYS = frozenset(_DEFAULTS) | {"preset"}
 
 def _as_float(raw, key):
     try:
-        return float(raw[key])
+        value = float(raw[key])
     except ValueError:
         raise ConfigError(f"{key}: not a number: {raw[key]!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: must be finite, got {raw[key]!r}")
+    return value
 
 
 def _as_int(raw, key):
@@ -135,6 +139,13 @@ def _as_optional_float(raw, key):
     if value in ("none", ""):
         return None
     return _as_float(raw, key)
+
+
+def _build(cls, *args, **kwargs):
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _as_choice(raw, key, choices):
@@ -182,67 +193,33 @@ def config_from_dict(raw: dict) -> ProblemConfig:
     full.update(raw)
     raw = full
 
-    n_cells = _as_int(raw, "n_cells")
-    if n_cells < 4:
-        raise ConfigError("n_cells: must be at least 4")
-    x_min, x_max = _as_float(raw, "x_min"), _as_float(raw, "x_max")
-    if not x_max > x_min:
-        raise ConfigError("x_max: must exceed x_min")
-    grid = Grid1D(n_cells, x_min, x_max)
-
-    gamma = _as_float(raw, "gamma")
-    if not gamma > 1.0:
-        raise ConfigError("gamma: must be > 1")
-    gas_constant = _as_float(raw, "gas_constant")
-    if not gas_constant > 0.0:
-        raise ConfigError("gas_constant: must be > 0")
-    prandtl = _as_float(raw, "prandtl")
-    if not prandtl > 0.0:
-        raise ConfigError("prandtl: must be > 0")
-    visc_kind = _as_choice(raw, "viscosity", ("none", "constant", "power"))
-    mu_ref = _as_float(raw, "mu_ref")
-    if mu_ref < 0.0:
-        raise ConfigError("mu_ref: must be >= 0")
-    t_ref = _as_float(raw, "t_ref")
-    if visc_kind == "power" and not t_ref > 0.0:
-        raise ConfigError("t_ref: must be > 0 for the power law")
-    law = ViscosityLaw(visc_kind, mu_ref, t_ref, _as_float(raw, "mu_exponent"))
-    gas = GasModel(gamma, gas_constant, law, prandtl)
+    # range checks live in the dataclasses, whose messages name the key
+    grid = _build(Grid1D, _as_int(raw, "n_cells"), _as_float(raw, "x_min"),
+                  _as_float(raw, "x_max"))
+    law = _build(ViscosityLaw,
+                 _as_choice(raw, "viscosity", ("none", "constant", "power")),
+                 _as_float(raw, "mu_ref"), _as_float(raw, "t_ref"),
+                 _as_float(raw, "mu_exponent"))
+    gas = _build(GasModel, _as_float(raw, "gamma"),
+                 _as_float(raw, "gas_constant"), law,
+                 _as_float(raw, "prandtl"))
 
     flux_kind = _as_choice(raw, "flux", tuple(CENTRAL_FLUXES))
 
-    diss_kind = _as_choice(raw, "diss", ("none", "scalar", "matrix"))
-    kappa2 = _as_float(raw, "kappa2")
-    kappa4 = _as_float(raw, "kappa4")
-    if kappa2 < 0.0 or kappa4 < 0.0:
-        raise ConfigError("kappa2/kappa4: must be >= 0")
-    ec1_beta = _as_float(raw, "ec1_beta")
-    if ec1_beta < 0.0:
-        raise ConfigError("ec1_beta: must be >= 0")
-    diss = DissipationSpec(
-        kind=diss_kind,
-        kappa2=kappa2,
-        kappa4=kappa4,
+    diss = _build(
+        DissipationSpec,
+        kind=_as_choice(raw, "diss", ("none", "scalar", "matrix")),
+        kappa2=_as_float(raw, "kappa2"),
+        kappa4=_as_float(raw, "kappa4"),
         beta_average=_as_choice(raw, "beta_average", SCALAR_BETA_AVERAGES),
         matrix_law=_as_choice(raw, "law", MATRIX_LAWS),
-        ec1_beta=ec1_beta,
+        ec1_beta=_as_float(raw, "ec1_beta"),
     )
-
-    order = _as_int(raw, "recon_order")
-    if order not in (1, 2):
-        raise ConfigError("recon_order: must be 1 or 2")
-    recon = ReconSpec(order, _as_choice(raw, "limiter", LIMITERS))
-
-    cfl = _as_float(raw, "cfl")
-    if not 0.0 < cfl <= 1.0:
-        raise ConfigError("cfl: must be in (0, 1]")
-    t_final = _as_float(raw, "t_final")
-    if not t_final > 0.0:
-        raise ConfigError("t_final: must be > 0")
-    max_steps = _as_int(raw, "max_steps")
-    if max_steps < 1:
-        raise ConfigError("max_steps: must be >= 1")
-    time = TimeSpec(cfl, t_final, max_steps, _as_optional_float(raw, "steady_tol"))
+    recon = _build(ReconSpec, _as_int(raw, "recon_order"),
+                   _as_choice(raw, "limiter", LIMITERS))
+    time = _build(TimeSpec, _as_float(raw, "cfl"), _as_float(raw, "t_final"),
+                  _as_int(raw, "max_steps"),
+                  _as_optional_float(raw, "steady_tol"))
 
     ic_kind = _as_choice(raw, "ic", ("riemann", "uniform"))
     left = PrimState(_as_float(raw, "left_rho"), _as_float(raw, "left_u"),
@@ -254,9 +231,11 @@ def config_from_dict(raw: dict) -> ProblemConfig:
     for label, q in (("left", left), ("right", right), ("uniform", uniform)):
         if not (q.rho > 0.0 and q.p > 0.0):
             raise ConfigError(f"{label} state: rho and p must be > 0")
-    ic = InitialCondition("riemann", left, right,
-                          _as_float(raw, "x_diaphragm"), None) \
+    x_diaphragm = _as_float(raw, "x_diaphragm")
+    ic = InitialCondition("riemann", left, right, x_diaphragm, None) \
         if ic_kind == "riemann" else InitialCondition("uniform", state=uniform)
+
+    outflow_mass_flux = _as_float(raw, "outflow_mass_flux")
 
     def make_bc(key, edge_state):
         kinds = ("transmissive", "fixed_state", "periodic")
@@ -267,7 +246,7 @@ def config_from_dict(raw: dict) -> ProblemConfig:
             return BoundaryCondition("fixed_state", state=edge_state)
         if kind == "shock_outflow":
             return BoundaryCondition("shock_outflow",
-                                     mass_flux=_as_float(raw, "outflow_mass_flux"))
+                                     mass_flux=outflow_mass_flux)
         return BoundaryCondition(kind)
 
     left_edge = left if ic_kind == "riemann" else uniform
@@ -277,6 +256,10 @@ def config_from_dict(raw: dict) -> ProblemConfig:
                            make_bc("bc_right", right_edge))
     except ValueError as exc:
         raise ConfigError(f"bc_left/bc_right: {exc}") from None
+
+    snapshot_interval = _as_optional_float(raw, "snapshot_interval")
+    if snapshot_interval is not None and snapshot_interval < 0.0:
+        raise ConfigError("snapshot_interval: must be >= 0")
 
     return ProblemConfig(
         name=raw["name"],
@@ -288,7 +271,7 @@ def config_from_dict(raw: dict) -> ProblemConfig:
         diss=diss,
         recon=recon,
         time=time,
-        snapshot_interval=_as_optional_float(raw, "snapshot_interval"),
+        snapshot_interval=snapshot_interval,
     )
 
 

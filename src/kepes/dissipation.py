@@ -6,7 +6,9 @@ entropy-stable difference vector D.  The matrix operator is the
 entropy-variable form -(1/2) R |Lambda| S R^T dv, where R holds the flux
 eigenvectors, S is Barth's scaling with R S R^T equal to the Jacobian
 du/dv, and |Lambda| is one of five eigenvalue laws trading accuracy
-against robustness.
+against robustness.  matrix_dissipation multiplies that product out in
+closed form; face_average, eigen_system, eigenvalue_law and assemble_q
+build the matrices explicitly and serve as its reference.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fluxes import FluxVector
-from .thermo import (GasModel, PrimState, entropy_vars_jump, log_mean,
-                     sound_speed)
+from .thermo import (FaceMeans, GasModel, PrimState, entropy_vars_jump,
+                     log_mean, sound_speed)
 
 __all__ = [
     "DissipationSpec",
@@ -79,25 +81,18 @@ class FaceAverage:
     H: object
 
 
-def _avg(a, b):
-    return 0.5 * (a + b)
-
-
-def _scalar_d_from_jumps(left: PrimState, right: PrimState, gas: GasModel,
-                         beta_average: str, d_rho, d_u, d_inv_beta):
-    """D vector with the three jump slots supplied by the caller."""
+def _scalar_d_from_jumps(m: FaceMeans, gas: GasModel, beta_average: str,
+                         d_rho, d_u, d_inv_beta):
+    """D vector with the three jump slots supplied by the caller, and the
+    wave speed lambda = |u_bar| + sqrt(gamma/(2 beta_m))."""
     g = gas.gamma
-    rho_bar = _avg(left.rho, right.rho)
-    u_bar = _avg(left.u, right.u)
-    if beta_average == "logarithmic":
-        beta_m = log_mean(left.beta, right.beta)
-    else:
-        beta_m = _avg(left.beta, right.beta)
-    d_m = u_bar * d_rho + rho_bar * d_u
-    d_e = ((0.5 / ((g - 1.0) * beta_m) + 0.5 * left.u * right.u) * d_rho
-           + rho_bar * u_bar * d_u
-           + rho_bar / (2.0 * (g - 1.0)) * d_inv_beta)
-    return FluxVector(d_rho, d_m, d_e), beta_m
+    beta_m = m.beta_ln if beta_average == "logarithmic" else m.beta_bar
+    d_m = m.u_bar * d_rho + m.rho_bar * d_u
+    d_e = ((0.5 / ((g - 1.0) * beta_m) + 0.5 * m.left.u * m.right.u) * d_rho
+           + m.rho_bar * m.u_bar * d_u
+           + m.rho_bar / (2.0 * (g - 1.0)) * d_inv_beta)
+    lam = np.abs(m.u_bar) + np.sqrt(g / (2.0 * beta_m))
+    return FluxVector(d_rho, d_m, d_e), lam
 
 
 def scalar_d_vector(left: PrimState, right: PrimState, gas: GasModel,
@@ -108,16 +103,13 @@ def scalar_d_vector(left: PrimState, right: PrimState, gas: GasModel,
     dv . D is a positive quadratic in the jumps (exactly so with the
     logarithmic beta average).  lambda = |u_bar| + sqrt(gamma/(2 beta)).
     """
+    m = FaceMeans(left, right)
     d_rho = right.rho - left.rho
     d_u = right.u - left.u
     # -(d beta)/(beta_L beta_R): algebraically 1/beta_R - 1/beta_L but
     # without the cancellation of two large reciprocals
-    d_inv_beta = -(right.beta - left.beta) / (left.beta * right.beta)
-    D, beta_m = _scalar_d_from_jumps(left, right, gas, beta_average,
-                                     d_rho, d_u, d_inv_beta)
-    u_bar = _avg(left.u, right.u)
-    lam = np.abs(u_bar) + np.sqrt(gas.gamma / (2.0 * beta_m))
-    return D, lam
+    d_inv_beta = -(m.beta_r - m.beta_l) / (m.beta_l * m.beta_r)
+    return _scalar_d_from_jumps(m, gas, beta_average, d_rho, d_u, d_inv_beta)
 
 
 def scalar_quadratic_form(left: PrimState, right: PrimState, gas: GasModel):
@@ -129,8 +121,8 @@ def scalar_quadratic_form(left: PrimState, right: PrimState, gas: GasModel):
     d_rho = right.rho - left.rho
     d_u = right.u - left.u
     d_beta = right.beta - left.beta
-    rho_bar = _avg(left.rho, right.rho)
-    beta_bar = _avg(left.beta, right.beta)
+    rho_bar = 0.5 * (left.rho + right.rho)
+    beta_bar = 0.5 * (left.beta + right.beta)
     rho_ln = log_mean(left.rho, right.rho)
     return (d_rho * d_rho / rho_ln
             + 2.0 * rho_bar * beta_bar * d_u * d_u
@@ -154,7 +146,7 @@ def jst_switches(p_stencil, kappa2, kappa4):
 
 
 def jst_dissipation(stencil, gas: GasModel, spec: DissipationSpec,
-                    eps2=None, eps4=None):
+                    eps2=None, eps4=None, means: FaceMeans | None = None):
     """Blended second/fourth-difference dissipation flux at the face.
 
     stencil holds the four cell states (q_{j-1}, q_j, q_{j+1}, q_{j+2});
@@ -162,7 +154,7 @@ def jst_dissipation(stencil, gas: GasModel, spec: DissipationSpec,
     eps2 * (q_{j+1} - q_j) - eps4 * (q_{j+2} - 3 q_{j+1} + 3 q_j - q_{j-1}).
     Returns the flux correction -(1/2) lambda D.  Pass precomputed
     switches to override the pressure sensor (the solver does this at
-    boundaries).
+    boundaries).  means is the FaceMeans record of (q_j, q_{j+1}).
     """
     qm1, q0, q1, q2 = stencil
     if eps2 is None or eps4 is None:
@@ -174,17 +166,17 @@ def jst_dissipation(stencil, gas: GasModel, spec: DissipationSpec,
 
     d_rho = blend(qm1.rho, q0.rho, q1.rho, q2.rho)
     d_u = blend(qm1.u, q0.u, q1.u, q2.u)
-    d_inv_beta = blend(1.0 / qm1.beta, 1.0 / q0.beta,
-                       1.0 / q1.beta, 1.0 / q2.beta)
-    D, beta_m = _scalar_d_from_jumps(q0, q1, gas, spec.beta_average,
-                                     d_rho, d_u, d_inv_beta)
-    u_bar = _avg(q0.u, q1.u)
-    lam = np.abs(u_bar) + np.sqrt(gas.gamma / (2.0 * beta_m))
+    m = FaceMeans(q0, q1) if means is None else means
+    d_inv_beta = blend(1.0 / qm1.beta, 1.0 / m.beta_l,
+                       1.0 / m.beta_r, 1.0 / q2.beta)
+    D, lam = _scalar_d_from_jumps(m, gas, spec.beta_average,
+                                  d_rho, d_u, d_inv_beta)
     return D * (-0.5 * lam)
 
 
 def face_average(left: PrimState, right: PrimState, gas: GasModel,
-                 flux_kind: str = "kepec") -> FaceAverage:
+                 flux_kind: str = "kepec",
+                 means: FaceMeans | None = None) -> FaceAverage:
     """Averaged (rho, u, a, H) for the dissipation matrix.
 
     The sound speed a = sqrt(gamma/(2 beta_ln)) uses the logarithmic beta
@@ -194,16 +186,24 @@ def face_average(left: PrimState, right: PrimState, gas: GasModel,
     property.  The density mean follows the mass-flux average of the
     central flux.
     """
-    u_bar = _avg(left.u, right.u)
+    m = FaceMeans(left, right) if means is None else means
     if flux_kind == "kepec_ac":
-        rho_f = _avg(left.rho, right.rho)
-        beta_m = _avg(left.beta, right.beta)
+        rho_f, beta_m = m.rho_bar, m.beta_bar
     else:
-        rho_f = log_mean(left.rho, right.rho)
-        beta_m = log_mean(left.beta, right.beta)
+        rho_f, beta_m = m.rho_ln, m.beta_ln
     a_f = np.sqrt(gas.gamma / (2.0 * beta_m))
-    H_f = a_f * a_f / (gas.gamma - 1.0) + 0.5 * u_bar * u_bar
-    return FaceAverage(rho_f, u_bar, a_f, H_f)
+    H_f = a_f * a_f / (gas.gamma - 1.0) + 0.5 * m.u_bar * m.u_bar
+    return FaceAverage(rho_f, m.u_bar, a_f, H_f)
+
+
+def _eigen_entries(avg: FaceAverage, gas: GasModel):
+    """Rows 2 and 3 of R (row 1 is ones) and the acoustic and entropy-wave
+    entries of S."""
+    rho, u, a, H = avg.rho, avg.u, avg.a, avg.H
+    g = gas.gamma
+    return ((u - a, u, u + a),
+            (H - u * a, 0.5 * u * u, H + u * a),
+            (rho / (2.0 * g), (g - 1.0) * rho / g))
 
 
 def eigen_system(avg: FaceAverage, gas: GasModel):
@@ -214,16 +214,14 @@ def eigen_system(avg: FaceAverage, gas: GasModel):
     Q = R |Lambda| S R^T is symmetric positive semidefinite for any
     nonnegative |Lambda|.
     """
-    rho, u, a, H = (np.asarray(x, dtype=float)
-                    for x in (avg.rho, avg.u, avg.a, avg.H))
-    one = np.ones_like(u)
+    speeds, enthalpies, (s_ac, s_mid) = _eigen_entries(avg, gas)
+    one = np.ones_like(avg.u)
     R = np.stack([
         np.stack([one, one, one], axis=-1),
-        np.stack([u - a, u, u + a], axis=-1),
-        np.stack([H - u * a, 0.5 * u * u, H + u * a], axis=-1),
+        np.stack(speeds, axis=-1),
+        np.stack(enthalpies, axis=-1),
     ], axis=-2)
-    g = gas.gamma
-    S = np.stack([rho / (2.0 * g), (g - 1.0) * rho / g, rho / (2.0 * g)], axis=-1)
+    S = np.stack([s_ac, s_mid, s_ac], axis=-1)
     return R, S
 
 
@@ -238,29 +236,35 @@ def eigenvalue_law(u_f, a_f, left: PrimState, right: PrimState,
     rus:  (|u|+a) I
     hyb:  (1-phi) roe + phi rus with phi = clip(sqrt(|dp|/(2 p_bar)), 0, 1)
     """
-    u_f = np.asarray(u_f, dtype=float)
-    a_f = np.asarray(a_f, dtype=float)
+    return np.stack(_law_components(u_f, a_f, left, right, gas, spec), axis=-1)
+
+
+def _law_components(u_f, a_f, left: PrimState, right: PrimState,
+                    gas: GasModel, spec: DissipationSpec):
+    """The three |Lambda| entries of eigenvalue_law, as a tuple."""
     law = spec.matrix_law
-    roe = np.stack([np.abs(u_f - a_f), np.abs(u_f), np.abs(u_f + a_f)], axis=-1)
+    abs_u = np.abs(u_f)
     if law == "roe":
-        return roe
+        return np.abs(u_f - a_f), abs_u, np.abs(u_f + a_f)
     if law == "ec1":
         a_l = sound_speed(left, gas)
         a_r = sound_speed(right, gas)
         d1 = np.abs((right.u - a_r) - (left.u - a_l))
         d3 = np.abs((right.u + a_r) - (left.u + a_l))
-        aug = spec.ec1_beta * np.stack([d1, np.zeros_like(d1), d3], axis=-1)
-        return roe + aug
-    lam_max = np.abs(u_f) + a_f
+        return (np.abs(u_f - a_f) + spec.ec1_beta * d1, abs_u,
+                np.abs(u_f + a_f) + spec.ec1_beta * d3)
+    lam_max = abs_u + a_f
     if law == "kes":
-        return np.stack([lam_max, np.abs(u_f), lam_max], axis=-1)
-    rus = np.stack([lam_max, lam_max, lam_max], axis=-1)
+        return lam_max, abs_u, lam_max
     if law == "rus":
-        return rus
+        return lam_max, lam_max, lam_max
     if law == "hyb":
-        p_bar = _avg(left.p, right.p)
+        p_bar = 0.5 * (left.p + right.p)
         phi = np.clip(np.sqrt(np.abs(right.p - left.p) / (2.0 * p_bar)), 0.0, 1.0)
-        return (1.0 - phi)[..., None] * roe + phi[..., None] * rus
+        blend = phi * lam_max
+        return ((1.0 - phi) * np.abs(u_f - a_f) + blend,
+                (1.0 - phi) * abs_u + blend,
+                (1.0 - phi) * np.abs(u_f + a_f) + blend)
     raise ValueError(f"unknown matrix law {law!r}")
 
 
@@ -270,13 +274,19 @@ def assemble_q(R, lam, S):
 
 
 def matrix_dissipation(left: PrimState, right: PrimState, gas: GasModel,
-                       spec: DissipationSpec,
-                       flux_kind: str = "kepec") -> FluxVector:
-    """Entropy-variable matrix dissipation -(1/2) R |Lambda| S R^T dv."""
-    avg = face_average(left, right, gas, flux_kind)
-    R, S = eigen_system(avg, gas)
-    lam = eigenvalue_law(avg.u, avg.a, left, right, gas, spec)
-    dv = entropy_vars_jump(left, right, gas).as_array()
-    w = (lam * S) * np.einsum("...ji,...j->...i", R, dv)
-    q_dv = np.einsum("...ij,...j->...i", R, w)
-    return FluxVector(-0.5 * q_dv[..., 0], -0.5 * q_dv[..., 1], -0.5 * q_dv[..., 2])
+                       spec: DissipationSpec, flux_kind: str = "kepec",
+                       means: FaceMeans | None = None) -> FluxVector:
+    """Entropy-variable matrix dissipation -(1/2) R |Lambda| S R^T dv,
+    multiplied out in closed form: w = |Lambda| S R^T dv, then R w."""
+    m = FaceMeans(left, right) if means is None else means
+    avg = face_average(left, right, gas, flux_kind, m)
+    (c1, c2, c3), (h1, h2, h3), (s_ac, s_mid) = _eigen_entries(avg, gas)
+    lam1, lam2, lam3 = _law_components(avg.u, avg.a, left, right, gas, spec)
+    dv = entropy_vars_jump(left, right, gas, m)
+    w1 = (lam1 * s_ac) * (dv.v1 + c1 * dv.v2 + h1 * dv.v3)
+    w2 = (lam2 * s_mid) * (dv.v1 + c2 * dv.v2 + h2 * dv.v3)
+    w3 = (lam3 * s_ac) * (dv.v1 + c3 * dv.v2 + h3 * dv.v3)
+    # the two acoustic waves are summed before the entropy wave is added
+    return FluxVector(-0.5 * ((w1 + w3) + w2),
+                      -0.5 * ((c1 * w1 + c3 * w3) + c2 * w2),
+                      -0.5 * ((h1 * w1 + h3 * w3) + h2 * w2))

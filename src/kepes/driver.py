@@ -158,9 +158,10 @@ def run(config: ProblemConfig, output_dir: str) -> RunResult:
 
     def sample_budget(w, time):
         rhs, faces = rhs_full(w)
-        prim = cons_to_prim(w, gas)
-        budget_rows.append(budget_report(time, prim, rhs, faces, grid, gas))
-        return rhs
+        report = budget_report(time, cons_to_prim(w, gas), rhs, faces, grid,
+                               gas)
+        budget_rows.append(report)
+        return report
 
     snap_index = 0
 
@@ -201,10 +202,7 @@ def run(config: ProblemConfig, output_dir: str) -> RunResult:
                     result.message = (f"steady at t={t:.6g} "
                                       f"(residual {residual:.3e})")
                     break
-        rhs, faces = rhs_full(cells)
-        prim = cons_to_prim(cells, gas)
-        final_report = budget_report(t, prim, rhs, faces, grid, gas)
-        budget_rows.append(final_report)
+        final_report = sample_budget(cells, t)
         emit_snapshot(cells, suffix="final")
     except (InvalidStateError, StageError) as exc:
         result.status = 1

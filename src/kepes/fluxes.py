@@ -5,6 +5,8 @@ writes the momentum flux as f_m = p_tilde + u_bar * f_rho with the
 arithmetic-mean velocity u_bar; the entropy-conservative members pin the
 remaining averages with logarithmic means so that the two-point condition
 dv . f = d(rho u) holds exactly across any interface.
+Every flux takes an optional trailing FaceMeans record of the pair; the
+solver passes the one record it builds per stage.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .thermo import (
+    FaceMeans,
     GasModel,
     PrimState,
     entropy_vars,
@@ -29,7 +32,6 @@ __all__ = [
     "flux_kepec_ac",
     "flux_kepec",
     "flux_central_mean",
-    "flux_negative_variant",
     "tadmor_residual",
     "CENTRAL_FLUXES",
 ]
@@ -59,10 +61,6 @@ class FluxVector:
     def as_array(self):
         return np.stack(np.broadcast_arrays(self.f_rho, self.f_m, self.f_e), axis=-1)
 
-    @staticmethod
-    def zero():
-        return FluxVector(0.0, 0.0, 0.0)
-
 
 def exact_flux(q: PrimState, gas: GasModel) -> FluxVector:
     """Pointwise Euler flux (rho u, p + rho u^2, (E + p) u)."""
@@ -75,26 +73,28 @@ def _avg(a, b):
     return 0.5 * (a + b)
 
 
-def flux_kep(left: PrimState, right: PrimState, gas: GasModel) -> FluxVector:
+def flux_kep(left: PrimState, right: PrimState, gas: GasModel,
+             means: FaceMeans | None = None) -> FluxVector:
     """Kinetic-energy-preserving flux built from plain arithmetic averages.
 
     f_rho = rho_bar u_bar, p_tilde = p_bar, f_e = rho_bar u_bar H_bar.
     """
-    rho_bar = _avg(left.rho, right.rho)
-    u_bar = _avg(left.u, right.u)
+    m = FaceMeans(left, right) if means is None else means
     p_bar = _avg(left.p, right.p)
     H_bar = _avg(total_enthalpy(left, gas), total_enthalpy(right, gas))
-    f_rho = rho_bar * u_bar
-    return FluxVector(f_rho, p_bar + u_bar * f_rho, f_rho * H_bar)
+    f_rho = m.rho_bar * m.u_bar
+    return FluxVector(f_rho, p_bar + m.u_bar * f_rho, f_rho * H_bar)
 
 
-def flux_roe_ec(left: PrimState, right: PrimState, gas: GasModel) -> FluxVector:
+def flux_roe_ec(left: PrimState, right: PrimState, gas: GasModel,
+                means: FaceMeans | None = None) -> FluxVector:
     """Entropy-conservative flux based on the parameter vector
     z = sqrt(rho/p) (1, u, p).
 
     Satisfies dv . f = d(rho u) exactly but is not kinetic-energy
     preserving: the momentum flux carries the weighted velocity
-    u_tilde = z2_bar/z1_bar instead of the arithmetic mean.
+    u_tilde = z2_bar/z1_bar instead of the arithmetic mean.  Its averages
+    are means of z, not of (rho, u, beta), so means is not read.
     """
     g = gas.gamma
     wl = np.sqrt(left.rho / left.p)
@@ -118,91 +118,50 @@ def flux_roe_ec(left: PrimState, right: PrimState, gas: GasModel) -> FluxVector:
     return FluxVector(f_rho, p1_t + u_t * f_rho, H_t * f_rho)
 
 
-def flux_kepec_ac(left: PrimState, right: PrimState, gas: GasModel) -> FluxVector:
+def _kep_family(m: FaceMeans, gas: GasModel, rho_f, beta_f) -> FluxVector:
+    """KEP flux f_rho = rho_f u_bar, f_m = p_tilde + u_bar f_rho and
+    f_e = (1/(2 (gamma-1) beta_f) - u2_bar/2) f_rho + u_bar f_m."""
+    g = gas.gamma
+    f_rho = rho_f * m.u_bar
+    p_t = m.rho_bar / (2.0 * m.beta_bar)
+    f_m = p_t + m.u_bar * f_rho
+    f_e = (0.5 / ((g - 1.0) * beta_f) - 0.5 * m.u2_bar) * f_rho + m.u_bar * f_m
+    return FluxVector(f_rho, f_m, f_e)
+
+
+def flux_kepec_ac(left: PrimState, right: PrimState, gas: GasModel,
+                  means: FaceMeans | None = None) -> FluxVector:
     """Kinetic-energy-preserving, approximately entropy-consistent flux.
 
     Arithmetic averages throughout; the entropy-conservation residual is
     O(jump^3).  p_tilde = rho_bar/(2 beta_bar) is the harmonic-temperature
     pressure average.
     """
-    g = gas.gamma
-    rho_bar = _avg(left.rho, right.rho)
-    u_bar = _avg(left.u, right.u)
-    beta_bar = _avg(left.beta, right.beta)
-    u2_bar = _avg(left.u * left.u, right.u * right.u)
-
-    f_rho = rho_bar * u_bar
-    p_t = rho_bar / (2.0 * beta_bar)
-    f_m = p_t + u_bar * f_rho
-    f_e = (0.5 / ((g - 1.0) * beta_bar) - 0.5 * u2_bar) * f_rho + u_bar * f_m
-    return FluxVector(f_rho, f_m, f_e)
+    m = FaceMeans(left, right) if means is None else means
+    return _kep_family(m, gas, m.rho_bar, m.beta_bar)
 
 
-def flux_kepec(left: PrimState, right: PrimState, gas: GasModel) -> FluxVector:
+def flux_kepec(left: PrimState, right: PrimState, gas: GasModel,
+               means: FaceMeans | None = None) -> FluxVector:
     """Kinetic-energy-preserving and exactly entropy-conservative flux.
 
     Same structure as flux_kepec_ac with the density and beta averages in
     the mass and energy fluxes replaced by logarithmic means.
     """
-    g = gas.gamma
-    rho_bar = _avg(left.rho, right.rho)
-    u_bar = _avg(left.u, right.u)
-    beta_bar = _avg(left.beta, right.beta)
-    u2_bar = _avg(left.u * left.u, right.u * right.u)
-    rho_ln = log_mean(left.rho, right.rho)
-    beta_ln = log_mean(left.beta, right.beta)
-
-    f_rho = rho_ln * u_bar
-    p_t = rho_bar / (2.0 * beta_bar)
-    f_m = p_t + u_bar * f_rho
-    f_e = (0.5 / ((g - 1.0) * beta_ln) - 0.5 * u2_bar) * f_rho + u_bar * f_m
-    return FluxVector(f_rho, f_m, f_e)
+    m = FaceMeans(left, right) if means is None else means
+    return _kep_family(m, gas, m.rho_ln, m.beta_ln)
 
 
-def flux_central_mean(left: PrimState, right: PrimState, gas: GasModel) -> FluxVector:
+def flux_central_mean(left: PrimState, right: PrimState, gas: GasModel,
+                      means: FaceMeans | None = None) -> FluxVector:
     """Arithmetic mean of the pointwise fluxes, (f(L) + f(R))/2.
 
     The central part of a classic Roe-type scheme; neither entropy
-    conservative nor kinetic-energy preserving.
+    conservative nor kinetic-energy preserving; means is not read.
     """
     fl = exact_flux(left, gas)
     fr = exact_flux(right, gas)
     return 0.5 * (fl + fr)
-
-
-def flux_negative_variant(left: PrimState, right: PrimState, gas: GasModel,
-                          variant: str) -> FluxVector:
-    """Rejected entropy-conservative candidates, kept as test oracles only.
-
-    "rho_u_p" derives the fluxes from jumps in (rho, u, p): the identity
-    holds but the mass flux depends on gamma.  "p_u_beta" derives them
-    from jumps in (p, u, beta): the energy flux is inconsistent.  Neither
-    is selectable for time integration.
-    """
-    g = gas.gamma
-    rho_bar = _avg(left.rho, right.rho)
-    u_bar = _avg(left.u, right.u)
-    beta_bar = _avg(left.beta, right.beta)
-    u2_bar = _avg(left.u * left.u, right.u * right.u)
-    p_bar = _avg(left.p, right.p)
-    p_ln = log_mean(left.p, right.p)
-    p_t = rho_bar / (2.0 * beta_bar)
-
-    if variant == "rho_u_p":
-        rho_ln = log_mean(left.rho, right.rho)
-        denom = g / (g - 1.0) - p_bar * rho_ln / ((g - 1.0) * rho_bar * p_ln)
-        f_rho = rho_ln * u_bar / denom
-        f_m = p_t + u_bar * f_rho
-        f_e = (left.p * right.p / ((g - 1.0) * rho_bar * p_ln)
-               - 0.5 * u2_bar) * f_rho + u_bar * f_m
-    elif variant == "p_u_beta":
-        beta_ln = log_mean(left.beta, right.beta)
-        f_rho = 2.0 * p_ln * beta_bar * u_bar
-        f_m = p_t + u_bar * f_rho
-        f_e = (0.5 * g / ((g - 1.0) * beta_ln) - 0.5 * u2_bar) * f_rho + u_bar * f_m
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return FluxVector(f_rho, f_m, f_e)
 
 
 def tadmor_residual(left: PrimState, right: PrimState, flux: FluxVector,
@@ -213,8 +172,7 @@ def tadmor_residual(left: PrimState, right: PrimState, flux: FluxVector,
     return dv.v1 * flux.f_rho + dv.v2 * flux.f_m + dv.v3 * flux.f_e - dpsi
 
 
-# Fluxes selectable for time integration.  The rejected variants above are
-# deliberately absent.
+# Fluxes selectable for time integration.
 CENTRAL_FLUXES = {
     "kep": flux_kep,
     "roe_ec": flux_roe_ec,

@@ -27,7 +27,7 @@ class ReconSpec:
 
     def __post_init__(self):
         if self.order not in (1, 2):
-            raise ValueError("order must be 1 or 2")
+            raise ValueError("recon_order must be 1 or 2")
         if self.limiter not in LIMITERS:
             raise ValueError(f"unknown limiter {self.limiter!r}")
 

@@ -3,14 +3,16 @@
 assemble_rhs evaluates du_j/dt = -(F_{j+1/2} - F_{j-1/2})/dx
 + (G_{j+1/2} - G_{j-1/2})/dx with F a central flux plus optional scalar or
 matrix dissipation and G the viscous flux.  Two ghost cells per side feed
-the reconstruction and the four-point scalar-dissipation stencil.  All
-per-face quantities needed by the budget diagnostics are returned in a
-FaceData record.
+the reconstruction and the four-point scalar-dissipation stencil.  One
+FaceMeans record of the face pairs per call feeds the central flux and the
+dissipation.  All per-face quantities needed by the budget diagnostics are
+returned in a FaceData record, which derives them only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from .fluxes import CENTRAL_FLUXES, FluxVector
 from .reconstruction import ReconSpec, reconstruct_face
 from .thermo import (
     ConsState,
+    FaceMeans,
     GasModel,
     InvalidStateError,
     PrimState,
@@ -50,7 +53,7 @@ class Grid1D:
 
     def __post_init__(self):
         if self.n_cells < 4:
-            raise ValueError("need at least 4 cells")
+            raise ValueError("n_cells must be at least 4")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
 
@@ -109,19 +112,40 @@ class FaceData:
 
     Arrays have one entry per face (n_cells + 1; under periodic boundaries
     face n_cells duplicates face 0).  du, u_bar, dv and dpsi are built from
-    the cell values adjacent to each face, which is what the summation-by-
-    parts budget identities require.
+    the cell values adjacent to each face (left, right), which is what the
+    summation-by-parts budget identities require.  They and p_tilde are
+    computed on first read, so marching never pays for them.
     """
 
     central: FluxVector
     diss: FluxVector
     visc: FluxVector
-    u_bar: np.ndarray
-    du: np.ndarray
-    dv: np.ndarray
-    dpsi: np.ndarray
-    p_tilde: np.ndarray
+    left: PrimState
+    right: PrimState
+    gas: GasModel
     periodic: bool
+
+    @cached_property
+    def u_bar(self) -> np.ndarray:
+        return 0.5 * (self.left.u + self.right.u)
+
+    @cached_property
+    def du(self) -> np.ndarray:
+        return self.right.u - self.left.u
+
+    @cached_property
+    def dv(self) -> np.ndarray:
+        return (entropy_vars(self.right, self.gas).as_array()
+                - entropy_vars(self.left, self.gas).as_array())
+
+    @cached_property
+    def dpsi(self) -> np.ndarray:
+        return self.right.rho * self.right.u - self.left.rho * self.left.u
+
+    @cached_property
+    def p_tilde(self) -> np.ndarray:
+        return (np.asarray(self.central.f_m)
+                - self.u_bar * np.asarray(self.central.f_rho))
 
     def net(self) -> np.ndarray:
         """Total face flux (F - G) as an (n_faces, 3) array."""
@@ -154,26 +178,23 @@ def apply_boundary(prim: PrimState, bcs: BoundarySpec) -> PrimState:
     """Extend the interior cell array by two ghost cells per side."""
     n = np.shape(prim.rho)[0]
 
-    def one_field(f, bc_left, bc_right):
-        f = np.asarray(f, dtype=float)
+    def ghost(bc: BoundaryCondition, name, edge):
+        # fixed_state holds its state; the other kinds copy the edge cell
+        return getattr(bc.state, name) if bc.kind == "fixed_state" else edge
+
+    def one_field(name):
+        f = np.asarray(getattr(prim, name), dtype=float)
+        out = np.empty(n + 4)
+        out[2:-2] = f
         if bcs.is_periodic:
-            return np.concatenate([f[-2:], f, f[:2]])
-        left = (np.full(2, bc_left) if bc_left is not None
-                else np.full(2, f[0]))
-        right = (np.full(2, bc_right) if bc_right is not None
-                 else np.full(2, f[-1]))
-        return np.concatenate([left, f, right])
+            out[:2] = f[-2:]
+            out[-2:] = f[:2]
+        else:
+            out[:2] = ghost(bcs.left, name, f[0])
+            out[-2:] = ghost(bcs.right, name, f[-1])
+        return out
 
-    def ghost_values(bc: BoundaryCondition):
-        if bc.kind == "fixed_state":
-            return bc.state.rho, bc.state.u, bc.state.p
-        return None, None, None  # transmissive / shock_outflow: copy edge
-
-    lrho, lu, lp = ghost_values(bcs.left)
-    rrho, ru, rp = ghost_values(bcs.right)
-    return PrimState(one_field(prim.rho, lrho, rrho),
-                     one_field(prim.u, lu, ru),
-                     one_field(prim.p, lp, rp))
+    return PrimState(one_field("rho"), one_field("u"), one_field("p"))
 
 
 def _cell_sensor(p_ext: np.ndarray, periodic: bool) -> np.ndarray:
@@ -187,6 +208,24 @@ def _cell_sensor(p_ext: np.ndarray, periodic: bool) -> np.ndarray:
         nu[1] = nu[2]
         nu[-2] = nu[-3]
     return nu
+
+
+def _components(f: FluxVector):
+    return f.f_rho, f.f_m, f.f_e
+
+
+def _shock_outflow_fluxes(central: FluxVector, diss: FluxVector,
+                          visc: FluxVector, mass_flux: float):
+    """Boundary-flux step of the shock_outflow right face: it carries the
+    prescribed mass flux and, in momentum and energy, the net flux of the
+    face before it, so the last cell sees zero update in them; its
+    dissipative and viscous parts are zero.  Returns new flux vectors."""
+    c, d, v = (np.array(_components(f)) for f in (central, diss, visc))
+    c[1:, -1] = c[1:, -2] + d[1:, -2] - v[1:, -2]
+    c[0, -1] = mass_flux
+    d[:, -1] = 0.0
+    v[:, -1] = 0.0
+    return FluxVector(*c), FluxVector(*d), FluxVector(*v)
 
 
 def assemble_rhs(cells: ConsState, grid: Grid1D, gas: GasModel,
@@ -211,64 +250,42 @@ def assemble_rhs(cells: ConsState, grid: Grid1D, gas: GasModel,
 
     # stencil views for the n+1 faces: face k sits between ext cells
     # k+1 and k+2
-    qm1 = _take(ext, slice(0, n + 1))
-    q0 = _take(ext, slice(1, n + 2))
-    q1 = _take(ext, slice(2, n + 3))
-    q2 = _take(ext, slice(3, n + 4))
+    qm1, q0, q1, q2 = (_take(ext, slice(k, n + 1 + k)) for k in range(4))
 
     face_l, face_r = reconstruct_face((qm1, q0, q1, q2), recon)
-    central = central_flux(face_l, face_r, gas)
+    means = FaceMeans(face_l, face_r)
+    central = central_flux(face_l, face_r, gas, means)
 
+    zero = np.zeros(n + 1)
+    no_flux = FluxVector(zero, zero, zero)
     if diss.kind == "matrix":
-        d_flux = matrix_dissipation(face_l, face_r, gas, diss, flux_kind)
+        d_flux = matrix_dissipation(face_l, face_r, gas, diss, flux_kind,
+                                    means)
     elif diss.kind == "scalar":
         nu_ext = _cell_sensor(ext.p, bcs.is_periodic)
         nu_face = np.maximum(nu_ext[1:n + 2], nu_ext[2:n + 3])
         eps2 = np.minimum(1.0, diss.kappa2 * nu_face)
         eps4 = np.maximum(0.0, diss.kappa4 - eps2)
+        # the stencil differences cell states, whose pairs (q0, q1) are the
+        # face pairs only without reconstruction
         d_flux = jst_dissipation((qm1, q0, q1, q2), gas, diss,
-                                 eps2=eps2, eps4=eps4)
+                                 eps2=eps2, eps4=eps4,
+                                 means=means if recon.order == 1 else None)
     else:
-        z = np.zeros(n + 1)
-        d_flux = FluxVector(z, z.copy(), z.copy())
-
-    if gas.is_viscous:
-        g_flux = viscous_face_flux(q0, q1, gas, dx)
-    else:
-        z = np.zeros(n + 1)
-        g_flux = FluxVector(z, z.copy(), z.copy())
+        d_flux = no_flux
+    g_flux = viscous_face_flux(q0, q1, gas, dx) if gas.is_viscous else no_flux
 
     if bcs.right.kind == "shock_outflow":
-        # prescribed boundary mass flux; momentum and energy fluxes copy the
-        # neighbouring face so the last cell sees zero update in them
-        net_prev = (central + d_flux - g_flux).as_array()[n - 1]
-        central = FluxVector(np.array(central.f_rho), np.array(central.f_m),
-                             np.array(central.f_e))
-        central.f_rho[n] = bcs.right.mass_flux
-        central.f_m[n] = net_prev[1]
-        central.f_e[n] = net_prev[2]
-        for fv in (d_flux, g_flux):
-            np.asarray(fv.f_rho)[n] = 0.0
-            np.asarray(fv.f_m)[n] = 0.0
-            np.asarray(fv.f_e)[n] = 0.0
+        central, d_flux, g_flux = _shock_outflow_fluxes(
+            central, d_flux, g_flux, bcs.right.mass_flux)
 
-    net = (central + d_flux - g_flux).as_array()
-    rhs = -(net[1:] - net[:-1]) / dx
-    rhs_state = ConsState(rhs[:, 0], rhs[:, 1], rhs[:, 2])
+    rhs = []
+    for c, d, v in zip(_components(central), _components(d_flux),
+                       _components(g_flux)):
+        # subtracting an all-zero viscous flux is exact, so it is skipped
+        net = c + d - v if gas.is_viscous else c + d
+        rhs.append(-(net[1:] - net[:-1]) / dx)
 
-    v_l = entropy_vars(q0, gas).as_array()
-    v_r = entropy_vars(q1, gas).as_array()
-    u_bar = 0.5 * (q0.u + q1.u)
-    du = q1.u - q0.u
-    faces = FaceData(
-        central=central,
-        diss=d_flux,
-        visc=g_flux,
-        u_bar=u_bar,
-        du=du,
-        dv=v_r - v_l,
-        dpsi=q1.rho * q1.u - q0.rho * q0.u,
-        p_tilde=np.asarray(central.f_m) - u_bar * np.asarray(central.f_rho),
-        periodic=bcs.is_periodic,
-    )
-    return rhs_state, faces
+    faces = FaceData(central=central, diss=d_flux, visc=g_flux, left=q0,
+                     right=q1, gas=gas, periodic=bcs.is_periodic)
+    return ConsState(*rhs), faces

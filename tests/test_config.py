@@ -80,6 +80,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="left"):
             parse_config("ic = riemann\nleft_rho = -1\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["mu_ref", "x_diaphragm", "t_final",
+                                     "left_u", "kappa4", "ec1_beta", "gamma",
+                                     "outflow_mass_flux", "snapshot_interval"])
+    def test_non_finite_rejected_by_name(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({"preset": "stationary_shock_m1.5", key: value})
+
+    def test_negative_snapshot_interval_rejected(self):
+        with pytest.raises(ConfigError, match="snapshot_interval"):
+            parse_config("preset = sod\nsnapshot_interval = -1\n")
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", list_presets())

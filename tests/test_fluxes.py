@@ -3,22 +3,61 @@ import pytest
 
 from kepes.fluxes import (
     CENTRAL_FLUXES,
+    FluxVector,
     exact_flux,
     flux_central_mean,
     flux_kep,
     flux_kepec,
     flux_kepec_ac,
-    flux_negative_variant,
     flux_roe_ec,
     tadmor_residual,
 )
-from kepes.thermo import GasModel, PrimState
+from kepes.thermo import GasModel, PrimState, log_mean
 
 from conftest import random_states
 
 ALL_FLUXES = dict(CENTRAL_FLUXES)
 
 KEP_FORM_FLUXES = ("kep", "kepec_ac", "kepec")
+
+
+def flux_negative_variant(left: PrimState, right: PrimState, gas: GasModel,
+                          variant: str) -> FluxVector:
+    """Rejected entropy-conservative candidates, kept here as test oracles.
+
+    "rho_u_p" derives the fluxes from jumps in (rho, u, p): the identity
+    holds but the mass flux depends on gamma.  "p_u_beta" derives them
+    from jumps in (p, u, beta): the energy flux is inconsistent.  Neither
+    is selectable for time integration.
+    """
+    def _avg(a, b):
+        return 0.5 * (a + b)
+
+    g = gas.gamma
+    rho_bar = _avg(left.rho, right.rho)
+    u_bar = _avg(left.u, right.u)
+    beta_bar = _avg(left.beta, right.beta)
+    u2_bar = _avg(left.u * left.u, right.u * right.u)
+    p_bar = _avg(left.p, right.p)
+    p_ln = log_mean(left.p, right.p)
+    p_t = rho_bar / (2.0 * beta_bar)
+
+    if variant == "rho_u_p":
+        rho_ln = log_mean(left.rho, right.rho)
+        denom = g / (g - 1.0) - p_bar * rho_ln / ((g - 1.0) * rho_bar * p_ln)
+        f_rho = rho_ln * u_bar / denom
+        f_m = p_t + u_bar * f_rho
+        f_e = (left.p * right.p / ((g - 1.0) * rho_bar * p_ln)
+               - 0.5 * u2_bar) * f_rho + u_bar * f_m
+    elif variant == "p_u_beta":
+        beta_ln = log_mean(left.beta, right.beta)
+        f_rho = 2.0 * p_ln * beta_bar * u_bar
+        f_m = p_t + u_bar * f_rho
+        f_e = (0.5 * g / ((g - 1.0) * beta_ln) - 0.5 * u2_bar) * f_rho + u_bar * f_m
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return FluxVector(f_rho, f_m, f_e)
+
 
 
 def test_exact_flux_reference(gas):
