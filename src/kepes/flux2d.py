@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dissipation import DissipationSpec
-from .thermo import GasModel, log_mean
+from .thermo import GasModel, _avg, log_mean
 
 __all__ = [
     "PrimState2D",
@@ -61,10 +61,6 @@ class FaceNormal:
         norm = np.asarray(self.n1) ** 2 + np.asarray(self.n2) ** 2
         if np.any(np.abs(norm - 1.0) > 1.0e-14):
             raise ValueError("face normal must have unit length")
-
-
-def _avg(a, b):
-    return 0.5 * (a + b)
 
 
 def exact_flux_2d(q: PrimState2D, n: FaceNormal, gas: GasModel) -> np.ndarray:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .thermo import (
     FaceMeans,
+    _avg,
     GasModel,
     PrimState,
     entropy_vars,
@@ -67,10 +68,6 @@ def exact_flux(q: PrimState, gas: GasModel) -> FluxVector:
     f_rho = q.rho * q.u
     H = total_enthalpy(q, gas)
     return FluxVector(f_rho, q.p + f_rho * q.u, f_rho * H)
-
-
-def _avg(a, b):
-    return 0.5 * (a + b)
 
 
 def flux_kep(left: PrimState, right: PrimState, gas: GasModel,

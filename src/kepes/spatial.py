@@ -214,6 +214,11 @@ def _components(f: FluxVector):
     return f.f_rho, f.f_m, f.f_e
 
 
+def _zero_flux(n_faces: int) -> FluxVector:
+    """All-zero flux with its own array per component."""
+    return FluxVector(np.zeros(n_faces), np.zeros(n_faces), np.zeros(n_faces))
+
+
 def _shock_outflow_fluxes(central: FluxVector, diss: FluxVector,
                           visc: FluxVector, mass_flux: float):
     """Boundary-flux step of the shock_outflow right face: it carries the
@@ -256,8 +261,6 @@ def assemble_rhs(cells: ConsState, grid: Grid1D, gas: GasModel,
     means = FaceMeans(face_l, face_r)
     central = central_flux(face_l, face_r, gas, means)
 
-    zero = np.zeros(n + 1)
-    no_flux = FluxVector(zero, zero, zero)
     if diss.kind == "matrix":
         d_flux = matrix_dissipation(face_l, face_r, gas, diss, flux_kind,
                                     means)
@@ -272,8 +275,11 @@ def assemble_rhs(cells: ConsState, grid: Grid1D, gas: GasModel,
                                  eps2=eps2, eps4=eps4,
                                  means=means if recon.order == 1 else None)
     else:
-        d_flux = no_flux
-    g_flux = viscous_face_flux(q0, q1, gas, dx) if gas.is_viscous else no_flux
+        d_flux = _zero_flux(n + 1)
+    if gas.is_viscous:
+        g_flux = viscous_face_flux(q0, q1, gas, dx)
+    else:
+        g_flux = _zero_flux(n + 1)
 
     if bcs.right.kind == "shock_outflow":
         central, d_flux, g_flux = _shock_outflow_fluxes(
@@ -282,8 +288,7 @@ def assemble_rhs(cells: ConsState, grid: Grid1D, gas: GasModel,
     rhs = []
     for c, d, v in zip(_components(central), _components(d_flux),
                        _components(g_flux)):
-        # subtracting an all-zero viscous flux is exact, so it is skipped
-        net = c + d - v if gas.is_viscous else c + d
+        net = c + d - v
         rhs.append(-(net[1:] - net[:-1]) / dx)
 
     faces = FaceData(central=central, diss=d_flux, visc=g_flux, left=q0,

@@ -291,6 +291,28 @@ def test_one_log_mean_each_for_rho_and_beta(monkeypatch, diss):
     assert len(log_means) == 2
 
 
+@pytest.mark.parametrize("right", [
+    BoundaryCondition("transmissive"),
+    BoundaryCondition("shock_outflow", mass_flux=0.5),
+])
+def test_zero_fluxes_do_not_share_memory(right):
+    # writing into one component of the returned record must not change
+    # another component or the other zero flux
+    gas = GasModel()
+    grid = Grid1D(N_CELLS, 0.0, 1.0)
+    cells = prim_to_cons(wide_states(np.random.default_rng(3)), gas)
+    _, faces = assemble_rhs(cells, grid, gas, "kepec",
+                            DissipationSpec(kind="none"), ReconSpec(1),
+                            BoundarySpec(right=right))
+    arrays = [f.f_rho for f in (faces.diss, faces.visc)] \
+        + [f.f_m for f in (faces.diss, faces.visc)] \
+        + [f.f_e for f in (faces.diss, faces.visc)]
+    for i, a in enumerate(arrays):
+        assert not np.any(a)
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
 # -- properties of the record-based kernels -------------------------------------
 
 GAS = GasModel()
