@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fluxes import FluxVector
-from .thermo import (FaceMeans, GasModel, PrimState, entropy_vars_jump,
-                     log_mean, sound_speed)
+from .thermo import (FaceMeans, GasModel, PrimState, _entropy_jump,
+                     _stacked, log_mean, sound_speed)
 
 __all__ = [
     "DissipationSpec",
@@ -83,8 +83,8 @@ class FaceAverage:
 
 def _scalar_d_from_jumps(m: FaceMeans, gas: GasModel, beta_average: str,
                          d_rho, d_u, d_inv_beta):
-    """D vector with the three jump slots supplied by the caller, and the
-    wave speed lambda = |u_bar| + sqrt(gamma/(2 beta_m))."""
+    """Stacked D vector with the three jump slots supplied by the caller,
+    and the wave speed lambda = |u_bar| + sqrt(gamma/(2 beta_m))."""
     g = gas.gamma
     beta_m = m.beta_ln if beta_average == "logarithmic" else m.beta_bar
     d_m = m.u_bar * d_rho + m.rho_bar * d_u
@@ -92,7 +92,7 @@ def _scalar_d_from_jumps(m: FaceMeans, gas: GasModel, beta_average: str,
            + m.rho_bar * m.u_bar * d_u
            + m.rho_bar / (2.0 * (g - 1.0)) * d_inv_beta)
     lam = np.abs(m.u_bar) + np.sqrt(g / (2.0 * beta_m))
-    return FluxVector(d_rho, d_m, d_e), lam
+    return np.array((d_rho, d_m, d_e)), lam
 
 
 def scalar_d_vector(left: PrimState, right: PrimState, gas: GasModel,
@@ -109,7 +109,9 @@ def scalar_d_vector(left: PrimState, right: PrimState, gas: GasModel,
     # -(d beta)/(beta_L beta_R): algebraically 1/beta_R - 1/beta_L but
     # without the cancellation of two large reciprocals
     d_inv_beta = -(m.beta_r - m.beta_l) / (m.beta_l * m.beta_r)
-    return _scalar_d_from_jumps(m, gas, beta_average, d_rho, d_u, d_inv_beta)
+    D, lam = _scalar_d_from_jumps(m, gas, beta_average, d_rho, d_u,
+                                  d_inv_beta)
+    return FluxVector(*D), lam
 
 
 def scalar_quadratic_form(left: PrimState, right: PrimState, gas: GasModel):
@@ -129,6 +131,18 @@ def scalar_quadratic_form(left: PrimState, right: PrimState, gas: GasModel):
             + rho_bar * d_beta * d_beta / ((g - 1.0) * left.beta * right.beta))
 
 
+def _pressure_sensor(p_m1, p_0, p_1):
+    """Cell sensor nu = |p_{j-1} - 2 p_j + p_{j+1}|
+    / (p_{j-1} + 2 p_j + p_{j+1})."""
+    return np.abs(p_m1 - 2.0 * p_0 + p_1) / (p_m1 + 2.0 * p_0 + p_1)
+
+
+def _switches(nu_l, nu_r, kappa2, kappa4):
+    """(eps2, eps4) of the face between cells with sensors nu_l and nu_r."""
+    eps2 = np.minimum(1.0, kappa2 * np.maximum(nu_l, nu_r))
+    return eps2, np.maximum(0.0, kappa4 - eps2)
+
+
 def jst_switches(p_stencil, kappa2, kappa4):
     """Pressure-sensor switches (eps2, eps4) at the face j+1/2.
 
@@ -137,12 +151,20 @@ def jst_switches(p_stencil, kappa2, kappa4):
     nu = |p_{j-1} - 2 p_j + p_{j+1}| / (p_{j-1} + 2 p_j + p_{j+1}).
     """
     pm1, p0, p1, p2 = (np.asarray(p, dtype=float) for p in p_stencil)
-    nu_l = np.abs(pm1 - 2.0 * p0 + p1) / (pm1 + 2.0 * p0 + p1)
-    nu_r = np.abs(p0 - 2.0 * p1 + p2) / (p0 + 2.0 * p1 + p2)
-    nu = np.maximum(nu_l, nu_r)
-    eps2 = np.minimum(1.0, kappa2 * nu)
-    eps4 = np.maximum(0.0, kappa4 - eps2)
-    return eps2, eps4
+    return _switches(_pressure_sensor(pm1, p0, p1),
+                     _pressure_sensor(p0, p1, p2), kappa2, kappa4)
+
+
+def _jst(stencil, m: FaceMeans, gas: GasModel, spec: DissipationSpec,
+         eps2, eps4):
+    """Stacked jst_dissipation flux; stencil holds the four stacked
+    (rho, u, 1/beta) of q_{j-1} .. q_{j+2}."""
+    fm1, f0, f1, f2 = stencil
+    d_rho, d_u, d_inv_beta = (eps2 * (f1 - f0)
+                              - eps4 * (f2 - 3.0 * f1 + 3.0 * f0 - fm1))
+    D, lam = _scalar_d_from_jumps(m, gas, spec.beta_average,
+                                  d_rho, d_u, d_inv_beta)
+    return D * (-0.5 * lam)
 
 
 def jst_dissipation(stencil, gas: GasModel, spec: DissipationSpec,
@@ -160,18 +182,10 @@ def jst_dissipation(stencil, gas: GasModel, spec: DissipationSpec,
     if eps2 is None or eps4 is None:
         eps2, eps4 = jst_switches((qm1.p, q0.p, q1.p, q2.p),
                                   spec.kappa2, spec.kappa4)
-
-    def blend(fm1, f0, f1, f2):
-        return eps2 * (f1 - f0) - eps4 * (f2 - 3.0 * f1 + 3.0 * f0 - fm1)
-
-    d_rho = blend(qm1.rho, q0.rho, q1.rho, q2.rho)
-    d_u = blend(qm1.u, q0.u, q1.u, q2.u)
     m = FaceMeans(q0, q1) if means is None else means
-    d_inv_beta = blend(1.0 / qm1.beta, 1.0 / m.beta_l,
-                       1.0 / m.beta_r, 1.0 / q2.beta)
-    D, lam = _scalar_d_from_jumps(m, gas, spec.beta_average,
-                                  d_rho, d_u, d_inv_beta)
-    return D * (-0.5 * lam)
+    rows = _stacked(*(f for q in stencil for f in (q.rho, q.u, 1.0 / q.beta)))
+    return FluxVector(*_jst(rows.reshape((4, 3) + rows.shape[1:]), m, gas,
+                            spec, eps2, eps4))
 
 
 def face_average(left: PrimState, right: PrimState, gas: GasModel,
@@ -197,13 +211,13 @@ def face_average(left: PrimState, right: PrimState, gas: GasModel,
 
 
 def _eigen_entries(avg: FaceAverage, gas: GasModel):
-    """Rows 2 and 3 of R (row 1 is ones) and the acoustic and entropy-wave
-    entries of S."""
+    """Rows 2 and 3 of R (row 1 is ones) as a (2, 3, ...) array, columns
+    (u-a, u, u+a), and the acoustic and entropy-wave entries of S."""
     rho, u, a, H = avg.rho, avg.u, avg.a, avg.H
     g = gas.gamma
-    return ((u - a, u, u + a),
-            (H - u * a, 0.5 * u * u, H + u * a),
-            (rho / (2.0 * g), (g - 1.0) * rho / g))
+    ua = u * a
+    rows = np.array(((u - a, u, u + a), (H - ua, 0.5 * u * u, H + ua)))
+    return rows, rho / (2.0 * g), (g - 1.0) * rho / g
 
 
 def eigen_system(avg: FaceAverage, gas: GasModel):
@@ -214,15 +228,10 @@ def eigen_system(avg: FaceAverage, gas: GasModel):
     Q = R |Lambda| S R^T is symmetric positive semidefinite for any
     nonnegative |Lambda|.
     """
-    speeds, enthalpies, (s_ac, s_mid) = _eigen_entries(avg, gas)
-    one = np.ones_like(avg.u)
-    R = np.stack([
-        np.stack([one, one, one], axis=-1),
-        np.stack(speeds, axis=-1),
-        np.stack(enthalpies, axis=-1),
-    ], axis=-2)
-    S = np.stack([s_ac, s_mid, s_ac], axis=-1)
-    return R, S
+    rows, s_ac, s_mid = _eigen_entries(avg, gas)
+    R = np.concatenate((np.ones_like(rows[:1]), rows))
+    return (np.ascontiguousarray(np.moveaxis(R, (0, 1), (-2, -1))),
+            np.stack([s_ac, s_mid, s_ac], axis=-1))
 
 
 def eigenvalue_law(u_f, a_f, left: PrimState, right: PrimState,
@@ -236,35 +245,39 @@ def eigenvalue_law(u_f, a_f, left: PrimState, right: PrimState,
     rus:  (|u|+a) I
     hyb:  (1-phi) roe + phi rus with phi = clip(sqrt(|dp|/(2 p_bar)), 0, 1)
     """
-    return np.stack(_law_components(u_f, a_f, left, right, gas, spec), axis=-1)
+    u_f, a_f = np.broadcast_arrays(u_f, a_f)
+    speeds = np.array((u_f - a_f, u_f, u_f + a_f))
+    lam = _law(speeds, a_f, FaceMeans(left, right), gas, spec)
+    return np.ascontiguousarray(np.moveaxis(lam, 0, -1))
 
 
-def _law_components(u_f, a_f, left: PrimState, right: PrimState,
-                    gas: GasModel, spec: DissipationSpec):
-    """The three |Lambda| entries of eigenvalue_law, as a tuple."""
+def _acoustic_speeds(q: PrimState, gas: GasModel):
+    """The acoustic eigenvalues (u - a, u + a) of the states q, stacked."""
+    a = sound_speed(q, gas)
+    return np.array((q.u - a, q.u + a))
+
+
+def _law(speeds, a_f, m: FaceMeans, gas: GasModel, spec: DissipationSpec):
+    """Stacked |Lambda| of eigenvalue_law from the wave speeds
+    (u-a, u, u+a) of the face."""
     law = spec.matrix_law
-    abs_u = np.abs(u_f)
+    lam = np.abs(speeds)
     if law == "roe":
-        return np.abs(u_f - a_f), abs_u, np.abs(u_f + a_f)
+        return lam
     if law == "ec1":
-        a_l = sound_speed(left, gas)
-        a_r = sound_speed(right, gas)
-        d1 = np.abs((right.u - a_r) - (left.u - a_l))
-        d3 = np.abs((right.u + a_r) - (left.u + a_l))
-        return (np.abs(u_f - a_f) + spec.ec1_beta * d1, abs_u,
-                np.abs(u_f + a_f) + spec.ec1_beta * d3)
+        side_l, side_r = m.sides(lambda q: _acoustic_speeds(q, gas))
+        lam[::2] += spec.ec1_beta * np.abs(side_r - side_l)
+        return lam
+    abs_u = lam[1]
     lam_max = abs_u + a_f
     if law == "kes":
-        return lam_max, abs_u, lam_max
+        return np.array((lam_max, abs_u, lam_max))
     if law == "rus":
-        return lam_max, lam_max, lam_max
+        return np.array((lam_max, lam_max, lam_max))
     if law == "hyb":
-        p_bar = 0.5 * (left.p + right.p)
-        phi = np.clip(np.sqrt(np.abs(right.p - left.p) / (2.0 * p_bar)), 0.0, 1.0)
-        blend = phi * lam_max
-        return ((1.0 - phi) * np.abs(u_f - a_f) + blend,
-                (1.0 - phi) * abs_u + blend,
-                (1.0 - phi) * np.abs(u_f + a_f) + blend)
+        phi = np.clip(np.sqrt(np.abs(m.right.p - m.left.p) / (2.0 * m.p_bar)),
+                      0.0, 1.0)
+        return (1.0 - phi) * lam + phi * lam_max
     raise ValueError(f"unknown matrix law {law!r}")
 
 
@@ -273,20 +286,30 @@ def assemble_q(R, lam, S):
     return np.einsum("...ik,...k,...jk->...ij", R, lam * S, R)
 
 
+def _matrix(m: FaceMeans, gas: GasModel, spec: DissipationSpec,
+            flux_kind: str):
+    """Stacked matrix_dissipation: w = |Lambda| S R^T dv, then R w, formed
+    in place."""
+    avg = face_average(m.left, m.right, gas, flux_kind, m)
+    rows, s_ac, s_mid = _eigen_entries(avg, gas)
+    dv = _entropy_jump(m, gas)
+    w = _law(rows[0], avg.a, m, gas, spec)
+    w[::2] *= s_ac
+    w[1] *= s_mid
+    w *= dv[0] + rows[0] * dv[1] + rows[1] * dv[2]
+    rows *= w
+    # the two acoustic waves are summed before the entropy wave is added
+    out = np.empty_like(w)
+    out[0] = (w[0] + w[2]) + w[1]
+    out[1:] = (rows[:, 0] + rows[:, 2]) + rows[:, 1]
+    out *= -0.5
+    return out
+
+
 def matrix_dissipation(left: PrimState, right: PrimState, gas: GasModel,
                        spec: DissipationSpec, flux_kind: str = "kepec",
                        means: FaceMeans | None = None) -> FluxVector:
     """Entropy-variable matrix dissipation -(1/2) R |Lambda| S R^T dv,
     multiplied out in closed form: w = |Lambda| S R^T dv, then R w."""
     m = FaceMeans(left, right) if means is None else means
-    avg = face_average(left, right, gas, flux_kind, m)
-    (c1, c2, c3), (h1, h2, h3), (s_ac, s_mid) = _eigen_entries(avg, gas)
-    lam1, lam2, lam3 = _law_components(avg.u, avg.a, left, right, gas, spec)
-    dv = entropy_vars_jump(left, right, gas, m)
-    w1 = (lam1 * s_ac) * (dv.v1 + c1 * dv.v2 + h1 * dv.v3)
-    w2 = (lam2 * s_mid) * (dv.v1 + c2 * dv.v2 + h2 * dv.v3)
-    w3 = (lam3 * s_ac) * (dv.v1 + c3 * dv.v2 + h3 * dv.v3)
-    # the two acoustic waves are summed before the entropy wave is added
-    return FluxVector(-0.5 * ((w1 + w3) + w2),
-                      -0.5 * ((c1 * w1 + c3 * w3) + c2 * w2),
-                      -0.5 * ((h1 * w1 + h3 * w3) + h2 * w2))
+    return FluxVector(*_matrix(m, gas, spec, flux_kind))

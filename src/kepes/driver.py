@@ -19,6 +19,7 @@ from .diagnostics import budget_report, monotonicity_defect, solution_metrics
 from .riemann import solve_riemann
 from .spatial import assemble_rhs
 from .thermo import (
+    ConsState,
     InvalidStateError,
     PrimState,
     cons_to_prim,
@@ -128,15 +129,22 @@ def _write_metrics(path: str, config: ProblemConfig, x, prim: PrimState,
 
 
 def run(config: ProblemConfig, output_dir: str) -> RunResult:
-    """Advance the configured problem to t_final and write the artifacts."""
+    """Advance the configured problem to t_final and write the artifacts.
+
+    A run whose output directory or any artifact cannot be written ends
+    with status 2, "i/o failure".
+    """
     result = RunResult(status=0, message="ok", output_dir=output_dir)
     try:
-        os.makedirs(output_dir, exist_ok=True)
+        _run(config, output_dir, result)
     except OSError as exc:
         result.status = 2
         result.message = f"i/o failure: {exc}"
-        return result
+    return result
 
+
+def _run(config: ProblemConfig, output_dir: str, result: RunResult):
+    os.makedirs(output_dir, exist_ok=True)
     grid, gas = config.grid, config.gas
     x = grid.cell_centers()
 
@@ -149,6 +157,7 @@ def run(config: ProblemConfig, output_dir: str) -> RunResult:
 
     cells = initial_state(config)
     prim0 = cons_to_prim(cells, gas)
+    w = cells.stacked()
     t = 0.0
     step = 0
 
@@ -158,8 +167,8 @@ def run(config: ProblemConfig, output_dir: str) -> RunResult:
 
     def sample_budget(w, time):
         rhs, faces = rhs_full(w)
-        report = budget_report(time, cons_to_prim(w, gas), rhs, faces, grid,
-                               gas)
+        report = budget_report(time, cons_to_prim(ConsState(*w), gas),
+                               ConsState(*rhs), faces, grid, gas)
         budget_rows.append(report)
         return report
 
@@ -170,47 +179,40 @@ def run(config: ProblemConfig, output_dir: str) -> RunResult:
         name = (f"snapshot_{snap_index:04d}.csv" if suffix is None
                 else f"snapshot_{suffix}.csv")
         path = os.path.join(output_dir, name)
-        _write_snapshot(path, x, cons_to_prim(w, gas), gas)
+        _write_snapshot(path, x, cons_to_prim(ConsState(*w), gas), gas)
         result.snapshots.append(path)
         if suffix is None:
             snap_index += 1
 
     final_report = None
     try:
-        emit_snapshot(cells)
-        sample_budget(cells, t)
+        emit_snapshot(w)
+        sample_budget(w, t)
         interval = config.snapshot_interval
         next_mark = interval if interval else None
         tiny = 1e-12 * max(1.0, config.time.t_final)
         while t < config.time.t_final - tiny and step < config.time.max_steps:
-            dt = compute_dt(cells, grid, gas, config.time.cfl)
+            dt = compute_dt(w, grid, gas, config.time.cfl)
             dt = min(dt, config.time.t_final - t)
-            cells = ssp_rk3_step(cells, dt, rhs_op)
+            w = ssp_rk3_step(w, dt, rhs_op)
             t += dt
             step += 1
             if next_mark is not None and t + tiny >= next_mark:
-                emit_snapshot(cells)
-                sample_budget(cells, t)
+                emit_snapshot(w)
+                sample_budget(w, t)
                 next_mark += interval
             if (config.time.steady_tol is not None
                     and step % _STEADY_CHECK_EVERY == 0):
-                rhs, _ = rhs_full(cells)
-                residual = max(float(np.max(np.abs(rhs.rho))),
-                               float(np.max(np.abs(rhs.m))),
-                               float(np.max(np.abs(rhs.E))))
+                residual = float(np.max(np.abs(rhs_op(w))))
                 if residual < config.time.steady_tol:
                     result.message = (f"steady at t={t:.6g} "
                                       f"(residual {residual:.3e})")
                     break
-        final_report = sample_budget(cells, t)
-        emit_snapshot(cells, suffix="final")
+        final_report = sample_budget(w, t)
+        emit_snapshot(w, suffix="final")
     except (InvalidStateError, StageError) as exc:
         result.status = 1
         result.message = f"aborted at t={t:.6g}, step {step}: {exc}"
-    except OSError as exc:
-        result.status = 2
-        result.message = f"i/o failure: {exc}"
-        return result
 
     with open(budget_path, "w", encoding="utf-8", newline="\n") as fh:
         if budget_rows:
@@ -220,9 +222,9 @@ def run(config: ProblemConfig, output_dir: str) -> RunResult:
 
     if result.status == 0:
         metrics_path = os.path.join(output_dir, "metrics.txt")
-        _write_metrics(metrics_path, config, x, cons_to_prim(cells, gas),
-                       prim0, final_report, t, step)
+        _write_metrics(metrics_path, config, x,
+                       cons_to_prim(ConsState(*w), gas), prim0, final_report,
+                       t, step)
         result.metrics_path = metrics_path
     result.final_time = t
     result.steps = step
-    return result

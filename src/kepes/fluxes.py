@@ -5,8 +5,9 @@ writes the momentum flux as f_m = p_tilde + u_bar * f_rho with the
 arithmetic-mean velocity u_bar; the entropy-conservative members pin the
 remaining averages with logarithmic means so that the two-point condition
 dv . f = d(rho u) holds exactly across any interface.
-Every flux takes an optional trailing FaceMeans record of the pair; the
-solver passes the one record it builds per stage.
+Every flux takes an optional trailing FaceMeans record of the pair.  Each
+is a thin wrapper over a kernel that returns the stacked (3, ...) flux;
+the solver calls the kernels with the one record it builds per stage.
 """
 
 from __future__ import annotations
@@ -54,11 +55,6 @@ class FluxVector:
         return FluxVector(self.f_rho - other.f_rho, self.f_m - other.f_m,
                           self.f_e - other.f_e)
 
-    def __mul__(self, c):
-        return FluxVector(c * self.f_rho, c * self.f_m, c * self.f_e)
-
-    __rmul__ = __mul__
-
     def as_array(self):
         return np.stack(np.broadcast_arrays(self.f_rho, self.f_m, self.f_e), axis=-1)
 
@@ -70,29 +66,29 @@ def exact_flux(q: PrimState, gas: GasModel) -> FluxVector:
     return FluxVector(f_rho, q.p + f_rho * q.u, f_rho * H)
 
 
+def _public(kernel, left, right, gas, means):
+    """A stacked flux kernel as a FluxVector, building the pair's record
+    when none is given."""
+    m = FaceMeans(left, right) if means is None else means
+    return FluxVector(*kernel(left, right, gas, m))
+
+
+def _kep(left, right, gas, m):
+    H_bar = _avg(total_enthalpy(left, gas), total_enthalpy(right, gas))
+    f_rho = m.rho_bar * m.u_bar
+    return np.array((f_rho, m.p_bar + m.u_bar * f_rho, f_rho * H_bar))
+
+
 def flux_kep(left: PrimState, right: PrimState, gas: GasModel,
              means: FaceMeans | None = None) -> FluxVector:
     """Kinetic-energy-preserving flux built from plain arithmetic averages.
 
     f_rho = rho_bar u_bar, p_tilde = p_bar, f_e = rho_bar u_bar H_bar.
     """
-    m = FaceMeans(left, right) if means is None else means
-    p_bar = _avg(left.p, right.p)
-    H_bar = _avg(total_enthalpy(left, gas), total_enthalpy(right, gas))
-    f_rho = m.rho_bar * m.u_bar
-    return FluxVector(f_rho, p_bar + m.u_bar * f_rho, f_rho * H_bar)
+    return _public(_kep, left, right, gas, means)
 
 
-def flux_roe_ec(left: PrimState, right: PrimState, gas: GasModel,
-                means: FaceMeans | None = None) -> FluxVector:
-    """Entropy-conservative flux based on the parameter vector
-    z = sqrt(rho/p) (1, u, p).
-
-    Satisfies dv . f = d(rho u) exactly but is not kinetic-energy
-    preserving: the momentum flux carries the weighted velocity
-    u_tilde = z2_bar/z1_bar instead of the arithmetic mean.  Its averages
-    are means of z, not of (rho, u, beta), so means is not read.
-    """
+def _roe_ec(left, right, gas, m):
     g = gas.gamma
     wl = np.sqrt(left.rho / left.p)
     wr = np.sqrt(right.rho / right.p)
@@ -112,10 +108,23 @@ def flux_roe_ec(left: PrimState, right: PrimState, gas: GasModel,
     H_t = a_t * a_t / (g - 1.0) + 0.5 * u_t * u_t
 
     f_rho = rho_t * u_t
-    return FluxVector(f_rho, p1_t + u_t * f_rho, H_t * f_rho)
+    return np.array((f_rho, p1_t + u_t * f_rho, H_t * f_rho))
 
 
-def _kep_family(m: FaceMeans, gas: GasModel, rho_f, beta_f) -> FluxVector:
+def flux_roe_ec(left: PrimState, right: PrimState, gas: GasModel,
+                means: FaceMeans | None = None) -> FluxVector:
+    """Entropy-conservative flux based on the parameter vector
+    z = sqrt(rho/p) (1, u, p).
+
+    Satisfies dv . f = d(rho u) exactly but is not kinetic-energy
+    preserving: the momentum flux carries the weighted velocity
+    u_tilde = z2_bar/z1_bar instead of the arithmetic mean.  Its averages
+    are means of z, not of (rho, u, beta), so means is not read.
+    """
+    return FluxVector(*_roe_ec(left, right, gas, means))
+
+
+def _kep_family(m: FaceMeans, gas: GasModel, rho_f, beta_f):
     """KEP flux f_rho = rho_f u_bar, f_m = p_tilde + u_bar f_rho and
     f_e = (1/(2 (gamma-1) beta_f) - u2_bar/2) f_rho + u_bar f_m."""
     g = gas.gamma
@@ -123,7 +132,11 @@ def _kep_family(m: FaceMeans, gas: GasModel, rho_f, beta_f) -> FluxVector:
     p_t = m.rho_bar / (2.0 * m.beta_bar)
     f_m = p_t + m.u_bar * f_rho
     f_e = (0.5 / ((g - 1.0) * beta_f) - 0.5 * m.u2_bar) * f_rho + m.u_bar * f_m
-    return FluxVector(f_rho, f_m, f_e)
+    return np.array((f_rho, f_m, f_e))
+
+
+def _kepec_ac(left, right, gas, m):
+    return _kep_family(m, gas, m.rho_bar, m.beta_bar)
 
 
 def flux_kepec_ac(left: PrimState, right: PrimState, gas: GasModel,
@@ -134,8 +147,11 @@ def flux_kepec_ac(left: PrimState, right: PrimState, gas: GasModel,
     O(jump^3).  p_tilde = rho_bar/(2 beta_bar) is the harmonic-temperature
     pressure average.
     """
-    m = FaceMeans(left, right) if means is None else means
-    return _kep_family(m, gas, m.rho_bar, m.beta_bar)
+    return _public(_kepec_ac, left, right, gas, means)
+
+
+def _kepec(left, right, gas, m):
+    return _kep_family(m, gas, m.rho_ln, m.beta_ln)
 
 
 def flux_kepec(left: PrimState, right: PrimState, gas: GasModel,
@@ -145,8 +161,13 @@ def flux_kepec(left: PrimState, right: PrimState, gas: GasModel,
     Same structure as flux_kepec_ac with the density and beta averages in
     the mass and energy fluxes replaced by logarithmic means.
     """
-    m = FaceMeans(left, right) if means is None else means
-    return _kep_family(m, gas, m.rho_ln, m.beta_ln)
+    return _public(_kepec, left, right, gas, means)
+
+
+def _central_mean(left, right, gas, m):
+    fl, fr = exact_flux(left, gas), exact_flux(right, gas)
+    return np.array((_avg(fl.f_rho, fr.f_rho), _avg(fl.f_m, fr.f_m),
+                     _avg(fl.f_e, fr.f_e)))
 
 
 def flux_central_mean(left: PrimState, right: PrimState, gas: GasModel,
@@ -156,9 +177,7 @@ def flux_central_mean(left: PrimState, right: PrimState, gas: GasModel,
     The central part of a classic Roe-type scheme; neither entropy
     conservative nor kinetic-energy preserving; means is not read.
     """
-    fl = exact_flux(left, gas)
-    fr = exact_flux(right, gas)
-    return 0.5 * (fl + fr)
+    return FluxVector(*_central_mean(left, right, gas, means))
 
 
 def tadmor_residual(left: PrimState, right: PrimState, flux: FluxVector,
@@ -169,11 +188,19 @@ def tadmor_residual(left: PrimState, right: PrimState, flux: FluxVector,
     return dv.v1 * flux.f_rho + dv.v2 * flux.f_m + dv.v3 * flux.f_e - dpsi
 
 
-# Fluxes selectable for time integration.
+# Fluxes selectable for time integration, and the stacked (3, ...) kernels
+# behind them, which the solver calls with the stage's FaceMeans record.
 CENTRAL_FLUXES = {
     "kep": flux_kep,
     "roe_ec": flux_roe_ec,
     "kepec_ac": flux_kepec_ac,
     "kepec": flux_kepec,
     "roe_baseline": flux_central_mean,
+}
+FLUX_KERNELS = {
+    "kep": _kep,
+    "roe_ec": _roe_ec,
+    "kepec_ac": _kepec_ac,
+    "kepec": _kepec,
+    "roe_baseline": _central_mean,
 }

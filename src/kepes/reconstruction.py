@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .thermo import PrimState
+from .thermo import PrimState, _stacked
 
 __all__ = ["ReconSpec", "minmod", "van_albada", "reconstruct_face"]
 
@@ -54,6 +54,19 @@ def _limited_slope(back, fwd, limiter):
     return 0.5 * (back + fwd)
 
 
+def _face_states(stencil, limiter: str):
+    """reconstruct_face at order 2 on the stacked (rho, u, p) of the
+    stencil; returns the stacked left and right face states."""
+    fm1, f0, f1, f2 = stencil
+    slope0 = _limited_slope(f0 - fm1, f1 - f0, limiter)
+    slope1 = _limited_slope(f1 - f0, f2 - f1, limiter)
+    left, right = f0 + 0.5 * slope0, f1 - 0.5 * slope1
+    # a side whose rho or p would not be positive reverts to first order
+    for face, cell in ((left, f0), (right, f1)):
+        np.copyto(face, cell, where=(face[0] <= 0.0) | (face[2] <= 0.0))
+    return left, right
+
+
 def reconstruct_face(q_stencil, spec: ReconSpec):
     """Face states at j+1/2 from the stencil (q_{j-1}, q_j, q_{j+1}, q_{j+2}).
 
@@ -61,25 +74,9 @@ def reconstruct_face(q_stencil, spec: ReconSpec):
     q_j + slope/2 and q_{j+1} - slope/2 with limited slopes, reverting a
     side to first order wherever rho or p would become non-positive.
     """
-    qm1, q0, q1, q2 = q_stencil
     if spec.order == 1:
-        return q0, q1
-
-    def face_values(fm1, f0, f1, f2):
-        slope0 = _limited_slope(f0 - fm1, f1 - f0, spec.limiter)
-        slope1 = _limited_slope(f1 - f0, f2 - f1, spec.limiter)
-        return f0 + 0.5 * slope0, f1 - 0.5 * slope1
-
-    rho_l, rho_r = face_values(qm1.rho, q0.rho, q1.rho, q2.rho)
-    u_l, u_r = face_values(qm1.u, q0.u, q1.u, q2.u)
-    p_l, p_r = face_values(qm1.p, q0.p, q1.p, q2.p)
-
-    bad_l = (rho_l <= 0.0) | (p_l <= 0.0)
-    bad_r = (rho_r <= 0.0) | (p_r <= 0.0)
-    left = PrimState(np.where(bad_l, q0.rho, rho_l),
-                     np.where(bad_l, q0.u, u_l),
-                     np.where(bad_l, q0.p, p_l))
-    right = PrimState(np.where(bad_r, q1.rho, rho_r),
-                      np.where(bad_r, q1.u, u_r),
-                      np.where(bad_r, q1.p, p_r))
-    return left, right
+        return q_stencil[1], q_stencil[2]
+    rows = _stacked(*(f for q in q_stencil for f in (q.rho, q.u, q.p)))
+    left, right = _face_states(rows.reshape((4, 3) + rows.shape[1:]),
+                               spec.limiter)
+    return PrimState(*left), PrimState(*right)

@@ -3,10 +3,12 @@
 assemble_rhs evaluates du_j/dt = -(F_{j+1/2} - F_{j-1/2})/dx
 + (G_{j+1/2} - G_{j-1/2})/dx with F a central flux plus optional scalar or
 matrix dissipation and G the viscous flux.  Two ghost cells per side feed
-the reconstruction and the four-point scalar-dissipation stencil.  One
-FaceMeans record of the face pairs per call feeds the central flux and the
-dissipation.  All per-face quantities needed by the budget diagnostics are
-returned in a FaceData record, which derives them only when read.
+the reconstruction and the four-point scalar-dissipation stencil.  The
+state may be a ConsState or its stacked (3, n) array; inside, the cells are
+one (3, n + 4) array, one FaceMeans record of the face pairs per call feeds
+the central flux and the dissipation, and each flux is a stacked
+(3, n + 1) array.  All per-face quantities needed by the budget diagnostics
+are returned in a FaceData record, which derives them only when read.
 """
 
 from __future__ import annotations
@@ -16,16 +18,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .dissipation import DissipationSpec, jst_dissipation, matrix_dissipation
-from .fluxes import CENTRAL_FLUXES, FluxVector
-from .reconstruction import ReconSpec, reconstruct_face
+from .dissipation import (DissipationSpec, _jst, _matrix, _pressure_sensor,
+                          _switches)
+from .fluxes import CENTRAL_FLUXES, FLUX_KERNELS, FluxVector
+from .reconstruction import ReconSpec, _face_states
 from .thermo import (
     ConsState,
     FaceMeans,
     GasModel,
     InvalidStateError,
     PrimState,
-    cons_to_prim,
+    _velocity_pressure,
     entropy_vars,
     validate_prim,
 )
@@ -110,20 +113,33 @@ class BoundarySpec:
 class FaceData:
     """Per-face record backing the budget diagnostics.
 
-    Arrays have one entry per face (n_cells + 1; under periodic boundaries
-    face n_cells duplicates face 0).  du, u_bar, dv and dpsi are built from
-    the cell values adjacent to each face (left, right), which is what the
-    summation-by-parts budget identities require.  They and p_tilde are
-    computed on first read, so marching never pays for them.
+    fluxes holds the central, dissipative and viscous fluxes as stacked
+    (3, n_faces) arrays, which central, diss and visc present as
+    FluxVectors.  Arrays have one entry per face (n_cells + 1; under
+    periodic boundaries face n_cells duplicates face 0).  du, u_bar, dv and
+    dpsi are built from the cell values adjacent to each face (left,
+    right), which is what the summation-by-parts budget identities require.
+    They, p_tilde and the FluxVectors are computed on first read, so
+    marching never pays for them.
     """
 
-    central: FluxVector
-    diss: FluxVector
-    visc: FluxVector
+    fluxes: tuple
     left: PrimState
     right: PrimState
     gas: GasModel
     periodic: bool
+
+    @cached_property
+    def central(self) -> FluxVector:
+        return FluxVector(*self.fluxes[0])
+
+    @cached_property
+    def diss(self) -> FluxVector:
+        return FluxVector(*self.fluxes[1])
+
+    @cached_property
+    def visc(self) -> FluxVector:
+        return FluxVector(*self.fluxes[2])
 
     @cached_property
     def u_bar(self) -> np.ndarray:
@@ -149,7 +165,19 @@ class FaceData:
 
     def net(self) -> np.ndarray:
         """Total face flux (F - G) as an (n_faces, 3) array."""
-        return (self.central + self.diss - self.visc).as_array()
+        central, diss, visc = self.fluxes
+        return (central + diss - visc).T
+
+
+def _viscous(pairs: FaceMeans, gas: GasModel, dx: float):
+    """Stacked viscous_face_flux of the pairs' record."""
+    t_l, t_r = pairs.sides(lambda q: q.temperature(gas))
+    t_face = 0.5 * (t_l + t_r)
+    mu = gas.viscosity(t_face)
+    kappa = gas.conductivity(t_face)
+    tau = (4.0 / 3.0) * mu * (pairs.right.u - pairs.left.u) / dx
+    q = -kappa * (t_r - t_l) / dx
+    return np.array((np.zeros_like(tau), tau, pairs.u_bar * tau - q))
 
 
 def viscous_face_flux(left: PrimState, right: PrimState, gas: GasModel,
@@ -159,138 +187,105 @@ def viscous_face_flux(left: PrimState, right: PrimState, gas: GasModel,
     tau = (4/3) mu du/dx and q = -kappa dT/dx with mu, kappa evaluated at
     the arithmetic-mean face temperature.
     """
-    t_l = left.temperature(gas)
-    t_r = right.temperature(gas)
-    t_face = 0.5 * (t_l + t_r)
-    mu = gas.viscosity(t_face)
-    kappa = gas.conductivity(t_face)
-    tau = (4.0 / 3.0) * mu * (right.u - left.u) / dx
-    q = -kappa * (t_r - t_l) / dx
-    u_bar = 0.5 * (left.u + right.u)
-    return FluxVector(np.zeros_like(tau), tau, u_bar * tau - q)
+    return FluxVector(*_viscous(FaceMeans(left, right), gas, dx))
 
 
-def _take(q: PrimState, idx) -> PrimState:
-    return PrimState(q.rho[idx], q.u[idx], q.p[idx])
+def _extended(rho, u, p, bcs: BoundarySpec) -> np.ndarray:
+    """The cells and two ghost cells per side, as one (3, n + 4) array of
+    the rows rho, u, p."""
+    out = np.empty((3, np.shape(rho)[0] + 4))
+    out[0, 2:-2] = rho
+    out[1, 2:-2] = u
+    out[2, 2:-2] = p
+    if bcs.is_periodic:
+        out[:, :2] = out[:, -4:-2]
+        out[:, -2:] = out[:, 2:4]
+    else:
+        out[:, :2] = _ghost(bcs.left, out[:, 2:3])
+        out[:, -2:] = _ghost(bcs.right, out[:, -3:-2])
+    return out
+
+
+def _ghost(bc: BoundaryCondition, edge):
+    # fixed_state holds its state; the other kinds copy the edge cell
+    if bc.kind != "fixed_state":
+        return edge
+    return np.array((bc.state.rho, bc.state.u, bc.state.p))[:, None]
 
 
 def apply_boundary(prim: PrimState, bcs: BoundarySpec) -> PrimState:
     """Extend the interior cell array by two ghost cells per side."""
-    n = np.shape(prim.rho)[0]
-
-    def ghost(bc: BoundaryCondition, name, edge):
-        # fixed_state holds its state; the other kinds copy the edge cell
-        return getattr(bc.state, name) if bc.kind == "fixed_state" else edge
-
-    def one_field(name):
-        f = np.asarray(getattr(prim, name), dtype=float)
-        out = np.empty(n + 4)
-        out[2:-2] = f
-        if bcs.is_periodic:
-            out[:2] = f[-2:]
-            out[-2:] = f[:2]
-        else:
-            out[:2] = ghost(bcs.left, name, f[0])
-            out[-2:] = ghost(bcs.right, name, f[-1])
-        return out
-
-    return PrimState(one_field("rho"), one_field("u"), one_field("p"))
+    return PrimState(*_extended(prim.rho, prim.u, prim.p, bcs))
 
 
-def _cell_sensor(p_ext: np.ndarray, periodic: bool) -> np.ndarray:
-    """Shock sensor nu for extended cells 1 .. n+2 (returned full length,
-    entries 0 and n+3 unused)."""
-    nu = np.zeros_like(p_ext)
-    nu[1:-1] = (np.abs(p_ext[:-2] - 2.0 * p_ext[1:-1] + p_ext[2:])
-                / (p_ext[:-2] + 2.0 * p_ext[1:-1] + p_ext[2:]))
-    if not periodic:
-        # boundary faces reuse the nearest interior sensor
-        nu[1] = nu[2]
-        nu[-2] = nu[-3]
-    return nu
+def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
+                 diss: DissipationSpec, recon: ReconSpec, bcs: BoundarySpec):
+    """Semi-discrete right-hand side and the per-face diagnostic record.
 
-
-def _components(f: FluxVector):
-    return f.f_rho, f.f_m, f.f_e
-
-
-def _zero_flux(n_faces: int) -> FluxVector:
-    """All-zero flux with its own array per component."""
-    return FluxVector(np.zeros(n_faces), np.zeros(n_faces), np.zeros(n_faces))
-
-
-def _shock_outflow_fluxes(central: FluxVector, diss: FluxVector,
-                          visc: FluxVector, mass_flux: float):
-    """Boundary-flux step of the shock_outflow right face: it carries the
-    prescribed mass flux and, in momentum and energy, the net flux of the
-    face before it, so the last cell sees zero update in them; its
-    dissipative and viscous parts are zero.  Returns new flux vectors."""
-    c, d, v = (np.array(_components(f)) for f in (central, diss, visc))
-    c[1:, -1] = c[1:, -2] + d[1:, -2] - v[1:, -2]
-    c[0, -1] = mass_flux
-    d[:, -1] = 0.0
-    v[:, -1] = 0.0
-    return FluxVector(*c), FluxVector(*d), FluxVector(*v)
-
-
-def assemble_rhs(cells: ConsState, grid: Grid1D, gas: GasModel,
-                 flux_kind: str, diss: DissipationSpec, recon: ReconSpec,
-                 bcs: BoundarySpec):
-    """Semi-discrete right-hand side and the per-face diagnostic record."""
+    cells is a ConsState or its stacked (3, n) array of the rows rho, m,
+    E; rhs comes back in the same form.
+    """
     if flux_kind not in CENTRAL_FLUXES:
         raise ValueError(f"unknown flux kind {flux_kind!r}")
-    central_flux = CENTRAL_FLUXES[flux_kind]
-
-    prim = cons_to_prim(cells, gas)
-    bad = validate_prim(prim)
-    if np.any(bad):
-        idx = int(np.argmax(bad))
+    stacked = isinstance(cells, np.ndarray)
+    w = cells if stacked else cells.stacked()
+    n, dx = grid.n_cells, grid.dx
+    rows = _extended(w[0], *_velocity_pressure(*w, gas), bcs)
+    inner = rows[:, 2:-2]
+    # validate_prim's condition, tested at once: finite, rho > 0 and p > 0
+    if (np.count_nonzero(np.isfinite(inner)) < inner.size
+            or not inner[::2].min() > 0.0):
+        idx = int(np.argmax(validate_prim(PrimState(*inner))))
         raise InvalidStateError(
-            f"invalid state in cell {idx}: rho={prim.rho[idx]:.6g}, "
-            f"p={prim.p[idx]:.6g}")
+            f"invalid state in cell {idx}: rho={inner[0, idx]:.6g}, "
+            f"p={inner[2, idx]:.6g}")
+    ext = PrimState(*rows)
 
-    ext = apply_boundary(prim, bcs)
-    n = grid.n_cells
-    dx = grid.dx
-
-    # stencil views for the n+1 faces: face k sits between ext cells
-    # k+1 and k+2
-    qm1, q0, q1, q2 = (_take(ext, slice(k, n + 1 + k)) for k in range(4))
-
-    face_l, face_r = reconstruct_face((qm1, q0, q1, q2), recon)
-    means = FaceMeans(face_l, face_r)
-    central = central_flux(face_l, face_r, gas, means)
+    # face k sits between ext cells k+1 and k+2; at first order the face
+    # pairs are these cell pairs
+    pairs = FaceMeans.of_cells(ext, slice(1, n + 2), slice(2, n + 3))
+    means = pairs
+    if recon.order == 2:
+        means = FaceMeans(*(PrimState(*q) for q in _face_states(
+            [rows[:, k:n + 1 + k] for k in range(4)], recon.limiter)))
+    central = FLUX_KERNELS[flux_kind](means.left, means.right, gas, means)
 
     if diss.kind == "matrix":
-        d_flux = matrix_dissipation(face_l, face_r, gas, diss, flux_kind,
-                                    means)
+        d_flux = _matrix(means, gas, diss, flux_kind)
     elif diss.kind == "scalar":
-        nu_ext = _cell_sensor(ext.p, bcs.is_periodic)
-        nu_face = np.maximum(nu_ext[1:n + 2], nu_ext[2:n + 3])
-        eps2 = np.minimum(1.0, diss.kappa2 * nu_face)
-        eps4 = np.maximum(0.0, diss.kappa4 - eps2)
-        # the stencil differences cell states, whose pairs (q0, q1) are the
-        # face pairs only without reconstruction
-        d_flux = jst_dissipation((qm1, q0, q1, q2), gas, diss,
-                                 eps2=eps2, eps4=eps4,
-                                 means=means if recon.order == 1 else None)
+        nu = np.zeros(n + 4)
+        nu[1:-1] = _pressure_sensor(ext.p[:-2], ext.p[1:-1], ext.p[2:])
+        if not bcs.is_periodic:
+            # boundary faces reuse the nearest interior sensor
+            nu[1] = nu[2]
+            nu[-2] = nu[-3]
+        eps2, eps4 = _switches(nu[1:n + 2], nu[2:n + 3], diss.kappa2,
+                               diss.kappa4)
+        # the stencil differences cell states, whose pairs are the face
+        # pairs only without reconstruction
+        slots = np.array((ext.rho, ext.u, 1.0 / ext.beta))
+        d_flux = _jst([slots[:, k:n + 1 + k] for k in range(4)], pairs, gas,
+                      diss, eps2, eps4)
     else:
-        d_flux = _zero_flux(n + 1)
+        d_flux = np.zeros((3, n + 1))
     if gas.is_viscous:
-        g_flux = viscous_face_flux(q0, q1, gas, dx)
+        g_flux = _viscous(pairs, gas, dx)
     else:
-        g_flux = _zero_flux(n + 1)
+        g_flux = np.zeros((3, n + 1))
 
     if bcs.right.kind == "shock_outflow":
-        central, d_flux, g_flux = _shock_outflow_fluxes(
-            central, d_flux, g_flux, bcs.right.mass_flux)
+        # boundary-flux step: the last face carries the prescribed mass
+        # flux and, in momentum and energy, the net flux of the face before
+        # it, so the last cell sees zero update in them; its dissipative
+        # and viscous parts are zero
+        central[1:, n] = (central[1:, n - 1] + d_flux[1:, n - 1]
+                          - g_flux[1:, n - 1])
+        central[0, n] = bcs.right.mass_flux
+        d_flux[:, n] = 0.0
+        g_flux[:, n] = 0.0
 
-    rhs = []
-    for c, d, v in zip(_components(central), _components(d_flux),
-                       _components(g_flux)):
-        net = c + d - v
-        rhs.append(-(net[1:] - net[:-1]) / dx)
-
-    faces = FaceData(central=central, diss=d_flux, visc=g_flux, left=q0,
-                     right=q1, gas=gas, periodic=bcs.is_periodic)
-    return ConsState(*rhs), faces
+    net = central + d_flux - g_flux
+    rhs = -(net[:, 1:] - net[:, :-1]) / dx
+    faces = FaceData((central, d_flux, g_flux), pairs.left, pairs.right, gas,
+                     bcs.is_periodic)
+    return (rhs if stacked else ConsState(*rhs)), faces

@@ -10,7 +10,6 @@ s = ln(p) - gamma*ln(rho).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -145,6 +144,10 @@ class ConsState:
     def copy(self):
         return ConsState(np.array(self.rho), np.array(self.m), np.array(self.E))
 
+    def stacked(self) -> np.ndarray:
+        """The rows rho, m, E as one (3, ...) array, the marched state."""
+        return np.array((self.rho, self.m, self.E), dtype=float)
+
 
 @dataclass(frozen=True)
 class EntropyVars:
@@ -170,9 +173,13 @@ def prim_to_cons(q: PrimState, gas: GasModel) -> ConsState:
 
 def cons_to_prim(w: ConsState, gas: GasModel) -> PrimState:
     """Inverse of prim_to_cons; assumes a valid state."""
-    u = w.m / w.rho
-    p = (gas.gamma - 1.0) * (w.E - 0.5 * w.m * u)
-    return PrimState(w.rho, u, p)
+    return PrimState(w.rho, *_velocity_pressure(w.rho, w.m, w.E, gas))
+
+
+def _velocity_pressure(rho, m, E, gas: GasModel):
+    """u and p of the conserved fields."""
+    u = m / rho
+    return u, (gas.gamma - 1.0) * (E - 0.5 * m * u)
 
 
 def validate_prim(q: PrimState) -> np.ndarray:
@@ -210,31 +217,84 @@ def _avg(a, b):
     return 0.5 * (a + b)
 
 
+def _stacked(*fields):
+    """The fields broadcast against each other and stacked on a new axis 0."""
+    return np.array(np.broadcast_arrays(*fields), dtype=float)
+
+
+def _mean_fields(q: PrimState):
+    """The quantities of a state that face means average: rho, beta, u,
+    u^2 and p; the first two are the log-mean pair."""
+    return q.rho, q.beta, q.u, q.u * q.u, q.p
+
+
 class FaceMeans:
     """Two-point averages of the pairs (left, right), shared by the central
     flux, the dissipation and the entropy-variable jump of one RHS stage.
 
-    The logarithmic means rho_ln and beta_ln are formed on first read, one
-    log_mean call each; u2_bar is the mean of u^2.
+    Every mean is formed on first read: rho_bar, beta_bar, u_bar, u2_bar
+    (the mean of u^2) and p_bar by one average of the stacked _mean_fields
+    of both sides, rho_ln and beta_ln by one log_mean call on the stacked
+    (rho, beta) pair.  A record of neighbouring cells (FaceMeans.of_cells)
+    evaluates each cell quantity once per cell and slices both sides out;
+    left and right of any other record are views of its stacked fields.
     """
 
     def __init__(self, left: PrimState, right: PrimState):
-        self.left = left
-        self.right = right
-        self.beta_l = left.beta
-        self.beta_r = right.beta
-        self.rho_bar = _avg(left.rho, right.rho)
-        self.u_bar = _avg(left.u, right.u)
-        self.beta_bar = _avg(self.beta_l, self.beta_r)
-        self.u2_bar = _avg(left.u * left.u, right.u * right.u)
+        rows = _stacked(*_mean_fields(left), *_mean_fields(right))
+        self._rows = rows[:5], rows[5:]
+        self.left, self.right = (PrimState(r[0], r[2], r[4])
+                                 for r in self._rows)
+        self._cells = None
 
-    @cached_property
-    def rho_ln(self):
-        return log_mean(self.left.rho, self.right.rho)
+    @classmethod
+    def of_cells(cls, cells: PrimState, lo: slice, hi: slice):
+        """Record of the cell pairs (cells[lo], cells[hi])."""
+        self = cls.__new__(cls)
+        self.left = PrimState(cells.rho[lo], cells.u[lo], cells.p[lo])
+        self.right = PrimState(cells.rho[hi], cells.u[hi], cells.p[hi])
+        self._cells = (cells, lo, hi)
+        return self
 
-    @cached_property
-    def beta_ln(self):
-        return log_mean(self.beta_l, self.beta_r)
+    def sides(self, quantity):
+        """(quantity(left), quantity(right)); quantity maps a PrimState to
+        an array whose last axis runs over the states."""
+        if self._cells is None:
+            return quantity(self.left), quantity(self.right)
+        cells, lo, hi = self._cells
+        q = quantity(cells)
+        return q[..., lo], q[..., hi]
+
+    def __getattr__(self, name):
+        # each group of names is formed on the first read of one of them
+        if name in ("rho_ln", "beta_ln"):
+            rows_l, rows_r = self._rows
+            self.rho_ln, self.beta_ln = log_mean(rows_l[:2], rows_r[:2])
+        elif name in ("_rows", "beta_l", "beta_r", "rho_bar", "beta_bar",
+                      "u_bar", "u2_bar", "p_bar"):
+            if self._cells is not None:
+                cells, lo, hi = self._cells
+                rows = np.array(_mean_fields(cells))
+                self._rows = rows[:, lo], rows[:, hi]
+            rows_l, rows_r = self._rows
+            self.beta_l, self.beta_r = rows_l[1], rows_r[1]
+            (self.rho_bar, self.beta_bar, self.u_bar, self.u2_bar,
+             self.p_bar) = _avg(rows_l, rows_r)
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
+
+
+def _entropy_jump(m: FaceMeans, gas: GasModel) -> np.ndarray:
+    """Stacked (dv1, dv2, dv3) of entropy_vars_jump."""
+    g = gas.gamma
+    rows_l, rows_r = m._rows
+    d_rho, d_beta, d_u = rows_r[:3] - rows_l[:3]
+    dv1 = (d_rho / m.rho_ln
+           + (1.0 / ((g - 1.0) * m.beta_ln) - m.u2_bar) * d_beta
+           - 2.0 * m.u_bar * m.beta_bar * d_u)
+    dv2 = 2.0 * (m.beta_bar * d_u + m.u_bar * d_beta)
+    return np.array((dv1, dv2, -2.0 * d_beta))
 
 
 def entropy_vars_jump(left: PrimState, right: PrimState, gas: GasModel,
@@ -248,15 +308,7 @@ def entropy_vars_jump(left: PrimState, right: PrimState, gas: GasModel,
     integrated over thousands of steps.  means is the pair's FaceMeans.
     """
     m = FaceMeans(left, right) if means is None else means
-    g = gas.gamma
-    d_rho = right.rho - left.rho
-    d_u = right.u - left.u
-    d_beta = m.beta_r - m.beta_l
-    dv1 = (d_rho / m.rho_ln
-           + (1.0 / ((g - 1.0) * m.beta_ln) - m.u2_bar) * d_beta
-           - 2.0 * m.u_bar * m.beta_bar * d_u)
-    dv2 = 2.0 * (m.beta_bar * d_u + m.u_bar * d_beta)
-    return EntropyVars(dv1, dv2, -2.0 * d_beta)
+    return EntropyVars(*_entropy_jump(m, gas))
 
 
 def entropy_pair(q: PrimState, gas: GasModel):
@@ -288,13 +340,15 @@ def log_mean(a, b):
     b = np.asarray(b, dtype=float)
     # fmin skips a NaN partner: this flags exactly the entries where
     # a <= 0 or b <= 0
-    if (np.fmin(a, b) <= 0.0).any():
+    if np.count_nonzero(np.fmin(a, b) <= 0.0):
         raise ValueError("log_mean requires strictly positive arguments")
     diff = b - a
     total = b + a
     zeta = diff / total
     z2 = zeta * zeta
-    series = 0.5 * total / (1.0 + z2 * (1.0 / 3.0 + z2 * (1.0 / 5.0 + z2 / 7.0)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = diff / (np.log(b) - np.log(a))
-    return np.where(z2 < LOG_MEAN_SWITCH, series, direct)
+    mean = np.asarray(
+        0.5 * total / (1.0 + z2 * (1.0 / 3.0 + z2 * (1.0 / 5.0 + z2 / 7.0))))
+    # the direct quotient overwrites the series where zeta^2 is not small
+    # (both are NaN where zeta is) and is not evaluated elsewhere
+    return np.divide(diff, np.log(b) - np.log(a), out=mean,
+                     where=z2 >= LOG_MEAN_SWITCH)

@@ -41,12 +41,13 @@ class TimeSpec:
             raise ValueError("max_steps must be >= 1")
 
 
-def ssp_rk3_step(state: ConsState, dt: float, rhs_operator) -> ConsState:
+def ssp_rk3_step(state, dt: float, rhs_operator):
     """Three-stage third-order SSP Runge-Kutta step (Shu-Osher form).
 
     u1 = u + dt L(u); u2 = 3/4 u + 1/4 (u1 + dt L(u1));
     u3 = 1/3 u + 2/3 (u2 + dt L(u2)).  Each stage is a convex combination
-    of forward-Euler steps.
+    of forward-Euler steps.  state is anything with vector arithmetic:
+    a ConsState, or the stacked (3, n) array the driver marches.
     """
     def stage(k, u):
         try:
@@ -59,12 +60,14 @@ def ssp_rk3_step(state: ConsState, dt: float, rhs_operator) -> ConsState:
     return (1.0 / 3.0) * state + (2.0 / 3.0) * (u2 + dt * stage(3, u2))
 
 
-def compute_dt(cells: ConsState, grid: Grid1D, gas: GasModel,
-               cfl: float) -> float:
+def compute_dt(cells, grid: Grid1D, gas: GasModel, cfl: float) -> float:
     """CFL step dt = cfl dx / max(|u| + a), with an additional parabolic
-    bound cfl dx^2 rho_min / (2 (4/3) mu_max) when viscosity is active."""
+    bound cfl dx^2 rho_min / (2 (4/3) mu_max) when viscosity is active.
+    cells is a ConsState or its stacked (3, n) array."""
+    if isinstance(cells, np.ndarray):
+        cells = ConsState(*cells)
     prim = cons_to_prim(cells, gas)
-    speed = np.max(np.abs(prim.u) + sound_speed(prim, gas))
+    speed = (np.abs(prim.u) + sound_speed(prim, gas)).max()
     dt = cfl * grid.dx / speed
     if gas.is_viscous:
         mu_max = np.max(gas.viscosity(prim.temperature(gas)))

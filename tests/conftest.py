@@ -3,7 +3,7 @@ import pytest
 
 from kepes.config import initial_state
 from kepes.spatial import assemble_rhs
-from kepes.thermo import GasModel, PrimState, cons_to_prim
+from kepes.thermo import ConsState, GasModel, PrimState, cons_to_prim
 from kepes.timeint import compute_dt, ssp_rk3_step
 
 # one line per acceptance criterion, echoed in the terminal summary
@@ -32,8 +32,10 @@ def random_states(rng, n, span=1.0, umax=2.0):
 
 
 def advance(config, n_steps=None, cfl=None, collect_rhs=False):
-    """March a ProblemConfig; by steps when n_steps is given, else to t_final."""
-    cells = initial_state(config)
+    """March a ProblemConfig; by steps when n_steps is given, else to t_final.
+
+    Marches the stacked (3, n) state, as driver.run does."""
+    w = initial_state(config).stacked()
 
     def rhs_op(w):
         return assemble_rhs(w, config.grid, config.gas, config.flux_kind,
@@ -46,12 +48,13 @@ def advance(config, n_steps=None, cfl=None, collect_rhs=False):
                 break
         elif t >= config.time.t_final - 1e-14:
             break
-        dt = compute_dt(cells, config.grid, config.gas, cfl or config.time.cfl)
+        dt = compute_dt(w, config.grid, config.gas, cfl or config.time.cfl)
         if n_steps is None:
             dt = min(dt, config.time.t_final - t)
-        cells = ssp_rk3_step(cells, dt, rhs_op)
+        w = ssp_rk3_step(w, dt, rhs_op)
         t += dt
         step += 1
+    cells = ConsState(*w)
     prim = cons_to_prim(cells, config.gas)
     if collect_rhs:
         rhs, faces = assemble_rhs(cells, config.grid, config.gas,

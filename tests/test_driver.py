@@ -102,6 +102,16 @@ class TestIoFailure:
         assert result.status == 2
         assert "i/o failure" in result.message
 
+    @pytest.mark.parametrize("artifact", ["budget.csv", "metrics.txt"])
+    def test_unwritable_artifact(self, tmp_path, artifact):
+        # a directory in the artifact's place makes its write fail
+        (tmp_path / artifact).mkdir()
+        cfg = config_from_dict({"preset": "sod", "n_cells": 8,
+                                "t_final": 0.01})
+        result = run(cfg, str(tmp_path))
+        assert result.status == 2
+        assert "i/o failure" in result.message
+
 
 class TestSnapshotCadence:
     def test_interval_snapshots(self, tmp_path):

@@ -275,7 +275,8 @@ def test_one_log_mean_each_for_rho_and_beta(monkeypatch, diss):
     entropy = count_calls(monkeypatch, "entropy_vars")
     rhs, faces = assemble_rhs(cells, grid, gas, "kepec", diss, ReconSpec(1),
                               BoundarySpec())
-    assert len(log_means) == 2
+    # rho_ln and beta_ln come from one call on the stacked (rho, beta) pair
+    assert len(log_means) == 1
     assert len(entropy) == 0
 
     # a budget read through faces still closes
@@ -288,7 +289,19 @@ def test_one_log_mean_each_for_rho_and_beta(monkeypatch, diss):
           + report.du_dt_viscous + report.du_dt_boundary)
     assert abs(report.dke_dt - ke) <= 1e-11 * max(1.0, abs(report.dke_dt))
     assert abs(report.du_dt - du) <= 1e-11 * max(1.0, abs(report.du_dt))
-    assert len(log_means) == 2
+    assert len(log_means) == 1
+
+
+@pytest.mark.parametrize("flux_kind", ["kep", "roe_baseline"])
+def test_no_log_mean_without_log_averages(monkeypatch, flux_kind):
+    # neither flux reads a logarithmic mean, so the stacked means stay lazy
+    gas = GasModel()
+    grid = Grid1D(N_CELLS, 0.0, 1.0)
+    cells = prim_to_cons(wide_states(np.random.default_rng(7)), gas)
+    log_means = count_calls(monkeypatch, "log_mean")
+    assemble_rhs(cells, grid, gas, flux_kind, DissipationSpec(), ReconSpec(1),
+                 BoundarySpec())
+    assert len(log_means) == 0
 
 
 @pytest.mark.parametrize("right", [
