@@ -2,8 +2,7 @@
 """Print the sha256 of every artifact of every preset.
 
 Each preset runs capped at --max-steps, with a snapshot and budget sample
-every --interval time units (by default min(t_final / 4, 0.03)), into a
-temporary directory.  The last line digests all the others.  Run it against
+every min(t_final / 4, 0.03) time units, into a temporary directory.  The last line digests all the others.  Run it against
 two checkouts and compare the output to show that a change leaves every
 snapshot, budget.csv and metrics.txt byte-identical:
 
@@ -25,17 +24,15 @@ def main():
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--max-steps", type=int, default=1500)
-    parser.add_argument("--interval", type=float, default=None)
-    parser.add_argument("--presets", default=",".join(list_presets()))
     args = parser.parse_args()
 
     lines = []
     with tempfile.TemporaryDirectory() as root:
-        for name in args.presets.split(","):
+        for name in list_presets():
             base = preset(name)
-            interval = (min(base.time.t_final / 4.0, 0.03)
-                        if args.interval is None else args.interval)
-            config = replace(base, snapshot_interval=interval,
+            config = replace(base,
+                             snapshot_interval=min(base.time.t_final / 4.0,
+                                                   0.03),
                              time=replace(base.time,
                                           max_steps=args.max_steps))
             output_dir = os.path.join(root, name)

@@ -245,9 +245,12 @@ def eigenvalue_law(u_f, a_f, left: PrimState, right: PrimState,
     rus:  (|u|+a) I
     hyb:  (1-phi) roe + phi rus with phi = clip(sqrt(|dp|/(2 p_bar)), 0, 1)
     """
-    u_f, a_f = np.broadcast_arrays(u_f, a_f)
+    u_f, a_f, *fields = np.broadcast_arrays(u_f, a_f, left.rho, left.u,
+                                            left.p, right.rho, right.u,
+                                            right.p)
+    m = FaceMeans(PrimState(*fields[:3]), PrimState(*fields[3:]))
     speeds = np.array((u_f - a_f, u_f, u_f + a_f))
-    lam = _law(speeds, a_f, FaceMeans(left, right), gas, spec)
+    lam = _law(speeds, a_f, m, gas, spec)
     return np.ascontiguousarray(np.moveaxis(lam, 0, -1))
 
 

@@ -241,9 +241,13 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
             f"p={inner[2, idx]:.6g}")
     ext = PrimState(*rows)
 
-    # face k sits between ext cells k+1 and k+2; at first order the face
-    # pairs are these cell pairs
-    pairs = FaceMeans.of_cells(ext, slice(1, n + 2), slice(2, n + 3))
+    # face k sits between ext cells k+1 and k+2.  These cell pairs are the
+    # face pairs at first order and, at any order, the pairs that the
+    # scalar stencil and the viscous flux difference.
+    lo, hi = slice(1, n + 2), slice(2, n + 3)
+    pairs = None
+    if recon.order == 1 or diss.kind == "scalar" or gas.is_viscous:
+        pairs = FaceMeans.of_cells(ext, lo, hi)
     means = pairs
     if recon.order == 2:
         means = FaceMeans(*(PrimState(*q) for q in _face_states(
@@ -263,7 +267,8 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
                                diss.kappa4)
         # the stencil differences cell states, whose pairs are the face
         # pairs only without reconstruction
-        slots = np.array((ext.rho, ext.u, 1.0 / ext.beta))
+        rho, beta, u = pairs.fields[:3]
+        slots = np.array((rho, u, 1.0 / beta))
         d_flux = _jst([slots[:, k:n + 1 + k] for k in range(4)], pairs, gas,
                       diss, eps2, eps4)
     else:
@@ -286,6 +291,8 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
 
     net = central + d_flux - g_flux
     rhs = -(net[:, 1:] - net[:, :-1]) / dx
-    faces = FaceData((central, d_flux, g_flux), pairs.left, pairs.right, gas,
+    left, right = ((pairs.left, pairs.right) if pairs is not None else
+                   (PrimState(*rows[:, lo]), PrimState(*rows[:, hi])))
+    faces = FaceData((central, d_flux, g_flux), left, right, gas,
                      bcs.is_periodic)
     return (rhs if stacked else ConsState(*rhs)), faces

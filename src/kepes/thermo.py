@@ -232,54 +232,61 @@ class FaceMeans:
     """Two-point averages of the pairs (left, right), shared by the central
     flux, the dissipation and the entropy-variable jump of one RHS stage.
 
-    Every mean is formed on first read: rho_bar, beta_bar, u_bar, u2_bar
-    (the mean of u^2) and p_bar by one average of the stacked _mean_fields
-    of both sides, rho_ln and beta_ln by one log_mean call on the stacked
-    (rho, beta) pair.  A record of neighbouring cells (FaceMeans.of_cells)
-    evaluates each cell quantity once per cell and slices both sides out;
-    left and right of any other record are views of its stacked fields.
+    A record is one cell array and the indices lo, hi of the left and right
+    side of each pair along its last axis (FaceMeans.of_cells); the pair
+    constructor lays left and right side by side in a new one.  fields
+    holds the _mean_fields (rho, beta, u, u^2, p) of every cell, so left,
+    right and every cell quantity read through sides() are evaluated once
+    per cell.  The means are formed on first read: rho_bar, beta_bar,
+    u_bar, u2_bar (the mean of u^2) and p_bar by one average of the stacked
+    fields of both sides, rho_ln and beta_ln by one log_mean call on the
+    stacked (rho, beta) pair.
     """
 
     def __init__(self, left: PrimState, right: PrimState):
-        rows = _stacked(*_mean_fields(left), *_mean_fields(right))
-        self._rows = rows[:5], rows[5:]
-        self.left, self.right = (PrimState(r[0], r[2], r[4])
-                                 for r in self._rows)
-        self._cells = None
+        states = ((left.rho, left.u, left.p), (right.rho, right.u, right.p))
+        shape = np.broadcast_shapes(*(np.shape(f) for q in states for f in q))
+        # a single pair takes cells 0 and 1; k pairs take cells 0..k-1 and
+        # k..2k-1, so that each side stays contiguous
+        k = shape[-1] if shape else 1
+        cells = np.empty((3,) + shape[:-1] + (2 * k,))
+        index = (0, 1) if not shape else (slice(0, k), slice(k, 2 * k))
+        for side, fields in zip(index, states):
+            for row, f in zip(cells, fields):
+                row[..., side] = f
+        self._init(PrimState(*cells), *index)
 
     @classmethod
-    def of_cells(cls, cells: PrimState, lo: slice, hi: slice):
-        """Record of the cell pairs (cells[lo], cells[hi])."""
+    def of_cells(cls, cells: PrimState, lo, hi):
+        """Record of the cell pairs (cells[..., lo], cells[..., hi])."""
         self = cls.__new__(cls)
-        self.left = PrimState(cells.rho[lo], cells.u[lo], cells.p[lo])
-        self.right = PrimState(cells.rho[hi], cells.u[hi], cells.p[hi])
-        self._cells = (cells, lo, hi)
+        self._init(cells, lo, hi)
         return self
+
+    def _init(self, cells: PrimState, lo, hi):
+        # the record keeps the fields only; cells may be dropped
+        self.fields = fields = np.array(_mean_fields(cells))
+        self._lo, self._hi = lo, hi
+        self._rows = rows_l, rows_r = fields[..., lo], fields[..., hi]
+        self.left = PrimState(rows_l[0], rows_l[2], rows_l[4])
+        self.right = PrimState(rows_r[0], rows_r[2], rows_r[4])
+        self.beta_l, self.beta_r = rows_l[1], rows_r[1]
 
     def sides(self, quantity):
         """(quantity(left), quantity(right)); quantity maps a PrimState to
         an array whose last axis runs over the states."""
-        if self._cells is None:
-            return quantity(self.left), quantity(self.right)
-        cells, lo, hi = self._cells
-        q = quantity(cells)
-        return q[..., lo], q[..., hi]
+        fields = self.fields
+        q = quantity(PrimState(fields[0], fields[2], fields[4]))
+        return q[..., self._lo], q[..., self._hi]
 
     def __getattr__(self, name):
-        # each group of names is formed on the first read of one of them
+        # each group of means is formed on the first read of one of them
         if name in ("rho_ln", "beta_ln"):
             rows_l, rows_r = self._rows
             self.rho_ln, self.beta_ln = log_mean(rows_l[:2], rows_r[:2])
-        elif name in ("_rows", "beta_l", "beta_r", "rho_bar", "beta_bar",
-                      "u_bar", "u2_bar", "p_bar"):
-            if self._cells is not None:
-                cells, lo, hi = self._cells
-                rows = np.array(_mean_fields(cells))
-                self._rows = rows[:, lo], rows[:, hi]
-            rows_l, rows_r = self._rows
-            self.beta_l, self.beta_r = rows_l[1], rows_r[1]
+        elif name in ("rho_bar", "beta_bar", "u_bar", "u2_bar", "p_bar"):
             (self.rho_bar, self.beta_bar, self.u_bar, self.u2_bar,
-             self.p_bar) = _avg(rows_l, rows_r)
+             self.p_bar) = _avg(*self._rows)
         else:
             raise AttributeError(name)
         return getattr(self, name)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kepes.dissipation import (
+    MATRIX_LAWS,
     DissipationSpec,
     FaceAverage,
     assemble_q,
@@ -259,6 +260,31 @@ class TestEigenvalueLaw:
             0.2, 1.0, PrimState(1.0, 0.0, 1.0), PrimState(1.0, 0.0, 1e4),
             gas, self.spec("hyb"))
         assert np.all(extreme <= 1.2 + 1e-14)
+
+    @pytest.mark.parametrize("law", MATRIX_LAWS)
+    def test_faces_broadcast_against_states(self, gas, law):
+        # scalar face speeds with three pairs of states, and three face
+        # speeds with one pair, match one call per face
+        left = PrimState(np.array([1.0, 0.5, 2.0]), np.array([0.1, -0.3, 0.0]),
+                         np.array([1.0, 0.4, 3.0]))
+        right = PrimState(np.array([0.8, 0.6, 1.0]), np.array([0.2, 0.1, 0.5]),
+                          np.array([2.0, 0.5, 1.0]))
+        u_f, a_f = np.array([0.3, -0.2, 0.1]), np.array([1.1, 0.9, 1.6])
+        spec = self.spec(law)
+        lam = eigenvalue_law(0.3, 1.1, left, right, gas, spec)
+        assert lam.shape == (3, 3)
+        for i in range(3):
+            one = PrimState(left.rho[i], left.u[i], left.p[i])
+            other = PrimState(right.rho[i], right.u[i], right.p[i])
+            assert np.array_equal(
+                lam[i], eigenvalue_law(0.3, 1.1, one, other, gas, spec))
+        one = PrimState(1.0, 0.1, 1.0)
+        other = PrimState(0.8, 0.2, 2.0)
+        lam = eigenvalue_law(u_f, a_f, one, other, gas, spec)
+        assert lam.shape == (3, 3)
+        for i in range(3):
+            assert np.array_equal(
+                lam[i], eigenvalue_law(u_f[i], a_f[i], one, other, gas, spec))
 
     def test_ec1_augmentation(self, gas):
         left = PrimState(1.0, 0.0, 1.0)    # a = sqrt(1.4)
