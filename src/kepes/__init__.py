@@ -8,11 +8,10 @@ kinetic-energy and entropy budgets.
 
 from .config import InitialCondition, ProblemConfig, parse_config, serialize_config
 from .dissipation import DissipationSpec
-from .fluxes import FluxVector
 from .presets import list_presets, preset
 from .reconstruction import ReconSpec
 from .spatial import BoundaryCondition, BoundarySpec, Grid1D
-from .thermo import ConsState, EntropyVars, GasModel, PrimState, ViscosityLaw
+from .thermo import ConsState, GasModel, PrimState, ViscosityLaw
 from .timeint import TimeSpec
 
 __version__ = "0.1.0"
@@ -22,8 +21,6 @@ __all__ = [
     "BoundarySpec",
     "ConsState",
     "DissipationSpec",
-    "EntropyVars",
-    "FluxVector",
     "GasModel",
     "Grid1D",
     "InitialCondition",

@@ -97,9 +97,9 @@ def ke_budget(prim: PrimState, rhs: ConsState, faces: FaceData,
     sl = _face_slice(faces, n)
     du, ub = faces.du[sl], faces.u_bar[sl]
     pressure_work = float(np.sum(du * faces.p_tilde[sl]))
-    numerical = float(np.sum(du * (np.asarray(faces.diss.f_m)[sl]
-                                   - ub * np.asarray(faces.diss.f_rho)[sl])))
-    viscous = float(-np.sum(du * np.asarray(faces.visc.f_m)[sl]))
+    numerical = float(np.sum(du * (faces.diss[1, sl]
+                                   - ub * faces.diss[0, sl])))
+    viscous = float(-np.sum(du * faces.visc[1, sl]))
 
     boundary = 0.0
     if not faces.periodic:
@@ -121,16 +121,17 @@ def entropy_budget(prim: PrimState, rhs: ConsState, faces: FaceData,
     """
     n = grid.n_cells
     dx = grid.dx
-    v = entropy_vars(prim, gas).as_array()
+    # face- and cell-major contiguous copies: np.sum adds pairwise in memory
+    # order, so the layout fixes the rounding of every sum below
+    v = np.ascontiguousarray(entropy_vars(prim, gas).T)
     rhs_arr = np.stack([np.asarray(rhs.rho), np.asarray(rhs.m),
                         np.asarray(rhs.E)], axis=-1)
     direct = float(np.sum(v * rhs_arr) * dx)
 
     sl = _face_slice(faces, n)
     dv = faces.dv[sl]
-    central = faces.central.as_array()[sl]
-    diss = faces.diss.as_array()[sl]
-    visc = faces.visc.as_array()[sl]
+    central, diss, visc = (np.ascontiguousarray(f.T)[sl]
+                           for f in (faces.central, faces.diss, faces.visc))
     flux_residual = float(np.sum(np.sum(dv * central, axis=-1)
                                  - faces.dpsi[sl]))
     numerical = float(np.sum(dv * diss))

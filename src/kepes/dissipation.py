@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fluxes import FluxVector
-from .thermo import (FaceMeans, GasModel, PrimState, _entropy_jump,
-                     _stacked, log_mean, sound_speed)
+from .thermo import (FaceMeans, GasModel, PrimState, _stacked,
+                     entropy_vars_jump, log_mean, sound_speed)
 
 __all__ = [
     "DissipationSpec",
@@ -97,21 +96,22 @@ def _scalar_d_from_jumps(m: FaceMeans, gas: GasModel, beta_average: str,
 
 def scalar_d_vector(left: PrimState, right: PrimState, gas: GasModel,
                     beta_average: str = "logarithmic"):
-    """Second-order scalar dissipation vector D and the wave speed lambda.
+    """Second-order scalar dissipation vector D, stacked, and the wave speed
+    lambda.
 
     D_rho = d(rho), D_m = d(rho u); the energy slot is chosen so that
     dv . D is a positive quadratic in the jumps (exactly so with the
     logarithmic beta average).  lambda = |u_bar| + sqrt(gamma/(2 beta)).
     """
     m = FaceMeans(left, right)
-    d_rho = right.rho - left.rho
-    d_u = right.u - left.u
+    # the jumps of the record's sides, which are broadcast against each
+    # other, so that the three slots of D stack
+    d_rho = m.right.rho - m.left.rho
+    d_u = m.right.u - m.left.u
     # -(d beta)/(beta_L beta_R): algebraically 1/beta_R - 1/beta_L but
     # without the cancellation of two large reciprocals
     d_inv_beta = -(m.beta_r - m.beta_l) / (m.beta_l * m.beta_r)
-    D, lam = _scalar_d_from_jumps(m, gas, beta_average, d_rho, d_u,
-                                  d_inv_beta)
-    return FluxVector(*D), lam
+    return _scalar_d_from_jumps(m, gas, beta_average, d_rho, d_u, d_inv_beta)
 
 
 def scalar_quadratic_form(left: PrimState, right: PrimState, gas: GasModel):
@@ -174,7 +174,7 @@ def jst_dissipation(stencil, gas: GasModel, spec: DissipationSpec,
     stencil holds the four cell states (q_{j-1}, q_j, q_{j+1}, q_{j+2});
     each jump slot of D is replaced by
     eps2 * (q_{j+1} - q_j) - eps4 * (q_{j+2} - 3 q_{j+1} + 3 q_j - q_{j-1}).
-    Returns the flux correction -(1/2) lambda D.  Pass precomputed
+    Returns the stacked flux correction -(1/2) lambda D.  Pass precomputed
     switches to override the pressure sensor (the solver does this at
     boundaries).  means is the FaceMeans record of (q_j, q_{j+1}).
     """
@@ -184,8 +184,8 @@ def jst_dissipation(stencil, gas: GasModel, spec: DissipationSpec,
                                   spec.kappa2, spec.kappa4)
     m = FaceMeans(q0, q1) if means is None else means
     rows = _stacked(*(f for q in stencil for f in (q.rho, q.u, 1.0 / q.beta)))
-    return FluxVector(*_jst(rows.reshape((4, 3) + rows.shape[1:]), m, gas,
-                            spec, eps2, eps4))
+    return _jst(rows.reshape((4, 3) + rows.shape[1:]), m, gas, spec, eps2,
+                eps4)
 
 
 def face_average(left: PrimState, right: PrimState, gas: GasModel,
@@ -289,13 +289,16 @@ def assemble_q(R, lam, S):
     return np.einsum("...ik,...k,...jk->...ij", R, lam * S, R)
 
 
-def _matrix(m: FaceMeans, gas: GasModel, spec: DissipationSpec,
-            flux_kind: str):
-    """Stacked matrix_dissipation: w = |Lambda| S R^T dv, then R w, formed
+def matrix_dissipation(left: PrimState, right: PrimState, gas: GasModel,
+                       spec: DissipationSpec, flux_kind: str = "kepec",
+                       means: FaceMeans | None = None) -> np.ndarray:
+    """Stacked entropy-variable matrix dissipation -(1/2) R |Lambda| S R^T dv,
+    multiplied out in closed form: w = |Lambda| S R^T dv, then R w, formed
     in place."""
+    m = FaceMeans(left, right) if means is None else means
     avg = face_average(m.left, m.right, gas, flux_kind, m)
     rows, s_ac, s_mid = _eigen_entries(avg, gas)
-    dv = _entropy_jump(m, gas)
+    dv = entropy_vars_jump(m.left, m.right, gas, m)
     w = _law(rows[0], avg.a, m, gas, spec)
     w[::2] *= s_ac
     w[1] *= s_mid
@@ -307,12 +310,3 @@ def _matrix(m: FaceMeans, gas: GasModel, spec: DissipationSpec,
     out[1:] = (rows[:, 0] + rows[:, 2]) + rows[:, 1]
     out *= -0.5
     return out
-
-
-def matrix_dissipation(left: PrimState, right: PrimState, gas: GasModel,
-                       spec: DissipationSpec, flux_kind: str = "kepec",
-                       means: FaceMeans | None = None) -> FluxVector:
-    """Entropy-variable matrix dissipation -(1/2) R |Lambda| S R^T dv,
-    multiplied out in closed form: w = |Lambda| S R^T dv, then R w."""
-    m = FaceMeans(left, right) if means is None else means
-    return FluxVector(*_matrix(m, gas, spec, flux_kind))

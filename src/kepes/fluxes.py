@@ -5,20 +5,19 @@ writes the momentum flux as f_m = p_tilde + u_bar * f_rho with the
 arithmetic-mean velocity u_bar; the entropy-conservative members pin the
 remaining averages with logarithmic means so that the two-point condition
 dv . f = d(rho u) holds exactly across any interface.
-Every flux takes an optional trailing FaceMeans record of the pair.  Each
-is a thin wrapper over a kernel that returns the stacked (3, ...) flux;
-the solver calls the kernels with the one record it builds per stage.
+Every flux returns the stacked (3, ...) array (f_rho, f_m, f_e) and takes
+an optional trailing FaceMeans record of the pair; the solver passes the
+one record it builds per stage.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .thermo import (
     FaceMeans,
     _avg,
+    _stacked,
     GasModel,
     PrimState,
     entropy_vars,
@@ -27,7 +26,6 @@ from .thermo import (
 )
 
 __all__ = [
-    "FluxVector",
     "exact_flux",
     "flux_kep",
     "flux_roe_ec",
@@ -39,56 +37,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FluxVector:
-    """Interface flux triple (mass, momentum, energy)."""
-
-    f_rho: object
-    f_m: object
-    f_e: object
-
-    def __add__(self, other):
-        return FluxVector(self.f_rho + other.f_rho, self.f_m + other.f_m,
-                          self.f_e + other.f_e)
-
-    def __sub__(self, other):
-        return FluxVector(self.f_rho - other.f_rho, self.f_m - other.f_m,
-                          self.f_e - other.f_e)
-
-    def as_array(self):
-        return np.stack(np.broadcast_arrays(self.f_rho, self.f_m, self.f_e), axis=-1)
-
-
-def exact_flux(q: PrimState, gas: GasModel) -> FluxVector:
+def exact_flux(q: PrimState, gas: GasModel) -> np.ndarray:
     """Pointwise Euler flux (rho u, p + rho u^2, (E + p) u)."""
     f_rho = q.rho * q.u
     H = total_enthalpy(q, gas)
-    return FluxVector(f_rho, q.p + f_rho * q.u, f_rho * H)
-
-
-def _public(kernel, left, right, gas, means):
-    """A stacked flux kernel as a FluxVector, building the pair's record
-    when none is given."""
-    m = FaceMeans(left, right) if means is None else means
-    return FluxVector(*kernel(left, right, gas, m))
-
-
-def _kep(left, right, gas, m):
-    H_bar = _avg(total_enthalpy(left, gas), total_enthalpy(right, gas))
-    f_rho = m.rho_bar * m.u_bar
-    return np.array((f_rho, m.p_bar + m.u_bar * f_rho, f_rho * H_bar))
+    return _stacked(f_rho, q.p + f_rho * q.u, f_rho * H)
 
 
 def flux_kep(left: PrimState, right: PrimState, gas: GasModel,
-             means: FaceMeans | None = None) -> FluxVector:
+             means: FaceMeans | None = None) -> np.ndarray:
     """Kinetic-energy-preserving flux built from plain arithmetic averages.
 
     f_rho = rho_bar u_bar, p_tilde = p_bar, f_e = rho_bar u_bar H_bar.
     """
-    return _public(_kep, left, right, gas, means)
+    m = FaceMeans(left, right) if means is None else means
+    H_bar = _avg(total_enthalpy(m.left, gas), total_enthalpy(m.right, gas))
+    f_rho = m.rho_bar * m.u_bar
+    return np.array((f_rho, m.p_bar + m.u_bar * f_rho, f_rho * H_bar))
 
 
-def _roe_ec(left, right, gas, m):
+def flux_roe_ec(left: PrimState, right: PrimState, gas: GasModel,
+                means: FaceMeans | None = None) -> np.ndarray:
+    """Entropy-conservative flux based on the parameter vector
+    z = sqrt(rho/p) (1, u, p).
+
+    Satisfies dv . f = d(rho u) exactly but is not kinetic-energy
+    preserving: the momentum flux carries the weighted velocity
+    u_tilde = z2_bar/z1_bar instead of the arithmetic mean.  Its averages
+    are means of z, not of (rho, u, beta), so means is not read.
+    """
     g = gas.gamma
     wl = np.sqrt(left.rho / left.p)
     wr = np.sqrt(right.rho / right.p)
@@ -111,19 +88,6 @@ def _roe_ec(left, right, gas, m):
     return np.array((f_rho, p1_t + u_t * f_rho, H_t * f_rho))
 
 
-def flux_roe_ec(left: PrimState, right: PrimState, gas: GasModel,
-                means: FaceMeans | None = None) -> FluxVector:
-    """Entropy-conservative flux based on the parameter vector
-    z = sqrt(rho/p) (1, u, p).
-
-    Satisfies dv . f = d(rho u) exactly but is not kinetic-energy
-    preserving: the momentum flux carries the weighted velocity
-    u_tilde = z2_bar/z1_bar instead of the arithmetic mean.  Its averages
-    are means of z, not of (rho, u, beta), so means is not read.
-    """
-    return FluxVector(*_roe_ec(left, right, gas, means))
-
-
 def _kep_family(m: FaceMeans, gas: GasModel, rho_f, beta_f):
     """KEP flux f_rho = rho_f u_bar, f_m = p_tilde + u_bar f_rho and
     f_e = (1/(2 (gamma-1) beta_f) - u2_bar/2) f_rho + u_bar f_m."""
@@ -135,72 +99,57 @@ def _kep_family(m: FaceMeans, gas: GasModel, rho_f, beta_f):
     return np.array((f_rho, f_m, f_e))
 
 
-def _kepec_ac(left, right, gas, m):
-    return _kep_family(m, gas, m.rho_bar, m.beta_bar)
-
-
 def flux_kepec_ac(left: PrimState, right: PrimState, gas: GasModel,
-                  means: FaceMeans | None = None) -> FluxVector:
+                  means: FaceMeans | None = None) -> np.ndarray:
     """Kinetic-energy-preserving, approximately entropy-consistent flux.
 
     Arithmetic averages throughout; the entropy-conservation residual is
     O(jump^3).  p_tilde = rho_bar/(2 beta_bar) is the harmonic-temperature
     pressure average.
     """
-    return _public(_kepec_ac, left, right, gas, means)
-
-
-def _kepec(left, right, gas, m):
-    return _kep_family(m, gas, m.rho_ln, m.beta_ln)
+    m = FaceMeans(left, right) if means is None else means
+    return _kep_family(m, gas, m.rho_bar, m.beta_bar)
 
 
 def flux_kepec(left: PrimState, right: PrimState, gas: GasModel,
-               means: FaceMeans | None = None) -> FluxVector:
+               means: FaceMeans | None = None) -> np.ndarray:
     """Kinetic-energy-preserving and exactly entropy-conservative flux.
 
     Same structure as flux_kepec_ac with the density and beta averages in
     the mass and energy fluxes replaced by logarithmic means.
     """
-    return _public(_kepec, left, right, gas, means)
-
-
-def _central_mean(left, right, gas, m):
-    fl, fr = exact_flux(left, gas), exact_flux(right, gas)
-    return np.array((_avg(fl.f_rho, fr.f_rho), _avg(fl.f_m, fr.f_m),
-                     _avg(fl.f_e, fr.f_e)))
+    m = FaceMeans(left, right) if means is None else means
+    return _kep_family(m, gas, m.rho_ln, m.beta_ln)
 
 
 def flux_central_mean(left: PrimState, right: PrimState, gas: GasModel,
-                      means: FaceMeans | None = None) -> FluxVector:
+                      means: FaceMeans | None = None) -> np.ndarray:
     """Arithmetic mean of the pointwise fluxes, (f(L) + f(R))/2.
 
     The central part of a classic Roe-type scheme; neither entropy
-    conservative nor kinetic-energy preserving; means is not read.
+    conservative nor kinetic-energy preserving.  It evaluates the
+    record's sides, which are broadcast against each other, so a scalar
+    side combines with an array side.
     """
-    return FluxVector(*_central_mean(left, right, gas, means))
+    m = FaceMeans(left, right) if means is None else means
+    return _avg(exact_flux(m.left, gas), exact_flux(m.right, gas))
 
 
-def tadmor_residual(left: PrimState, right: PrimState, flux: FluxVector,
-                    gas: GasModel):
-    """Two-point entropy-conservation residual dv . f - d(rho u)."""
-    dv = entropy_vars(right, gas) - entropy_vars(left, gas)
+def tadmor_residual(left: PrimState, right: PrimState, flux, gas: GasModel):
+    """Two-point entropy-conservation residual dv . f - d(rho u) of the
+    stacked flux."""
+    # the record's sides are broadcast against each other
+    m = FaceMeans(left, right)
+    dv = entropy_vars(m.right, gas) - entropy_vars(m.left, gas)
     dpsi = right.rho * right.u - left.rho * left.u
-    return dv.v1 * flux.f_rho + dv.v2 * flux.f_m + dv.v3 * flux.f_e - dpsi
+    return dv[0] * flux[0] + dv[1] * flux[1] + dv[2] * flux[2] - dpsi
 
 
-# Fluxes selectable for time integration, and the stacked (3, ...) kernels
-# behind them, which the solver calls with the stage's FaceMeans record.
+# Fluxes selectable for time integration
 CENTRAL_FLUXES = {
     "kep": flux_kep,
     "roe_ec": flux_roe_ec,
     "kepec_ac": flux_kepec_ac,
     "kepec": flux_kepec,
     "roe_baseline": flux_central_mean,
-}
-FLUX_KERNELS = {
-    "kep": _kep,
-    "roe_ec": _roe_ec,
-    "kepec_ac": _kepec_ac,
-    "kepec": _kepec,
-    "roe_baseline": _central_mean,
 }

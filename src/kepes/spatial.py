@@ -6,9 +6,10 @@ matrix dissipation and G the viscous flux.  Two ghost cells per side feed
 the reconstruction and the four-point scalar-dissipation stencil.  The
 state may be a ConsState or its stacked (3, n) array; inside, the cells are
 one (3, n + 4) array, one FaceMeans record of the face pairs per call feeds
-the central flux and the dissipation, and each flux is a stacked
-(3, n + 1) array.  All per-face quantities needed by the budget diagnostics
-are returned in a FaceData record, which derives them only when read.
+the central flux and the dissipation, and each flux is the stacked
+(3, n + 1) array that its per-pair function returns.  All per-face
+quantities needed by the budget diagnostics are returned in a FaceData
+record, which derives them only when read.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .dissipation import (DissipationSpec, _jst, _matrix, _pressure_sensor,
-                          _switches)
-from .fluxes import CENTRAL_FLUXES, FLUX_KERNELS, FluxVector
+from .dissipation import (DissipationSpec, _jst, _pressure_sensor, _switches,
+                          matrix_dissipation)
+from .fluxes import CENTRAL_FLUXES
 from .reconstruction import ReconSpec, _face_states
 from .thermo import (
     ConsState,
@@ -113,33 +114,22 @@ class BoundarySpec:
 class FaceData:
     """Per-face record backing the budget diagnostics.
 
-    fluxes holds the central, dissipative and viscous fluxes as stacked
-    (3, n_faces) arrays, which central, diss and visc present as
-    FluxVectors.  Arrays have one entry per face (n_cells + 1; under
-    periodic boundaries face n_cells duplicates face 0).  du, u_bar, dv and
-    dpsi are built from the cell values adjacent to each face (left,
-    right), which is what the summation-by-parts budget identities require.
-    They, p_tilde and the FluxVectors are computed on first read, so
+    central, diss and visc are the central, dissipative and viscous fluxes
+    as stacked (3, n_faces) arrays.  Arrays have one entry per face
+    (n_cells + 1; under periodic boundaries face n_cells duplicates face
+    0).  du, u_bar, dv and dpsi are built from the cell values adjacent to
+    each face (left, right), which is what the summation-by-parts budget
+    identities require.  They and p_tilde are computed on first read, so
     marching never pays for them.
     """
 
-    fluxes: tuple
+    central: np.ndarray
+    diss: np.ndarray
+    visc: np.ndarray
     left: PrimState
     right: PrimState
     gas: GasModel
     periodic: bool
-
-    @cached_property
-    def central(self) -> FluxVector:
-        return FluxVector(*self.fluxes[0])
-
-    @cached_property
-    def diss(self) -> FluxVector:
-        return FluxVector(*self.fluxes[1])
-
-    @cached_property
-    def visc(self) -> FluxVector:
-        return FluxVector(*self.fluxes[2])
 
     @cached_property
     def u_bar(self) -> np.ndarray:
@@ -151,8 +141,11 @@ class FaceData:
 
     @cached_property
     def dv(self) -> np.ndarray:
-        return (entropy_vars(self.right, self.gas).as_array()
-                - entropy_vars(self.left, self.gas).as_array())
+        """(n_faces, 3), face-major and contiguous: the budget sums add in
+        memory order, so this layout fixes their rounding."""
+        dv = entropy_vars(self.right, self.gas) - entropy_vars(self.left,
+                                                               self.gas)
+        return np.ascontiguousarray(dv.T)
 
     @cached_property
     def dpsi(self) -> np.ndarray:
@@ -160,17 +153,22 @@ class FaceData:
 
     @cached_property
     def p_tilde(self) -> np.ndarray:
-        return (np.asarray(self.central.f_m)
-                - self.u_bar * np.asarray(self.central.f_rho))
+        return self.central[1] - self.u_bar * self.central[0]
 
     def net(self) -> np.ndarray:
         """Total face flux (F - G) as an (n_faces, 3) array."""
-        central, diss, visc = self.fluxes
-        return (central + diss - visc).T
+        return (self.central + self.diss - self.visc).T
 
 
-def _viscous(pairs: FaceMeans, gas: GasModel, dx: float):
-    """Stacked viscous_face_flux of the pairs' record."""
+def viscous_face_flux(left: PrimState, right: PrimState, gas: GasModel,
+                      dx: float, means: FaceMeans | None = None) -> np.ndarray:
+    """Stacked viscous flux (0, tau, u_bar tau - q) from adjacent cell
+    states.
+
+    tau = (4/3) mu du/dx and q = -kappa dT/dx with mu, kappa evaluated at
+    the arithmetic-mean face temperature.  means is the pair's FaceMeans.
+    """
+    pairs = FaceMeans(left, right) if means is None else means
     t_l, t_r = pairs.sides(lambda q: q.temperature(gas))
     t_face = 0.5 * (t_l + t_r)
     mu = gas.viscosity(t_face)
@@ -178,16 +176,6 @@ def _viscous(pairs: FaceMeans, gas: GasModel, dx: float):
     tau = (4.0 / 3.0) * mu * (pairs.right.u - pairs.left.u) / dx
     q = -kappa * (t_r - t_l) / dx
     return np.array((np.zeros_like(tau), tau, pairs.u_bar * tau - q))
-
-
-def viscous_face_flux(left: PrimState, right: PrimState, gas: GasModel,
-                      dx: float) -> FluxVector:
-    """Viscous flux (0, tau, u_bar tau - q) from adjacent cell states.
-
-    tau = (4/3) mu du/dx and q = -kappa dT/dx with mu, kappa evaluated at
-    the arithmetic-mean face temperature.
-    """
-    return FluxVector(*_viscous(FaceMeans(left, right), gas, dx))
 
 
 def _extended(rho, u, p, bcs: BoundarySpec) -> np.ndarray:
@@ -252,10 +240,11 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
     if recon.order == 2:
         means = FaceMeans(*(PrimState(*q) for q in _face_states(
             [rows[:, k:n + 1 + k] for k in range(4)], recon.limiter)))
-    central = FLUX_KERNELS[flux_kind](means.left, means.right, gas, means)
+    central = CENTRAL_FLUXES[flux_kind](means.left, means.right, gas, means)
 
     if diss.kind == "matrix":
-        d_flux = _matrix(means, gas, diss, flux_kind)
+        d_flux = matrix_dissipation(means.left, means.right, gas, diss,
+                                    flux_kind, means)
     elif diss.kind == "scalar":
         nu = np.zeros(n + 4)
         nu[1:-1] = _pressure_sensor(ext.p[:-2], ext.p[1:-1], ext.p[2:])
@@ -274,7 +263,7 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
     else:
         d_flux = np.zeros((3, n + 1))
     if gas.is_viscous:
-        g_flux = _viscous(pairs, gas, dx)
+        g_flux = viscous_face_flux(pairs.left, pairs.right, gas, dx, pairs)
     else:
         g_flux = np.zeros((3, n + 1))
 
@@ -293,6 +282,6 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
     rhs = -(net[:, 1:] - net[:, :-1]) / dx
     left, right = ((pairs.left, pairs.right) if pairs is not None else
                    (PrimState(*rows[:, lo]), PrimState(*rows[:, hi])))
-    faces = FaceData((central, d_flux, g_flux), left, right, gas,
+    faces = FaceData(central, d_flux, g_flux, left, right, gas,
                      bcs.is_periodic)
     return (rhs if stacked else ConsState(*rhs)), faces

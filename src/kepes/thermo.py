@@ -1,8 +1,9 @@
 """Ideal-gas thermodynamics: state containers, entropy pair, stable averages.
 
 State containers hold floats or numpy arrays and every function broadcasts,
-so the same code serves a single interface pair or a whole grid of them.
-Working variables are density rho, velocity u, pressure p, with
+so the same code serves a single interface pair or a whole grid of them;
+a three-component result comes back as one (3, ...) array.  Working
+variables are density rho, velocity u, pressure p, with
 beta = rho/(2*p) = 1/(2*R*T) and the (constant-free) specific entropy
 s = ln(p) - gamma*ln(rho).
 """
@@ -18,7 +19,6 @@ __all__ = [
     "GasModel",
     "PrimState",
     "ConsState",
-    "EntropyVars",
     "FaceMeans",
     "InvalidStateError",
     "prim_to_cons",
@@ -149,21 +149,6 @@ class ConsState:
         return np.array((self.rho, self.m, self.E), dtype=float)
 
 
-@dataclass(frozen=True)
-class EntropyVars:
-    """Entropy variables (v1, v2, v3) dual to (rho, m, E)."""
-
-    v1: object
-    v2: object
-    v3: object
-
-    def as_array(self):
-        return np.stack(np.broadcast_arrays(self.v1, self.v2, self.v3), axis=-1)
-
-    def __sub__(self, other):
-        return EntropyVars(self.v1 - other.v1, self.v2 - other.v2, self.v3 - other.v3)
-
-
 def prim_to_cons(q: PrimState, gas: GasModel) -> ConsState:
     """Map (rho, u, p) to (rho, rho u, E) with E = p/(gamma-1) + rho u^2/2."""
     m = q.rho * q.u
@@ -193,22 +178,23 @@ def physical_entropy(q: PrimState, gas: GasModel):
     return np.log(q.p) - gas.gamma * np.log(q.rho)
 
 
-def entropy_vars(q: PrimState, gas: GasModel) -> EntropyVars:
-    """v = [(gamma - s)/(gamma - 1) - beta u^2, 2 beta u, -2 beta]."""
+def entropy_vars(q: PrimState, gas: GasModel) -> np.ndarray:
+    """Stacked v = [(gamma - s)/(gamma - 1) - beta u^2, 2 beta u, -2 beta],
+    dual to (rho, m, E)."""
     g = gas.gamma
     s = physical_entropy(q, gas)
     beta = q.beta
-    return EntropyVars((g - s) / (g - 1.0) - beta * q.u * q.u,
-                       2.0 * beta * q.u,
-                       -2.0 * beta)
+    return _stacked((g - s) / (g - 1.0) - beta * q.u * q.u, 2.0 * beta * q.u,
+                    -2.0 * beta)
 
 
-def prim_from_entropy_vars(v: EntropyVars, gas: GasModel) -> PrimState:
-    """Invert entropy variables back to (rho, u, p)."""
+def prim_from_entropy_vars(v, gas: GasModel) -> PrimState:
+    """Invert the stacked entropy variables back to (rho, u, p)."""
     g = gas.gamma
-    beta = -0.5 * v.v3
-    u = -v.v2 / v.v3
-    s = g - (g - 1.0) * (v.v1 + beta * u * u)
+    v1, v2, v3 = v
+    beta = -0.5 * v3
+    u = -v2 / v3
+    s = g - (g - 1.0) * (v1 + beta * u * u)
     p = np.exp(-(s + g * np.log(2.0 * beta)) / (g - 1.0))
     return PrimState(2.0 * beta * p, u, p)
 
@@ -292,21 +278,9 @@ class FaceMeans:
         return getattr(self, name)
 
 
-def _entropy_jump(m: FaceMeans, gas: GasModel) -> np.ndarray:
-    """Stacked (dv1, dv2, dv3) of entropy_vars_jump."""
-    g = gas.gamma
-    rows_l, rows_r = m._rows
-    d_rho, d_beta, d_u = rows_r[:3] - rows_l[:3]
-    dv1 = (d_rho / m.rho_ln
-           + (1.0 / ((g - 1.0) * m.beta_ln) - m.u2_bar) * d_beta
-           - 2.0 * m.u_bar * m.beta_bar * d_u)
-    dv2 = 2.0 * (m.beta_bar * d_u + m.u_bar * d_beta)
-    return np.array((dv1, dv2, -2.0 * d_beta))
-
-
 def entropy_vars_jump(left: PrimState, right: PrimState, gas: GasModel,
-                      means: FaceMeans | None = None) -> EntropyVars:
-    """Jump v(right) - v(left) written with the log-mean identities
+                      means: FaceMeans | None = None) -> np.ndarray:
+    """Stacked jump v(right) - v(left) written with the log-mean identities
     d(ln x) = dx / x_ln.
 
     Algebraically identical to differencing entropy_vars pointwise, but the
@@ -315,7 +289,14 @@ def entropy_vars_jump(left: PrimState, right: PrimState, gas: GasModel,
     integrated over thousands of steps.  means is the pair's FaceMeans.
     """
     m = FaceMeans(left, right) if means is None else means
-    return EntropyVars(*_entropy_jump(m, gas))
+    g = gas.gamma
+    rows_l, rows_r = m._rows
+    d_rho, d_beta, d_u = rows_r[:3] - rows_l[:3]
+    dv1 = (d_rho / m.rho_ln
+           + (1.0 / ((g - 1.0) * m.beta_ln) - m.u2_bar) * d_beta
+           - 2.0 * m.u_bar * m.beta_bar * d_u)
+    dv2 = 2.0 * (m.beta_bar * d_u + m.u_bar * d_beta)
+    return np.array((dv1, dv2, -2.0 * d_beta))
 
 
 def entropy_pair(q: PrimState, gas: GasModel):

@@ -153,7 +153,7 @@ class TestEntropyBudget:
                                   ReconSpec(1), PERIODIC)
         rep = budget_report(0.0, prim, rhs, faces, grid, gas)
         # dv . d = -(1/2) dv^T Q dv summed over faces
-        quad = float(np.sum(faces.dv[:-1] * faces.diss.as_array()[:-1]))
+        quad = float(np.sum(faces.dv[:-1] * faces.diss.T[:-1]))
         assert abs(rep.du_dt_numerical - quad) < 1e-13
 
     def test_scalar_production_nonpositive(self):
@@ -180,7 +180,7 @@ class TestEntropyBudget:
                                       DissipationSpec(), ReconSpec(1),
                                       PERIODIC)
             rep = budget_report(0.0, prim, rhs, faces, grid, gas)
-            per_face = np.sum(faces.dv[:-1] * faces.central.as_array()[:-1],
+            per_face = np.sum(faces.dv[:-1] * faces.central.T[:-1],
                               axis=-1) - faces.dpsi[:-1]
             face_res.append(np.abs(per_face).max())
             global_res.append(abs(rep.du_dt))

@@ -33,26 +33,26 @@ def entropy_jacobian(rho, u, a, gamma):
 
 
 def dv_array(left, right, gas):
-    return (entropy_vars(right, gas) - entropy_vars(left, gas)).as_array()
+    return (entropy_vars(right, gas) - entropy_vars(left, gas)).T
 
 
 class TestScalarDVector:
     def test_equal_states_vanish(self, gas):
         q = PrimState(1.3, 0.4, 2.0)
         D, _ = scalar_d_vector(q, q, gas)
-        assert np.allclose([D.f_rho, D.f_m, D.f_e], 0.0, atol=1e-15)
+        assert np.allclose([D[0], D[1], D[2]], 0.0, atol=1e-15)
 
     def test_mass_and_momentum_slots(self, gas):
         left, right = PrimState(1.0, 0.5, 1.0), PrimState(2.0, -0.25, 1.5)
         D, _ = scalar_d_vector(left, right, gas)
-        assert np.isclose(D.f_rho, 1.0, rtol=1e-15)
-        assert np.isclose(D.f_m, 2.0 * (-0.25) - 1.0 * 0.5, rtol=1e-14)
+        assert np.isclose(D[0], 1.0, rtol=1e-15)
+        assert np.isclose(D[1], 2.0 * (-0.25) - 1.0 * 0.5, rtol=1e-14)
 
     def test_entropy_identity_two_sided(self, gas):
         left, right = PrimState(1.0, 0.0, 1.0), PrimState(2.0, 0.0, 1.0)
         D, _ = scalar_d_vector(left, right, gas, "logarithmic")
         dv = dv_array(left, right, gas)
-        lhs = dv[0] * D.f_rho + dv[1] * D.f_m + dv[2] * D.f_e
+        lhs = dv[0] * D[0] + dv[1] * D[1] + dv[2] * D[2]
         rhs = scalar_quadratic_form(left, right, gas)
         assert np.isclose(lhs, rhs, rtol=1e-13)
         assert rhs > 0.0
@@ -62,7 +62,7 @@ class TestScalarDVector:
         left, right = random_states(rng, 20000, span=0.5)
         D, _ = scalar_d_vector(left, right, gas, "logarithmic")
         dv = dv_array(left, right, gas)
-        lhs = dv[..., 0] * D.f_rho + dv[..., 1] * D.f_m + dv[..., 2] * D.f_e
+        lhs = dv[..., 0] * D[0] + dv[..., 1] * D[1] + dv[..., 2] * D[2]
         rhs = scalar_quadratic_form(left, right, gas)
         assert np.abs(lhs - rhs).max() < 1e-12
         assert rhs.min() >= 0.0
@@ -83,7 +83,7 @@ class TestScalarDVector:
             right = PrimState(*(base * (1 + 0.5 * h * direction)))
             D, _ = scalar_d_vector(left, right, gas, "arithmetic")
             dv = dv_array(left, right, gas)
-            lhs = dv[0] * D.f_rho + dv[1] * D.f_m + dv[2] * D.f_e
+            lhs = dv[0] * D[0] + dv[1] * D[1] + dv[2] * D[2]
             res.append(abs(float(lhs - scalar_quadratic_form(left, right, gas))))
         slope = np.polyfit(np.log(hs), np.log(res), 1)[0]
         assert slope >= 3.0
@@ -120,7 +120,7 @@ class TestJstDissipation:
     def test_uniform_flow_no_correction(self, gas):
         q = PrimState(1.0, 0.5, 1.0)
         d = jst_dissipation((q, q, q, q), gas, self.spec)
-        assert np.allclose([d.f_rho, d.f_m, d.f_e], 0.0, atol=1e-15)
+        assert np.allclose([d[0], d[1], d[2]], 0.0, atol=1e-15)
 
     def test_smooth_field_third_order(self, gas):
         slopes = []
@@ -131,8 +131,8 @@ class TestJstDissipation:
                                       0.2 * np.cos(xi),
                                       1.0 + 0.2 * np.sin(2 * xi)) for xi in x)
             d = jst_dissipation(stencil, gas, self.spec)
-            slopes.append(max(abs(float(d.f_rho)), abs(float(d.f_m)),
-                              abs(float(d.f_e))))
+            slopes.append(max(abs(float(d[0])), abs(float(d[1])),
+                              abs(float(d[2]))))
         fit = np.polyfit(np.log(hs), np.log(slopes), 1)[0]
         assert fit >= 3.0
 
@@ -144,9 +144,9 @@ class TestJstDissipation:
         d = jst_dissipation((qm1, q0, q1, q2), gas,
                             DissipationSpec(kind="scalar"), eps2=1.0, eps4=0.0)
         D, lam = scalar_d_vector(q0, q1, gas)
-        assert np.isclose(d.f_rho, -0.5 * lam * D.f_rho, rtol=1e-13)
-        assert np.isclose(d.f_m, -0.5 * lam * D.f_m, rtol=1e-13)
-        assert np.isclose(d.f_e, -0.5 * lam * D.f_e, rtol=1e-13)
+        assert np.isclose(d[0], -0.5 * lam * D[0], rtol=1e-13)
+        assert np.isclose(d[1], -0.5 * lam * D[1], rtol=1e-13)
+        assert np.isclose(d[2], -0.5 * lam * D[2], rtol=1e-13)
 
 
 class TestEigenSystem:
@@ -311,28 +311,28 @@ class TestMatrixDissipation:
     def test_equal_states(self, gas):
         q = PrimState(1.0, 0.7, 1.0)
         d = matrix_dissipation(q, q, gas, DissipationSpec(kind="matrix"))
-        assert np.allclose([d.f_rho, d.f_m, d.f_e], 0.0, atol=1e-15)
+        assert np.allclose([d[0], d[1], d[2]], 0.0, atol=1e-15)
 
     @pytest.mark.parametrize("law", contact_laws)
     def test_stationary_contact_transparent(self, law, gas):
         left, right = PrimState(10.0, 0.0, 1.0), PrimState(1.0, 0.0, 1.0)
         spec = DissipationSpec(kind="matrix", matrix_law=law)
         d = matrix_dissipation(left, right, gas, spec, "kepec")
-        assert max(abs(float(d.f_rho)), abs(float(d.f_m)),
-                   abs(float(d.f_e))) < 1e-12
+        assert max(abs(float(d[0])), abs(float(d[1])),
+                   abs(float(d[2]))) < 1e-12
 
     def test_rusanov_diffuses_contact(self, gas):
         # the middle eigenvalue |u|+a keeps acting on the entropy jump
         left, right = PrimState(10.0, 0.0, 1.0), PrimState(1.0, 0.0, 1.0)
         spec = DissipationSpec(kind="matrix", matrix_law="rus")
         d = matrix_dissipation(left, right, gas, spec, "kepec")
-        assert abs(float(d.f_rho)) > 1e-2
+        assert abs(float(d[0])) > 1e-2
 
     def test_arithmetic_pairing_diffuses_contact(self, gas):
         left, right = PrimState(10.0, 0.0, 1.0), PrimState(1.0, 0.0, 1.0)
         spec = DissipationSpec(kind="matrix", matrix_law="roe")
         d = matrix_dissipation(left, right, gas, spec, "kepec_ac")
-        assert abs(float(d.f_rho)) > 1e-2
+        assert abs(float(d[0])) > 1e-2
 
     @pytest.mark.parametrize("law", ("roe", "ec1", "kes", "rus", "hyb"))
     def test_entropy_production_nonnegative(self, law, gas):
@@ -342,7 +342,7 @@ class TestMatrixDissipation:
         d = matrix_dissipation(left, right, gas, spec, "kepec")
         dv = dv_array(left, right, gas)
         # dv . d = -(1/2) dv^T Q dv <= 0
-        prod = dv[..., 0] * d.f_rho + dv[..., 1] * d.f_m + dv[..., 2] * d.f_e
+        prod = dv[..., 0] * d[0] + dv[..., 1] * d[1] + dv[..., 2] * d[2]
         assert prod.max() <= 1e-12
 
     def ke_functional(self, left, right, gas, law, flux_kind="kepec"):
@@ -350,7 +350,7 @@ class TestMatrixDissipation:
         d = matrix_dissipation(left, right, gas, spec, flux_kind)
         u_bar = 0.5 * (left.u + right.u)
         q_dv = -2.0 * np.stack(
-            np.broadcast_arrays(d.f_rho, d.f_m, d.f_e), axis=-1)
+            np.broadcast_arrays(d[0], d[1], d[2]), axis=-1)
         return u_bar * q_dv[..., 0] - q_dv[..., 1]
 
     @pytest.mark.parametrize("law", ("kes", "rus"))

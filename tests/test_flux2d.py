@@ -72,9 +72,9 @@ class TestFluxKepec2d:
         right2 = PrimState2D(0.8, 0.1, 0.0, 1.2)
         f2 = flux_kepec_2d(left2, right2, FaceNormal(1.0, 0.0), gas)
         f1 = flux_kepec(PrimState(1.1, 0.5, 0.9), PrimState(0.8, 0.1, 1.2), gas)
-        assert np.isclose(f2[0], f1.f_rho, rtol=1e-14)
-        assert np.isclose(f2[1], f1.f_m, rtol=1e-14)
-        assert np.isclose(f2[3], f1.f_e, rtol=1e-14)
+        assert np.isclose(f2[0], f1[0], rtol=1e-14)
+        assert np.isclose(f2[1], f1[1], rtol=1e-14)
+        assert np.isclose(f2[3], f1[2], rtol=1e-14)
         assert f2[2] == 0.0
 
     def test_entropy_conservation_bulk(self, gas):

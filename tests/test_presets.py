@@ -28,9 +28,9 @@ class TestStationaryShockStates:
             left, right = stationary_shock_states(mach, gas)
             fl = exact_flux(left, gas)
             fr = exact_flux(right, gas)
-            assert np.isclose(fl.f_rho, fr.f_rho, rtol=1e-13)
-            assert np.isclose(fl.f_m, fr.f_m, rtol=1e-13)
-            assert np.isclose(fl.f_e, fr.f_e, rtol=1e-13)
+            assert np.isclose(fl[0], fr[0], rtol=1e-13)
+            assert np.isclose(fl[1], fr[1], rtol=1e-13)
+            assert np.isclose(fl[2], fr[2], rtol=1e-13)
 
     def test_upstream_mach_number(self):
         gas = GasModel()

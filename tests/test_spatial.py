@@ -93,7 +93,7 @@ class TestViscousFaceFlux:
         gas = GasModel(viscosity_law=ViscosityLaw("constant", 0.01))
         q = PrimState(1.0, 0.5, 1.0)
         g = viscous_face_flux(q, q, gas, 0.1)
-        assert np.allclose([g.f_rho, g.f_m, g.f_e], 0.0, atol=1e-15)
+        assert np.allclose([g[0], g[1], g[2]], 0.0, atol=1e-15)
 
     def test_shear_only(self):
         gas = GasModel(viscosity_law=ViscosityLaw("constant", 0.01))
@@ -102,8 +102,8 @@ class TestViscousFaceFlux:
         right = PrimState(1.0, 0.1, 1.0)
         g = viscous_face_flux(left, right, gas, 0.05)
         tau = 4.0 / 3.0 * 0.01 * 2.0
-        assert np.isclose(g.f_m, tau, rtol=1e-14)
-        assert np.isclose(g.f_e, 0.05 * tau, rtol=1e-14)  # u_bar tau
+        assert np.isclose(g[1], tau, rtol=1e-14)
+        assert np.isclose(g[2], 0.05 * tau, rtol=1e-14)  # u_bar tau
 
     def test_heat_flux_only(self):
         gas = GasModel(viscosity_law=ViscosityLaw("constant", 0.01),
@@ -114,8 +114,8 @@ class TestViscousFaceFlux:
         g = viscous_face_flux(left, right, gas, 0.1)
         kappa = float(gas.conductivity(0.9))
         q_flux = -kappa * (-0.2) / 0.1
-        assert np.isclose(g.f_e, -q_flux, rtol=1e-14)
-        assert g.f_rho == 0.0
+        assert np.isclose(g[2], -q_flux, rtol=1e-14)
+        assert g[0] == 0.0
 
 
 class TestAssembleRhs:
@@ -176,7 +176,7 @@ class TestAssembleRhs:
         rhs, _ = assemble_rhs(cells, grid, gas, "kepec", DissipationSpec(),
                               ReconSpec(1), PERIODIC)
         v = entropy_vars(prim, gas)
-        du_dt = float(np.sum(v.v1 * rhs.rho + v.v2 * rhs.m + v.v3 * rhs.E)
+        du_dt = float(np.sum(v[0] * rhs.rho + v[1] * rhs.m + v[2] * rhs.E)
                       * grid.dx)
         assert abs(du_dt) < 1e-11
 
@@ -188,7 +188,7 @@ class TestAssembleRhs:
         rhs, _ = assemble_rhs(cells, grid, gas, "kepec", DissipationSpec(),
                               ReconSpec(1), PERIODIC)
         v = entropy_vars(prim, gas)
-        du_dt = float(np.sum(v.v1 * rhs.rho + v.v2 * rhs.m + v.v3 * rhs.E)
+        du_dt = float(np.sum(v[0] * rhs.rho + v[1] * rhs.m + v[2] * rhs.E)
                       * grid.dx)
         # closed-form viscous entropy production (face sums, wrapped)
         T = prim.p / prim.rho

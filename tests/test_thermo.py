@@ -57,19 +57,19 @@ def test_round_trip_prim_cons(rho, mach, p):
 
 def test_entropy_vars_reference_state(gas):
     v = entropy_vars(PrimState(1.0, 0.0, 1.0), gas)
-    assert np.allclose([v.v1, v.v2, v.v3], [3.5, 0.0, -1.0], rtol=1e-15)
+    assert np.allclose([v[0], v[1], v[2]], [3.5, 0.0, -1.0], rtol=1e-15)
 
 
 def test_entropy_vars_moving_state(gas):
     v = entropy_vars(PrimState(1.0, 1.0, 1.0), gas)
-    assert np.allclose([v.v1, v.v2, v.v3], [3.0, 1.0, -1.0], rtol=1e-15)
+    assert np.allclose([v[0], v[1], v[2]], [3.0, 1.0, -1.0], rtol=1e-15)
 
 
 @given(rho=positive, p=positive)
 @settings(max_examples=100)
 def test_entropy_vars_v2_zero_at_rest(rho, p):
     v = entropy_vars(PrimState(rho, 0.0, p), GasModel())
-    assert v.v2 == 0.0
+    assert v[1] == 0.0
 
 
 @given(rho=st.floats(min_value=1e-3, max_value=1e3),
