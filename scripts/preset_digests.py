@@ -2,16 +2,23 @@
 """Print the sha256 of every artifact of every preset.
 
 Each preset runs capped at --max-steps, with a snapshot and budget sample
-every min(t_final / 4, 0.03) time units, into a temporary directory.  The last line digests all the others.  Run it against
-two checkouts and compare the output to show that a change leaves every
-snapshot, budget.csv and metrics.txt byte-identical:
+every min(t_final / 4, 0.03) time units, into a temporary directory.  The
+last line digests all the others.  Run it against two checkouts and
+compare the output to show that a change leaves every snapshot,
+budget.csv and metrics.txt byte-identical:
 
     PYTHONPATH=src python scripts/preset_digests.py > digests.txt
+    PYTHONPATH=src python scripts/preset_digests.py --compare digests.txt
+
+With --compare the presets are rerun and only the artifacts whose digest
+differs from FILE, or that only one side has, are printed; the exit
+status is 1 if there are any and 0 otherwise.
 """
 
 import argparse
 import hashlib
 import os
+import sys
 import tempfile
 from dataclasses import replace
 
@@ -19,22 +26,16 @@ from kepes.driver import run
 from kepes.presets import list_presets, preset
 
 
-def main():
-    parser = argparse.ArgumentParser(
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--max-steps", type=int, default=1500)
-    args = parser.parse_args()
-
-    lines = []
+def preset_blocks(max_steps: int):
+    """Per preset, its header line and one "digest  preset/artifact" line
+    per artifact, in a stable order."""
     with tempfile.TemporaryDirectory() as root:
         for name in list_presets():
             base = preset(name)
             config = replace(base,
                              snapshot_interval=min(base.time.t_final / 4.0,
                                                    0.03),
-                             time=replace(base.time,
-                                          max_steps=args.max_steps))
+                             time=replace(base.time, max_steps=max_steps))
             output_dir = os.path.join(root, name)
             result = run(config, output_dir)
             block = [f"# {name}: status {result.status}, "
@@ -43,11 +44,66 @@ def main():
                 with open(os.path.join(output_dir, artifact), "rb") as fh:
                     digest = hashlib.sha256(fh.read()).hexdigest()
                 block.append(f"{digest}  {name}/{artifact}")
+            yield block
+
+
+def digest_table(lines) -> dict:
+    """{artifact: digest} of the digest lines, the "all" line included; a
+    preset's header line enters as {"# preset": its status text}."""
+    table = {}
+    for line in lines:
+        if line.startswith("#"):
+            name, status = line.split(":", 1)
+            table[name] = status
+        elif line:
+            digest, name = line.split("  ", 1)
+            table[name] = digest
+    return table
+
+
+def compare(expected: dict, actual: dict) -> int:
+    """Print every artifact that differs or that one side lacks; the
+    number of such artifacts."""
+    bad = 0
+    for name in sorted(expected.keys() | actual.keys()):
+        if name not in actual:
+            print(f"missing from this run: {name}")
+        elif name not in expected:
+            print(f"missing from the reference: {name}")
+        elif expected[name] != actual[name]:
+            print(f"differs: {name}")
+        else:
+            continue
+        bad += 1
+    print(f"{bad} of {len(expected.keys() | actual.keys())} artifacts "
+          "differ or are missing")
+    return bad
+
+
+def main():
+    parser = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--max-steps", type=int, default=1500)
+    parser.add_argument("--compare", metavar="FILE",
+                        help="digest file of an earlier run to check "
+                             "against")
+    args = parser.parse_args()
+
+    lines = []
+    for block in preset_blocks(args.max_steps):
+        if args.compare is None:
             print("\n".join(block), flush=True)
-            lines += block
+        lines += block
     total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    print(f"{total}  all")
+    lines.append(f"{total}  all")
+    if args.compare is None:
+        print(lines[-1])
+        return 0
+    with open(args.compare, encoding="utf-8") as fh:
+        expected = digest_table(fh.read().splitlines())
+    return 1 if compare(expected, digest_table(lines)) else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -86,12 +86,14 @@ def _scalar_d_from_jumps(m: FaceMeans, gas: GasModel, beta_average: str,
     and the wave speed lambda = |u_bar| + sqrt(gamma/(2 beta_m))."""
     g = gas.gamma
     beta_m = m.beta_ln if beta_average == "logarithmic" else m.beta_bar
-    d_m = m.u_bar * d_rho + m.rho_bar * d_u
-    d_e = ((0.5 / ((g - 1.0) * beta_m) + 0.5 * m.left.u * m.right.u) * d_rho
-           + m.rho_bar * m.u_bar * d_u
-           + m.rho_bar / (2.0 * (g - 1.0)) * d_inv_beta)
+    out = np.empty((3,) + m.shape)
+    out[0] = d_rho
+    np.add(m.u_bar * d_rho, m.rho_bar * d_u, out=out[1, ...])
+    np.add((0.5 / ((g - 1.0) * beta_m) + 0.5 * m.left.u * m.right.u) * d_rho
+           + m.rho_bar * m.u_bar * d_u,
+           m.rho_bar / (2.0 * (g - 1.0)) * d_inv_beta, out=out[2, ...])
     lam = np.abs(m.u_bar) + np.sqrt(g / (2.0 * beta_m))
-    return np.array((d_rho, d_m, d_e)), lam
+    return out, lam
 
 
 def scalar_d_vector(left: PrimState, right: PrimState, gas: GasModel,
@@ -164,7 +166,8 @@ def _jst(stencil, m: FaceMeans, gas: GasModel, spec: DissipationSpec,
                               - eps4 * (f2 - 3.0 * f1 + 3.0 * f0 - fm1))
     D, lam = _scalar_d_from_jumps(m, gas, spec.beta_average,
                                   d_rho, d_u, d_inv_beta)
-    return D * (-0.5 * lam)
+    D *= -0.5 * lam
+    return D
 
 
 def jst_dissipation(stencil, gas: GasModel, spec: DissipationSpec,
@@ -216,7 +219,13 @@ def _eigen_entries(avg: FaceAverage, gas: GasModel):
     rho, u, a, H = avg.rho, avg.u, avg.a, avg.H
     g = gas.gamma
     ua = u * a
-    rows = np.array(((u - a, u, u + a), (H - ua, 0.5 * u * u, H + ua)))
+    rows = np.empty((2, 3) + np.shape(ua))
+    np.subtract(u, a, out=rows[0, 0, ...])
+    rows[0, 1] = u
+    np.add(u, a, out=rows[0, 2, ...])
+    np.subtract(H, ua, out=rows[1, 0, ...])
+    np.multiply(0.5 * u, u, out=rows[1, 1, ...])
+    np.add(H, ua, out=rows[1, 2, ...])
     return rows, rho / (2.0 * g), (g - 1.0) * rho / g
 
 
@@ -257,7 +266,10 @@ def eigenvalue_law(u_f, a_f, left: PrimState, right: PrimState,
 def _acoustic_speeds(q: PrimState, gas: GasModel):
     """The acoustic eigenvalues (u - a, u + a) of the states q, stacked."""
     a = sound_speed(q, gas)
-    return np.array((q.u - a, q.u + a))
+    out = np.empty((2,) + np.shape(a))
+    np.subtract(q.u, a, out=out[0, ...])
+    np.add(q.u, a, out=out[1, ...])
+    return out
 
 
 def _law(speeds, a_f, m: FaceMeans, gas: GasModel, spec: DissipationSpec):
@@ -274,9 +286,11 @@ def _law(speeds, a_f, m: FaceMeans, gas: GasModel, spec: DissipationSpec):
     abs_u = lam[1]
     lam_max = abs_u + a_f
     if law == "kes":
-        return np.array((lam_max, abs_u, lam_max))
+        lam[::2] = lam_max
+        return lam
     if law == "rus":
-        return np.array((lam_max, lam_max, lam_max))
+        lam[...] = lam_max
+        return lam
     if law == "hyb":
         phi = np.clip(np.sqrt(np.abs(m.right.p - m.left.p) / (2.0 * m.p_bar)),
                       0.0, 1.0)
@@ -298,15 +312,20 @@ def matrix_dissipation(left: PrimState, right: PrimState, gas: GasModel,
     m = FaceMeans(left, right) if means is None else means
     avg = face_average(m.left, m.right, gas, flux_kind, m)
     rows, s_ac, s_mid = _eigen_entries(avg, gas)
-    dv = entropy_vars_jump(m.left, m.right, gas, m)
     w = _law(rows[0], avg.a, m, gas, spec)
     w[::2] *= s_ac
     w[1] *= s_mid
+    # freed before dv is formed, which lowers the peak memory of a stage
+    del avg, s_ac, s_mid
+    dv = entropy_vars_jump(m.left, m.right, gas, m)
     w *= dv[0] + rows[0] * dv[1] + rows[1] * dv[2]
     rows *= w
-    # the two acoustic waves are summed before the entropy wave is added
-    out = np.empty_like(w)
-    out[0] = (w[0] + w[2]) + w[1]
-    out[1:] = (rows[:, 0] + rows[:, 2]) + rows[:, 1]
+    # dv is spent: its workspace takes the result.  The two acoustic waves
+    # are summed before the entropy wave is added.
+    out = dv
+    np.add(w[0], w[2], out=out[0, ...])
+    np.add(rows[:, 0], rows[:, 2], out=out[1:])
+    out[0] += w[1]
+    out[1:] += rows[:, 1]
     out *= -0.5
     return out

@@ -7,7 +7,8 @@ remaining averages with logarithmic means so that the two-point condition
 dv . f = d(rho u) holds exactly across any interface.
 Every flux returns the stacked (3, ...) array (f_rho, f_m, f_e) and takes
 an optional trailing FaceMeans record of the pair; the solver passes the
-one record it builds per stage.
+one record it builds per stage.  The stage's fluxes write their rows
+into one array per call (row [i, ...] is a view, 0-d for a single pair).
 """
 
 from __future__ import annotations
@@ -52,8 +53,11 @@ def flux_kep(left: PrimState, right: PrimState, gas: GasModel,
     """
     m = FaceMeans(left, right) if means is None else means
     H_bar = _avg(total_enthalpy(m.left, gas), total_enthalpy(m.right, gas))
-    f_rho = m.rho_bar * m.u_bar
-    return np.array((f_rho, m.p_bar + m.u_bar * f_rho, f_rho * H_bar))
+    out = np.empty((3,) + m.shape)
+    f_rho = np.multiply(m.rho_bar, m.u_bar, out=out[0, ...])
+    np.add(m.p_bar, m.u_bar * f_rho, out=out[1, ...])
+    np.multiply(f_rho, H_bar, out=out[2, ...])
+    return out
 
 
 def flux_roe_ec(left: PrimState, right: PrimState, gas: GasModel,
@@ -92,11 +96,13 @@ def _kep_family(m: FaceMeans, gas: GasModel, rho_f, beta_f):
     """KEP flux f_rho = rho_f u_bar, f_m = p_tilde + u_bar f_rho and
     f_e = (1/(2 (gamma-1) beta_f) - u2_bar/2) f_rho + u_bar f_m."""
     g = gas.gamma
-    f_rho = rho_f * m.u_bar
+    out = np.empty((3,) + m.shape)
+    f_rho = np.multiply(rho_f, m.u_bar, out=out[0, ...])
     p_t = m.rho_bar / (2.0 * m.beta_bar)
-    f_m = p_t + m.u_bar * f_rho
-    f_e = (0.5 / ((g - 1.0) * beta_f) - 0.5 * m.u2_bar) * f_rho + m.u_bar * f_m
-    return np.array((f_rho, f_m, f_e))
+    f_m = np.add(p_t, m.u_bar * f_rho, out=out[1, ...])
+    np.add((0.5 / ((g - 1.0) * beta_f) - 0.5 * m.u2_bar) * f_rho,
+           m.u_bar * f_m, out=out[2, ...])
+    return out
 
 
 def flux_kepec_ac(left: PrimState, right: PrimState, gas: GasModel,

@@ -36,7 +36,13 @@ def minmod(a, b):
     """Zero on sign disagreement, else the smaller-magnitude argument."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
+    # the single-where form in one buffer: where the signs agree, the
+    # smaller magnitude takes a's sign, which is b's too
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    np.minimum(np.abs(a), np.abs(b), out=out)
+    np.copysign(out, a, out=out)
+    np.copyto(out, 0.0, where=~(a * b > 0.0))
+    return out
 
 
 def van_albada(a, b, eps=VAN_ALBADA_EPS):
@@ -54,13 +60,17 @@ def _limited_slope(back, fwd, limiter):
     return 0.5 * (back + fwd)
 
 
-def _face_states(stencil, limiter: str):
-    """reconstruct_face at order 2 on the stacked (rho, u, p) of the
-    stencil; returns the stacked left and right face states."""
-    fm1, f0, f1, f2 = stencil
-    slope0 = _limited_slope(f0 - fm1, f1 - f0, limiter)
-    slope1 = _limited_slope(f1 - f0, f2 - f1, limiter)
-    left, right = f0 + 0.5 * slope0, f1 - 0.5 * slope1
+def _face_states(cells, limiter: str):
+    """reconstruct_face at order 2 on the stacked (rho, u, p) of m cells
+    along the last axis; returns the stacked left and right states of the
+    m - 3 faces between cells j and j + 1, j = 1 .. m - 3.
+
+    Each cell's limited slope is formed once and read by both of its
+    faces."""
+    jump = cells[..., 1:] - cells[..., :-1]
+    slope = _limited_slope(jump[..., :-1], jump[..., 1:], limiter)
+    f0, f1 = cells[..., 1:-2], cells[..., 2:-1]
+    left, right = f0 + 0.5 * slope[..., :-1], f1 - 0.5 * slope[..., 1:]
     # a side whose rho or p would not be positive reverts to first order
     for face, cell in ((left, f0), (right, f1)):
         np.copyto(face, cell, where=(face[0] <= 0.0) | (face[2] <= 0.0))
@@ -77,6 +87,7 @@ def reconstruct_face(q_stencil, spec: ReconSpec):
     if spec.order == 1:
         return q_stencil[1], q_stencil[2]
     rows = _stacked(*(f for q in q_stencil for f in (q.rho, q.u, q.p)))
-    left, right = _face_states(rows.reshape((4, 3) + rows.shape[1:]),
-                               spec.limiter)
-    return PrimState(*left), PrimState(*right)
+    # the four stencil cells along the last axis, (3, ..., 4)
+    cells = np.moveaxis(rows.reshape((4, 3) + rows.shape[1:]), 0, -1)
+    left, right = _face_states(cells, spec.limiter)
+    return PrimState(*left[..., 0]), PrimState(*right[..., 0])

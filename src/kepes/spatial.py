@@ -173,9 +173,13 @@ def viscous_face_flux(left: PrimState, right: PrimState, gas: GasModel,
     t_face = 0.5 * (t_l + t_r)
     mu = gas.viscosity(t_face)
     kappa = gas.conductivity(t_face)
-    tau = (4.0 / 3.0) * mu * (pairs.right.u - pairs.left.u) / dx
     q = -kappa * (t_r - t_l) / dx
-    return np.array((np.zeros_like(tau), tau, pairs.u_bar * tau - q))
+    out = np.empty((3,) + pairs.shape)
+    out[0] = 0.0
+    tau = np.divide((4.0 / 3.0) * mu * (pairs.right.u - pairs.left.u), dx,
+                    out=out[1, ...])
+    np.subtract(pairs.u_bar * tau, q, out=out[2, ...])
+    return out
 
 
 def _extended(rho, u, p, bcs: BoundarySpec) -> np.ndarray:
@@ -227,19 +231,18 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
         raise InvalidStateError(
             f"invalid state in cell {idx}: rho={inner[0, idx]:.6g}, "
             f"p={inner[2, idx]:.6g}")
-    ext = PrimState(*rows)
 
-    # face k sits between ext cells k+1 and k+2.  These cell pairs are the
-    # face pairs at first order and, at any order, the pairs that the
+    # face k sits between cells k+1 and k+2 of rows.  These cell pairs are
+    # the face pairs at first order and, at any order, the pairs that the
     # scalar stencil and the viscous flux difference.
     lo, hi = slice(1, n + 2), slice(2, n + 3)
     pairs = None
     if recon.order == 1 or diss.kind == "scalar" or gas.is_viscous:
-        pairs = FaceMeans.of_cells(ext, lo, hi)
+        pairs = FaceMeans.of_cells(rows, lo, hi)
     means = pairs
     if recon.order == 2:
         means = FaceMeans(*(PrimState(*q) for q in _face_states(
-            [rows[:, k:n + 1 + k] for k in range(4)], recon.limiter)))
+            rows, recon.limiter)))
     central = CENTRAL_FLUXES[flux_kind](means.left, means.right, gas, means)
 
     if diss.kind == "matrix":
@@ -247,17 +250,20 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
                                     flux_kind, means)
     elif diss.kind == "scalar":
         nu = np.zeros(n + 4)
-        nu[1:-1] = _pressure_sensor(ext.p[:-2], ext.p[1:-1], ext.p[2:])
+        p = rows[2]
+        nu[1:-1] = _pressure_sensor(p[:-2], p[1:-1], p[2:])
         if not bcs.is_periodic:
             # boundary faces reuse the nearest interior sensor
             nu[1] = nu[2]
             nu[-2] = nu[-3]
         eps2, eps4 = _switches(nu[1:n + 2], nu[2:n + 3], diss.kappa2,
                                diss.kappa4)
-        # the stencil differences cell states, whose pairs are the face
-        # pairs only without reconstruction
-        rho, beta, u = pairs.fields[:3]
-        slots = np.array((rho, u, 1.0 / beta))
+        # the stencil differences the (rho, u, 1/beta) slots of the cells,
+        # whose pairs are the face pairs only without reconstruction
+        fields = pairs.fields
+        slots = np.empty((3, n + 4))
+        slots[:2] = fields[:3:2]
+        np.divide(1.0, fields[1], out=slots[2])
         d_flux = _jst([slots[:, k:n + 1 + k] for k in range(4)], pairs, gas,
                       diss, eps2, eps4)
     else:

@@ -208,12 +208,6 @@ def _stacked(*fields):
     return np.array(np.broadcast_arrays(*fields), dtype=float)
 
 
-def _mean_fields(q: PrimState):
-    """The quantities of a state that face means average: rho, beta, u,
-    u^2 and p; the first two are the log-mean pair."""
-    return q.rho, q.beta, q.u, q.u * q.u, q.p
-
-
 class FaceMeans:
     """Two-point averages of the pairs (left, right), shared by the central
     flux, the dissipation and the entropy-variable jump of one RHS stage.
@@ -221,9 +215,10 @@ class FaceMeans:
     A record is one cell array and the indices lo, hi of the left and right
     side of each pair along its last axis (FaceMeans.of_cells); the pair
     constructor lays left and right side by side in a new one.  fields
-    holds the _mean_fields (rho, beta, u, u^2, p) of every cell, so left,
-    right and every cell quantity read through sides() are evaluated once
-    per cell.  The means are formed on first read: rho_bar, beta_bar,
+    holds the quantities that the means average, (rho, beta, u, u^2, p),
+    of every cell (the first two are the log-mean pair), so left, right
+    and every cell quantity read through sides() are evaluated once per
+    cell.  The means are formed on first read: rho_bar, beta_bar,
     u_bar, u2_bar (the mean of u^2) and p_bar by one average of the stacked
     fields of both sides, rho_ln and beta_ln by one log_mean call on the
     stacked (rho, beta) pair.
@@ -235,25 +230,33 @@ class FaceMeans:
         # a single pair takes cells 0 and 1; k pairs take cells 0..k-1 and
         # k..2k-1, so that each side stays contiguous
         k = shape[-1] if shape else 1
-        cells = np.empty((3,) + shape[:-1] + (2 * k,))
+        fields = np.empty((5,) + shape[:-1] + (2 * k,))
         index = (0, 1) if not shape else (slice(0, k), slice(k, 2 * k))
-        for side, fields in zip(index, states):
-            for row, f in zip(cells, fields):
+        for side, state in zip(index, states):
+            for row, f in zip(fields[::2], state):
                 row[..., side] = f
-        self._init(PrimState(*cells), *index)
+        self._init(fields, *index)
 
     @classmethod
-    def of_cells(cls, cells: PrimState, lo, hi):
-        """Record of the cell pairs (cells[..., lo], cells[..., hi])."""
+    def of_cells(cls, cells: np.ndarray, lo, hi):
+        """Record of the cell pairs (cells[..., lo], cells[..., hi]) of the
+        stacked (rho, u, p) cells."""
+        fields = np.empty((5,) + cells.shape[1:])
+        fields[::2] = cells
         self = cls.__new__(cls)
-        self._init(cells, lo, hi)
+        self._init(fields, lo, hi)
         return self
 
-    def _init(self, cells: PrimState, lo, hi):
-        # the record keeps the fields only; cells may be dropped
-        self.fields = fields = np.array(_mean_fields(cells))
+    def _init(self, fields: np.ndarray, lo, hi):
+        # fields holds rho, u and p in rows 0, 2 and 4 and takes beta =
+        # rho/(2 p) and u^2 into rows 1 and 3; the record keeps no other
+        # reference to the cells
+        np.divide(fields[0], 2.0 * fields[4], out=fields[1])
+        np.multiply(fields[2], fields[2], out=fields[3])
+        self.fields = fields
         self._lo, self._hi = lo, hi
         self._rows = rows_l, rows_r = fields[..., lo], fields[..., hi]
+        self.shape = rows_l.shape[1:]
         self.left = PrimState(rows_l[0], rows_l[2], rows_l[4])
         self.right = PrimState(rows_r[0], rows_r[2], rows_r[4])
         self.beta_l, self.beta_r = rows_l[1], rows_r[1]
@@ -292,11 +295,13 @@ def entropy_vars_jump(left: PrimState, right: PrimState, gas: GasModel,
     g = gas.gamma
     rows_l, rows_r = m._rows
     d_rho, d_beta, d_u = rows_r[:3] - rows_l[:3]
-    dv1 = (d_rho / m.rho_ln
-           + (1.0 / ((g - 1.0) * m.beta_ln) - m.u2_bar) * d_beta
-           - 2.0 * m.u_bar * m.beta_bar * d_u)
-    dv2 = 2.0 * (m.beta_bar * d_u + m.u_bar * d_beta)
-    return np.array((dv1, dv2, -2.0 * d_beta))
+    out = np.empty((3,) + m.shape)
+    np.subtract(d_rho / m.rho_ln
+                + (1.0 / ((g - 1.0) * m.beta_ln) - m.u2_bar) * d_beta,
+                2.0 * m.u_bar * m.beta_bar * d_u, out=out[0, ...])
+    np.multiply(2.0, m.beta_bar * d_u + m.u_bar * d_beta, out=out[1, ...])
+    np.multiply(-2.0, d_beta, out=out[2, ...])
+    return out
 
 
 def entropy_pair(q: PrimState, gas: GasModel):

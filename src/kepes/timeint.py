@@ -55,9 +55,12 @@ def ssp_rk3_step(state, dt: float, rhs_operator):
         except Exception as exc:
             raise StageError(k, exc) from exc
 
-    u1 = state + dt * stage(1, state)
-    u2 = 0.75 * state + 0.25 * (u1 + dt * stage(2, u1))
-    return (1.0 / 3.0) * state + (2.0 / 3.0) * (u2 + dt * stage(3, u2))
+    # w holds u1, then u2, so u1 is freed before stage 3 runs; the state
+    # term of a combination is added last (a + b == b + a in floating
+    # point), so no copy of it is held through a stage
+    w = state + dt * stage(1, state)
+    w = 0.25 * (w + dt * stage(2, w)) + 0.75 * state
+    return (2.0 / 3.0) * (w + dt * stage(3, w)) + (1.0 / 3.0) * state
 
 
 def compute_dt(cells, grid: Grid1D, gas: GasModel, cfl: float) -> float:

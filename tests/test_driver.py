@@ -4,11 +4,13 @@ import os
 import numpy as np
 import pytest
 
+from kepes import driver
 from kepes.cli import main
 from kepes.config import config_from_dict
 from kepes.diagnostics import BudgetReport
 from kepes.driver import run
 from kepes.presets import preset
+from kepes.thermo import GasModel, PrimState, physical_entropy
 
 
 def read_csv(path):
@@ -65,6 +67,62 @@ class TestDeterminism:
             with open(os.path.join(b.output_dir, name), "rb") as fh:
                 blob_b = fh.read()
             assert blob_a == blob_b
+
+
+def per_value_snapshot(x, prim, gas) -> bytes:
+    """A snapshot file as the one-value-at-a-time writer formatted it."""
+    T = prim.temperature(gas)
+    s = physical_entropy(prim, gas)
+    lines = ["x,rho,u,p,T,s\n"]
+    for i in range(len(x)):
+        lines.append(",".join(f"{v:.17g}" for v in
+                              (x[i], prim.rho[i], prim.u[i], prim.p[i],
+                               T[i], s[i])) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+class TestSnapshotBytes:
+    """The block writer writes the bytes of the per-value loop."""
+
+    @pytest.fixture
+    def columns(self):
+        n = driver._CSV_BLOCK_ROWS + 1
+        rng = np.random.default_rng(11)
+        x = np.linspace(0.0, 1.0, n)
+        rho = 0.1 + rng.random(n)
+        u = rng.standard_normal(n)
+        p = 0.1 + rng.random(n)
+        # signed zero, the smallest subnormal, a near-overflow magnitude,
+        # an inexact sum, a negative velocity and values that need all 17
+        # significant digits, some on either side of the block boundary
+        x[0], x[1], x[2], x[3] = -0.0, 5e-324, 1e308, 0.1 + 0.2
+        u[0], u[4] = -0.0, -1.2345678901234567
+        rho[5], p[5] = 1.0 / 3.0, 2.0 / 3.0
+        edge = driver._CSV_BLOCK_ROWS
+        x[edge - 1], x[edge] = np.nextafter(0.5, 1.0), -1e-308
+        u[edge] = -np.pi
+        return x, PrimState(rho, u, p)
+
+    def test_matches_per_value_writer(self, tmp_path, columns):
+        x, prim = columns
+        gas = GasModel()
+        path = tmp_path / "snapshot.csv"
+        driver._write_snapshot(str(path), x, prim, gas)
+        blob = path.read_bytes()
+        assert blob == per_value_snapshot(x, prim, gas)
+        assert blob.count(b"x,rho,u,p,T,s") == 1
+        assert b"\r" not in blob
+        assert blob.count(b"\n") == len(x) + 1
+
+    @pytest.mark.parametrize("rows", [1, 7, 10_000])
+    def test_block_size_never_changes_bytes(self, tmp_path, columns,
+                                            monkeypatch, rows):
+        x, prim = columns
+        gas = GasModel()
+        monkeypatch.setattr(driver, "_CSV_BLOCK_ROWS", rows)
+        path = tmp_path / "snapshot.csv"
+        driver._write_snapshot(str(path), x, prim, gas)
+        assert path.read_bytes() == per_value_snapshot(x, prim, gas)
 
 
 class TestStationaryContactRun:

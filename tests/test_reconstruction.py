@@ -30,6 +30,40 @@ class TestMinmod:
             assert np.sign(m) == np.sign(a)
 
 
+def minmod_nested_where(a, b):
+    """The nested-where minmod, the reference of the bitwise property."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
+
+
+# signed zeros, infinities, the smallest subnormal and magnitudes whose
+# products underflow to zero, next to arbitrary floats
+edge_floats = st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                               1e-170, -1e-170, 1e-300, 2.0, -2.0])
+any_floats = st.one_of(edge_floats, st.floats())
+# pairs of any two values, and pairs of one magnitude with either sign
+minmod_pairs = st.one_of(
+    st.tuples(any_floats, any_floats),
+    any_floats.flatmap(lambda x: st.tuples(st.just(x),
+                                           st.sampled_from([x, -x]))))
+
+
+class TestMinmodSingleWhere:
+    @given(pairs=st.lists(minmod_pairs, min_size=1, max_size=30))
+    @settings(max_examples=300)
+    def test_bitwise_equal_to_nested_where(self, pairs):
+        a, b = np.array(pairs, dtype=float).T
+        a3, b3 = np.tile(a, (3, 1)), np.tile(b[::-1], (3, 1))
+        # a 0-d pair and a stacked (3, n) block take the same path
+        for x, y in ((a, b), (a[0], b[0]), (a3, b3)):
+            # inf * 0 and overflowing products are part of the data
+            with np.errstate(invalid="ignore", over="ignore"):
+                got, want = minmod(x, y), minmod_nested_where(x, y)
+            np.testing.assert_array_equal(np.asarray(got).view(np.int64),
+                                          want.view(np.int64))
+
+
 class TestVanAlbada:
     def test_symmetric_smooth_limit(self):
         assert np.isclose(van_albada(1.0, 1.0), 1.0, rtol=1e-12)

@@ -311,3 +311,43 @@ class TestShockOutflow:
                               ReconSpec(1), bcs)
         assert rhs.m[-1] == 0.0
         assert rhs.E[-1] == 0.0
+
+
+class TestResultsOwnTheirMemory:
+    """assemble_rhs writes each result into arrays of its own call: a later
+    call never changes an earlier call's rhs or fluxes, and no two of them
+    share memory."""
+
+    @pytest.mark.parametrize("name", ["sod", "stationary_shock_m1.5",
+                                      "ns_shock_structure_n200_d4"])
+    def test_second_call_leaves_first_results(self, name):
+        from itertools import combinations
+
+        from kepes.config import initial_state
+        from kepes.presets import preset
+
+        config = preset(name)
+        args = (config.grid, config.gas, config.flux_kind, config.diss,
+                config.recon, config.bcs)
+        w = initial_state(config).stacked()
+        rng = np.random.default_rng(5)
+        states = [w * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, w.shape))
+                  for _ in range(2)]
+
+        def results(state):
+            rhs, faces = assemble_rhs(state, *args)
+            return {"rhs": rhs, "central": faces.central, "diss": faces.diss,
+                    "visc": faces.visc}
+
+        first = results(states[0])
+        kept = {k: v.copy() for k, v in first.items()}
+        second = results(states[1])
+        assert not np.array_equal(first["rhs"], second["rhs"])
+        for key, value in first.items():
+            np.testing.assert_array_equal(value.view(np.int64),
+                                          kept[key].view(np.int64))
+        arrays = [(f"{i}.{k}", v) for i, call in enumerate((first, second))
+                  for k, v in call.items()]
+        arrays += [(f"{i}.state", s) for i, s in enumerate(states)]
+        for (name_a, a), (name_b, b) in combinations(arrays, 2):
+            assert not np.shares_memory(a, b), (name_a, name_b)
