@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .thermo import (FaceMeans, GasModel, PrimState, _stacked,
-                     entropy_vars_jump, log_mean, sound_speed)
+from .thermo import (FaceMeans, GasModel, PrimState, entropy_vars_jump,
+                     log_mean, sound_speed)
 
 __all__ = [
     "DissipationSpec",
@@ -157,38 +157,38 @@ def jst_switches(p_stencil, kappa2, kappa4):
                      _pressure_sensor(p0, p1, p2), kappa2, kappa4)
 
 
-def _jst(stencil, m: FaceMeans, gas: GasModel, spec: DissipationSpec,
-         eps2, eps4):
-    """Stacked jst_dissipation flux; stencil holds the four stacked
-    (rho, u, 1/beta) of q_{j-1} .. q_{j+2}."""
-    fm1, f0, f1, f2 = stencil
+def jst_dissipation(cells, gas: GasModel, spec: DissipationSpec,
+                    eps2=None, eps4=None, means: FaceMeans | None = None):
+    """Blended second/fourth-difference dissipation flux of the faces of
+    the stacked (rho, u, p) of m cells along the last axis.
+
+    Face j + 1/2, j = 1 .. m - 3, reads the stencil
+    (q_{j-1}, q_j, q_{j+1}, q_{j+2}); each jump slot of D is replaced by
+    eps2 * (q_{j+1} - q_j) - eps4 * (q_{j+2} - 3 q_{j+1} + 3 q_j - q_{j-1})
+    of the (rho, u, 1/beta) slots.  Returns the stacked flux correction
+    -(1/2) lambda D of the m - 3 faces.  Pass both switches to override
+    the pressure sensor (the solver does this at boundaries).  means is the
+    FaceMeans record of the pairs (q_j, q_{j+1}).
+    """
+    if (eps2 is None) != (eps4 is None):
+        raise ValueError("pass both eps2 and eps4, or neither")
+    n = cells.shape[-1] - 3
+    if eps2 is None:
+        p = cells[2]
+        eps2, eps4 = jst_switches([p[..., k:k + n] for k in range(4)],
+                                  spec.kappa2, spec.kappa4)
+    m = (FaceMeans.of_cells(cells, slice(1, n + 1), slice(2, n + 2))
+         if means is None else means)
+    slots = np.empty(cells.shape)
+    slots[:2] = cells[:2]
+    slots[2] = 1.0 / (cells[0] / (2.0 * cells[2]))
+    fm1, f0, f1, f2 = (slots[..., k:k + n] for k in range(4))
     d_rho, d_u, d_inv_beta = (eps2 * (f1 - f0)
                               - eps4 * (f2 - 3.0 * f1 + 3.0 * f0 - fm1))
     D, lam = _scalar_d_from_jumps(m, gas, spec.beta_average,
                                   d_rho, d_u, d_inv_beta)
     D *= -0.5 * lam
     return D
-
-
-def jst_dissipation(stencil, gas: GasModel, spec: DissipationSpec,
-                    eps2=None, eps4=None, means: FaceMeans | None = None):
-    """Blended second/fourth-difference dissipation flux at the face.
-
-    stencil holds the four cell states (q_{j-1}, q_j, q_{j+1}, q_{j+2});
-    each jump slot of D is replaced by
-    eps2 * (q_{j+1} - q_j) - eps4 * (q_{j+2} - 3 q_{j+1} + 3 q_j - q_{j-1}).
-    Returns the stacked flux correction -(1/2) lambda D.  Pass precomputed
-    switches to override the pressure sensor (the solver does this at
-    boundaries).  means is the FaceMeans record of (q_j, q_{j+1}).
-    """
-    qm1, q0, q1, q2 = stencil
-    if eps2 is None or eps4 is None:
-        eps2, eps4 = jst_switches((qm1.p, q0.p, q1.p, q2.p),
-                                  spec.kappa2, spec.kappa4)
-    m = FaceMeans(q0, q1) if means is None else means
-    rows = _stacked(*(f for q in stencil for f in (q.rho, q.u, 1.0 / q.beta)))
-    return _jst(rows.reshape((4, 3) + rows.shape[1:]), m, gas, spec, eps2,
-                eps4)
 
 
 def face_average(left: PrimState, right: PrimState, gas: GasModel,

@@ -1,8 +1,8 @@
 """Interface-state reconstruction: first order or MUSCL with slope limiting.
 
-Reconstruction acts on the primitive variables (rho, u, p); a face state
-whose density or pressure would leave the physical region falls back to
-the first-order cell value.
+Reconstruction acts on the stacked primitive variables (rho, u, p) of a
+row of cells; a face state whose density or pressure would leave the
+physical region falls back to the first-order cell value.
 """
 
 from __future__ import annotations
@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .thermo import PrimState, _stacked
 
 __all__ = ["ReconSpec", "minmod", "van_albada", "reconstruct_face"]
 
@@ -60,34 +58,25 @@ def _limited_slope(back, fwd, limiter):
     return 0.5 * (back + fwd)
 
 
-def _face_states(cells, limiter: str):
-    """reconstruct_face at order 2 on the stacked (rho, u, p) of m cells
-    along the last axis; returns the stacked left and right states of the
-    m - 3 faces between cells j and j + 1, j = 1 .. m - 3.
+def reconstruct_face(cells, spec: ReconSpec):
+    """Left and right states of the faces of the stacked (rho, u, p) of m
+    cells along the last axis, each stacked like cells with m - 3 faces
+    along that axis.
 
-    Each cell's limited slope is formed once and read by both of its
-    faces."""
-    jump = cells[..., 1:] - cells[..., :-1]
-    slope = _limited_slope(jump[..., :-1], jump[..., 1:], limiter)
+    Face j + 1/2 lies between cells j and j + 1, j = 1 .. m - 3, and reads
+    the stencil (q_{j-1}, q_j, q_{j+1}, q_{j+2}).  Order 1 returns the
+    adjacent cell states; order 2 extrapolates q_j + slope/2 and
+    q_{j+1} - slope/2 with limited slopes, reverting a side to first order
+    wherever rho or p would become non-positive.  Each cell's slope is
+    formed once and read by both of its faces.
+    """
     f0, f1 = cells[..., 1:-2], cells[..., 2:-1]
+    if spec.order == 1:
+        return f0, f1
+    jump = cells[..., 1:] - cells[..., :-1]
+    slope = _limited_slope(jump[..., :-1], jump[..., 1:], spec.limiter)
     left, right = f0 + 0.5 * slope[..., :-1], f1 - 0.5 * slope[..., 1:]
     # a side whose rho or p would not be positive reverts to first order
     for face, cell in ((left, f0), (right, f1)):
         np.copyto(face, cell, where=(face[0] <= 0.0) | (face[2] <= 0.0))
     return left, right
-
-
-def reconstruct_face(q_stencil, spec: ReconSpec):
-    """Face states at j+1/2 from the stencil (q_{j-1}, q_j, q_{j+1}, q_{j+2}).
-
-    Order 1 returns the adjacent cell states; order 2 extrapolates
-    q_j + slope/2 and q_{j+1} - slope/2 with limited slopes, reverting a
-    side to first order wherever rho or p would become non-positive.
-    """
-    if spec.order == 1:
-        return q_stencil[1], q_stencil[2]
-    rows = _stacked(*(f for q in q_stencil for f in (q.rho, q.u, q.p)))
-    # the four stencil cells along the last axis, (3, ..., 4)
-    cells = np.moveaxis(rows.reshape((4, 3) + rows.shape[1:]), 0, -1)
-    left, right = _face_states(cells, spec.limiter)
-    return PrimState(*left[..., 0]), PrimState(*right[..., 0])

@@ -4,12 +4,13 @@ assemble_rhs evaluates du_j/dt = -(F_{j+1/2} - F_{j-1/2})/dx
 + (G_{j+1/2} - G_{j-1/2})/dx with F a central flux plus optional scalar or
 matrix dissipation and G the viscous flux.  Two ghost cells per side feed
 the reconstruction and the four-point scalar-dissipation stencil.  The
-state may be a ConsState or its stacked (3, n) array; inside, the cells are
-one (3, n + 4) array, one FaceMeans record of the face pairs per call feeds
-the central flux and the dissipation, and each flux is the stacked
-(3, n + 1) array that its per-pair function returns.  All per-face
-quantities needed by the budget diagnostics are returned in a FaceData
-record, which derives them only when read.
+state is the stacked (3, n) array of the rows rho, m, E, and rhs comes back
+in that form.  Inside, the cells are one (3, n + 4) array of the rows rho,
+u, p that the stencil kernels read whole, one FaceMeans record of the face
+pairs per call feeds the central flux and the dissipation, and each flux
+is a stacked (3, n + 1) array.  All per-face quantities needed by the
+budget diagnostics are returned in a FaceData record, which derives them
+only when read.
 """
 
 from __future__ import annotations
@@ -19,19 +20,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .dissipation import (DissipationSpec, _jst, _pressure_sensor, _switches,
-                          matrix_dissipation)
+from .dissipation import (DissipationSpec, _pressure_sensor, _switches,
+                          jst_dissipation, matrix_dissipation)
 from .fluxes import CENTRAL_FLUXES
-from .reconstruction import ReconSpec, _face_states
+from .reconstruction import ReconSpec, reconstruct_face
 from .thermo import (
-    ConsState,
     FaceMeans,
     GasModel,
     InvalidStateError,
     PrimState,
     _velocity_pressure,
     entropy_vars,
-    validate_prim,
 )
 
 __all__ = [
@@ -118,38 +117,38 @@ class FaceData:
     as stacked (3, n_faces) arrays.  Arrays have one entry per face
     (n_cells + 1; under periodic boundaries face n_cells duplicates face
     0).  du, u_bar, dv and dpsi are built from the cell values adjacent to
-    each face (left, right), which is what the summation-by-parts budget
-    identities require.  They and p_tilde are computed on first read, so
-    marching never pays for them.
+    each face, the stacked (rho, u, p) rows left and right, which is what
+    the summation-by-parts budget identities require.  They and p_tilde
+    are computed on first read, so marching never pays for them.
     """
 
     central: np.ndarray
     diss: np.ndarray
     visc: np.ndarray
-    left: PrimState
-    right: PrimState
+    left: np.ndarray
+    right: np.ndarray
     gas: GasModel
     periodic: bool
 
     @cached_property
     def u_bar(self) -> np.ndarray:
-        return 0.5 * (self.left.u + self.right.u)
+        return 0.5 * (self.left[1] + self.right[1])
 
     @cached_property
     def du(self) -> np.ndarray:
-        return self.right.u - self.left.u
+        return self.right[1] - self.left[1]
 
     @cached_property
     def dv(self) -> np.ndarray:
         """(n_faces, 3), face-major and contiguous: the budget sums add in
         memory order, so this layout fixes their rounding."""
-        dv = entropy_vars(self.right, self.gas) - entropy_vars(self.left,
-                                                               self.gas)
+        dv = (entropy_vars(PrimState(*self.right), self.gas)
+              - entropy_vars(PrimState(*self.left), self.gas))
         return np.ascontiguousarray(dv.T)
 
     @cached_property
     def dpsi(self) -> np.ndarray:
-        return self.right.rho * self.right.u - self.left.rho * self.left.u
+        return self.right[0] * self.right[1] - self.left[0] * self.left[1]
 
     @cached_property
     def p_tilde(self) -> np.ndarray:
@@ -182,13 +181,11 @@ def viscous_face_flux(left: PrimState, right: PrimState, gas: GasModel,
     return out
 
 
-def _extended(rho, u, p, bcs: BoundarySpec) -> np.ndarray:
-    """The cells and two ghost cells per side, as one (3, n + 4) array of
-    the rows rho, u, p."""
-    out = np.empty((3, np.shape(rho)[0] + 4))
-    out[0, 2:-2] = rho
-    out[1, 2:-2] = u
-    out[2, 2:-2] = p
+def apply_boundary(cells, bcs: BoundarySpec) -> np.ndarray:
+    """The (rho, u, p) rows of n cells, an array or a triple of rows,
+    extended by two ghost cells per side into one (3, n + 4) array."""
+    out = np.empty((3, np.shape(cells[0])[0] + 4))
+    out[0, 2:-2], out[1, 2:-2], out[2, 2:-2] = cells
     if bcs.is_periodic:
         out[:, :2] = out[:, -4:-2]
         out[:, -2:] = out[:, 2:4]
@@ -205,29 +202,24 @@ def _ghost(bc: BoundaryCondition, edge):
     return np.array((bc.state.rho, bc.state.u, bc.state.p))[:, None]
 
 
-def apply_boundary(prim: PrimState, bcs: BoundarySpec) -> PrimState:
-    """Extend the interior cell array by two ghost cells per side."""
-    return PrimState(*_extended(prim.rho, prim.u, prim.p, bcs))
-
-
 def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
                  diss: DissipationSpec, recon: ReconSpec, bcs: BoundarySpec):
     """Semi-discrete right-hand side and the per-face diagnostic record.
 
-    cells is a ConsState or its stacked (3, n) array of the rows rho, m,
-    E; rhs comes back in the same form.
+    cells is the stacked (3, n) array of the rows rho, m, E; rhs comes
+    back as a (3, n) array.
     """
     if flux_kind not in CENTRAL_FLUXES:
         raise ValueError(f"unknown flux kind {flux_kind!r}")
-    stacked = isinstance(cells, np.ndarray)
-    w = cells if stacked else cells.stacked()
     n, dx = grid.n_cells, grid.dx
-    rows = _extended(w[0], *_velocity_pressure(*w, gas), bcs)
+    rows = apply_boundary((cells[0], *_velocity_pressure(*cells, gas)), bcs)
     inner = rows[:, 2:-2]
-    # validate_prim's condition, tested at once: finite, rho > 0 and p > 0
+    # a valid cell is finite with rho > 0 and p > 0; all cells are tested
+    # at once, and only a failure looks for the first invalid cell
     if (np.count_nonzero(np.isfinite(inner)) < inner.size
             or not inner[::2].min() > 0.0):
-        idx = int(np.argmax(validate_prim(PrimState(*inner))))
+        valid = np.isfinite(inner).all(axis=0) & (inner[::2] > 0.0).all(axis=0)
+        idx = int(np.argmin(valid))
         raise InvalidStateError(
             f"invalid state in cell {idx}: rho={inner[0, idx]:.6g}, "
             f"p={inner[2, idx]:.6g}")
@@ -241,8 +233,8 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
         pairs = FaceMeans.of_cells(rows, lo, hi)
     means = pairs
     if recon.order == 2:
-        means = FaceMeans(*(PrimState(*q) for q in _face_states(
-            rows, recon.limiter)))
+        means = FaceMeans(*(PrimState(*q) for q in reconstruct_face(
+            rows, recon)))
     central = CENTRAL_FLUXES[flux_kind](means.left, means.right, gas, means)
 
     if diss.kind == "matrix":
@@ -258,14 +250,9 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
             nu[-2] = nu[-3]
         eps2, eps4 = _switches(nu[1:n + 2], nu[2:n + 3], diss.kappa2,
                                diss.kappa4)
-        # the stencil differences the (rho, u, 1/beta) slots of the cells,
-        # whose pairs are the face pairs only without reconstruction
-        fields = pairs.fields
-        slots = np.empty((3, n + 4))
-        slots[:2] = fields[:3:2]
-        np.divide(1.0, fields[1], out=slots[2])
-        d_flux = _jst([slots[:, k:n + 1 + k] for k in range(4)], pairs, gas,
-                      diss, eps2, eps4)
+        # the stencil differences the cells, whose pairs are the face pairs
+        # only without reconstruction
+        d_flux = jst_dissipation(rows, gas, diss, eps2, eps4, pairs)
     else:
         d_flux = np.zeros((3, n + 1))
     if gas.is_viscous:
@@ -286,8 +273,6 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
 
     net = central + d_flux - g_flux
     rhs = -(net[:, 1:] - net[:, :-1]) / dx
-    left, right = ((pairs.left, pairs.right) if pairs is not None else
-                   (PrimState(*rows[:, lo]), PrimState(*rows[:, hi])))
-    faces = FaceData(central, d_flux, g_flux, left, right, gas,
+    faces = FaceData(central, d_flux, g_flux, rows[:, lo], rows[:, hi], gas,
                      bcs.is_periodic)
-    return (rhs if stacked else ConsState(*rhs)), faces
+    return rhs, faces

@@ -130,17 +130,6 @@ class ConsState:
     m: object
     E: object
 
-    def __add__(self, other):
-        return ConsState(self.rho + other.rho, self.m + other.m, self.E + other.E)
-
-    def __sub__(self, other):
-        return ConsState(self.rho - other.rho, self.m - other.m, self.E - other.E)
-
-    def __mul__(self, c):
-        return ConsState(c * self.rho, c * self.m, c * self.E)
-
-    __rmul__ = __mul__
-
     def copy(self):
         return ConsState(np.array(self.rho), np.array(self.m), np.array(self.E))
 
@@ -165,12 +154,6 @@ def _velocity_pressure(rho, m, E, gas: GasModel):
     """u and p of the conserved fields."""
     u = m / rho
     return u, (gas.gamma - 1.0) * (E - 0.5 * m * u)
-
-
-def validate_prim(q: PrimState) -> np.ndarray:
-    """Boolean mask of invalid entries (rho <= 0 or p <= 0)."""
-    return ~(np.greater(q.rho, 0.0) & np.greater(q.p, 0.0) & np.isfinite(q.rho)
-             & np.isfinite(q.u) & np.isfinite(q.p))
 
 
 def physical_entropy(q: PrimState, gas: GasModel):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spatial import Grid1D
-from .thermo import ConsState, GasModel, cons_to_prim, sound_speed
+from .thermo import GasModel, PrimState, _velocity_pressure, sound_speed
 
 __all__ = ["TimeSpec", "ssp_rk3_step", "compute_dt", "StageError"]
 
@@ -24,7 +24,8 @@ class StageError(RuntimeError):
 class TimeSpec:
     """Step control: Courant number, end time and a step-count safety cap.
 
-    steady_tol, when set, stops the run once max |rhs| falls below it.
+    steady_tol, when set, stops the run once max |rhs| falls below it;
+    it must be > 0, since no residual falls below zero.
     """
 
     cfl: float = 0.4
@@ -39,6 +40,8 @@ class TimeSpec:
             raise ValueError("t_final must be > 0")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        if self.steady_tol is not None and not self.steady_tol > 0.0:
+            raise ValueError("steady_tol must be > 0")
 
 
 def ssp_rk3_step(state, dt: float, rhs_operator):
@@ -46,8 +49,8 @@ def ssp_rk3_step(state, dt: float, rhs_operator):
 
     u1 = u + dt L(u); u2 = 3/4 u + 1/4 (u1 + dt L(u1));
     u3 = 1/3 u + 2/3 (u2 + dt L(u2)).  Each stage is a convex combination
-    of forward-Euler steps.  state is anything with vector arithmetic:
-    a ConsState, or the stacked (3, n) array the driver marches.
+    of forward-Euler steps.  state is the stacked (3, n) array of the
+    rows rho, m, E, and rhs_operator maps it to an array of its shape.
     """
     def stage(k, u):
         try:
@@ -66,10 +69,8 @@ def ssp_rk3_step(state, dt: float, rhs_operator):
 def compute_dt(cells, grid: Grid1D, gas: GasModel, cfl: float) -> float:
     """CFL step dt = cfl dx / max(|u| + a), with an additional parabolic
     bound cfl dx^2 rho_min / (2 (4/3) mu_max) when viscosity is active.
-    cells is a ConsState or its stacked (3, n) array."""
-    if isinstance(cells, np.ndarray):
-        cells = ConsState(*cells)
-    prim = cons_to_prim(cells, gas)
+    cells is the stacked (3, n) array of the rows rho, m, E."""
+    prim = PrimState(cells[0], *_velocity_pressure(*cells, gas))
     speed = (np.abs(prim.u) + sound_speed(prim, gas)).max()
     dt = cfl * grid.dx / speed
     if gas.is_viscous:

@@ -31,6 +31,15 @@ def random_states(rng, n, span=1.0, umax=2.0):
     return draw(), draw()
 
 
+def stencil(*states):
+    """The PrimStates stacked along a new last axis into one (3, ..., k)
+    array of (rho, u, p) rows, k = len(states); four states make the
+    stencil of one face."""
+    rows = np.broadcast_arrays(*(f for q in states for f in (q.rho, q.u,
+                                                              q.p)))
+    return np.stack([np.stack(rows[k::3], axis=-1) for k in range(3)])
+
+
 def advance(config, n_steps=None, cfl=None, collect_rhs=False):
     """March a ProblemConfig; by steps when n_steps is given, else to t_final.
 
@@ -57,13 +66,12 @@ def advance(config, n_steps=None, cfl=None, collect_rhs=False):
     cells = ConsState(*w)
     prim = cons_to_prim(cells, config.gas)
     if collect_rhs:
-        rhs, faces = assemble_rhs(cells, config.grid, config.gas,
+        rhs, faces = assemble_rhs(w, config.grid, config.gas,
                                   config.flux_kind, config.diss,
                                   config.recon, config.bcs)
-        return prim, cells, rhs, faces, t
+        return prim, cells, ConsState(*rhs), faces, t
     return prim, cells, t
 
 
 def max_residual(rhs):
-    return max(float(np.max(np.abs(rhs.rho))), float(np.max(np.abs(rhs.m))),
-               float(np.max(np.abs(rhs.E))))
+    return float(np.max(np.abs(rhs)))

@@ -92,6 +92,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="snapshot_interval"):
             parse_config("preset = sod\nsnapshot_interval = -1\n")
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_steady_tol_rejected(self, value):
+        # no residual falls below such a tolerance, so the run never stops
+        # as steady while paying for the check
+        with pytest.raises(ConfigError, match="steady_tol"):
+            config_from_dict({"steady_tol": value})
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", list_presets())

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,8 @@ from kepes.spatial import (
     Grid1D,
     assemble_rhs,
 )
-from kepes.thermo import GasModel, PrimState, ViscosityLaw, prim_to_cons
+from kepes.thermo import (ConsState, GasModel, PrimState, ViscosityLaw,
+                          prim_to_cons)
 
 PERIODIC = BoundarySpec(BoundaryCondition("periodic"), BoundaryCondition("periodic"))
 
@@ -33,10 +37,10 @@ def field(n=64, viscous=False):
 
 
 def report_for(gas, grid, prim, flux_kind, diss, bcs=PERIODIC, recon=None):
-    cells = prim_to_cons(prim, gas)
+    cells = prim_to_cons(prim, gas).stacked()
     rhs, faces = assemble_rhs(cells, grid, gas, flux_kind, diss,
                               recon or ReconSpec(1), bcs)
-    return budget_report(0.0, prim, rhs, faces, grid, gas)
+    return budget_report(0.0, prim, ConsState(*rhs), faces, grid, gas)
 
 
 ALL_PAIRINGS = [
@@ -147,11 +151,11 @@ class TestEntropyBudget:
 
     def test_matrix_production_equals_quadratic(self):
         gas, grid, prim = field()
-        cells = prim_to_cons(prim, gas)
+        cells = prim_to_cons(prim, gas).stacked()
         diss = DissipationSpec(kind="matrix", matrix_law="roe")
         rhs, faces = assemble_rhs(cells, grid, gas, "kepec", diss,
                                   ReconSpec(1), PERIODIC)
-        rep = budget_report(0.0, prim, rhs, faces, grid, gas)
+        rep = budget_report(0.0, prim, ConsState(*rhs), faces, grid, gas)
         # dv . d = -(1/2) dv^T Q dv summed over faces
         quad = float(np.sum(faces.dv[:-1] * faces.diss.T[:-1]))
         assert abs(rep.du_dt_numerical - quad) < 1e-13
@@ -175,11 +179,11 @@ class TestEntropyBudget:
             prim = PrimState(1.0 + 0.3 * np.sin(2 * np.pi * x),
                              0.5 + 0.2 * np.cos(2 * np.pi * x),
                              1.0 + 0.25 * np.sin(4 * np.pi * x + 0.3))
-            cells = prim_to_cons(prim, gas)
+            cells = prim_to_cons(prim, gas).stacked()
             rhs, faces = assemble_rhs(cells, grid, gas, "kepec_ac",
                                       DissipationSpec(), ReconSpec(1),
                                       PERIODIC)
-            rep = budget_report(0.0, prim, rhs, faces, grid, gas)
+            rep = budget_report(0.0, prim, ConsState(*rhs), faces, grid, gas)
             per_face = np.sum(faces.dv[:-1] * faces.central.T[:-1],
                               axis=-1) - faces.dpsi[:-1]
             face_res.append(np.abs(per_face).max())
@@ -254,3 +258,28 @@ class TestSolutionMetrics:
         m = solution_metrics(x, prim)
         assert m.l1 is None and m.overshoot is None
         assert m.jump_widths == []
+
+
+def test_budget_demo_prints_every_case(capsys, monkeypatch):
+    # scripts/budget_demo.py is the script that calls the stage directly
+    path = Path(__file__).resolve().parents[1] / "scripts" / "budget_demo.py"
+    spec = importlib.util.spec_from_file_location("budget_demo", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    original, reports = demo.budget_report, []
+
+    def recorded(*args):
+        reports.append(original(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(demo, "budget_report", recorded)
+    demo.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:3] == ["case", "dKE/dt", "p-work"]
+    assert len(lines) == 1 + len(demo.CASES) == 1 + len(reports)
+    for line, rep, (label, flux, diss) in zip(lines[1:], reports, demo.CASES):
+        assert line.startswith(label)
+        assert len(line[len(label):].split()) == 5
+        if flux in ("kep", "kepec") and diss.kind == "none":
+            # without dissipation the KE rate is the pressure work
+            assert abs(rep.dke_dt - rep.dke_dt_pressure_work) <= 1e-12

@@ -17,7 +17,7 @@ from kepes.dissipation import (
 )
 from kepes.thermo import PrimState, entropy_vars
 
-from conftest import random_states
+from conftest import random_states, stencil
 
 
 def entropy_jacobian(rho, u, a, gamma):
@@ -119,7 +119,7 @@ class TestJstDissipation:
 
     def test_uniform_flow_no_correction(self, gas):
         q = PrimState(1.0, 0.5, 1.0)
-        d = jst_dissipation((q, q, q, q), gas, self.spec)
+        d = jst_dissipation(stencil(q, q, q, q), gas, self.spec)[..., 0]
         assert np.allclose([d[0], d[1], d[2]], 0.0, atol=1e-15)
 
     def test_smooth_field_third_order(self, gas):
@@ -127,10 +127,11 @@ class TestJstDissipation:
         hs = np.logspace(-2, -4, 5)
         for h in hs:
             x = np.array([-1.5, -0.5, 0.5, 1.5]) * h + 0.3
-            stencil = tuple(PrimState(1.0 + 0.3 * np.sin(xi),
-                                      0.2 * np.cos(xi),
-                                      1.0 + 0.2 * np.sin(2 * xi)) for xi in x)
-            d = jst_dissipation(stencil, gas, self.spec)
+            cells = stencil(*(PrimState(1.0 + 0.3 * np.sin(xi),
+                                        0.2 * np.cos(xi),
+                                        1.0 + 0.2 * np.sin(2 * xi))
+                              for xi in x))
+            d = jst_dissipation(cells, gas, self.spec)[..., 0]
             slopes.append(max(abs(float(d[0])), abs(float(d[1])),
                               abs(float(d[2]))))
         fit = np.polyfit(np.log(hs), np.log(slopes), 1)[0]
@@ -141,12 +142,20 @@ class TestJstDissipation:
         q0 = PrimState(1.0, 0.5, 1.0)
         q1 = PrimState(2.0, -0.25, 1.5)
         q2 = PrimState(1.8, 0.0, 1.4)
-        d = jst_dissipation((qm1, q0, q1, q2), gas,
-                            DissipationSpec(kind="scalar"), eps2=1.0, eps4=0.0)
+        d = jst_dissipation(stencil(qm1, q0, q1, q2), gas,
+                            DissipationSpec(kind="scalar"), eps2=1.0,
+                            eps4=0.0)[..., 0]
         D, lam = scalar_d_vector(q0, q1, gas)
         assert np.isclose(d[0], -0.5 * lam * D[0], rtol=1e-13)
         assert np.isclose(d[1], -0.5 * lam * D[1], rtol=1e-13)
         assert np.isclose(d[2], -0.5 * lam * D[2], rtol=1e-13)
+
+    @pytest.mark.parametrize("switches", [{"eps2": 1.0}, {"eps4": 0.0}])
+    def test_one_switch_alone_rejected(self, gas, switches):
+        # a lone switch would be dropped for the pressure sensor's pair
+        q = PrimState(1.0, 0.5, 1.0)
+        with pytest.raises(ValueError, match="eps2 and eps4"):
+            jst_dissipation(stencil(q, q, q, q), gas, self.spec, **switches)
 
 
 class TestEigenSystem:

@@ -12,7 +12,6 @@ from kepes.spatial import (
     viscous_face_flux,
 )
 from kepes.thermo import (
-    ConsState,
     GasModel,
     InvalidStateError,
     PrimState,
@@ -66,26 +65,26 @@ class TestBoundaries:
                          BoundaryCondition())
 
     def test_periodic_ghosts_wrap(self):
-        prim = PrimState(np.arange(1.0, 7.0), np.zeros(6), np.ones(6))
-        ext = apply_boundary(prim, PERIODIC)
-        assert ext.rho[1] == 6.0  # ghost[-1] = cells[n-1]
-        assert ext.rho[0] == 5.0
-        assert ext.rho[-2] == 1.0  # ghost[n] = cells[0]
+        cells = np.array([np.arange(1.0, 7.0), np.zeros(6), np.ones(6)])
+        ext = apply_boundary(cells, PERIODIC)
+        assert ext[0][1] == 6.0  # ghost[-1] = cells[n-1]
+        assert ext[0][0] == 5.0
+        assert ext[0][-2] == 1.0  # ghost[n] = cells[0]
 
     def test_transmissive_ghosts_copy_edge(self):
-        prim = PrimState(np.arange(1.0, 7.0), np.zeros(6), np.ones(6))
-        ext = apply_boundary(prim, TRANSMISSIVE)
-        assert ext.rho[0] == ext.rho[1] == 1.0
-        assert ext.rho[-1] == ext.rho[-2] == 6.0  # ghost[n] = cells[n-1]
+        cells = np.array([np.arange(1.0, 7.0), np.zeros(6), np.ones(6)])
+        ext = apply_boundary(cells, TRANSMISSIVE)
+        assert ext[0][0] == ext[0][1] == 1.0
+        assert ext[0][-1] == ext[0][-2] == 6.0  # ghost[n] = cells[n-1]
 
     def test_fixed_state_ghosts(self):
-        prim = PrimState(np.ones(6), np.zeros(6), np.ones(6))
+        cells = np.array([np.ones(6), np.zeros(6), np.ones(6)])
         bc = BoundarySpec(
             BoundaryCondition("fixed_state", state=PrimState(2.0, 1.0, 3.0)),
             BoundaryCondition())
-        ext = apply_boundary(prim, bc)
-        assert ext.rho[0] == ext.rho[1] == 2.0
-        assert ext.p[0] == 3.0
+        ext = apply_boundary(cells, bc)
+        assert ext[0][0] == ext[0][1] == 2.0
+        assert ext[2][0] == 3.0
 
 
 class TestViscousFaceFlux:
@@ -122,7 +121,7 @@ class TestAssembleRhs:
     def test_uniform_state_periodic_zero(self, gas):
         grid = Grid1D(16)
         prim = PrimState(np.full(16, 1.2), np.full(16, 0.7), np.full(16, 0.9))
-        cells = prim_to_cons(prim, gas)
+        cells = prim_to_cons(prim, gas).stacked()
         for diss in (DissipationSpec(),
                      DissipationSpec(kind="scalar", kappa2=0.5, kappa4=0.02),
                      DissipationSpec(kind="matrix", matrix_law="ec1")):
@@ -140,43 +139,43 @@ class TestAssembleRhs:
     ])
     def test_telescoping_conservation_periodic(self, flux_kind, diss, gas):
         grid, prim = smooth_periodic_field(48)
-        cells = prim_to_cons(prim, gas)
+        cells = prim_to_cons(prim, gas).stacked()
         rhs, _ = assemble_rhs(cells, grid, gas, flux_kind, diss,
                               ReconSpec(2, "minmod"), PERIODIC)
-        for comp in (rhs.rho, rhs.m, rhs.E):
+        for comp in (rhs[0], rhs[1], rhs[2]):
             assert abs(float(np.sum(comp)) * grid.dx) < 1e-13
 
     def test_telescoping_conservation_open_boundaries(self, gas):
         grid, prim = smooth_periodic_field(48)
-        cells = prim_to_cons(prim, gas)
+        cells = prim_to_cons(prim, gas).stacked()
         rhs, faces = assemble_rhs(cells, grid, gas, "kepec",
                                   DissipationSpec(kind="matrix"),
                                   ReconSpec(1), TRANSMISSIVE)
         net = faces.net()
-        total = np.stack([rhs.rho, rhs.m, rhs.E], axis=-1).sum(axis=0) * grid.dx
+        total = np.stack([rhs[0], rhs[1], rhs[2]], axis=-1).sum(axis=0) * grid.dx
         assert np.abs(total - (net[0] - net[-1])).max() < 1e-13
 
     def test_semi_discrete_ke_balance(self, gas):
         # KEP-form flux, no dissipation, inviscid, periodic:
         # d/dt sum K = sum p_tilde du exactly
         grid, prim = smooth_periodic_field()
-        cells = prim_to_cons(prim, gas)
+        cells = prim_to_cons(prim, gas).stacked()
         for flux_kind in ("kep", "kepec_ac", "kepec"):
             rhs, faces = assemble_rhs(cells, grid, gas, flux_kind,
                                       DissipationSpec(), ReconSpec(1),
                                       PERIODIC)
-            dke = float(np.sum(-0.5 * prim.u ** 2 * rhs.rho
-                               + prim.u * rhs.m) * grid.dx)
+            dke = float(np.sum(-0.5 * prim.u ** 2 * rhs[0]
+                               + prim.u * rhs[1]) * grid.dx)
             pwork = float(np.sum(faces.du[:-1] * faces.p_tilde[:-1]))
             assert abs(dke - pwork) < 1e-11
 
     def test_semi_discrete_entropy_balance_inviscid(self, gas):
         grid, prim = smooth_periodic_field()
-        cells = prim_to_cons(prim, gas)
+        cells = prim_to_cons(prim, gas).stacked()
         rhs, _ = assemble_rhs(cells, grid, gas, "kepec", DissipationSpec(),
                               ReconSpec(1), PERIODIC)
         v = entropy_vars(prim, gas)
-        du_dt = float(np.sum(v[0] * rhs.rho + v[1] * rhs.m + v[2] * rhs.E)
+        du_dt = float(np.sum(v[0] * rhs[0] + v[1] * rhs[1] + v[2] * rhs[2])
                       * grid.dx)
         assert abs(du_dt) < 1e-11
 
@@ -184,11 +183,11 @@ class TestAssembleRhs:
         gas = GasModel(viscosity_law=ViscosityLaw("constant", 0.01),
                        prandtl=0.72)
         grid, prim = smooth_periodic_field()
-        cells = prim_to_cons(prim, gas)
+        cells = prim_to_cons(prim, gas).stacked()
         rhs, _ = assemble_rhs(cells, grid, gas, "kepec", DissipationSpec(),
                               ReconSpec(1), PERIODIC)
         v = entropy_vars(prim, gas)
-        du_dt = float(np.sum(v[0] * rhs.rho + v[1] * rhs.m + v[2] * rhs.E)
+        du_dt = float(np.sum(v[0] * rhs[0] + v[1] * rhs[1] + v[2] * rhs[2])
                       * grid.dx)
         # closed-form viscous entropy production (face sums, wrapped)
         T = prim.p / prim.rho
@@ -211,12 +210,12 @@ class TestAssembleRhs:
     def test_scalar_dissipation_ke_decay(self, gas):
         # eps2 = 1, eps4 = 0: KE budget gains exactly -(1/2) sum lam rho_bar du^2
         grid, prim = smooth_periodic_field()
-        cells = prim_to_cons(prim, gas)
+        cells = prim_to_cons(prim, gas).stacked()
         diss = DissipationSpec(kind="scalar", kappa2=1e9, kappa4=0.0,
                                beta_average="logarithmic")
         rhs, faces = assemble_rhs(cells, grid, gas, "kepec", diss,
                                   ReconSpec(1), PERIODIC)
-        dke = float(np.sum(-0.5 * prim.u ** 2 * rhs.rho + prim.u * rhs.m)
+        dke = float(np.sum(-0.5 * prim.u ** 2 * rhs[0] + prim.u * rhs[1])
                     * grid.dx)
         pwork = float(np.sum(faces.du[:-1] * faces.p_tilde[:-1]))
         ul = np.concatenate([prim.u, prim.u[:1]])
@@ -235,16 +234,15 @@ class TestAssembleRhs:
     def test_invalid_cell_reported(self, gas):
         grid = Grid1D(8)
         prim = PrimState(np.ones(8), np.zeros(8), np.ones(8))
-        cells = prim_to_cons(prim, gas)
-        cells = ConsState(cells.rho, cells.m,
-                          np.where(np.arange(8) == 5, -1.0, cells.E))
+        cells = prim_to_cons(prim, gas).stacked()
+        cells[2] = np.where(np.arange(8) == 5, -1.0, cells[2])
         with pytest.raises(InvalidStateError, match="cell 5"):
             assemble_rhs(cells, grid, gas, "kepec", DissipationSpec(),
                          ReconSpec(1), TRANSMISSIVE)
 
     def test_unknown_flux_kind(self, gas):
         grid, prim = smooth_periodic_field(16)
-        cells = prim_to_cons(prim, gas)
+        cells = prim_to_cons(prim, gas).stacked()
         with pytest.raises(ValueError):
             assemble_rhs(cells, grid, gas, "godunov", DissipationSpec(),
                          ReconSpec(1), PERIODIC)
@@ -293,7 +291,7 @@ class TestShockOutflow:
         bcs = BoundarySpec(
             BoundaryCondition("fixed_state", state=left),
             BoundaryCondition("shock_outflow", mass_flux=mass_flux))
-        return grid, prim_to_cons(prim, gas), bcs
+        return grid, prim_to_cons(prim, gas).stacked(), bcs
 
     def test_prescribed_boundary_mass_flux(self, gas):
         grid, cells, bcs = self.make(gas)
@@ -309,8 +307,8 @@ class TestShockOutflow:
         rhs, _ = assemble_rhs(cells, grid, gas, "kepec",
                               DissipationSpec(kind="matrix", matrix_law="ec1"),
                               ReconSpec(1), bcs)
-        assert rhs.m[-1] == 0.0
-        assert rhs.E[-1] == 0.0
+        assert rhs[1][-1] == 0.0
+        assert rhs[2][-1] == 0.0
 
 
 class TestResultsOwnTheirMemory:

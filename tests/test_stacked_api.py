@@ -23,13 +23,16 @@ from kepes.thermo import (
     entropy_vars_jump,
 )
 
+from conftest import stencil
+
 GAS = GasModel(viscosity_law=ViscosityLaw("power", 0.01, 1.0, 0.7))
 JST = DissipationSpec(kind="scalar", kappa2=0.5, kappa4=1 / 32)
 K = 5
 
 # Each function of a pair (left, right).  The single-state functions take
 # the right state, whose fields broadcast to the shape of the pair in every
-# case below; jst_dissipation takes the stencil (left, left, right, right).
+# case below; jst_dissipation takes the stencil (left, left, right, right)
+# stacked along the last axis, and [..., 0] is its single face.
 FUNCTIONS = {
     **{name: partial(fn, gas=GAS)
        for name, fn in sorted(CENTRAL_FLUXES.items())},
@@ -41,7 +44,8 @@ FUNCTIONS = {
         spec=DissipationSpec(kind="matrix", matrix_law=law))
        for law in MATRIX_LAWS},
     "scalar_d_vector": lambda l, r: scalar_d_vector(l, r, GAS)[0],
-    "jst_dissipation": lambda l, r: jst_dissipation((l, l, r, r), GAS, JST),
+    "jst_dissipation": lambda l, r: jst_dissipation(stencil(l, l, r, r), GAS,
+                                                    JST)[..., 0],
     "viscous_face_flux": partial(viscous_face_flux, gas=GAS, dx=0.1),
 }
 

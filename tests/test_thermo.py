@@ -4,7 +4,6 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from kepes.thermo import (
-    ConsState,
     GasModel,
     PrimState,
     ViscosityLaw,
@@ -196,12 +195,3 @@ class TestGasModel:
             GasModel(prandtl=-1.0)
         with pytest.raises(ValueError):
             ViscosityLaw("sutherland")
-
-
-def test_cons_state_arithmetic():
-    a = ConsState(1.0, 2.0, 3.0)
-    b = ConsState(0.5, 0.5, 0.5)
-    c = a + 2.0 * b
-    assert (c.rho, c.m, c.E) == (2.0, 3.0, 4.0)
-    d = a - b
-    assert (d.rho, d.m, d.E) == (0.5, 1.5, 2.5)

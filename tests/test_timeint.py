@@ -4,7 +4,7 @@ import pytest
 from kepes.dissipation import DissipationSpec
 from kepes.reconstruction import ReconSpec
 from kepes.spatial import BoundaryCondition, BoundarySpec, Grid1D, assemble_rhs
-from kepes.thermo import ConsState, GasModel, PrimState, ViscosityLaw, prim_to_cons
+from kepes.thermo import GasModel, PrimState, ViscosityLaw, prim_to_cons
 from kepes.timeint import StageError, TimeSpec, compute_dt, ssp_rk3_step
 
 PERIODIC = BoundarySpec(BoundaryCondition("periodic"), BoundaryCondition("periodic"))
@@ -12,31 +12,31 @@ PERIODIC = BoundarySpec(BoundaryCondition("periodic"), BoundaryCondition("period
 
 class TestSspRk3Step:
     def test_zero_operator_identity(self):
-        state = ConsState(np.ones(4), np.zeros(4), np.full(4, 2.5))
-        out = ssp_rk3_step(state, 0.1, lambda w: ConsState(
-            np.zeros(4), np.zeros(4), np.zeros(4)))
-        assert np.array_equal(out.rho, state.rho)
-        assert np.array_equal(out.E, state.E)
+        state = np.array([np.ones(4), np.zeros(4), np.full(4, 2.5)])
+        out = ssp_rk3_step(state, 0.1, lambda w: np.array(
+            [np.zeros(4), np.zeros(4), np.zeros(4)]))
+        assert np.array_equal(out[0], state[0])
+        assert np.array_equal(out[2], state[2])
 
     def test_exponential_decay_hand_value(self):
         # u' = -u, one step of dt = 0.1: stages 0.9, 0.9525, 0.9048333...
-        state = ConsState(np.array([1.0]), np.array([1.0]), np.array([1.0]))
+        state = np.array([[1.0], [1.0], [1.0]])
         out = ssp_rk3_step(state, 0.1, lambda w: -1.0 * w)
-        assert np.isclose(out.rho[0], 0.90483333333333333, rtol=1e-14)
+        assert np.isclose(out[0][0], 0.90483333333333333, rtol=1e-14)
 
     def test_convex_combination_coefficients(self):
         # record stage inputs for L(u) = 1 and check the Shu-Osher weights
         seen = []
 
         def op(w):
-            seen.append(float(w.rho[0]))
-            return ConsState(np.array([1.0]), np.array([0.0]), np.array([0.0]))
+            seen.append(float(w[0][0]))
+            return np.array([[1.0], [0.0], [0.0]])
 
-        state = ConsState(np.array([0.0]), np.array([0.0]), np.array([0.0]))
+        state = np.array([[0.0], [0.0], [0.0]])
         out = ssp_rk3_step(state, 1.0, op)
         # u1 = 1; u2 = 3/4*0 + 1/4*(1 + 1) = 1/2; u3 = 1/3*0 + 2/3*(1/2 + 1) = 1
         assert seen == [0.0, 1.0, 0.5]
-        assert np.isclose(out.rho[0], 1.0, rtol=1e-15)
+        assert np.isclose(out[0][0], 1.0, rtol=1e-15)
 
     def test_third_order_in_time(self):
         # fixed periodic central-difference advection operator; the exact
@@ -47,8 +47,8 @@ class TestSspRk3Step:
         u0 = np.exp(np.sin(2 * np.pi * x))
 
         def L(w):
-            d = -(np.roll(w.rho, -1) - np.roll(w.rho, 1)) / (2 * grid_dx) * c
-            return ConsState(d, np.zeros(n), np.zeros(n))
+            d = -(np.roll(w[0], -1) - np.roll(w[0], 1)) / (2 * grid_dx) * c
+            return np.array([d, np.zeros(n), np.zeros(n)])
 
         k = np.fft.fftfreq(n, d=1.0 / n)
         multiplier = -1j * c * np.sin(2 * np.pi * k / n) / grid_dx
@@ -60,12 +60,12 @@ class TestSspRk3Step:
         errs = []
         dts = [t_final / m for m in (10, 20, 40, 80)]
         for dt in dts:
-            w = ConsState(u0.copy(), np.zeros(n), np.zeros(n))
+            w = np.array([u0.copy(), np.zeros(n), np.zeros(n)])
             t = 0.0
             while t < t_final - 1e-14:
                 w = ssp_rk3_step(w, dt, L)
                 t += dt
-            errs.append(np.abs(w.rho - exact(t_final)).max())
+            errs.append(np.abs(w[0] - exact(t_final)).max())
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert slope >= 2.9
 
@@ -73,7 +73,7 @@ class TestSspRk3Step:
         def op(w):
             raise ValueError("boom")
 
-        state = ConsState(np.ones(4), np.zeros(4), np.ones(4))
+        state = np.array([np.ones(4), np.zeros(4), np.ones(4)])
         with pytest.raises(StageError, match="stage 1"):
             ssp_rk3_step(state, 0.1, op)
 
@@ -82,13 +82,13 @@ class TestComputeDt:
     def test_uniform_state_value(self, gas):
         grid = Grid1D(100, 0.0, 1.0)
         prim = PrimState(np.ones(100), np.zeros(100), np.full(100, 1.4))
-        dt = compute_dt(prim_to_cons(prim, gas), grid, gas, 0.4)
+        dt = compute_dt(prim_to_cons(prim, gas).stacked(), grid, gas, 0.4)
         assert np.isclose(dt, 0.4 * 0.01 / 1.4, rtol=1e-14)
 
     def test_linear_in_cfl(self, gas):
         grid = Grid1D(50)
         prim = PrimState(np.ones(50), np.full(50, 0.5), np.ones(50))
-        cells = prim_to_cons(prim, gas)
+        cells = prim_to_cons(prim, gas).stacked()
         assert np.isclose(compute_dt(cells, grid, gas, 0.2),
                           0.5 * compute_dt(cells, grid, gas, 0.4), rtol=1e-14)
 
@@ -96,14 +96,14 @@ class TestComputeDt:
         gas = GasModel()
         grid = Grid1D(1000)
         prim = PrimState(np.ones(1000), np.zeros(1000), np.ones(1000))
-        dt = compute_dt(prim_to_cons(prim, gas), grid, gas, 0.4)
+        dt = compute_dt(prim_to_cons(prim, gas).stacked(), grid, gas, 0.4)
         assert np.isclose(dt, 0.4 * 0.001 / np.sqrt(1.4), rtol=1e-14)
 
     def test_viscous_bound_active_on_fine_grid(self):
         gas = GasModel(viscosity_law=ViscosityLaw("constant", 0.05))
         grid = Grid1D(1000)
         prim = PrimState(np.ones(1000), np.zeros(1000), np.ones(1000))
-        dt = compute_dt(prim_to_cons(prim, gas), grid, gas, 0.4)
+        dt = compute_dt(prim_to_cons(prim, gas).stacked(), grid, gas, 0.4)
         dt_visc = 0.4 * 0.001 ** 2 * 1.0 / (2 * (4 / 3) * 0.05)
         assert np.isclose(dt, dt_visc, rtol=1e-14)
 
@@ -115,8 +115,8 @@ class TestConservationOverRun:
         prim = PrimState(1.0 + 0.2 * np.sin(2 * np.pi * x),
                          0.3 * np.cos(2 * np.pi * x),
                          1.0 + 0.1 * np.sin(4 * np.pi * x))
-        cells = prim_to_cons(prim, gas)
-        totals0 = [float(np.sum(c)) for c in (cells.rho, cells.m, cells.E)]
+        cells = prim_to_cons(prim, gas).stacked()
+        totals0 = [float(np.sum(c)) for c in (cells[0], cells[1], cells[2])]
 
         def rhs_op(w):
             return assemble_rhs(w, grid, gas, "kepec",
@@ -128,7 +128,7 @@ class TestConservationOverRun:
             dt = min(compute_dt(cells, grid, gas, 0.4), 0.25 - t)
             cells = ssp_rk3_step(cells, dt, rhs_op)
             t += dt
-        totals1 = [float(np.sum(c)) for c in (cells.rho, cells.m, cells.E)]
+        totals1 = [float(np.sum(c)) for c in (cells[0], cells[1], cells[2])]
         for a, b in zip(totals0, totals1):
             assert abs(a - b) <= 1e-11 * max(1.0, abs(a))
 
