@@ -65,7 +65,8 @@ def _cmd_run(args) -> int:
 
     result = run_problem(config, args.output_dir)
     print(f"{config.name}: {result.message} "
-          f"(t={result.final_time:.6g}, steps={result.steps})")
+          f"(t={result.final_time:.6g}, steps={result.steps}, "
+          f"reason={result.reason})")
     if result.status == 0:
         print(f"artifacts in {result.output_dir}")
     else:

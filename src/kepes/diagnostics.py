@@ -103,10 +103,10 @@ def ke_budget(prim: PrimState, rhs: ConsState, faces: FaceData,
 
     boundary = 0.0
     if not faces.periodic:
-        net = faces.net()
+        first, last = faces.net_ends
         phi_first = np.array([-0.5 * prim.u[0] ** 2, prim.u[0], 0.0])
         phi_last = np.array([-0.5 * prim.u[-1] ** 2, prim.u[-1], 0.0])
-        boundary = float(phi_first @ net[0] - phi_last @ net[n])
+        boundary = float(phi_first @ first - phi_last @ last)
     return direct, pressure_work, numerical, viscous, boundary
 
 
@@ -119,13 +119,22 @@ def entropy_budget(prim: PrimState, rhs: ConsState, faces: FaceData,
     for an entropy-conservative central flux) and numerical sums
     dv . d_diss = -(1/2) dv^T Q dv, which is never positive.
     """
+    return _entropy_budget(prim, _cell_major(rhs), faces, grid, gas)
+
+
+def _cell_major(rhs: ConsState) -> np.ndarray:
+    """rhs as one (n, 3) cell-major contiguous array."""
+    return np.stack([np.asarray(rhs.rho), np.asarray(rhs.m),
+                     np.asarray(rhs.E)], axis=-1)
+
+
+def _entropy_budget(prim: PrimState, rhs_arr: np.ndarray, faces: FaceData,
+                    grid: Grid1D, gas: GasModel):
     n = grid.n_cells
     dx = grid.dx
     # face- and cell-major contiguous copies: np.sum adds pairwise in memory
     # order, so the layout fixes the rounding of every sum below
     v = np.ascontiguousarray(entropy_vars(prim, gas).T)
-    rhs_arr = np.stack([np.asarray(rhs.rho), np.asarray(rhs.m),
-                        np.asarray(rhs.E)], axis=-1)
     direct = float(np.sum(v * rhs_arr) * dx)
 
     sl = _face_slice(faces, n)
@@ -139,27 +148,27 @@ def entropy_budget(prim: PrimState, rhs: ConsState, faces: FaceData,
 
     boundary = float(np.sum(faces.dpsi[sl]))
     if not faces.periodic:
-        net = faces.net()
-        boundary += float(v[0] @ net[0] - v[-1] @ net[n])
+        first, last = faces.net_ends
+        boundary += float(v[0] @ first - v[-1] @ last)
     return direct, flux_residual, numerical, viscous, boundary
 
 
 def budget_report(time: float, prim: PrimState, rhs: ConsState,
                   faces: FaceData, grid: Grid1D, gas: GasModel) -> BudgetReport:
     """Assemble the full budget sample for one instant."""
-    n = grid.n_cells
     dx = grid.dx
     total_ke = float(np.sum(0.5 * prim.rho * prim.u ** 2) * dx)
     U, _, _ = entropy_pair(prim, gas)
     total_entropy = float(np.sum(U) * dx)
 
+    # the cell-major rhs is stacked once per sample, and the boundary net
+    # fluxes once per FaceData (net_ends)
+    rhs_arr = _cell_major(rhs)
     ke = ke_budget(prim, rhs, faces, grid)
-    ent = entropy_budget(prim, rhs, faces, grid, gas)
+    ent = _entropy_budget(prim, rhs_arr, faces, grid, gas)
 
-    net = faces.net()
-    rhs_arr = np.stack([np.asarray(rhs.rho), np.asarray(rhs.m),
-                        np.asarray(rhs.E)], axis=-1)
-    cons_err = np.sum(rhs_arr, axis=0) * dx - (net[0] - net[n])
+    first, last = faces.net_ends
+    cons_err = np.sum(rhs_arr, axis=0) * dx - (first - last)
 
     return BudgetReport(
         time=time,

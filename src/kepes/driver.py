@@ -1,4 +1,5 @@
-"""Run orchestration: time loop, CSV artifacts and the metrics report.
+"""Run orchestration: the client of the march, CSV artifacts and the
+metrics report.
 
 Artifacts written per run: numbered solution snapshots plus
 snapshot_final.csv (columns x, rho, u, p, T, s), budget.csv with one
@@ -6,11 +7,15 @@ row per sample time (column order fixed by BudgetReport), and a plain-text
 metrics.txt.  Runs are deterministic: identical configs produce
 byte-identical CSV files.  Every CSV value is formatted %.17g and every
 line ends in "\n"; a snapshot is formatted one block of _CSV_BLOCK_ROWS
-rows per call, and the block size never changes the bytes.
+rows per call, and the block size never changes the bytes.  The x column
+is formatted once per run (_x_prefixes) and is the row prefix of every
+snapshot's format text.
 
-The march hands one stacked (3, n) array to the stage, whose kernels
-write each result row into an array allocated per call and reuse no
-buffer across calls: rhs and the FaceData arrays escape the call.
+run consumes timeint.march, which evaluates each marched state once.
+The snapshot and the budget sample of a state (the initial one, the first
+at or past each snapshot_interval mark, and the last) read that
+evaluation: its (rho, u, p) rows, rhs and FaceData, which the march
+drops before it steps on.  RunResult.reason says why the run stopped.
 """
 
 from __future__ import annotations
@@ -23,20 +28,11 @@ import numpy as np
 from .config import ProblemConfig, initial_state
 from .diagnostics import budget_report, monotonicity_defect, solution_metrics
 from .riemann import solve_riemann
-from .spatial import assemble_rhs
-from .thermo import (
-    ConsState,
-    InvalidStateError,
-    PrimState,
-    cons_to_prim,
-    physical_entropy,
-    prim_to_cons,
-)
-from .timeint import StageError, compute_dt, ssp_rk3_step
+from .thermo import ConsState, PrimState, physical_entropy, prim_to_cons
+from .timeint import march
 
 __all__ = ["RunResult", "run", "reference_profile"]
 
-_STEADY_CHECK_EVERY = 25
 # Snapshot rows formatted per call.  Any size writes the same bytes; this
 # one keeps each call's strings small at no measurable cost in speed.
 _CSV_BLOCK_ROWS = 2048
@@ -52,23 +48,37 @@ class RunResult:
     snapshots: list = field(default_factory=list)
     budget_path: str | None = None
     metrics_path: str | None = None
+    reason: str | None = None
 
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _write_snapshot(path: str, x, prim: PrimState, gas):
-    columns = (x, prim.rho, prim.u, prim.p, prim.temperature(gas),
+def _x_prefixes(x) -> list:
+    """The x column as text, formatted once per run: per block of
+    _CSV_BLOCK_ROWS rows, one string of "x\\n" lines."""
+    return [("%.17g\n" * len(block)) % tuple(block.tolist())
+            for block in (x[lo:lo + _CSV_BLOCK_ROWS]
+                          for lo in range(0, len(x), _CSV_BLOCK_ROWS))]
+
+
+def _write_snapshot(path: str, x_prefixes, prim: PrimState, gas):
+    """Write one snapshot; x_prefixes is _x_prefixes(x) of its cells."""
+    columns = (prim.rho, prim.u, prim.p, prim.temperature(gas),
                physical_entropy(prim, gas))
-    row = ",".join(("%.17g",) * len(columns)) + "\n"
+    tail = ",%.17g" * len(columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,rho,u,p,T,s\n")
-        for lo in range(0, len(x), _CSV_BLOCK_ROWS):
+        for lo, prefix in zip(range(0, len(columns[0]), _CSV_BLOCK_ROWS),
+                              x_prefixes):
             # one block of rows, stacked row-major, formatted by one call
+            # whose format text already holds the block's x values (they
+            # hold no "%" or "\n", so the replace makes them row prefixes)
             block = np.column_stack([c[lo:lo + _CSV_BLOCK_ROWS]
                                      for c in columns])
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            fh.write(prefix.replace("\n", tail)
+                     % tuple(block.ravel().tolist()))
 
 
 def reference_profile(config: ProblemConfig, x, t: float):
@@ -144,8 +154,11 @@ def _write_metrics(path: str, config: ProblemConfig, x, prim: PrimState,
 def run(config: ProblemConfig, output_dir: str) -> RunResult:
     """Advance the configured problem to t_final and write the artifacts.
 
-    A run whose output directory or any artifact cannot be written ends
-    with status 2, "i/o failure".
+    The run is a client of timeint.march.  result.reason says why it
+    stopped: "t_final", "steady", "max_steps" (truncated; status 0 and
+    message "ok" all the same), "invalid_state" (status 1) or
+    "io_failure": a run whose output directory or any artifact cannot be
+    written ends with status 2, "i/o failure".
     """
     result = RunResult(status=0, message="ok", output_dir=output_dir)
     try:
@@ -153,80 +166,56 @@ def run(config: ProblemConfig, output_dir: str) -> RunResult:
     except OSError as exc:
         result.status = 2
         result.message = f"i/o failure: {exc}"
+        result.reason = "io_failure"
     return result
 
 
 def _run(config: ProblemConfig, output_dir: str, result: RunResult):
     os.makedirs(output_dir, exist_ok=True)
     grid, gas = config.grid, config.gas
-    x = grid.cell_centers()
-
-    def rhs_full(w):
-        return assemble_rhs(w, grid, gas, config.flux_kind, config.diss,
-                            config.recon, config.bcs)
-
-    def rhs_op(w):
-        return rhs_full(w)[0]
-
-    w = initial_state(config).stacked()
-    # the report needs only the initial totals, so no copy of the initial
-    # state is kept through the march
-    totals0 = _totals(prim_to_cons(cons_to_prim(ConsState(*w), gas), gas))
-    t = 0.0
-    step = 0
+    # the snapshots need x only as text; the metrics make it again, so no
+    # x array is held through the march
+    x_prefixes = _x_prefixes(grid.cell_centers())
 
     budget_path = os.path.join(output_dir, "budget.csv")
     result.budget_path = budget_path
     budget_rows = []
 
-    def sample_budget(w, time):
-        rhs, faces = rhs_full(w)
-        report = budget_report(time, cons_to_prim(ConsState(*w), gas),
-                               ConsState(*rhs), faces, grid, gas)
-        budget_rows.append(report)
-        return report
+    # the sample and the snapshot read the state's evaluation, which the
+    # march drops before it steps on: nothing here may keep a reference
+    def sample_budget(state):
+        budget_rows.append(budget_report(state.t, state.prim,
+                                         ConsState(*state.rhs), state.faces,
+                                         grid, gas))
 
-    snap_index = 0
-
-    def emit_snapshot(w, suffix=None):
-        nonlocal snap_index
-        name = (f"snapshot_{snap_index:04d}.csv" if suffix is None
-                else f"snapshot_{suffix}.csv")
+    def emit_snapshot(state, name):
         path = os.path.join(output_dir, name)
-        _write_snapshot(path, x, cons_to_prim(ConsState(*w), gas), gas)
+        _write_snapshot(path, x_prefixes, state.prim, gas)
         result.snapshots.append(path)
-        if suffix is None:
-            snap_index += 1
 
-    final_report = None
-    try:
-        emit_snapshot(w)
-        sample_budget(w, t)
-        interval = config.snapshot_interval
-        next_mark = interval if interval else None
-        tiny = 1e-12 * max(1.0, config.time.t_final)
-        while t < config.time.t_final - tiny and step < config.time.max_steps:
-            dt = compute_dt(w, grid, gas, config.time.cfl)
-            dt = min(dt, config.time.t_final - t)
-            w = ssp_rk3_step(w, dt, rhs_op)
-            t += dt
-            step += 1
-            if next_mark is not None and t + tiny >= next_mark:
-                emit_snapshot(w)
-                sample_budget(w, t)
-                next_mark += interval
-            if (config.time.steady_tol is not None
-                    and step % _STEADY_CHECK_EVERY == 0):
-                residual = float(np.max(np.abs(rhs_op(w))))
-                if residual < config.time.steady_tol:
-                    result.message = (f"steady at t={t:.6g} "
-                                      f"(residual {residual:.3e})")
-                    break
-        final_report = sample_budget(w, t)
-        emit_snapshot(w, suffix="final")
-    except (InvalidStateError, StageError) as exc:
+    totals0 = None
+    for state in march(config, initial_state(config).stacked()):
+        if state.reason == "invalid_state":
+            break
+        if totals0 is None:
+            # the report needs only the initial totals, so no copy of the
+            # initial state is kept through the march
+            totals0 = _totals(prim_to_cons(state.prim, gas))
+        if state.mark:
+            emit_snapshot(state, f"snapshot_{len(result.snapshots):04d}.csv")
+            sample_budget(state)
+
+    result.reason = state.reason
+    if state.reason == "invalid_state":
         result.status = 1
-        result.message = f"aborted at t={t:.6g}, step {step}: {exc}"
+        result.message = (f"aborted at t={state.t:.6g}, step {state.step}: "
+                          f"{state.error}")
+    else:
+        if state.reason == "steady":
+            result.message = (f"steady at t={state.t:.6g} "
+                              f"(residual {state.residual:.3e})")
+        sample_budget(state)
+        emit_snapshot(state, "snapshot_final.csv")
 
     with open(budget_path, "w", encoding="utf-8", newline="\n") as fh:
         if budget_rows:
@@ -236,9 +225,8 @@ def _run(config: ProblemConfig, output_dir: str, result: RunResult):
 
     if result.status == 0:
         metrics_path = os.path.join(output_dir, "metrics.txt")
-        _write_metrics(metrics_path, config, x,
-                       cons_to_prim(ConsState(*w), gas), totals0, final_report,
-                       t, step)
+        _write_metrics(metrics_path, config, grid.cell_centers(), state.prim,
+                       totals0, budget_rows[-1], state.t, state.step)
         result.metrics_path = metrics_path
-    result.final_time = t
-    result.steps = step
+    result.final_time = state.t
+    result.steps = state.step

@@ -130,6 +130,12 @@ class FaceData:
     gas: GasModel
     periodic: bool
 
+    @property
+    def cells(self) -> np.ndarray:
+        """The (rho, u, p) rows of the n cells, (3, n): a view of the rows
+        the stage formed."""
+        return self.right[:, :-1]
+
     @cached_property
     def u_bar(self) -> np.ndarray:
         return 0.5 * (self.left[1] + self.right[1])
@@ -157,6 +163,15 @@ class FaceData:
     def net(self) -> np.ndarray:
         """Total face flux (F - G) as an (n_faces, 3) array."""
         return (self.central + self.diss - self.visc).T
+
+    @cached_property
+    def net_ends(self) -> np.ndarray:
+        """net()[0] and net()[-1], the first and the last face, as a (2, 3)
+        array formed once from those faces alone: the budget terms read
+        only these two."""
+        ends = [0, -1]
+        return (self.central[:, ends] + self.diss[:, ends]
+                - self.visc[:, ends]).T
 
 
 def viscous_face_flux(left: PrimState, right: PrimState, gas: GasModel,

@@ -1,10 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from kepes.config import initial_state
-from kepes.spatial import assemble_rhs
 from kepes.thermo import ConsState, GasModel, PrimState, cons_to_prim
-from kepes.timeint import compute_dt, ssp_rk3_step
+from kepes.timeint import march
 
 # one line per acceptance criterion, echoed in the terminal summary
 ACCEPTANCE_LINES = []
@@ -41,36 +42,23 @@ def stencil(*states):
 
 
 def advance(config, n_steps=None, cfl=None, collect_rhs=False):
-    """March a ProblemConfig; by steps when n_steps is given, else to t_final.
-
-    Marches the stacked (3, n) state, as driver.run does."""
-    w = initial_state(config).stacked()
-
-    def rhs_op(w):
-        return assemble_rhs(w, config.grid, config.gas, config.flux_kind,
-                            config.diss, config.recon, config.bcs)[0]
-
-    t, step = 0.0, 0
-    while True:
-        if n_steps is not None:
-            if step >= n_steps:
-                break
-        elif t >= config.time.t_final - 1e-14:
-            break
-        dt = compute_dt(w, config.grid, config.gas, cfl or config.time.cfl)
-        if n_steps is None:
-            dt = min(dt, config.time.t_final - t)
-        w = ssp_rk3_step(w, dt, rhs_op)
-        t += dt
-        step += 1
-    cells = ConsState(*w)
+    """March a ProblemConfig with timeint.march; by steps when n_steps is
+    given (t_final ignored), else to t_final.  steady_tol is ignored, and
+    an invalid state raises its StageError."""
+    spec = replace(config.time, steady_tol=None,
+                   cfl=cfl or config.time.cfl)
+    if n_steps is not None:
+        spec = replace(spec, t_final=np.inf, max_steps=n_steps)
+    for state in march(replace(config, time=spec),
+                       initial_state(config).stacked()):
+        pass
+    if state.error is not None:
+        raise state.error
+    cells = ConsState(*state.w)
     prim = cons_to_prim(cells, config.gas)
     if collect_rhs:
-        rhs, faces = assemble_rhs(w, config.grid, config.gas,
-                                  config.flux_kind, config.diss,
-                                  config.recon, config.bcs)
-        return prim, cells, ConsState(*rhs), faces, t
-    return prim, cells, t
+        return prim, cells, ConsState(*state.rhs), state.faces, state.t
+    return prim, cells, state.t
 
 
 def max_residual(rhs):

@@ -107,7 +107,8 @@ class TestSnapshotBytes:
         x, prim = columns
         gas = GasModel()
         path = tmp_path / "snapshot.csv"
-        driver._write_snapshot(str(path), x, prim, gas)
+        prefixes = driver._x_prefixes(x)
+        driver._write_snapshot(str(path), prefixes, prim, gas)
         blob = path.read_bytes()
         assert blob == per_value_snapshot(x, prim, gas)
         assert blob.count(b"x,rho,u,p,T,s") == 1
@@ -121,7 +122,8 @@ class TestSnapshotBytes:
         gas = GasModel()
         monkeypatch.setattr(driver, "_CSV_BLOCK_ROWS", rows)
         path = tmp_path / "snapshot.csv"
-        driver._write_snapshot(str(path), x, prim, gas)
+        prefixes = driver._x_prefixes(x)
+        driver._write_snapshot(str(path), prefixes, prim, gas)
         assert path.read_bytes() == per_value_snapshot(x, prim, gas)
 
 
@@ -205,6 +207,7 @@ class TestCli:
                      "--override", "n_cells=50",
                      "--override", "t_final=0.05"])
         assert code == 0
+        assert "reason=t_final" in capsys.readouterr().out
         data = read_csv(str(out_dir / "snapshot_final.csv"))
         assert len(data["x"]) == 50
 
