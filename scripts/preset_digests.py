@@ -2,8 +2,11 @@
 """Print the sha256 of every artifact of every preset.
 
 Each preset runs capped at --max-steps, with a snapshot and budget sample
-every min(t_final / 4, 0.03) time units, into a temporary directory.  The
-last line digests all the others.  Run it against two checkouts and
+every min(t_final / 4, 0.03) time units, into a temporary directory.  One
+fixed case follows: sod at 2e4 cells, 6 steps, a snapshot every 2.5e-5
+(two mid-run marks), whose snapshots are large enough for the forked
+writer (driver._FORK_ROWS) on a host with a spare CPU.  The last line
+digests all the others.  Run it against two checkouts and
 compare the output to show that a change leaves every snapshot,
 budget.csv and metrics.txt byte-identical:
 
@@ -26,16 +29,26 @@ from kepes.driver import run
 from kepes.presets import list_presets, preset
 
 
+def cases(max_steps: int):
+    """(name, config) of every digested run, in a stable order."""
+    for name in list_presets():
+        base = preset(name)
+        yield name, replace(base,
+                            snapshot_interval=min(base.time.t_final / 4.0,
+                                                  0.03),
+                            time=replace(base.time, max_steps=max_steps))
+    base = preset("sod")
+    yield "sod_n20000", replace(base,
+                                grid=replace(base.grid, n_cells=20_000),
+                                snapshot_interval=2.5e-5,
+                                time=replace(base.time, max_steps=6))
+
+
 def preset_blocks(max_steps: int):
-    """Per preset, its header line and one "digest  preset/artifact" line
+    """Per case, its header line and one "digest  case/artifact" line
     per artifact, in a stable order."""
     with tempfile.TemporaryDirectory() as root:
-        for name in list_presets():
-            base = preset(name)
-            config = replace(base,
-                             snapshot_interval=min(base.time.t_final / 4.0,
-                                                   0.03),
-                             time=replace(base.time, max_steps=max_steps))
+        for name, config in cases(max_steps):
             output_dir = os.path.join(root, name)
             result = run(config, output_dir)
             block = [f"# {name}: status {result.status}, "

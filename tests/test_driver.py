@@ -137,19 +137,178 @@ class TestStationaryContactRun:
         assert np.abs(last["rho"] - first["rho"]).max() < 1e-12
 
 
+# a violent pressure ratio with no dissipation blows up quickly
+ABORT_CASE = {
+    "ic": "riemann", "left_rho": 1.0, "left_u": 0.0, "left_p": 1000.0,
+    "right_rho": 0.001, "right_u": 0.0, "right_p": 1e-6,
+    "n_cells": 50, "flux": "kepec", "diss": "none",
+    "cfl": 0.9, "t_final": 1.0,
+}
+
+
 class TestAbortPath:
     def test_invalid_state_reports_cell_and_time(self, tmp_path):
-        # a violent pressure ratio with no dissipation blows up quickly
-        cfg = config_from_dict({
-            "ic": "riemann", "left_rho": 1.0, "left_u": 0.0, "left_p": 1000.0,
-            "right_rho": 0.001, "right_u": 0.0, "right_p": 1e-6,
-            "n_cells": 50, "flux": "kepec", "diss": "none",
-            "cfl": 0.9, "t_final": 1.0,
-        })
-        result = run(cfg, str(tmp_path))
+        result = run(config_from_dict(ABORT_CASE), str(tmp_path))
         assert result.status == 1
         assert "aborted at t=" in result.message
         assert "cell" in result.message
+
+
+def assert_no_children():
+    """This process has no child left, reaped or not."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fork_every_snapshot(monkeypatch) -> dict:
+    """Write every snapshot through the forked writer; the returned dict
+    counts the writer children forked and the most alive at once."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork here")
+    monkeypatch.setattr(driver, "_FORK_ROWS", 1)
+    monkeypatch.setattr(driver, "_spare_cpu", lambda: True)
+    writers = {"forks": 0, "alive": set(), "most_alive": 0}
+    real_fork, real_waitpid, parent = os.fork, os.waitpid, os.getpid()
+
+    def fork():
+        pid = real_fork()
+        if os.getpid() == parent:
+            writers["forks"] += 1
+            writers["alive"].add(pid)
+            writers["most_alive"] = max(writers["most_alive"],
+                                        len(writers["alive"]))
+        return pid
+
+    def waitpid(pid, options):
+        done = real_waitpid(pid, options)
+        writers["alive"].discard(done[0])
+        return done
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    return writers
+
+
+@pytest.fixture
+def forked_writer(monkeypatch):
+    return fork_every_snapshot(monkeypatch)
+
+
+def artifacts(result) -> dict:
+    """{name: bytes} of every file a run left in its output directory."""
+    out = {}
+    for name in sorted(os.listdir(result.output_dir)):
+        with open(os.path.join(result.output_dir, name), "rb") as fh:
+            out[name] = fh.read()
+    return out
+
+
+SOD_MARKS = {"preset": "sod", "n_cells": 45, "snapshot_interval": 0.05}
+
+
+class TestForkedWriter:
+    """Snapshots of at least _FORK_ROWS rows are formatted in a forked
+    child, and the last one is split with it, in the same bytes."""
+
+    @pytest.mark.parametrize("block_rows", [7, 2, 100])
+    def test_fork_path_matches_in_process(self, tmp_path, monkeypatch,
+                                          block_rows):
+        # 45 rows in 7, 23 or 1 blocks: an odd count, so the halves of the
+        # split last snapshot differ in length
+        monkeypatch.setattr(driver, "_CSV_BLOCK_ROWS", block_rows)
+        cfg = config_from_dict(SOD_MARKS)
+        alone = run(cfg, str(tmp_path / "in_process"))
+        writers = fork_every_snapshot(monkeypatch)
+        forked = run(cfg, str(tmp_path / "forked"))
+        assert_no_children()
+        numbered = [p for p in alone.snapshots if "final" not in p]
+        assert len(numbered) >= 3  # the initial and two mid-run marks
+        assert writers["forks"] == len(alone.snapshots)
+        assert writers["most_alive"] == 1
+        assert artifacts(forked) == artifacts(alone)
+        assert ([os.path.basename(p) for p in forked.snapshots]
+                == [os.path.basename(p) for p in alone.snapshots])
+        assert ((forked.status, forked.message, forked.reason, forked.steps,
+                 forked.final_time) == (alone.status, alone.message,
+                                        alone.reason, alone.steps,
+                                        alone.final_time))
+
+    def test_failed_fork_writes_in_process(self, tmp_path, monkeypatch):
+        cfg = config_from_dict(SOD_MARKS)
+        alone = run(cfg, str(tmp_path / "in_process"))
+        writers = fork_every_snapshot(monkeypatch)
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        forked = run(cfg, str(tmp_path / "forked"))
+        assert forked.status == 0
+        assert writers["forks"] == 0
+        assert artifacts(forked) == artifacts(alone)
+
+    def test_invalid_state_leaves_no_child(self, tmp_path, forked_writer):
+        result = run(config_from_dict(ABORT_CASE), str(tmp_path))
+        assert result.reason == "invalid_state"
+        assert forked_writer["forks"] == 1
+        assert_no_children()
+
+    def test_failed_child_fails_the_run(self, tmp_path, monkeypatch,
+                                        forked_writer):
+        parent, write_blocks = os.getpid(), driver._write_blocks
+
+        def failing_in_child(*args):
+            if os.getpid() != parent:
+                raise ValueError("no rows")
+            write_blocks(*args)
+
+        monkeypatch.setattr(driver, "_write_blocks", failing_in_child)
+        result = run(config_from_dict(SOD_MARKS), str(tmp_path))
+        assert result.status == 2
+        assert result.reason == "io_failure"
+        assert "(status 255)" in result.message
+        assert "snapshot_0000.csv" in result.message
+        assert_no_children()
+
+    def test_exception_keeps_precedence(self, tmp_path, monkeypatch,
+                                        forked_writer):
+        # both halves of the last snapshot fail: the run's own exception
+        # is raised, not the failed child's
+        write_blocks = driver._write_blocks
+
+        def failing_halves(fh, x_prefixes, columns, blocks):
+            if len(blocks) != len(x_prefixes):
+                raise RuntimeError("no rows")
+            write_blocks(fh, x_prefixes, columns, blocks)
+
+        monkeypatch.setattr(driver, "_CSV_BLOCK_ROWS", 7)
+        monkeypatch.setattr(driver, "_write_blocks", failing_halves)
+        with pytest.raises(RuntimeError, match="no rows"):
+            run(config_from_dict(SOD_MARKS), str(tmp_path))
+        assert_no_children()
+
+    def test_small_or_single_cpu_runs_stay_in_process(self, tmp_path,
+                                                      monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        if hasattr(os, "fork"):
+            monkeypatch.setattr(os, "fork", no_fork)
+        cfg = config_from_dict(SOD_MARKS)
+        assert run(cfg, str(tmp_path / "small")).status == 0
+        monkeypatch.setattr(driver, "_FORK_ROWS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert not driver._spare_cpu()
+        assert run(cfg, str(tmp_path / "one_cpu")).status == 0
+        monkeypatch.delattr(os, "fork", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        assert not driver._spare_cpu()
+
+
+ARTIFACTS = ["budget.csv", "metrics.txt", "snapshot_0000.csv",
+             "snapshot_final.csv"]
 
 
 class TestIoFailure:
@@ -162,15 +321,33 @@ class TestIoFailure:
         assert result.status == 2
         assert "i/o failure" in result.message
 
-    @pytest.mark.parametrize("artifact", ["budget.csv", "metrics.txt"])
-    def test_unwritable_artifact(self, tmp_path, artifact):
+    @staticmethod
+    def run_blocked(output_dir, artifact):
         # a directory in the artifact's place makes its write fail
-        (tmp_path / artifact).mkdir()
+        (output_dir / artifact).mkdir(parents=True)
         cfg = config_from_dict({"preset": "sod", "n_cells": 8,
                                 "t_final": 0.01})
-        result = run(cfg, str(tmp_path))
+        result = run(cfg, str(output_dir))
         assert result.status == 2
         assert "i/o failure" in result.message
+        assert result.reason == "io_failure"
+        assert_no_children()
+        return result
+
+    @pytest.mark.parametrize("artifact", ARTIFACTS)
+    def test_unwritable_artifact(self, tmp_path, artifact):
+        self.run_blocked(tmp_path, artifact)
+
+    @pytest.mark.parametrize("artifact", ARTIFACTS)
+    def test_unwritable_artifact_forked(self, tmp_path, monkeypatch,
+                                        artifact):
+        # the same run writes the same message on either path: the child
+        # that fails to write snapshot_0000.csv exits with its errno
+        alone = self.run_blocked(tmp_path / "in_process", artifact)
+        fork_every_snapshot(monkeypatch)
+        forked = self.run_blocked(tmp_path / "forked", artifact)
+        assert (forked.message.replace("forked", "in_process")
+                == alone.message)
 
 
 class TestSnapshotCadence:

@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from kepes.dissipation import DissipationSpec
+from kepes.presets import preset
 from kepes.reconstruction import ReconSpec
-from kepes.spatial import BoundaryCondition, BoundarySpec, Grid1D, assemble_rhs
-from kepes.thermo import (ConsState, GasModel, PrimState, ViscosityLaw,
-                          cons_to_prim, prim_to_cons)
-from kepes.timeint import StageError, TimeSpec, compute_dt, ssp_rk3_step
+from kepes.spatial import BoundaryCondition, BoundarySpec, Grid1D
+from kepes.thermo import GasModel, PrimState, ViscosityLaw, prim_to_cons
+from kepes.timeint import (StageError, TimeSpec, compute_dt, march,
+                           ssp_rk3_step)
 
 PERIODIC = BoundarySpec(BoundaryCondition("periodic"), BoundaryCondition("periodic"))
 
@@ -123,18 +126,16 @@ class TestConservationOverRun:
                          1.0 + 0.1 * np.sin(4 * np.pi * x))
         cells = prim_to_cons(prim, gas).stacked()
         totals0 = [float(np.sum(c)) for c in (cells[0], cells[1], cells[2])]
+        config = replace(preset("sod"), grid=grid, gas=gas, bcs=PERIODIC,
+                         flux_kind="kepec",
+                         diss=DissipationSpec(kind="matrix", matrix_law="hyb"),
+                         recon=ReconSpec(2, "minmod"),
+                         time=TimeSpec(cfl=0.4, t_final=0.25))
 
-        def rhs_op(w):
-            return assemble_rhs(w, grid, gas, "kepec",
-                                DissipationSpec(kind="matrix", matrix_law="hyb"),
-                                ReconSpec(2, "minmod"), PERIODIC)[0]
-
-        t = 0.0
-        while t < 0.25:
-            prim = cons_to_prim(ConsState(*cells), gas)
-            dt = min(compute_dt(rows(prim), grid, gas, 0.4), 0.25 - t)
-            cells = ssp_rk3_step(cells, dt, rhs_op)
-            t += dt
+        for state in march(config, cells):
+            pass
+        assert state.reason == "t_final"
+        cells = state.w
         totals1 = [float(np.sum(c)) for c in (cells[0], cells[1], cells[2])]
         for a, b in zip(totals0, totals1):
             assert abs(a - b) <= 1e-11 * max(1.0, abs(a))
