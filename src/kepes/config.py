@@ -339,17 +339,17 @@ def serialize_config(config: ProblemConfig) -> str:
     return "".join(f"{k} = {v}\n" for k, v in pairs.items())
 
 
-def initial_state(config: ProblemConfig) -> ConsState:
-    """Cell-centre sampled initial conserved state."""
-    x = config.grid.cell_centers()
+def _initial_prim(config: ProblemConfig, x) -> PrimState:
+    """The initial (rho, u, p) of config sampled at the points x."""
     ic = config.ic
     if ic.kind == "uniform":
-        q = PrimState(np.full_like(x, ic.state.rho),
-                      np.full_like(x, ic.state.u),
-                      np.full_like(x, ic.state.p))
-    else:
-        on_left = x < ic.x_diaphragm
-        q = PrimState(np.where(on_left, ic.left.rho, ic.right.rho),
-                      np.where(on_left, ic.left.u, ic.right.u),
-                      np.where(on_left, ic.left.p, ic.right.p))
-    return prim_to_cons(q, config.gas)
+        return PrimState(*(np.full_like(x, f) for f in ic.state))
+    on_left = x < ic.x_diaphragm
+    return PrimState(*(np.where(on_left, f_l, f_r)
+                       for f_l, f_r in zip(ic.left, ic.right)))
+
+
+def initial_state(config: ProblemConfig) -> ConsState:
+    """Cell-centre sampled initial conserved state."""
+    return prim_to_cons(_initial_prim(config, config.grid.cell_centers()),
+                        config.gas)

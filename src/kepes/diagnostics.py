@@ -15,13 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .spatial import FaceData, Grid1D
-from .thermo import (
-    ConsState,
-    GasModel,
-    PrimState,
-    entropy_pair,
-    entropy_vars,
-)
+from .thermo import GasModel, entropy_pair, entropy_vars
 
 __all__ = [
     "BudgetReport",
@@ -82,9 +76,9 @@ def _face_slice(faces: FaceData, n: int):
     return slice(0, n) if faces.periodic else slice(1, n)
 
 
-def ke_budget(prim: PrimState, rhs: ConsState, faces: FaceData,
-              grid: Grid1D):
-    """Kinetic-energy budget terms.
+def ke_budget(prim, rhs, faces: FaceData, grid: Grid1D):
+    """Kinetic-energy budget terms of the (rho, u, p) rows prim and the
+    (3, n) rhs.
 
     Returns (direct, pressure_work, numerical, viscous, boundary): the
     direct evaluation sum_j (-u_j^2/2 rhs_rho + u_j rhs_m) dx and its
@@ -92,7 +86,9 @@ def ke_budget(prim: PrimState, rhs: ConsState, faces: FaceData,
     """
     n = grid.n_cells
     dx = grid.dx
-    direct = float(np.sum((-0.5 * prim.u ** 2 * rhs.rho + prim.u * rhs.m)) * dx)
+    u = prim[1]
+    rhs_rho, rhs_m, _ = rhs
+    direct = float(np.sum((-0.5 * u ** 2 * rhs_rho + u * rhs_m)) * dx)
 
     sl = _face_slice(faces, n)
     du, ub = faces.du[sl], faces.u_bar[sl]
@@ -104,38 +100,29 @@ def ke_budget(prim: PrimState, rhs: ConsState, faces: FaceData,
     boundary = 0.0
     if not faces.periodic:
         first, last = faces.net_ends
-        phi_first = np.array([-0.5 * prim.u[0] ** 2, prim.u[0], 0.0])
-        phi_last = np.array([-0.5 * prim.u[-1] ** 2, prim.u[-1], 0.0])
+        phi_first = np.array([-0.5 * u[0] ** 2, u[0], 0.0])
+        phi_last = np.array([-0.5 * u[-1] ** 2, u[-1], 0.0])
         boundary = float(phi_first @ first - phi_last @ last)
     return direct, pressure_work, numerical, viscous, boundary
 
 
-def entropy_budget(prim: PrimState, rhs: ConsState, faces: FaceData,
+def entropy_budget(prim, rhs_cells: np.ndarray, faces: FaceData,
                    grid: Grid1D, gas: GasModel):
-    """Entropy budget terms for U = -rho s/(gamma - 1).
+    """Entropy budget terms for U = -rho s/(gamma - 1) of the (rho, u, p)
+    rows prim; rhs_cells is the rhs as one (n, 3) cell-major contiguous
+    array, np.stack(rhs, axis=-1).
 
     Returns (direct, flux_residual, numerical, viscous, boundary) where
     flux_residual sums dv . f_central - d(psi) over interior faces (zero
     for an entropy-conservative central flux) and numerical sums
     dv . d_diss = -(1/2) dv^T Q dv, which is never positive.
     """
-    return _entropy_budget(prim, _cell_major(rhs), faces, grid, gas)
-
-
-def _cell_major(rhs: ConsState) -> np.ndarray:
-    """rhs as one (n, 3) cell-major contiguous array."""
-    return np.stack([np.asarray(rhs.rho), np.asarray(rhs.m),
-                     np.asarray(rhs.E)], axis=-1)
-
-
-def _entropy_budget(prim: PrimState, rhs_arr: np.ndarray, faces: FaceData,
-                    grid: Grid1D, gas: GasModel):
     n = grid.n_cells
     dx = grid.dx
     # face- and cell-major contiguous copies: np.sum adds pairwise in memory
     # order, so the layout fixes the rounding of every sum below
     v = np.ascontiguousarray(entropy_vars(prim, gas).T)
-    direct = float(np.sum(v * rhs_arr) * dx)
+    direct = float(np.sum(v * rhs_cells) * dx)
 
     sl = _face_slice(faces, n)
     dv = faces.dv[sl]
@@ -153,22 +140,24 @@ def _entropy_budget(prim: PrimState, rhs_arr: np.ndarray, faces: FaceData,
     return direct, flux_residual, numerical, viscous, boundary
 
 
-def budget_report(time: float, prim: PrimState, rhs: ConsState,
-                  faces: FaceData, grid: Grid1D, gas: GasModel) -> BudgetReport:
-    """Assemble the full budget sample for one instant."""
+def budget_report(time: float, prim, rhs, faces: FaceData, grid: Grid1D,
+                  gas: GasModel) -> BudgetReport:
+    """Assemble the full budget sample for one instant from the
+    (rho, u, p) rows prim and the (3, n) rhs of the cells."""
     dx = grid.dx
-    total_ke = float(np.sum(0.5 * prim.rho * prim.u ** 2) * dx)
+    rho, u, _ = prim
+    total_ke = float(np.sum(0.5 * rho * u ** 2) * dx)
     U, _, _ = entropy_pair(prim, gas)
     total_entropy = float(np.sum(U) * dx)
 
     # the cell-major rhs is stacked once per sample, and the boundary net
     # fluxes once per FaceData (net_ends)
-    rhs_arr = _cell_major(rhs)
+    rhs_cells = np.stack(rhs, axis=-1)
     ke = ke_budget(prim, rhs, faces, grid)
-    ent = _entropy_budget(prim, rhs_arr, faces, grid, gas)
+    ent = entropy_budget(prim, rhs_cells, faces, grid, gas)
 
     first, last = faces.net_ends
-    cons_err = np.sum(rhs_arr, axis=0) * dx - (first - last)
+    cons_err = np.sum(rhs_cells, axis=0) * dx - (first - last)
 
     return BudgetReport(
         time=time,
@@ -205,9 +194,10 @@ class SolutionMetrics:
     jump_widths: list
 
 
-def solution_metrics(x, prim: PrimState, reference: PrimState | None = None,
-                     jumps=(), dx: float | None = None) -> SolutionMetrics:
-    """L1 errors, range violations and discontinuity widths.
+def solution_metrics(x, prim, reference=None, jumps=(),
+                     dx: float | None = None) -> SolutionMetrics:
+    """L1 errors, range violations and discontinuity widths of the
+    (rho, u, p) rows prim against the rows reference.
 
     jumps is a sequence of (position, value_left, value_right) density
     discontinuities of the reference; each width window extends to 45% of
@@ -220,9 +210,7 @@ def solution_metrics(x, prim: PrimState, reference: PrimState | None = None,
     if reference is not None:
         l1 = l1_error(prim, reference, dx)
         over, under = {}, {}
-        for key, v, r in (("rho", prim.rho, reference.rho),
-                          ("u", prim.u, reference.u),
-                          ("p", prim.p, reference.p)):
+        for key, v, r in zip(("rho", "u", "p"), prim, reference):
             over[key], under[key] = overshoot_undershoot(
                 v, float(np.min(r)), float(np.max(r)))
     positions = [j[0] for j in jumps]
@@ -231,7 +219,7 @@ def solution_metrics(x, prim: PrimState, reference: PrimState | None = None,
         others = [p for p in positions if p != pos] + [float(x[0] - 0.5 * dx),
                                                        float(x[-1] + 0.5 * dx)]
         half_window = 0.45 * min(abs(pos - p) for p in others)
-        widths.append(jump_width_cells(x, prim.rho, pos, v_l, v_r,
+        widths.append(jump_width_cells(x, prim[0], pos, v_l, v_r,
                                        half_window))
     return SolutionMetrics(l1, over, under, widths)
 
@@ -270,10 +258,7 @@ def jump_width_cells(x, values, x_jump: float, v_left: float, v_right: float,
     return int(np.count_nonzero(near & inside))
 
 
-def l1_error(prim: PrimState, ref: PrimState, dx: float) -> dict:
+def l1_error(prim, ref, dx: float) -> dict:
     """L1 distance to a reference profile, per primitive variable."""
-    return {
-        "rho": float(np.sum(np.abs(prim.rho - ref.rho)) * dx),
-        "u": float(np.sum(np.abs(prim.u - ref.u)) * dx),
-        "p": float(np.sum(np.abs(prim.p - ref.p)) * dx),
-    }
+    return {key: float(np.sum(np.abs(v - r)) * dx)
+            for key, v, r in zip(("rho", "u", "p"), prim, ref)}

@@ -89,8 +89,8 @@ def _scalar_d_from_jumps(m: FaceMeans, gas: GasModel, beta_average: str,
     out = np.empty((3,) + m.shape)
     out[0] = d_rho
     np.add(m.u_bar * d_rho, m.rho_bar * d_u, out=out[1, ...])
-    np.add((0.5 / ((g - 1.0) * beta_m) + 0.5 * m.left.u * m.right.u) * d_rho
-           + m.rho_bar * m.u_bar * d_u,
+    np.add((0.5 / ((g - 1.0) * beta_m) + 0.5 * m.left[1] * m.right[1])
+           * d_rho + m.rho_bar * m.u_bar * d_u,
            m.rho_bar / (2.0 * (g - 1.0)) * d_inv_beta, out=out[2, ...])
     lam = np.abs(m.u_bar) + np.sqrt(g / (2.0 * beta_m))
     return out, lam
@@ -108,8 +108,7 @@ def scalar_d_vector(left: PrimState, right: PrimState, gas: GasModel,
     m = FaceMeans(left, right)
     # the jumps of the record's sides, which are broadcast against each
     # other, so that the three slots of D stack
-    d_rho = m.right.rho - m.left.rho
-    d_u = m.right.u - m.left.u
+    d_rho, d_u = m.right[:2] - m.left[:2]
     # -(d beta)/(beta_L beta_R): algebraically 1/beta_R - 1/beta_L but
     # without the cancellation of two large reciprocals
     d_inv_beta = -(m.beta_r - m.beta_l) / (m.beta_l * m.beta_r)
@@ -254,21 +253,20 @@ def eigenvalue_law(u_f, a_f, left: PrimState, right: PrimState,
     rus:  (|u|+a) I
     hyb:  (1-phi) roe + phi rus with phi = clip(sqrt(|dp|/(2 p_bar)), 0, 1)
     """
-    u_f, a_f, *fields = np.broadcast_arrays(u_f, a_f, left.rho, left.u,
-                                            left.p, right.rho, right.u,
-                                            right.p)
-    m = FaceMeans(PrimState(*fields[:3]), PrimState(*fields[3:]))
+    u_f, a_f, *fields = np.broadcast_arrays(u_f, a_f, *left, *right)
+    m = FaceMeans(fields[:3], fields[3:])
     speeds = np.array((u_f - a_f, u_f, u_f + a_f))
     lam = _law(speeds, a_f, m, gas, spec)
     return np.ascontiguousarray(np.moveaxis(lam, 0, -1))
 
 
-def _acoustic_speeds(q: PrimState, gas: GasModel):
+def _acoustic_speeds(q, gas: GasModel):
     """The acoustic eigenvalues (u - a, u + a) of the states q, stacked."""
     a = sound_speed(q, gas)
+    u = q[1]
     out = np.empty((2,) + np.shape(a))
-    np.subtract(q.u, a, out=out[0, ...])
-    np.add(q.u, a, out=out[1, ...])
+    np.subtract(u, a, out=out[0, ...])
+    np.add(u, a, out=out[1, ...])
     return out
 
 
@@ -292,8 +290,8 @@ def _law(speeds, a_f, m: FaceMeans, gas: GasModel, spec: DissipationSpec):
         lam[...] = lam_max
         return lam
     if law == "hyb":
-        phi = np.clip(np.sqrt(np.abs(m.right.p - m.left.p) / (2.0 * m.p_bar)),
-                      0.0, 1.0)
+        dp = m.right[2] - m.left[2]
+        phi = np.clip(np.sqrt(np.abs(dp) / (2.0 * m.p_bar)), 0.0, 1.0)
         return (1.0 - phi) * lam + phi * lam_max
     raise ValueError(f"unknown matrix law {law!r}")
 

@@ -31,10 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ProblemConfig, initial_state
+from .config import ProblemConfig, _initial_prim, initial_state
 from .diagnostics import budget_report, monotonicity_defect, solution_metrics
 from .riemann import solve_riemann
-from .thermo import ConsState, PrimState, physical_entropy, prim_to_cons
+from .thermo import physical_entropy, prim_to_cons, temperature
 from .timeint import march
 
 __all__ = ["RunResult", "run", "reference_profile"]
@@ -75,10 +75,10 @@ def _x_prefixes(x) -> list:
                           for lo in range(0, len(x), _CSV_BLOCK_ROWS))]
 
 
-def _columns(prim: PrimState, gas):
-    """The snapshot columns after x: rho, u, p, T and s."""
-    return (prim.rho, prim.u, prim.p, prim.temperature(gas),
-            physical_entropy(prim, gas))
+def _columns(prim, gas):
+    """The snapshot columns after x: rho, u, p, T and s of the (rho, u, p)
+    rows prim."""
+    return (*prim, temperature(prim, gas), physical_entropy(prim, gas))
 
 
 def _write_blocks(fh, x_prefixes, columns, blocks):
@@ -101,7 +101,7 @@ def _open_csv(path_or_fd, closefd=True):
                 closefd=closefd)
 
 
-def _write_snapshot(path: str, x_prefixes, prim: PrimState, gas):
+def _write_snapshot(path: str, x_prefixes, prim, gas):
     """Write one snapshot; x_prefixes is _x_prefixes(x) of its cells."""
     with _open_csv(path) as fh:
         fh.write(_SNAPSHOT_HEADER)
@@ -120,12 +120,14 @@ class _SnapshotWriter:
     and a spare CPU, write returns while a forked child formats the
     snapshot, and write_last formats the first half itself while a child
     formats the second.  At most one child is alive; on exit from its
-    with block, the writer reaps it."""
+    with block, the writer reaps it.  written lists the snapshots written
+    whole, in order: a forked one once its child exited with status 0."""
 
     def __init__(self, x_prefixes, gas, n_rows: int):
         self.x_prefixes, self.gas = x_prefixes, gas
         self.forks = n_rows >= _FORK_ROWS and _spare_cpu()
-        self.child = None  # (pid, artifact path)
+        self.child = None  # (pid, artifact path, whether it writes it all)
+        self.written = []
 
     def __enter__(self):
         return self
@@ -135,8 +137,9 @@ class _SnapshotWriter:
         # keeps precedence over a failed child
         self.reap(check=exc_type is None)
 
-    def _fork(self, path: str, write):
-        """Run write() in a forked child, or here if no child forks."""
+    def _fork(self, path: str, write, whole: bool = True):
+        """Run write() in a forked child, or here if no child forks; whole
+        says whether write() writes all of the snapshot at path."""
         self.reap()
         try:
             pid = os.fork()
@@ -155,28 +158,33 @@ class _SnapshotWriter:
                     status = exc.errno
             finally:
                 os._exit(status)
-        self.child = (pid, path)
+        self.child = (pid, path, whole)
 
     def reap(self, check: bool = True):
-        """Wait for the child; with check, raise OSError if it failed."""
+        """Wait for the child; with check, raise OSError if it failed.  A
+        whole snapshot that it wrote with status 0 is listed."""
         if self.child is None:
             return
-        (pid, path), self.child = self.child, None
+        (pid, path, whole), self.child = self.child, None
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         if check and 0 < code < 255:
             raise OSError(code, os.strerror(code), path)
         if check and code:
             raise OSError(f"the writer of {path} failed (status {code})")
+        if whole and not code:
+            self.written.append(path)
 
-    def write(self, path: str, prim: PrimState):
+    def write(self, path: str, prim):
         def write():
             _write_snapshot(path, self.x_prefixes, prim, self.gas)
+            # a child lists it in its own copy; reap lists it here
+            self.written.append(path)
         if self.forks:
             self._fork(path, write)
         else:
             write()
 
-    def write_last(self, path: str, prim: PrimState):
+    def write_last(self, path: str, prim):
         """Write the run's last snapshot and reap its writer."""
         if not self.forks:
             return self.write(path, prim)
@@ -190,7 +198,7 @@ class _SnapshotWriter:
                     _write_blocks(fh, self.x_prefixes, columns,
                                   blocks[half:])
 
-            self._fork(path, write_rest)
+            self._fork(path, write_rest, whole=False)
             with _open_csv(path) as fh:
                 fh.write(_SNAPSHOT_HEADER)
                 _write_blocks(fh, self.x_prefixes, columns, blocks[:half])
@@ -198,6 +206,7 @@ class _SnapshotWriter:
                 fh.flush()
                 rest.seek(0)
                 shutil.copyfileobj(rest, fh.buffer)
+        self.written.append(path)
 
 
 def reference_profile(config: ProblemConfig, x, t: float):
@@ -213,23 +222,19 @@ def reference_profile(config: ProblemConfig, x, t: float):
     stationary = (config.bcs.right.kind == "shock_outflow"
                   or config.bcs.left.kind == "fixed_state")
     if stationary or t <= 0.0:
-        on_left = x < ic.x_diaphragm
-        prim = PrimState(np.where(on_left, ic.left.rho, ic.right.rho),
-                         np.where(on_left, ic.left.u, ic.right.u),
-                         np.where(on_left, ic.left.p, ic.right.p))
         jumps = [(ic.x_diaphragm, float(ic.left.rho), float(ic.right.rho))]
-        return prim, jumps
+        return _initial_prim(config, x), jumps
     sol = solve_riemann(ic.left, ic.right, config.gas)
     prim = sol.profile(x, t, x0=ic.x_diaphragm)
     return prim, sol.density_jumps(t, x0=ic.x_diaphragm)
 
 
-def _totals(cells: ConsState):
+def _totals(cells):
     """The summed rho, m and E of the cells."""
-    return [np.sum(f) for f in (cells.rho, cells.m, cells.E)]
+    return [np.sum(f) for f in cells]
 
 
-def _write_metrics(path: str, config: ProblemConfig, x, prim: PrimState,
+def _write_metrics(path: str, config: ProblemConfig, x, prim,
                    initial_totals, final_report, t, steps):
     gas = config.gas
     ref, jumps = reference_profile(config, x, t)
@@ -239,7 +244,7 @@ def _write_metrics(path: str, config: ProblemConfig, x, prim: PrimState,
         f"final_time: {_fmt(t)}  steps: {steps}",
         "",
     ]
-    for label, v in (("rho", prim.rho), ("u", prim.u), ("p", prim.p)):
+    for label, v in zip(("rho", "u", "p"), prim):
         lines.append(f"{label}: min {_fmt(float(np.min(v)))} "
                      f"max {_fmt(float(np.max(v)))}")
     lines.append("")
@@ -265,7 +270,7 @@ def _write_metrics(path: str, config: ProblemConfig, x, prim: PrimState,
             lines.append(f"density_jump_width_cells@x={_fmt(pos)}: {w}")
         rho_increasing = bool(np.sum(np.diff(ref.rho)) >= 0)
         lines.append(f"rho_monotonicity_defect: "
-                     f"{_fmt(monotonicity_defect(prim.rho, rho_increasing))}")
+                     f"{_fmt(monotonicity_defect(prim[0], rho_increasing))}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -300,30 +305,29 @@ def _run(config: ProblemConfig, output_dir: str, result: RunResult):
     # the sample and the snapshot read the state's evaluation, which the
     # march drops before it steps on: nothing here may keep a reference
     def sample_budget(state):
-        budget_rows.append(budget_report(state.t, state.prim,
-                                         ConsState(*state.rhs), state.faces,
-                                         grid, gas))
+        budget_rows.append(budget_report(state.t, state.faces.cells,
+                                         state.rhs, state.faces, grid, gas))
 
     def emit_snapshot(write, state, name):
-        path = os.path.join(output_dir, name)
-        write(path, state.prim)
-        result.snapshots.append(path)
+        write(os.path.join(output_dir, f"snapshot_{name}.csv"),
+              state.faces.cells)
 
     totals0 = None
     # the snapshots need x only as text; the metrics make it again, so no
     # x array is held through the march
     with _SnapshotWriter(_x_prefixes(grid.cell_centers()), gas,
                          grid.n_cells) as writer:
+        result.snapshots = writer.written
         for state in march(config, initial_state(config).stacked()):
             if state.reason == "invalid_state":
                 break
             if totals0 is None:
                 # the report needs only the initial totals, so no copy of
                 # the initial state is kept through the march
-                totals0 = _totals(prim_to_cons(state.prim, gas))
+                totals0 = _totals(prim_to_cons(state.faces.cells, gas))
             if state.mark:
-                emit_snapshot(writer.write, state,
-                              f"snapshot_{len(result.snapshots):04d}.csv")
+                # one budget row per earlier mark
+                emit_snapshot(writer.write, state, f"{len(budget_rows):04d}")
                 sample_budget(state)
 
         result.reason = state.reason
@@ -336,7 +340,7 @@ def _run(config: ProblemConfig, output_dir: str, result: RunResult):
                 result.message = (f"steady at t={state.t:.6g} "
                                   f"(residual {state.residual:.3e})")
             sample_budget(state)
-            emit_snapshot(writer.write_last, state, "snapshot_final.csv")
+            emit_snapshot(writer.write_last, state, "final")
 
     with open(budget_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(f"{line}\n" for line in
@@ -345,8 +349,9 @@ def _run(config: ProblemConfig, output_dir: str, result: RunResult):
 
     if result.status == 0:
         metrics_path = os.path.join(output_dir, "metrics.txt")
-        _write_metrics(metrics_path, config, grid.cell_centers(), state.prim,
-                       totals0, budget_rows[-1], state.t, state.step)
+        _write_metrics(metrics_path, config, grid.cell_centers(),
+                       state.faces.cells, totals0, budget_rows[-1], state.t,
+                       state.step)
         result.metrics_path = metrics_path
     result.final_time = state.t
     result.steps = state.step

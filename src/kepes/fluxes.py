@@ -40,9 +40,10 @@ __all__ = [
 
 def exact_flux(q: PrimState, gas: GasModel) -> np.ndarray:
     """Pointwise Euler flux (rho u, p + rho u^2, (E + p) u)."""
-    f_rho = q.rho * q.u
+    rho, u, p = q
+    f_rho = rho * u
     H = total_enthalpy(q, gas)
-    return _stacked(f_rho, q.p + f_rho * q.u, f_rho * H)
+    return _stacked(f_rho, p + f_rho * u, f_rho * H)
 
 
 def flux_kep(left: PrimState, right: PrimState, gas: GasModel,
@@ -71,11 +72,12 @@ def flux_roe_ec(left: PrimState, right: PrimState, gas: GasModel,
     are means of z, not of (rho, u, beta), so means is not read.
     """
     g = gas.gamma
-    wl = np.sqrt(left.rho / left.p)
-    wr = np.sqrt(right.rho / right.p)
+    (rho_l, u_l, p_l), (rho_r, u_r, p_r) = left, right
+    wl = np.sqrt(rho_l / p_l)
+    wr = np.sqrt(rho_r / p_r)
     z1l, z1r = wl, wr
-    z2l, z2r = wl * left.u, wr * right.u
-    z3l, z3r = wl * left.p, wr * right.p
+    z2l, z2r = wl * u_l, wr * u_r
+    z3l, z3r = wl * p_l, wr * p_r
 
     z1_bar, z2_bar, z3_bar = _avg(z1l, z1r), _avg(z2l, z2r), _avg(z3l, z3r)
     z1_ln = log_mean(z1l, z1r)
@@ -147,7 +149,8 @@ def tadmor_residual(left: PrimState, right: PrimState, flux, gas: GasModel):
     # the record's sides are broadcast against each other
     m = FaceMeans(left, right)
     dv = entropy_vars(m.right, gas) - entropy_vars(m.left, gas)
-    dpsi = right.rho * right.u - left.rho * left.u
+    (rho_l, u_l, _), (rho_r, u_r, _) = left, right
+    dpsi = rho_r * u_r - rho_l * u_l
     return dv[0] * flux[0] + dv[1] * flux[1] + dv[2] * flux[2] - dpsi
 
 

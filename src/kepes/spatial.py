@@ -29,8 +29,9 @@ from .thermo import (
     GasModel,
     InvalidStateError,
     PrimState,
-    _velocity_pressure,
+    cons_to_prim,
     entropy_vars,
+    temperature,
 )
 
 __all__ = [
@@ -148,8 +149,8 @@ class FaceData:
     def dv(self) -> np.ndarray:
         """(n_faces, 3), face-major and contiguous: the budget sums add in
         memory order, so this layout fixes their rounding."""
-        dv = (entropy_vars(PrimState(*self.right), self.gas)
-              - entropy_vars(PrimState(*self.left), self.gas))
+        dv = (entropy_vars(self.right, self.gas)
+              - entropy_vars(self.left, self.gas))
         return np.ascontiguousarray(dv.T)
 
     @cached_property
@@ -183,14 +184,14 @@ def viscous_face_flux(left: PrimState, right: PrimState, gas: GasModel,
     the arithmetic-mean face temperature.  means is the pair's FaceMeans.
     """
     pairs = FaceMeans(left, right) if means is None else means
-    t_l, t_r = pairs.sides(lambda q: q.temperature(gas))
+    t_l, t_r = pairs.sides(lambda q: temperature(q, gas))
     t_face = 0.5 * (t_l + t_r)
     mu = gas.viscosity(t_face)
     kappa = gas.conductivity(t_face)
     q = -kappa * (t_r - t_l) / dx
     out = np.empty((3,) + pairs.shape)
     out[0] = 0.0
-    tau = np.divide((4.0 / 3.0) * mu * (pairs.right.u - pairs.left.u), dx,
+    tau = np.divide((4.0 / 3.0) * mu * (pairs.right[1] - pairs.left[1]), dx,
                     out=out[1, ...])
     np.subtract(pairs.u_bar * tau, q, out=out[2, ...])
     return out
@@ -214,7 +215,7 @@ def _ghost(bc: BoundaryCondition, edge):
     # fixed_state holds its state; the other kinds copy the edge cell
     if bc.kind != "fixed_state":
         return edge
-    return np.array((bc.state.rho, bc.state.u, bc.state.p))[:, None]
+    return np.array(bc.state)[:, None]
 
 
 def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
@@ -227,7 +228,7 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
     if flux_kind not in CENTRAL_FLUXES:
         raise ValueError(f"unknown flux kind {flux_kind!r}")
     n, dx = grid.n_cells, grid.dx
-    rows = apply_boundary((cells[0], *_velocity_pressure(*cells, gas)), bcs)
+    rows = apply_boundary(cons_to_prim(cells, gas), bcs)
     inner = rows[:, 2:-2]
     # a valid cell is finite with rho > 0 and p > 0; all cells are tested
     # at once, and only a failure looks for the first invalid cell
@@ -248,8 +249,7 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
         pairs = FaceMeans.of_cells(rows, lo, hi)
     means = pairs
     if recon.order == 2:
-        means = FaceMeans(*(PrimState(*q) for q in reconstruct_face(
-            rows, recon)))
+        means = FaceMeans(*reconstruct_face(rows, recon))
     central = CENTRAL_FLUXES[flux_kind](means.left, means.right, gas, means)
 
     if diss.kind == "matrix":

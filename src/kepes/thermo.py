@@ -1,8 +1,10 @@
 """Ideal-gas thermodynamics: state containers, entropy pair, stable averages.
 
-State containers hold floats or numpy arrays and every function broadcasts,
-so the same code serves a single interface pair or a whole grid of them;
-a three-component result comes back as one (3, ...) array.  Working
+State containers are named row triples that hold floats or numpy arrays,
+and every function broadcasts, so the same code serves a single interface
+pair or a whole grid of them; a three-component result comes back as one
+(3, ...) array.  Functions read a state by unpacking it, so a (3, ...) row
+array and a PrimState (or ConsState) are the same input.  Working
 variables are density rho, velocity u, pressure p, with
 beta = rho/(2*p) = 1/(2*R*T) and the (constant-free) specific entropy
 s = ln(p) - gamma*ln(rho).
@@ -11,6 +13,7 @@ s = ln(p) - gamma*ln(rho).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +33,7 @@ __all__ = [
     "physical_entropy",
     "sound_speed",
     "total_enthalpy",
+    "temperature",
     "log_mean",
 ]
 
@@ -106,8 +110,7 @@ class GasModel:
         return g * R * self.viscosity(T) / ((g - 1.0) * self.prandtl)
 
 
-@dataclass(frozen=True)
-class PrimState:
+class PrimState(NamedTuple):
     """Primitive variables (rho, u, p); fields may be scalars or arrays."""
 
     rho: object
@@ -118,12 +121,8 @@ class PrimState:
     def beta(self):
         return self.rho / (2.0 * self.p)
 
-    def temperature(self, gas: GasModel):
-        return self.p / (self.rho * gas.gas_constant)
 
-
-@dataclass(frozen=True)
-class ConsState:
+class ConsState(NamedTuple):
     """Conserved variables (rho, momentum m, total energy E)."""
 
     rho: object
@@ -138,36 +137,41 @@ class ConsState:
         return np.array((self.rho, self.m, self.E), dtype=float)
 
 
-def prim_to_cons(q: PrimState, gas: GasModel) -> ConsState:
+def prim_to_cons(q, gas: GasModel) -> ConsState:
     """Map (rho, u, p) to (rho, rho u, E) with E = p/(gamma-1) + rho u^2/2."""
-    m = q.rho * q.u
-    E = q.p / (gas.gamma - 1.0) + 0.5 * q.rho * q.u * q.u
-    return ConsState(q.rho, m, E)
+    rho, u, p = q
+    m = rho * u
+    E = p / (gas.gamma - 1.0) + 0.5 * rho * u * u
+    return ConsState(rho, m, E)
 
 
-def cons_to_prim(w: ConsState, gas: GasModel) -> PrimState:
+def cons_to_prim(w, gas: GasModel) -> PrimState:
     """Inverse of prim_to_cons; assumes a valid state."""
-    return PrimState(w.rho, *_velocity_pressure(w.rho, w.m, w.E, gas))
-
-
-def _velocity_pressure(rho, m, E, gas: GasModel):
-    """u and p of the conserved fields."""
+    rho, m, E = w
     u = m / rho
-    return u, (gas.gamma - 1.0) * (E - 0.5 * m * u)
+    return PrimState(rho, u, (gas.gamma - 1.0) * (E - 0.5 * m * u))
 
 
-def physical_entropy(q: PrimState, gas: GasModel):
+def temperature(q, gas: GasModel):
+    """T = p / (rho R)."""
+    rho, _, p = q
+    return p / (rho * gas.gas_constant)
+
+
+def physical_entropy(q, gas: GasModel):
     """s = ln(p) - gamma ln(rho), additive constant dropped."""
-    return np.log(q.p) - gas.gamma * np.log(q.rho)
+    rho, _, p = q
+    return np.log(p) - gas.gamma * np.log(rho)
 
 
-def entropy_vars(q: PrimState, gas: GasModel) -> np.ndarray:
+def entropy_vars(q, gas: GasModel) -> np.ndarray:
     """Stacked v = [(gamma - s)/(gamma - 1) - beta u^2, 2 beta u, -2 beta],
     dual to (rho, m, E)."""
     g = gas.gamma
+    rho, u, p = q
     s = physical_entropy(q, gas)
-    beta = q.beta
-    return _stacked((g - s) / (g - 1.0) - beta * q.u * q.u, 2.0 * beta * q.u,
+    beta = rho / (2.0 * p)
+    return _stacked((g - s) / (g - 1.0) - beta * u * u, 2.0 * beta * u,
                     -2.0 * beta)
 
 
@@ -201,14 +205,15 @@ class FaceMeans:
     holds the quantities that the means average, (rho, beta, u, u^2, p),
     of every cell (the first two are the log-mean pair), so left, right
     and every cell quantity read through sides() are evaluated once per
-    cell.  The means are formed on first read: rho_bar, beta_bar,
+    cell; left and right are the (rho, u, p) rows of each side, views of
+    fields.  The means are formed on first read: rho_bar, beta_bar,
     u_bar, u2_bar (the mean of u^2) and p_bar by one average of the stacked
     fields of both sides, rho_ln and beta_ln by one log_mean call on the
     stacked (rho, beta) pair.
     """
 
-    def __init__(self, left: PrimState, right: PrimState):
-        states = ((left.rho, left.u, left.p), (right.rho, right.u, right.p))
+    def __init__(self, left, right):
+        states = (left, right)
         shape = np.broadcast_shapes(*(np.shape(f) for q in states for f in q))
         # a single pair takes cells 0 and 1; k pairs take cells 0..k-1 and
         # k..2k-1, so that each side stays contiguous
@@ -240,15 +245,13 @@ class FaceMeans:
         self._lo, self._hi = lo, hi
         self._rows = rows_l, rows_r = fields[..., lo], fields[..., hi]
         self.shape = rows_l.shape[1:]
-        self.left = PrimState(rows_l[0], rows_l[2], rows_l[4])
-        self.right = PrimState(rows_r[0], rows_r[2], rows_r[4])
+        self.left, self.right = rows_l[::2], rows_r[::2]
         self.beta_l, self.beta_r = rows_l[1], rows_r[1]
 
     def sides(self, quantity):
-        """(quantity(left), quantity(right)); quantity maps a PrimState to
-        an array whose last axis runs over the states."""
-        fields = self.fields
-        q = quantity(PrimState(fields[0], fields[2], fields[4]))
+        """(quantity(left), quantity(right)); quantity maps the (rho, u, p)
+        rows of the cells to an array whose last axis runs over them."""
+        q = quantity(self.fields[::2])
         return q[..., self._lo], q[..., self._hi]
 
     def __getattr__(self, name):
@@ -287,22 +290,25 @@ def entropy_vars_jump(left: PrimState, right: PrimState, gas: GasModel,
     return out
 
 
-def entropy_pair(q: PrimState, gas: GasModel):
+def entropy_pair(q, gas: GasModel):
     """Entropy function U = -rho s/(gamma-1), flux F = u U, potential psi = rho u."""
+    rho, u, _ = q
     s = physical_entropy(q, gas)
-    U = -q.rho * s / (gas.gamma - 1.0)
-    return U, q.u * U, q.rho * q.u
+    U = -rho * s / (gas.gamma - 1.0)
+    return U, u * U, rho * u
 
 
-def sound_speed(q: PrimState, gas: GasModel):
+def sound_speed(q, gas: GasModel):
     """a = sqrt(gamma p / rho)."""
-    return np.sqrt(gas.gamma * q.p / q.rho)
+    rho, _, p = q
+    return np.sqrt(gas.gamma * p / rho)
 
 
-def total_enthalpy(q: PrimState, gas: GasModel):
+def total_enthalpy(q, gas: GasModel):
     """H = a^2/(gamma-1) + u^2/2 = gamma p/((gamma-1) rho) + u^2/2."""
     g = gas.gamma
-    return g * q.p / ((g - 1.0) * q.rho) + 0.5 * q.u * q.u
+    rho, u, p = q
+    return g * p / ((g - 1.0) * rho) + 0.5 * u * u
 
 
 def log_mean(a, b):

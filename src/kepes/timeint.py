@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spatial import FaceData, Grid1D, assemble_rhs
-from .thermo import GasModel, PrimState, sound_speed
+from .thermo import GasModel, sound_speed, temperature
 
 __all__ = ["TimeSpec", "MarchState", "march", "ssp_rk3_step", "compute_dt",
            "StageError"]
@@ -90,13 +90,13 @@ def compute_dt(prim, grid: Grid1D, gas: GasModel, cfl: float) -> float:
     bound cfl dx^2 rho_min / (2 (4/3) mu_max) when viscosity is active.
     prim is the (rho, u, p) rows of the cells: a (3, n) array, such as the
     rows the stage formed (FaceData.cells), or a triple of rows."""
-    prim = PrimState(*prim)
-    speed = (np.abs(prim.u) + sound_speed(prim, gas)).max()
+    rho, u, _ = prim
+    speed = (np.abs(u) + sound_speed(prim, gas)).max()
     dt = cfl * grid.dx / speed
     if gas.is_viscous:
-        mu_max = np.max(gas.viscosity(prim.temperature(gas)))
+        mu_max = np.max(gas.viscosity(temperature(prim, gas)))
         if mu_max > 0.0:
-            dt_visc = (cfl * grid.dx ** 2 * np.min(prim.rho)
+            dt_visc = (cfl * grid.dx ** 2 * np.min(rho)
                        / (2.0 * (4.0 / 3.0) * mu_max))
             dt = min(dt, dt_visc)
     return float(dt)
@@ -129,11 +129,6 @@ class MarchState:
     residual: float | None = None
     reason: str | None = None
     error: StageError | None = None
-
-    @property
-    def prim(self) -> PrimState:
-        """The (rho, u, p) of w: the rows the stage formed (faces.cells)."""
-        return PrimState(*self.faces.cells)
 
 
 def march(config, w0: np.ndarray):

@@ -33,11 +33,10 @@ def random_states(rng, n, span=1.0, umax=2.0):
 
 
 def stencil(*states):
-    """The PrimStates stacked along a new last axis into one (3, ..., k)
-    array of (rho, u, p) rows, k = len(states); four states make the
-    stencil of one face."""
-    rows = np.broadcast_arrays(*(f for q in states for f in (q.rho, q.u,
-                                                              q.p)))
+    """The states (PrimStates or (3, ...) row arrays) stacked along a new
+    last axis into one (3, ..., k) array of (rho, u, p) rows,
+    k = len(states); four states make the stencil of one face."""
+    rows = np.broadcast_arrays(*(f for q in states for f in q))
     return np.stack([np.stack(rows[k::3], axis=-1) for k in range(3)])
 
 

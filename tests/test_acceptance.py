@@ -50,6 +50,7 @@ from kepes.thermo import (
     ViscosityLaw,
     entropy_vars,
     prim_to_cons,
+    temperature,
 )
 from kepes.spatial import BoundaryCondition, BoundarySpec, Grid1D
 from kepes.timeint import StageError, march
@@ -371,7 +372,7 @@ def test_c11_ns_shock_structure():
     cfg = preset("ns_shock_structure_n200_d4")
     prim, cells, rhs, faces, t = advance(cfg, collect_rhs=True)
     rep = budget_report(t, prim, rhs, faces, cfg.grid, cfg.gas)
-    T = np.asarray(prim.temperature(cfg.gas))
+    T = np.asarray(temperature(prim, cfg.gas))
     rho = np.asarray(prim.rho)[:-3]
     u = np.asarray(prim.u)[:-3]
     T = T[:-3]

@@ -1,9 +1,11 @@
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kepes.config import initial_state
 from kepes.diagnostics import (
     budget_report,
     jump_width_cells,
@@ -11,7 +13,8 @@ from kepes.diagnostics import (
     monotonicity_defect,
     overshoot_undershoot,
 )
-from kepes.dissipation import DissipationSpec
+from kepes.dissipation import MATRIX_LAWS, DissipationSpec
+from kepes.presets import preset
 from kepes.reconstruction import ReconSpec
 from kepes.spatial import (
     BoundaryCondition,
@@ -21,6 +24,7 @@ from kepes.spatial import (
 )
 from kepes.thermo import (ConsState, GasModel, PrimState, ViscosityLaw,
                           prim_to_cons)
+from kepes.timeint import march
 
 PERIODIC = BoundarySpec(BoundaryCondition("periodic"), BoundaryCondition("periodic"))
 
@@ -159,6 +163,26 @@ class TestEntropyBudget:
         # dv . d = -(1/2) dv^T Q dv summed over faces
         quad = float(np.sum(faces.dv[:-1] * faces.diss.T[:-1]))
         assert abs(rep.du_dt_numerical - quad) < 1e-13
+
+    @pytest.mark.parametrize("law", MATRIX_LAWS)
+    @pytest.mark.parametrize("name", ["sod", "modified_sod"])
+    def test_first_order_face_production_nonpositive(self, name, law):
+        # dv . D = -(1/2) dv^T Q dv <= 0 on every face of every marched
+        # state at first order, where FaceData.dv is the jump that D is
+        # built from.  At order 2 it is the cell jump and the sign can
+        # fail (ROADMAP item 6); JST's fourth difference has no sign.
+        base = preset(name)
+        config = replace(base, recon=ReconSpec(1),
+                         diss=replace(base.diss, kind="matrix",
+                                      matrix_law=law),
+                         time=replace(base.time, max_steps=60))
+        states = 0
+        for state in march(config, initial_state(config).stacked()):
+            faces = state.faces
+            production = np.sum(faces.dv * faces.diss.T, axis=1)
+            assert production.max() <= 1e-12 * np.abs(production).max()
+            states += 1
+        assert (state.reason, states) == ("max_steps", 61)
 
     def test_scalar_production_nonpositive(self):
         gas, grid, prim = field()

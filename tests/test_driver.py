@@ -10,7 +10,7 @@ from kepes.config import config_from_dict
 from kepes.diagnostics import BudgetReport
 from kepes.driver import run
 from kepes.presets import preset
-from kepes.thermo import GasModel, PrimState, physical_entropy
+from kepes.thermo import GasModel, PrimState, physical_entropy, temperature
 
 
 def read_csv(path):
@@ -71,7 +71,7 @@ class TestDeterminism:
 
 def per_value_snapshot(x, prim, gas) -> bytes:
     """A snapshot file as the one-value-at-a-time writer formatted it."""
-    T = prim.temperature(gas)
+    T = temperature(prim, gas)
     s = physical_entropy(prim, gas)
     lines = ["x,rho,u,p,T,s\n"]
     for i in range(len(x)):
@@ -342,12 +342,15 @@ class TestIoFailure:
     def test_unwritable_artifact_forked(self, tmp_path, monkeypatch,
                                         artifact):
         # the same run writes the same message on either path: the child
-        # that fails to write snapshot_0000.csv exits with its errno
+        # that fails to write snapshot_0000.csv exits with its errno, and
+        # a snapshot is listed only once its writer exited cleanly
         alone = self.run_blocked(tmp_path / "in_process", artifact)
         fork_every_snapshot(monkeypatch)
         forked = self.run_blocked(tmp_path / "forked", artifact)
         assert (forked.message.replace("forked", "in_process")
                 == alone.message)
+        assert ([os.path.basename(p) for p in forked.snapshots]
+                == [os.path.basename(p) for p in alone.snapshots])
 
 
 class TestSnapshotCadence:

@@ -19,7 +19,8 @@ from kepes.diagnostics import budget_report
 from kepes.presets import preset
 from kepes.spatial import assemble_rhs
 from kepes.thermo import (ConsState, InvalidStateError, PrimState,
-                          cons_to_prim, physical_entropy, prim_to_cons)
+                          cons_to_prim, physical_entropy, prim_to_cons,
+                          temperature)
 from kepes.timeint import StageError, compute_dt, ssp_rk3_step
 
 STEPS = 30
@@ -59,7 +60,7 @@ _STEADY_CHECK_EVERY = 25
 
 
 def frozen_write_snapshot(path, x, prim, gas):
-    columns = (x, prim.rho, prim.u, prim.p, prim.temperature(gas),
+    columns = (x, prim.rho, prim.u, prim.p, temperature(prim, gas),
                physical_entropy(prim, gas))
     row = ",".join(("%.17g",) * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -262,6 +263,30 @@ def test_one_evaluation_per_state(case, tmp_path, monkeypatch):
         assert result.reason == "max_steps"
     else:
         assert result.reason == "steady"
+
+
+@pytest.mark.parametrize("name", ["sod", "stationary_shock_m4_ec1",
+                                  "ns_shock_structure_n200_d4"])
+def test_one_prim_state_per_rhs(name, monkeypatch):
+    # states are row triples: the stage's cons_to_prim makes the one
+    # PrimState of an RHS, and the march, dt and the budget sample pass
+    # (3, n) rows without wrapping them
+    config = capped(CONFIGS.get(name) or preset(name), 20)
+    w0 = initial_state(config).stacked()
+    made = {PrimState: 0, ConsState: 0}
+    for cls in made:
+        def counted(cls, *args, new=cls.__new__, **kwargs):
+            made[cls] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__new__", counted)
+    calls = counted_rhs_calls(monkeypatch)
+    for state in kepes.timeint.march(config, w0):
+        budget_report(state.t, state.faces.cells, state.rhs, state.faces,
+                      config.grid, config.gas)
+    assert (state.reason, state.step) == ("max_steps", 20)
+    assert len(calls) == 3 * 20 + 1
+    assert made == {PrimState: len(calls), ConsState: 0}
 
 
 def test_stage_one_evaluation_released_before_stage_two(tmp_path,

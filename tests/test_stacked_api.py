@@ -79,3 +79,16 @@ def test_stacked_result_broadcasts(name, case):
     want = FUNCTIONS[name](PrimState(*fields[:3]), PrimState(*fields[3:]))
     for k in range(3):
         assert np.array_equal(got[k], want[k]), f"row {k}"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_rows_match_prim_state(name, case):
+    # a state is read by unpacking it, so the (3, ...) row array of a
+    # side is the same input as its PrimState
+    left, right = CASES[case]
+    got = FUNCTIONS[name](np.array(np.broadcast_arrays(*left)),
+                          np.array(np.broadcast_arrays(*right)))
+    want = FUNCTIONS[name](left, right)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
