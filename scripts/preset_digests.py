@@ -3,10 +3,12 @@
 
 Each preset runs capped at --max-steps, with a snapshot and budget sample
 every min(t_final / 4, 0.03) time units, into a temporary directory.  One
-fixed case follows: sod at 2e4 cells, 6 steps, a snapshot every 2.5e-5
-(two mid-run marks), whose snapshots are large enough for the forked
-writer (driver._FORK_ROWS) on a host with a spare CPU.  The last line
-digests all the others.  Run it against two checkouts and
+Two fixed cases follow, both of which take the forked writer
+(driver._FORK_ROWS) on a host with a spare CPU: sod at 2e4 cells, 6 steps,
+a snapshot every 2.5e-5 (two mid-run marks), which forks at its first
+snapshot; and sod_viscous (500 cells) for 120 steps with a snapshot every
+1.25e-4, as in perfbench's budget_dense, whose rows cross the threshold
+mid-run.  The last line digests all the others.  Run it against two checkouts and
 compare the output to show that a change leaves every snapshot,
 budget.csv and metrics.txt byte-identical:
 
@@ -42,6 +44,10 @@ def cases(max_steps: int):
                                 grid=replace(base.grid, n_cells=20_000),
                                 snapshot_interval=2.5e-5,
                                 time=replace(base.time, max_steps=6))
+    base = preset("sod_viscous")
+    yield "sod_viscous_dense", replace(base, snapshot_interval=1.25e-4,
+                                       time=replace(base.time,
+                                                    max_steps=120))
 
 
 def preset_blocks(max_steps: int):

@@ -11,9 +11,9 @@ rows per call, and the block size never changes the bytes.  The x column
 is formatted once per run (_x_prefixes) and is the row prefix of every
 snapshot's format text.
 
-A snapshot of at least _FORK_ROWS rows is formatted by a forked child
-while the run marches on, and the last one is split between the child and
-the run (_SnapshotWriter); the bytes are the same as in-process.
+Once a run has formatted _FORK_ROWS snapshot rows, a forked child formats
+the rest from rows sent over a pipe while the run marches on, and splits
+the last one with the run (_SnapshotWriter); the bytes stay the same.
 
 run consumes timeint.march, which evaluates each marched state once.
 The snapshot and the budget sample of a state (the initial one, the first
@@ -24,8 +24,10 @@ drops before it steps on.  RunResult.reason says why the run stopped.
 
 from __future__ import annotations
 
+import mmap
 import os
 import shutil
+import struct
 import tempfile
 from dataclasses import dataclass, field
 
@@ -42,9 +44,9 @@ __all__ = ["RunResult", "run", "reference_profile"]
 # Snapshot rows formatted per call.  Any size writes the same bytes; this
 # one keeps each call's strings small at no measurable cost in speed.
 _CSV_BLOCK_ROWS = 2048
-# Snapshots of at least this many rows are formatted in a forked child.
-# Below it a fork costs more than it overlaps: forking each of 103
-# snapshots of 500 rows ran a run at 0.81x its in-process speed.
+# A run forks its writer child at the snapshot that brings the rows it
+# has formatted to this many.  A fork and its reap cost ~2.8 ms, as much
+# as formatting ~500 rows: a run that formats fewer stays in-process.
 _FORK_ROWS = 10_000
 
 _SNAPSHOT_HEADER = "x,rho,u,p,T,s\n"
@@ -101,12 +103,20 @@ def _open_csv(path_or_fd, closefd=True):
                 closefd=closefd)
 
 
-def _write_snapshot(path: str, x_prefixes, prim, gas):
-    """Write one snapshot; x_prefixes is _x_prefixes(x) of its cells."""
+def _write_snapshot(path: str, x_prefixes, prim, gas, n_blocks=None):
+    """Write one snapshot, or with n_blocks its header and first n_blocks
+    blocks; x_prefixes is _x_prefixes(x) of its cells."""
     with _open_csv(path) as fh:
         fh.write(_SNAPSHOT_HEADER)
         _write_blocks(fh, x_prefixes, _columns(prim, gas),
-                      range(len(x_prefixes)))
+                      range(len(x_prefixes))[:n_blocks])
+
+
+def _write_all(fd, data):
+    """Write all of the contiguous buffer data to the file descriptor fd."""
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
 
 
 def _spare_cpu() -> bool:
@@ -116,17 +126,21 @@ def _spare_cpu() -> bool:
 
 
 class _SnapshotWriter:
-    """Writes a run's snapshots of n_rows rows.  With n_rows >= _FORK_ROWS
-    and a spare CPU, write returns while a forked child formats the
-    snapshot, and write_last formats the first half itself while a child
-    formats the second.  At most one child is alive; on exit from its
-    with block, the writer reaps it.  written lists the snapshots written
-    whole, in order: a forked one once its child exited with status 0."""
+    """Writes a run's snapshots of n_rows rows.  At the first snapshot
+    that brings the rows the run has formatted to _FORK_ROWS, and given a
+    spare CPU, one child is forked for the rest of the run: write sends it
+    the snapshot's (rho, u, p) rows over a pipe and returns, and for the
+    last snapshot formats the second half itself while the child writes
+    the header and the first half.  On exit from its with block, the writer
+    reaps the child.  written lists the snapshots written whole, in order:
+    one sent to the child once the child confirmed it."""
 
     def __init__(self, x_prefixes, gas, n_rows: int):
-        self.x_prefixes, self.gas = x_prefixes, gas
-        self.forks = n_rows >= _FORK_ROWS and _spare_cpu()
-        self.child = None  # (pid, artifact path, whether it writes it all)
+        self.x_prefixes, self.gas, self.n_rows = x_prefixes, gas, n_rows
+        self.rows = 0  # formatted so far, the snapshot at hand included
+        self.may_fork = _spare_cpu()
+        self.child = None  # (pid, pipe, count of messages it wrote)
+        self.sent = []  # (path, whether the child writes it all) in order
         self.written = []
 
     def __enter__(self):
@@ -137,75 +151,101 @@ class _SnapshotWriter:
         # keeps precedence over a failed child
         self.reap(check=exc_type is None)
 
-    def _fork(self, path: str, write, whole: bool = True):
-        """Run write() in a forked child, or here if no child forks; whole
-        says whether write() writes all of the snapshot at path."""
-        self.reap()
+    def _child_takes(self) -> bool:
+        """Count the snapshot at hand; whether the child writes it."""
+        self.rows += self.n_rows
+        if self.may_fork and self.rows >= _FORK_ROWS:
+            self.may_fork = False
+            self._fork()
+        return self.child is not None
+
+    def _fork(self):
+        confirmed = memoryview(mmap.mmap(-1, 8)).cast("q")  # shared
+        r, w = os.pipe()
         try:
             pid = os.fork()
         except OSError:
-            write()
+            os.close(r)
+            os.close(w)
             return
         if pid == 0:
             # no exit handler or inherited buffer may run in the child;
             # its status is an OSError's errno, 255 for anything else
             status = 255
             try:
-                write()
+                os.close(w)
+                rows = np.empty((3, self.n_rows))
+                with open(r, "rb") as pipe:
+                    # one snapshot per message, until the run closes the pipe
+                    while head := pipe.read(16):
+                        n_blocks, size = struct.unpack("2q", head)
+                        path = os.fsdecode(pipe.read(size))
+                        if pipe.readinto(rows) != rows.nbytes:
+                            raise EOFError(f"{path}: its rows were cut short")
+                        _write_snapshot(path, self.x_prefixes, rows,
+                                        self.gas, n_blocks)
+                        confirmed[0] += 1
                 status = 0
             except OSError as exc:
                 if exc.errno and exc.errno < 255:
                     status = exc.errno
             finally:
                 os._exit(status)
-        self.child = (pid, path, whole)
+        os.close(r)
+        self.child = (pid, w, confirmed)
+
+    def _send(self, path: str, prim, n_blocks: int, whole: bool = True):
+        fd = self.child[1]
+        self.sent.append((path, whole))
+        name = os.fsencode(path)
+        try:
+            _write_all(fd, struct.pack("2q", n_blocks, len(name)) + name)
+            for row in prim:
+                _write_all(fd, row)  # each row is contiguous: no copy
+        except BrokenPipeError:
+            # the child is gone: its own failure names the snapshot
+            self.reap()
+            raise
 
     def reap(self, check: bool = True):
-        """Wait for the child; with check, raise OSError if it failed.  A
-        whole snapshot that it wrote with status 0 is listed."""
+        """Close the pipe and wait for the child.  List the snapshots it
+        confirmed whole; with check, raise OSError naming the first one it
+        did not confirm, if any."""
         if self.child is None:
             return
-        (pid, path, whole), self.child = self.child, None
+        (pid, fd, confirmed), self.child = self.child, None
+        os.close(fd)
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if check and 0 < code < 255:
+        done = confirmed[0]
+        self.written += [path for path, whole in self.sent[:done] if whole]
+        if not check or done == len(self.sent):
+            return
+        path = self.sent[done][0]
+        if 0 < code < 255:
             raise OSError(code, os.strerror(code), path)
-        if check and code:
-            raise OSError(f"the writer of {path} failed (status {code})")
-        if whole and not code:
-            self.written.append(path)
+        raise OSError(f"the writer of {path} failed (status {code})")
 
-    def write(self, path: str, prim):
-        def write():
+    def write(self, path: str, prim, last: bool = False):
+        """Write a snapshot.  The run's last one (last) is split between
+        the child, if there is one, and the run, which then reaps it."""
+        if not self._child_takes():
             _write_snapshot(path, self.x_prefixes, prim, self.gas)
-            # a child lists it in its own copy; reap lists it here
             self.written.append(path)
-        if self.forks:
-            self._fork(path, write)
-        else:
-            write()
-
-    def write_last(self, path: str, prim):
-        """Write the run's last snapshot and reap its writer."""
-        if not self.forks:
-            return self.write(path, prim)
-        columns = _columns(prim, self.gas)
+            return
+        if not last:
+            return self._send(path, prim, len(self.x_prefixes))
         blocks = range(len(self.x_prefixes))
         half = len(blocks) // 2
         with tempfile.TemporaryFile(
                 dir=os.path.dirname(os.path.abspath(path))) as rest:
-            def write_rest():
-                with _open_csv(rest.fileno(), closefd=False) as fh:
-                    _write_blocks(fh, self.x_prefixes, columns,
-                                  blocks[half:])
-
-            self._fork(path, write_rest, whole=False)
-            with _open_csv(path) as fh:
-                fh.write(_SNAPSHOT_HEADER)
-                _write_blocks(fh, self.x_prefixes, columns, blocks[:half])
-                self.reap()
-                fh.flush()
-                rest.seek(0)
-                shutil.copyfileobj(rest, fh.buffer)
+            self._send(path, prim, half, whole=False)
+            with _open_csv(rest.fileno(), closefd=False) as fh:
+                _write_blocks(fh, self.x_prefixes, _columns(prim, self.gas),
+                              blocks[half:])
+            self.reap()
+            rest.seek(0)
+            with open(path, "ab") as fh:
+                shutil.copyfileobj(rest, fh)
         self.written.append(path)
 
 
@@ -308,9 +348,9 @@ def _run(config: ProblemConfig, output_dir: str, result: RunResult):
         budget_rows.append(budget_report(state.t, state.faces.cells,
                                          state.rhs, state.faces, grid, gas))
 
-    def emit_snapshot(write, state, name):
-        write(os.path.join(output_dir, f"snapshot_{name}.csv"),
-              state.faces.cells)
+    def emit_snapshot(state, name, last=False):
+        writer.write(os.path.join(output_dir, f"snapshot_{name}.csv"),
+                     state.faces.cells, last)
 
     totals0 = None
     # the snapshots need x only as text; the metrics make it again, so no
@@ -327,7 +367,7 @@ def _run(config: ProblemConfig, output_dir: str, result: RunResult):
                 totals0 = _totals(prim_to_cons(state.faces.cells, gas))
             if state.mark:
                 # one budget row per earlier mark
-                emit_snapshot(writer.write, state, f"{len(budget_rows):04d}")
+                emit_snapshot(state, f"{len(budget_rows):04d}")
                 sample_budget(state)
 
         result.reason = state.reason
@@ -340,7 +380,7 @@ def _run(config: ProblemConfig, output_dir: str, result: RunResult):
                 result.message = (f"steady at t={state.t:.6g} "
                                   f"(residual {state.residual:.3e})")
             sample_budget(state)
-            emit_snapshot(writer.write_last, state, "final")
+            emit_snapshot(state, "final", last=True)
 
     with open(budget_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(f"{line}\n" for line in

@@ -187,7 +187,7 @@ def viscous_face_flux(left: PrimState, right: PrimState, gas: GasModel,
     t_l, t_r = pairs.sides(lambda q: temperature(q, gas))
     t_face = 0.5 * (t_l + t_r)
     mu = gas.viscosity(t_face)
-    kappa = gas.conductivity(t_face)
+    kappa = gas.conductivity(t_face, mu)
     q = -kappa * (t_r - t_l) / dx
     out = np.empty((3,) + pairs.shape)
     out[0] = 0.0

@@ -104,10 +104,12 @@ class GasModel:
             return np.full_like(np.asarray(T, dtype=float), law.mu_ref)
         return law.mu_ref * (np.asarray(T, dtype=float) / law.t_ref) ** law.exponent
 
-    def conductivity(self, T):
-        """Heat conductivity kappa(T) = gamma R mu / ((gamma - 1) Pr)."""
+    def conductivity(self, T, mu=None):
+        """Heat conductivity kappa(T) = gamma R mu / ((gamma - 1) Pr); mu,
+        if given, is viscosity(T) already evaluated."""
         g, R = self.gamma, self.gas_constant
-        return g * R * self.viscosity(T) / ((g - 1.0) * self.prandtl)
+        mu = self.viscosity(T) if mu is None else mu
+        return g * R * mu / ((g - 1.0) * self.prandtl)
 
 
 class PrimState(NamedTuple):

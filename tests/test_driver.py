@@ -1,5 +1,6 @@
 import csv
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -206,9 +207,38 @@ def artifacts(result) -> dict:
 SOD_MARKS = {"preset": "sod", "n_cells": 45, "snapshot_interval": 0.05}
 
 
+def names(paths) -> list:
+    return [os.path.basename(p) for p in paths]
+
+
+def assert_same_run(forked, alone):
+    """The two runs left the same files, listed the same snapshots and
+    ended alike."""
+    assert artifacts(forked) == artifacts(alone)
+    assert names(forked.snapshots) == names(alone.snapshots)
+    assert ((forked.status, forked.message, forked.reason, forked.steps,
+             forked.final_time) == (alone.status, alone.message,
+                                    alone.reason, alone.steps,
+                                    alone.final_time))
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test, rather than hang the suite, after 60 s."""
+    def expire(signum, frame):
+        raise TimeoutError("the run hung")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 class TestForkedWriter:
-    """Snapshots of at least _FORK_ROWS rows are formatted in a forked
-    child, and the last one is split with it, in the same bytes."""
+    """Once a run has formatted _FORK_ROWS snapshot rows, one forked child
+    writes the rest of its snapshots, and the last one is split with it,
+    in the same bytes."""
 
     @pytest.mark.parametrize("block_rows", [7, 2, 100])
     def test_fork_path_matches_in_process(self, tmp_path, monkeypatch,
@@ -223,15 +253,70 @@ class TestForkedWriter:
         assert_no_children()
         numbered = [p for p in alone.snapshots if "final" not in p]
         assert len(numbered) >= 3  # the initial and two mid-run marks
-        assert writers["forks"] == len(alone.snapshots)
+        assert writers["forks"] == 1
         assert writers["most_alive"] == 1
-        assert artifacts(forked) == artifacts(alone)
-        assert ([os.path.basename(p) for p in forked.snapshots]
-                == [os.path.basename(p) for p in alone.snapshots])
-        assert ((forked.status, forked.message, forked.reason, forked.steps,
-                 forked.final_time) == (alone.status, alone.message,
-                                        alone.reason, alone.steps,
-                                        alone.final_time))
+        assert_same_run(forked, alone)
+
+    def test_rows_below_threshold_never_fork(self, tmp_path, monkeypatch):
+        cfg = config_from_dict(SOD_MARKS)
+        alone = run(cfg, str(tmp_path / "in_process"))
+        writers = fork_every_snapshot(monkeypatch)
+        # the run's snapshots of 45 rows stay one row short of it
+        monkeypatch.setattr(driver, "_FORK_ROWS", 45 * len(alone.snapshots)
+                            + 1)
+        assert_same_run(run(cfg, str(tmp_path / "below")), alone)
+        assert writers["forks"] == 0
+
+    @pytest.mark.parametrize("block_rows", [7, 2, 100])
+    def test_crossing_forks_once(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(driver, "_CSV_BLOCK_ROWS", block_rows)
+        cfg = config_from_dict(SOD_MARKS)
+        alone = run(cfg, str(tmp_path / "in_process"))
+        writers = fork_every_snapshot(monkeypatch)
+        # the third snapshot of 45 rows brings the count to the threshold
+        monkeypatch.setattr(driver, "_FORK_ROWS", 3 * 45)
+        parent, write_snapshot = os.getpid(), driver._write_snapshot
+        in_process = []
+
+        def listed(path, *args):
+            if os.getpid() == parent:
+                in_process.append(os.path.basename(path))
+            write_snapshot(path, *args)
+
+        monkeypatch.setattr(driver, "_write_snapshot", listed)
+        crossed = run(cfg, str(tmp_path / "crossed"))
+        assert_no_children()
+        assert writers["forks"] == 1
+        assert in_process == ["snapshot_0000.csv", "snapshot_0001.csv"]
+        assert_same_run(crossed, alone)
+
+    @pytest.mark.parametrize("death", ["exit", "kill"])
+    def test_dead_child_fails_the_run(self, tmp_path, monkeypatch, deadline,
+                                      forked_writer, death):
+        # the child dies on the second snapshot it is sent: the run ends
+        # with its failure, not a broken pipe, and lists the first only
+        parent, write_blocks = os.getpid(), driver._write_blocks
+        received = []
+
+        def dying_in_child(*args):
+            if os.getpid() != parent:
+                received.append(args)
+                if len(received) == 2 and death == "exit":
+                    os._exit(0)
+                elif len(received) == 2:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            write_blocks(*args)
+
+        monkeypatch.setattr(driver, "_write_blocks", dying_in_child)
+        result = run(config_from_dict(SOD_MARKS), str(tmp_path))
+        assert_no_children()
+        assert forked_writer["forks"] == 1
+        assert (result.status, result.reason) == (2, "io_failure")
+        status = 0 if death == "exit" else -signal.SIGKILL
+        assert result.message.endswith(
+            f"the writer of {tmp_path / 'snapshot_0001.csv'} failed "
+            f"(status {status})")
+        assert names(result.snapshots) == ["snapshot_0000.csv"]
 
     def test_failed_fork_writes_in_process(self, tmp_path, monkeypatch):
         cfg = config_from_dict(SOD_MARKS)
@@ -349,8 +434,7 @@ class TestIoFailure:
         forked = self.run_blocked(tmp_path / "forked", artifact)
         assert (forked.message.replace("forked", "in_process")
                 == alone.message)
-        assert ([os.path.basename(p) for p in forked.snapshots]
-                == [os.path.basename(p) for p in alone.snapshots])
+        assert names(forked.snapshots) == names(alone.snapshots)
 
 
 class TestSnapshotCadence:

@@ -116,6 +116,30 @@ class TestViscousFaceFlux:
         assert np.isclose(g[2], -q_flux, rtol=1e-14)
         assert g[0] == 0.0
 
+    @pytest.mark.parametrize("name", ["ns_shock_structure_n200_d4",
+                                      "sod_viscous"])
+    def test_one_viscosity_call_per_rhs(self, name, monkeypatch):
+        # kappa is formed from the mu already evaluated, in the bits of
+        # conductivity(T) alone
+        from kepes.config import initial_state
+        from kepes.presets import preset
+
+        config = preset(name)
+        calls, viscosity = [], GasModel.viscosity
+
+        def counted(gas, T):
+            calls.append(T)
+            return viscosity(gas, T)
+
+        monkeypatch.setattr(GasModel, "viscosity", counted)
+        assemble_rhs(initial_state(config).stacked(), config.grid,
+                     config.gas, config.flux_kind, config.diss, config.recon,
+                     config.bcs)
+        assert len(calls) == 1
+        t_face, gas = calls[0], config.gas
+        assert np.array_equal(gas.conductivity(t_face, viscosity(gas, t_face)),
+                              gas.conductivity(t_face))
+
 
 class TestAssembleRhs:
     def test_uniform_state_periodic_zero(self, gas):
