@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -70,75 +71,108 @@ class ProblemConfig:
     time: TimeSpec
     snapshot_interval: float | None = None
 
-
-# canonical key set; every preset and serialized config uses these
-_DEFAULTS = {
-    "name": "run",
-    "n_cells": "100",
-    "x_min": "0.0",
-    "x_max": "1.0",
-    "gamma": "1.4",
-    "gas_constant": "1.0",
-    "prandtl": "0.72",
-    "viscosity": "none",
-    "mu_ref": "0.0",
-    "t_ref": "1.0",
-    "mu_exponent": "0.0",
-    "flux": "kepec",
-    "diss": "none",
-    "kappa2": "0.0",
-    "kappa4": "0.0",
-    "beta_average": "logarithmic",
-    "law": "roe",
-    "ec1_beta": str(1.0 / 6.0),
-    "recon_order": "1",
-    "limiter": "minmod",
-    "cfl": "0.4",
-    "t_final": "0.2",
-    "max_steps": "1000000",
-    "steady_tol": "none",
-    "bc_left": "transmissive",
-    "bc_right": "transmissive",
-    "outflow_mass_flux": "1.0",
-    "ic": "uniform",
-    "left_rho": "1.0",
-    "left_u": "0.0",
-    "left_p": "1.0",
-    "right_rho": "1.0",
-    "right_u": "0.0",
-    "right_p": "1.0",
-    "x_diaphragm": "0.5",
-    "rho": "1.0",
-    "u": "0.0",
-    "p": "1.0",
-    "snapshot_interval": "none",
-}
-
-KNOWN_KEYS = frozenset(_DEFAULTS) | {"preset"}
+    def __post_init__(self):
+        interval = self.snapshot_interval
+        if interval is not None and not interval >= 0.0:
+            raise ValueError("snapshot_interval: must be >= 0")
 
 
-def _as_float(raw, key):
-    try:
-        value = float(raw[key])
-    except ValueError:
-        raise ConfigError(f"{key}: not a number: {raw[key]!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: must be finite, got {raw[key]!r}")
+def _number(cast, what):
+    def parse(key, value):
+        try:
+            out = cast(value)
+        except ValueError:
+            raise ConfigError(f"{key}: not {what}: {value!r}") from None
+        if isinstance(out, float) and not math.isfinite(out):
+            raise ConfigError(f"{key}: must be finite, got {value!r}")
+        return out
+    return parse
+
+
+_float, _int = _number(float, "a number"), _number(int, "an integer")
+
+
+def _optional_float(key, value):
+    if str(value).strip().lower() in ("none", ""):
+        return None
+    return _float(key, value)
+
+
+def _text(key, value):
     return value
 
 
-def _as_int(raw, key):
-    try:
-        return int(raw[key])
-    except ValueError:
-        raise ConfigError(f"{key}: not an integer: {raw[key]!r}") from None
+def _choice(*options):
+    def parse(key, value):
+        value = str(value).strip()
+        if value not in options:
+            raise ConfigError(
+                f"{key}: {value!r} is not one of {sorted(options)}")
+        return value
+    return parse
 
 
-def _as_optional_float(raw, key):
-    value = str(raw[key]).strip().lower()
-    if value in ("none", ""):
-        return None
-    return _as_float(raw, key)
+def _states(c):
+    """The left, right and uniform states that c serializes."""
+    ic = c.ic
+    if ic.kind == "riemann":
+        return ic.left, ic.right, PrimState(1.0, 0.0, 1.0)
+    return ic.state, ic.state, ic.state
+
+
+_BCS = ("transmissive", "fixed_state", "periodic")
+
+# (key, default text, parser, the value a ProblemConfig serializes to, where
+# None spells the default), in serialized order; every preset and
+# serialized config uses these keys
+_KEYS = (
+    ("name", "run", _text, lambda c: c.name),
+    ("n_cells", "100", _int, lambda c: c.grid.n_cells),
+    ("x_min", "0.0", _float, lambda c: c.grid.x_min),
+    ("x_max", "1.0", _float, lambda c: c.grid.x_max),
+    ("gamma", "1.4", _float, lambda c: c.gas.gamma),
+    ("gas_constant", "1.0", _float, lambda c: c.gas.gas_constant),
+    ("prandtl", "0.72", _float, lambda c: c.gas.prandtl),
+    ("viscosity", "none", _choice("none", "constant", "power"),
+     lambda c: c.gas.viscosity_law.kind),
+    ("mu_ref", "0.0", _float, lambda c: c.gas.viscosity_law.mu_ref),
+    ("t_ref", "1.0", _float, lambda c: c.gas.viscosity_law.t_ref),
+    ("mu_exponent", "0.0", _float, lambda c: c.gas.viscosity_law.exponent),
+    ("flux", "kepec", _choice(*CENTRAL_FLUXES), lambda c: c.flux_kind),
+    ("diss", "none", _choice("none", "scalar", "matrix"),
+     lambda c: c.diss.kind),
+    ("kappa2", "0.0", _float, lambda c: c.diss.kappa2),
+    ("kappa4", "0.0", _float, lambda c: c.diss.kappa4),
+    ("beta_average", "logarithmic", _choice(*SCALAR_BETA_AVERAGES),
+     lambda c: c.diss.beta_average),
+    ("law", "roe", _choice(*MATRIX_LAWS), lambda c: c.diss.matrix_law),
+    ("ec1_beta", str(1.0 / 6.0), _float, lambda c: c.diss.ec1_beta),
+    ("recon_order", "1", _int, lambda c: c.recon.order),
+    ("limiter", "minmod", _choice(*LIMITERS), lambda c: c.recon.limiter),
+    ("cfl", "0.4", _float, lambda c: c.time.cfl),
+    ("t_final", "0.2", _float, lambda c: c.time.t_final),
+    ("max_steps", "1000000", _int, lambda c: c.time.max_steps),
+    ("steady_tol", "none", _optional_float, lambda c: c.time.steady_tol),
+    ("bc_left", "transmissive", _choice(*_BCS), lambda c: c.bcs.left.kind),
+    ("bc_right", "transmissive", _choice(*_BCS, "shock_outflow"),
+     lambda c: c.bcs.right.kind),
+    ("outflow_mass_flux", "1.0", _float, lambda c: c.bcs.right.mass_flux),
+    ("ic", "uniform", _choice("riemann", "uniform"), lambda c: c.ic.kind),
+    ("left_rho", "1.0", _float, lambda c: float(_states(c)[0].rho)),
+    ("left_u", "0.0", _float, lambda c: float(_states(c)[0].u)),
+    ("left_p", "1.0", _float, lambda c: float(_states(c)[0].p)),
+    ("right_rho", "1.0", _float, lambda c: float(_states(c)[1].rho)),
+    ("right_u", "0.0", _float, lambda c: float(_states(c)[1].u)),
+    ("right_p", "1.0", _float, lambda c: float(_states(c)[1].p)),
+    ("x_diaphragm", "0.5", _float, lambda c: c.ic.x_diaphragm),
+    ("rho", "1.0", _float, lambda c: float(_states(c)[2].rho)),
+    ("u", "0.0", _float, lambda c: float(_states(c)[2].u)),
+    ("p", "1.0", _float, lambda c: float(_states(c)[2].p)),
+    ("snapshot_interval", "none", _optional_float,
+     lambda c: c.snapshot_interval),
+)
+
+KNOWN_KEYS = frozenset(key for key, *_ in _KEYS) | {"preset"}
 
 
 def _build(cls, *args, **kwargs):
@@ -146,13 +180,6 @@ def _build(cls, *args, **kwargs):
         return cls(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _as_choice(raw, key, choices):
-    value = str(raw[key]).strip()
-    if value not in choices:
-        raise ConfigError(f"{key}: {value!r} is not one of {sorted(choices)}")
-    return value
 
 
 def parse_config_raw(text: str) -> dict:
@@ -186,93 +213,48 @@ def config_from_dict(raw: dict) -> ProblemConfig:
     if "preset" in raw:
         from .presets import preset_raw
 
-        merged = dict(preset_raw(raw["preset"]))
-        merged.update({k: v for k, v in raw.items() if k != "preset"})
+        merged = dict(preset_raw(raw.pop("preset")))
+        merged.update(raw)
         raw = merged
-    full = dict(_DEFAULTS)
-    full.update(raw)
-    raw = full
+    v = SimpleNamespace(**{key: parse(key, raw.get(key, default))
+                           for key, default, parse, _ in _KEYS})
 
     # range checks live in the dataclasses, whose messages name the key
-    grid = _build(Grid1D, _as_int(raw, "n_cells"), _as_float(raw, "x_min"),
-                  _as_float(raw, "x_max"))
-    law = _build(ViscosityLaw,
-                 _as_choice(raw, "viscosity", ("none", "constant", "power")),
-                 _as_float(raw, "mu_ref"), _as_float(raw, "t_ref"),
-                 _as_float(raw, "mu_exponent"))
-    gas = _build(GasModel, _as_float(raw, "gamma"),
-                 _as_float(raw, "gas_constant"), law,
-                 _as_float(raw, "prandtl"))
+    grid = _build(Grid1D, v.n_cells, v.x_min, v.x_max)
+    law = _build(ViscosityLaw, v.viscosity, v.mu_ref, v.t_ref, v.mu_exponent)
+    gas = _build(GasModel, v.gamma, v.gas_constant, law, v.prandtl)
+    diss = _build(DissipationSpec, v.diss, v.kappa2, v.kappa4, v.beta_average,
+                  v.law, v.ec1_beta)
+    recon = _build(ReconSpec, v.recon_order, v.limiter)
+    time = _build(TimeSpec, v.cfl, v.t_final, v.max_steps, v.steady_tol)
 
-    flux_kind = _as_choice(raw, "flux", tuple(CENTRAL_FLUXES))
-
-    diss = _build(
-        DissipationSpec,
-        kind=_as_choice(raw, "diss", ("none", "scalar", "matrix")),
-        kappa2=_as_float(raw, "kappa2"),
-        kappa4=_as_float(raw, "kappa4"),
-        beta_average=_as_choice(raw, "beta_average", SCALAR_BETA_AVERAGES),
-        matrix_law=_as_choice(raw, "law", MATRIX_LAWS),
-        ec1_beta=_as_float(raw, "ec1_beta"),
-    )
-    recon = _build(ReconSpec, _as_int(raw, "recon_order"),
-                   _as_choice(raw, "limiter", LIMITERS))
-    time = _build(TimeSpec, _as_float(raw, "cfl"), _as_float(raw, "t_final"),
-                  _as_int(raw, "max_steps"),
-                  _as_optional_float(raw, "steady_tol"))
-
-    ic_kind = _as_choice(raw, "ic", ("riemann", "uniform"))
-    left = PrimState(_as_float(raw, "left_rho"), _as_float(raw, "left_u"),
-                     _as_float(raw, "left_p"))
-    right = PrimState(_as_float(raw, "right_rho"), _as_float(raw, "right_u"),
-                      _as_float(raw, "right_p"))
-    uniform = PrimState(_as_float(raw, "rho"), _as_float(raw, "u"),
-                        _as_float(raw, "p"))
+    left = PrimState(v.left_rho, v.left_u, v.left_p)
+    right = PrimState(v.right_rho, v.right_u, v.right_p)
+    uniform = PrimState(v.rho, v.u, v.p)
     for label, q in (("left", left), ("right", right), ("uniform", uniform)):
         if not (q.rho > 0.0 and q.p > 0.0):
             raise ConfigError(f"{label} state: rho and p must be > 0")
-    x_diaphragm = _as_float(raw, "x_diaphragm")
-    ic = InitialCondition("riemann", left, right, x_diaphragm, None) \
-        if ic_kind == "riemann" else InitialCondition("uniform", state=uniform)
+    if v.ic == "riemann":
+        ic = InitialCondition("riemann", left, right, v.x_diaphragm, None)
+    else:
+        ic = InitialCondition("uniform", state=uniform)
+        left = right = uniform
 
-    outflow_mass_flux = _as_float(raw, "outflow_mass_flux")
-
-    def make_bc(key, edge_state):
-        kinds = ("transmissive", "fixed_state", "periodic")
-        if key == "bc_right":
-            kinds = kinds + ("shock_outflow",)
-        kind = _as_choice(raw, key, kinds)
+    def make_bc(kind, edge_state):
         if kind == "fixed_state":
-            return BoundaryCondition("fixed_state", state=edge_state)
+            return BoundaryCondition(kind, state=edge_state)
         if kind == "shock_outflow":
-            return BoundaryCondition("shock_outflow",
-                                     mass_flux=outflow_mass_flux)
+            return BoundaryCondition(kind, mass_flux=v.outflow_mass_flux)
         return BoundaryCondition(kind)
 
-    left_edge = left if ic_kind == "riemann" else uniform
-    right_edge = right if ic_kind == "riemann" else uniform
     try:
-        bcs = BoundarySpec(make_bc("bc_left", left_edge),
-                           make_bc("bc_right", right_edge))
+        bcs = BoundarySpec(make_bc(v.bc_left, left),
+                           make_bc(v.bc_right, right))
     except ValueError as exc:
         raise ConfigError(f"bc_left/bc_right: {exc}") from None
 
-    snapshot_interval = _as_optional_float(raw, "snapshot_interval")
-    if snapshot_interval is not None and snapshot_interval < 0.0:
-        raise ConfigError("snapshot_interval: must be >= 0")
-
-    return ProblemConfig(
-        name=raw["name"],
-        grid=grid,
-        gas=gas,
-        ic=ic,
-        bcs=bcs,
-        flux_kind=flux_kind,
-        diss=diss,
-        recon=recon,
-        time=time,
-        snapshot_interval=snapshot_interval,
-    )
+    return _build(ProblemConfig, v.name, grid, gas, ic, bcs, v.flux, diss,
+                  recon, time, v.snapshot_interval)
 
 
 def parse_config(text: str) -> ProblemConfig:
@@ -281,57 +263,15 @@ def parse_config(text: str) -> ProblemConfig:
 
 def config_to_dict(config: ProblemConfig) -> dict:
     """Raw key/value pairs reproducing the config through config_from_dict."""
-    gas = config.gas
-    ic = config.ic
-    left = ic.left if ic.kind == "riemann" else ic.state
-    right = ic.right if ic.kind == "riemann" else ic.state
-    uniform = ic.state if ic.kind == "uniform" else PrimState(1.0, 0.0, 1.0)
-    out = {
-        "name": config.name,
-        "n_cells": repr(config.grid.n_cells),
-        "x_min": repr(config.grid.x_min),
-        "x_max": repr(config.grid.x_max),
-        "gamma": repr(gas.gamma),
-        "gas_constant": repr(gas.gas_constant),
-        "prandtl": repr(gas.prandtl),
-        "viscosity": gas.viscosity_law.kind,
-        "mu_ref": repr(gas.viscosity_law.mu_ref),
-        "t_ref": repr(gas.viscosity_law.t_ref),
-        "mu_exponent": repr(gas.viscosity_law.exponent),
-        "flux": config.flux_kind,
-        "diss": config.diss.kind,
-        "kappa2": repr(config.diss.kappa2),
-        "kappa4": repr(config.diss.kappa4),
-        "beta_average": config.diss.beta_average,
-        "law": config.diss.matrix_law,
-        "ec1_beta": repr(config.diss.ec1_beta),
-        "recon_order": repr(config.recon.order),
-        "limiter": config.recon.limiter,
-        "cfl": repr(config.time.cfl),
-        "t_final": repr(config.time.t_final),
-        "max_steps": repr(config.time.max_steps),
-        "steady_tol": ("none" if config.time.steady_tol is None
-                       else repr(config.time.steady_tol)),
-        "bc_left": config.bcs.left.kind,
-        "bc_right": config.bcs.right.kind,
-        "outflow_mass_flux": repr(config.bcs.right.mass_flux
-                                  if config.bcs.right.mass_flux is not None
-                                  else 1.0),
-        "ic": ic.kind,
-        "left_rho": repr(float(left.rho)),
-        "left_u": repr(float(left.u)),
-        "left_p": repr(float(left.p)),
-        "right_rho": repr(float(right.rho)),
-        "right_u": repr(float(right.u)),
-        "right_p": repr(float(right.p)),
-        "x_diaphragm": repr(ic.x_diaphragm),
-        "rho": repr(float(uniform.rho)),
-        "u": repr(float(uniform.u)),
-        "p": repr(float(uniform.p)),
-        "snapshot_interval": ("none" if config.snapshot_interval is None
-                              else repr(config.snapshot_interval)),
-    }
-    return out
+    return {k: _spell(get(config), d) for k, d, _, get in _KEYS}
+
+
+def _spell(value, default: str) -> str:
+    """The config-file text of a serialized value; None spells the
+    default."""
+    if value is None:
+        return default
+    return value if isinstance(value, str) else repr(value)
 
 
 def serialize_config(config: ProblemConfig) -> str:

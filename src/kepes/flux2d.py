@@ -4,7 +4,8 @@ matrix-dissipation ingredients.
 These are pure per-face kernels; there is no 2-D grid machinery here.  The
 kernels reduce exactly to their 1-D counterparts for n = (1, 0) and zero
 transverse velocity, and commute with simultaneous rotation of the
-velocities and the face normal.
+velocities and the face normal.  The eigenvalue laws are those of
+dissipation.eigenvalue_law, applied to the normal problem.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipation import DissipationSpec
-from .thermo import GasModel, _avg, log_mean
+from .dissipation import DissipationSpec, eigenvalue_law
+from .thermo import GasModel, PrimState, _avg, log_mean
 
 __all__ = [
     "PrimState2D",
@@ -164,36 +165,13 @@ def eigen_system_2d(avg, n: FaceNormal, gas: GasModel):
 def eigenvalue_law_2d(un_f, a_f, left: PrimState2D, right: PrimState2D,
                       n: FaceNormal, gas: GasModel, spec: DissipationSpec):
     """|Lambda| entries (..., 4) for the selected law, normal-direction
-    eigenvalues (u.n - a, u.n, u.n, u.n + a)."""
-    un_f = np.asarray(un_f, dtype=float)
-    a_f = np.asarray(a_f, dtype=float)
-    law = spec.matrix_law
-    mid = np.abs(un_f)
-    roe = np.stack([np.abs(un_f - a_f), mid, mid, np.abs(un_f + a_f)], axis=-1)
-    if law == "roe":
-        return roe
-    if law == "ec1":
-        g = gas.gamma
-        a_l = np.sqrt(g * left.p / left.rho)
-        a_r = np.sqrt(g * right.p / right.rho)
-        un_l = left.u1 * n.n1 + left.u2 * n.n2
-        un_r = right.u1 * n.n1 + right.u2 * n.n2
-        d1 = np.abs((un_r - a_r) - (un_l - a_l))
-        d4 = np.abs((un_r + a_r) - (un_l + a_l))
-        zero = np.zeros_like(d1)
-        return roe + spec.ec1_beta * np.stack([d1, zero, zero, d4], axis=-1)
-    lam_max = mid + a_f
-    if law == "kes":
-        return np.stack([lam_max, mid, mid, lam_max], axis=-1)
-    rus = np.stack([lam_max] * 4, axis=-1)
-    if law == "rus":
-        return rus
-    if law == "hyb":
-        p_bar = _avg(left.p, right.p)
-        phi = np.clip(np.sqrt(np.abs(right.p - left.p) / (2.0 * p_bar)),
-                      0.0, 1.0)
-        return (1.0 - phi)[..., None] * roe + phi[..., None] * rus
-    raise ValueError(f"unknown matrix law {law!r}")
+    eigenvalues (u.n - a, u.n, u.n, u.n + a): the 1-D law of the normal
+    problem, with the shear entry equal to the entropy-wave entry."""
+    def normal(q):
+        return PrimState(q.rho, q.u1 * n.n1 + q.u2 * n.n2, q.p)
+
+    lam = eigenvalue_law(un_f, a_f, normal(left), normal(right), gas, spec)
+    return lam[..., [0, 1, 1, 2]]
 
 
 def matrix_dissipation_2d(left: PrimState2D, right: PrimState2D,

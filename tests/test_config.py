@@ -1,15 +1,59 @@
+import ast
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from kepes.config import (
+    _KEYS,
+    KNOWN_KEYS,
     ConfigError,
+    _float,
+    _int,
+    _optional_float,
+    _text,
     config_from_dict,
+    config_to_dict,
     initial_state,
     parse_config,
     parse_config_raw,
     serialize_config,
 )
 from kepes.presets import list_presets, preset
+
+FLOAT_KEYS = [k for k, _, parse, _ in _KEYS
+              if parse in (_float, _optional_float)]
+INT_KEYS = [k for k, _, parse, _ in _KEYS if parse is _int]
+CHOICE_KEYS = [k for k, _, parse, _ in _KEYS
+               if parse not in (_float, _optional_float, _int, _text)]
+
+# sha256 of serialize_config(preset(name)): `kepes preset NAME` prints this
+# text, and a change to the key table must leave it byte-identical
+PRESET_TEXT_SHA256 = {
+    "modified_sod":
+        "bf682cf23fdb2911177f771a91e2adbdf5e56d5ae57661c197eaf13d43c1dac6",
+    "ns_shock_structure_n100":
+        "7e5cb5727e7c151223594f5b8bc393a614be9db22019ed85fc20cd49b6282449",
+    "ns_shock_structure_n200":
+        "f4ea1ebbb1b0b8fbe5ba50a8e5943a86b873792748e8084dbf537f715f9f95fa",
+    "ns_shock_structure_n200_d4":
+        "430c8ab0c4ef2b372c79847e24c09362feb5267bfc668e1af9f20557d51af852",
+    "ns_shock_structure_n50":
+        "ec76bdf7265ce71a8b0b3c7def04e6704ab0f8e1840fe3dd111740949573680c",
+    "sod":
+        "2c5f9106b0dc18195c2f193dfbe65b73bb2862f41cfd3b3720cab1faae51c0bb",
+    "sod_viscous":
+        "b291d68c3bea678946c58a3f172fa28a4d5ba07380d0bb77602486b4af2fefa3",
+    "stationary_contact":
+        "d6fb54e9583622b355c4110ad4e90e92eb30bc38338dc6c92af6ee8931f6aca8",
+    "stationary_shock_m1.5":
+        "1de57f1ce2e8483970d66bb094ed2c8ad79862f6712e3705084a1f83999c375f",
+    "stationary_shock_m20":
+        "c5878ba5730553dd405109af476834e8adcb69e128086040b16012888e4053e9",
+    "stationary_shock_m4":
+        "e1e2494123f38896632fd153394ea1ec802756036d63c04722902e64afc64fe2",
+}
 
 
 class TestParseConfigRaw:
@@ -81,16 +125,38 @@ class TestConfigValidation:
             parse_config("ic = riemann\nleft_rho = -1\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("key", ["mu_ref", "x_diaphragm", "t_final",
-                                     "left_u", "kappa4", "ec1_beta", "gamma",
-                                     "outflow_mass_flux", "snapshot_interval"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_non_finite_rejected_by_name(self, key, value):
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=key) as exc:
             config_from_dict({"preset": "stationary_shock_m1.5", key: value})
+        assert str(exc.value) == f"{key}: must be finite, got {value!r}"
+
+    @pytest.mark.parametrize("key", CHOICE_KEYS)
+    def test_bad_choice_names_key_and_options(self, key):
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict({key: "bogus"})
+        prefix = f"{key}: 'bogus' is not one of "
+        message = str(exc.value)
+        assert message.startswith(prefix)
+        options = ast.literal_eval(message[len(prefix):])
+        assert options == sorted(options)
+        assert config_to_dict(config_from_dict({}))[key] in options
+
+    @pytest.mark.parametrize("key", INT_KEYS)
+    def test_non_integer_rejected_by_name(self, key):
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict({key: 1.5})
+        assert str(exc.value) == f"{key}: not an integer: '1.5'"
 
     def test_negative_snapshot_interval_rejected(self):
         with pytest.raises(ConfigError, match="snapshot_interval"):
             parse_config("preset = sod\nsnapshot_interval = -1\n")
+
+    @pytest.mark.parametrize("interval", [-0.01, float("nan")])
+    def test_snapshot_interval_checked_on_replace(self, interval):
+        # configs built with dataclasses.replace skip config_from_dict
+        with pytest.raises(ValueError, match="snapshot_interval: must be"):
+            replace(preset("sod"), snapshot_interval=interval)
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_non_positive_steady_tol_rejected(self, value):
@@ -106,6 +172,17 @@ class TestRoundTrip:
         config = preset(name)
         again = parse_config(serialize_config(config))
         assert again == config
+
+    @pytest.mark.parametrize("name", list_presets())
+    def test_preset_text_pinned(self, name):
+        text = serialize_config(preset(name))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == PRESET_TEXT_SHA256[name]
+
+    def test_serialized_keys_follow_the_table(self):
+        keys = list(config_to_dict(config_from_dict({})))
+        assert keys == [key for key, *_ in _KEYS]
+        assert set(keys) == KNOWN_KEYS - {"preset"}
 
     def test_dict_round_trip(self):
         config = config_from_dict({"n_cells": 42, "flux": "roe_ec",
