@@ -56,6 +56,8 @@ class InitialCondition:
             raise ValueError("riemann initial condition needs both states")
         if self.kind == "uniform" and self.state is None:
             raise ValueError("uniform initial condition needs a state")
+        if not math.isfinite(self.x_diaphragm):
+            raise ValueError("x_diaphragm must be finite")
 
 
 @dataclass(frozen=True)

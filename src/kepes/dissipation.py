@@ -60,13 +60,13 @@ class DissipationSpec:
     def __post_init__(self):
         if self.kind not in ("none", "scalar", "matrix"):
             raise ValueError(f"unknown dissipation kind {self.kind!r}")
-        if self.kappa2 < 0 or self.kappa4 < 0:
+        if not (self.kappa2 >= 0 and self.kappa4 >= 0):
             raise ValueError("kappa2 and kappa4 must be >= 0")
         if self.beta_average not in SCALAR_BETA_AVERAGES:
             raise ValueError(f"unknown beta_average {self.beta_average!r}")
         if self.matrix_law not in MATRIX_LAWS:
             raise ValueError(f"unknown matrix law {self.matrix_law!r}")
-        if self.ec1_beta < 0:
+        if not self.ec1_beta >= 0:
             raise ValueError("ec1_beta must be >= 0")
 
 

@@ -4,8 +4,8 @@ matrix-dissipation ingredients.
 These are pure per-face kernels; there is no 2-D grid machinery here.  The
 kernels reduce exactly to their 1-D counterparts for n = (1, 0) and zero
 transverse velocity, and commute with simultaneous rotation of the
-velocities and the face normal.  The eigenvalue laws are those of
-dissipation.eigenvalue_law, applied to the normal problem.
+velocities and the face normal.  The KEPEC flux, the face average and
+the eigenvalue laws are the 1-D kernels, applied in the normal frame.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipation import DissipationSpec, eigenvalue_law
-from .thermo import GasModel, PrimState, _avg, log_mean
+from .dissipation import DissipationSpec, eigenvalue_law, face_average
+from .fluxes import flux_kepec
+from .thermo import GasModel, PrimState, _avg
 
 __all__ = [
     "PrimState2D",
@@ -23,7 +24,6 @@ __all__ = [
     "exact_flux_2d",
     "entropy_vars_2d",
     "flux_kepec_2d",
-    "face_average_2d",
     "eigen_system_2d",
     "eigenvalue_law_2d",
     "matrix_dissipation_2d",
@@ -60,7 +60,7 @@ class FaceNormal:
 
     def __post_init__(self):
         norm = np.asarray(self.n1) ** 2 + np.asarray(self.n2) ** 2
-        if np.any(np.abs(norm - 1.0) > 1.0e-14):
+        if not np.all(np.abs(norm - 1.0) <= 1.0e-14):
             raise ValueError("face normal must have unit length")
 
 
@@ -87,31 +87,28 @@ def entropy_vars_2d(q: PrimState2D, gas: GasModel) -> np.ndarray:
         -2.0 * beta), axis=-1)
 
 
+def _normal_frame(q: PrimState2D, n: FaceNormal):
+    """(PrimState(rho, u.n, p), u.t) with the tangent t = (-n2, n1)."""
+    return (PrimState(q.rho, q.u1 * n.n1 + q.u2 * n.n2, q.p),
+            q.u2 * n.n1 - q.u1 * n.n2)
+
+
 def flux_kepec_2d(left: PrimState2D, right: PrimState2D, n: FaceNormal,
                   gas: GasModel) -> np.ndarray:
     """Kinetic-energy-preserving, entropy-conservative flux along n.
 
-    Satisfies dv . f = d(rho u.n) exactly; with n = (1, 0) and zero
-    transverse velocity the (mass, normal momentum, energy) components
-    equal the 1-D counterpart.
+    fluxes.flux_kepec of the normal-frame pair plus the transverse terms
+    f_t = t_bar f_rho and (t_bar^2 - mean(u_t^2)/2) f_rho in f_e, with the
+    momentum pair rotated back; dv . f = d(rho u.n) holds exactly.
     """
-    g = gas.gamma
-    u1_bar = _avg(left.u1, right.u1)
-    u2_bar = _avg(left.u2, right.u2)
-    un_bar = u1_bar * n.n1 + u2_bar * n.n2
-    rho_bar = _avg(left.rho, right.rho)
-    beta_bar = _avg(left.beta, right.beta)
-    speed2_bar = _avg(left.speed2, right.speed2)
-    rho_ln = log_mean(left.rho, right.rho)
-    beta_ln = log_mean(left.beta, right.beta)
-
-    f_rho = rho_ln * un_bar
-    p_t = rho_bar / (2.0 * beta_bar)
-    f_m1 = p_t * n.n1 + u1_bar * f_rho
-    f_m2 = p_t * n.n2 + u2_bar * f_rho
-    f_e = ((0.5 / ((g - 1.0) * beta_ln) - 0.5 * speed2_bar) * f_rho
-           + u1_bar * f_m1 + u2_bar * f_m2)
-    return np.stack(np.broadcast_arrays(f_rho, f_m1, f_m2, f_e), axis=-1)
+    (q_l, t_l), (q_r, t_r) = _normal_frame(left, n), _normal_frame(right, n)
+    f_rho, f_n, f_e = flux_kepec(q_l, q_r, gas)
+    t_bar = _avg(t_l, t_r)
+    f_t = t_bar * f_rho
+    f_e = f_e + (t_bar * t_bar - 0.5 * _avg(t_l * t_l, t_r * t_r)) * f_rho
+    return np.stack(np.broadcast_arrays(
+        f_rho, f_n * n.n1 - f_t * n.n2, f_n * n.n2 + f_t * n.n1, f_e),
+        axis=-1)
 
 
 def tadmor_residual_2d(left: PrimState2D, right: PrimState2D, n: FaceNormal,
@@ -121,18 +118,6 @@ def tadmor_residual_2d(left: PrimState2D, right: PrimState2D, n: FaceNormal,
     dpsi = (right.rho * (right.u1 * n.n1 + right.u2 * n.n2)
             - left.rho * (left.u1 * n.n1 + left.u2 * n.n2))
     return np.sum(dv * flux, axis=-1) - dpsi
-
-
-def face_average_2d(left: PrimState2D, right: PrimState2D, gas: GasModel):
-    """Averaged (rho, u1, u2, a, H) with the contact-transparent sound speed
-    a = sqrt(gamma/(2 beta_ln))."""
-    rho_f = log_mean(left.rho, right.rho)
-    beta_ln = log_mean(left.beta, right.beta)
-    u1_f = _avg(left.u1, right.u1)
-    u2_f = _avg(left.u2, right.u2)
-    a_f = np.sqrt(gas.gamma / (2.0 * beta_ln))
-    H_f = a_f * a_f / (gas.gamma - 1.0) + 0.5 * (u1_f * u1_f + u2_f * u2_f)
-    return rho_f, u1_f, u2_f, a_f, H_f
 
 
 def eigen_system_2d(avg, n: FaceNormal, gas: GasModel):
@@ -167,21 +152,23 @@ def eigenvalue_law_2d(un_f, a_f, left: PrimState2D, right: PrimState2D,
     """|Lambda| entries (..., 4) for the selected law, normal-direction
     eigenvalues (u.n - a, u.n, u.n, u.n + a): the 1-D law of the normal
     problem, with the shear entry equal to the entropy-wave entry."""
-    def normal(q):
-        return PrimState(q.rho, q.u1 * n.n1 + q.u2 * n.n2, q.p)
-
-    lam = eigenvalue_law(un_f, a_f, normal(left), normal(right), gas, spec)
+    lam = eigenvalue_law(un_f, a_f, _normal_frame(left, n)[0],
+                         _normal_frame(right, n)[0], gas, spec)
     return lam[..., [0, 1, 1, 2]]
 
 
 def matrix_dissipation_2d(left: PrimState2D, right: PrimState2D,
                           n: FaceNormal, gas: GasModel,
                           spec: DissipationSpec) -> np.ndarray:
-    """-(1/2) R |Lambda| S R^T dv along the face normal."""
-    avg = face_average_2d(left, right, gas)
-    R, S = eigen_system_2d(avg, n, gas)
-    un_f = avg[1] * n.n1 + avg[2] * n.n2
-    lam = eigenvalue_law_2d(un_f, avg[3], left, right, n, gas, spec)
+    """-(1/2) R |Lambda| S R^T dv along the face normal, from the 1-D face
+    average of the (rho, u1, p) pair with u2 averaged alongside."""
+    avg = face_average(PrimState(left.rho, left.u1, left.p),
+                       PrimState(right.rho, right.u1, right.p), gas)
+    u2_f = _avg(left.u2, right.u2)
+    R, S = eigen_system_2d((avg.rho, avg.u, u2_f, avg.a,
+                            avg.H + 0.5 * u2_f * u2_f), n, gas)
+    un_f = avg.u * n.n1 + u2_f * n.n2
+    lam = eigenvalue_law_2d(un_f, avg.a, left, right, n, gas, spec)
     dv = entropy_vars_2d(right, gas) - entropy_vars_2d(left, gas)
     w = (lam * S) * np.einsum("...ji,...j->...i", R, dv)
     return -0.5 * np.einsum("...ij,...j->...i", R, w)

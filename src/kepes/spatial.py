@@ -92,6 +92,8 @@ class BoundaryCondition:
             raise ValueError("fixed_state boundary needs a state")
         if self.kind == "shock_outflow" and self.mass_flux is None:
             raise ValueError("shock_outflow boundary needs a mass_flux")
+        if self.mass_flux is not None and not np.isfinite(self.mass_flux):
+            raise ValueError("mass_flux must be finite")
 
 
 @dataclass(frozen=True)

@@ -62,9 +62,9 @@ class ViscosityLaw:
     def __post_init__(self):
         if self.kind not in ("none", "constant", "power"):
             raise ValueError(f"unknown viscosity law {self.kind!r}")
-        if self.mu_ref < 0:
+        if not self.mu_ref >= 0:
             raise ValueError("mu_ref must be >= 0")
-        if self.kind == "power" and self.t_ref <= 0:
+        if self.kind == "power" and not self.t_ref > 0:
             raise ValueError("t_ref must be > 0 for the power law")
 
 

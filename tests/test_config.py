@@ -20,7 +20,10 @@ from kepes.config import (
     parse_config_raw,
     serialize_config,
 )
+from kepes.dissipation import DissipationSpec
 from kepes.presets import list_presets, preset
+from kepes.spatial import BoundaryCondition
+from kepes.thermo import ViscosityLaw
 
 FLOAT_KEYS = [k for k, _, parse, _ in _KEYS
               if parse in (_float, _optional_float)]
@@ -157,6 +160,29 @@ class TestConfigValidation:
         # configs built with dataclasses.replace skip config_from_dict
         with pytest.raises(ValueError, match="snapshot_interval: must be"):
             replace(preset("sod"), snapshot_interval=interval)
+
+    @pytest.mark.parametrize("make, field, value, message", [
+        (DissipationSpec, "kappa2", np.nan, "kappa2 and kappa4 must be >= 0"),
+        (DissipationSpec, "kappa4", np.nan, "kappa2 and kappa4 must be >= 0"),
+        (DissipationSpec, "ec1_beta", np.nan, "ec1_beta must be >= 0"),
+        (lambda: ViscosityLaw("constant", mu_ref=1.0), "mu_ref", np.nan,
+         "mu_ref must be >= 0"),
+        (lambda: ViscosityLaw("power", mu_ref=1.0, exponent=0.7), "t_ref",
+         np.nan, "t_ref must be > 0 for the power law"),
+        (lambda: preset("sod").ic, "x_diaphragm", np.nan,
+         "x_diaphragm must be finite"),
+        (lambda: preset("sod").ic, "x_diaphragm", np.inf,
+         "x_diaphragm must be finite"),
+        (lambda: BoundaryCondition("shock_outflow", mass_flux=1.0),
+         "mass_flux", np.nan, "mass_flux must be finite"),
+    ], ids=["kappa2", "kappa4", "ec1_beta", "mu_ref", "t_ref",
+            "x_diaphragm-nan", "x_diaphragm-inf", "mass_flux"])
+    def test_range_checks_reject_nan_on_replace(self, make, field, value,
+                                                message):
+        # NaN fails every comparison, so a check written as x < 0 passes it
+        with pytest.raises(ValueError) as exc:
+            replace(make(), **{field: value})
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_non_positive_steady_tol_rejected(self, value):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kepes.dissipation import DissipationSpec
+from kepes.dissipation import MATRIX_LAWS, DissipationSpec
 from kepes.fluxes import flux_kepec
 from kepes.flux2d import (
     FaceNormal,
@@ -10,14 +10,13 @@ from kepes.flux2d import (
     eigen_system_2d,
     eigenvalue_law_2d,
     exact_flux_2d,
-    face_average_2d,
     flux_kepec_2d,
     matrix_dissipation_2d,
     rotate_state,
     rotation_covariance_check,
     tadmor_residual_2d,
 )
-from kepes.thermo import PrimState
+from kepes.thermo import PrimState, log_mean
 
 
 def random_states_2d(rng, n):
@@ -48,8 +47,9 @@ def entropy_jacobian_2d(rho, u1, u2, a, gamma):
 
 class TestFaceNormal:
     def test_unit_enforced(self):
-        with pytest.raises(ValueError):
-            FaceNormal(1.0, 1.0)
+        for n1, n2 in ((1.0, 1.0), (np.nan, np.nan)):
+            with pytest.raises(ValueError):
+                FaceNormal(n1, n2)
         FaceNormal(np.sqrt(0.5), np.sqrt(0.5))
 
 
@@ -188,17 +188,35 @@ class TestMatrixDissipation2d:
                                                       matrix_law=law))
             assert np.abs(d).max() < 1e-12
 
-    def test_entropy_production_nonnegative(self, gas):
+    @pytest.mark.parametrize("law", MATRIX_LAWS)
+    def test_entropy_production_nonnegative(self, gas, law):
         rng = np.random.default_rng(66)
         left, right = random_states_2d(rng, 5000)
         n = random_normals(rng, 5000)
         d = matrix_dissipation_2d(left, right, n, gas,
                                   DissipationSpec(kind="matrix",
-                                                  matrix_law="roe"))
+                                                  matrix_law=law))
         dv = entropy_vars_2d(right, gas) - entropy_vars_2d(left, gas)
         assert np.sum(dv * d, axis=-1).max() <= 1e-12
 
-    def test_face_average_contact_sound_speed(self, gas):
-        left = PrimState2D(1.0, 0.0, 0.0, 1.0)
-        rho, u1, u2, a, H = face_average_2d(left, left, gas)
-        assert np.isclose(a, np.sqrt(1.4), rtol=1e-12)
+    @pytest.mark.parametrize("law", MATRIX_LAWS)
+    def test_matches_cartesian_face_average(self, gas, law):
+        # -(1/2) R |Lambda| S R^T dv from the Cartesian average
+        # (rho_ln, u1_bar, u2_bar, a = sqrt(gamma/(2 beta_ln)), H)
+        rng = np.random.default_rng(67)
+        left, right = random_states_2d(rng, 2000)
+        n = random_normals(rng, 2000)
+        spec = DissipationSpec(kind="matrix", matrix_law=law)
+        rho = log_mean(left.rho, right.rho)
+        a = np.sqrt(gas.gamma / (2.0 * log_mean(left.beta, right.beta)))
+        u1, u2 = 0.5 * (left.u1 + right.u1), 0.5 * (left.u2 + right.u2)
+        H = a * a / (gas.gamma - 1.0) + 0.5 * (u1 * u1 + u2 * u2)
+        R, S = eigen_system_2d((rho, u1, u2, a, H), n, gas)
+        lam = eigenvalue_law_2d(u1 * n.n1 + u2 * n.n2, a, left, right, n,
+                                gas, spec)
+        dv = entropy_vars_2d(right, gas) - entropy_vars_2d(left, gas)
+        expected = -0.5 * np.einsum("...ik,...k,...jk,...j->...i",
+                                    R, lam * S, R, dv)
+        d = matrix_dissipation_2d(left, right, n, gas, spec)
+        scale = np.abs(expected).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(d - expected) <= 1e-12 * scale)

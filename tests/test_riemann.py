@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kepes.riemann import solve_riemann
-from kepes.thermo import PrimState, sound_speed
+from kepes.thermo import GasModel, PrimState, sound_speed
 
 
 SOD_L = PrimState(1.0, 0.0, 1.0)
@@ -92,3 +92,45 @@ class TestConsistency:
         with pytest.raises(ValueError):
             solve_riemann(PrimState(1.0, -10.0, 1.0), PrimState(1.0, 10.0, 1.0),
                           gas)
+
+    def test_star_pressure_below_tolerance_rejected(self):
+        # 0.9 of the vacuum limit: the root lies below _P_TOL, and Newton's
+        # iterate pinned there passes its step test without being a root
+        with pytest.raises(ValueError, match="vacuum"):
+            solve_riemann(PrimState(1.0, -18.88, 1.0),
+                          PrimState(1.0, 18.88, 1.0), GasModel(gamma=1.1))
+
+
+class TestReflection:
+    @pytest.mark.parametrize("gamma", [1.4, 5.0 / 3.0])
+    def test_mirrored_problem_is_bitwise_mirror(self, gamma):
+        # solving (R', L') with q' = (rho, -u, p) sends each wave through the
+        # other side's code; off the contact, whose tie goes to the right
+        # star state, its sample at -xi is the original at xi with u negated
+        rng = np.random.default_rng(19)
+        gas = GasModel(gamma=gamma)
+        solved = 0
+        for _ in range(200):
+            left, right = (PrimState(10 ** rng.uniform(-1, 1),
+                                     rng.uniform(-2, 2),
+                                     10 ** rng.uniform(-1, 1))
+                           for _ in range(2))
+            try:
+                sol = solve_riemann(left, right, gas)
+            except ValueError:
+                continue
+            solved += 1
+            mir = solve_riemann(PrimState(right.rho, -right.u, right.p),
+                                PrimState(left.rho, -left.u, left.p), gas)
+            assert mir.p_star == sol.p_star and mir.u_star == -sol.u_star
+            edges = np.array(sol.left_wave_speeds()
+                             + sol.right_wave_speeds() + (sol.u_star,))
+            xi = np.concatenate([
+                rng.uniform(edges.min() - 1.0, edges.max() + 1.0, 50), edges,
+                np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+            xi = xi[xi != sol.u_star]
+            q, q_mir = sol.sample(xi), mir.sample(-xi)
+            assert np.array_equal(q_mir.rho, q.rho)
+            assert np.array_equal(q_mir.u, -q.u)
+            assert np.array_equal(q_mir.p, q.p)
+        assert solved > 150
