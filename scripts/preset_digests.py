@@ -2,13 +2,15 @@
 """Print the sha256 of every artifact of every preset.
 
 Each preset runs capped at --max-steps, with a snapshot and budget sample
-every min(t_final / 4, 0.03) time units, into a temporary directory.  One
-Two fixed cases follow, both of which take the forked writer
+every min(t_final / 4, 0.03) time units, into a temporary directory.
+Three fixed cases follow.  The first two take the forked writer
 (driver._FORK_ROWS) on a host with a spare CPU: sod at 2e4 cells, 6 steps,
 a snapshot every 2.5e-5 (two mid-run marks), which forks at its first
 snapshot; and sod_viscous (500 cells) for 120 steps with a snapshot every
 1.25e-4, as in perfbench's budget_dense, whose rows cross the threshold
-mid-run.  The last line digests all the others.  Run it against two checkouts and
+mid-run.  The third, sod on 64 periodic cells for 60 steps with a snapshot
+every 0.02, is the only digested run with periodic boundaries.  The last
+line digests all the others.  Run it against two checkouts and
 compare the output to show that a change leaves every snapshot,
 budget.csv and metrics.txt byte-identical:
 
@@ -29,6 +31,7 @@ from dataclasses import replace
 
 from kepes.driver import run
 from kepes.presets import list_presets, preset
+from kepes.spatial import BoundaryCondition, BoundarySpec
 
 
 def cases(max_steps: int):
@@ -48,6 +51,12 @@ def cases(max_steps: int):
     yield "sod_viscous_dense", replace(base, snapshot_interval=1.25e-4,
                                        time=replace(base.time,
                                                     max_steps=120))
+    base = preset("sod")
+    periodic = BoundaryCondition("periodic")
+    yield "sod_periodic", replace(base, grid=replace(base.grid, n_cells=64),
+                                  bcs=BoundarySpec(periodic, periodic),
+                                  snapshot_interval=0.02,
+                                  time=replace(base.time, max_steps=60))
 
 
 def preset_blocks(max_steps: int):

@@ -39,6 +39,14 @@ class ConfigError(ValueError):
     """Malformed or invalid configuration input."""
 
 
+def _check_states(**states):
+    """Reject the first state, None skipped, whose rho or p is not > 0 (NaN
+    included); its keyword is its label in the message."""
+    for label, q in states.items():
+        if q is not None and not (q[0] > 0.0 and q[2] > 0.0):
+            raise ValueError(f"{label} state: rho and p must be > 0")
+
+
 @dataclass(frozen=True)
 class InitialCondition:
     """Riemann (left/right states split at x_diaphragm) or uniform data."""
@@ -58,6 +66,7 @@ class InitialCondition:
             raise ValueError("uniform initial condition needs a state")
         if not math.isfinite(self.x_diaphragm):
             raise ValueError("x_diaphragm must be finite")
+        _check_states(left=self.left, right=self.right, uniform=self.state)
 
 
 @dataclass(frozen=True)
@@ -74,6 +83,8 @@ class ProblemConfig:
     snapshot_interval: float | None = None
 
     def __post_init__(self):
+        if self.flux_kind not in CENTRAL_FLUXES:
+            raise ValueError(f"flux: unknown flux kind {self.flux_kind!r}")
         interval = self.snapshot_interval
         if interval is not None and not interval >= 0.0:
             raise ValueError("snapshot_interval: must be >= 0")
@@ -233,9 +244,8 @@ def config_from_dict(raw: dict) -> ProblemConfig:
     left = PrimState(v.left_rho, v.left_u, v.left_p)
     right = PrimState(v.right_rho, v.right_u, v.right_p)
     uniform = PrimState(v.rho, v.u, v.p)
-    for label, q in (("left", left), ("right", right), ("uniform", uniform)):
-        if not (q.rho > 0.0 and q.p > 0.0):
-            raise ConfigError(f"{label} state: rho and p must be > 0")
+    # every state is checked, the ones the run does not use included
+    _build(_check_states, left=left, right=right, uniform=uniform)
     if v.ic == "riemann":
         ic = InitialCondition("riemann", left, right, v.x_diaphragm, None)
     else:

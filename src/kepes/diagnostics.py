@@ -20,8 +20,6 @@ from .thermo import GasModel, entropy_pair, entropy_vars
 __all__ = [
     "BudgetReport",
     "SolutionMetrics",
-    "ke_budget",
-    "entropy_budget",
     "budget_report",
     "solution_metrics",
     "overshoot_undershoot",
@@ -70,109 +68,56 @@ class BudgetReport:
                         for f in fields(BudgetReport))
 
 
-def _face_slice(faces: FaceData, n: int):
-    """Faces entering the interior sums: all physical faces once under
-    periodicity, strictly interior faces otherwise."""
-    return slice(0, n) if faces.periodic else slice(1, n)
-
-
-def ke_budget(prim, rhs, faces: FaceData, grid: Grid1D):
-    """Kinetic-energy budget terms of the (rho, u, p) rows prim and the
-    (3, n) rhs.
-
-    Returns (direct, pressure_work, numerical, viscous, boundary): the
-    direct evaluation sum_j (-u_j^2/2 rhs_rho + u_j rhs_m) dx and its
-    face-sum decomposition.
-    """
-    n = grid.n_cells
-    dx = grid.dx
-    u = prim[1]
-    rhs_rho, rhs_m, _ = rhs
-    direct = float(np.sum((-0.5 * u ** 2 * rhs_rho + u * rhs_m)) * dx)
-
-    sl = _face_slice(faces, n)
-    du, ub = faces.du[sl], faces.u_bar[sl]
-    pressure_work = float(np.sum(du * faces.p_tilde[sl]))
-    numerical = float(np.sum(du * (faces.diss[1, sl]
-                                   - ub * faces.diss[0, sl])))
-    viscous = float(-np.sum(du * faces.visc[1, sl]))
-
-    boundary = 0.0
-    if not faces.periodic:
-        first, last = faces.net_ends
-        phi_first = np.array([-0.5 * u[0] ** 2, u[0], 0.0])
-        phi_last = np.array([-0.5 * u[-1] ** 2, u[-1], 0.0])
-        boundary = float(phi_first @ first - phi_last @ last)
-    return direct, pressure_work, numerical, viscous, boundary
-
-
-def entropy_budget(prim, rhs_cells: np.ndarray, faces: FaceData,
-                   grid: Grid1D, gas: GasModel):
-    """Entropy budget terms for U = -rho s/(gamma - 1) of the (rho, u, p)
-    rows prim; rhs_cells is the rhs as one (n, 3) cell-major contiguous
-    array, np.stack(rhs, axis=-1).
-
-    Returns (direct, flux_residual, numerical, viscous, boundary) where
-    flux_residual sums dv . f_central - d(psi) over interior faces (zero
-    for an entropy-conservative central flux) and numerical sums
-    dv . d_diss = -(1/2) dv^T Q dv, which is never positive.
-    """
-    n = grid.n_cells
-    dx = grid.dx
-    # face- and cell-major contiguous copies: np.sum adds pairwise in memory
-    # order, so the layout fixes the rounding of every sum below
-    v = np.ascontiguousarray(entropy_vars(prim, gas).T)
-    direct = float(np.sum(v * rhs_cells) * dx)
-
-    sl = _face_slice(faces, n)
-    dv = faces.dv[sl]
-    central, diss, visc = (np.ascontiguousarray(f.T)[sl]
-                           for f in (faces.central, faces.diss, faces.visc))
-    flux_residual = float(np.sum(np.sum(dv * central, axis=-1)
-                                 - faces.dpsi[sl]))
-    numerical = float(np.sum(dv * diss))
-    viscous = float(-np.sum(dv * visc))
-
-    boundary = float(np.sum(faces.dpsi[sl]))
-    if not faces.periodic:
-        first, last = faces.net_ends
-        boundary += float(v[0] @ first - v[-1] @ last)
-    return direct, flux_residual, numerical, viscous, boundary
-
-
 def budget_report(time: float, prim, rhs, faces: FaceData, grid: Grid1D,
                   gas: GasModel) -> BudgetReport:
     """Assemble the full budget sample for one instant from the
-    (rho, u, p) rows prim and the (3, n) rhs of the cells."""
-    dx = grid.dx
+    (rho, u, p) rows prim and the (3, n) rhs of the cells.
+
+    The entropy is U = -rho s/(gamma - 1).  The face sums run over all
+    physical faces once under periodicity, strictly interior faces
+    otherwise.  du_dt_flux_residual sums dv . f_central - d(psi), zero for
+    an entropy-conservative central flux, and du_dt_numerical sums
+    dv . d_diss = -(1/2) dv^T Q dv, which is never positive.
+    """
+    n, dx = grid.n_cells, grid.dx
     rho, u, _ = prim
-    total_ke = float(np.sum(0.5 * rho * u ** 2) * dx)
-    U, _, _ = entropy_pair(prim, gas)
-    total_entropy = float(np.sum(U) * dx)
-
-    # the cell-major rhs is stacked once per sample, and the boundary net
-    # fluxes once per FaceData (net_ends)
+    # face- and cell-major contiguous copies: np.sum adds pairwise in memory
+    # order, so the layout fixes the rounding of every sum below.  The
+    # boundary net fluxes are formed once per FaceData (net_ends).
     rhs_cells = np.stack(rhs, axis=-1)
-    ke = ke_budget(prim, rhs, faces, grid)
-    ent = entropy_budget(prim, rhs_cells, faces, grid, gas)
-
+    v = np.ascontiguousarray(entropy_vars(prim, gas).T)
+    sl = slice(0, n) if faces.periodic else slice(1, n)
+    du, ub = faces.du[sl], faces.u_bar[sl]
+    dv, dpsi = faces.dv[sl], faces.dpsi[sl]
+    central, diss, visc = (np.ascontiguousarray(f.T)[sl]
+                           for f in (faces.central, faces.diss, faces.visc))
     first, last = faces.net_ends
+
+    ke_boundary = 0.0
+    entropy_boundary = float(np.sum(dpsi))
+    if not faces.periodic:
+        phi_first = np.array([-0.5 * u[0] ** 2, u[0], 0.0])
+        phi_last = np.array([-0.5 * u[-1] ** 2, u[-1], 0.0])
+        ke_boundary = float(phi_first @ first - phi_last @ last)
+        entropy_boundary += float(v[0] @ first - v[-1] @ last)
     cons_err = np.sum(rhs_cells, axis=0) * dx - (first - last)
 
     return BudgetReport(
         time=time,
-        total_ke=total_ke,
-        total_entropy=total_entropy,
-        dke_dt=ke[0],
-        dke_dt_pressure_work=ke[1],
-        dke_dt_numerical=ke[2],
-        dke_dt_viscous=ke[3],
-        dke_dt_boundary=ke[4],
-        du_dt=ent[0],
-        du_dt_flux_residual=ent[1],
-        du_dt_numerical=ent[2],
-        du_dt_viscous=ent[3],
-        du_dt_boundary=ent[4],
+        total_ke=float(np.sum(0.5 * rho * u ** 2) * dx),
+        total_entropy=float(np.sum(entropy_pair(prim, gas)[0]) * dx),
+        dke_dt=float(np.sum((-0.5 * u ** 2 * rhs[0] + u * rhs[1])) * dx),
+        dke_dt_pressure_work=float(np.sum(du * faces.p_tilde[sl])),
+        dke_dt_numerical=float(np.sum(du * (faces.diss[1, sl]
+                                            - ub * faces.diss[0, sl]))),
+        dke_dt_viscous=float(-np.sum(du * faces.visc[1, sl])),
+        dke_dt_boundary=ke_boundary,
+        du_dt=float(np.sum(v * rhs_cells) * dx),
+        du_dt_flux_residual=float(np.sum(np.sum(dv * central, axis=-1)
+                                         - dpsi)),
+        du_dt_numerical=float(np.sum(dv * diss)),
+        du_dt_viscous=float(-np.sum(dv * visc)),
+        du_dt_boundary=entropy_boundary,
         mass_error=float(cons_err[0]),
         momentum_error=float(cons_err[1]),
         energy_error=float(cons_err[2]),

@@ -132,15 +132,17 @@ def scalar_quadratic_form(left: PrimState, right: PrimState, gas: GasModel):
             + rho_bar * d_beta * d_beta / ((g - 1.0) * left.beta * right.beta))
 
 
-def _pressure_sensor(p_m1, p_0, p_1):
-    """Cell sensor nu = |p_{j-1} - 2 p_j + p_{j+1}|
-    / (p_{j-1} + 2 p_j + p_{j+1})."""
-    return np.abs(p_m1 - 2.0 * p_0 + p_1) / (p_m1 + 2.0 * p_0 + p_1)
-
-
-def _switches(nu_l, nu_r, kappa2, kappa4):
-    """(eps2, eps4) of the face between cells with sensors nu_l and nu_r."""
-    eps2 = np.minimum(1.0, kappa2 * np.maximum(nu_l, nu_r))
+def _switches(p, kappa2, kappa4, end_rule=False):
+    """jst_switches of the faces between cells j and j + 1, j = 1 .. m - 3,
+    of the pressures p of m cells along the last axis, with the sensor of
+    each cell j = 1 .. m - 2 formed once.  With end_rule the first and the
+    last of those cells take the sensor of their inner neighbour."""
+    pm1, p0, p1 = p[..., :-2], p[..., 1:-1], p[..., 2:]
+    nu = np.abs(pm1 - 2.0 * p0 + p1) / (pm1 + 2.0 * p0 + p1)
+    if end_rule:
+        nu[..., 0] = nu[..., 1]
+        nu[..., -1] = nu[..., -2]
+    eps2 = np.minimum(1.0, kappa2 * np.maximum(nu[..., :-1], nu[..., 1:]))
     return eps2, np.maximum(0.0, kappa4 - eps2)
 
 
@@ -151,31 +153,28 @@ def jst_switches(p_stencil, kappa2, kappa4):
     the face sensor is the maximum of the two cell sensors
     nu = |p_{j-1} - 2 p_j + p_{j+1}| / (p_{j-1} + 2 p_j + p_{j+1}).
     """
-    pm1, p0, p1, p2 = (np.asarray(p, dtype=float) for p in p_stencil)
-    return _switches(_pressure_sensor(pm1, p0, p1),
-                     _pressure_sensor(p0, p1, p2), kappa2, kappa4)
+    p = np.stack(np.broadcast_arrays(*p_stencil), axis=-1).astype(float)
+    eps2, eps4 = _switches(p, kappa2, kappa4)
+    return eps2[..., 0], eps4[..., 0]
 
 
 def jst_dissipation(cells, gas: GasModel, spec: DissipationSpec,
-                    eps2=None, eps4=None, means: FaceMeans | None = None):
+                    end_rule: bool = False, means: FaceMeans | None = None):
     """Blended second/fourth-difference dissipation flux of the faces of
     the stacked (rho, u, p) of m cells along the last axis.
 
     Face j + 1/2, j = 1 .. m - 3, reads the stencil
     (q_{j-1}, q_j, q_{j+1}, q_{j+2}); each jump slot of D is replaced by
     eps2 * (q_{j+1} - q_j) - eps4 * (q_{j+2} - 3 q_{j+1} + 3 q_j - q_{j-1})
-    of the (rho, u, 1/beta) slots.  Returns the stacked flux correction
-    -(1/2) lambda D of the m - 3 faces.  Pass both switches to override
-    the pressure sensor (the solver does this at boundaries).  means is the
-    FaceMeans record of the pairs (q_j, q_{j+1}).
+    of the (rho, u, 1/beta) slots, with the pressure-sensor switches of
+    jst_switches.  With end_rule, which the stage sets at non-periodic
+    boundaries, the first and the last face read the sensor of their inner
+    cell in place of the outer one's.  Returns the stacked flux
+    correction -(1/2) lambda D of the m - 3 faces.  means is the FaceMeans
+    record of the pairs (q_j, q_{j+1}).
     """
-    if (eps2 is None) != (eps4 is None):
-        raise ValueError("pass both eps2 and eps4, or neither")
     n = cells.shape[-1] - 3
-    if eps2 is None:
-        p = cells[2]
-        eps2, eps4 = jst_switches([p[..., k:k + n] for k in range(4)],
-                                  spec.kappa2, spec.kappa4)
+    eps2, eps4 = _switches(cells[2], spec.kappa2, spec.kappa4, end_rule)
     m = (FaceMeans.of_cells(cells, slice(1, n + 1), slice(2, n + 2))
          if means is None else means)
     slots = np.empty(cells.shape)

@@ -181,8 +181,8 @@ def rotate_state(q: PrimState2D, angle: float) -> PrimState2D:
 
 
 def rotation_covariance_check(left: PrimState2D, right: PrimState2D,
-                              n: FaceNormal, gas: GasModel, angle: float,
-                              tol: float = 1.0e-12) -> bool:
+                              n: FaceNormal, gas: GasModel,
+                              angle: float) -> bool:
     """True when rotating both states and the normal rotates the momentum
     flux pair and leaves the mass and energy fluxes unchanged."""
     c, s = np.cos(angle), np.sin(angle)
@@ -195,4 +195,4 @@ def rotation_covariance_check(left: PrimState2D, right: PrimState2D,
         c * f_base[..., 1] - s * f_base[..., 2],
         s * f_base[..., 1] + c * f_base[..., 2],
         f_base[..., 3]), axis=-1)
-    return bool(np.all(np.abs(f_rot - expected) <= tol))
+    return bool(np.all(np.abs(f_rot - expected) <= 1.0e-12))

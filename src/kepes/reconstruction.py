@@ -43,10 +43,11 @@ def minmod(a, b):
     return out
 
 
-def van_albada(a, b, eps=VAN_ALBADA_EPS):
+def van_albada(a, b):
     """Smooth limiter (a^2 b + b^2 a + eps (a+b)) / (a^2 + b^2 + 2 eps)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    eps = VAN_ALBADA_EPS
     return (a * a * b + b * b * a + eps * (a + b)) / (a * a + b * b + 2.0 * eps)
 
 

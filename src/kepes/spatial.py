@@ -20,8 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dissipation import (DissipationSpec, _pressure_sensor, _switches,
-                          jst_dissipation, matrix_dissipation)
+from .dissipation import DissipationSpec, jst_dissipation, matrix_dissipation
 from .fluxes import CENTRAL_FLUXES
 from .reconstruction import ReconSpec, reconstruct_face
 from .thermo import (
@@ -90,6 +89,9 @@ class BoundaryCondition:
             raise ValueError(f"unknown boundary kind {self.kind!r}")
         if self.kind == "fixed_state" and self.state is None:
             raise ValueError("fixed_state boundary needs a state")
+        if self.kind == "fixed_state" and not (self.state[0] > 0.0
+                                               and self.state[2] > 0.0):
+            raise ValueError("boundary state: rho and p must be > 0")
         if self.kind == "shock_outflow" and self.mass_flux is None:
             raise ValueError("shock_outflow boundary needs a mass_flux")
         if self.mass_flux is not None and not np.isfinite(self.mass_flux):
@@ -258,18 +260,10 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
         d_flux = matrix_dissipation(means.left, means.right, gas, diss,
                                     flux_kind, means)
     elif diss.kind == "scalar":
-        nu = np.zeros(n + 4)
-        p = rows[2]
-        nu[1:-1] = _pressure_sensor(p[:-2], p[1:-1], p[2:])
-        if not bcs.is_periodic:
-            # boundary faces reuse the nearest interior sensor
-            nu[1] = nu[2]
-            nu[-2] = nu[-3]
-        eps2, eps4 = _switches(nu[1:n + 2], nu[2:n + 3], diss.kappa2,
-                               diss.kappa4)
         # the stencil differences the cells, whose pairs are the face pairs
-        # only without reconstruction
-        d_flux = jst_dissipation(rows, gas, diss, eps2, eps4, pairs)
+        # only without reconstruction; boundary faces reuse the nearest
+        # interior sensor
+        d_flux = jst_dissipation(rows, gas, diss, not bcs.is_periodic, pairs)
     else:
         d_flux = np.zeros((3, n + 1))
     if gas.is_viscous:

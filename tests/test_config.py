@@ -9,6 +9,7 @@ from kepes.config import (
     _KEYS,
     KNOWN_KEYS,
     ConfigError,
+    InitialCondition,
     _float,
     _int,
     _optional_float,
@@ -23,7 +24,7 @@ from kepes.config import (
 from kepes.dissipation import DissipationSpec
 from kepes.presets import list_presets, preset
 from kepes.spatial import BoundaryCondition
-from kepes.thermo import ViscosityLaw
+from kepes.thermo import PrimState, ViscosityLaw
 
 FLOAT_KEYS = [k for k, _, parse, _ in _KEYS
               if parse in (_float, _optional_float)]
@@ -175,8 +176,23 @@ class TestConfigValidation:
          "x_diaphragm must be finite"),
         (lambda: BoundaryCondition("shock_outflow", mass_flux=1.0),
          "mass_flux", np.nan, "mass_flux must be finite"),
+        (lambda: preset("sod").ic, "left", PrimState(-1.0, 0.0, 1.0),
+         "left state: rho and p must be > 0"),
+        (lambda: preset("sod").ic, "right", PrimState(0.125, 0.0, np.nan),
+         "right state: rho and p must be > 0"),
+        (lambda: InitialCondition(state=PrimState(1.0, 0.0, 1.0)), "state",
+         PrimState(np.nan, 0.0, 1.0), "uniform state: rho and p must be > 0"),
+        (lambda: preset("stationary_shock_m4").bcs.left, "state",
+         PrimState(-1.0, 0.0, 1.0),
+         "boundary state: rho and p must be > 0"),
+        (lambda: preset("stationary_shock_m4").bcs.left, "state",
+         PrimState(np.nan, 0.0, 1.0), "boundary state: rho and p must be > 0"),
+        (lambda: preset("sod"), "flux_kind", "bogus",
+         "flux: unknown flux kind 'bogus'"),
     ], ids=["kappa2", "kappa4", "ec1_beta", "mu_ref", "t_ref",
-            "x_diaphragm-nan", "x_diaphragm-inf", "mass_flux"])
+            "x_diaphragm-nan", "x_diaphragm-inf", "mass_flux",
+            "ic-left-rho", "ic-right-p-nan", "ic-uniform-rho-nan",
+            "fixed_state-rho", "fixed_state-rho-nan", "flux_kind"])
     def test_range_checks_reject_nan_on_replace(self, make, field, value,
                                                 message):
         # NaN fails every comparison, so a check written as x < 0 passes it

@@ -355,6 +355,33 @@ def test_assemble_rhs_matches_seed_composition(flux_kind, bc):
                     assert faces.periodic == bcs.is_periodic
 
 
+@pytest.mark.parametrize("flux_kind", FLUX_KINDS)
+def test_scalar_end_rule_with_foreign_fixed_states(flux_kind):
+    # the fixed states above are the edge cells, so every ghost sensor is
+    # zero and the end rule leaves the end faces as they were.  Here the
+    # ghosts hold a tenth of the uniform pressure, so each outer ghost
+    # sensor exceeds the edge cell's and the rule decides the end faces.
+    gas = GasModel()
+    grid = Grid1D(N_CELLS, 0.0, 1.0)
+    prim = contact_states(np.random.default_rng(11))
+    ghost = PrimState(1.0, 0.0, 0.1 * prim.p[0])
+    bcs = BoundarySpec(BoundaryCondition("fixed_state", state=ghost),
+                       BoundaryCondition("fixed_state", state=ghost))
+    cells = prim_to_cons(prim, gas)
+    for diss in DISSIPATIONS[1:3]:
+        for recon in RECONSTRUCTIONS:
+            case = f"{diss.beta_average}/{recon.order}{recon.limiter}"
+            rhs, faces = assemble_rhs(cells.stacked(), grid, gas, flux_kind,
+                                      diss, recon, bcs)
+            want, want_faces, tol = oracle_rhs(cells, grid, gas, flux_kind,
+                                               diss, recon, bcs)
+            assert_close(f"{case} diss", faces.diss.T, want_faces["diss"],
+                         tol)
+            got = np.stack([rhs[0], rhs[1], rhs[2]], axis=-1)
+            assert_close(f"{case} rhs", got, want,
+                         (tol[1:] + tol[:-1]) / grid.dx)
+
+
 # -- call counts --------------------------------------------------------------
 
 def count_calls(monkeypatch, name):
