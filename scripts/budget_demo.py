@@ -42,7 +42,7 @@ def main():
     for label, flux, diss in CASES:
         rhs, faces = assemble_rhs(cells, grid, gas, flux, diss,
                                   ReconSpec(1), PERIODIC)
-        rep = budget_report(0.0, prim, ConsState(*rhs), faces, grid, gas)
+        rep = budget_report(0.0, ConsState(*rhs), faces, grid, gas)
         print(f"{label:28s} {rep.dke_dt:12.4e} "
               f"{rep.dke_dt_pressure_work:12.4e} "
               f"{rep.dke_dt_numerical:12.4e} {rep.du_dt:12.4e} "

@@ -68,10 +68,11 @@ class BudgetReport:
                         for f in fields(BudgetReport))
 
 
-def budget_report(time: float, prim, rhs, faces: FaceData, grid: Grid1D,
+def budget_report(time: float, rhs, faces: FaceData, grid: Grid1D,
                   gas: GasModel) -> BudgetReport:
-    """Assemble the full budget sample for one instant from the
-    (rho, u, p) rows prim and the (3, n) rhs of the cells.
+    """Assemble the full budget sample for one instant from the (3, n) rhs
+    of the cells and the stage's face record, whose (rho, u, p) rows of
+    the cells (faces.cells) are the state sampled.
 
     The entropy is U = -rho s/(gamma - 1).  The face sums run over all
     physical faces once under periodicity, strictly interior faces
@@ -80,7 +81,8 @@ def budget_report(time: float, prim, rhs, faces: FaceData, grid: Grid1D,
     dv . d_diss = -(1/2) dv^T Q dv, which is never positive.
     """
     n, dx = grid.n_cells, grid.dx
-    rho, u, _ = prim
+    prim = faces.cells
+    rho, u = prim[0], prim[1]
     # face- and cell-major contiguous copies: np.sum adds pairwise in memory
     # order, so the layout fixes the rounding of every sum below.  The
     # boundary net fluxes are formed once per FaceData (net_ends).

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .thermo import (FaceMeans, GasModel, PrimState, entropy_vars_jump,
-                     log_mean, sound_speed)
+from .thermo import (FaceMeans, GasModel, PrimState, _stacked,
+                     entropy_vars_jump, log_mean, sound_speed)
 
 __all__ = [
     "DissipationSpec",
@@ -175,7 +175,7 @@ def jst_dissipation(cells, gas: GasModel, spec: DissipationSpec,
     """
     n = cells.shape[-1] - 3
     eps2, eps4 = _switches(cells[2], spec.kappa2, spec.kappa4, end_rule)
-    m = (FaceMeans.of_cells(cells, slice(1, n + 1), slice(2, n + 2))
+    m = (FaceMeans(cells[..., 1:n + 1], cells[..., 2:n + 2])
          if means is None else means)
     slots = np.empty(cells.shape)
     slots[:2] = cells[:2]
@@ -199,32 +199,21 @@ def face_average(left: PrimState, right: PrimState, gas: GasModel,
     matrix dissipation.  Pairing with the arithmetic-average central flux
     ("kepec_ac") keeps arithmetic averages here as well, losing that
     property.  The density mean follows the mass-flux average of the
-    central flux.
+    central flux.  matrix_dissipation forms the same averages inline.
     """
     m = FaceMeans(left, right) if means is None else means
-    if flux_kind == "kepec_ac":
-        rho_f, beta_m = m.rho_bar, m.beta_bar
-    else:
-        rho_f, beta_m = m.rho_ln, m.beta_ln
+    rho_f, beta_m = _rho_beta(m, flux_kind)
     a_f = np.sqrt(gas.gamma / (2.0 * beta_m))
     H_f = a_f * a_f / (gas.gamma - 1.0) + 0.5 * m.u_bar * m.u_bar
     return FaceAverage(rho_f, m.u_bar, a_f, H_f)
 
 
-def _eigen_entries(avg: FaceAverage, gas: GasModel):
-    """Rows 2 and 3 of R (row 1 is ones) as a (2, 3, ...) array, columns
-    (u-a, u, u+a), and the acoustic and entropy-wave entries of S."""
-    rho, u, a, H = avg.rho, avg.u, avg.a, avg.H
-    g = gas.gamma
-    ua = u * a
-    rows = np.empty((2, 3) + np.shape(ua))
-    np.subtract(u, a, out=rows[0, 0, ...])
-    rows[0, 1] = u
-    np.add(u, a, out=rows[0, 2, ...])
-    np.subtract(H, ua, out=rows[1, 0, ...])
-    np.multiply(0.5 * u, u, out=rows[1, 1, ...])
-    np.add(H, ua, out=rows[1, 2, ...])
-    return rows, rho / (2.0 * g), (g - 1.0) * rho / g
+def _rho_beta(m: FaceMeans, flux_kind: str):
+    """The density and beta means of the dissipation matrix: arithmetic
+    beside the kepec_ac flux, logarithmic otherwise."""
+    if flux_kind == "kepec_ac":
+        return m.rho_bar, m.beta_bar
+    return m.rho_ln, m.beta_ln
 
 
 def eigen_system(avg: FaceAverage, gas: GasModel):
@@ -235,10 +224,15 @@ def eigen_system(avg: FaceAverage, gas: GasModel):
     Q = R |Lambda| S R^T is symmetric positive semidefinite for any
     nonnegative |Lambda|.
     """
-    rows, s_ac, s_mid = _eigen_entries(avg, gas)
-    R = np.concatenate((np.ones_like(rows[:1]), rows))
-    return (np.ascontiguousarray(np.moveaxis(R, (0, 1), (-2, -1))),
-            np.stack([s_ac, s_mid, s_ac], axis=-1))
+    rho, u, a, H = avg.rho, avg.u, avg.a, avg.H
+    g = gas.gamma
+    ua = u * a
+    R = _stacked(1.0, 1.0, 1.0, u - a, u, u + a, H - ua, 0.5 * u * u, H + ua)
+    R = np.moveaxis(R.reshape((3, 3) + R.shape[1:]), (0, 1), (-2, -1))
+    s_ac = rho / (2.0 * g)
+    return (np.ascontiguousarray(R),
+            np.stack(np.broadcast_arrays(s_ac, (g - 1.0) * rho / g, s_ac),
+                     axis=-1))
 
 
 def eigenvalue_law(u_f, a_f, left: PrimState, right: PrimState,
@@ -263,9 +257,9 @@ def _acoustic_speeds(q, gas: GasModel):
     """The acoustic eigenvalues (u - a, u + a) of the states q, stacked."""
     a = sound_speed(q, gas)
     u = q[1]
-    out = np.empty((2,) + np.shape(a))
-    np.subtract(u, a, out=out[0, ...])
-    np.add(u, a, out=out[1, ...])
+    out = np.empty((2,) + a.shape)
+    np.subtract(u, a, out[0, ...])
+    np.add(u, a, out[1, ...])
     return out
 
 
@@ -289,8 +283,10 @@ def _law(speeds, a_f, m: FaceMeans, gas: GasModel, spec: DissipationSpec):
         lam[...] = lam_max
         return lam
     if law == "hyb":
+        # phi = clip(sqrt(|dp|/(2 p_bar)), 0, 1): the root is >= 0 or NaN,
+        # so the upper bound alone gives the same value
         dp = m.right[2] - m.left[2]
-        phi = np.clip(np.sqrt(np.abs(dp) / (2.0 * m.p_bar)), 0.0, 1.0)
+        phi = np.minimum(np.sqrt(np.abs(dp) / (2.0 * m.p_bar)), 1.0)
         return (1.0 - phi) * lam + phi * lam_max
     raise ValueError(f"unknown matrix law {law!r}")
 
@@ -305,24 +301,41 @@ def matrix_dissipation(left: PrimState, right: PrimState, gas: GasModel,
                        means: FaceMeans | None = None) -> np.ndarray:
     """Stacked entropy-variable matrix dissipation -(1/2) R |Lambda| S R^T dv,
     multiplied out in closed form: w = |Lambda| S R^T dv, then R w, formed
-    in place."""
+    in place.  The averages (rho, u, a, H) are face_average's, and each
+    face quantity is formed once."""
     m = FaceMeans(left, right) if means is None else means
-    avg = face_average(m.left, m.right, gas, flux_kind, m)
-    rows, s_ac, s_mid = _eigen_entries(avg, gas)
-    w = _law(rows[0], avg.a, m, gas, spec)
-    w[::2] *= s_ac
-    w[1] *= s_mid
+    g = gas.gamma
+    rho, beta = _rho_beta(m, flux_kind)
+    u = m.u_bar
+    a = np.sqrt(g / (2.0 * beta))
+    # rows 2 and 3 of R (row 1 is ones), columns (u - a, u, u + a) and
+    # (H - u a, u^2/2, H + u a) with H = a^2/(gamma - 1) + u^2/2
+    rows = np.empty((2, 3) + m.shape)
+    half_u2 = np.multiply(0.5 * u, u, rows[1, 1, ...])
+    H = a * a / (g - 1.0) + half_u2
+    ua = u * a
+    np.subtract(u, a, rows[0, 0, ...])
+    rows[0, 1] = u
+    np.add(u, a, rows[0, 2, ...])
+    np.subtract(H, ua, rows[1, 0, ...])
+    np.add(H, ua, rows[1, 2, ...])
+    w = _law(rows[0], a, m, gas, spec)
+    # S: the views are scaled in place (w[k] *= would write them back)
+    w_ac, w_mid = w[::2], w[1, ...]
+    w_ac *= rho / (2.0 * g)
+    w_mid *= (g - 1.0) * rho / g
     # freed before dv is formed, which lowers the peak memory of a stage
-    del avg, s_ac, s_mid
+    del a, H, ua
     dv = entropy_vars_jump(m.left, m.right, gas, m)
     w *= dv[0] + rows[0] * dv[1] + rows[1] * dv[2]
     rows *= w
     # dv is spent: its workspace takes the result.  The two acoustic waves
     # are summed before the entropy wave is added.
     out = dv
-    np.add(w[0], w[2], out=out[0, ...])
-    np.add(rows[:, 0], rows[:, 2], out=out[1:])
-    out[0] += w[1]
-    out[1:] += rows[:, 1]
+    out0, out12 = out[0, ...], out[1:]
+    np.add(w[0], w[2], out0)
+    np.add(rows[:, 0], rows[:, 2], out12)
+    out0 += w_mid
+    out12 += rows[:, 1]
     out *= -0.5
     return out

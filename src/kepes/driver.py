@@ -345,8 +345,8 @@ def _run(config: ProblemConfig, output_dir: str, result: RunResult):
     # the sample and the snapshot read the state's evaluation, which the
     # march drops before it steps on: nothing here may keep a reference
     def sample_budget(state):
-        budget_rows.append(budget_report(state.t, state.faces.cells,
-                                         state.rhs, state.faces, grid, gas))
+        budget_rows.append(budget_report(state.t, state.rhs, state.faces,
+                                         grid, gas))
 
     def emit_snapshot(state, name, last=False):
         writer.write(os.path.join(output_dir, f"snapshot_{name}.csv"),

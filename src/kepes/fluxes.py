@@ -99,11 +99,11 @@ def _kep_family(m: FaceMeans, gas: GasModel, rho_f, beta_f):
     f_e = (1/(2 (gamma-1) beta_f) - u2_bar/2) f_rho + u_bar f_m."""
     g = gas.gamma
     out = np.empty((3,) + m.shape)
-    f_rho = np.multiply(rho_f, m.u_bar, out=out[0, ...])
+    f_rho = np.multiply(rho_f, m.u_bar, out[0, ...])
     p_t = m.rho_bar / (2.0 * m.beta_bar)
-    f_m = np.add(p_t, m.u_bar * f_rho, out=out[1, ...])
+    f_m = np.add(p_t, m.u_bar * f_rho, out[1, ...])
     np.add((0.5 / ((g - 1.0) * beta_f) - 0.5 * m.u2_bar) * f_rho,
-           m.u_bar * f_m, out=out[2, ...])
+           m.u_bar * f_m, out[2, ...])
     return out
 
 

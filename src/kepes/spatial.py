@@ -5,12 +5,14 @@ assemble_rhs evaluates du_j/dt = -(F_{j+1/2} - F_{j-1/2})/dx
 matrix dissipation and G the viscous flux.  Two ghost cells per side feed
 the reconstruction and the four-point scalar-dissipation stencil.  The
 state is the stacked (3, n) array of the rows rho, m, E, and rhs comes back
-in that form.  Inside, the cells are one (3, n + 4) array of the rows rho,
-u, p that the stencil kernels read whole, one FaceMeans record of the face
-pairs per call feeds the central flux and the dissipation, and each flux
-is a stacked (3, n + 1) array.  All per-face quantities needed by the
-budget diagnostics are returned in a FaceData record, which derives them
-only when read.
+in that form.  Inside, the cells and their ghosts are one (5, n + 4) cell
+block of the rows rho, beta, u, u^2, p: the stage writes rho, u and p, the
+stencil kernels read those three rows whole, and a cell-pair record forms
+beta and u^2.  One FaceMeans record per call, which holds the face pairs
+as one contiguous (2, 5, n + 1) block, feeds the central flux and the
+dissipation, and each flux is a stacked (3, n + 1) array.  All per-face
+quantities needed by the budget diagnostics are returned in a FaceData
+record, which derives them only when read.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .thermo import (
     GasModel,
     InvalidStateError,
     PrimState,
-    cons_to_prim,
     entropy_vars,
     temperature,
 )
@@ -201,18 +202,17 @@ def viscous_face_flux(left: PrimState, right: PrimState, gas: GasModel,
     return out
 
 
-def apply_boundary(cells, bcs: BoundarySpec) -> np.ndarray:
-    """The (rho, u, p) rows of n cells, an array or a triple of rows,
-    extended by two ghost cells per side into one (3, n + 4) array."""
-    out = np.empty((3, np.shape(cells[0])[0] + 4))
-    out[0, 2:-2], out[1, 2:-2], out[2, 2:-2] = cells
+def apply_boundary(rows: np.ndarray, bcs: BoundarySpec) -> np.ndarray:
+    """Fill, in place, the two ghost cells per side of rows, the (3, n + 4)
+    (rho, u, p) rows whose columns 2 .. n + 1 hold n cells; returns
+    rows."""
     if bcs.is_periodic:
-        out[:, :2] = out[:, -4:-2]
-        out[:, -2:] = out[:, 2:4]
+        rows[:, :2] = rows[:, -4:-2]
+        rows[:, -2:] = rows[:, 2:4]
     else:
-        out[:, :2] = _ghost(bcs.left, out[:, 2:3])
-        out[:, -2:] = _ghost(bcs.right, out[:, -3:-2])
-    return out
+        rows[:, :2] = _ghost(bcs.left, rows[:, 2:3])
+        rows[:, -2:] = _ghost(bcs.right, rows[:, -3:-2])
+    return rows
 
 
 def _ghost(bc: BoundaryCondition, edge):
@@ -232,25 +232,35 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
     if flux_kind not in CENTRAL_FLUXES:
         raise ValueError(f"unknown flux kind {flux_kind!r}")
     n, dx = grid.n_cells, grid.dx
-    rows = apply_boundary(cons_to_prim(cells, gas), bcs)
+    # the cell block: rows rho, beta, u, u^2 and p of the n cells and two
+    # ghost cells per side.  The stage writes rho, u and p (cons_to_prim's
+    # formula) and the ghosts; a cell-pair record forms beta and u^2.
+    block = np.empty((5, n + 4))
+    rows = block[::2]
     inner = rows[:, 2:-2]
-    # a valid cell is finite with rho > 0 and p > 0; all cells are tested
-    # at once, and only a failure looks for the first invalid cell
-    if (np.count_nonzero(np.isfinite(inner)) < inner.size
-            or not inner[::2].min() > 0.0):
+    rho, m = cells[0], cells[1]
+    inner[0] = rho
+    u = np.divide(m, rho, inner[1])
+    np.multiply(gas.gamma - 1.0, cells[2] - 0.5 * m * u, inner[2])
+    # a valid cell is finite with rho > 0 and p > 0.  The min fails on a
+    # rho or p that is not > 0 or is NaN, the max on inf or NaN; u = -inf
+    # makes p -inf or NaN.  Only a failure looks for the first bad cell.
+    if not (inner[::2].min() > 0.0 and inner.max() < np.inf):
         valid = np.isfinite(inner).all(axis=0) & (inner[::2] > 0.0).all(axis=0)
         idx = int(np.argmin(valid))
         raise InvalidStateError(
             f"invalid state in cell {idx}: rho={inner[0, idx]:.6g}, "
             f"p={inner[2, idx]:.6g}")
+    apply_boundary(rows, bcs)
 
     # face k sits between cells k+1 and k+2 of rows.  These cell pairs are
     # the face pairs at first order and, at any order, the pairs that the
     # scalar stencil and the viscous flux difference.
     lo, hi = slice(1, n + 2), slice(2, n + 3)
     pairs = None
-    if recon.order == 1 or diss.kind == "scalar" or gas.is_viscous:
-        pairs = FaceMeans.of_cells(rows, lo, hi)
+    viscous = gas.is_viscous
+    if recon.order == 1 or diss.kind == "scalar" or viscous:
+        pairs = FaceMeans.of_cells(block, lo, hi)
     means = pairs
     if recon.order == 2:
         means = FaceMeans(*reconstruct_face(rows, recon))
@@ -266,24 +276,32 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
         d_flux = jst_dissipation(rows, gas, diss, not bcs.is_periodic, pairs)
     else:
         d_flux = np.zeros((3, n + 1))
-    if gas.is_viscous:
+    if viscous:
         g_flux = viscous_face_flux(pairs.left, pairs.right, gas, dx, pairs)
     else:
         g_flux = np.zeros((3, n + 1))
 
+    # net = F - G.  An inviscid G is zero and x - 0 is x, so it is not
+    # subtracted.
     if bcs.right.kind == "shock_outflow":
         # boundary-flux step: the last face carries the prescribed mass
         # flux and, in momentum and energy, the net flux of the face before
         # it, so the last cell sees zero update in them; its dissipative
         # and viscous parts are zero
-        central[1:, n] = (central[1:, n - 1] + d_flux[1:, n - 1]
-                          - g_flux[1:, n - 1])
+        edge = central[1:, n - 1] + d_flux[1:, n - 1]
+        if viscous:
+            edge -= g_flux[1:, n - 1]
+            g_flux[:, n] = 0.0
+        central[1:, n] = edge
         central[0, n] = bcs.right.mass_flux
         d_flux[:, n] = 0.0
-        g_flux[:, n] = 0.0
 
-    net = central + d_flux - g_flux
-    rhs = -(net[:, 1:] - net[:, :-1]) / dx
+    net = central + d_flux
+    if viscous:
+        net -= g_flux
+    # -(net[1:] - net[:-1]) / dx: x / -dx is -(x / dx) bitwise
+    rhs = net[:, 1:] - net[:, :-1]
+    rhs /= -dx
     faces = FaceData(central, d_flux, g_flux, rows[:, lo], rows[:, hi], gas,
                      bcs.is_periodic)
     return rhs, faces

@@ -3,9 +3,9 @@
 State containers are named row triples that hold floats or numpy arrays,
 and every function broadcasts, so the same code serves a single interface
 pair or a whole grid of them; a three-component result comes back as one
-(3, ...) array.  Functions read a state by unpacking it, so a (3, ...) row
-array and a PrimState (or ConsState) are the same input.  Working
-variables are density rho, velocity u, pressure p, with
+(3, ...) array.  Functions read a state by unpacking or indexing it, so
+a (3, ...) row array and a PrimState (or ConsState) are the same input.
+Working variables are density rho, velocity u, pressure p, with
 beta = rho/(2*p) = 1/(2*R*T) and the (constant-free) specific entropy
 s = ln(p) - gamma*ln(rho).
 """
@@ -156,7 +156,7 @@ def cons_to_prim(w, gas: GasModel) -> PrimState:
 
 def temperature(q, gas: GasModel):
     """T = p / (rho R)."""
-    rho, _, p = q
+    rho, p = q[0], q[2]
     return p / (rho * gas.gas_constant)
 
 
@@ -201,72 +201,81 @@ class FaceMeans:
     """Two-point averages of the pairs (left, right), shared by the central
     flux, the dissipation and the entropy-variable jump of one RHS stage.
 
-    A record is one cell array and the indices lo, hi of the left and right
-    side of each pair along its last axis (FaceMeans.of_cells); the pair
-    constructor lays left and right side by side in a new one.  fields
-    holds the quantities that the means average, (rho, beta, u, u^2, p),
-    of every cell (the first two are the log-mean pair), so left, right
-    and every cell quantity read through sides() are evaluated once per
-    cell; left and right are the (rho, u, p) rows of each side, views of
-    fields.  The means are formed on first read: rho_bar, beta_bar,
-    u_bar, u2_bar (the mean of u^2) and p_bar by one average of the stacked
-    fields of both sides, rho_ln and beta_ln by one log_mean call on the
-    stacked (rho, beta) pair.
+    pairs is one C-contiguous (2, 5, ...) block: pairs[0] and pairs[1]
+    hold the fields (rho, beta, u, u^2, p) of the left and the right side
+    of every pair, with beta = rho/(2 p).  left and right are the (rho,
+    u, p) rows of each side and beta_l, beta_r its beta row, all views of
+    pairs.  The pair constructor writes both sides into a new block.
+    FaceMeans.of_cells adopts a cell block, forms beta and u^2 once per
+    cell there and copies the pairs out; cell quantities read through
+    sides() are then evaluated once per cell.  Every record forms
+    rho_bar, beta_bar, u_bar, u2_bar (the mean of u^2) and p_bar by one
+    half-sum of the two sides.  rho_ln and beta_ln are formed on first
+    read, by one log_mean call on the contiguous (rho, beta) halves.
     """
 
     def __init__(self, left, right):
-        states = (left, right)
-        shape = np.broadcast_shapes(*(np.shape(f) for q in states for f in q))
-        # a single pair takes cells 0 and 1; k pairs take cells 0..k-1 and
-        # k..2k-1, so that each side stays contiguous
-        k = shape[-1] if shape else 1
-        fields = np.empty((5,) + shape[:-1] + (2 * k,))
-        index = (0, 1) if not shape else (slice(0, k), slice(k, 2 * k))
-        for side, state in zip(index, states):
-            for row, f in zip(fields[::2], state):
-                row[..., side] = f
-        self._init(fields, *index)
+        shape = np.broadcast_shapes(*(np.shape(f) for q in (left, right)
+                                      for f in q))
+        pairs = np.empty((2, 5) + shape)
+        for side, state in zip(pairs, (left, right)):
+            for k, f in zip((0, 2, 4), state):
+                side[k] = f
+            _form_fields(side)
+        # sides() reads the (rho, u, p) rows of both sides, (3, 2, ...)
+        rest = (slice(None),) * len(shape)
+        self._adopt(pairs, pairs.swapaxes(0, 1)[::2], (..., 0) + rest,
+                    (..., 1) + rest)
 
     @classmethod
-    def of_cells(cls, cells: np.ndarray, lo, hi):
-        """Record of the cell pairs (cells[..., lo], cells[..., hi]) of the
-        stacked (rho, u, p) cells."""
-        fields = np.empty((5,) + cells.shape[1:])
-        fields[::2] = cells
+    def of_cells(cls, block: np.ndarray, lo, hi):
+        """Record of the cell pairs (block[:, lo], block[:, hi]) of the
+        (5, m) cell block whose rows 0, 2 and 4 hold rho, u and p; rows 1
+        and 3 take beta and u^2 here."""
+        _form_fields(block)
+        left = block[:, lo]
+        pairs = np.empty((2,) + left.shape)
+        pairs[0] = left
+        pairs[1] = block[:, hi]
         self = cls.__new__(cls)
-        self._init(fields, lo, hi)
+        self._adopt(pairs, block[::2], (..., lo), (..., hi))
         return self
 
-    def _init(self, fields: np.ndarray, lo, hi):
-        # fields holds rho, u and p in rows 0, 2 and 4 and takes beta =
-        # rho/(2 p) and u^2 into rows 1 and 3; the record keeps no other
-        # reference to the cells
-        np.divide(fields[0], 2.0 * fields[4], out=fields[1])
-        np.multiply(fields[2], fields[2], out=fields[3])
-        self.fields = fields
-        self._lo, self._hi = lo, hi
-        self._rows = rows_l, rows_r = fields[..., lo], fields[..., hi]
-        self.shape = rows_l.shape[1:]
-        self.left, self.right = rows_l[::2], rows_r[::2]
-        self.beta_l, self.beta_r = rows_l[1], rows_r[1]
+    def _adopt(self, pairs, cells, lo, hi):
+        # cells holds the (rho, u, p) rows that sides() evaluates, and lo,
+        # hi index the left and the right side of each pair in them
+        self.pairs = pairs
+        self._cells, self._lo, self._hi = cells, lo, hi
+        self.shape = pairs.shape[2:]
+        left, right = pairs[0], pairs[1]
+        self.left, self.right = left[::2], right[::2]
+        self.beta_l, self.beta_r = left[1], right[1]
+        # rows are taken by index, which is cheaper than unpacking
+        bar = _avg(left, right)
+        self.rho_bar, self.beta_bar, self.u_bar = bar[0], bar[1], bar[2]
+        self.u2_bar, self.p_bar = bar[3], bar[4]
 
     def sides(self, quantity):
-        """(quantity(left), quantity(right)); quantity maps the (rho, u, p)
-        rows of the cells to an array whose last axis runs over them."""
-        q = quantity(self.fields[::2])
-        return q[..., self._lo], q[..., self._hi]
+        """(quantity(left), quantity(right)); quantity maps (rho, u, p) rows
+        to an array with the trailing shape of the rows."""
+        q = quantity(self._cells)
+        return q[self._lo], q[self._hi]
 
     def __getattr__(self, name):
-        # each group of means is formed on the first read of one of them
-        if name in ("rho_ln", "beta_ln"):
-            rows_l, rows_r = self._rows
-            self.rho_ln, self.beta_ln = log_mean(rows_l[:2], rows_r[:2])
-        elif name in ("rho_bar", "beta_bar", "u_bar", "u2_bar", "p_bar"):
-            (self.rho_bar, self.beta_bar, self.u_bar, self.u2_bar,
-             self.p_bar) = _avg(*self._rows)
-        else:
+        # the log means are formed on the first read of either
+        if name not in ("rho_ln", "beta_ln"):
             raise AttributeError(name)
+        pairs = self.pairs
+        ln = log_mean(pairs[0, :2], pairs[1, :2])
+        self.rho_ln, self.beta_ln = ln[0], ln[1]
         return getattr(self, name)
+
+
+def _form_fields(fields):
+    """Rows 1 and 3 of the fields (rho, beta, u, u^2, p), beta = rho/(2 p)
+    and u^2, from rows 0, 2 and 4, in place."""
+    np.divide(fields[0], 2.0 * fields[4], fields[1, ...])
+    np.multiply(fields[2], fields[2], fields[3, ...])
 
 
 def entropy_vars_jump(left: PrimState, right: PrimState, gas: GasModel,
@@ -281,14 +290,15 @@ def entropy_vars_jump(left: PrimState, right: PrimState, gas: GasModel,
     """
     m = FaceMeans(left, right) if means is None else means
     g = gas.gamma
-    rows_l, rows_r = m._rows
-    d_rho, d_beta, d_u = rows_r[:3] - rows_l[:3]
+    # the (rho, beta, u) rows of right - left, from the contiguous halves
+    jump = m.pairs[1, :3] - m.pairs[0, :3]
+    d_rho, d_beta, d_u = jump[0], jump[1], jump[2]
     out = np.empty((3,) + m.shape)
     np.subtract(d_rho / m.rho_ln
                 + (1.0 / ((g - 1.0) * m.beta_ln) - m.u2_bar) * d_beta,
-                2.0 * m.u_bar * m.beta_bar * d_u, out=out[0, ...])
-    np.multiply(2.0, m.beta_bar * d_u + m.u_bar * d_beta, out=out[1, ...])
-    np.multiply(-2.0, d_beta, out=out[2, ...])
+                2.0 * m.u_bar * m.beta_bar * d_u, out[0, ...])
+    np.multiply(2.0, m.beta_bar * d_u + m.u_bar * d_beta, out[1, ...])
+    np.multiply(-2.0, d_beta, out[2, ...])
     return out
 
 
@@ -302,7 +312,7 @@ def entropy_pair(q, gas: GasModel):
 
 def sound_speed(q, gas: GasModel):
     """a = sqrt(gamma p / rho)."""
-    rho, _, p = q
+    rho, p = q[0], q[2]
     return np.sqrt(gas.gamma * p / rho)
 
 

@@ -371,7 +371,7 @@ def test_c11_ns_shock_structure():
     # momentum/energy by construction, so the final 3 cells are excluded
     cfg = preset("ns_shock_structure_n200_d4")
     prim, cells, rhs, faces, t = advance(cfg, collect_rhs=True)
-    rep = budget_report(t, prim, rhs, faces, cfg.grid, cfg.gas)
+    rep = budget_report(t, rhs, faces, cfg.grid, cfg.gas)
     T = np.asarray(temperature(prim, cfg.gas))
     rho = np.asarray(prim.rho)[:-3]
     u = np.asarray(prim.u)[:-3]

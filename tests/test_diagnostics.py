@@ -44,7 +44,7 @@ def report_for(gas, grid, prim, flux_kind, diss, bcs=PERIODIC, recon=None):
     cells = prim_to_cons(prim, gas).stacked()
     rhs, faces = assemble_rhs(cells, grid, gas, flux_kind, diss,
                               recon or ReconSpec(1), bcs)
-    return budget_report(0.0, prim, ConsState(*rhs), faces, grid, gas)
+    return budget_report(0.0, ConsState(*rhs), faces, grid, gas)
 
 
 ALL_PAIRINGS = [
@@ -159,7 +159,7 @@ class TestEntropyBudget:
         diss = DissipationSpec(kind="matrix", matrix_law="roe")
         rhs, faces = assemble_rhs(cells, grid, gas, "kepec", diss,
                                   ReconSpec(1), PERIODIC)
-        rep = budget_report(0.0, prim, ConsState(*rhs), faces, grid, gas)
+        rep = budget_report(0.0, ConsState(*rhs), faces, grid, gas)
         # dv . d = -(1/2) dv^T Q dv summed over faces
         quad = float(np.sum(faces.dv[:-1] * faces.diss.T[:-1]))
         assert abs(rep.du_dt_numerical - quad) < 1e-13
@@ -207,7 +207,7 @@ class TestEntropyBudget:
             rhs, faces = assemble_rhs(cells, grid, gas, "kepec_ac",
                                       DissipationSpec(), ReconSpec(1),
                                       PERIODIC)
-            rep = budget_report(0.0, prim, ConsState(*rhs), faces, grid, gas)
+            rep = budget_report(0.0, ConsState(*rhs), faces, grid, gas)
             per_face = np.sum(faces.dv[:-1] * faces.central.T[:-1],
                               axis=-1) - faces.dpsi[:-1]
             face_res.append(np.abs(per_face).max())

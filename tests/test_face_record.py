@@ -417,8 +417,7 @@ def test_one_log_mean_each_for_rho_and_beta(monkeypatch, diss):
     assert len(entropy) == 0
 
     # a budget read through faces still closes
-    report = budget_report(0.0, cons_to_prim(cells, gas), ConsState(*rhs),
-                           faces, grid, gas)
+    report = budget_report(0.0, ConsState(*rhs), faces, grid, gas)
     assert len(entropy) > 0
     ke = (report.dke_dt_pressure_work + report.dke_dt_numerical
           + report.dke_dt_viscous + report.dke_dt_boundary)

@@ -96,9 +96,8 @@ def frozen_run(config, output_dir):
 
     def sample_budget(w, time):
         rhs, faces = rhs_full(w)
-        budget_rows.append(budget_report(
-            time, cons_to_prim(ConsState(*w), gas), ConsState(*rhs), faces,
-            grid, gas))
+        budget_rows.append(budget_report(time, ConsState(*rhs), faces, grid,
+                                         gas))
 
     snap_index = 0
 
@@ -268,9 +267,9 @@ def test_one_evaluation_per_state(case, tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", ["sod", "stationary_shock_m4_ec1",
                                   "ns_shock_structure_n200_d4"])
 def test_one_prim_state_per_rhs(name, monkeypatch):
-    # states are row triples: the stage's cons_to_prim makes the one
-    # PrimState of an RHS, and the march, dt and the budget sample pass
-    # (3, n) rows without wrapping them
+    # states are row arrays: the stage writes its (rho, u, p) rows into
+    # its cell block without a PrimState, and the march, dt and the budget
+    # sample pass (3, n) rows without wrapping them
     config = capped(CONFIGS.get(name) or preset(name), 20)
     w0 = initial_state(config).stacked()
     made = {PrimState: 0, ConsState: 0}
@@ -282,11 +281,11 @@ def test_one_prim_state_per_rhs(name, monkeypatch):
         monkeypatch.setattr(cls, "__new__", counted)
     calls = counted_rhs_calls(monkeypatch)
     for state in kepes.timeint.march(config, w0):
-        budget_report(state.t, state.faces.cells, state.rhs, state.faces,
-                      config.grid, config.gas)
+        budget_report(state.t, state.rhs, state.faces, config.grid,
+                      config.gas)
     assert (state.reason, state.step) == ("max_steps", 20)
     assert len(calls) == 3 * 20 + 1
-    assert made == {PrimState: len(calls), ConsState: 0}
+    assert made == {PrimState: 0, ConsState: 0}
 
 
 def test_stage_one_evaluation_released_before_stage_two(tmp_path,

@@ -64,16 +64,23 @@ class TestBoundaries:
             BoundarySpec(BoundaryCondition("shock_outflow", mass_flux=1.0),
                          BoundaryCondition())
 
+    @staticmethod
+    def extended(cells):
+        """cells with two unset ghost columns per side."""
+        ext = np.full((3, cells.shape[1] + 4), np.nan)
+        ext[:, 2:-2] = cells
+        return ext
+
     def test_periodic_ghosts_wrap(self):
         cells = np.array([np.arange(1.0, 7.0), np.zeros(6), np.ones(6)])
-        ext = apply_boundary(cells, PERIODIC)
+        ext = apply_boundary(self.extended(cells), PERIODIC)
         assert ext[0][1] == 6.0  # ghost[-1] = cells[n-1]
         assert ext[0][0] == 5.0
         assert ext[0][-2] == 1.0  # ghost[n] = cells[0]
 
     def test_transmissive_ghosts_copy_edge(self):
         cells = np.array([np.arange(1.0, 7.0), np.zeros(6), np.ones(6)])
-        ext = apply_boundary(cells, TRANSMISSIVE)
+        ext = apply_boundary(self.extended(cells), TRANSMISSIVE)
         assert ext[0][0] == ext[0][1] == 1.0
         assert ext[0][-1] == ext[0][-2] == 6.0  # ghost[n] = cells[n-1]
 
@@ -82,7 +89,7 @@ class TestBoundaries:
         bc = BoundarySpec(
             BoundaryCondition("fixed_state", state=PrimState(2.0, 1.0, 3.0)),
             BoundaryCondition())
-        ext = apply_boundary(cells, bc)
+        ext = apply_boundary(self.extended(cells), bc)
         assert ext[0][0] == ext[0][1] == 2.0
         assert ext[2][0] == 3.0
 
@@ -264,12 +271,75 @@ class TestAssembleRhs:
             assemble_rhs(cells, grid, gas, "kepec", DissipationSpec(),
                          ReconSpec(1), TRANSMISSIVE)
 
+    @pytest.mark.parametrize("cell", [0, 11, 23])
+    @pytest.mark.parametrize("row, value", [
+        (row, value) for row in (0, 1, 2)
+        for value in (np.nan, np.inf, -np.inf)])
+    def test_non_finite_cell_reported(self, gas, row, value, cell):
+        # one non-finite rho, m or E is reported as that cell, wherever
+        # the cell sits
+        prim = PrimState(np.ones(24), np.full(24, 0.3), np.ones(24))
+        cells = prim_to_cons(prim, gas).stacked()
+        cells[row, cell] = value
+        with pytest.raises(InvalidStateError, match=f"cell {cell}:"):
+            assemble_rhs(cells, Grid1D(24), gas, "kepec",
+                         DissipationSpec(kind="matrix"), ReconSpec(1),
+                         TRANSMISSIVE)
+
+    @pytest.mark.parametrize("p", [0.0, -1e-12])
+    def test_non_positive_pressure_reported(self, gas, p):
+        prim = PrimState(np.ones(24), np.full(24, 0.3), np.ones(24))
+        cells = prim_to_cons(prim, gas).stacked()
+        # E = p/(gamma - 1) + m u/2 sets the pressure of cell 7 to p
+        cells[2, 7] = p / (gas.gamma - 1.0) + 0.5 * cells[1, 7] * 0.3
+        with pytest.raises(InvalidStateError, match="cell 7:"):
+            assemble_rhs(cells, Grid1D(24), gas, "kepec",
+                         DissipationSpec(kind="matrix"), ReconSpec(1),
+                         TRANSMISSIVE)
+
+    def test_huge_finite_state_is_valid(self, gas):
+        # every cell is finite and positive, although a sum over the cells
+        # overflows: the validity test must not rest on such a sum
+        prim = PrimState(np.full(24, 1e307), np.zeros(24), np.full(24, 1e307))
+        cells = prim_to_cons(prim, gas).stacked()
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.sum(cells[2]))
+        rhs, _ = assemble_rhs(cells, Grid1D(24), gas, "kepec",
+                              DissipationSpec(kind="matrix"), ReconSpec(1),
+                              TRANSMISSIVE)
+        assert np.all(np.isfinite(rhs))
+
     def test_unknown_flux_kind(self, gas):
         grid, prim = smooth_periodic_field(16)
         cells = prim_to_cons(prim, gas).stacked()
         with pytest.raises(ValueError):
             assemble_rhs(cells, grid, gas, "godunov", DissipationSpec(),
                          ReconSpec(1), PERIODIC)
+
+
+class TestPressureEquilibrium:
+    # a density wave at uniform velocity and pressure is an exact
+    # travelling solution; a flux keeps it when the semi-discrete pressure
+    # does not change at t = 0 (Shima et al., JCP 427, 2021)
+    @pytest.mark.parametrize("flux_kind, kept", [
+        ("kepec", True), ("roe_ec", True), ("kepec_ac", True),
+        ("roe_baseline", True), ("kep", False)])
+    def test_density_wave(self, gas, flux_kind, kept):
+        grid = Grid1D(64, 0.0, 1.0)
+        x = grid.cell_centers()
+        prim = PrimState(1.0 + 0.5 * np.sin(2 * np.pi * x), np.ones(64),
+                         np.ones(64))
+        cells = prim_to_cons(prim, gas).stacked()
+        rhs, _ = assemble_rhs(cells, grid, gas, flux_kind, DissipationSpec(),
+                              ReconSpec(1), PERIODIC)
+        # p = (gamma - 1)(E - m^2/(2 rho)), differentiated along the rhs
+        u = prim.u
+        dp_dt = (gas.gamma - 1.0) * (rhs[2] - u * rhs[1]
+                                     + 0.5 * u * u * rhs[0])
+        if kept:
+            assert np.max(np.abs(dp_dt)) <= 1e-12
+        else:
+            assert np.max(np.abs(dp_dt)) > 1e-3
 
 
 class TestStationaryShockBehavior:

@@ -1,0 +1,120 @@
+"""The stage against the public per-pair kernels: assemble_rhs and its
+FaceData.central, diss and visc are bitwise equal to the kernels applied
+to explicit face pairs, for every central flux, dissipation, order and
+boundary set, on random and near-degenerate states."""
+
+import numpy as np
+import pytest
+
+from kepes.dissipation import (
+    MATRIX_LAWS,
+    DissipationSpec,
+    jst_dissipation,
+    matrix_dissipation,
+)
+from kepes.fluxes import CENTRAL_FLUXES
+from kepes.reconstruction import ReconSpec, reconstruct_face
+from kepes.spatial import (
+    BoundaryCondition,
+    BoundarySpec,
+    Grid1D,
+    apply_boundary,
+    assemble_rhs,
+    viscous_face_flux,
+)
+from kepes.thermo import (
+    FaceMeans,
+    GasModel,
+    PrimState,
+    ViscosityLaw,
+    cons_to_prim,
+    prim_to_cons,
+)
+
+N_CELLS = 24
+DISSIPATIONS = ([DissipationSpec(),
+                 DissipationSpec(kind="scalar", kappa2=0.5, kappa4=1 / 32)]
+                + [DissipationSpec(kind="matrix", matrix_law=law)
+                   for law in MATRIX_LAWS])
+RECONSTRUCTIONS = (ReconSpec(1), ReconSpec(2, "minmod"))
+GASES = (GasModel(), GasModel(viscosity_law=ViscosityLaw("constant", 0.01)))
+PERIODIC = BoundaryCondition("periodic")
+BOUNDARIES = {
+    "transmissive": BoundarySpec(),
+    "periodic": BoundarySpec(PERIODIC, PERIODIC),
+    # the ghosts hold a state unlike the edge cells
+    "fixed_state+shock_outflow": BoundarySpec(
+        BoundaryCondition("fixed_state", state=PrimState(0.8, 0.1, 0.9)),
+        BoundaryCondition("shock_outflow", mass_flux=0.7)),
+}
+
+
+def states(rng):
+    """Random cells, equal neighbours, neighbours one ulp apart, and runs
+    of equal cells broken by one-ulp steps."""
+    yield PrimState(10.0 ** rng.uniform(-2, 2, N_CELLS),
+                    rng.uniform(-1.5, 1.5, N_CELLS),
+                    10.0 ** rng.uniform(-2, 2, N_CELLS))
+    yield PrimState(*(np.full(N_CELLS, f) for f in (1.3, 0.2, 0.7)))
+    base = rng.uniform(0.5, 2.0, (3, 1))
+    # a positive float k ulp above x has the bit pattern of x plus k
+    for ulps in (np.arange(N_CELLS) % 2,
+                 np.cumsum(rng.integers(0, 2, (3, N_CELLS)), axis=1)):
+        bits = np.broadcast_to(base, (3, N_CELLS)).view(np.int64) + ulps
+        yield PrimState(*bits.view(float))
+
+
+def kernel_rhs(cells, grid, gas, flux_kind, diss, recon, bcs):
+    """rhs and the (central, diss, visc) face fluxes from the per-pair
+    kernels, each given a FaceMeans record of explicit face pairs."""
+    n, dx = grid.n_cells, grid.dx
+    ext = np.empty((3, n + 4))
+    ext[:, 2:-2] = cons_to_prim(cells, gas)
+    apply_boundary(ext, bcs)
+    q0, q1 = ext[:, 1:n + 2], ext[:, 2:n + 3]
+    left, right = (q0, q1) if recon.order == 1 else reconstruct_face(ext,
+                                                                     recon)
+    central = CENTRAL_FLUXES[flux_kind](left, right, gas,
+                                        FaceMeans(left, right))
+    if diss.kind == "matrix":
+        d_flux = matrix_dissipation(left, right, gas, diss, flux_kind,
+                                    FaceMeans(left, right))
+    elif diss.kind == "scalar":
+        d_flux = jst_dissipation(ext, gas, diss, not bcs.is_periodic)
+    else:
+        d_flux = np.zeros((3, n + 1))
+    g_flux = (viscous_face_flux(q0, q1, gas, dx, FaceMeans(q0, q1))
+              if gas.is_viscous else np.zeros((3, n + 1)))
+    if bcs.right.kind == "shock_outflow":
+        # the last face carries the mass flux and the net momentum and
+        # energy fluxes of the face before it
+        central[1:, n] = (central[1:, n - 1] + d_flux[1:, n - 1]
+                          - g_flux[1:, n - 1])
+        central[0, n] = bcs.right.mass_flux
+        d_flux[:, n] = 0.0
+        g_flux[:, n] = 0.0
+    net = central + d_flux - g_flux
+    return -(net[:, 1:] - net[:, :-1]) / dx, (central, d_flux, g_flux)
+
+
+@pytest.mark.parametrize("bc", sorted(BOUNDARIES))
+@pytest.mark.parametrize("flux_kind", sorted(CENTRAL_FLUXES))
+def test_stage_equals_kernels(flux_kind, bc):
+    grid = Grid1D(N_CELLS, 0.0, 1.0)
+    bcs = BOUNDARIES[bc]
+    rng = np.random.default_rng(sorted(CENTRAL_FLUXES).index(flux_kind))
+    for s, prim in enumerate(states(rng)):
+        for gas in GASES:
+            cells = prim_to_cons(prim, gas).stacked()
+            for diss in DISSIPATIONS:
+                for recon in RECONSTRUCTIONS:
+                    case = (f"state {s}/{gas.viscosity_law.kind}/"
+                            f"{diss.kind}/{diss.matrix_law}/{recon.order}")
+                    rhs, faces = assemble_rhs(cells, grid, gas, flux_kind,
+                                              diss, recon, bcs)
+                    want, fluxes = kernel_rhs(cells, grid, gas, flux_kind,
+                                              diss, recon, bcs)
+                    assert np.array_equal(rhs, want), f"{case} rhs"
+                    for name, f in zip(("central", "diss", "visc"), fluxes):
+                        assert np.array_equal(getattr(faces, name), f), \
+                            f"{case} {name}"
