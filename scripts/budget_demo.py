@@ -9,7 +9,7 @@ from kepes.diagnostics import budget_report
 from kepes.dissipation import DissipationSpec
 from kepes.reconstruction import ReconSpec
 from kepes.spatial import BoundaryCondition, BoundarySpec, Grid1D, assemble_rhs
-from kepes.thermo import ConsState, GasModel, PrimState, prim_to_cons
+from kepes.thermo import GasModel, PrimState, prim_to_cons
 
 PERIODIC = BoundarySpec(BoundaryCondition("periodic"),
                         BoundaryCondition("periodic"))
@@ -34,7 +34,7 @@ def main():
     prim = PrimState(1.0 + 0.3 * np.sin(2 * np.pi * x),
                      0.5 + 0.2 * np.cos(2 * np.pi * x),
                      1.0 + 0.25 * np.sin(4 * np.pi * x + 0.3))
-    cells = prim_to_cons(prim, gas).stacked()
+    cells = prim_to_cons(prim, gas)
 
     header = (f"{'case':28s} {'dKE/dt':>12s} {'p-work':>12s} "
               f"{'KE diss':>12s} {'dU/dt':>12s} {'U prod':>12s}")
@@ -42,7 +42,7 @@ def main():
     for label, flux, diss in CASES:
         rhs, faces = assemble_rhs(cells, grid, gas, flux, diss,
                                   ReconSpec(1), PERIODIC)
-        rep = budget_report(0.0, ConsState(*rhs), faces, grid, gas)
+        rep = budget_report(0.0, rhs, faces, grid, gas)
         print(f"{label:28s} {rep.dke_dt:12.4e} "
               f"{rep.dke_dt_pressure_work:12.4e} "
               f"{rep.dke_dt_numerical:12.4e} {rep.du_dt:12.4e} "

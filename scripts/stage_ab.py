@@ -51,18 +51,27 @@ def stage(tree, name, n, law, seed):
     r = 1e-3 * np.random.default_rng(seed).uniform(-1.0, 1.0, (3, n))
     a = th.sound_speed((rho, u, p), cfg.gas)
     q = (rho * (1 + r[0]), u + r[1] * a, p * (1 + r[2]))
-    w = th.prim_to_cons(q, cfg.gas).stacked()
+    # prim_to_cons gives a (3, n) array, or a row triple in older trees
+    w = np.array(th.prim_to_cons(q, cfg.gas), dtype=float)
     return (lambda: tree["spatial"].assemble_rhs(
         w, cfg.grid, cfg.gas, cfg.flux_kind, cfg.diss, cfg.recon, cfg.bcs))
 
 
-def main():
+def rounds(text):
+    """--rounds: an int of at least 2, the fewest the quartiles need."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
+    return value
+
+
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old_src")
     ap.add_argument("new_src")
-    ap.add_argument("--rounds", type=int, default=25)
+    ap.add_argument("--rounds", type=rounds, default=25)
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     trees = (load(args.old_src, "kepes_old"), load(args.new_src, "kepes_new"))
     print("config n | old us [q1, q3] | new us [q1, q3] | old/new | new won")
     for name, n, law in CONFIGS:

@@ -11,7 +11,7 @@ from .dissipation import DissipationSpec
 from .presets import list_presets, preset
 from .reconstruction import ReconSpec
 from .spatial import BoundaryCondition, BoundarySpec, Grid1D
-from .thermo import ConsState, GasModel, PrimState, ViscosityLaw
+from .thermo import GasModel, PrimState, ViscosityLaw
 from .timeint import TimeSpec
 
 __version__ = "0.1.0"
@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryCondition",
     "BoundarySpec",
-    "ConsState",
     "DissipationSpec",
     "GasModel",
     "Grid1D",

@@ -19,7 +19,7 @@ from .dissipation import MATRIX_LAWS, SCALAR_BETA_AVERAGES, DissipationSpec
 from .fluxes import CENTRAL_FLUXES
 from .reconstruction import LIMITERS, ReconSpec
 from .spatial import BoundaryCondition, BoundarySpec, Grid1D
-from .thermo import ConsState, GasModel, PrimState, ViscosityLaw, prim_to_cons
+from .thermo import GasModel, PrimState, ViscosityLaw, prim_to_cons
 from .timeint import TimeSpec
 
 __all__ = [
@@ -301,7 +301,7 @@ def _initial_prim(config: ProblemConfig, x) -> PrimState:
                        for f_l, f_r in zip(ic.left, ic.right)))
 
 
-def initial_state(config: ProblemConfig) -> ConsState:
-    """Cell-centre sampled initial conserved state."""
+def initial_state(config: ProblemConfig) -> np.ndarray:
+    """Cell-centre sampled initial conserved (3, n) rows rho, m, E."""
     return prim_to_cons(_initial_prim(config, config.grid.cell_centers()),
                         config.gas)

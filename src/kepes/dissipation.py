@@ -8,7 +8,8 @@ eigenvectors, S is Barth's scaling with R S R^T equal to the Jacobian
 du/dv, and |Lambda| is one of five eigenvalue laws trading accuracy
 against robustness.  matrix_dissipation multiplies that product out in
 closed form; face_average, eigen_system, eigenvalue_law and assemble_q
-build the matrices explicitly and serve as its reference.
+build the matrices explicitly and serve as its reference.  A kernel of
+face pairs takes their FaceMeans record as its one pair input.
 """
 
 from __future__ import annotations
@@ -158,25 +159,23 @@ def jst_switches(p_stencil, kappa2, kappa4):
     return eps2[..., 0], eps4[..., 0]
 
 
-def jst_dissipation(cells, gas: GasModel, spec: DissipationSpec,
-                    end_rule: bool = False, means: FaceMeans | None = None):
+def jst_dissipation(cells, m: FaceMeans, gas: GasModel,
+                    spec: DissipationSpec, end_rule: bool = False):
     """Blended second/fourth-difference dissipation flux of the faces of
-    the stacked (rho, u, p) of m cells along the last axis.
+    the stacked (rho, u, p) of k cells along the last axis.
 
-    Face j + 1/2, j = 1 .. m - 3, reads the stencil
+    Face j + 1/2, j = 1 .. k - 3, reads the stencil
     (q_{j-1}, q_j, q_{j+1}, q_{j+2}); each jump slot of D is replaced by
     eps2 * (q_{j+1} - q_j) - eps4 * (q_{j+2} - 3 q_{j+1} + 3 q_j - q_{j-1})
     of the (rho, u, 1/beta) slots, with the pressure-sensor switches of
     jst_switches.  With end_rule, which the stage sets at non-periodic
     boundaries, the first and the last face read the sensor of their inner
     cell in place of the outer one's.  Returns the stacked flux
-    correction -(1/2) lambda D of the m - 3 faces.  means is the FaceMeans
+    correction -(1/2) lambda D of the k - 3 faces.  m is the FaceMeans
     record of the pairs (q_j, q_{j+1}).
     """
     n = cells.shape[-1] - 3
     eps2, eps4 = _switches(cells[2], spec.kappa2, spec.kappa4, end_rule)
-    m = (FaceMeans(cells[..., 1:n + 1], cells[..., 2:n + 2])
-         if means is None else means)
     slots = np.empty(cells.shape)
     slots[:2] = cells[:2]
     slots[2] = 1.0 / (cells[0] / (2.0 * cells[2]))
@@ -189,10 +188,9 @@ def jst_dissipation(cells, gas: GasModel, spec: DissipationSpec,
     return D
 
 
-def face_average(left: PrimState, right: PrimState, gas: GasModel,
-                 flux_kind: str = "kepec",
-                 means: FaceMeans | None = None) -> FaceAverage:
-    """Averaged (rho, u, a, H) for the dissipation matrix.
+def face_average(m: FaceMeans, gas: GasModel,
+                 flux_kind: str = "kepec") -> FaceAverage:
+    """Averaged (rho, u, a, H) of the pairs of m for the dissipation matrix.
 
     The sound speed a = sqrt(gamma/(2 beta_ln)) uses the logarithmic beta
     mean, which is what makes stationary contacts transparent to the
@@ -201,7 +199,6 @@ def face_average(left: PrimState, right: PrimState, gas: GasModel,
     property.  The density mean follows the mass-flux average of the
     central flux.  matrix_dissipation forms the same averages inline.
     """
-    m = FaceMeans(left, right) if means is None else means
     rho_f, beta_m = _rho_beta(m, flux_kind)
     a_f = np.sqrt(gas.gamma / (2.0 * beta_m))
     H_f = a_f * a_f / (gas.gamma - 1.0) + 0.5 * m.u_bar * m.u_bar
@@ -296,14 +293,12 @@ def assemble_q(R, lam, S):
     return np.einsum("...ik,...k,...jk->...ij", R, lam * S, R)
 
 
-def matrix_dissipation(left: PrimState, right: PrimState, gas: GasModel,
-                       spec: DissipationSpec, flux_kind: str = "kepec",
-                       means: FaceMeans | None = None) -> np.ndarray:
-    """Stacked entropy-variable matrix dissipation -(1/2) R |Lambda| S R^T dv,
-    multiplied out in closed form: w = |Lambda| S R^T dv, then R w, formed
-    in place.  The averages (rho, u, a, H) are face_average's, and each
-    face quantity is formed once."""
-    m = FaceMeans(left, right) if means is None else means
+def matrix_dissipation(m: FaceMeans, gas: GasModel, spec: DissipationSpec,
+                       flux_kind: str = "kepec") -> np.ndarray:
+    """Stacked entropy-variable matrix dissipation -(1/2) R |Lambda| S R^T dv
+    of the pairs of m, multiplied out in closed form: w = |Lambda| S R^T dv,
+    then R w, formed in place.  The averages (rho, u, a, H) are
+    face_average's, and each face quantity is formed once."""
     g = gas.gamma
     rho, beta = _rho_beta(m, flux_kind)
     u = m.u_bar
@@ -326,7 +321,7 @@ def matrix_dissipation(left: PrimState, right: PrimState, gas: GasModel,
     w_mid *= (g - 1.0) * rho / g
     # freed before dv is formed, which lowers the peak memory of a stage
     del a, H, ua
-    dv = entropy_vars_jump(m.left, m.right, gas, m)
+    dv = entropy_vars_jump(m, gas)
     w *= dv[0] + rows[0] * dv[1] + rows[1] * dv[2]
     rows *= w
     # dv is spent: its workspace takes the result.  The two acoustic waves

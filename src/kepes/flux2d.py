@@ -16,7 +16,7 @@ import numpy as np
 
 from .dissipation import DissipationSpec, eigenvalue_law, face_average
 from .fluxes import flux_kepec
-from .thermo import GasModel, PrimState, _avg
+from .thermo import FaceMeans, GasModel, PrimState, _avg
 
 __all__ = [
     "PrimState2D",
@@ -102,7 +102,7 @@ def flux_kepec_2d(left: PrimState2D, right: PrimState2D, n: FaceNormal,
     momentum pair rotated back; dv . f = d(rho u.n) holds exactly.
     """
     (q_l, t_l), (q_r, t_r) = _normal_frame(left, n), _normal_frame(right, n)
-    f_rho, f_n, f_e = flux_kepec(q_l, q_r, gas)
+    f_rho, f_n, f_e = flux_kepec(FaceMeans(q_l, q_r), gas)
     t_bar = _avg(t_l, t_r)
     f_t = t_bar * f_rho
     f_e = f_e + (t_bar * t_bar - 0.5 * _avg(t_l * t_l, t_r * t_r)) * f_rho
@@ -162,8 +162,8 @@ def matrix_dissipation_2d(left: PrimState2D, right: PrimState2D,
                           spec: DissipationSpec) -> np.ndarray:
     """-(1/2) R |Lambda| S R^T dv along the face normal, from the 1-D face
     average of the (rho, u1, p) pair with u2 averaged alongside."""
-    avg = face_average(PrimState(left.rho, left.u1, left.p),
-                       PrimState(right.rho, right.u1, right.p), gas)
+    avg = face_average(FaceMeans((left.rho, left.u1, left.p),
+                                 (right.rho, right.u1, right.p)), gas)
     u2_f = _avg(left.u2, right.u2)
     R, S = eigen_system_2d((avg.rho, avg.u, u2_f, avg.a,
                             avg.H + 0.5 * u2_f * u2_f), n, gas)

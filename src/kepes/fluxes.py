@@ -5,10 +5,10 @@ writes the momentum flux as f_m = p_tilde + u_bar * f_rho with the
 arithmetic-mean velocity u_bar; the entropy-conservative members pin the
 remaining averages with logarithmic means so that the two-point condition
 dv . f = d(rho u) holds exactly across any interface.
-Every flux returns the stacked (3, ...) array (f_rho, f_m, f_e) and takes
-an optional trailing FaceMeans record of the pair; the solver passes the
-one record it builds per stage.  The stage's fluxes write their rows
-into one array per call (row [i, ...] is a view, 0-d for a single pair).
+Every flux takes the FaceMeans record of its pairs and returns the stacked
+(3, ...) array (f_rho, f_m, f_e); the solver passes the one record it
+builds per stage.  The stage's fluxes write their rows into one array per
+call (row [i, ...] is a view, 0-d for a single pair).
 """
 
 from __future__ import annotations
@@ -46,13 +46,11 @@ def exact_flux(q: PrimState, gas: GasModel) -> np.ndarray:
     return _stacked(f_rho, p + f_rho * u, f_rho * H)
 
 
-def flux_kep(left: PrimState, right: PrimState, gas: GasModel,
-             means: FaceMeans | None = None) -> np.ndarray:
+def flux_kep(m: FaceMeans, gas: GasModel) -> np.ndarray:
     """Kinetic-energy-preserving flux built from plain arithmetic averages.
 
     f_rho = rho_bar u_bar, p_tilde = p_bar, f_e = rho_bar u_bar H_bar.
     """
-    m = FaceMeans(left, right) if means is None else means
     H_bar = _avg(total_enthalpy(m.left, gas), total_enthalpy(m.right, gas))
     out = np.empty((3,) + m.shape)
     f_rho = np.multiply(m.rho_bar, m.u_bar, out=out[0, ...])
@@ -61,18 +59,17 @@ def flux_kep(left: PrimState, right: PrimState, gas: GasModel,
     return out
 
 
-def flux_roe_ec(left: PrimState, right: PrimState, gas: GasModel,
-                means: FaceMeans | None = None) -> np.ndarray:
+def flux_roe_ec(m: FaceMeans, gas: GasModel) -> np.ndarray:
     """Entropy-conservative flux based on the parameter vector
     z = sqrt(rho/p) (1, u, p).
 
     Satisfies dv . f = d(rho u) exactly but is not kinetic-energy
     preserving: the momentum flux carries the weighted velocity
     u_tilde = z2_bar/z1_bar instead of the arithmetic mean.  Its averages
-    are means of z, not of (rho, u, beta), so means is not read.
+    are means of z, not of (rho, u, beta): it reads only the sides of m.
     """
     g = gas.gamma
-    (rho_l, u_l, p_l), (rho_r, u_r, p_r) = left, right
+    (rho_l, u_l, p_l), (rho_r, u_r, p_r) = m.left, m.right
     wl = np.sqrt(rho_l / p_l)
     wr = np.sqrt(rho_r / p_r)
     z1l, z1r = wl, wr
@@ -107,31 +104,26 @@ def _kep_family(m: FaceMeans, gas: GasModel, rho_f, beta_f):
     return out
 
 
-def flux_kepec_ac(left: PrimState, right: PrimState, gas: GasModel,
-                  means: FaceMeans | None = None) -> np.ndarray:
+def flux_kepec_ac(m: FaceMeans, gas: GasModel) -> np.ndarray:
     """Kinetic-energy-preserving, approximately entropy-consistent flux.
 
     Arithmetic averages throughout; the entropy-conservation residual is
     O(jump^3).  p_tilde = rho_bar/(2 beta_bar) is the harmonic-temperature
     pressure average.
     """
-    m = FaceMeans(left, right) if means is None else means
     return _kep_family(m, gas, m.rho_bar, m.beta_bar)
 
 
-def flux_kepec(left: PrimState, right: PrimState, gas: GasModel,
-               means: FaceMeans | None = None) -> np.ndarray:
+def flux_kepec(m: FaceMeans, gas: GasModel) -> np.ndarray:
     """Kinetic-energy-preserving and exactly entropy-conservative flux.
 
     Same structure as flux_kepec_ac with the density and beta averages in
     the mass and energy fluxes replaced by logarithmic means.
     """
-    m = FaceMeans(left, right) if means is None else means
     return _kep_family(m, gas, m.rho_ln, m.beta_ln)
 
 
-def flux_central_mean(left: PrimState, right: PrimState, gas: GasModel,
-                      means: FaceMeans | None = None) -> np.ndarray:
+def flux_central_mean(m: FaceMeans, gas: GasModel) -> np.ndarray:
     """Arithmetic mean of the pointwise fluxes, (f(L) + f(R))/2.
 
     The central part of a classic Roe-type scheme; neither entropy
@@ -139,7 +131,6 @@ def flux_central_mean(left: PrimState, right: PrimState, gas: GasModel,
     record's sides, which are broadcast against each other, so a scalar
     side combines with an array side.
     """
-    m = FaceMeans(left, right) if means is None else means
     return _avg(exact_flux(m.left, gas), exact_flux(m.right, gas))
 
 

@@ -9,10 +9,10 @@ in that form.  Inside, the cells and their ghosts are one (5, n + 4) cell
 block of the rows rho, beta, u, u^2, p: the stage writes rho, u and p, the
 stencil kernels read those three rows whole, and a cell-pair record forms
 beta and u^2.  One FaceMeans record per call, which holds the face pairs
-as one contiguous (2, 5, n + 1) block, feeds the central flux and the
-dissipation, and each flux is a stacked (3, n + 1) array.  All per-face
-quantities needed by the budget diagnostics are returned in a FaceData
-record, which derives them only when read.
+as one contiguous (2, 5, n + 1) block, is the pair input of the central
+flux and the dissipation, and each flux is a stacked (3, n + 1) array.
+All per-face quantities needed by the budget diagnostics are returned in
+a FaceData record, which derives them only when read.
 """
 
 from __future__ import annotations
@@ -180,25 +180,23 @@ class FaceData:
                 - self.visc[:, ends]).T
 
 
-def viscous_face_flux(left: PrimState, right: PrimState, gas: GasModel,
-                      dx: float, means: FaceMeans | None = None) -> np.ndarray:
-    """Stacked viscous flux (0, tau, u_bar tau - q) from adjacent cell
-    states.
+def viscous_face_flux(m: FaceMeans, gas: GasModel, dx: float) -> np.ndarray:
+    """Stacked viscous flux (0, tau, u_bar tau - q) of the adjacent cell
+    states of the record m.
 
     tau = (4/3) mu du/dx and q = -kappa dT/dx with mu, kappa evaluated at
-    the arithmetic-mean face temperature.  means is the pair's FaceMeans.
+    the arithmetic-mean face temperature.
     """
-    pairs = FaceMeans(left, right) if means is None else means
-    t_l, t_r = pairs.sides(lambda q: temperature(q, gas))
+    t_l, t_r = m.sides(lambda q: temperature(q, gas))
     t_face = 0.5 * (t_l + t_r)
     mu = gas.viscosity(t_face)
     kappa = gas.conductivity(t_face, mu)
     q = -kappa * (t_r - t_l) / dx
-    out = np.empty((3,) + pairs.shape)
+    out = np.empty((3,) + m.shape)
     out[0] = 0.0
-    tau = np.divide((4.0 / 3.0) * mu * (pairs.right[1] - pairs.left[1]), dx,
+    tau = np.divide((4.0 / 3.0) * mu * (m.right[1] - m.left[1]), dx,
                     out=out[1, ...])
-    np.subtract(pairs.u_bar * tau, q, out=out[2, ...])
+    np.subtract(m.u_bar * tau, q, out=out[2, ...])
     return out
 
 
@@ -264,20 +262,19 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
     means = pairs
     if recon.order == 2:
         means = FaceMeans(*reconstruct_face(rows, recon))
-    central = CENTRAL_FLUXES[flux_kind](means.left, means.right, gas, means)
+    central = CENTRAL_FLUXES[flux_kind](means, gas)
 
     if diss.kind == "matrix":
-        d_flux = matrix_dissipation(means.left, means.right, gas, diss,
-                                    flux_kind, means)
+        d_flux = matrix_dissipation(means, gas, diss, flux_kind)
     elif diss.kind == "scalar":
         # the stencil differences the cells, whose pairs are the face pairs
         # only without reconstruction; boundary faces reuse the nearest
         # interior sensor
-        d_flux = jst_dissipation(rows, gas, diss, not bcs.is_periodic, pairs)
+        d_flux = jst_dissipation(rows, pairs, gas, diss, not bcs.is_periodic)
     else:
         d_flux = np.zeros((3, n + 1))
     if viscous:
-        g_flux = viscous_face_flux(pairs.left, pairs.right, gas, dx, pairs)
+        g_flux = viscous_face_flux(pairs, gas, dx)
     else:
         g_flux = np.zeros((3, n + 1))
 

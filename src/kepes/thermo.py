@@ -1,10 +1,11 @@
-"""Ideal-gas thermodynamics: state containers, entropy pair, stable averages.
+"""Ideal-gas thermodynamics: state container, entropy pair, stable averages.
 
-State containers are named row triples that hold floats or numpy arrays,
-and every function broadcasts, so the same code serves a single interface
-pair or a whole grid of them; a three-component result comes back as one
-(3, ...) array.  Functions read a state by unpacking or indexing it, so
-a (3, ...) row array and a PrimState (or ConsState) are the same input.
+A state is a row triple that holds floats or numpy arrays, and every
+function broadcasts, so the same code serves a single interface pair or a
+whole grid of them; a three-component result, such as the conserved rows
+(rho, m, E), comes back as one (3, ...) array, and a (3, ...) row array
+and a PrimState are the same input.  A two-point function of face pairs
+takes their FaceMeans record.
 Working variables are density rho, velocity u, pressure p, with
 beta = rho/(2*p) = 1/(2*R*T) and the (constant-free) specific entropy
 s = ln(p) - gamma*ln(rho).
@@ -21,7 +22,6 @@ __all__ = [
     "ViscosityLaw",
     "GasModel",
     "PrimState",
-    "ConsState",
     "FaceMeans",
     "InvalidStateError",
     "prim_to_cons",
@@ -124,27 +124,11 @@ class PrimState(NamedTuple):
         return self.rho / (2.0 * self.p)
 
 
-class ConsState(NamedTuple):
-    """Conserved variables (rho, momentum m, total energy E)."""
-
-    rho: object
-    m: object
-    E: object
-
-    def copy(self):
-        return ConsState(np.array(self.rho), np.array(self.m), np.array(self.E))
-
-    def stacked(self) -> np.ndarray:
-        """The rows rho, m, E as one (3, ...) array, the marched state."""
-        return np.array((self.rho, self.m, self.E), dtype=float)
-
-
-def prim_to_cons(q, gas: GasModel) -> ConsState:
-    """Map (rho, u, p) to (rho, rho u, E) with E = p/(gamma-1) + rho u^2/2."""
+def prim_to_cons(q, gas: GasModel) -> np.ndarray:
+    """Map (rho, u, p) to the stacked (rho, rho u, E) with
+    E = p/(gamma-1) + rho u^2/2, the marched state."""
     rho, u, p = q
-    m = rho * u
-    E = p / (gas.gamma - 1.0) + 0.5 * rho * u * u
-    return ConsState(rho, m, E)
+    return _stacked(rho, rho * u, p / (gas.gamma - 1.0) + 0.5 * rho * u * u)
 
 
 def cons_to_prim(w, gas: GasModel) -> PrimState:
@@ -278,17 +262,15 @@ def _form_fields(fields):
     np.multiply(fields[2], fields[2], fields[3, ...])
 
 
-def entropy_vars_jump(left: PrimState, right: PrimState, gas: GasModel,
-                      means: FaceMeans | None = None) -> np.ndarray:
-    """Stacked jump v(right) - v(left) written with the log-mean identities
-    d(ln x) = dx / x_ln.
+def entropy_vars_jump(m: FaceMeans, gas: GasModel) -> np.ndarray:
+    """Stacked jump v(right) - v(left) of the pairs of the record m, written
+    with the log-mean identities d(ln x) = dx / x_ln.
 
     Algebraically identical to differencing entropy_vars pointwise, but the
     cancellation noise for near-degenerate jumps (stationary contacts) is
     an order of magnitude smaller, which matters when such jumps are
-    integrated over thousands of steps.  means is the pair's FaceMeans.
+    integrated over thousands of steps.
     """
-    m = FaceMeans(left, right) if means is None else means
     g = gas.gamma
     # the (rho, beta, u) rows of right - left, from the contiguous halves
     jump = m.pairs[1, :3] - m.pairs[0, :3]

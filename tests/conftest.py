@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kepes.config import initial_state
-from kepes.thermo import ConsState, GasModel, PrimState, cons_to_prim
+from kepes.thermo import FaceMeans, GasModel, PrimState, cons_to_prim
 from kepes.timeint import march
 
 # one line per acceptance criterion, echoed in the terminal summary
@@ -40,6 +40,12 @@ def stencil(*states):
     return np.stack([np.stack(rows[k::3], axis=-1) for k in range(3)])
 
 
+def inner_pairs(cells):
+    """FaceMeans record of the pairs (q_j, q_{j+1}), j = 1 .. k - 3, of the
+    (3, ..., k) cells: the record that jst_dissipation takes."""
+    return FaceMeans(cells[..., 1:-2], cells[..., 2:-1])
+
+
 def advance(config, n_steps=None, cfl=None, collect_rhs=False):
     """March a ProblemConfig with timeint.march; by steps when n_steps is
     given (t_final ignored), else to t_final.  steady_tol is ignored, and
@@ -48,16 +54,14 @@ def advance(config, n_steps=None, cfl=None, collect_rhs=False):
                    cfl=cfl or config.time.cfl)
     if n_steps is not None:
         spec = replace(spec, t_final=np.inf, max_steps=n_steps)
-    for state in march(replace(config, time=spec),
-                       initial_state(config).stacked()):
+    for state in march(replace(config, time=spec), initial_state(config)):
         pass
     if state.error is not None:
         raise state.error
-    cells = ConsState(*state.w)
-    prim = cons_to_prim(cells, config.gas)
+    prim = cons_to_prim(state.w, config.gas)
     if collect_rhs:
-        return prim, cells, ConsState(*state.rhs), state.faces, state.t
-    return prim, cells, state.t
+        return prim, state.w, state.rhs, state.faces, state.t
+    return prim, state.w, state.t
 
 
 def max_residual(rhs):

@@ -237,12 +237,12 @@ class TestInitialState:
     def test_riemann_split_at_diaphragm(self):
         config = preset("sod")
         cells = initial_state(config)
-        assert np.all(cells.rho[:50] == 1.0)
-        assert np.all(cells.rho[50:] == 0.125)
+        assert np.all(cells[0][:50] == 1.0)
+        assert np.all(cells[0][50:] == 0.125)
 
     def test_uniform(self):
         config = config_from_dict({"ic": "uniform", "rho": 2.0, "u": 0.5,
                                    "p": 3.0, "n_cells": 8})
         cells = initial_state(config)
-        assert np.all(cells.rho == 2.0)
-        assert np.allclose(cells.m, 1.0)
+        assert np.all(cells[0] == 2.0)
+        assert np.allclose(cells[1], 1.0)

@@ -22,7 +22,7 @@ from kepes.spatial import (
     Grid1D,
     assemble_rhs,
 )
-from kepes.thermo import (ConsState, GasModel, PrimState, ViscosityLaw,
+from kepes.thermo import (FaceMeans, GasModel, PrimState, ViscosityLaw,
                           prim_to_cons)
 from kepes.timeint import march
 
@@ -41,10 +41,10 @@ def field(n=64, viscous=False):
 
 
 def report_for(gas, grid, prim, flux_kind, diss, bcs=PERIODIC, recon=None):
-    cells = prim_to_cons(prim, gas).stacked()
+    cells = prim_to_cons(prim, gas)
     rhs, faces = assemble_rhs(cells, grid, gas, flux_kind, diss,
                               recon or ReconSpec(1), bcs)
-    return budget_report(0.0, ConsState(*rhs), faces, grid, gas)
+    return budget_report(0.0, rhs, faces, grid, gas)
 
 
 ALL_PAIRINGS = [
@@ -130,7 +130,7 @@ class TestKeBudget:
         p = np.concatenate([prim.p, prim.p[:1]])
         left = PrimState(r[:-1], u[:-1], p[:-1])
         right = PrimState(r[1:], u[1:], p[1:])
-        avg = face_average(left, right, gas, "kepec")
+        avg = face_average(FaceMeans(left, right), gas, "kepec")
         lam = np.abs(avg.u) + avg.a
         beta_bar = 0.5 * (left.beta + right.beta)
         du = right.u - left.u
@@ -155,11 +155,11 @@ class TestEntropyBudget:
 
     def test_matrix_production_equals_quadratic(self):
         gas, grid, prim = field()
-        cells = prim_to_cons(prim, gas).stacked()
+        cells = prim_to_cons(prim, gas)
         diss = DissipationSpec(kind="matrix", matrix_law="roe")
         rhs, faces = assemble_rhs(cells, grid, gas, "kepec", diss,
                                   ReconSpec(1), PERIODIC)
-        rep = budget_report(0.0, ConsState(*rhs), faces, grid, gas)
+        rep = budget_report(0.0, rhs, faces, grid, gas)
         # dv . d = -(1/2) dv^T Q dv summed over faces
         quad = float(np.sum(faces.dv[:-1] * faces.diss.T[:-1]))
         assert abs(rep.du_dt_numerical - quad) < 1e-13
@@ -177,7 +177,7 @@ class TestEntropyBudget:
                                       matrix_law=law),
                          time=replace(base.time, max_steps=60))
         states = 0
-        for state in march(config, initial_state(config).stacked()):
+        for state in march(config, initial_state(config)):
             faces = state.faces
             production = np.sum(faces.dv * faces.diss.T, axis=1)
             assert production.max() <= 1e-12 * np.abs(production).max()
@@ -203,11 +203,11 @@ class TestEntropyBudget:
             prim = PrimState(1.0 + 0.3 * np.sin(2 * np.pi * x),
                              0.5 + 0.2 * np.cos(2 * np.pi * x),
                              1.0 + 0.25 * np.sin(4 * np.pi * x + 0.3))
-            cells = prim_to_cons(prim, gas).stacked()
+            cells = prim_to_cons(prim, gas)
             rhs, faces = assemble_rhs(cells, grid, gas, "kepec_ac",
                                       DissipationSpec(), ReconSpec(1),
                                       PERIODIC)
-            rep = budget_report(0.0, ConsState(*rhs), faces, grid, gas)
+            rep = budget_report(0.0, rhs, faces, grid, gas)
             per_face = np.sum(faces.dv[:-1] * faces.central.T[:-1],
                               axis=-1) - faces.dpsi[:-1]
             face_res.append(np.abs(per_face).max())

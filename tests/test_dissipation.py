@@ -15,9 +15,9 @@ from kepes.dissipation import (
     scalar_d_vector,
     scalar_quadratic_form,
 )
-from kepes.thermo import PrimState, entropy_vars
+from kepes.thermo import FaceMeans, PrimState, entropy_vars
 
-from conftest import random_states, stencil
+from conftest import inner_pairs, random_states, stencil
 
 
 def entropy_jacobian(rho, u, a, gamma):
@@ -119,7 +119,9 @@ class TestJstDissipation:
 
     def test_uniform_flow_no_correction(self, gas):
         q = PrimState(1.0, 0.5, 1.0)
-        d = jst_dissipation(stencil(q, q, q, q), gas, self.spec)[..., 0]
+        cells = stencil(q, q, q, q)
+        d = jst_dissipation(cells, inner_pairs(cells), gas,
+                            self.spec)[..., 0]
         assert np.allclose([d[0], d[1], d[2]], 0.0, atol=1e-15)
 
     def test_smooth_field_third_order(self, gas):
@@ -131,7 +133,8 @@ class TestJstDissipation:
                                         0.2 * np.cos(xi),
                                         1.0 + 0.2 * np.sin(2 * xi))
                               for xi in x))
-            d = jst_dissipation(cells, gas, self.spec)[..., 0]
+            d = jst_dissipation(cells, inner_pairs(cells), gas,
+                                self.spec)[..., 0]
             slopes.append(max(abs(float(d[0])), abs(float(d[1])),
                               abs(float(d[2]))))
         fit = np.polyfit(np.log(hs), np.log(slopes), 1)[0]
@@ -145,7 +148,8 @@ class TestJstDissipation:
         # both cell sensors (0.149 and 0.111) exceed 1/kappa2, so eps2 = 1
         # and eps4 = 0 exactly
         spec = DissipationSpec(kind="scalar", kappa2=10.0)
-        d = jst_dissipation(stencil(qm1, q0, q1, q2), gas, spec)[..., 0]
+        cells = stencil(qm1, q0, q1, q2)
+        d = jst_dissipation(cells, inner_pairs(cells), gas, spec)[..., 0]
         D, lam = scalar_d_vector(q0, q1, gas)
         assert np.isclose(d[0], -0.5 * lam * D[0], rtol=1e-13)
         assert np.isclose(d[1], -0.5 * lam * D[1], rtol=1e-13)
@@ -192,14 +196,14 @@ class TestEigenSystem:
 
 class TestFaceAverage:
     def test_equal_states_sound_speed(self, gas):
-        avg = face_average(PrimState(1.0, 0.0, 1.0), PrimState(1.0, 0.0, 1.0),
-                           gas, "kepec")
+        q = PrimState(1.0, 0.0, 1.0)
+        avg = face_average(FaceMeans(q, q), gas, "kepec")
         assert np.isclose(avg.a, np.sqrt(1.4), rtol=1e-6)
         assert np.isclose(avg.a, 1.18322, atol=1e-5)
 
     def test_enthalpy_consistency(self, gas):
         q = PrimState(2.0, 0.7, 1.3)
-        avg = face_average(q, q, gas, "kepec")
+        avg = face_average(FaceMeans(q, q), gas, "kepec")
         assert np.isclose(avg.H, avg.a ** 2 / 0.4 + 0.5 * avg.u ** 2,
                           rtol=1e-14)
 
@@ -207,9 +211,10 @@ class TestFaceAverage:
         left, right = PrimState(1.0, 0.0, 1.0), PrimState(4.0, 0.0, 1.0)
         from kepes.thermo import log_mean
 
-        assert np.isclose(face_average(left, right, gas, "kepec").rho,
+        m = FaceMeans(left, right)
+        assert np.isclose(face_average(m, gas, "kepec").rho,
                           log_mean(1.0, 4.0), rtol=1e-14)
-        assert face_average(left, right, gas, "kepec_ac").rho == 2.5
+        assert face_average(m, gas, "kepec_ac").rho == 2.5
 
 
 class TestEigenvalueLaw:
@@ -253,7 +258,7 @@ class TestEigenvalueLaw:
         # clip is a safety net); hyb always sits between roe and rus
         rng = np.random.default_rng(42)
         left, right = random_states(rng, 1000)
-        avg = face_average(left, right, gas, "kepec")
+        avg = face_average(FaceMeans(left, right), gas, "kepec")
         roe = eigenvalue_law(avg.u, avg.a, left, right, gas, self.spec("roe"))
         rus = eigenvalue_law(avg.u, avg.a, left, right, gas, self.spec("rus"))
         hyb = eigenvalue_law(avg.u, avg.a, left, right, gas, self.spec("hyb"))
@@ -301,7 +306,7 @@ class TestEigenvalueLaw:
     def test_all_nonnegative(self, gas):
         rng = np.random.default_rng(41)
         left, right = random_states(rng, 2000)
-        avg = face_average(left, right, gas, "kepec")
+        avg = face_average(FaceMeans(left, right), gas, "kepec")
         for law in ("roe", "ec1", "kes", "rus", "hyb"):
             lam = eigenvalue_law(avg.u, avg.a, left, right, gas,
                                  self.spec(law))
@@ -313,14 +318,15 @@ class TestMatrixDissipation:
 
     def test_equal_states(self, gas):
         q = PrimState(1.0, 0.7, 1.0)
-        d = matrix_dissipation(q, q, gas, DissipationSpec(kind="matrix"))
+        d = matrix_dissipation(FaceMeans(q, q), gas,
+                               DissipationSpec(kind="matrix"))
         assert np.allclose([d[0], d[1], d[2]], 0.0, atol=1e-15)
 
     @pytest.mark.parametrize("law", contact_laws)
     def test_stationary_contact_transparent(self, law, gas):
         left, right = PrimState(10.0, 0.0, 1.0), PrimState(1.0, 0.0, 1.0)
         spec = DissipationSpec(kind="matrix", matrix_law=law)
-        d = matrix_dissipation(left, right, gas, spec, "kepec")
+        d = matrix_dissipation(FaceMeans(left, right), gas, spec, "kepec")
         assert max(abs(float(d[0])), abs(float(d[1])),
                    abs(float(d[2]))) < 1e-12
 
@@ -328,13 +334,13 @@ class TestMatrixDissipation:
         # the middle eigenvalue |u|+a keeps acting on the entropy jump
         left, right = PrimState(10.0, 0.0, 1.0), PrimState(1.0, 0.0, 1.0)
         spec = DissipationSpec(kind="matrix", matrix_law="rus")
-        d = matrix_dissipation(left, right, gas, spec, "kepec")
+        d = matrix_dissipation(FaceMeans(left, right), gas, spec, "kepec")
         assert abs(float(d[0])) > 1e-2
 
     def test_arithmetic_pairing_diffuses_contact(self, gas):
         left, right = PrimState(10.0, 0.0, 1.0), PrimState(1.0, 0.0, 1.0)
         spec = DissipationSpec(kind="matrix", matrix_law="roe")
-        d = matrix_dissipation(left, right, gas, spec, "kepec_ac")
+        d = matrix_dissipation(FaceMeans(left, right), gas, spec, "kepec_ac")
         assert abs(float(d[0])) > 1e-2
 
     @pytest.mark.parametrize("law", ("roe", "ec1", "kes", "rus", "hyb"))
@@ -342,7 +348,7 @@ class TestMatrixDissipation:
         rng = np.random.default_rng(51)
         left, right = random_states(rng, 20000)
         spec = DissipationSpec(kind="matrix", matrix_law=law)
-        d = matrix_dissipation(left, right, gas, spec, "kepec")
+        d = matrix_dissipation(FaceMeans(left, right), gas, spec, "kepec")
         dv = dv_array(left, right, gas)
         # dv . d = -(1/2) dv^T Q dv <= 0
         prod = dv[..., 0] * d[0] + dv[..., 1] * d[1] + dv[..., 2] * d[2]
@@ -350,7 +356,7 @@ class TestMatrixDissipation:
 
     def ke_functional(self, left, right, gas, law, flux_kind="kepec"):
         spec = DissipationSpec(kind="matrix", matrix_law=law)
-        d = matrix_dissipation(left, right, gas, spec, flux_kind)
+        d = matrix_dissipation(FaceMeans(left, right), gas, spec, flux_kind)
         u_bar = 0.5 * (left.u + right.u)
         q_dv = -2.0 * np.stack(
             np.broadcast_arrays(d[0], d[1], d[2]), axis=-1)
@@ -363,7 +369,7 @@ class TestMatrixDissipation:
         func = self.ke_functional(left, right, gas, law)
         du = right.u - left.u
         # functional = -alpha du with alpha = 2 a^2 rho_f beta_bar lam / gamma
-        avg = face_average(left, right, gas, "kepec")
+        avg = face_average(FaceMeans(left, right), gas, "kepec")
         lam = np.abs(avg.u) + avg.a
         alpha = 2.0 * avg.a ** 2 * avg.rho * 0.5 * (left.beta + right.beta) \
             * lam / gas.gamma

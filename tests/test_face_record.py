@@ -28,7 +28,6 @@ from kepes.spatial import (
 )
 from kepes.thermo import (
     LOG_MEAN_SWITCH,
-    ConsState,
     FaceMeans,
     GasModel,
     PrimState,
@@ -107,10 +106,11 @@ def _oracle_matrix(left, right, gas, spec, flux_kind):
     the magnitude |R| |Lambda S| |R|^T |dv| of the terms it sums.  R, S
     and |Lambda| are the oracle's own, so a wrong law or eigenvector in
     the kernel cannot reach both sides of the comparison."""
-    avg = face_average(left, right, gas, flux_kind)
+    m = FaceMeans(left, right)
+    avg = face_average(m, gas, flux_kind)
     R, S = _oracle_eigen(avg, gas)
     lam = _oracle_law(avg, left, right, gas, spec)
-    dv = entropy_vars_jump(left, right, gas).T
+    dv = entropy_vars_jump(m, gas).T
     w = (lam * S) * np.einsum("...ji,...j->...i", R, dv)
     q_dv = np.einsum("...ij,...j->...i", R, w)
     scale = np.einsum("...ik,...k,...jk,...j->...i",
@@ -184,9 +184,9 @@ def _oracle_jst(qm1, q0, q1, q2, gas, spec, eps2, eps4):
 
 
 def oracle_rhs(cells, grid, gas, flux_kind, diss, recon, bcs):
-    """The seed's assemble_rhs: per-pair functions without a shared record,
-    and ghost cells, reconstruction and scalar dissipation written here
-    from their formulas.
+    """The seed's assemble_rhs: per-pair functions, each given a record of
+    its own pairs, and ghost cells, reconstruction and scalar dissipation
+    written here from their formulas.
 
     Returns (rhs, faces dict, per-face tolerance of the matrix terms)."""
     prim = cons_to_prim(cells, gas)
@@ -194,7 +194,7 @@ def oracle_rhs(cells, grid, gas, flux_kind, diss, recon, bcs):
     n, dx = grid.n_cells, grid.dx
     qm1, q0, q1, q2 = (_take(ext, slice(k, n + 1 + k)) for k in range(4))
     face_l, face_r = _oracle_faces(qm1, q0, q1, q2, recon)
-    central = CENTRAL_FLUXES[flux_kind](face_l, face_r, gas)
+    central = CENTRAL_FLUXES[flux_kind](FaceMeans(face_l, face_r), gas)
     tol = np.zeros((n + 1, 3))
     if diss.kind == "matrix":
         d_flux, scale = _oracle_matrix(face_l, face_r, gas, diss, flux_kind)
@@ -215,7 +215,7 @@ def oracle_rhs(cells, grid, gas, flux_kind, diss, recon, bcs):
         z = np.zeros(n + 1)
         d_flux = np.array((z, z.copy(), z.copy()))
     if gas.is_viscous:
-        g_flux = viscous_face_flux(q0, q1, gas, dx)
+        g_flux = viscous_face_flux(FaceMeans(q0, q1), gas, dx)
     else:
         z = np.zeros(n + 1)
         g_flux = np.array((z, z.copy(), z.copy()))
@@ -334,7 +334,7 @@ def test_assemble_rhs_matches_seed_composition(flux_kind, bc):
                     case = (f"{label}/{gas_label}/{diss.kind}/"
                             f"{diss.matrix_law}/{diss.beta_average}/"
                             f"{recon.order}{recon.limiter}")
-                    rhs, faces = assemble_rhs(cells.stacked(), grid, gas,
+                    rhs, faces = assemble_rhs(cells, grid, gas,
                                               flux_kind, diss, recon, bcs)
                     want, want_faces, tol = oracle_rhs(
                         cells, grid, gas, flux_kind, diss, recon, bcs)
@@ -371,7 +371,7 @@ def test_scalar_end_rule_with_foreign_fixed_states(flux_kind):
     for diss in DISSIPATIONS[1:3]:
         for recon in RECONSTRUCTIONS:
             case = f"{diss.beta_average}/{recon.order}{recon.limiter}"
-            rhs, faces = assemble_rhs(cells.stacked(), grid, gas, flux_kind,
+            rhs, faces = assemble_rhs(cells, grid, gas, flux_kind,
                                       diss, recon, bcs)
             want, want_faces, tol = oracle_rhs(cells, grid, gas, flux_kind,
                                                diss, recon, bcs)
@@ -410,14 +410,14 @@ def test_one_log_mean_each_for_rho_and_beta(monkeypatch, diss):
     cells = prim_to_cons(wide_states(np.random.default_rng(7)), gas)
     log_means = count_calls(monkeypatch, "log_mean")
     entropy = count_calls(monkeypatch, "entropy_vars")
-    rhs, faces = assemble_rhs(cells.stacked(), grid, gas, "kepec", diss,
+    rhs, faces = assemble_rhs(cells, grid, gas, "kepec", diss,
                               ReconSpec(1), BoundarySpec())
     # rho_ln and beta_ln come from one call on the stacked (rho, beta) pair
     assert len(log_means) == 1
     assert len(entropy) == 0
 
     # a budget read through faces still closes
-    report = budget_report(0.0, ConsState(*rhs), faces, grid, gas)
+    report = budget_report(0.0, rhs, faces, grid, gas)
     assert len(entropy) > 0
     ke = (report.dke_dt_pressure_work + report.dke_dt_numerical
           + report.dke_dt_viscous + report.dke_dt_boundary)
@@ -435,7 +435,7 @@ def test_no_log_mean_without_log_averages(monkeypatch, flux_kind):
     grid = Grid1D(N_CELLS, 0.0, 1.0)
     cells = prim_to_cons(wide_states(np.random.default_rng(7)), gas)
     log_means = count_calls(monkeypatch, "log_mean")
-    assemble_rhs(cells.stacked(), grid, gas, flux_kind, DissipationSpec(),
+    assemble_rhs(cells, grid, gas, flux_kind, DissipationSpec(),
                  ReconSpec(1), BoundarySpec())
     assert len(log_means) == 0
 
@@ -450,7 +450,7 @@ def test_zero_fluxes_do_not_share_memory(right):
     gas = GasModel()
     grid = Grid1D(N_CELLS, 0.0, 1.0)
     cells = prim_to_cons(wide_states(np.random.default_rng(3)), gas)
-    _, faces = assemble_rhs(cells.stacked(), grid, gas, "kepec",
+    _, faces = assemble_rhs(cells, grid, gas, "kepec",
                             DissipationSpec(kind="none"), ReconSpec(1),
                             BoundarySpec(right=right))
     arrays = [f[0] for f in (faces.diss, faces.visc)] \
@@ -494,8 +494,8 @@ pair_args = dict(rho_l=st.floats(min_value=1e-3, max_value=1e3),
 @settings(max_examples=300, deadline=None)
 def test_kepec_tadmor_residual_round_off(**kw):
     left, right, m = pair(**kw)
-    f = flux_kepec(left, right, GAS, m)
-    dv = entropy_vars_jump(left, right, GAS, m)
+    f = flux_kepec(m, GAS)
+    dv = entropy_vars_jump(m, GAS)
     dpsi = right.rho * right.u - left.rho * left.u
     residual = dv[0] * f[0] + dv[1] * f[1] + dv[2] * f[2] - dpsi
     # round-off scale: the terms of dv . f with dv and f_e multiplied out,
@@ -517,7 +517,7 @@ def test_kepec_tadmor_residual_round_off(**kw):
 @settings(max_examples=300, deadline=None)
 def test_kepec_momentum_flux_is_kep(**kw):
     left, right, m = pair(**kw)
-    f = flux_kepec(left, right, GAS, m)
+    f = flux_kepec(m, GAS)
     rho_bar = 0.5 * (left.rho + right.rho)
     beta_bar = 0.5 * (left.beta + right.beta)
     u_bar = 0.5 * (left.u + right.u)
@@ -529,8 +529,8 @@ def test_kepec_momentum_flux_is_kep(**kw):
 def test_matrix_dissipation_produces_entropy(law, **kw):
     left, right, m = pair(**kw)
     spec = DissipationSpec(kind="matrix", matrix_law=law)
-    d = matrix_dissipation(left, right, GAS, spec, "kepec", m)
-    dv = entropy_vars_jump(left, right, GAS, m)
+    d = matrix_dissipation(m, GAS, spec, "kepec")
+    dv = entropy_vars_jump(m, GAS)
     terms = (dv[0] * d[0], dv[1] * d[1], dv[2] * d[2])
     assert sum(terms) <= 64 * EPS * sum(abs(t) for t in terms) + UNDERFLOW
 
@@ -548,14 +548,14 @@ def test_matrix_dissipation_transparent_to_contact(law, rho_l, rho_exp, p):
     right = PrimState(rho_l * 10.0 ** rho_exp, 0.0, p)
     m = FaceMeans(left, right)
     spec = DissipationSpec(kind="matrix", matrix_law=law)
-    d = matrix_dissipation(left, right, GAS, spec, "kepec", m)
-    avg = face_average(left, right, GAS, "kepec", m)
+    d = matrix_dissipation(m, GAS, spec, "kepec")
+    avg = face_average(m, GAS, "kepec")
     lam = eigenvalue_law(avg.u, avg.a, left, right, GAS, spec)
     flux_scale = max(lam[0], lam[2]) * (left.rho + right.rho)
     assert abs(d[0]) <= 64 * EPS * flux_scale
     assert abs(d[1]) <= 64 * EPS * flux_scale * avg.a
     assert abs(d[2]) <= 64 * EPS * flux_scale * avg.H
     rus = DissipationSpec(kind="matrix", matrix_law="rus")
-    d_rus = matrix_dissipation(left, right, GAS, rus, "kepec", m)
+    d_rus = matrix_dissipation(m, GAS, rus, "kepec")
     jump = abs(right.rho - left.rho)
     assert abs(d_rus[0]) >= 0.1 * avg.a * jump

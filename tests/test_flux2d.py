@@ -16,7 +16,7 @@ from kepes.flux2d import (
     rotation_covariance_check,
     tadmor_residual_2d,
 )
-from kepes.thermo import PrimState, log_mean
+from kepes.thermo import FaceMeans, PrimState, log_mean
 
 
 def random_states_2d(rng, n):
@@ -71,7 +71,8 @@ class TestFluxKepec2d:
         left2 = PrimState2D(1.1, 0.5, 0.0, 0.9)
         right2 = PrimState2D(0.8, 0.1, 0.0, 1.2)
         f2 = flux_kepec_2d(left2, right2, FaceNormal(1.0, 0.0), gas)
-        f1 = flux_kepec(PrimState(1.1, 0.5, 0.9), PrimState(0.8, 0.1, 1.2), gas)
+        f1 = flux_kepec(FaceMeans(PrimState(1.1, 0.5, 0.9),
+                                  PrimState(0.8, 0.1, 1.2)), gas)
         assert np.isclose(f2[0], f1[0], rtol=1e-14)
         assert np.isclose(f2[1], f1[1], rtol=1e-14)
         assert np.isclose(f2[3], f1[2], rtol=1e-14)

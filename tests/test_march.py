@@ -18,9 +18,8 @@ from kepes.config import config_from_dict, initial_state
 from kepes.diagnostics import budget_report
 from kepes.presets import preset
 from kepes.spatial import assemble_rhs
-from kepes.thermo import (ConsState, InvalidStateError, PrimState,
-                          cons_to_prim, physical_entropy, prim_to_cons,
-                          temperature)
+from kepes.thermo import (InvalidStateError, PrimState, cons_to_prim,
+                          physical_entropy, prim_to_cons, temperature)
 from kepes.timeint import StageError, compute_dt, ssp_rk3_step
 
 STEPS = 30
@@ -85,18 +84,18 @@ def frozen_run(config, output_dir):
         return rhs_full(w)[0]
 
     def frozen_compute_dt(w):
-        prim = cons_to_prim(ConsState(*w), gas)
+        prim = cons_to_prim(w, gas)
         return compute_dt((prim.rho, prim.u, prim.p), grid, gas,
                           config.time.cfl)
 
-    w = initial_state(config).stacked()
+    w = initial_state(config)
     t, step, dts = 0.0, 0, []
     status, message = 0, "ok"
     budget_rows = []
 
     def sample_budget(w, time):
         rhs, faces = rhs_full(w)
-        budget_rows.append(budget_report(time, ConsState(*rhs), faces, grid,
+        budget_rows.append(budget_report(time, rhs, faces, grid,
                                          gas))
 
     snap_index = 0
@@ -106,7 +105,7 @@ def frozen_run(config, output_dir):
         name = (f"snapshot_{snap_index:04d}.csv" if suffix is None
                 else f"snapshot_{suffix}.csv")
         frozen_write_snapshot(os.path.join(output_dir, name), x,
-                              cons_to_prim(ConsState(*w), gas), gas)
+                              cons_to_prim(w, gas), gas)
         if suffix is None:
             snap_index += 1
 
@@ -271,8 +270,8 @@ def test_one_prim_state_per_rhs(name, monkeypatch):
     # its cell block without a PrimState, and the march, dt and the budget
     # sample pass (3, n) rows without wrapping them
     config = capped(CONFIGS.get(name) or preset(name), 20)
-    w0 = initial_state(config).stacked()
-    made = {PrimState: 0, ConsState: 0}
+    w0 = initial_state(config)
+    made = {PrimState: 0}
     for cls in made:
         def counted(cls, *args, new=cls.__new__, **kwargs):
             made[cls] += 1
@@ -285,7 +284,7 @@ def test_one_prim_state_per_rhs(name, monkeypatch):
                       config.gas)
     assert (state.reason, state.step) == ("max_steps", 20)
     assert len(calls) == 3 * 20 + 1
-    assert made == {PrimState: 0, ConsState: 0}
+    assert made == {PrimState: 0}
 
 
 def test_stage_one_evaluation_released_before_stage_two(tmp_path,

@@ -12,6 +12,7 @@ from kepes.spatial import (
     viscous_face_flux,
 )
 from kepes.thermo import (
+    FaceMeans,
     GasModel,
     InvalidStateError,
     PrimState,
@@ -98,7 +99,7 @@ class TestViscousFaceFlux:
     def test_equal_states(self):
         gas = GasModel(viscosity_law=ViscosityLaw("constant", 0.01))
         q = PrimState(1.0, 0.5, 1.0)
-        g = viscous_face_flux(q, q, gas, 0.1)
+        g = viscous_face_flux(FaceMeans(q, q), gas, 0.1)
         assert np.allclose([g[0], g[1], g[2]], 0.0, atol=1e-15)
 
     def test_shear_only(self):
@@ -106,7 +107,7 @@ class TestViscousFaceFlux:
         # same temperature, velocity jump 0.1 over dx = 0.05
         left = PrimState(1.0, 0.0, 1.0)
         right = PrimState(1.0, 0.1, 1.0)
-        g = viscous_face_flux(left, right, gas, 0.05)
+        g = viscous_face_flux(FaceMeans(left, right), gas, 0.05)
         tau = 4.0 / 3.0 * 0.01 * 2.0
         assert np.isclose(g[1], tau, rtol=1e-14)
         assert np.isclose(g[2], 0.05 * tau, rtol=1e-14)  # u_bar tau
@@ -117,7 +118,7 @@ class TestViscousFaceFlux:
         # T drops by 0.2 across dx = 0.1 (rho = 1, R = 1 so T = p)
         left = PrimState(1.0, 0.0, 1.0)
         right = PrimState(1.0, 0.0, 0.8)
-        g = viscous_face_flux(left, right, gas, 0.1)
+        g = viscous_face_flux(FaceMeans(left, right), gas, 0.1)
         kappa = float(gas.conductivity(0.9))
         q_flux = -kappa * (-0.2) / 0.1
         assert np.isclose(g[2], -q_flux, rtol=1e-14)
@@ -139,7 +140,7 @@ class TestViscousFaceFlux:
             return viscosity(gas, T)
 
         monkeypatch.setattr(GasModel, "viscosity", counted)
-        assemble_rhs(initial_state(config).stacked(), config.grid,
+        assemble_rhs(initial_state(config), config.grid,
                      config.gas, config.flux_kind, config.diss, config.recon,
                      config.bcs)
         assert len(calls) == 1
@@ -152,7 +153,7 @@ class TestAssembleRhs:
     def test_uniform_state_periodic_zero(self, gas):
         grid = Grid1D(16)
         prim = PrimState(np.full(16, 1.2), np.full(16, 0.7), np.full(16, 0.9))
-        cells = prim_to_cons(prim, gas).stacked()
+        cells = prim_to_cons(prim, gas)
         for diss in (DissipationSpec(),
                      DissipationSpec(kind="scalar", kappa2=0.5, kappa4=0.02),
                      DissipationSpec(kind="matrix", matrix_law="ec1")):
@@ -170,7 +171,7 @@ class TestAssembleRhs:
     ])
     def test_telescoping_conservation_periodic(self, flux_kind, diss, gas):
         grid, prim = smooth_periodic_field(48)
-        cells = prim_to_cons(prim, gas).stacked()
+        cells = prim_to_cons(prim, gas)
         rhs, _ = assemble_rhs(cells, grid, gas, flux_kind, diss,
                               ReconSpec(2, "minmod"), PERIODIC)
         for comp in (rhs[0], rhs[1], rhs[2]):
@@ -178,7 +179,7 @@ class TestAssembleRhs:
 
     def test_telescoping_conservation_open_boundaries(self, gas):
         grid, prim = smooth_periodic_field(48)
-        cells = prim_to_cons(prim, gas).stacked()
+        cells = prim_to_cons(prim, gas)
         rhs, faces = assemble_rhs(cells, grid, gas, "kepec",
                                   DissipationSpec(kind="matrix"),
                                   ReconSpec(1), TRANSMISSIVE)
@@ -190,7 +191,7 @@ class TestAssembleRhs:
         # KEP-form flux, no dissipation, inviscid, periodic:
         # d/dt sum K = sum p_tilde du exactly
         grid, prim = smooth_periodic_field()
-        cells = prim_to_cons(prim, gas).stacked()
+        cells = prim_to_cons(prim, gas)
         for flux_kind in ("kep", "kepec_ac", "kepec"):
             rhs, faces = assemble_rhs(cells, grid, gas, flux_kind,
                                       DissipationSpec(), ReconSpec(1),
@@ -202,7 +203,7 @@ class TestAssembleRhs:
 
     def test_semi_discrete_entropy_balance_inviscid(self, gas):
         grid, prim = smooth_periodic_field()
-        cells = prim_to_cons(prim, gas).stacked()
+        cells = prim_to_cons(prim, gas)
         rhs, _ = assemble_rhs(cells, grid, gas, "kepec", DissipationSpec(),
                               ReconSpec(1), PERIODIC)
         v = entropy_vars(prim, gas)
@@ -214,7 +215,7 @@ class TestAssembleRhs:
         gas = GasModel(viscosity_law=ViscosityLaw("constant", 0.01),
                        prandtl=0.72)
         grid, prim = smooth_periodic_field()
-        cells = prim_to_cons(prim, gas).stacked()
+        cells = prim_to_cons(prim, gas)
         rhs, _ = assemble_rhs(cells, grid, gas, "kepec", DissipationSpec(),
                               ReconSpec(1), PERIODIC)
         v = entropy_vars(prim, gas)
@@ -241,7 +242,7 @@ class TestAssembleRhs:
     def test_scalar_dissipation_ke_decay(self, gas):
         # eps2 = 1, eps4 = 0: KE budget gains exactly -(1/2) sum lam rho_bar du^2
         grid, prim = smooth_periodic_field()
-        cells = prim_to_cons(prim, gas).stacked()
+        cells = prim_to_cons(prim, gas)
         diss = DissipationSpec(kind="scalar", kappa2=1e9, kappa4=0.0,
                                beta_average="logarithmic")
         rhs, faces = assemble_rhs(cells, grid, gas, "kepec", diss,
@@ -265,7 +266,7 @@ class TestAssembleRhs:
     def test_invalid_cell_reported(self, gas):
         grid = Grid1D(8)
         prim = PrimState(np.ones(8), np.zeros(8), np.ones(8))
-        cells = prim_to_cons(prim, gas).stacked()
+        cells = prim_to_cons(prim, gas)
         cells[2] = np.where(np.arange(8) == 5, -1.0, cells[2])
         with pytest.raises(InvalidStateError, match="cell 5"):
             assemble_rhs(cells, grid, gas, "kepec", DissipationSpec(),
@@ -279,7 +280,7 @@ class TestAssembleRhs:
         # one non-finite rho, m or E is reported as that cell, wherever
         # the cell sits
         prim = PrimState(np.ones(24), np.full(24, 0.3), np.ones(24))
-        cells = prim_to_cons(prim, gas).stacked()
+        cells = prim_to_cons(prim, gas)
         cells[row, cell] = value
         with pytest.raises(InvalidStateError, match=f"cell {cell}:"):
             assemble_rhs(cells, Grid1D(24), gas, "kepec",
@@ -289,7 +290,7 @@ class TestAssembleRhs:
     @pytest.mark.parametrize("p", [0.0, -1e-12])
     def test_non_positive_pressure_reported(self, gas, p):
         prim = PrimState(np.ones(24), np.full(24, 0.3), np.ones(24))
-        cells = prim_to_cons(prim, gas).stacked()
+        cells = prim_to_cons(prim, gas)
         # E = p/(gamma - 1) + m u/2 sets the pressure of cell 7 to p
         cells[2, 7] = p / (gas.gamma - 1.0) + 0.5 * cells[1, 7] * 0.3
         with pytest.raises(InvalidStateError, match="cell 7:"):
@@ -301,7 +302,7 @@ class TestAssembleRhs:
         # every cell is finite and positive, although a sum over the cells
         # overflows: the validity test must not rest on such a sum
         prim = PrimState(np.full(24, 1e307), np.zeros(24), np.full(24, 1e307))
-        cells = prim_to_cons(prim, gas).stacked()
+        cells = prim_to_cons(prim, gas)
         with np.errstate(over="ignore"):
             assert not np.isfinite(np.sum(cells[2]))
         rhs, _ = assemble_rhs(cells, Grid1D(24), gas, "kepec",
@@ -311,7 +312,7 @@ class TestAssembleRhs:
 
     def test_unknown_flux_kind(self, gas):
         grid, prim = smooth_periodic_field(16)
-        cells = prim_to_cons(prim, gas).stacked()
+        cells = prim_to_cons(prim, gas)
         with pytest.raises(ValueError):
             assemble_rhs(cells, grid, gas, "godunov", DissipationSpec(),
                          ReconSpec(1), PERIODIC)
@@ -329,7 +330,7 @@ class TestPressureEquilibrium:
         x = grid.cell_centers()
         prim = PrimState(1.0 + 0.5 * np.sin(2 * np.pi * x), np.ones(64),
                          np.ones(64))
-        cells = prim_to_cons(prim, gas).stacked()
+        cells = prim_to_cons(prim, gas)
         rhs, _ = assemble_rhs(cells, grid, gas, flux_kind, DissipationSpec(),
                               ReconSpec(1), PERIODIC)
         # p = (gamma - 1)(E - m^2/(2 rho)), differentiated along the rhs
@@ -385,7 +386,7 @@ class TestShockOutflow:
         bcs = BoundarySpec(
             BoundaryCondition("fixed_state", state=left),
             BoundaryCondition("shock_outflow", mass_flux=mass_flux))
-        return grid, prim_to_cons(prim, gas).stacked(), bcs
+        return grid, prim_to_cons(prim, gas), bcs
 
     def test_prescribed_boundary_mass_flux(self, gas):
         grid, cells, bcs = self.make(gas)
@@ -421,7 +422,7 @@ class TestResultsOwnTheirMemory:
         config = preset(name)
         args = (config.grid, config.gas, config.flux_kind, config.diss,
                 config.recon, config.bcs)
-        w = initial_state(config).stacked()
+        w = initial_state(config)
         rng = np.random.default_rng(5)
         states = [w * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, w.shape))
                   for _ in range(2)]

@@ -1,8 +1,6 @@
 """Shape contract of the per-pair functions: each returns one stacked
 (3, ...) ndarray and broadcasts its inputs as numpy broadcasts arrays."""
 
-from functools import partial
-
 import numpy as np
 import pytest
 
@@ -19,34 +17,46 @@ from kepes.thermo import (
     GasModel,
     PrimState,
     ViscosityLaw,
+    FaceMeans,
     entropy_vars,
     entropy_vars_jump,
 )
 
-from conftest import stencil
+from conftest import inner_pairs, stencil
 
 GAS = GasModel(viscosity_law=ViscosityLaw("power", 0.01, 1.0, 0.7))
 JST = DissipationSpec(kind="scalar", kappa2=0.5, kappa4=1 / 32)
 K = 5
+
+
+
+def _of_pair(fn, **kwargs):
+    """fn of the FaceMeans record of the pair (left, right)."""
+    return lambda l, r: fn(FaceMeans(l, r), **kwargs)
+
+
+def _jst(left, right):
+    cells = stencil(left, left, right, right)
+    return jst_dissipation(cells, inner_pairs(cells), GAS, JST)[..., 0]
+
 
 # Each function of a pair (left, right).  The single-state functions take
 # the right state, whose fields broadcast to the shape of the pair in every
 # case below; jst_dissipation takes the stencil (left, left, right, right)
 # stacked along the last axis, and [..., 0] is its single face.
 FUNCTIONS = {
-    **{name: partial(fn, gas=GAS)
+    **{name: _of_pair(fn, gas=GAS)
        for name, fn in sorted(CENTRAL_FLUXES.items())},
     "exact_flux": lambda l, r: exact_flux(r, GAS),
     "entropy_vars": lambda l, r: entropy_vars(r, GAS),
-    "entropy_vars_jump": partial(entropy_vars_jump, gas=GAS),
-    **{f"matrix_dissipation_{law}": partial(
+    "entropy_vars_jump": _of_pair(entropy_vars_jump, gas=GAS),
+    **{f"matrix_dissipation_{law}": _of_pair(
         matrix_dissipation, gas=GAS,
         spec=DissipationSpec(kind="matrix", matrix_law=law))
        for law in MATRIX_LAWS},
     "scalar_d_vector": lambda l, r: scalar_d_vector(l, r, GAS)[0],
-    "jst_dissipation": lambda l, r: jst_dissipation(stencil(l, l, r, r), GAS,
-                                                    JST)[..., 0],
-    "viscous_face_flux": partial(viscous_face_flux, gas=GAS, dx=0.1),
+    "jst_dissipation": _jst,
+    "viscous_face_flux": _of_pair(viscous_face_flux, gas=GAS, dx=0.1),
 }
 
 ARRAY_L = PrimState(np.linspace(0.5, 2.0, K), np.linspace(-0.5, 0.5, K),

@@ -31,6 +31,8 @@ from kepes.thermo import (
     prim_to_cons,
 )
 
+from conftest import inner_pairs
+
 N_CELLS = 24
 DISSIPATIONS = ([DissipationSpec(),
                  DissipationSpec(kind="scalar", kappa2=0.5, kappa4=1 / 32)]
@@ -74,16 +76,16 @@ def kernel_rhs(cells, grid, gas, flux_kind, diss, recon, bcs):
     q0, q1 = ext[:, 1:n + 2], ext[:, 2:n + 3]
     left, right = (q0, q1) if recon.order == 1 else reconstruct_face(ext,
                                                                      recon)
-    central = CENTRAL_FLUXES[flux_kind](left, right, gas,
-                                        FaceMeans(left, right))
+    central = CENTRAL_FLUXES[flux_kind](FaceMeans(left, right), gas)
     if diss.kind == "matrix":
-        d_flux = matrix_dissipation(left, right, gas, diss, flux_kind,
-                                    FaceMeans(left, right))
+        d_flux = matrix_dissipation(FaceMeans(left, right), gas, diss,
+                                    flux_kind)
     elif diss.kind == "scalar":
-        d_flux = jst_dissipation(ext, gas, diss, not bcs.is_periodic)
+        d_flux = jst_dissipation(ext, inner_pairs(ext), gas, diss,
+                                 not bcs.is_periodic)
     else:
         d_flux = np.zeros((3, n + 1))
-    g_flux = (viscous_face_flux(q0, q1, gas, dx, FaceMeans(q0, q1))
+    g_flux = (viscous_face_flux(FaceMeans(q0, q1), gas, dx)
               if gas.is_viscous else np.zeros((3, n + 1)))
     if bcs.right.kind == "shock_outflow":
         # the last face carries the mass flux and the net momentum and
@@ -105,7 +107,7 @@ def test_stage_equals_kernels(flux_kind, bc):
     rng = np.random.default_rng(sorted(CENTRAL_FLUXES).index(flux_kind))
     for s, prim in enumerate(states(rng)):
         for gas in GASES:
-            cells = prim_to_cons(prim, gas).stacked()
+            cells = prim_to_cons(prim, gas)
             for diss in DISSIPATIONS:
                 for recon in RECONSTRUCTIONS:
                     case = (f"state {s}/{gas.viscosity_law.kind}/"

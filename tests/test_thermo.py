@@ -23,20 +23,20 @@ velocity = st.floats(min_value=-100.0, max_value=100.0)
 
 def test_prim_to_cons_stagnant(gas):
     w = prim_to_cons(PrimState(1.0, 0.0, 1.0), gas)
-    assert (w.rho, w.m) == (1.0, 0.0)
-    assert np.isclose(w.E, 2.5, rtol=1e-15)
+    assert (w[0], w[1]) == (1.0, 0.0)
+    assert np.isclose(w[2], 2.5, rtol=1e-15)
 
 
 def test_prim_to_cons_moving(gas):
     w = prim_to_cons(PrimState(1.0, 1.0, 1.0), gas)
-    assert (w.rho, w.m) == (1.0, 1.0)
-    assert np.isclose(w.E, 3.0, rtol=1e-15)
+    assert (w[0], w[1]) == (1.0, 1.0)
+    assert np.isclose(w[2], 3.0, rtol=1e-15)
 
 
 def test_prim_to_cons_sod_right_state(gas):
     w = prim_to_cons(PrimState(0.125, 0.0, 0.1), gas)
-    assert np.isclose(w.E, 0.25, rtol=1e-15)
-    assert (w.rho, w.m) == (0.125, 0.0)
+    assert np.isclose(w[2], 0.25, rtol=1e-15)
+    assert (w[0], w[1]) == (0.125, 0.0)
 
 
 @given(rho=positive, mach=st.floats(min_value=-5.0, max_value=5.0),

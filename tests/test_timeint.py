@@ -124,7 +124,7 @@ class TestConservationOverRun:
         prim = PrimState(1.0 + 0.2 * np.sin(2 * np.pi * x),
                          0.3 * np.cos(2 * np.pi * x),
                          1.0 + 0.1 * np.sin(4 * np.pi * x))
-        cells = prim_to_cons(prim, gas).stacked()
+        cells = prim_to_cons(prim, gas)
         totals0 = [float(np.sum(c)) for c in (cells[0], cells[1], cells[2])]
         config = replace(preset("sod"), grid=grid, gas=gas, bcs=PERIODIC,
                          flux_kind="kepec",
