@@ -4,7 +4,9 @@
     python scripts/stage_ab.py OLD_SRC NEW_SRC [--rounds 25] [--seed 0]
 
 Both kepes packages are imported in one process under their own names.
-Per config the two trees' rhs must be np.array_equal; then each round
+Per config the two trees' rhs must be np.array_equal and the budget rows
+their face records give (diagnostics.budget_report, csv_row) equal, which
+holds for trees whose budget_report takes no prim; then each round
 times a batch of calls per tree, alternating which goes first, and the
 medians and quartiles in us per call, old/new of the medians and the
 rounds the new tree won are printed.  The data are the config's initial
@@ -37,11 +39,13 @@ def load(src, name):
     sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sys.modules[name])
     return {m: importlib.import_module(f"{name}.{m}")
-            for m in ("config", "presets", "spatial", "thermo")}
+            for m in ("config", "diagnostics", "presets", "spatial",
+                      "thermo")}
 
 
 def stage(tree, name, n, law, seed):
-    """assemble_rhs of the tree, bound to the config and its data."""
+    """assemble_rhs of the tree, bound to the config and its data, and the
+    budget row of its result."""
     cfg = tree["presets"].preset(name)
     cfg = replace(cfg, grid=replace(cfg.grid, n_cells=n))
     if law:
@@ -53,8 +57,11 @@ def stage(tree, name, n, law, seed):
     q = (rho * (1 + r[0]), u + r[1] * a, p * (1 + r[2]))
     # prim_to_cons gives a (3, n) array, or a row triple in older trees
     w = np.array(th.prim_to_cons(q, cfg.gas), dtype=float)
-    return (lambda: tree["spatial"].assemble_rhs(
+    call = (lambda: tree["spatial"].assemble_rhs(
         w, cfg.grid, cfg.gas, cfg.flux_kind, cfg.diss, cfg.recon, cfg.bcs))
+    budget = (lambda rhs, faces: tree["diagnostics"].budget_report(
+        0.0, rhs, faces, cfg.grid, cfg.gas).csv_row())
+    return call, budget
 
 
 def rounds(text):
@@ -75,9 +82,13 @@ def main(argv=None):
     trees = (load(args.old_src, "kepes_old"), load(args.new_src, "kepes_new"))
     print("config n | old us [q1, q3] | new us [q1, q3] | old/new | new won")
     for name, n, law in CONFIGS:
-        calls = [stage(t, name, n, law, args.seed) for t in trees]
-        if not np.array_equal(calls[0]()[0], calls[1]()[0]):
+        calls, budgets = zip(*(stage(t, name, n, law, args.seed)
+                               for t in trees))
+        out = [call() for call in calls]
+        if not np.array_equal(out[0][0], out[1][0]):
             sys.exit(f"{name} {law or ''} n={n}: rhs differ")
+        if budgets[0](*out[0]) != budgets[1](*out[1]):
+            sys.exit(f"{name} {law or ''} n={n}: budget differ")
         start = time.perf_counter()
         calls[0]()
         reps = max(1, int(BATCH_S / (time.perf_counter() - start)))

@@ -44,21 +44,15 @@ def _cmd_run(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = parse_config_raw(fh.read())
+        for item in args.override:
+            key, sep, value = item.partition("=")
+            if not sep:
+                raise ConfigError(f"override needs KEY=VALUE, got {item!r}")
+            raw[key.strip()] = value.strip()
+        config = config_from_dict(raw)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for item in args.override:
-        key, sep, value = item.partition("=")
-        if not sep:
-            print(f"error: override needs KEY=VALUE, got {item!r}",
-                  file=sys.stderr)
-            return 2
-        raw[key.strip()] = value.strip()
-    try:
-        config = config_from_dict(raw)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -85,7 +85,7 @@ def budget_report(time: float, rhs, faces: FaceData, grid: Grid1D,
     rho, u = prim[0], prim[1]
     # face- and cell-major contiguous copies: np.sum adds pairwise in memory
     # order, so the layout fixes the rounding of every sum below.  The
-    # boundary net fluxes are formed once per FaceData (net_ends).
+    # boundary net fluxes are the stage's, read at the first and last face.
     rhs_cells = np.stack(rhs, axis=-1)
     v = np.ascontiguousarray(entropy_vars(prim, gas).T)
     sl = slice(0, n) if faces.periodic else slice(1, n)
@@ -93,7 +93,7 @@ def budget_report(time: float, rhs, faces: FaceData, grid: Grid1D,
     dv, dpsi = faces.dv[sl], faces.dpsi[sl]
     central, diss, visc = (np.ascontiguousarray(f.T)[sl]
                            for f in (faces.central, faces.diss, faces.visc))
-    first, last = faces.net_ends
+    first, last = faces.net[:, [0, -1]].T
 
     ke_boundary = 0.0
     entropy_boundary = float(np.sum(dpsi))

@@ -232,9 +232,10 @@ def eigen_system(avg: FaceAverage, gas: GasModel):
                      axis=-1))
 
 
-def eigenvalue_law(u_f, a_f, left: PrimState, right: PrimState,
-                   gas: GasModel, spec: DissipationSpec):
-    """|Lambda| entries (3,) or (..., 3) for the selected law.
+def eigenvalue_law(u_f, a_f, m: FaceMeans, gas: GasModel,
+                   spec: DissipationSpec):
+    """|Lambda| entries (3,) or (..., 3) for the selected law, of the pairs
+    of the record m and their face speeds u_f, a_f (broadcast to m.shape).
 
     roe:  (|u-a|, |u|, |u+a|)
     ec1:  roe with the acoustic entries augmented by ec1_beta * |d lambda|
@@ -243,8 +244,7 @@ def eigenvalue_law(u_f, a_f, left: PrimState, right: PrimState,
     rus:  (|u|+a) I
     hyb:  (1-phi) roe + phi rus with phi = clip(sqrt(|dp|/(2 p_bar)), 0, 1)
     """
-    u_f, a_f, *fields = np.broadcast_arrays(u_f, a_f, *left, *right)
-    m = FaceMeans(fields[:3], fields[3:])
+    u_f, a_f = (np.broadcast_to(x, m.shape) for x in (u_f, a_f))
     speeds = np.array((u_f - a_f, u_f, u_f + a_f))
     lam = _law(speeds, a_f, m, gas, spec)
     return np.ascontiguousarray(np.moveaxis(lam, 0, -1))

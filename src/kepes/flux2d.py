@@ -152,23 +152,23 @@ def eigenvalue_law_2d(un_f, a_f, left: PrimState2D, right: PrimState2D,
     """|Lambda| entries (..., 4) for the selected law, normal-direction
     eigenvalues (u.n - a, u.n, u.n, u.n + a): the 1-D law of the normal
     problem, with the shear entry equal to the entropy-wave entry."""
-    lam = eigenvalue_law(un_f, a_f, _normal_frame(left, n)[0],
-                         _normal_frame(right, n)[0], gas, spec)
-    return lam[..., [0, 1, 1, 2]]
+    m = FaceMeans(_normal_frame(left, n)[0], _normal_frame(right, n)[0])
+    return eigenvalue_law(un_f, a_f, m, gas, spec)[..., [0, 1, 1, 2]]
 
 
 def matrix_dissipation_2d(left: PrimState2D, right: PrimState2D,
                           n: FaceNormal, gas: GasModel,
                           spec: DissipationSpec) -> np.ndarray:
-    """-(1/2) R |Lambda| S R^T dv along the face normal, from the 1-D face
-    average of the (rho, u1, p) pair with u2 averaged alongside."""
-    avg = face_average(FaceMeans((left.rho, left.u1, left.p),
-                                 (right.rho, right.u1, right.p)), gas)
-    u2_f = _avg(left.u2, right.u2)
-    R, S = eigen_system_2d((avg.rho, avg.u, u2_f, avg.a,
-                            avg.H + 0.5 * u2_f * u2_f), n, gas)
-    un_f = avg.u * n.n1 + u2_f * n.n2
-    lam = eigenvalue_law_2d(un_f, avg.a, left, right, n, gas, spec)
+    """-(1/2) R |Lambda| S R^T dv along the face normal.  rho, u.n and a
+    are the 1-D face average of the normal-frame pair, the Cartesian
+    velocities are averaged alongside, and H = a^2/(gamma - 1) + |u|^2/2."""
+    m = FaceMeans(_normal_frame(left, n)[0], _normal_frame(right, n)[0])
+    avg = face_average(m, gas)
+    u1_f, u2_f = _avg(left.u1, right.u1), _avg(left.u2, right.u2)
+    H_f = avg.a * avg.a / (gas.gamma - 1.0) + 0.5 * (u1_f * u1_f
+                                                     + u2_f * u2_f)
+    R, S = eigen_system_2d((avg.rho, u1_f, u2_f, avg.a, H_f), n, gas)
+    lam = eigenvalue_law(avg.u, avg.a, m, gas, spec)[..., [0, 1, 1, 2]]
     dv = entropy_vars_2d(right, gas) - entropy_vars_2d(left, gas)
     w = (lam * S) * np.einsum("...ji,...j->...i", R, dv)
     return -0.5 * np.einsum("...ij,...j->...i", R, w)

@@ -11,8 +11,10 @@ stencil kernels read those three rows whole, and a cell-pair record forms
 beta and u^2.  One FaceMeans record per call, which holds the face pairs
 as one contiguous (2, 5, n + 1) block, is the pair input of the central
 flux and the dissipation, and each flux is a stacked (3, n + 1) array.
-All per-face quantities needed by the budget diagnostics are returned in
-a FaceData record, which derives them only when read.
+The net flux F - G is formed once, and a shock_outflow boundary writes
+its last face there alone.  All per-face quantities needed by the budget
+diagnostics are returned in a FaceData record, which derives them only
+when read.
 """
 
 from __future__ import annotations
@@ -60,6 +62,9 @@ class Grid1D:
             raise ValueError("n_cells must be at least 4")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
+        if not 0.0 < self.dx < np.inf:
+            raise ValueError("x_min, x_max: the cell width (x_max - x_min) / "
+                             "n_cells must be finite and > 0")
 
     @property
     def dx(self) -> float:
@@ -120,7 +125,9 @@ class FaceData:
     """Per-face record backing the budget diagnostics.
 
     central, diss and visc are the central, dissipative and viscous fluxes
-    as stacked (3, n_faces) arrays.  Arrays have one entry per face
+    as stacked (3, n_faces) arrays, each its kernel's output at every face,
+    and net is the stage's net flux F - G, the boundary-flux step of a
+    shock_outflow face included.  Arrays have one entry per face
     (n_cells + 1; under periodic boundaries face n_cells duplicates face
     0).  du, u_bar, dv and dpsi are built from the cell values adjacent to
     each face, the stacked (rho, u, p) rows left and right, which is what
@@ -131,6 +138,7 @@ class FaceData:
     central: np.ndarray
     diss: np.ndarray
     visc: np.ndarray
+    net: np.ndarray
     left: np.ndarray
     right: np.ndarray
     gas: GasModel
@@ -165,19 +173,6 @@ class FaceData:
     @cached_property
     def p_tilde(self) -> np.ndarray:
         return self.central[1] - self.u_bar * self.central[0]
-
-    def net(self) -> np.ndarray:
-        """Total face flux (F - G) as an (n_faces, 3) array."""
-        return (self.central + self.diss - self.visc).T
-
-    @cached_property
-    def net_ends(self) -> np.ndarray:
-        """net()[0] and net()[-1], the first and the last face, as a (2, 3)
-        array formed once from those faces alone: the budget terms read
-        only these two."""
-        ends = [0, -1]
-        return (self.central[:, ends] + self.diss[:, ends]
-                - self.visc[:, ends]).T
 
 
 def viscous_face_flux(m: FaceMeans, gas: GasModel, dx: float) -> np.ndarray:
@@ -280,25 +275,18 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
 
     # net = F - G.  An inviscid G is zero and x - 0 is x, so it is not
     # subtracted.
-    if bcs.right.kind == "shock_outflow":
-        # boundary-flux step: the last face carries the prescribed mass
-        # flux and, in momentum and energy, the net flux of the face before
-        # it, so the last cell sees zero update in them; its dissipative
-        # and viscous parts are zero
-        edge = central[1:, n - 1] + d_flux[1:, n - 1]
-        if viscous:
-            edge -= g_flux[1:, n - 1]
-            g_flux[:, n] = 0.0
-        central[1:, n] = edge
-        central[0, n] = bcs.right.mass_flux
-        d_flux[:, n] = 0.0
-
     net = central + d_flux
     if viscous:
         net -= g_flux
+    if bcs.right.kind == "shock_outflow":
+        # boundary-flux step: the last face carries the prescribed mass
+        # flux and, in momentum and energy, the net flux of the face before
+        # it, so the last cell sees zero update in them
+        net[0, n] = bcs.right.mass_flux
+        net[1:, n] = net[1:, n - 1]
     # -(net[1:] - net[:-1]) / dx: x / -dx is -(x / dx) bitwise
     rhs = net[:, 1:] - net[:, :-1]
     rhs /= -dx
-    faces = FaceData(central, d_flux, g_flux, rows[:, lo], rows[:, hi], gas,
-                     bcs.is_periodic)
+    faces = FaceData(central, d_flux, g_flux, net, rows[:, lo], rows[:, hi],
+                     gas, bcs.is_periodic)
     return rhs, faces

@@ -37,8 +37,9 @@ class TimeSpec:
     """Step control: Courant number, end time and a step-count safety cap.
 
     steady_tol, when set, stops the run once max |rhs| falls below it;
-    it must be > 0, since no residual falls below zero.  t_final may be
-    inf, for a march that max_steps or the caller ends.
+    it must be > 0, since no residual falls below zero, and finite, since
+    every residual falls below inf.  t_final may be inf, for a march that
+    max_steps or the caller ends.
     """
 
     cfl: float = 0.4
@@ -55,6 +56,8 @@ class TimeSpec:
             raise ValueError("max_steps must be >= 1")
         if self.steady_tol is not None and not self.steady_tol > 0.0:
             raise ValueError("steady_tol must be > 0")
+        if self.steady_tol is not None and not self.steady_tol < np.inf:
+            raise ValueError("steady_tol must be finite")
 
 
 def _stage(k: int, rhs_operator, u):

@@ -162,13 +162,14 @@ def test_c05_dissipation_entropy_stability():
     rng = np.random.default_rng(105)
     left, right = random_states(rng, 100_000, span=1.0, umax=2.0)
     dv = (entropy_vars(right, GAS) - entropy_vars(left, GAS)).T
-    avg = face_average(FaceMeans(left, right), GAS, "kepec")
+    m = FaceMeans(left, right)
+    avg = face_average(m, GAS, "kepec")
     R, S = eigen_system(avg, GAS)
     w = np.einsum("...ji,...j->...i", R, dv)
     worst = np.inf
     for law in ("roe", "ec1", "kes", "rus", "hyb"):
         spec = DissipationSpec(kind="matrix", matrix_law=law)
-        lam = eigenvalue_law(avg.u, avg.a, left, right, GAS, spec)
+        lam = eigenvalue_law(avg.u, avg.a, m, GAS, spec)
         quad = np.sum((lam * S) * w * w, axis=-1)
         worst = min(worst, float(quad.min()))
 

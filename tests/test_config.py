@@ -207,6 +207,30 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="steady_tol"):
             config_from_dict({"steady_tol": value})
 
+    @pytest.mark.parametrize("bounds", [(-1e308, 1e308), (0.0, 5e-324)],
+                             ids=["overflow", "underflow"])
+    def test_cell_width_must_be_finite_and_positive(self, bounds):
+        # x_max > x_min holds, but dx is inf or 0: such a run ended as a
+        # success after one step with a NaN budget row
+        with pytest.raises(ConfigError) as exc:
+            parse_config("preset = sod\nx_min = %r\nx_max = %r\n" % bounds)
+        assert str(exc.value) == (
+            "x_min, x_max: the cell width (x_max - x_min) / n_cells must "
+            "be finite and > 0")
+
+    def test_infinite_grid_rejected_on_replace(self):
+        grid = preset("sod").grid
+        with pytest.raises(ValueError, match="x_min, x_max: the cell width"):
+            replace(grid, x_max=np.inf)
+
+    def test_infinite_steady_tol_rejected_on_replace(self):
+        # every residual falls below inf, so such a run stopped as steady
+        # at its first check
+        time = preset("stationary_shock_m4").time
+        with pytest.raises(ValueError) as exc:
+            replace(time, steady_tol=np.inf)
+        assert str(exc.value) == "steady_tol must be finite"
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", list_presets())

@@ -223,33 +223,35 @@ class TestEigenvalueLaw:
 
     def test_rusanov(self, gas):
         q = PrimState(1.0, 1.0, 1.0)
-        lam = eigenvalue_law(1.0, 2.0, q, q, gas, self.spec("rus"))
+        lam = eigenvalue_law(1.0, 2.0, FaceMeans(q, q), gas, self.spec("rus"))
         assert np.allclose(lam, [3.0, 3.0, 3.0])
 
     def test_roe_ordering(self, gas):
         q = PrimState(1.0, 0.5, 1.0)
-        lam = eigenvalue_law(0.5, 2.0, q, q, gas, self.spec("roe"))
+        lam = eigenvalue_law(0.5, 2.0, FaceMeans(q, q), gas, self.spec("roe"))
         assert np.allclose(lam, [1.5, 0.5, 2.5])
 
     def test_kes_equal_acoustics(self, gas):
         q = PrimState(1.0, 0.5, 1.0)
-        lam = eigenvalue_law(0.5, 2.0, q, q, gas, self.spec("kes"))
+        lam = eigenvalue_law(0.5, 2.0, FaceMeans(q, q), gas, self.spec("kes"))
         assert np.allclose(lam, [2.5, 0.5, 2.5])
 
     def test_hyb_without_pressure_jump_is_roe(self, gas):
         left = PrimState(1.0, 0.5, 1.0)
         right = PrimState(2.0, 0.1, 1.0)
-        roe = eigenvalue_law(0.3, 1.1, left, right, gas, self.spec("roe"))
-        hyb = eigenvalue_law(0.3, 1.1, left, right, gas, self.spec("hyb"))
+        m = FaceMeans(left, right)
+        roe = eigenvalue_law(0.3, 1.1, m, gas, self.spec("roe"))
+        hyb = eigenvalue_law(0.3, 1.1, m, gas, self.spec("hyb"))
         assert np.allclose(hyb, roe, rtol=1e-14)
 
     def test_hyb_switch_value(self, gas):
         left = PrimState(1.0, 0.0, 1.0)
         right = PrimState(1.0, 0.0, 3.0)
         phi = np.sqrt(2.0 / 4.0)
-        roe = eigenvalue_law(0.2, 1.0, left, right, gas, self.spec("roe"))
-        rus = eigenvalue_law(0.2, 1.0, left, right, gas, self.spec("rus"))
-        hyb = eigenvalue_law(0.2, 1.0, left, right, gas, self.spec("hyb"))
+        m = FaceMeans(left, right)
+        roe = eigenvalue_law(0.2, 1.0, m, gas, self.spec("roe"))
+        rus = eigenvalue_law(0.2, 1.0, m, gas, self.spec("rus"))
+        hyb = eigenvalue_law(0.2, 1.0, m, gas, self.spec("hyb"))
         assert np.isclose(phi, 0.70711, atol=1e-5)
         assert np.allclose(hyb, (1 - phi) * roe + phi * rus, rtol=1e-14)
 
@@ -258,47 +260,53 @@ class TestEigenvalueLaw:
         # clip is a safety net); hyb always sits between roe and rus
         rng = np.random.default_rng(42)
         left, right = random_states(rng, 1000)
-        avg = face_average(FaceMeans(left, right), gas, "kepec")
-        roe = eigenvalue_law(avg.u, avg.a, left, right, gas, self.spec("roe"))
-        rus = eigenvalue_law(avg.u, avg.a, left, right, gas, self.spec("rus"))
-        hyb = eigenvalue_law(avg.u, avg.a, left, right, gas, self.spec("hyb"))
+        m = FaceMeans(left, right)
+        avg = face_average(m, gas, "kepec")
+        roe = eigenvalue_law(avg.u, avg.a, m, gas, self.spec("roe"))
+        rus = eigenvalue_law(avg.u, avg.a, m, gas, self.spec("rus"))
+        hyb = eigenvalue_law(avg.u, avg.a, m, gas, self.spec("hyb"))
         lo, hi = np.minimum(roe, rus), np.maximum(roe, rus)
         assert np.all(hyb >= lo - 1e-14) and np.all(hyb <= hi + 1e-14)
         extreme = eigenvalue_law(
-            0.2, 1.0, PrimState(1.0, 0.0, 1.0), PrimState(1.0, 0.0, 1e4),
+            0.2, 1.0,
+            FaceMeans(PrimState(1.0, 0.0, 1.0), PrimState(1.0, 0.0, 1e4)),
             gas, self.spec("hyb"))
         assert np.all(extreme <= 1.2 + 1e-14)
 
     @pytest.mark.parametrize("law", MATRIX_LAWS)
     def test_faces_broadcast_against_states(self, gas, law):
         # scalar face speeds with three pairs of states, and three face
-        # speeds with one pair, match one call per face
+        # speeds with one pair on three faces, match one call per face
         left = PrimState(np.array([1.0, 0.5, 2.0]), np.array([0.1, -0.3, 0.0]),
                          np.array([1.0, 0.4, 3.0]))
         right = PrimState(np.array([0.8, 0.6, 1.0]), np.array([0.2, 0.1, 0.5]),
                           np.array([2.0, 0.5, 1.0]))
         u_f, a_f = np.array([0.3, -0.2, 0.1]), np.array([1.1, 0.9, 1.6])
         spec = self.spec(law)
-        lam = eigenvalue_law(0.3, 1.1, left, right, gas, spec)
+        lam = eigenvalue_law(0.3, 1.1, FaceMeans(left, right), gas, spec)
         assert lam.shape == (3, 3)
         for i in range(3):
             one = PrimState(left.rho[i], left.u[i], left.p[i])
             other = PrimState(right.rho[i], right.u[i], right.p[i])
             assert np.array_equal(
-                lam[i], eigenvalue_law(0.3, 1.1, one, other, gas, spec))
+                lam[i],
+                eigenvalue_law(0.3, 1.1, FaceMeans(one, other), gas, spec))
         one = PrimState(1.0, 0.1, 1.0)
         other = PrimState(0.8, 0.2, 2.0)
-        lam = eigenvalue_law(u_f, a_f, one, other, gas, spec)
+        lam = eigenvalue_law(u_f, a_f, FaceMeans(
+            PrimState(np.full(3, 1.0), 0.1, 1.0), other), gas, spec)
         assert lam.shape == (3, 3)
+        m = FaceMeans(one, other)
         for i in range(3):
             assert np.array_equal(
-                lam[i], eigenvalue_law(u_f[i], a_f[i], one, other, gas, spec))
+                lam[i], eigenvalue_law(u_f[i], a_f[i], m, gas, spec))
 
     def test_ec1_augmentation(self, gas):
         left = PrimState(1.0, 0.0, 1.0)    # a = sqrt(1.4)
         right = PrimState(1.0, 0.0, 2.0)   # a = sqrt(2.8)
         a_l, a_r = np.sqrt(1.4), np.sqrt(2.8)
-        lam = eigenvalue_law(0.0, 1.0, left, right, gas, self.spec("ec1"))
+        lam = eigenvalue_law(0.0, 1.0, FaceMeans(left, right), gas,
+                             self.spec("ec1"))
         assert np.isclose(lam[0], 1.0 + (a_r - a_l) / 6, rtol=1e-13)
         assert np.isclose(lam[1], 0.0, atol=1e-15)
         assert np.isclose(lam[2], 1.0 + (a_r - a_l) / 6, rtol=1e-13)
@@ -306,10 +314,10 @@ class TestEigenvalueLaw:
     def test_all_nonnegative(self, gas):
         rng = np.random.default_rng(41)
         left, right = random_states(rng, 2000)
-        avg = face_average(FaceMeans(left, right), gas, "kepec")
+        m = FaceMeans(left, right)
+        avg = face_average(m, gas, "kepec")
         for law in ("roe", "ec1", "kes", "rus", "hyb"):
-            lam = eigenvalue_law(avg.u, avg.a, left, right, gas,
-                                 self.spec(law))
+            lam = eigenvalue_law(avg.u, avg.a, m, gas, self.spec(law))
             assert lam.min() >= 0.0
 
 

@@ -483,3 +483,26 @@ class TestCli:
 
     def test_run_missing_file(self, capsys):
         assert main(["run", "/does/not/exist.cfg"]) == 2
+
+    @pytest.mark.parametrize("body, overrides, message", [
+        (None, [], "cannot read config: [Errno 2] No such file or "
+                   "directory: '{path}'"),
+        ("preset sod\n", [], "line 1: expected key = value"),
+        ("preset = sod\n", ["n_cells=50", "t_final"],
+         "override needs KEY=VALUE, got 't_final'"),
+        ("preset = sod\n", ["cfl=0"], "cfl must be in (0, 1]"),
+    ], ids=["missing-file", "parse", "override", "range"])
+    def test_run_error_paths(self, tmp_path, capsys, body, overrides,
+                             message):
+        # each error prints one stderr line, nothing on stdout, and exits 2
+        cfg_file = tmp_path / "case.cfg"
+        if body is not None:
+            cfg_file.write_text(body)
+        argv = ["run", str(cfg_file), "--output-dir", str(tmp_path / "out")]
+        for item in overrides:
+            argv += ["--override", item]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message.format(path=cfg_file)}\n"
+        assert not (tmp_path / "out").exists()

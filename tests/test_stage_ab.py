@@ -2,6 +2,7 @@
 against itself."""
 
 import importlib.util
+import shutil
 import sys
 from pathlib import Path
 
@@ -25,7 +26,7 @@ def stage_ab():
 
 
 def test_every_config_timed(stage_ab, capsys):
-    # a "rhs differ" exit would raise SystemExit here
+    # a "rhs differ" or "budget differ" exit would raise SystemExit here
     stage_ab.main([SRC, SRC, "--rounds", "2"])
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("config n |")
@@ -33,6 +34,20 @@ def test_every_config_timed(stage_ab, capsys):
     for line, (name, n, law) in zip(lines[1:], stage_ab.CONFIGS):
         assert line.startswith(f"{name} {law or ''} {n} |")
         assert line.endswith("/2")
+
+
+def test_budget_compared(stage_ab, tmp_path):
+    # a tree whose budget rows differ while its rhs does not
+    shutil.copytree(ROOT / "src" / "kepes", tmp_path / "kepes")
+    diagnostics = tmp_path / "kepes" / "diagnostics.py"
+    text = diagnostics.read_text()
+    assert "        time=time,\n" in text
+    diagnostics.write_text(text.replace("        time=time,\n",
+                                        "        time=time + 1.0,\n"))
+    with pytest.raises(SystemExit) as exit_info:
+        stage_ab.main([SRC, str(tmp_path), "--rounds", "2"])
+    name, n, law = stage_ab.CONFIGS[0]
+    assert exit_info.value.code == f"{name} {law or ''} n={n}: budget differ"
 
 
 @pytest.mark.parametrize("rounds", ["1", "0", "-3"])

@@ -1,7 +1,9 @@
 """The stage against the public per-pair kernels: assemble_rhs and its
 FaceData.central, diss and visc are bitwise equal to the kernels applied
-to explicit face pairs, for every central flux, dissipation, order and
-boundary set, on random and near-degenerate states."""
+to explicit face pairs at every face, a shock_outflow face included, and
+FaceData.net to their sum with the boundary-flux step, for every central
+flux, dissipation, order and boundary set, on random and near-degenerate
+states."""
 
 import numpy as np
 import pytest
@@ -67,7 +69,7 @@ def states(rng):
 
 
 def kernel_rhs(cells, grid, gas, flux_kind, diss, recon, bcs):
-    """rhs and the (central, diss, visc) face fluxes from the per-pair
+    """rhs and the (central, diss, visc, net) face fluxes from the per-pair
     kernels, each given a FaceMeans record of explicit face pairs."""
     n, dx = grid.n_cells, grid.dx
     ext = np.empty((3, n + 4))
@@ -87,16 +89,14 @@ def kernel_rhs(cells, grid, gas, flux_kind, diss, recon, bcs):
         d_flux = np.zeros((3, n + 1))
     g_flux = (viscous_face_flux(FaceMeans(q0, q1), gas, dx)
               if gas.is_viscous else np.zeros((3, n + 1)))
+    net = central + d_flux - g_flux
     if bcs.right.kind == "shock_outflow":
         # the last face carries the mass flux and the net momentum and
-        # energy fluxes of the face before it
-        central[1:, n] = (central[1:, n - 1] + d_flux[1:, n - 1]
-                          - g_flux[1:, n - 1])
-        central[0, n] = bcs.right.mass_flux
-        d_flux[:, n] = 0.0
-        g_flux[:, n] = 0.0
-    net = central + d_flux - g_flux
-    return -(net[:, 1:] - net[:, :-1]) / dx, (central, d_flux, g_flux)
+        # energy fluxes of the face before it; the three parts stay the
+        # kernels' outputs
+        net[0, n] = bcs.right.mass_flux
+        net[1:, n] = net[1:, n - 1]
+    return -(net[:, 1:] - net[:, :-1]) / dx, (central, d_flux, g_flux, net)
 
 
 @pytest.mark.parametrize("bc", sorted(BOUNDARIES))
@@ -117,6 +117,12 @@ def test_stage_equals_kernels(flux_kind, bc):
                     want, fluxes = kernel_rhs(cells, grid, gas, flux_kind,
                                               diss, recon, bcs)
                     assert np.array_equal(rhs, want), f"{case} rhs"
-                    for name, f in zip(("central", "diss", "visc"), fluxes):
+                    for name, f in zip(("central", "diss", "visc", "net"),
+                                       fluxes):
                         assert np.array_equal(getattr(faces, name), f), \
                             f"{case} {name}"
+                    if bcs.right.kind == "shock_outflow":
+                        n = N_CELLS
+                        assert faces.net[0, n] == bcs.right.mass_flux, case
+                        assert np.array_equal(faces.net[1:, n],
+                                              faces.net[1:, n - 1]), case
