@@ -4,11 +4,12 @@
 Each preset runs capped at --max-steps, with a snapshot and budget sample
 every min(t_final / 4, 0.03) time units, into a temporary directory.
 Three fixed cases follow.  The first two take the forked writer
-(driver._FORK_ROWS) on a host with a spare CPU: sod at 2e4 cells, 6 steps,
-a snapshot every 2.5e-5 (two mid-run marks), which forks at its first
-snapshot; and sod_viscous (500 cells) for 120 steps with a snapshot every
-1.25e-4, as in perfbench's budget_dense, whose rows cross the threshold
-mid-run.  The third, sod on 64 periodic cells for 60 steps with a snapshot
+(driver._FORK_ROWS) on a host with a spare CPU, forking at their first
+snapshot: sod at 2e4 cells, 6 steps, a snapshot every 2.5e-5 (two mid-run
+marks); and sod_viscous (500 cells) for 120 steps with a snapshot every
+1.25e-4, as in perfbench's budget_dense.  The stationary_contact and
+stationary_shock presets plan enough snapshot rows to fork at their first
+snapshot too; no digested run forks mid-run.  The third, sod on 64 periodic cells for 60 steps with a snapshot
 every 0.02, is the only digested run with periodic boundaries.  The last
 line digests all the others.  Run it against two checkouts and
 compare the output to show that a change leaves every snapshot,

@@ -83,42 +83,48 @@ def budget_report(time: float, rhs, faces: FaceData, grid: Grid1D,
     n, dx = grid.n_cells, grid.dx
     prim = faces.cells
     rho, u = prim[0], prim[1]
-    # face- and cell-major contiguous copies: np.sum adds pairwise in memory
-    # order, so the layout fixes the rounding of every sum below.  The
-    # boundary net fluxes are the stage's, read at the first and last face.
+    # face- and cell-major contiguous copies: a sum adds pairwise in memory
+    # order, so the layout fixes the rounding of every sum below.  One
+    # entropy-variable pass over the n + 2 cells behind the faces gives the
+    # cells' v (columns 1 .. n) and, as FaceData.dv, the face jumps dv.
+    # The boundary net fluxes are the stage's, at the first and last face.
+    ev = entropy_vars(np.concatenate((faces.left[:, :1], faces.right),
+                                     axis=1), gas)
     rhs_cells = np.stack(rhs, axis=-1)
-    v = np.ascontiguousarray(entropy_vars(prim, gas).T)
+    v = np.ascontiguousarray(ev[:, 1:-1].T)
     sl = slice(0, n) if faces.periodic else slice(1, n)
     du, ub = faces.du[sl], faces.u_bar[sl]
-    dv, dpsi = faces.dv[sl], faces.dpsi[sl]
+    dv = np.ascontiguousarray((ev[:, 1:] - ev[:, :-1]).T)[sl]
+    del ev  # freed before the face copies: held, it raises the memory peak
+    dpsi = faces.dpsi[sl]
     central, diss, visc = (np.ascontiguousarray(f.T)[sl]
                            for f in (faces.central, faces.diss, faces.visc))
     first, last = faces.net[:, [0, -1]].T
 
     ke_boundary = 0.0
-    entropy_boundary = float(np.sum(dpsi))
+    entropy_boundary = float(dpsi.sum())
     if not faces.periodic:
         phi_first = np.array([-0.5 * u[0] ** 2, u[0], 0.0])
         phi_last = np.array([-0.5 * u[-1] ** 2, u[-1], 0.0])
         ke_boundary = float(phi_first @ first - phi_last @ last)
         entropy_boundary += float(v[0] @ first - v[-1] @ last)
-    cons_err = np.sum(rhs_cells, axis=0) * dx - (first - last)
+    cons_err = rhs_cells.sum(axis=0) * dx - (first - last)
 
     return BudgetReport(
         time=time,
-        total_ke=float(np.sum(0.5 * rho * u ** 2) * dx),
-        total_entropy=float(np.sum(entropy_pair(prim, gas)[0]) * dx),
-        dke_dt=float(np.sum((-0.5 * u ** 2 * rhs[0] + u * rhs[1])) * dx),
-        dke_dt_pressure_work=float(np.sum(du * faces.p_tilde[sl])),
-        dke_dt_numerical=float(np.sum(du * (faces.diss[1, sl]
-                                            - ub * faces.diss[0, sl]))),
-        dke_dt_viscous=float(-np.sum(du * faces.visc[1, sl])),
+        total_ke=float((0.5 * rho * u ** 2).sum() * dx),
+        total_entropy=float(entropy_pair(prim, gas)[0].sum() * dx),
+        dke_dt=float((-0.5 * u ** 2 * rhs[0] + u * rhs[1]).sum() * dx),
+        dke_dt_pressure_work=float((du * faces.p_tilde[sl]).sum()),
+        dke_dt_numerical=float((du * (faces.diss[1, sl]
+                                      - ub * faces.diss[0, sl])).sum()),
+        dke_dt_viscous=float(-(du * faces.visc[1, sl]).sum()),
         dke_dt_boundary=ke_boundary,
-        du_dt=float(np.sum(v * rhs_cells) * dx),
-        du_dt_flux_residual=float(np.sum(np.sum(dv * central, axis=-1)
-                                         - dpsi)),
-        du_dt_numerical=float(np.sum(dv * diss)),
-        du_dt_viscous=float(-np.sum(dv * visc)),
+        du_dt=float((v * rhs_cells).sum() * dx),
+        du_dt_flux_residual=float(((dv * central).sum(axis=-1)
+                                   - dpsi).sum()),
+        du_dt_numerical=float((dv * diss).sum()),
+        du_dt_viscous=float(-(dv * visc).sum()),
         du_dt_boundary=entropy_boundary,
         mass_error=float(cons_err[0]),
         momentum_error=float(cons_err[1]),

@@ -160,7 +160,8 @@ def jst_switches(p_stencil, kappa2, kappa4):
 
 
 def jst_dissipation(cells, m: FaceMeans, gas: GasModel,
-                    spec: DissipationSpec, end_rule: bool = False):
+                    spec: DissipationSpec, end_rule: bool = False,
+                    beta=None):
     """Blended second/fourth-difference dissipation flux of the faces of
     the stacked (rho, u, p) of k cells along the last axis.
 
@@ -172,13 +173,16 @@ def jst_dissipation(cells, m: FaceMeans, gas: GasModel,
     boundaries, the first and the last face read the sensor of their inner
     cell in place of the outer one's.  Returns the stacked flux
     correction -(1/2) lambda D of the k - 3 faces.  m is the FaceMeans
-    record of the pairs (q_j, q_{j+1}).
+    record of the pairs (q_j, q_{j+1}); beta, when given, is
+    rho / (2 p) of the cells, as the stage's cell block holds it.
     """
     n = cells.shape[-1] - 3
     eps2, eps4 = _switches(cells[2], spec.kappa2, spec.kappa4, end_rule)
     slots = np.empty(cells.shape)
     slots[:2] = cells[:2]
-    slots[2] = 1.0 / (cells[0] / (2.0 * cells[2]))
+    if beta is None:
+        beta = cells[0] / (2.0 * cells[2])
+    slots[2] = 1.0 / beta
     fm1, f0, f1, f2 = (slots[..., k:k + n] for k in range(4))
     d_rho, d_u, d_inv_beta = (eps2 * (f1 - f0)
                               - eps4 * (f2 - 3.0 * f1 + 3.0 * f0 - fm1))

@@ -7,12 +7,13 @@ row per sample time (column order fixed by BudgetReport), and a plain-text
 metrics.txt.  Runs are deterministic: identical configs produce
 byte-identical CSV files.  Every CSV value is formatted %.17g and every
 line ends in "\n"; a snapshot is formatted one block of _CSV_BLOCK_ROWS
-rows per call, and the block size never changes the bytes.  The x column
-is formatted once per run (_x_prefixes) and is the row prefix of every
-snapshot's format text.
+rows per call, and the block size never changes the bytes.  Each block
+of the x column is formatted once, by the process that first writes it
+(_x_prefixes), and is the row prefix of every snapshot's format text.
 
-Once a run has formatted _FORK_ROWS snapshot rows, a forked child formats
-the rest from rows sent over a pipe while the run marches on, and splits
+A run whose planned snapshots (_planned_snapshots) hold _FORK_ROWS rows
+or more forks a child at its first snapshot.  The child formats every
+snapshot from rows sent over a pipe while the run marches on, and splits
 the last one with the run (_SnapshotWriter); the bytes stay the same.
 
 run consumes timeint.march, which evaluates each marched state once.
@@ -44,9 +45,9 @@ __all__ = ["RunResult", "run", "reference_profile"]
 # Snapshot rows formatted per call.  Any size writes the same bytes; this
 # one keeps each call's strings small at no measurable cost in speed.
 _CSV_BLOCK_ROWS = 2048
-# A run forks its writer child at the snapshot that brings the rows it
-# has formatted to this many.  A fork and its reap cost ~2.8 ms, as much
-# as formatting ~500 rows: a run that formats fewer stays in-process.
+# A run whose planned snapshots hold this many rows forks its writer child
+# at its first snapshot.  A fork and its reap cost ~2.8 ms, as much as
+# formatting ~500 rows: a run planned to format fewer stays in-process.
 _FORK_ROWS = 10_000
 
 _SNAPSHOT_HEADER = "x,rho,u,p,T,s\n"
@@ -69,12 +70,24 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _x_prefixes(x) -> list:
-    """The x column as text, formatted once per run: per block of
-    _CSV_BLOCK_ROWS rows, one string of "x\\n" lines."""
-    return [("%.17g\n" * len(block)) % tuple(block.tolist())
-            for block in (x[lo:lo + _CSV_BLOCK_ROWS]
-                          for lo in range(0, len(x), _CSV_BLOCK_ROWS))]
+class _x_prefixes:
+    """The x column as text, a sequence of one string of "x\\n" lines per
+    block of _CSV_BLOCK_ROWS rows.  A block is formatted on its first
+    read, once per process: a forked writer child formats the blocks it
+    writes, and the run only those it writes itself."""
+
+    def __init__(self, x):
+        self.x = x
+        self.blocks = [None] * -(-len(x) // _CSV_BLOCK_ROWS)
+
+    def __len__(self):
+        return len(self.blocks)
+
+    def __getitem__(self, k):
+        if self.blocks[k] is None:
+            block = self.x[k * _CSV_BLOCK_ROWS:(k + 1) * _CSV_BLOCK_ROWS]
+            self.blocks[k] = ("%.17g\n" * len(block)) % tuple(block.tolist())
+        return self.blocks[k]
 
 
 def _columns(prim, gas):
@@ -125,20 +138,28 @@ def _spare_cpu() -> bool:
             and len(os.sched_getaffinity(0)) > 1)
 
 
-class _SnapshotWriter:
-    """Writes a run's snapshots of n_rows rows.  At the first snapshot
-    that brings the rows the run has formatted to _FORK_ROWS, and given a
-    spare CPU, one child is forked for the rest of the run: write sends it
-    the snapshot's (rho, u, p) rows over a pipe and returns, and for the
-    last snapshot formats the second half itself while the child writes
-    the header and the first half.  On exit from its with block, the writer
-    reaps the child.  written lists the snapshots written whole, in order:
-    one sent to the child once the child confirmed it."""
+def _planned_snapshots(config: ProblemConfig) -> float:
+    """The snapshots a run of config plans: the initial and the final one,
+    and one per snapshot_interval mark up to t_final, at most one a step
+    (no interval, None or 0, makes no marks)."""
+    interval, spec = config.snapshot_interval, config.time
+    return 2 + (min(spec.max_steps, spec.t_final / interval)
+                if interval else 0)
 
-    def __init__(self, x_prefixes, gas, n_rows: int):
-        self.x_prefixes, self.gas, self.n_rows = x_prefixes, gas, n_rows
-        self.rows = 0  # formatted so far, the snapshot at hand included
-        self.may_fork = _spare_cpu()
+
+class _SnapshotWriter:
+    """Writes a run's snapshots of the cells at x.  Given a spare CPU and
+    planned snapshots of at least _FORK_ROWS rows in all, the first write
+    forks one child for the whole run: write sends it each snapshot's
+    (rho, u, p) rows over a pipe and returns, and for the last snapshot
+    formats the second half itself while the child writes the header and
+    the first half.  On exit from its with block, the writer reaps the
+    child.  written lists the snapshots written whole, in order: one sent
+    to the child once the child confirmed it."""
+
+    def __init__(self, x, gas, planned: float):
+        self.x_prefixes, self.gas, self.n_rows = _x_prefixes(x), gas, len(x)
+        self.may_fork = len(x) * planned >= _FORK_ROWS and _spare_cpu()
         self.child = None  # (pid, pipe, count of messages it wrote)
         self.sent = []  # (path, whether the child writes it all) in order
         self.written = []
@@ -150,14 +171,6 @@ class _SnapshotWriter:
         # an exception on its way out (a Ctrl-C reaches the child too)
         # keeps precedence over a failed child
         self.reap(check=exc_type is None)
-
-    def _child_takes(self) -> bool:
-        """Count the snapshot at hand; whether the child writes it."""
-        self.rows += self.n_rows
-        if self.may_fork and self.rows >= _FORK_ROWS:
-            self.may_fork = False
-            self._fork()
-        return self.child is not None
 
     def _fork(self):
         confirmed = memoryview(mmap.mmap(-1, 8)).cast("q")  # shared
@@ -230,7 +243,10 @@ class _SnapshotWriter:
         the child, if there is one, and the run, which then reaps it: sent
         whole, the run idles while the child formats it (sod_large ran at
         ~0.79x the cell-steps/s, 4 alternating perfbench pairs, 2 CPUs)."""
-        if not self._child_takes():
+        if self.may_fork:
+            self.may_fork = False
+            self._fork()
+        if self.child is None:
             _write_snapshot(path, self.x_prefixes, prim, self.gas)
             self.written.append(path)
             return
@@ -355,10 +371,8 @@ def _run(config: ProblemConfig, output_dir: str, result: RunResult):
                      state.faces.cells, last)
 
     totals0 = None
-    # the snapshots need x only as text; the metrics make it again, so no
-    # x array is held through the march
-    with _SnapshotWriter(_x_prefixes(grid.cell_centers()), gas,
-                         grid.n_cells) as writer:
+    with _SnapshotWriter(grid.cell_centers(), gas,
+                         _planned_snapshots(config)) as writer:
         result.snapshots = writer.written
         for state in march(config, initial_state(config)):
             if state.reason == "invalid_state":

@@ -103,6 +103,11 @@ class BoundaryCondition:
         if self.mass_flux is not None and not np.isfinite(self.mass_flux):
             raise ValueError("mass_flux must be finite")
 
+    @cached_property
+    def ghost(self) -> np.ndarray:
+        """The (rho, u, p) column of a fixed_state side's ghost cells."""
+        return np.array(self.state)[:, None]
+
 
 @dataclass(frozen=True)
 class BoundarySpec:
@@ -210,9 +215,7 @@ def apply_boundary(rows: np.ndarray, bcs: BoundarySpec) -> np.ndarray:
 
 def _ghost(bc: BoundaryCondition, edge):
     # fixed_state holds its state; the other kinds copy the edge cell
-    if bc.kind != "fixed_state":
-        return edge
-    return np.array(bc.state)[:, None]
+    return bc.ghost if bc.kind == "fixed_state" else edge
 
 
 def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
@@ -264,8 +267,9 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
     elif diss.kind == "scalar":
         # the stencil differences the cells, whose pairs are the face pairs
         # only without reconstruction; boundary faces reuse the nearest
-        # interior sensor
-        d_flux = jst_dissipation(rows, pairs, gas, diss, not bcs.is_periodic)
+        # interior sensor, and the cell block's row 1 holds beta
+        d_flux = jst_dissipation(rows, pairs, gas, diss, not bcs.is_periodic,
+                                 block[1])
     else:
         d_flux = np.zeros((3, n + 1))
     if viscous:

@@ -1,6 +1,7 @@
 import csv
 import os
 import signal
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -236,9 +237,9 @@ def deadline():
 
 
 class TestForkedWriter:
-    """Once a run has formatted _FORK_ROWS snapshot rows, one forked child
-    writes the rest of its snapshots, and the last one is split with it,
-    in the same bytes."""
+    """A run whose planned snapshots hold _FORK_ROWS rows forks one child
+    at its first snapshot, which writes every snapshot of the run, the
+    last one split with the run, in the same bytes."""
 
     @pytest.mark.parametrize("block_rows", [7, 2, 100])
     def test_fork_path_matches_in_process(self, tmp_path, monkeypatch,
@@ -257,13 +258,26 @@ class TestForkedWriter:
         assert writers["most_alive"] == 1
         assert_same_run(forked, alone)
 
+    def test_planned_snapshots(self):
+        # the initial and the final snapshot, and the marks up to t_final
+        # (0.2 / 0.05 = 4), at most one a step
+        planned = driver._planned_snapshots
+        cfg = config_from_dict(SOD_MARKS)
+        assert planned(cfg) == 6
+        assert planned(config_from_dict({**SOD_MARKS, "max_steps": 3})) == 5
+        for interval in (None, 0.0):
+            assert planned(replace(cfg, snapshot_interval=interval)) == 2
+        endless = replace(cfg, time=replace(cfg.time, t_final=np.inf,
+                                            max_steps=70))
+        assert planned(endless) == 72
+        assert planned(replace(endless, snapshot_interval=None)) == 2
+
     def test_rows_below_threshold_never_fork(self, tmp_path, monkeypatch):
         cfg = config_from_dict(SOD_MARKS)
         alone = run(cfg, str(tmp_path / "in_process"))
         writers = fork_every_snapshot(monkeypatch)
-        # the run's snapshots of 45 rows stay one row short of it
-        monkeypatch.setattr(driver, "_FORK_ROWS", 45 * len(alone.snapshots)
-                            + 1)
+        # the run's 6 planned snapshots of 45 rows stay one row short of it
+        monkeypatch.setattr(driver, "_FORK_ROWS", 6 * 45 + 1)
         assert_same_run(run(cfg, str(tmp_path / "below")), alone)
         assert writers["forks"] == 0
 
@@ -273,22 +287,49 @@ class TestForkedWriter:
         cfg = config_from_dict(SOD_MARKS)
         alone = run(cfg, str(tmp_path / "in_process"))
         writers = fork_every_snapshot(monkeypatch)
-        # the third snapshot of 45 rows brings the count to the threshold
-        monkeypatch.setattr(driver, "_FORK_ROWS", 3 * 45)
+        # the run's 6 planned snapshots of 45 rows reach the threshold
+        monkeypatch.setattr(driver, "_FORK_ROWS", 6 * 45)
         parent, write_snapshot = os.getpid(), driver._write_snapshot
-        in_process = []
+        in_process, formatted = [], []
 
         def listed(path, *args):
             if os.getpid() == parent:
                 in_process.append(os.path.basename(path))
             write_snapshot(path, *args)
 
+        class Listed(driver._x_prefixes):
+            def __getitem__(self, k):
+                if os.getpid() == parent and self.blocks[k] is None:
+                    formatted.append(k)
+                return super().__getitem__(k)
+
         monkeypatch.setattr(driver, "_write_snapshot", listed)
+        monkeypatch.setattr(driver, "_x_prefixes", Listed)
         crossed = run(cfg, str(tmp_path / "crossed"))
         assert_no_children()
         assert writers["forks"] == 1
-        assert in_process == ["snapshot_0000.csv", "snapshot_0001.csv"]
+        # the child writes every snapshot; the run formats the x text of
+        # its own half of the last one only
+        assert in_process == []
+        n_blocks = -(-45 // block_rows)
+        assert formatted == list(range(n_blocks // 2, n_blocks))
         assert_same_run(crossed, alone)
+
+    def test_steady_stop_leaves_no_child(self, tmp_path, monkeypatch):
+        # 2 + 1000 planned snapshots of 26 rows fork at the first, and the
+        # run stops steady at step 25
+        cfg = config_from_dict({"preset": "stationary_contact",
+                                "steady_tol": 1e-10,
+                                "snapshot_interval": 0.01})
+        monkeypatch.setattr(driver, "_spare_cpu", lambda: False)
+        alone = run(cfg, str(tmp_path / "in_process"))
+        assert (alone.reason, alone.steps) == ("steady", 25)
+        writers = fork_every_snapshot(monkeypatch)
+        monkeypatch.setattr(driver, "_FORK_ROWS", 1002 * 26)
+        forked = run(cfg, str(tmp_path / "forked"))
+        assert_no_children()
+        assert writers["forks"] == 1
+        assert_same_run(forked, alone)
 
     @pytest.mark.parametrize("death", ["exit", "kill"])
     def test_dead_child_fails_the_run(self, tmp_path, monkeypatch, deadline,
