@@ -4,19 +4,25 @@
     python scripts/stage_ab.py OLD_SRC NEW_SRC [--rounds 25] [--seed 0]
 
 Both kepes packages are imported in one process under their own names.
-Per config the two trees' rhs must be np.array_equal and the budget rows
-their face records give (diagnostics.budget_report, csv_row) equal, which
-holds for trees whose budget_report takes no prim; then each round
-times a batch of calls per tree, alternating which goes first, and the
-medians and quartiles in us per call, old/new of the medians and the
-rounds the new tree won are printed.  The data are the config's initial
-state perturbed by a seeded relative 1e-3.  The trees share one heap, so
-at 10^4 cells one tree's page faults depend on the other's allocations:
-time large grids in separate processes as well.
+Each tree's stage is timed the way its march calls it: a tree whose
+assemble_rhs takes a workspace (work) refills one held
+spatial._StageWork per config on every call, and that tree's one-shot
+call, which builds a workspace of its own, is timed beside it.  Per
+config the two trees' rhs must be np.array_equal, the budget rows their
+face records give (diagnostics.budget_report, csv_row) equal, which holds
+for trees whose budget_report takes no prim, and a held call's rhs equal
+to its tree's one-shot rhs; then each round times a batch of calls per
+call kind, alternating which goes first, and the medians and quartiles in
+us per call, old/new of the medians and the rounds the new tree won are
+printed, with the median of each tree's one-shot call.  The data are the
+config's initial state perturbed by a seeded relative 1e-3.  The trees
+share one heap, so at 10^4 cells one tree's page faults depend on the
+other's allocations: time large grids in separate processes as well.
 """
 
 import argparse
 import importlib.util
+import inspect
 import statistics
 import sys
 import time
@@ -44,8 +50,10 @@ def load(src, name):
 
 
 def stage(tree, name, n, law, seed):
-    """assemble_rhs of the tree, bound to the config and its data, and the
-    budget row of its result."""
+    """assemble_rhs of the tree, bound to the config and its data, as a
+    one-shot call and as a call that refills one held workspace (None if
+    the tree's assemble_rhs takes none), and the budget row of a
+    result."""
     cfg = tree["presets"].preset(name)
     cfg = replace(cfg, grid=replace(cfg.grid, n_cells=n))
     if law:
@@ -57,11 +65,16 @@ def stage(tree, name, n, law, seed):
     q = (rho * (1 + r[0]), u + r[1] * a, p * (1 + r[2]))
     # prim_to_cons gives a (3, n) array, or a row triple in older trees
     w = np.array(th.prim_to_cons(q, cfg.gas), dtype=float)
-    call = (lambda: tree["spatial"].assemble_rhs(
-        w, cfg.grid, cfg.gas, cfg.flux_kind, cfg.diss, cfg.recon, cfg.bcs))
+    spatial = tree["spatial"]
+    args = (w, cfg.grid, cfg.gas, cfg.flux_kind, cfg.diss, cfg.recon,
+            cfg.bcs)
+    held = None
+    if "work" in inspect.signature(spatial.assemble_rhs).parameters:
+        work = spatial._StageWork(n, cfg.recon, cfg.diss, cfg.gas.is_viscous)
+        held = (lambda: spatial.assemble_rhs(*args, work))
     budget = (lambda rhs, faces: tree["diagnostics"].budget_report(
         0.0, rhs, faces, cfg.grid, cfg.gas).csv_row())
-    return call, budget
+    return (lambda: spatial.assemble_rhs(*args)), held, budget
 
 
 def rounds(text):
@@ -80,30 +93,47 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     trees = (load(args.old_src, "kepes_old"), load(args.new_src, "kepes_new"))
-    print("config n | old us [q1, q3] | new us [q1, q3] | old/new | new won")
+    print("config n | old us [q1, q3] | new us [q1, q3] | old/new | "
+          "one-shot old, new us | new won")
     for name, n, law in CONFIGS:
-        calls, budgets = zip(*(stage(t, name, n, law, args.seed)
-                               for t in trees))
+        case = f"{name} {law or ''} n={n}"
+        stages = [stage(t, name, n, law, args.seed) for t in trees]
+        # each tree's call the way its march makes it
+        calls = [held or shot for shot, held, _ in stages]
         out = [call() for call in calls]
         if not np.array_equal(out[0][0], out[1][0]):
-            sys.exit(f"{name} {law or ''} n={n}: rhs differ")
-        if budgets[0](*out[0]) != budgets[1](*out[1]):
-            sys.exit(f"{name} {law or ''} n={n}: budget differ")
+            sys.exit(f"{case}: rhs differ")
+        # a held result is read before its workspace is refilled
+        if stages[0][2](*out[0]) != stages[1][2](*out[1]):
+            sys.exit(f"{case}: budget differ")
+        for shot, held, _ in stages:
+            if held and not np.array_equal(held()[0], shot()[0]):
+                sys.exit(f"{case}: held rhs differ")
+        # timed: each tree's march call, and the one-shot call of a tree
+        # whose march call is held
+        timed = {(side, "march"): call for side, call in enumerate(calls)}
+        timed.update({(side, "shot"): shot
+                      for side, (shot, held, _) in enumerate(stages) if held})
         start = time.perf_counter()
         calls[0]()
         reps = max(1, int(BATCH_S / (time.perf_counter() - start)))
-        us = ([], [])
+        us = {key: [] for key in timed}
         for k in range(args.rounds):
-            for side in ((0, 1) if k % 2 == 0 else (1, 0)):
+            for key in (list(timed) if k % 2 == 0 else list(timed)[::-1]):
                 start = time.perf_counter()
                 for _ in range(reps):
-                    calls[side]()
-                us[side].append((time.perf_counter() - start) / reps * 1e6)
-        (o1, o2, o3), (n1, n2, n3) = (statistics.quantiles(t, n=4) for t in us)
-        won = sum(b < a for a, b in zip(*us))
+                    timed[key]()
+                us[key].append((time.perf_counter() - start) / reps * 1e6)
+        old, new = us[0, "march"], us[1, "march"]
+        (o1, o2, o3), (n1, n2, n3) = (statistics.quantiles(t, n=4)
+                                      for t in (old, new))
+        shot_us = [statistics.median(us.get((side, "shot"), us[side, "march"]))
+                   for side in (0, 1)]
+        won = sum(b < a for a, b in zip(old, new))
         print(f"{name} {law or ''} {n} | {o2:.1f} [{o1:.1f}, {o3:.1f}] | "
               f"{n2:.1f} [{n1:.1f}, {n3:.1f}] | {o2 / n2:.3f} | "
-              f"{won}/{args.rounds}", flush=True)
+              f"{shot_us[0]:.1f}, {shot_us[1]:.1f} | {won}/{args.rounds}",
+              flush=True)
 
 
 if __name__ == "__main__":

@@ -138,8 +138,9 @@ def _switches(p, kappa2, kappa4, end_rule=False):
     of the pressures p of m cells along the last axis, with the sensor of
     each cell j = 1 .. m - 2 formed once.  With end_rule the first and the
     last of those cells take the sensor of their inner neighbour."""
-    pm1, p0, p1 = p[..., :-2], p[..., 1:-1], p[..., 2:]
-    nu = np.abs(pm1 - 2.0 * p0 + p1) / (pm1 + 2.0 * p0 + p1)
+    pm1, p1 = p[..., :-2], p[..., 2:]
+    two_p0 = 2.0 * p[..., 1:-1]
+    nu = np.abs(pm1 - two_p0 + p1) / (pm1 + two_p0 + p1)
     if end_rule:
         nu[..., 0] = nu[..., 1]
         nu[..., -1] = nu[..., -2]
@@ -184,8 +185,11 @@ def jst_dissipation(cells, m: FaceMeans, gas: GasModel,
         beta = cells[0] / (2.0 * cells[2])
     slots[2] = 1.0 / beta
     fm1, f0, f1, f2 = (slots[..., k:k + n] for k in range(4))
+    # 3 f1 and 3 f0 are slices of one scaled copy of the slots
+    three = 3.0 * slots
     d_rho, d_u, d_inv_beta = (eps2 * (f1 - f0)
-                              - eps4 * (f2 - 3.0 * f1 + 3.0 * f0 - fm1))
+                              - eps4 * (f2 - three[..., 2:2 + n]
+                                        + three[..., 1:1 + n] - fm1))
     D, lam = _scalar_d_from_jumps(m, gas, spec.beta_average,
                                   d_rho, d_u, d_inv_beta)
     D *= -0.5 * lam

@@ -8,9 +8,11 @@ state is the stacked (3, n) array of the rows rho, m, E, and rhs comes back
 in that form.  Inside, the cells and their ghosts are one (5, n + 4) cell
 block of the rows rho, beta, u, u^2, p: the stage writes rho, u and p, the
 stencil kernels read those three rows whole, and a cell-pair record forms
-beta and u^2.  One FaceMeans record per call, which holds the face pairs
-as one contiguous (2, 5, n + 1) block, is the pair input of the central
-flux and the dissipation, and each flux is a stacked (3, n + 1) array.
+beta and u^2.  One FaceMeans record, which holds the face pairs as one
+contiguous (2, 5, n + 1) block, is the pair input of the central flux
+and the dissipation, and each flux is a stacked (3, n + 1) array.  The
+block and the records live in a stage workspace (_StageWork) that the
+march holds and every call refills in place.
 The net flux F - G is formed once, and a shock_outflow boundary writes
 its last face there alone.  All per-face quantities needed by the budget
 diagnostics are returned in a FaceData record, which derives them only
@@ -32,6 +34,7 @@ from .thermo import (
     GasModel,
     InvalidStateError,
     PrimState,
+    _form_fields,
     entropy_vars,
     temperature,
 )
@@ -218,22 +221,65 @@ def _ghost(bc: BoundaryCondition, edge):
     return bc.ghost if bc.kind == "fixed_state" else edge
 
 
+class _StageWork:
+    """What an RHS stage refills, built once per march from the cell count
+    n, the reconstruction, the dissipation and whether the gas is viscous:
+    the (5, n + 4) cell block (rows rho, beta, u, u^2 and p of the n cells
+    and two ghost cells per side) and its views, the record of the cell
+    pairs (cell_means: first order, the scalar stencil, the viscous flux),
+    the face record (means: at order 2 the reconstructed faces', else
+    cell_means) and the zero fluxes of a stage without dissipation or
+    viscosity.
+    """
+
+    def __init__(self, n: int, recon: ReconSpec, diss: DissipationSpec,
+                 viscous: bool):
+        self.block = block = np.empty((5, n + 4))
+        self.rows = rows = block[::2]
+        self.inner = rows[:, 2:-2]
+        # face k sits between cells k+1 and k+2 of rows.  These cell pairs
+        # are the face pairs at first order and, at any order, the pairs
+        # that the scalar stencil and the viscous flux difference.
+        lo, hi = slice(1, n + 2), slice(2, n + 3)
+        self.left, self.right = rows[:, lo], rows[:, hi]
+        self.block_lo, self.block_hi = block[:, lo], block[:, hi]
+        self.cell_means = None
+        if recon.order == 1 or diss.kind == "scalar" or viscous:
+            self.cell_means = FaceMeans._held((n + 1,), rows, (..., lo),
+                                              (..., hi))
+        self.means = self.cell_means
+        if recon.order == 2:
+            self.means = FaceMeans._held((n + 1,))
+            # rows rho, u and p of both sides, which reconstruct_face fills
+            self.face_sides = self.means.pairs[:, ::2]
+        # each its own array: a caller that writes into one of the
+        # returned fluxes must not change another
+        self.no_diss = np.zeros((3, n + 1)) if diss.kind == "none" else None
+        self.no_visc = None if viscous else np.zeros((3, n + 1))
+
+
 def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
-                 diss: DissipationSpec, recon: ReconSpec, bcs: BoundarySpec):
+                 diss: DissipationSpec, recon: ReconSpec, bcs: BoundarySpec,
+                 work: _StageWork | None = None):
     """Semi-discrete right-hand side and the per-face diagnostic record.
 
     cells is the stacked (3, n) array of the rows rho, m, E; rhs comes
-    back as a (3, n) array.
+    back as a (3, n) array.  work is the stage workspace that the march
+    holds (a _StageWork of this grid, recon, diss and gas): the call
+    refills it, and the returned FaceData's cells, left and right (and,
+    without dissipation or viscosity, diss and visc) are views of it, so
+    the next call with the same work overwrites them.  Without work, the
+    call builds a workspace of its own, and nothing it returns is shared.
     """
     if flux_kind not in CENTRAL_FLUXES:
         raise ValueError(f"unknown flux kind {flux_kind!r}")
     n, dx = grid.n_cells, grid.dx
-    # the cell block: rows rho, beta, u, u^2 and p of the n cells and two
-    # ghost cells per side.  The stage writes rho, u and p (cons_to_prim's
-    # formula) and the ghosts; a cell-pair record forms beta and u^2.
-    block = np.empty((5, n + 4))
-    rows = block[::2]
-    inner = rows[:, 2:-2]
+    viscous = gas.is_viscous
+    if work is None:
+        work = _StageWork(n, recon, diss, viscous)
+    # the stage writes rho, u and p (cons_to_prim's formula) into the cell
+    # block and then the ghosts; the records form beta and u^2
+    inner = work.inner
     rho, m = cells[0], cells[1]
     inner[0] = rho
     u = np.divide(m, rho, inner[1])
@@ -247,19 +293,20 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
         raise InvalidStateError(
             f"invalid state in cell {idx}: rho={inner[0, idx]:.6g}, "
             f"p={inner[2, idx]:.6g}")
+    rows = work.rows
     apply_boundary(rows, bcs)
 
-    # face k sits between cells k+1 and k+2 of rows.  These cell pairs are
-    # the face pairs at first order and, at any order, the pairs that the
-    # scalar stencil and the viscous flux difference.
-    lo, hi = slice(1, n + 2), slice(2, n + 3)
-    pairs = None
-    viscous = gas.is_viscous
-    if recon.order == 1 or diss.kind == "scalar" or viscous:
-        pairs = FaceMeans.of_cells(block, lo, hi)
-    means = pairs
+    pairs = work.cell_means
+    if pairs is not None:
+        # beta and u^2 once per cell, on the block, then the cell pairs
+        _form_fields(work.block)
+        pairs.pairs[0] = work.block_lo
+        pairs.pairs[1] = work.block_hi
+        pairs._refill(False)
+    means = work.means
     if recon.order == 2:
-        means = FaceMeans(*reconstruct_face(rows, recon))
+        reconstruct_face(rows, recon, work.face_sides)
+        means._refill(True)
     central = CENTRAL_FLUXES[flux_kind](means, gas)
 
     if diss.kind == "matrix":
@@ -269,13 +316,13 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
         # only without reconstruction; boundary faces reuse the nearest
         # interior sensor, and the cell block's row 1 holds beta
         d_flux = jst_dissipation(rows, pairs, gas, diss, not bcs.is_periodic,
-                                 block[1])
+                                 work.block[1])
     else:
-        d_flux = np.zeros((3, n + 1))
+        d_flux = work.no_diss
     if viscous:
         g_flux = viscous_face_flux(pairs, gas, dx)
     else:
-        g_flux = np.zeros((3, n + 1))
+        g_flux = work.no_visc
 
     # net = F - G.  An inviscid G is zero and x - 0 is x, so it is not
     # subtracted.
@@ -291,6 +338,6 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
     # -(net[1:] - net[:-1]) / dx: x / -dx is -(x / dx) bitwise
     rhs = net[:, 1:] - net[:, :-1]
     rhs /= -dx
-    faces = FaceData(central, d_flux, g_flux, net, rows[:, lo], rows[:, hi],
+    faces = FaceData(central, d_flux, g_flux, net, work.left, work.right,
                      gas, bcs.is_periodic)
     return rhs, faces

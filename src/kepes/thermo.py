@@ -190,54 +190,73 @@ class FaceMeans:
     of every pair, with beta = rho/(2 p).  left and right are the (rho,
     u, p) rows of each side and beta_l, beta_r its beta row, all views of
     pairs.  The pair constructor writes both sides into a new block.
-    FaceMeans.of_cells adopts a cell block, forms beta and u^2 once per
-    cell there and copies the pairs out; cell quantities read through
-    sides() are then evaluated once per cell.  Every record forms
-    rho_bar, beta_bar, u_bar, u2_bar (the mean of u^2) and p_bar by one
-    half-sum of the two sides.  rho_ln and beta_ln are formed on first
-    read, by one log_mean call on the contiguous (rho, beta) halves.
+    Every record holds a (5, ...) bar block whose rows rho_bar, beta_bar,
+    u_bar, u2_bar (the mean of u^2) and p_bar are the half-sum of the two
+    sides.  rho_ln and beta_ln are formed on first read, by one log_mean
+    call on the contiguous (rho, beta) halves.
+
+    The stage's workspace (spatial._StageWork) holds its records through
+    a march: it writes new pairs into the same block every stage and
+    refills the record (_refill), so every array a record hands out is
+    overwritten by the next stage.  A cell-pair record there reads
+    sides() on the cell rows, so a cell quantity is evaluated once per
+    cell.
     """
 
     def __init__(self, left, right):
         shape = np.broadcast_shapes(*(np.shape(f) for q in (left, right)
                                       for f in q))
-        pairs = np.empty((2, 5) + shape)
-        for side, state in zip(pairs, (left, right)):
+        self.pairs = np.empty((2, 5) + shape)
+        self._bar = np.empty((5,) + shape)
+        for side, state in zip(self.pairs, (left, right)):
             for k, f in zip((0, 2, 4), state):
                 side[k] = f
-            _form_fields(side)
-        # sides() reads the (rho, u, p) rows of both sides, (3, 2, ...)
-        rest = (slice(None),) * len(shape)
-        self._adopt(pairs, pairs.swapaxes(0, 1)[::2], (..., 0) + rest,
-                    (..., 1) + rest)
+        self._refill(True)
+        # bound once the blocks hold values: a row of a single pair is
+        # a scalar
+        self._bind()
 
     @classmethod
-    def of_cells(cls, block: np.ndarray, lo, hi):
-        """Record of the cell pairs (block[:, lo], block[:, hi]) of the
-        (5, m) cell block whose rows 0, 2 and 4 hold rho, u and p; rows 1
-        and 3 take beta and u^2 here."""
-        _form_fields(block)
-        left = block[:, lo]
-        pairs = np.empty((2,) + left.shape)
-        pairs[0] = left
-        pairs[1] = block[:, hi]
+    def _held(cls, shape, cells=None, lo=None, hi=None):
+        """A record of new pair and bar blocks with one or more axes of
+        pairs (shape), which its holder fills before each _refill; cells,
+        lo and hi as in _bind."""
         self = cls.__new__(cls)
-        self._adopt(pairs, block[::2], (..., lo), (..., hi))
+        self.pairs = np.empty((2, 5) + shape)
+        self._bar = np.empty((5,) + shape)
+        self._bind(cells, lo, hi)
         return self
 
-    def _adopt(self, pairs, cells, lo, hi):
+    def _bind(self, cells=None, lo=None, hi=None):
         # cells holds the (rho, u, p) rows that sides() evaluates, and lo,
-        # hi index the left and the right side of each pair in them
-        self.pairs = pairs
+        # hi index the left and the right side of each pair in them; by
+        # default they are the sides of the pairs, (3, 2) + shape
+        pairs, bar = self.pairs, self._bar
+        self.shape = shape = pairs.shape[2:]
+        if cells is None:
+            rest = (slice(None),) * len(shape)
+            cells, lo, hi = (pairs.swapaxes(0, 1)[::2], (..., 0) + rest,
+                             (..., 1) + rest)
         self._cells, self._lo, self._hi = cells, lo, hi
-        self.shape = pairs.shape[2:]
         left, right = pairs[0], pairs[1]
         self.left, self.right = left[::2], right[::2]
-        self.beta_l, self.beta_r = left[1], right[1]
         # rows are taken by index, which is cheaper than unpacking
-        bar = _avg(left, right)
+        self.beta_l, self.beta_r = left[1], right[1]
         self.rho_bar, self.beta_bar, self.u_bar = bar[0], bar[1], bar[2]
         self.u2_bar, self.p_bar = bar[3], bar[4]
+
+    def _refill(self, fields: bool):
+        """Form the record's means from the pairs, in place: beta and u^2
+        of both sides first when fields is set (the caller wrote only
+        rho, u and p), then the bar rows; the log means of earlier pairs
+        are dropped, to be formed again on their next read."""
+        pairs, bar = self.pairs, self._bar
+        if fields:
+            _form_fields(pairs.swapaxes(0, 1))
+        np.add(pairs[0], pairs[1], bar)
+        bar *= 0.5
+        self.__dict__.pop("rho_ln", None)
+        self.__dict__.pop("beta_ln", None)
 
     def sides(self, quantity):
         """(quantity(left), quantity(right)); quantity maps (rho, u, p) rows

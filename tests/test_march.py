@@ -2,9 +2,11 @@
 state once.  A frozen copy of the loop driver.run ran before the march
 shared that evaluation, which spent a second RHS on every budget sample
 and steady check, gives bitwise the same time steps, final state, budget
-rows and snapshot bytes.  The march calls assemble_rhs 3 steps + 1 times
-and lets each stage-1 evaluation go before stage 2."""
+rows and snapshot bytes.  The march calls assemble_rhs 3 steps + 1 times,
+lets each stage-1 evaluation go before stage 2, and refills one stage
+workspace until it yields a sampled state."""
 
+import itertools
 import os
 import weakref
 from dataclasses import replace
@@ -12,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import kepes.thermo
 import kepes.timeint
 from kepes import driver
 from kepes.config import config_from_dict, initial_state
@@ -310,6 +313,56 @@ def test_stage_one_evaluation_released_before_stage_two(tmp_path,
     result = driver.run(config, str(tmp_path))
     assert (result.status, result.steps) == (0, 60)
     assert len(dead) == 60 and all(dead)
+
+
+@pytest.mark.parametrize("name", ["sod", "stationary_shock_m4_ec1",
+                                  "ns_shock_structure_n200_d4"])
+def test_held_workspace_until_a_sampled_state(name, monkeypatch):
+    # consecutive evaluations between sampled states refill one stage
+    # workspace; a sampled state's evaluation (a mark or the last state)
+    # shares no memory with any later one, and the march still makes one
+    # log_mean call per RHS (test_one_prim_state_per_rhs counts the
+    # PrimStates of these configs)
+    config = CONFIGS.get(name) or preset(name)
+    w0 = initial_state(config)
+    dt0 = compute_dt(cons_to_prim(w0, config.gas), config.grid, config.gas,
+                     config.time.cfl)
+    # a mark about every fifth step
+    config = capped(config, 30, snapshot_interval=4.5 * dt0)
+    log_means = []
+
+    def counted_log_mean(*args, log_mean=kepes.thermo.log_mean):
+        log_means.append(1)
+        return log_mean(*args)
+
+    monkeypatch.setattr(kepes.thermo, "log_mean", counted_log_mean)
+    evals = []
+
+    def watched(*args):
+        rhs, faces = assemble_rhs(*args)
+        evals.append([("rhs", rhs)] + [
+            (key, getattr(faces, key)) for key in
+            ("central", "diss", "visc", "net", "cells", "left", "right")])
+        return rhs, faces
+
+    monkeypatch.setattr(kepes.timeint, "assemble_rhs", watched)
+    sampled = []
+    for state in kepes.timeint.march(config, w0):
+        assert state.faces.central is evals[-1][1][1]
+        if state.mark or state.reason is not None:
+            sampled.append(len(evals) - 1)
+    assert (state.reason, state.step) == ("max_steps", 30)
+    assert len(evals) == 3 * 30 + 1
+    assert len(log_means) == len(evals)
+    assert 5 <= len(sampled) <= 10
+    for i in range(len(evals) - 1):
+        shared = np.shares_memory(evals[i][5][1], evals[i + 1][5][1])
+        assert shared == (i not in sampled), i
+    for i in sampled:
+        for j in range(i + 1, len(evals)):
+            for (a_name, a), (b_name, b) in itertools.product(evals[i],
+                                                              evals[j]):
+                assert not np.shares_memory(a, b), (i, a_name, j, b_name)
 
 
 class TestTerminationReason:

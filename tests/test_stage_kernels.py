@@ -3,7 +3,8 @@ FaceData.central, diss and visc are bitwise equal to the kernels applied
 to explicit face pairs at every face, a shock_outflow face included, and
 FaceData.net to their sum with the boundary-flux step, for every central
 flux, dissipation, order and boundary set, on random and near-degenerate
-states."""
+states.  One held stage workspace, refilled by a sequence of such states,
+gives bitwise the results of calls that build their own."""
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from kepes.spatial import (
     BoundaryCondition,
     BoundarySpec,
     Grid1D,
+    _StageWork,
     apply_boundary,
     assemble_rhs,
     viscous_face_flux,
@@ -27,6 +29,7 @@ from kepes.spatial import (
 from kepes.thermo import (
     FaceMeans,
     GasModel,
+    InvalidStateError,
     PrimState,
     ViscosityLaw,
     cons_to_prim,
@@ -126,3 +129,61 @@ def test_stage_equals_kernels(flux_kind, bc):
                         assert faces.net[0, n] == bcs.right.mass_flux, case
                         assert np.array_equal(faces.net[1:, n],
                                               faces.net[1:, n - 1]), case
+
+
+# -- one held workspace against one-shot calls ----------------------------------
+
+RECON_ALL = (ReconSpec(1), ReconSpec(2, "minmod"), ReconSpec(2, "van_albada"),
+             ReconSpec(2, "none"))
+FACE_FIELDS = ("central", "diss", "visc", "net", "cells", "left", "right",
+               "dv", "u_bar", "du", "dpsi", "p_tilde")
+
+
+def held_sequence(rng):
+    """The states of states(rng) with, after the second, one that fails
+    validation (a negative pressure in cell 5)."""
+    for s, prim in enumerate(states(rng)):
+        yield prim
+        if s == 1:
+            yield PrimState(prim.rho, prim.u,
+                            np.where(np.arange(N_CELLS) == 5, -1.0, prim.p))
+
+
+def bits(a):
+    """The bit patterns of a float array, sign bits included."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("bc", sorted(BOUNDARIES))
+@pytest.mark.parametrize("flux_kind", sorted(CENTRAL_FLUXES))
+def test_held_workspace_equals_one_shot(flux_kind, bc):
+    # one workspace refilled by a sequence of unlike states gives bitwise
+    # the rhs and FaceData of a call that builds its own: a stale ghost,
+    # bar row or log mean of an earlier state would show
+    grid = Grid1D(N_CELLS, 0.0, 1.0)
+    bcs = BOUNDARIES[bc]
+    rng = np.random.default_rng(17 + sorted(CENTRAL_FLUXES).index(flux_kind))
+    prims = list(held_sequence(rng))
+    for gas in GASES:
+        for diss in DISSIPATIONS:
+            for recon in RECON_ALL:
+                args = (grid, gas, flux_kind, diss, recon, bcs)
+                work = _StageWork(N_CELLS, recon, diss, gas.is_viscous)
+                for s, prim in enumerate(prims):
+                    case = (f"state {s}/{gas.viscosity_law.kind}/"
+                            f"{diss.kind}/{diss.matrix_law}/{recon.order}/"
+                            f"{recon.limiter}")
+                    cells = prim_to_cons(prim, gas)
+                    if not np.all(prim.p > 0.0):
+                        for w in (work, None):
+                            with pytest.raises(InvalidStateError):
+                                assemble_rhs(cells, *args, w)
+                        continue
+                    rhs, faces = assemble_rhs(cells, *args, work)
+                    want_rhs, want = assemble_rhs(cells, *args)
+                    assert np.array_equal(bits(rhs), bits(want_rhs)), \
+                        f"{case} rhs"
+                    for name in FACE_FIELDS:
+                        assert np.array_equal(bits(getattr(faces, name)),
+                                              bits(getattr(want, name))), \
+                            f"{case} {name}"
