@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""A/B timing of one RHS stage (spatial.assemble_rhs) of two source trees:
+"""A/B timing of one RHS stage (spatial.assemble_rhs), the CFL step
+(timeint.compute_dt) and one SSP-RK3 combination (timeint.ssp_rk3_step)
+of two source trees:
 
     python scripts/stage_ab.py OLD_SRC NEW_SRC [--rounds 25] [--seed 0]
 
@@ -7,14 +9,18 @@ Both kepes packages are imported in one process under their own names.
 Each tree's stage is timed the way its march calls it: a tree whose
 assemble_rhs takes a workspace (work) refills one held
 spatial._StageWork per config on every call, and that tree's one-shot
-call, which builds a workspace of its own, is timed beside it.  Per
-config the two trees' rhs must be np.array_equal, the budget rows their
-face records give (diagnostics.budget_report, csv_row) equal, which holds
-for trees whose budget_report takes no prim, and a held call's rhs equal
-to its tree's one-shot rhs; then each round times a batch of calls per
-call kind, alternating which goes first, and the medians and quartiles in
-us per call, old/new of the medians and the rounds the new tree won are
-printed, with the median of each tree's one-shot call.  The data are the
+call, which builds a workspace of its own, is timed beside it.  compute_dt
+is timed on the config's (rho, u, p) rows, and ssp_rk3_step on its
+conserved state with a stub operator that returns the stage's rhs, so a
+step times the three combinations alone.  Per config the two trees' rhs
+must be np.array_equal, the budget rows their face records give
+(diagnostics.budget_report, csv_row) equal, which holds for trees whose
+budget_report takes no prim, a held call's rhs equal to its tree's
+one-shot rhs, and the two trees' dt and stepped states equal; then each
+round times a batch of calls per call kind, alternating which goes
+first, and for each of rhs, dt and rk3 the medians and quartiles in us
+per call, old/new of the medians and the rounds the new tree won are
+printed, with the median of each tree's one-shot rhs.  The data are the
 config's initial state perturbed by a seeded relative 1e-3.  The trees
 share one heap, so at 10^4 cells one tree's page faults depend on the
 other's allocations: time large grids in separate processes as well.
@@ -32,8 +38,11 @@ import numpy as np
 
 CONFIGS = ([("stationary_shock_m4", 24, law)
             for law in ("roe", "ec1", "kes", "hyb")]
+           + [("ns_shock_structure_n50", 50, None), ("sod_viscous", 500, None)]
            + [(name, n, None) for name in ("sod", "ns_shock_structure_n200_d4")
               for n in (200, 10_000)])
+# the timed call kinds of each config, in printed order
+KINDS = ("rhs", "dt", "rk3")
 BATCH_S = 0.02
 
 
@@ -46,14 +55,15 @@ def load(src, name):
     spec.loader.exec_module(sys.modules[name])
     return {m: importlib.import_module(f"{name}.{m}")
             for m in ("config", "diagnostics", "presets", "spatial",
-                      "thermo")}
+                      "thermo", "timeint")}
 
 
 def stage(tree, name, n, law, seed):
-    """assemble_rhs of the tree, bound to the config and its data, as a
+    """The tree's calls on the config and its data: assemble_rhs as a
     one-shot call and as a call that refills one held workspace (None if
-    the tree's assemble_rhs takes none), and the budget row of a
-    result."""
+    the tree's assemble_rhs takes none), the budget row of a result,
+    compute_dt, and ssp_rk3_step with a stub operator that returns rhs
+    (the timed step's dt and rhs are given later)."""
     cfg = tree["presets"].preset(name)
     cfg = replace(cfg, grid=replace(cfg.grid, n_cells=n))
     if law:
@@ -65,7 +75,7 @@ def stage(tree, name, n, law, seed):
     q = (rho * (1 + r[0]), u + r[1] * a, p * (1 + r[2]))
     # prim_to_cons gives a (3, n) array, or a row triple in older trees
     w = np.array(th.prim_to_cons(q, cfg.gas), dtype=float)
-    spatial = tree["spatial"]
+    spatial, timeint = tree["spatial"], tree["timeint"]
     args = (w, cfg.grid, cfg.gas, cfg.flux_kind, cfg.diss, cfg.recon,
             cfg.bcs)
     held = None
@@ -74,7 +84,11 @@ def stage(tree, name, n, law, seed):
         held = (lambda: spatial.assemble_rhs(*args, work))
     budget = (lambda rhs, faces: tree["diagnostics"].budget_report(
         0.0, rhs, faces, cfg.grid, cfg.gas).csv_row())
-    return (lambda: spatial.assemble_rhs(*args)), held, budget
+    rows = np.array(q)
+    dt = (lambda: timeint.compute_dt(rows, cfg.grid, cfg.gas, cfg.time.cfl))
+    rk3 = (lambda step_dt, rhs: timeint.ssp_rk3_step(w, step_dt,
+                                                     lambda _: rhs))
+    return (lambda: spatial.assemble_rhs(*args)), held, budget, dt, rk3
 
 
 def rounds(text):
@@ -85,6 +99,34 @@ def rounds(text):
     return value
 
 
+def time_rounds(timed, n_rounds):
+    """us per call of every call in timed, one batch per round, with the
+    order reversed every other round; the batch size is set by the first
+    call's time."""
+    first = next(iter(timed.values()))
+    start = time.perf_counter()
+    first()
+    reps = max(1, int(BATCH_S / (time.perf_counter() - start)))
+    us = {key: [] for key in timed}
+    for k in range(n_rounds):
+        for key in (list(timed) if k % 2 == 0 else list(timed)[::-1]):
+            start = time.perf_counter()
+            for _ in range(reps):
+                timed[key]()
+            us[key].append((time.perf_counter() - start) / reps * 1e6)
+    return us
+
+
+def row(label, old, new, shot="-"):
+    """The printed line of one call kind: the two trees' us per call."""
+    (o1, o2, o3), (n1, n2, n3) = (statistics.quantiles(t, n=4)
+                                  for t in (old, new))
+    won = sum(b < a for a, b in zip(old, new))
+    return (f"{label} | {o2:.1f} [{o1:.1f}, {o3:.1f}] | "
+            f"{n2:.1f} [{n1:.1f}, {n3:.1f}] | {o2 / n2:.3f} | {shot} | "
+            f"{won}/{len(old)}")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old_src")
@@ -93,47 +135,46 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     trees = (load(args.old_src, "kepes_old"), load(args.new_src, "kepes_new"))
-    print("config n | old us [q1, q3] | new us [q1, q3] | old/new | "
+    print("config n call | old us [q1, q3] | new us [q1, q3] | old/new | "
           "one-shot old, new us | new won")
     for name, n, law in CONFIGS:
         case = f"{name} {law or ''} n={n}"
         stages = [stage(t, name, n, law, args.seed) for t in trees]
         # each tree's call the way its march makes it
-        calls = [held or shot for shot, held, _ in stages]
+        calls = [held or shot for shot, held, *_ in stages]
         out = [call() for call in calls]
         if not np.array_equal(out[0][0], out[1][0]):
             sys.exit(f"{case}: rhs differ")
         # a held result is read before its workspace is refilled
         if stages[0][2](*out[0]) != stages[1][2](*out[1]):
             sys.exit(f"{case}: budget differ")
-        for shot, held, _ in stages:
+        for shot, held, *_ in stages:
             if held and not np.array_equal(held()[0], shot()[0]):
                 sys.exit(f"{case}: held rhs differ")
-        # timed: each tree's march call, and the one-shot call of a tree
-        # whose march call is held
-        timed = {(side, "march"): call for side, call in enumerate(calls)}
-        timed.update({(side, "shot"): shot
-                      for side, (shot, held, _) in enumerate(stages) if held})
-        start = time.perf_counter()
-        calls[0]()
-        reps = max(1, int(BATCH_S / (time.perf_counter() - start)))
-        us = {key: [] for key in timed}
-        for k in range(args.rounds):
-            for key in (list(timed) if k % 2 == 0 else list(timed)[::-1]):
-                start = time.perf_counter()
-                for _ in range(reps):
-                    timed[key]()
-                us[key].append((time.perf_counter() - start) / reps * 1e6)
-        old, new = us[0, "march"], us[1, "march"]
-        (o1, o2, o3), (n1, n2, n3) = (statistics.quantiles(t, n=4)
-                                      for t in (old, new))
-        shot_us = [statistics.median(us.get((side, "shot"), us[side, "march"]))
-                   for side in (0, 1)]
-        won = sum(b < a for a, b in zip(old, new))
-        print(f"{name} {law or ''} {n} | {o2:.1f} [{o1:.1f}, {o3:.1f}] | "
-              f"{n2:.1f} [{n1:.1f}, {n3:.1f}] | {o2 / n2:.3f} | "
-              f"{shot_us[0]:.1f}, {shot_us[1]:.1f} | {won}/{args.rounds}",
-              flush=True)
+        dts = [dt() for *_, dt, _ in stages]
+        if dts[0] != dts[1]:
+            sys.exit(f"{case}: dt differ")
+        # both trees step the same state with the same dt and rhs
+        dt, rhs = dts[0], out[0][0].copy()
+        steps = [(lambda rk3=rk3: rk3(dt, rhs)) for *_, rk3 in stages]
+        if not np.array_equal(steps[0](), steps[1]()):
+            sys.exit(f"{case}: rk3 differ")
+        for kind, pair in zip(KINDS, (calls, [s[3] for s in stages], steps)):
+            # each tree's march call and, for rhs, the one-shot call of a
+            # tree whose march call is held
+            timed = {(side, "march"): call for side, call in enumerate(pair)}
+            if kind == "rhs":
+                timed.update({(side, "shot"): shot for side, (shot, held, *_)
+                              in enumerate(stages) if held})
+            us = time_rounds(timed, args.rounds)
+            shot = "-"
+            if kind == "rhs":
+                medians = (statistics.median(us.get((side, "shot"),
+                                                    us[side, "march"]))
+                           for side in (0, 1))
+                shot = ", ".join(f"{m:.1f}" for m in medians)
+            print(row(f"{name} {law or ''} {n} {kind}", us[0, "march"],
+                      us[1, "march"], shot), flush=True)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ from .dissipation import MATRIX_LAWS, SCALAR_BETA_AVERAGES, DissipationSpec
 from .fluxes import CENTRAL_FLUXES
 from .reconstruction import LIMITERS, ReconSpec
 from .spatial import BoundaryCondition, BoundarySpec, Grid1D
-from .thermo import GasModel, PrimState, ViscosityLaw, prim_to_cons
+from .thermo import (GasModel, PrimState, ViscosityLaw, _check_states,
+                     prim_to_cons)
 from .timeint import TimeSpec
 
 __all__ = [
@@ -37,14 +38,6 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Malformed or invalid configuration input."""
-
-
-def _check_states(**states):
-    """Reject the first state, None skipped, whose rho or p is not > 0 (NaN
-    included); its keyword is its label in the message."""
-    for label, q in states.items():
-        if q is not None and not (q[0] > 0.0 and q[2] > 0.0):
-            raise ValueError(f"{label} state: rho and p must be > 0")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .thermo import (FaceMeans, GasModel, PrimState, _stacked,
+from .thermo import (_HALF, _NEG_HALF, _ONE, _THREE, _TWO, _ZERO, FaceMeans,
+                     GasModel, PrimState, _constant, _stacked,
                      entropy_vars_jump, log_mean, sound_speed)
 
 __all__ = [
@@ -70,6 +71,11 @@ class DissipationSpec:
         if not self.ec1_beta >= 0:
             raise ValueError("ec1_beta must be >= 0")
 
+    # the stage's ufunc operands
+    _kappa2 = _constant(lambda spec: spec.kappa2)
+    _kappa4 = _constant(lambda spec: spec.kappa4)
+    _ec1_beta = _constant(lambda spec: spec.ec1_beta)
+
 
 @dataclass(frozen=True)
 class FaceAverage:
@@ -85,15 +91,14 @@ def _scalar_d_from_jumps(m: FaceMeans, gas: GasModel, beta_average: str,
                          d_rho, d_u, d_inv_beta):
     """Stacked D vector with the three jump slots supplied by the caller,
     and the wave speed lambda = |u_bar| + sqrt(gamma/(2 beta_m))."""
-    g = gas.gamma
     beta_m = m.beta_ln if beta_average == "logarithmic" else m.beta_bar
     out = np.empty((3,) + m.shape)
     out[0] = d_rho
     np.add(m.u_bar * d_rho, m.rho_bar * d_u, out=out[1, ...])
-    np.add((0.5 / ((g - 1.0) * beta_m) + 0.5 * m.left[1] * m.right[1])
+    np.add((_HALF / (gas._gm1 * beta_m) + _HALF * m.left[1] * m.right[1])
            * d_rho + m.rho_bar * m.u_bar * d_u,
-           m.rho_bar / (2.0 * (g - 1.0)) * d_inv_beta, out=out[2, ...])
-    lam = np.abs(m.u_bar) + np.sqrt(g / (2.0 * beta_m))
+           m.rho_bar / gas._two_gm1 * d_inv_beta, out=out[2, ...])
+    lam = np.abs(m.u_bar) + np.sqrt(gas._gamma / (_TWO * beta_m))
     return out, lam
 
 
@@ -139,13 +144,13 @@ def _switches(p, kappa2, kappa4, end_rule=False):
     each cell j = 1 .. m - 2 formed once.  With end_rule the first and the
     last of those cells take the sensor of their inner neighbour."""
     pm1, p1 = p[..., :-2], p[..., 2:]
-    two_p0 = 2.0 * p[..., 1:-1]
+    two_p0 = _TWO * p[..., 1:-1]
     nu = np.abs(pm1 - two_p0 + p1) / (pm1 + two_p0 + p1)
     if end_rule:
         nu[..., 0] = nu[..., 1]
         nu[..., -1] = nu[..., -2]
-    eps2 = np.minimum(1.0, kappa2 * np.maximum(nu[..., :-1], nu[..., 1:]))
-    return eps2, np.maximum(0.0, kappa4 - eps2)
+    eps2 = np.minimum(_ONE, kappa2 * np.maximum(nu[..., :-1], nu[..., 1:]))
+    return eps2, np.maximum(_ZERO, kappa4 - eps2)
 
 
 def jst_switches(p_stencil, kappa2, kappa4):
@@ -178,21 +183,21 @@ def jst_dissipation(cells, m: FaceMeans, gas: GasModel,
     rho / (2 p) of the cells, as the stage's cell block holds it.
     """
     n = cells.shape[-1] - 3
-    eps2, eps4 = _switches(cells[2], spec.kappa2, spec.kappa4, end_rule)
+    eps2, eps4 = _switches(cells[2], spec._kappa2, spec._kappa4, end_rule)
     slots = np.empty(cells.shape)
     slots[:2] = cells[:2]
     if beta is None:
-        beta = cells[0] / (2.0 * cells[2])
-    slots[2] = 1.0 / beta
+        beta = cells[0] / (_TWO * cells[2])
+    slots[2] = _ONE / beta
     fm1, f0, f1, f2 = (slots[..., k:k + n] for k in range(4))
     # 3 f1 and 3 f0 are slices of one scaled copy of the slots
-    three = 3.0 * slots
+    three = _THREE * slots
     d_rho, d_u, d_inv_beta = (eps2 * (f1 - f0)
                               - eps4 * (f2 - three[..., 2:2 + n]
                                         + three[..., 1:1 + n] - fm1))
     D, lam = _scalar_d_from_jumps(m, gas, spec.beta_average,
                                   d_rho, d_u, d_inv_beta)
-    D *= -0.5 * lam
+    D *= _NEG_HALF * lam
     return D
 
 
@@ -277,7 +282,7 @@ def _law(speeds, a_f, m: FaceMeans, gas: GasModel, spec: DissipationSpec):
         return lam
     if law == "ec1":
         side_l, side_r = m.sides(lambda q: _acoustic_speeds(q, gas))
-        lam[::2] += spec.ec1_beta * np.abs(side_r - side_l)
+        lam[::2] += spec._ec1_beta * np.abs(side_r - side_l)
         return lam
     abs_u = lam[1]
     lam_max = abs_u + a_f
@@ -291,8 +296,8 @@ def _law(speeds, a_f, m: FaceMeans, gas: GasModel, spec: DissipationSpec):
         # phi = clip(sqrt(|dp|/(2 p_bar)), 0, 1): the root is >= 0 or NaN,
         # so the upper bound alone gives the same value
         dp = m.right[2] - m.left[2]
-        phi = np.minimum(np.sqrt(np.abs(dp) / (2.0 * m.p_bar)), 1.0)
-        return (1.0 - phi) * lam + phi * lam_max
+        phi = np.minimum(np.sqrt(np.abs(dp) / (_TWO * m.p_bar)), _ONE)
+        return (_ONE - phi) * lam + phi * lam_max
     raise ValueError(f"unknown matrix law {law!r}")
 
 
@@ -307,15 +312,14 @@ def matrix_dissipation(m: FaceMeans, gas: GasModel, spec: DissipationSpec,
     of the pairs of m, multiplied out in closed form: w = |Lambda| S R^T dv,
     then R w, formed in place.  The averages (rho, u, a, H) are
     face_average's, and each face quantity is formed once."""
-    g = gas.gamma
     rho, beta = _rho_beta(m, flux_kind)
     u = m.u_bar
-    a = np.sqrt(g / (2.0 * beta))
+    a = np.sqrt(gas._gamma / (_TWO * beta))
     # rows 2 and 3 of R (row 1 is ones), columns (u - a, u, u + a) and
     # (H - u a, u^2/2, H + u a) with H = a^2/(gamma - 1) + u^2/2
     rows = np.empty((2, 3) + m.shape)
-    half_u2 = np.multiply(0.5 * u, u, rows[1, 1, ...])
-    H = a * a / (g - 1.0) + half_u2
+    half_u2 = np.multiply(_HALF * u, u, rows[1, 1, ...])
+    H = a * a / gas._gm1 + half_u2
     ua = u * a
     np.subtract(u, a, rows[0, 0, ...])
     rows[0, 1] = u
@@ -325,8 +329,8 @@ def matrix_dissipation(m: FaceMeans, gas: GasModel, spec: DissipationSpec,
     w = _law(rows[0], a, m, gas, spec)
     # S: the views are scaled in place (w[k] *= would write them back)
     w_ac, w_mid = w[::2], w[1, ...]
-    w_ac *= rho / (2.0 * g)
-    w_mid *= (g - 1.0) * rho / g
+    w_ac *= rho / gas._two_gamma
+    w_mid *= gas._gm1 * rho / gas._gamma
     # freed before dv is formed, which lowers the peak memory of a stage
     del a, H, ua
     dv = entropy_vars_jump(m, gas)
@@ -340,5 +344,5 @@ def matrix_dissipation(m: FaceMeans, gas: GasModel, spec: DissipationSpec,
     np.add(rows[:, 0], rows[:, 2], out12)
     out0 += w_mid
     out12 += rows[:, 1]
-    out *= -0.5
+    out *= _NEG_HALF
     return out

@@ -16,6 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .thermo import (
+    _HALF,
+    _TWO,
     FaceMeans,
     _avg,
     _stacked,
@@ -84,8 +86,8 @@ def flux_roe_ec(m: FaceMeans, gas: GasModel) -> np.ndarray:
     u_t = z2_bar / z1_bar
     p1_t = z3_bar / z1_bar
     p2_t = (g + 1.0) / (2.0 * g) * z3_ln / z1_ln + (g - 1.0) / (2.0 * g) * p1_t
-    a_t = np.sqrt(g * p2_t / rho_t)
-    H_t = a_t * a_t / (g - 1.0) + 0.5 * u_t * u_t
+    a_t = np.sqrt(gas._gamma * p2_t / rho_t)
+    H_t = a_t * a_t / gas._gm1 + _HALF * u_t * u_t
 
     f_rho = rho_t * u_t
     return np.array((f_rho, p1_t + u_t * f_rho, H_t * f_rho))
@@ -94,12 +96,11 @@ def flux_roe_ec(m: FaceMeans, gas: GasModel) -> np.ndarray:
 def _kep_family(m: FaceMeans, gas: GasModel, rho_f, beta_f):
     """KEP flux f_rho = rho_f u_bar, f_m = p_tilde + u_bar f_rho and
     f_e = (1/(2 (gamma-1) beta_f) - u2_bar/2) f_rho + u_bar f_m."""
-    g = gas.gamma
     out = np.empty((3,) + m.shape)
     f_rho = np.multiply(rho_f, m.u_bar, out[0, ...])
-    p_t = m.rho_bar / (2.0 * m.beta_bar)
+    p_t = m.rho_bar / (_TWO * m.beta_bar)
     f_m = np.add(p_t, m.u_bar * f_rho, out[1, ...])
-    np.add((0.5 / ((g - 1.0) * beta_f) - 0.5 * m.u2_bar) * f_rho,
+    np.add((_HALF / (gas._gm1 * beta_f) - _HALF * m.u2_bar) * f_rho,
            m.u_bar * f_m, out[2, ...])
     return out
 

@@ -11,9 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .thermo import _HALF, _ZERO, _const
+
 __all__ = ["ReconSpec", "minmod", "van_albada", "reconstruct_face"]
 
 VAN_ALBADA_EPS = 1.0e-12
+_EPS, _TWO_EPS = _const(VAN_ALBADA_EPS), _const(2.0 * VAN_ALBADA_EPS)
 
 LIMITERS = ("minmod", "van_albada", "none")
 
@@ -43,7 +46,7 @@ def _minmod(a, b, abs_a, abs_b):
     out = np.empty(np.broadcast_shapes(a.shape, b.shape))
     np.minimum(abs_a, abs_b, out=out)
     np.copysign(out, a, out=out)
-    np.copyto(out, 0.0, where=~(a * b > 0.0))
+    np.copyto(out, _ZERO, where=~(a * b > _ZERO))
     return out
 
 
@@ -51,8 +54,8 @@ def van_albada(a, b):
     """Smooth limiter (a^2 b + b^2 a + eps (a+b)) / (a^2 + b^2 + 2 eps)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    eps = VAN_ALBADA_EPS
-    return (a * a * b + b * b * a + eps * (a + b)) / (a * a + b * b + 2.0 * eps)
+    return ((a * a * b + b * b * a + _EPS * (a + b))
+            / (a * a + b * b + _TWO_EPS))
 
 
 def _limited_slope(jump, limiter):
@@ -64,7 +67,7 @@ def _limited_slope(jump, limiter):
         return _minmod(back, fwd, size[..., :-1], size[..., 1:])
     if limiter == "van_albada":
         return van_albada(back, fwd)
-    return 0.5 * (back + fwd)
+    return _HALF * (back + fwd)
 
 
 def reconstruct_face(cells, spec: ReconSpec, out=None):
@@ -86,7 +89,7 @@ def reconstruct_face(cells, spec: ReconSpec, out=None):
     if spec.order == 1:
         return f0, f1
     half = _limited_slope(cells[..., 1:] - cells[..., :-1], spec.limiter)
-    half *= 0.5
+    half *= _HALF
     if out is None:
         out = np.empty((2,) + f0.shape)
     left, right = out[0], out[1]

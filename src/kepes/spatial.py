@@ -30,10 +30,15 @@ from .dissipation import DissipationSpec, jst_dissipation, matrix_dissipation
 from .fluxes import CENTRAL_FLUXES
 from .reconstruction import ReconSpec, reconstruct_face
 from .thermo import (
+    _FOUR_THIRDS,
+    _HALF,
+    _ZERO,
     FaceMeans,
     GasModel,
     InvalidStateError,
     PrimState,
+    _check_states,
+    _constant,
     _form_fields,
     entropy_vars,
     temperature,
@@ -73,6 +78,10 @@ class Grid1D:
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.n_cells
 
+    # dx and -dx as the stage's ufunc operands
+    _dx = _constant(lambda grid: grid.dx)
+    _neg_dx = _constant(lambda grid: -grid.dx)
+
     def cell_centers(self) -> np.ndarray:
         return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
 
@@ -98,9 +107,8 @@ class BoundaryCondition:
             raise ValueError(f"unknown boundary kind {self.kind!r}")
         if self.kind == "fixed_state" and self.state is None:
             raise ValueError("fixed_state boundary needs a state")
-        if self.kind == "fixed_state" and not (self.state[0] > 0.0
-                                               and self.state[2] > 0.0):
-            raise ValueError("boundary state: rho and p must be > 0")
+        if self.kind == "fixed_state":
+            _check_states(boundary=self.state)
         if self.kind == "shock_outflow" and self.mass_flux is None:
             raise ValueError("shock_outflow boundary needs a mass_flux")
         if self.mass_flux is not None and not np.isfinite(self.mass_flux):
@@ -188,16 +196,17 @@ def viscous_face_flux(m: FaceMeans, gas: GasModel, dx: float) -> np.ndarray:
     states of the record m.
 
     tau = (4/3) mu du/dx and q = -kappa dT/dx with mu, kappa evaluated at
-    the arithmetic-mean face temperature.
+    the arithmetic-mean face temperature.  dx is a float or, as the stage
+    passes it, the grid's 0-d dx.
     """
     t_l, t_r = m.sides(lambda q: temperature(q, gas))
-    t_face = 0.5 * (t_l + t_r)
+    t_face = _HALF * (t_l + t_r)
     mu = gas.viscosity(t_face)
     kappa = gas.conductivity(t_face, mu)
     q = -kappa * (t_r - t_l) / dx
     out = np.empty((3,) + m.shape)
-    out[0] = 0.0
-    tau = np.divide((4.0 / 3.0) * mu * (m.right[1] - m.left[1]), dx,
+    out[0] = _ZERO
+    tau = np.divide(_FOUR_THIRDS * mu * (m.right[1] - m.left[1]), dx,
                     out=out[1, ...])
     np.subtract(m.u_bar * tau, q, out=out[2, ...])
     return out
@@ -273,7 +282,7 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
     """
     if flux_kind not in CENTRAL_FLUXES:
         raise ValueError(f"unknown flux kind {flux_kind!r}")
-    n, dx = grid.n_cells, grid.dx
+    n = grid.n_cells
     viscous = gas.is_viscous
     if work is None:
         work = _StageWork(n, recon, diss, viscous)
@@ -283,7 +292,7 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
     rho, m = cells[0], cells[1]
     inner[0] = rho
     u = np.divide(m, rho, inner[1])
-    np.multiply(gas.gamma - 1.0, cells[2] - 0.5 * m * u, inner[2])
+    np.multiply(gas._gm1, cells[2] - _HALF * m * u, inner[2])
     # a valid cell is finite with rho > 0 and p > 0.  The min fails on a
     # rho or p that is not > 0 or is NaN, the max on inf or NaN; u = -inf
     # makes p -inf or NaN.  Only a failure looks for the first bad cell.
@@ -320,7 +329,7 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
     else:
         d_flux = work.no_diss
     if viscous:
-        g_flux = viscous_face_flux(pairs, gas, dx)
+        g_flux = viscous_face_flux(pairs, gas, grid._dx)
     else:
         g_flux = work.no_visc
 
@@ -337,7 +346,7 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
         net[1:, n] = net[1:, n - 1]
     # -(net[1:] - net[:-1]) / dx: x / -dx is -(x / dx) bitwise
     rhs = net[:, 1:] - net[:, :-1]
-    rhs /= -dx
+    rhs /= grid._neg_dx
     faces = FaceData(central, d_flux, g_flux, net, work.left, work.right,
                      gas, bcs.is_periodic)
     return rhs, faces

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spatial import FaceData, Grid1D, _StageWork, assemble_rhs
-from .thermo import GasModel, sound_speed, temperature
+from .thermo import (_QUARTER, _THIRD, _THREE_QUARTERS, _TWO_THIRDS, GasModel,
+                     sound_speed, temperature)
 
 __all__ = ["TimeSpec", "MarchState", "march", "ssp_rk3_step", "compute_dt",
            "StageError"]
@@ -81,12 +82,15 @@ def ssp_rk3_step(state, dt: float, rhs_operator, first: list | None = None):
     """
     # w holds u1, then u2, so u1 is freed before stage 3 runs; the state
     # term of a combination is added last (a + b == b + a in floating
-    # point), so no copy of it is held through a stage
+    # point), so no copy of it is held through a stage.  dt is a 0-d
+    # array, as are the weights: same bits, cheaper ufunc calls.
+    dt = np.array(dt, dtype=float)
     w = state + dt * (first.pop() if first else _stage(1, rhs_operator,
                                                         state))
-    w = 0.25 * (w + dt * _stage(2, rhs_operator, w)) + 0.75 * state
-    return ((2.0 / 3.0) * (w + dt * _stage(3, rhs_operator, w))
-            + (1.0 / 3.0) * state)
+    w = (_QUARTER * (w + dt * _stage(2, rhs_operator, w))
+         + _THREE_QUARTERS * state)
+    return (_TWO_THIRDS * (w + dt * _stage(3, rhs_operator, w))
+            + _THIRD * state)
 
 
 def compute_dt(prim, grid: Grid1D, gas: GasModel, cfl: float) -> float:

@@ -24,7 +24,7 @@ from kepes.config import (
 from kepes.dissipation import DissipationSpec
 from kepes.presets import list_presets, preset
 from kepes.spatial import BoundaryCondition
-from kepes.thermo import PrimState, ViscosityLaw
+from kepes.thermo import GasModel, PrimState, ViscosityLaw
 
 FLOAT_KEYS = [k for k, _, parse, _ in _KEYS
               if parse in (_float, _optional_float)]
@@ -189,10 +189,44 @@ class TestConfigValidation:
          PrimState(np.nan, 0.0, 1.0), "boundary state: rho and p must be > 0"),
         (lambda: preset("sod"), "flux_kind", "bogus",
          "flux: unknown flux kind 'bogus'"),
+        # non-finite physical fields: t_ref = inf made mu = 0 while the gas
+        # still read as viscous, and a NaN boundary u failed a stage later
+        (lambda: preset("ns_shock_structure_n50").gas.viscosity_law, "t_ref",
+         np.inf, "t_ref must be finite"),
+        (lambda: ViscosityLaw("constant", mu_ref=1.0), "t_ref", np.nan,
+         "t_ref must be finite"),
+        (lambda: ViscosityLaw("constant", mu_ref=1.0), "mu_ref", np.inf,
+         "mu_ref must be finite"),
+        (lambda: ViscosityLaw("power", mu_ref=1.0, exponent=0.7), "exponent",
+         np.nan, "mu_exponent must be finite"),
+        (lambda: ViscosityLaw("power", mu_ref=1.0, exponent=0.7), "exponent",
+         -np.inf, "mu_exponent must be finite"),
+        (GasModel, "gamma", np.nan, "gamma must be > 1"),
+        (GasModel, "gamma", np.inf, "gamma must be finite"),
+        (GasModel, "gas_constant", np.inf, "gas_constant must be finite"),
+        (GasModel, "prandtl", np.inf, "prandtl must be finite"),
+        (lambda: preset("sod").ic, "left", PrimState(1.0, np.nan, 1.0),
+         "left state: rho, u and p must be finite"),
+        (lambda: preset("sod").ic, "right", PrimState(np.inf, 0.0, 0.1),
+         "right state: rho, u and p must be finite"),
+        (lambda: InitialCondition(state=PrimState(1.0, 0.0, 1.0)), "state",
+         PrimState(1.0, -np.inf, 1.0),
+         "uniform state: rho, u and p must be finite"),
+        (lambda: preset("stationary_shock_m4").bcs.left, "state",
+         PrimState(1.0, np.nan, 1.0),
+         "boundary state: rho, u and p must be finite"),
+        (lambda: preset("stationary_shock_m4").bcs.left, "state",
+         PrimState(1.0, 0.0, np.inf),
+         "boundary state: rho, u and p must be finite"),
     ], ids=["kappa2", "kappa4", "ec1_beta", "mu_ref", "t_ref",
             "x_diaphragm-nan", "x_diaphragm-inf", "mass_flux",
             "ic-left-rho", "ic-right-p-nan", "ic-uniform-rho-nan",
-            "fixed_state-rho", "fixed_state-rho-nan", "flux_kind"])
+            "fixed_state-rho", "fixed_state-rho-nan", "flux_kind",
+            "t_ref-inf-ns-preset", "t_ref-nan-constant", "mu_ref-inf",
+            "exponent-nan", "exponent-inf", "gamma-nan", "gamma-inf",
+            "gas_constant-inf", "prandtl-inf", "ic-left-u-nan",
+            "ic-right-rho-inf", "ic-uniform-u-inf", "fixed_state-u-nan",
+            "fixed_state-p-inf"])
     def test_range_checks_reject_nan_on_replace(self, make, field, value,
                                                 message):
         # NaN fails every comparison, so a check written as x < 0 passes it

@@ -26,14 +26,38 @@ def stage_ab():
 
 
 def test_every_config_timed(stage_ab, capsys):
-    # a "rhs differ" or "budget differ" exit would raise SystemExit here
+    # a "... differ" exit would raise SystemExit here
     stage_ab.main([SRC, SRC, "--rounds", "2"])
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("config n |")
-    assert len(lines) == 1 + len(stage_ab.CONFIGS)
-    for line, (name, n, law) in zip(lines[1:], stage_ab.CONFIGS):
-        assert line.startswith(f"{name} {law or ''} {n} |")
+    assert lines[0].startswith("config n call |")
+    assert len(lines) == 1 + len(stage_ab.KINDS) * len(stage_ab.CONFIGS)
+    labels = [f"{name} {law or ''} {n} {kind} |"
+              for name, n, law in stage_ab.CONFIGS for kind in stage_ab.KINDS]
+    for line, label in zip(lines[1:], labels):
+        assert line.startswith(label)
         assert line.endswith("/2")
+    # both benchmark sizes of the JST path are timed
+    assert ("ns_shock_structure_n50", 50, None) in stage_ab.CONFIGS
+    assert ("sod_viscous", 500, None) in stage_ab.CONFIGS
+
+
+@pytest.mark.parametrize("old, new, what", [
+    ("    return float(dt)\n", "    return 2.0 * float(dt)\n", "dt"),
+    ("    dt = np.array(dt, dtype=float)\n",
+     "    dt = np.array(2.0 * dt, dtype=float)\n", "rk3"),
+])
+def test_step_compared(stage_ab, tmp_path, old, new, what):
+    # a tree whose compute_dt or ssp_rk3_step differs while its rhs and
+    # budget rows do not
+    shutil.copytree(ROOT / "src" / "kepes", tmp_path / "kepes")
+    timeint = tmp_path / "kepes" / "timeint.py"
+    text = timeint.read_text()
+    assert old in text
+    timeint.write_text(text.replace(old, new))
+    with pytest.raises(SystemExit) as exit_info:
+        stage_ab.main([SRC, str(tmp_path), "--rounds", "2"])
+    name, n, law = stage_ab.CONFIGS[0]
+    assert exit_info.value.code == f"{name} {law or ''} n={n}: {what} differ"
 
 
 def test_budget_compared(stage_ab, tmp_path):

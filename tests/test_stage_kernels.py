@@ -16,6 +16,7 @@ from kepes.dissipation import (
     matrix_dissipation,
 )
 from kepes.fluxes import CENTRAL_FLUXES
+from kepes.presets import preset
 from kepes.reconstruction import ReconSpec, reconstruct_face
 from kepes.spatial import (
     BoundaryCondition,
@@ -44,7 +45,10 @@ DISSIPATIONS = ([DissipationSpec(),
                 + [DissipationSpec(kind="matrix", matrix_law=law)
                    for law in MATRIX_LAWS])
 RECONSTRUCTIONS = (ReconSpec(1), ReconSpec(2, "minmod"))
-GASES = (GasModel(), GasModel(viscosity_law=ViscosityLaw("constant", 0.01)))
+# inviscid, a constant viscosity and the power-law gas of the four NS
+# presets (mu_ref (T / t_ref)^0.8, gamma 5/3)
+GASES = (GasModel(), GasModel(viscosity_law=ViscosityLaw("constant", 0.01)),
+         preset("ns_shock_structure_n50").gas)
 PERIODIC = BoundaryCondition("periodic")
 BOUNDARIES = {
     "transmissive": BoundarySpec(),
