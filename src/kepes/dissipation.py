@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .thermo import (_HALF, _NEG_HALF, _ONE, _THREE, _TWO, _ZERO, FaceMeans,
-                     GasModel, PrimState, _constant, _stacked,
-                     entropy_vars_jump, log_mean, sound_speed)
+                     GasModel, PrimState, _check_finite, _constant,
+                     _evj_work, _Scratch, _stacked, entropy_vars_jump,
+                     log_mean, sound_speed)
 
 __all__ = [
     "DissipationSpec",
@@ -70,6 +71,8 @@ class DissipationSpec:
             raise ValueError(f"unknown matrix law {self.matrix_law!r}")
         if not self.ec1_beta >= 0:
             raise ValueError("ec1_beta must be >= 0")
+        _check_finite(kappa2=self.kappa2, kappa4=self.kappa4,
+                      ec1_beta=self.ec1_beta)
 
     # the stage's ufunc operands
     _kappa2 = _constant(lambda spec: spec.kappa2)
@@ -87,18 +90,49 @@ class FaceAverage:
     H: object
 
 
-def _scalar_d_from_jumps(m: FaceMeans, gas: GasModel, beta_average: str,
-                         d_rho, d_u, d_inv_beta):
+def _beta_mean(m: FaceMeans, beta_average: str):
+    """The beta mean of the scalar energy slot and wave speed."""
+    return m.beta_ln if beta_average == "logarithmic" else m.beta_bar
+
+
+def _scalar_d_work(m: FaceMeans, scratch, out=None):
+    """_scalar_d_from_jumps' bound arrays for the record m: the stacked D
+    out, new unless given, and its rows, the u rows of both sides, two
+    temporaries and lambda."""
+    if out is None:
+        out = np.empty((3,) + m.shape)
+    return ((out, out[0, ...], out[1, ...], out[2, ...], m.left[1, ...],
+             m.right[1, ...])
+            + tuple(scratch.take(*m.shape) for _ in range(3)))
+
+
+def _scalar_d_from_jumps(m: FaceMeans, gas: GasModel, beta_m, d_rho, d_u,
+                         d_inv_beta, work):
     """Stacked D vector with the three jump slots supplied by the caller,
-    and the wave speed lambda = |u_bar| + sqrt(gamma/(2 beta_m))."""
-    beta_m = m.beta_ln if beta_average == "logarithmic" else m.beta_bar
-    out = np.empty((3,) + m.shape)
-    out[0] = d_rho
-    np.add(m.u_bar * d_rho, m.rho_bar * d_u, out=out[1, ...])
-    np.add((_HALF / (gas._gm1 * beta_m) + _HALF * m.left[1] * m.right[1])
-           * d_rho + m.rho_bar * m.u_bar * d_u,
-           m.rho_bar / gas._two_gm1 * d_inv_beta, out=out[2, ...])
-    lam = np.abs(m.u_bar) + np.sqrt(gas._gamma / (_TWO * beta_m))
+    and the wave speed lambda = |u_bar| + sqrt(gamma/(2 beta_m)), written
+    into the out and lambda of work (_scalar_d_work)."""
+    out, D_rho, D_m, D_e, u_l, u_r, t1, t2, lam = work
+    D_rho[...] = d_rho
+    np.multiply(m.u_bar, d_rho, t1)
+    np.multiply(m.rho_bar, d_u, t2)
+    np.add(t1, t2, D_m)
+    np.multiply(gas._gm1, beta_m, t1)
+    np.divide(_HALF, t1, t1)
+    np.multiply(_HALF, u_l, t2)
+    np.multiply(t2, u_r, t2)
+    np.add(t1, t2, t1)
+    np.multiply(t1, d_rho, t1)
+    np.multiply(m.rho_bar, m.u_bar, t2)
+    np.multiply(t2, d_u, t2)
+    np.add(t1, t2, t1)
+    np.divide(m.rho_bar, gas._two_gm1, t2)
+    np.multiply(t2, d_inv_beta, t2)
+    np.add(t1, t2, D_e)
+    np.multiply(_TWO, beta_m, t1)
+    np.divide(gas._gamma, t1, t1)
+    np.sqrt(t1, t1)
+    np.abs(m.u_bar, lam)
+    np.add(lam, t1, lam)
     return out, lam
 
 
@@ -118,7 +152,9 @@ def scalar_d_vector(left: PrimState, right: PrimState, gas: GasModel,
     # -(d beta)/(beta_L beta_R): algebraically 1/beta_R - 1/beta_L but
     # without the cancellation of two large reciprocals
     d_inv_beta = -(m.beta_r - m.beta_l) / (m.beta_l * m.beta_r)
-    return _scalar_d_from_jumps(m, gas, beta_average, d_rho, d_u, d_inv_beta)
+    return _scalar_d_from_jumps(m, gas, _beta_mean(m, beta_average), d_rho,
+                                d_u, d_inv_beta,
+                                _scalar_d_work(m, _Scratch()))
 
 
 def scalar_quadratic_form(left: PrimState, right: PrimState, gas: GasModel):
@@ -138,19 +174,42 @@ def scalar_quadratic_form(left: PrimState, right: PrimState, gas: GasModel):
             + rho_bar * d_beta * d_beta / ((g - 1.0) * left.beta * right.beta))
 
 
-def _switches(p, kappa2, kappa4, end_rule=False):
+def _switch_work(p, eps2, eps4, scratch):
+    """_switches' bound arrays for the pressures p of m cells along the
+    last axis and the switches eps2, eps4 of its m - 3 faces: the three
+    shifted pressures, 2 p_0, the sensor nu of the cells j = 1 .. m - 2
+    with its face pairs and end cells, and a temporary."""
+    inner = p.shape[:-1] + (p.shape[-1] - 2,)
+    two_p0, nu, t = (scratch.take(*inner) for _ in range(3))
+    return (p[..., :-2], p[..., 1:-1], p[..., 2:], two_p0, nu, t,
+            nu[..., :-1], nu[..., 1:], nu[..., 0], nu[..., 1], nu[..., -1],
+            nu[..., -2], eps2, eps4)
+
+
+def _switches(kappa2, kappa4, end_rule, work):
     """jst_switches of the faces between cells j and j + 1, j = 1 .. m - 3,
-    of the pressures p of m cells along the last axis, with the sensor of
-    each cell j = 1 .. m - 2 formed once.  With end_rule the first and the
-    last of those cells take the sensor of their inner neighbour."""
-    pm1, p1 = p[..., :-2], p[..., 2:]
-    two_p0 = _TWO * p[..., 1:-1]
-    nu = np.abs(pm1 - two_p0 + p1) / (pm1 + two_p0 + p1)
+    of the pressures of m cells along the last axis bound in work
+    (_switch_work), with the sensor of each cell j = 1 .. m - 2 formed
+    once.  With end_rule the first and the last of those cells take the
+    sensor of their inner neighbour."""
+    (pm1, p0, p1, two_p0, nu, t, nu_lo, nu_hi, first, second, last,
+     penult, eps2, eps4) = work
+    np.multiply(_TWO, p0, two_p0)
+    np.subtract(pm1, two_p0, nu)
+    np.add(nu, p1, nu)
+    np.abs(nu, nu)
+    np.add(pm1, two_p0, t)
+    np.add(t, p1, t)
+    np.divide(nu, t, nu)
     if end_rule:
-        nu[..., 0] = nu[..., 1]
-        nu[..., -1] = nu[..., -2]
-    eps2 = np.minimum(_ONE, kappa2 * np.maximum(nu[..., :-1], nu[..., 1:]))
-    return eps2, np.maximum(_ZERO, kappa4 - eps2)
+        first[...] = second
+        last[...] = penult
+    np.maximum(nu_lo, nu_hi, out=eps2)
+    np.multiply(kappa2, eps2, eps2)
+    np.minimum(_ONE, eps2, out=eps2)
+    np.subtract(kappa4, eps2, eps4)
+    np.maximum(_ZERO, eps4, out=eps4)
+    return eps2, eps4
 
 
 def jst_switches(p_stencil, kappa2, kappa4):
@@ -161,13 +220,40 @@ def jst_switches(p_stencil, kappa2, kappa4):
     nu = |p_{j-1} - 2 p_j + p_{j+1}| / (p_{j-1} + 2 p_j + p_{j+1}).
     """
     p = np.stack(np.broadcast_arrays(*p_stencil), axis=-1).astype(float)
-    eps2, eps4 = _switches(p, kappa2, kappa4)
+    face = p.shape[:-1] + (1,)
+    eps2, eps4 = _switches(kappa2, kappa4, False, _switch_work(
+        p, np.empty(face), np.empty(face), _Scratch()))
     return eps2[..., 0], eps4[..., 0]
+
+
+def _jst_work(cells, m: FaceMeans, scratch, out=None):
+    """jst_dissipation's bound arrays for the stacked (rho, u, p) of k
+    cells along the last axis and the record m of their inner pairs: the
+    switches (_switch_work), the cell views, the slots (rho, u, 1/beta)
+    of the cells, their three-fold copy and the stencil views of both,
+    the jumps and their rows, a temporary, and the bound D and lambda
+    (_scalar_d_work) with out, new unless given, as D."""
+    faces = cells.shape[1:-1] + (cells.shape[-1] - 3,)
+    n = faces[-1]
+    eps2, eps4, jumps = (scratch.take(*faces), scratch.take(*faces),
+                         scratch.take(3, *faces))
+    at = scratch.at
+    switches = _switch_work(cells[2, ...], eps2, eps4, scratch)
+    scratch.at = at
+    slots, three = scratch.take(*cells.shape), scratch.take(*cells.shape)
+    t = scratch.take(3, *faces)
+    scratch.at = at
+    return ((switches, cells[:2], cells[0, ...], cells[2, ...], slots,
+             slots[:2], slots[2, ...])
+            + tuple(slots[..., k:k + n] for k in range(4))
+            + (three, three[..., 1:1 + n], three[..., 2:2 + n], jumps,
+               jumps[0, ...], jumps[1, ...], jumps[2, ...], t,
+               _scalar_d_work(m, scratch, out)))
 
 
 def jst_dissipation(cells, m: FaceMeans, gas: GasModel,
                     spec: DissipationSpec, end_rule: bool = False,
-                    beta=None):
+                    beta=None, work=None):
     """Blended second/fourth-difference dissipation flux of the faces of
     the stacked (rho, u, p) of k cells along the last axis.
 
@@ -180,24 +266,34 @@ def jst_dissipation(cells, m: FaceMeans, gas: GasModel,
     cell in place of the outer one's.  Returns the stacked flux
     correction -(1/2) lambda D of the k - 3 faces.  m is the FaceMeans
     record of the pairs (q_j, q_{j+1}); beta, when given, is
-    rho / (2 p) of the cells, as the stage's cell block holds it.
+    rho / (2 p) of the cells, as the stage's cell block holds it.  work,
+    when given, is the bound arrays of _jst_work for these cells and m.
     """
-    n = cells.shape[-1] - 3
-    eps2, eps4 = _switches(cells[2], spec._kappa2, spec._kappa4, end_rule)
-    slots = np.empty(cells.shape)
-    slots[:2] = cells[:2]
+    # a log mean is formed before any temporary of work is written
+    beta_m = _beta_mean(m, spec.beta_average)
+    if work is None:
+        work = _jst_work(cells, m, _Scratch())
+    (switches, rho_u, rho, p, slots, slot_ru, slot_b, fm1, f0, f1, f2,
+     three, three1, three2, jumps, d_rho, d_u, d_inv_beta, t,
+     d_work) = work
+    eps2, eps4 = _switches(spec._kappa2, spec._kappa4, end_rule, switches)
+    slot_ru[...] = rho_u
     if beta is None:
-        beta = cells[0] / (_TWO * cells[2])
-    slots[2] = _ONE / beta
-    fm1, f0, f1, f2 = (slots[..., k:k + n] for k in range(4))
+        beta = np.divide(rho, np.multiply(_TWO, p, slot_b), slot_b)
+    np.divide(_ONE, beta, slot_b)
     # 3 f1 and 3 f0 are slices of one scaled copy of the slots
-    three = _THREE * slots
-    d_rho, d_u, d_inv_beta = (eps2 * (f1 - f0)
-                              - eps4 * (f2 - three[..., 2:2 + n]
-                                        + three[..., 1:1 + n] - fm1))
-    D, lam = _scalar_d_from_jumps(m, gas, spec.beta_average,
-                                  d_rho, d_u, d_inv_beta)
-    D *= _NEG_HALF * lam
+    np.multiply(_THREE, slots, three)
+    np.subtract(f1, f0, jumps)
+    np.multiply(eps2, jumps, jumps)
+    np.subtract(f2, three2, t)
+    np.add(t, three1, t)
+    np.subtract(t, fm1, t)
+    np.multiply(eps4, t, t)
+    np.subtract(jumps, t, jumps)
+    D, lam = _scalar_d_from_jumps(m, gas, beta_m, d_rho, d_u, d_inv_beta,
+                                  d_work)
+    np.multiply(_NEG_HALF, lam, lam)
+    np.multiply(D, lam, D)
     return D
 
 
@@ -259,46 +355,76 @@ def eigenvalue_law(u_f, a_f, m: FaceMeans, gas: GasModel,
     """
     u_f, a_f = (np.broadcast_to(x, m.shape) for x in (u_f, a_f))
     speeds = np.array((u_f - a_f, u_f, u_f + a_f))
-    lam = _law(speeds, a_f, m, gas, spec)
+    lam = _law(speeds, a_f, m, gas, spec,
+               _law_work(m, spec, np.empty(speeds.shape), _Scratch()))
     return np.ascontiguousarray(np.moveaxis(lam, 0, -1))
 
 
-def _acoustic_speeds(q, gas: GasModel):
-    """The acoustic eigenvalues (u - a, u + a) of the states q, stacked."""
-    a = sound_speed(q, gas)
-    u = q[1]
-    out = np.empty((2,) + a.shape)
-    np.subtract(u, a, out[0, ...])
-    np.add(u, a, out[1, ...])
-    return out
+def _law_work(m: FaceMeans, spec: DissipationSpec, lam, scratch):
+    """_law's bound arrays for the record m: the stacked result lam, its
+    acoustic rows and its entropy row, then the law's own.  ec1: the cells
+    of m, their velocity row and sound speed, the rows of their stacked
+    acoustic eigenvalues (u - a, u + a) and the views of its left and
+    right sides, and a temporary; kes, rus and hyb: |u| + a and two
+    temporaries, and the pressure rows of both sides, which hyb reads."""
+    shape, law = m.shape, spec.matrix_law
+    own = ()
+    if law == "ec1":
+        cells = m._cells
+        ac = scratch.take(2, *cells.shape[1:])
+        own = ((cells, cells[1, ...], scratch.take(*cells.shape[1:]),
+                ac[0, ...], ac[1, ...])
+               + m._side_views(ac) + (scratch.take(2, *shape),))
+    elif law != "roe":
+        own = tuple(scratch.take(*shape) for _ in range(3)) + (
+            m.right[2, ...], m.left[2, ...])
+    return (lam, lam[::2], lam[1, ...]) + own
 
 
-def _law(speeds, a_f, m: FaceMeans, gas: GasModel, spec: DissipationSpec):
+def _law(speeds, a_f, m: FaceMeans, gas: GasModel, spec: DissipationSpec,
+         work):
     """Stacked |Lambda| of eigenvalue_law from the wave speeds
-    (u-a, u, u+a) of the face."""
+    (u-a, u, u+a) of the face, written into the lam of work (_law_work)."""
     law = spec.matrix_law
-    lam = np.abs(speeds)
+    lam, lam_ac, abs_u, *own = work
+    np.abs(speeds, lam)
     if law == "roe":
         return lam
     if law == "ec1":
-        side_l, side_r = m.sides(lambda q: _acoustic_speeds(q, gas))
-        lam[::2] += spec._ec1_beta * np.abs(side_r - side_l)
+        # the acoustic eigenvalues of the cells, and the jump of each
+        # across its face
+        cells, u, a, minus, plus, side_l, side_r, t = own
+        sound_speed(cells, gas, a)
+        np.subtract(u, a, minus)
+        np.add(u, a, plus)
+        np.subtract(side_r, side_l, t)
+        np.abs(t, t)
+        np.multiply(spec._ec1_beta, t, t)
+        np.add(lam_ac, t, lam_ac)
         return lam
-    abs_u = lam[1]
-    lam_max = abs_u + a_f
+    if law not in ("kes", "rus", "hyb"):
+        raise ValueError(f"unknown matrix law {law!r}")
+    lam_max, phi, t, p_r, p_l = own
+    np.add(abs_u, a_f, lam_max)
     if law == "kes":
-        lam[::2] = lam_max
-        return lam
-    if law == "rus":
+        lam_ac[...] = lam_max
+    elif law == "rus":
         lam[...] = lam_max
-        return lam
-    if law == "hyb":
+    else:
         # phi = clip(sqrt(|dp|/(2 p_bar)), 0, 1): the root is >= 0 or NaN,
-        # so the upper bound alone gives the same value
-        dp = m.right[2] - m.left[2]
-        phi = np.minimum(np.sqrt(np.abs(dp) / (_TWO * m.p_bar)), _ONE)
-        return (_ONE - phi) * lam + phi * lam_max
-    raise ValueError(f"unknown matrix law {law!r}")
+        # so the upper bound alone gives the same value; then
+        # (1 - phi) lam + phi lam_max
+        np.subtract(p_r, p_l, phi)
+        np.abs(phi, phi)
+        np.multiply(_TWO, m.p_bar, t)
+        np.divide(phi, t, phi)
+        np.sqrt(phi, phi)
+        np.minimum(phi, _ONE, out=phi)
+        np.subtract(_ONE, phi, t)
+        np.multiply(t, lam, lam)
+        np.multiply(phi, lam_max, phi)
+        np.add(lam, phi, lam)
+    return lam
 
 
 def assemble_q(R, lam, S):
@@ -306,43 +432,93 @@ def assemble_q(R, lam, S):
     return np.einsum("...ik,...k,...jk->...ij", R, lam * S, R)
 
 
+def _matrix_work(m: FaceMeans, spec: DissipationSpec, scratch, out=None):
+    """matrix_dissipation's bound arrays for the record m: the views of
+    one (3, 3) + m block of w and rows 2 and 3 of R, a, H and u a, the
+    law's arrays (_law_work), a temporary, the entropy-variable jump
+    (_evj_work, whose out, new unless given, takes the result) and its
+    rows, and the two products of R^T dv.  Arrays that are dead by the
+    time a later one is written share its room in scratch."""
+    shape = m.shape
+    R = scratch.take(3, 3, *shape)
+    live = scratch.at
+    a = scratch.take(*shape)
+    after_a = scratch.at
+    H, ua = scratch.take(*shape), scratch.take(*shape)
+    scratch.at = after_a
+    law = _law_work(m, spec, R[0], scratch)
+    scratch.at = after_a
+    t = scratch.take(*shape)
+    scratch.at = live
+    dv = _evj_work(m, scratch, out)
+    out = dv[0]
+    scratch.at = live
+    products = scratch.take(2, 3, *shape)
+    return ((R[0], R[1], R[2])
+            + tuple(R[i, k, ...] for i in (1, 2) for k in (0, 1, 2))
+            + tuple(R[:, k] for k in (0, 1, 2))
+            + (R[0, 0, ...], R[0, 1, ...], R[0, 2, ...], a, H, ua, law, t,
+               dv, out, out[0, ...], out[1, ...], out[2, ...], products[0],
+               products[1]))
+
+
 def matrix_dissipation(m: FaceMeans, gas: GasModel, spec: DissipationSpec,
-                       flux_kind: str = "kepec") -> np.ndarray:
+                       flux_kind: str = "kepec", work=None) -> np.ndarray:
     """Stacked entropy-variable matrix dissipation -(1/2) R |Lambda| S R^T dv
     of the pairs of m, multiplied out in closed form: w = |Lambda| S R^T dv,
     then R w, formed in place.  The averages (rho, u, a, H) are
-    face_average's, and each face quantity is formed once."""
+    face_average's, and each face quantity is formed once.  work, when
+    given, is the bound arrays of _matrix_work for m and spec."""
     rho, beta = _rho_beta(m, flux_kind)
+    # entropy_vars_jump reads the log means: they are formed here, before
+    # a temporary of work is written (the stage's log_mean and work share
+    # the stage's scratch)
+    m.rho_ln
+    if work is None:
+        work = _matrix_work(m, spec, _Scratch())
+    (w, speeds, enthalpies, u_minus_a, u_row, u_plus_a, h_minus,
+     half_u2, h_plus, col_minus, col_mid, col_plus, w_minus, w_mid, w_plus,
+     a, H, ua, law, t, dv_work, out, dv0, dv1, dv2, by_dv1, by_dv2) = work
     u = m.u_bar
-    a = np.sqrt(gas._gamma / (_TWO * beta))
-    # rows 2 and 3 of R (row 1 is ones), columns (u - a, u, u + a) and
-    # (H - u a, u^2/2, H + u a) with H = a^2/(gamma - 1) + u^2/2
-    rows = np.empty((2, 3) + m.shape)
-    half_u2 = np.multiply(_HALF * u, u, rows[1, 1, ...])
-    H = a * a / gas._gm1 + half_u2
-    ua = u * a
-    np.subtract(u, a, rows[0, 0, ...])
-    rows[0, 1] = u
-    np.add(u, a, rows[0, 2, ...])
-    np.subtract(H, ua, rows[1, 0, ...])
-    np.add(H, ua, rows[1, 2, ...])
-    w = _law(rows[0], a, m, gas, spec)
-    # S: the views are scaled in place (w[k] *= would write them back)
-    w_ac, w_mid = w[::2], w[1, ...]
-    w_ac *= rho / gas._two_gamma
-    w_mid *= gas._gm1 * rho / gas._gamma
-    # freed before dv is formed, which lowers the peak memory of a stage
-    del a, H, ua
-    dv = entropy_vars_jump(m, gas)
-    w *= dv[0] + rows[0] * dv[1] + rows[1] * dv[2]
-    rows *= w
-    # dv is spent: its workspace takes the result.  The two acoustic waves
-    # are summed before the entropy wave is added.
-    out = dv
-    out0, out12 = out[0, ...], out[1:]
-    np.add(w[0], w[2], out0)
-    np.add(rows[:, 0], rows[:, 2], out12)
-    out0 += w_mid
-    out12 += rows[:, 1]
-    out *= _NEG_HALF
+    np.multiply(_TWO, beta, a)
+    np.divide(gas._gamma, a, a)
+    np.sqrt(a, a)
+    # R is a row of ones over the rows (u - a, u, u + a) and
+    # (H - u a, u^2/2, H + u a), H = a^2/(gamma - 1) + u^2/2; the first row
+    # of the block holds w in place of the ones, and ua holds u/2 until
+    # u a is formed
+    np.multiply(_HALF, u, ua)
+    np.multiply(ua, u, half_u2)
+    np.multiply(a, a, H)
+    np.divide(H, gas._gm1, H)
+    np.add(H, half_u2, H)
+    np.multiply(u, a, ua)
+    np.subtract(u, a, u_minus_a)
+    u_row[...] = u
+    np.add(u, a, u_plus_a)
+    np.subtract(H, ua, h_minus)
+    np.add(H, ua, h_plus)
+    _law(speeds, a, m, gas, spec, law)
+    # S: the acoustic rows of w are scaled by rho/(2 gamma), the entropy
+    # row by (gamma - 1) rho/gamma
+    np.divide(rho, gas._two_gamma, t)
+    np.multiply(w_minus, t, w_minus)
+    np.multiply(w_plus, t, w_plus)
+    np.multiply(gas._gm1, rho, t)
+    np.divide(t, gas._gamma, t)
+    np.multiply(w_mid, t, w_mid)
+    entropy_vars_jump(m, gas, dv_work)
+    # w *= dv[0] + rows[0] dv[1] + rows[1] dv[2]
+    np.multiply(speeds, dv1, by_dv1)
+    np.add(dv0, by_dv1, by_dv1)
+    np.multiply(enthalpies, dv2, by_dv2)
+    np.add(by_dv1, by_dv2, by_dv1)
+    np.multiply(w, by_dv1, w)
+    np.multiply(speeds, w, speeds)
+    np.multiply(enthalpies, w, enthalpies)
+    # dv is spent: it takes R w.  The two acoustic waves are summed before
+    # the entropy wave is added.
+    np.add(col_minus, col_plus, out)
+    np.add(out, col_mid, out)
+    np.multiply(out, _NEG_HALF, out)
     return out

@@ -7,8 +7,9 @@ remaining averages with logarithmic means so that the two-point condition
 dv . f = d(rho u) holds exactly across any interface.
 Every flux takes the FaceMeans record of its pairs and returns the stacked
 (3, ...) array (f_rho, f_m, f_e); the solver passes the one record it
-builds per stage.  The stage's fluxes write their rows into one array per
-call (row [i, ...] is a view, 0-d for a single pair).
+builds per stage.  A flux writes its rows into the out of its bound
+arrays (_central_work: row [i, ...] is a view, 0-d for a single pair),
+which the stage binds once per march and a one-shot call builds.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .thermo import (
     _HALF,
     _TWO,
     FaceMeans,
+    _Scratch,
     _avg,
     _stacked,
     GasModel,
@@ -48,20 +50,29 @@ def exact_flux(q: PrimState, gas: GasModel) -> np.ndarray:
     return _stacked(f_rho, p + f_rho * u, f_rho * H)
 
 
-def flux_kep(m: FaceMeans, gas: GasModel) -> np.ndarray:
+def _central_work(m: FaceMeans, scratch, out=None):
+    """A central flux's bound arrays for the record m: the stacked result
+    out, new unless given, its three rows and two temporaries."""
+    if out is None:
+        out = np.empty((3,) + m.shape)
+    return (out, out[0, ...], out[1, ...], out[2, ...],
+            scratch.take(*m.shape), scratch.take(*m.shape))
+
+
+def flux_kep(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
     """Kinetic-energy-preserving flux built from plain arithmetic averages.
 
     f_rho = rho_bar u_bar, p_tilde = p_bar, f_e = rho_bar u_bar H_bar.
     """
+    out, f_rho, f_m, f_e, *_ = work or _central_work(m, _Scratch())
     H_bar = _avg(total_enthalpy(m.left, gas), total_enthalpy(m.right, gas))
-    out = np.empty((3,) + m.shape)
-    f_rho = np.multiply(m.rho_bar, m.u_bar, out=out[0, ...])
-    np.add(m.p_bar, m.u_bar * f_rho, out=out[1, ...])
-    np.multiply(f_rho, H_bar, out=out[2, ...])
+    np.multiply(m.rho_bar, m.u_bar, f_rho)
+    np.add(m.p_bar, m.u_bar * f_rho, f_m)
+    np.multiply(f_rho, H_bar, f_e)
     return out
 
 
-def flux_roe_ec(m: FaceMeans, gas: GasModel) -> np.ndarray:
+def flux_roe_ec(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
     """Entropy-conservative flux based on the parameter vector
     z = sqrt(rho/p) (1, u, p).
 
@@ -89,42 +100,55 @@ def flux_roe_ec(m: FaceMeans, gas: GasModel) -> np.ndarray:
     a_t = np.sqrt(gas._gamma * p2_t / rho_t)
     H_t = a_t * a_t / gas._gm1 + _HALF * u_t * u_t
 
-    f_rho = rho_t * u_t
-    return np.array((f_rho, p1_t + u_t * f_rho, H_t * f_rho))
-
-
-def _kep_family(m: FaceMeans, gas: GasModel, rho_f, beta_f):
-    """KEP flux f_rho = rho_f u_bar, f_m = p_tilde + u_bar f_rho and
-    f_e = (1/(2 (gamma-1) beta_f) - u2_bar/2) f_rho + u_bar f_m."""
-    out = np.empty((3,) + m.shape)
-    f_rho = np.multiply(rho_f, m.u_bar, out[0, ...])
-    p_t = m.rho_bar / (_TWO * m.beta_bar)
-    f_m = np.add(p_t, m.u_bar * f_rho, out[1, ...])
-    np.add((_HALF / (gas._gm1 * beta_f) - _HALF * m.u2_bar) * f_rho,
-           m.u_bar * f_m, out[2, ...])
+    out, f_rho, f_m, f_e, *_ = work or _central_work(m, _Scratch())
+    np.multiply(rho_t, u_t, f_rho)
+    np.add(p1_t, u_t * f_rho, f_m)
+    np.multiply(H_t, f_rho, f_e)
     return out
 
 
-def flux_kepec_ac(m: FaceMeans, gas: GasModel) -> np.ndarray:
+def _kep_family(m: FaceMeans, gas: GasModel, rho_f, beta_f, work):
+    """KEP flux f_rho = rho_f u_bar, f_m = p_tilde + u_bar f_rho and
+    f_e = (1/(2 (gamma-1) beta_f) - u2_bar/2) f_rho + u_bar f_m."""
+    out, f_rho, f_m, f_e, t1, t2 = work or _central_work(m, _Scratch())
+    u_bar = m.u_bar
+    np.multiply(rho_f, u_bar, f_rho)
+    # p_tilde = rho_bar / (2 beta_bar)
+    np.multiply(_TWO, m.beta_bar, t1)
+    np.divide(m.rho_bar, t1, t1)
+    np.multiply(u_bar, f_rho, t2)
+    np.add(t1, t2, f_m)
+    np.multiply(gas._gm1, beta_f, t1)
+    np.divide(_HALF, t1, t1)
+    np.multiply(_HALF, m.u2_bar, t2)
+    np.subtract(t1, t2, t1)
+    np.multiply(t1, f_rho, t1)
+    np.multiply(u_bar, f_m, t2)
+    np.add(t1, t2, f_e)
+    return out
+
+
+def flux_kepec_ac(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
     """Kinetic-energy-preserving, approximately entropy-consistent flux.
 
     Arithmetic averages throughout; the entropy-conservation residual is
     O(jump^3).  p_tilde = rho_bar/(2 beta_bar) is the harmonic-temperature
     pressure average.
     """
-    return _kep_family(m, gas, m.rho_bar, m.beta_bar)
+    return _kep_family(m, gas, m.rho_bar, m.beta_bar, work)
 
 
-def flux_kepec(m: FaceMeans, gas: GasModel) -> np.ndarray:
+def flux_kepec(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
     """Kinetic-energy-preserving and exactly entropy-conservative flux.
 
     Same structure as flux_kepec_ac with the density and beta averages in
     the mass and energy fluxes replaced by logarithmic means.
     """
-    return _kep_family(m, gas, m.rho_ln, m.beta_ln)
+    return _kep_family(m, gas, m.rho_ln, m.beta_ln, work)
 
 
-def flux_central_mean(m: FaceMeans, gas: GasModel) -> np.ndarray:
+def flux_central_mean(m: FaceMeans, gas: GasModel,
+                      work=None) -> np.ndarray:
     """Arithmetic mean of the pointwise fluxes, (f(L) + f(R))/2.
 
     The central part of a classic Roe-type scheme; neither entropy
@@ -132,7 +156,10 @@ def flux_central_mean(m: FaceMeans, gas: GasModel) -> np.ndarray:
     record's sides, which are broadcast against each other, so a scalar
     side combines with an array side.
     """
-    return _avg(exact_flux(m.left, gas), exact_flux(m.right, gas))
+    out = (work or _central_work(m, _Scratch()))[0]
+    np.add(exact_flux(m.left, gas), exact_flux(m.right, gas), out)
+    out *= _HALF
+    return out
 
 
 def tadmor_residual(left: PrimState, right: PrimState, flux, gas: GasModel):

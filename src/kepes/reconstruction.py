@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .thermo import _HALF, _ZERO, _const
+from .thermo import _HALF, _ZERO, _const, _Scratch
 
 __all__ = ["ReconSpec", "minmod", "van_albada", "reconstruct_face"]
 
@@ -37,16 +37,26 @@ def minmod(a, b):
     """Zero on sign disagreement, else the smaller-magnitude argument."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return _minmod(a, b, np.abs(a), np.abs(b))
-
-
-def _minmod(a, b, abs_a, abs_b):
-    # the single-where form in one buffer: where the signs agree, the
-    # smaller magnitude takes a's sign, which is b's too
     out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    return _minmod(a, b, np.abs(a), np.abs(b), out, np.empty(out.shape))
+
+
+def _minmod(a, b, abs_a, abs_b, out, t):
+    """minmod of a and b with their magnitudes given, into out; t is a
+    temporary of out's shape.
+
+    min(|a|, |b|) is kept where a b > 0 and cleared elsewhere by a product
+    with sign(a b) and a max with +0 (a NaN sign or product clears too);
+    then it takes a's sign, which is b's where it is kept, and + 0 turns
+    the -0 of a cleared entry into +0.  No step branches per entry.
+    """
     np.minimum(abs_a, abs_b, out=out)
-    np.copysign(out, a, out=out)
-    np.copyto(out, _ZERO, where=~(a * b > _ZERO))
+    np.multiply(a, b, t)
+    np.sign(t, t)
+    np.multiply(out, t, out)
+    np.fmax(out, _ZERO, out)
+    np.copysign(out, a, out)
+    np.add(out, _ZERO, out)
     return out
 
 
@@ -54,23 +64,50 @@ def van_albada(a, b):
     """Smooth limiter (a^2 b + b^2 a + eps (a+b)) / (a^2 + b^2 + 2 eps)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return ((a * a * b + b * b * a + _EPS * (a + b))
-            / (a * a + b * b + _TWO_EPS))
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    return _van_albada(a, b, out, np.empty(out.shape), np.empty(out.shape))
 
 
-def _limited_slope(jump, limiter):
-    """The limited slopes of the cells between consecutive jumps along the
-    last axis, a new array; minmod takes |jump| once for both sides."""
-    back, fwd = jump[..., :-1], jump[..., 1:]
-    if limiter == "minmod":
-        size = np.abs(jump)
-        return _minmod(back, fwd, size[..., :-1], size[..., 1:])
-    if limiter == "van_albada":
-        return van_albada(back, fwd)
-    return _HALF * (back + fwd)
+def _van_albada(a, b, out, t1, t2):
+    """van_albada of a and b into out, with two temporaries of its shape."""
+    np.multiply(a, a, out)
+    np.multiply(out, b, out)
+    np.multiply(b, b, t1)
+    np.multiply(t1, a, t1)
+    np.add(out, t1, out)
+    np.add(a, b, t1)
+    np.multiply(_EPS, t1, t1)
+    np.add(out, t1, out)
+    np.multiply(a, a, t1)
+    np.multiply(b, b, t2)
+    np.add(t1, t2, t1)
+    np.add(t1, _TWO_EPS, t1)
+    return np.divide(out, t1, out)
 
 
-def reconstruct_face(cells, spec: ReconSpec, out=None):
+def _recon_work(cells, spec: ReconSpec, out, scratch):
+    """reconstruct_face's bound arrays at order 2 for the stacked cells
+    and the (2,) + face-shaped out: the cells left and right of each
+    face, the cells after and before each jump, the jumps and their back
+    and forward views, the half slopes and their views left and right of
+    each face, the limiter's temporaries, and out, its two sides and
+    their rho and p rows."""
+    jump = scratch.take(*cells.shape[:-1], cells.shape[-1] - 1)
+    half = scratch.take(*cells.shape[:-1], cells.shape[-1] - 2)
+    temps = ()
+    if spec.limiter == "minmod":
+        size = scratch.take(*jump.shape)
+        temps = (size[..., :-1], size[..., 1:], size,
+                 scratch.take(*half.shape))
+    elif spec.limiter == "van_albada":
+        temps = (scratch.take(*half.shape), scratch.take(*half.shape))
+    return (cells[..., 1:-2], cells[..., 2:-1], cells[..., 1:],
+            cells[..., :-1], jump, jump[..., :-1], jump[..., 1:], half,
+            half[..., :-1], half[..., 1:], temps, out, out[0], out[1],
+            out[:, ::2])
+
+
+def reconstruct_face(cells, spec: ReconSpec, work=None):
     """Left and right states of the faces of the stacked (rho, u, p) of m
     cells along the last axis, each stacked like cells with m - 3 faces
     along that axis.
@@ -80,24 +117,37 @@ def reconstruct_face(cells, spec: ReconSpec, out=None):
     adjacent cell states; order 2 extrapolates q_j + slope/2 and
     q_{j+1} - slope/2 with limited slopes, reverting a side to first order
     wherever rho or p would become non-positive.  Each cell's half slope
-    is formed once and read by both of its faces.  out, when given, is a
-    (2,) + face-shaped array that takes the order-2 sides, out[0] and
-    out[1], which are returned (the stage passes rows 0, 2 and 4 of its
-    record's pair block).
+    is formed once and read by both of its faces.  work, when given, is
+    the bound arrays of _recon_work for these cells and a (2,) +
+    face-shaped out, whose out[0] and out[1] take the order-2 sides and
+    are returned (the stage's out is rows 0, 2 and 4 of its record's
+    pair block); without it the sides are a new array's.
     """
-    f0, f1 = cells[..., 1:-2], cells[..., 2:-1]
     if spec.order == 1:
-        return f0, f1
-    half = _limited_slope(cells[..., 1:] - cells[..., :-1], spec.limiter)
+        return cells[..., 1:-2], cells[..., 2:-1]
+    if work is None:
+        work = _recon_work(cells, spec, np.empty((2,) + cells[..., 3:].shape),
+                           _Scratch())
+    (f0, f1, hi, lo, jump, back, fwd, half, half_l, half_r, temps, out,
+     left, right, rho_p) = work
+    np.subtract(hi, lo, jump)
+    # the limited slopes of the cells between consecutive jumps; minmod
+    # takes |jump| once for both sides
+    if spec.limiter == "minmod":
+        abs_back, abs_fwd, size, t = temps
+        np.abs(jump, size)
+        _minmod(back, fwd, abs_back, abs_fwd, half, t)
+    elif spec.limiter == "van_albada":
+        _van_albada(back, fwd, half, *temps)
+    else:
+        np.add(back, fwd, half)
+        half *= _HALF
     half *= _HALF
-    if out is None:
-        out = np.empty((2,) + f0.shape)
-    left, right = out[0], out[1]
-    np.add(f0, half[..., :-1], left)
-    np.subtract(f1, half[..., 1:], right)
+    np.add(f0, half_l, left)
+    np.subtract(f1, half_r, right)
     # a side whose rho or p would not be positive reverts to first order;
     # the min is not > 0 on any such side (or on a NaN)
-    if not out[:, ::2].min() > 0.0:
+    if not np.minimum.reduce(rho_p, None) > 0.0:
         for face, cell in ((left, f0), (right, f1)):
             np.copyto(face, cell, where=(face[0] <= 0.0) | (face[2] <= 0.0))
     return left, right

@@ -26,9 +26,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .dissipation import DissipationSpec, jst_dissipation, matrix_dissipation
-from .fluxes import CENTRAL_FLUXES
-from .reconstruction import ReconSpec, reconstruct_face
+from .dissipation import (DissipationSpec, _jst_work, _matrix_work,
+                          jst_dissipation, matrix_dissipation)
+from .fluxes import CENTRAL_FLUXES, _central_work
+from .reconstruction import ReconSpec, _recon_work, reconstruct_face
 from .thermo import (
     _FOUR_THIRDS,
     _HALF,
@@ -39,7 +40,9 @@ from .thermo import (
     PrimState,
     _check_states,
     _constant,
+    _fields_work,
     _form_fields,
+    _Scratch,
     entropy_vars,
     temperature,
 )
@@ -148,7 +151,10 @@ class FaceData:
     0).  du, u_bar, dv and dpsi are built from the cell values adjacent to
     each face, the stacked (rho, u, p) rows left and right, which is what
     the summation-by-parts budget identities require.  They and p_tilde
-    are computed on first read, so marching never pays for them.
+    are computed on first read, so marching never pays for them.  The
+    four fluxes, left and right are arrays of the stage's workspace: the
+    next stage on a held workspace overwrites them, so the march samples
+    a state only from a workspace that it then drops.
     """
 
     central: np.ndarray
@@ -191,37 +197,71 @@ class FaceData:
         return self.central[1] - self.u_bar * self.central[0]
 
 
-def viscous_face_flux(m: FaceMeans, gas: GasModel, dx: float) -> np.ndarray:
+def _visc_work(m: FaceMeans, scratch, out=None):
+    """viscous_face_flux's bound arrays for the record m: the stacked
+    result out, new unless given, and its rows, the u rows of both sides,
+    the temperature of m's cells and the views of its sides, and four
+    temporaries (the face temperature, mu, q and one more)."""
+    if out is None:
+        out = np.empty((3,) + m.shape)
+    T = scratch.take(*m._cells.shape[1:])
+    return ((out, out[0, ...], out[1, ...], out[2, ...], m.left[1, ...],
+             m.right[1, ...], m._cells, T) + m._side_views(T)
+            + tuple(scratch.take(*m.shape) for _ in range(4)))
+
+
+def viscous_face_flux(m: FaceMeans, gas: GasModel, dx: float,
+                      work=None) -> np.ndarray:
     """Stacked viscous flux (0, tau, u_bar tau - q) of the adjacent cell
     states of the record m.
 
     tau = (4/3) mu du/dx and q = -kappa dT/dx with mu, kappa evaluated at
     the arithmetic-mean face temperature.  dx is a float or, as the stage
-    passes it, the grid's 0-d dx.
+    passes it, the grid's 0-d dx.  work, when given, is the bound arrays
+    of _visc_work for m.
     """
-    t_l, t_r = m.sides(lambda q: temperature(q, gas))
-    t_face = _HALF * (t_l + t_r)
-    mu = gas.viscosity(t_face)
-    kappa = gas.conductivity(t_face, mu)
-    q = -kappa * (t_r - t_l) / dx
-    out = np.empty((3,) + m.shape)
-    out[0] = _ZERO
-    tau = np.divide(_FOUR_THIRDS * mu * (m.right[1] - m.left[1]), dx,
-                    out=out[1, ...])
-    np.subtract(m.u_bar * tau, q, out=out[2, ...])
+    (out, f_rho, tau, f_e, u_l, u_r, cells, T, t_l, t_r, t_face, mu, q,
+     t) = work or _visc_work(m, _Scratch())
+    temperature(cells, gas, T)
+    np.add(t_l, t_r, t_face)
+    np.multiply(_HALF, t_face, t_face)
+    gas.viscosity(t_face, mu)
+    # q = -kappa (t_r - t_l) / dx
+    gas.conductivity(t_face, mu, q)
+    np.negative(q, q)
+    np.subtract(t_r, t_l, t)
+    np.multiply(q, t, q)
+    np.divide(q, dx, q)
+    f_rho[...] = _ZERO
+    np.multiply(_FOUR_THIRDS, mu, t)
+    np.subtract(u_r, u_l, t_face)
+    np.multiply(t, t_face, t)
+    np.divide(t, dx, tau)
+    np.multiply(m.u_bar, tau, t)
+    np.subtract(t, q, f_e)
     return out
 
 
-def apply_boundary(rows: np.ndarray, bcs: BoundarySpec) -> np.ndarray:
+def _ghost_views(rows):
+    """apply_boundary's views of rows: the ghost cells of each side, the
+    edge cell of each side, and the cells whose copies are the periodic
+    ghosts of each side."""
+    return (rows[:, :2], rows[:, -2:], rows[:, 2:3], rows[:, -3:-2],
+            rows[:, -4:-2], rows[:, 2:4])
+
+
+def apply_boundary(rows: np.ndarray, bcs: BoundarySpec,
+                   views=None) -> np.ndarray:
     """Fill, in place, the two ghost cells per side of rows, the (3, n + 4)
     (rho, u, p) rows whose columns 2 .. n + 1 hold n cells; returns
-    rows."""
+    rows.  views, when given, is _ghost_views(rows)."""
+    lo, hi, first, last, wrap_lo, wrap_hi = views or _ghost_views(rows)
     if bcs.is_periodic:
-        rows[:, :2] = rows[:, -4:-2]
-        rows[:, -2:] = rows[:, 2:4]
+        lo[...] = wrap_lo
+        hi[...] = wrap_hi
     else:
-        rows[:, :2] = _ghost(bcs.left, rows[:, 2:3])
-        rows[:, -2:] = _ghost(bcs.right, rows[:, -3:-2])
+        lo[...] = _ghost(bcs.left, first)
+        hi[...] = _ghost(bcs.right, last)
     return rows
 
 
@@ -231,31 +271,50 @@ def _ghost(bc: BoundaryCondition, edge):
 
 
 class _StageWork:
-    """What an RHS stage refills, built once per march from the cell count
-    n, the reconstruction, the dissipation and whether the gas is viscous:
-    the (5, n + 4) cell block (rows rho, beta, u, u^2 and p of the n cells
-    and two ghost cells per side) and its views, the record of the cell
-    pairs (cell_means: first order, the scalar stencil, the viscous flux),
-    the face record (means: at order 2 the reconstructed faces', else
-    cell_means) and the zero fluxes of a stage without dissipation or
-    viscosity.
+    """Every array an RHS stage writes, and every view it reads, bound
+    once per march from the cell count n, the reconstruction, the
+    dissipation and whether the gas is viscous.
+
+    The workspace owns the (5, n + 4) cell block (rows rho, beta, u, u^2
+    and p of the n cells and two ghost cells per side), the record of the
+    cell pairs (cell_means: first order, the scalar stencil, the viscous
+    flux) and the face record (means: at order 2 the reconstructed
+    faces', else cell_means), each with its log means, and the central,
+    dissipative and viscous fluxes, zero arrays for a stage without
+    dissipation or viscosity.  Every kernel's temporaries, and the net
+    flux and rhs, which are written after the last kernel, are views of
+    one scratch buffer (thermo._Scratch) that the kernels share in
+    sequence; a kernel that reads log means forms them before it writes
+    a temporary, since log_mean's lie in the same room.  Each kernel's
+    bound arrays are built by its _*_work function, which a one-shot
+    call of the kernel builds for itself.  size is the scratch length:
+    the workspace learns it by a first binding unless it is given, as the
+    size of an earlier workspace of the same n, recon, diss and viscous.
     """
 
     def __init__(self, n: int, recon: ReconSpec, diss: DissipationSpec,
-                 viscous: bool):
+                 viscous: bool, size: int | None = None):
         self.block = block = np.empty((5, n + 4))
         self.rows = rows = block[::2]
-        self.inner = rows[:, 2:-2]
+        self.ghosts = _ghost_views(rows)
+        self.inner = inner = rows[:, 2:-2]
+        self.rho_p = inner[::2]
+        self.beta = block[1]
         # face k sits between cells k+1 and k+2 of rows.  These cell pairs
         # are the face pairs at first order and, at any order, the pairs
         # that the scalar stencil and the viscous flux difference.
         lo, hi = slice(1, n + 2), slice(2, n + 3)
         self.left, self.right = rows[:, lo], rows[:, hi]
-        self.block_lo, self.block_hi = block[:, lo], block[:, hi]
+        self.cell_pairs = None
         self.cell_means = None
         if recon.order == 1 or diss.kind == "scalar" or viscous:
             self.cell_means = FaceMeans._held((n + 1,), rows, (..., lo),
                                               (..., hi))
+            # the (2, 5, n + 1) cell pairs as one view of the block, whose
+            # side k starts at column k + 1
+            col, row = block.strides[1], block.strides[0]
+            self.cell_pairs = np.ndarray((2, 5, n + 1), float, block, col,
+                                         (col, row, col))
         self.means = self.cell_means
         if recon.order == 2:
             self.means = FaceMeans._held((n + 1,))
@@ -263,8 +322,52 @@ class _StageWork:
             self.face_sides = self.means.pairs[:, ::2]
         # each its own array: a caller that writes into one of the
         # returned fluxes must not change another
-        self.no_diss = np.zeros((3, n + 1)) if diss.kind == "none" else None
-        self.no_visc = None if viscous else np.zeros((3, n + 1))
+        self.central = np.empty((3, n + 1))
+        self.diss = np.empty((3, n + 1))
+        self.visc = np.empty((3, n + 1))
+        if diss.kind == "none":
+            self.diss[...] = 0.0
+        if not viscous:
+            self.visc[...] = 0.0
+        if size is None:
+            sizing = _Scratch(0)
+            self._bind(n, recon, diss, viscous, sizing)
+            size = sizing.size
+        self.size = size
+        self._bind(n, recon, diss, viscous, _Scratch(size))
+
+    def _bind(self, n, recon, diss, viscous, scratch):
+        # each kernel takes its temporaries from the start of scratch
+        inner = self.inner
+        self.prim = (inner[0], inner[1], inner[2],
+                     scratch.rewind().take(n))
+        self.fields = _fields_work(self.block, scratch.rewind())
+        self.means._take(scratch.rewind())
+        if self.cell_means not in (None, self.means):
+            self.cell_means._take(scratch.rewind())
+        # the net flux and rhs lie past the temporaries of the log means,
+        # so that log means first read after the call leave them intact
+        past_log_means = scratch.at
+        if recon.order == 2:
+            self.recon = _recon_work(self.rows, recon, self.face_sides,
+                                     scratch.rewind())
+        self.central_work = _central_work(self.means, scratch.rewind(),
+                                          self.central)
+        if diss.kind == "matrix":
+            self.diss_work = _matrix_work(self.means, diss, scratch.rewind(),
+                                          self.diss)
+        elif diss.kind == "scalar":
+            self.diss_work = _jst_work(self.rows, self.cell_means,
+                                       scratch.rewind(), self.diss)
+        if viscous:
+            self.visc_work = _visc_work(self.cell_means, scratch.rewind(),
+                                        self.visc)
+        scratch.at = past_log_means
+        self.net = net = scratch.take(3, n + 1)
+        self.rhs = scratch.take(3, n)
+        self.net_lo, self.net_hi = net[:, :-1], net[:, 1:]
+        # the momentum and energy rows of the last face and the one before
+        self.net_last, self.net_prev = net[1:, n], net[1:, n - 1]
 
 
 def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
@@ -275,10 +378,11 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
     cells is the stacked (3, n) array of the rows rho, m, E; rhs comes
     back as a (3, n) array.  work is the stage workspace that the march
     holds (a _StageWork of this grid, recon, diss and gas): the call
-    refills it, and the returned FaceData's cells, left and right (and,
-    without dissipation or viscosity, diss and visc) are views of it, so
-    the next call with the same work overwrites them.  Without work, the
-    call builds a workspace of its own, and nothing it returns is shared.
+    refills it, and rhs and the returned FaceData's central, diss, visc,
+    net, cells, left and right are arrays of it, so the next call with
+    the same work overwrites them (the zero diss and visc of a stage
+    without dissipation or viscosity stay zero).  Without work, the call
+    builds a workspace of its own, and nothing it returns is shared.
     """
     if flux_kind not in CENTRAL_FLUXES:
         raise ValueError(f"unknown flux kind {flux_kind!r}")
@@ -288,64 +392,71 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
         work = _StageWork(n, recon, diss, viscous)
     # the stage writes rho, u and p (cons_to_prim's formula) into the cell
     # block and then the ghosts; the records form beta and u^2
-    inner = work.inner
-    rho, m = cells[0], cells[1]
-    inner[0] = rho
-    u = np.divide(m, rho, inner[1])
-    np.multiply(gas._gm1, cells[2] - _HALF * m * u, inner[2])
+    rho_row, u, p, t = work.prim
+    rho, m, E = cells
+    rho_row[...] = rho
+    np.divide(m, rho, u)
+    np.multiply(_HALF, m, t)
+    np.multiply(t, u, t)
+    np.subtract(E, t, t)
+    np.multiply(gas._gm1, t, p)
     # a valid cell is finite with rho > 0 and p > 0.  The min fails on a
     # rho or p that is not > 0 or is NaN, the max on inf or NaN; u = -inf
     # makes p -inf or NaN.  Only a failure looks for the first bad cell.
-    if not (inner[::2].min() > 0.0 and inner.max() < np.inf):
+    # (The ufuncs' reduce is ndarray.min and max without their wrapper.)
+    inner = work.inner
+    if not (np.minimum.reduce(work.rho_p, None) > 0.0
+            and np.maximum.reduce(inner, None) < np.inf):
         valid = np.isfinite(inner).all(axis=0) & (inner[::2] > 0.0).all(axis=0)
         idx = int(np.argmin(valid))
         raise InvalidStateError(
             f"invalid state in cell {idx}: rho={inner[0, idx]:.6g}, "
             f"p={inner[2, idx]:.6g}")
     rows = work.rows
-    apply_boundary(rows, bcs)
+    apply_boundary(rows, bcs, work.ghosts)
 
     pairs = work.cell_means
     if pairs is not None:
         # beta and u^2 once per cell, on the block, then the cell pairs
-        _form_fields(work.block)
-        pairs.pairs[0] = work.block_lo
-        pairs.pairs[1] = work.block_hi
+        _form_fields(work.fields)
+        pairs.pairs[...] = work.cell_pairs
         pairs._refill(False)
     means = work.means
     if recon.order == 2:
-        reconstruct_face(rows, recon, work.face_sides)
+        reconstruct_face(rows, recon, work.recon)
         means._refill(True)
-    central = CENTRAL_FLUXES[flux_kind](means, gas)
+    central = CENTRAL_FLUXES[flux_kind](means, gas, work.central_work)
 
     if diss.kind == "matrix":
-        d_flux = matrix_dissipation(means, gas, diss, flux_kind)
+        d_flux = matrix_dissipation(means, gas, diss, flux_kind,
+                                    work.diss_work)
     elif diss.kind == "scalar":
         # the stencil differences the cells, whose pairs are the face pairs
         # only without reconstruction; boundary faces reuse the nearest
         # interior sensor, and the cell block's row 1 holds beta
         d_flux = jst_dissipation(rows, pairs, gas, diss, not bcs.is_periodic,
-                                 work.block[1])
+                                 work.beta, work.diss_work)
     else:
-        d_flux = work.no_diss
+        d_flux = work.diss
     if viscous:
-        g_flux = viscous_face_flux(pairs, gas, grid._dx)
+        g_flux = viscous_face_flux(pairs, gas, grid._dx, work.visc_work)
     else:
-        g_flux = work.no_visc
+        g_flux = work.visc
 
     # net = F - G.  An inviscid G is zero and x - 0 is x, so it is not
     # subtracted.
-    net = central + d_flux
+    net = work.net
+    np.add(central, d_flux, net)
     if viscous:
-        net -= g_flux
+        np.subtract(net, g_flux, net)
     if bcs.right.kind == "shock_outflow":
         # boundary-flux step: the last face carries the prescribed mass
         # flux and, in momentum and energy, the net flux of the face before
         # it, so the last cell sees zero update in them
         net[0, n] = bcs.right.mass_flux
-        net[1:, n] = net[1:, n - 1]
+        work.net_last[...] = work.net_prev
     # -(net[1:] - net[:-1]) / dx: x / -dx is -(x / dx) bitwise
-    rhs = net[:, 1:] - net[:, :-1]
+    rhs = np.subtract(work.net_hi, work.net_lo, work.rhs)
     rhs /= grid._neg_dx
     faces = FaceData(central, d_flux, g_flux, net, work.left, work.right,
                      gas, bcs.is_periodic)

@@ -70,6 +70,48 @@ _FOUR_THIRDS = _const(4.0 / 3.0)
 _LOG_MEAN_SWITCH = _const(LOG_MEAN_SWITCH)
 
 
+class _Scratch:
+    """Where the binding of a kernel takes its temporaries.
+
+    take() returns, by the size given: without one, a new array, which is
+    what a one-shot kernel call needs; with 0, a zero-stride stand-in of
+    one element, so that a binding learns the size without allocating;
+    with a size, consecutive views of one flat buffer of that length.
+    size records the length the takes need.  The stage workspace
+    (spatial._StageWork) binds its kernels twice, with 0 and then with the
+    size learnt.  The kernels of a stage run in sequence and a kernel's
+    temporaries are dead once it returns, so the workspace rewinds before
+    it binds each kernel and they all share the buffer; a kernel that
+    calls another binds the callee past its own live temporaries.
+    """
+
+    def __init__(self, size=None):
+        self.base = None if size is None else np.empty(max(size, 1))
+        self.sizing = size == 0
+        self.at = self.size = 0
+
+    def take(self, *shape, dtype=float):
+        count = math.prod(shape)
+        start = self.at
+        # flags are packed eight to a float, so every view stays aligned
+        self.at = end = start + (count if dtype is float else -(-count // 8))
+        if end > self.size:
+            self.size = end
+        if self.base is None:
+            return np.empty(shape, dtype)
+        if self.sizing:
+            return np.ndarray(shape, dtype, self.base,
+                              strides=(0,) * len(shape))
+        view = self.base[start:end]
+        if dtype is not float:
+            view = view.view(dtype)[:count]
+        return view.reshape(shape)
+
+    def rewind(self):
+        self.at = 0
+        return self
+
+
 def _check_finite(**fields):
     """Reject the first field, by name, that is not finite."""
     for name, value in fields.items():
@@ -148,21 +190,24 @@ class GasModel:
         law = self.viscosity_law
         return law.kind != "none" and law.mu_ref > 0
 
-    def viscosity(self, T):
-        """Dynamic viscosity mu(T)."""
+    def viscosity(self, T, out=None):
+        """Dynamic viscosity mu(T), written into out when given."""
         law = self.viscosity_law
-        if law.kind == "none":
-            return np.zeros_like(np.asarray(T, dtype=float))
-        if law.kind == "constant":
-            return np.full_like(np.asarray(T, dtype=float), law._mu_ref)
-        return law._mu_ref * ((np.asarray(T, dtype=float) / law._t_ref)
-                              ** law._exponent)
+        if law.kind == "power":
+            return np.multiply(law._mu_ref, np.power(
+                np.divide(T, law._t_ref, out), law._exponent, out), out)
+        if out is None:
+            out = np.empty_like(np.asarray(T, dtype=float))
+        out[...] = law._mu_ref if law.kind == "constant" else _ZERO
+        return out
 
-    def conductivity(self, T, mu=None):
+    def conductivity(self, T, mu=None, out=None):
         """Heat conductivity kappa(T) = gamma R mu / ((gamma - 1) Pr); mu,
-        if given, is viscosity(T) already evaluated."""
+        if given, is viscosity(T) already evaluated, and out, when given,
+        takes the result."""
         mu = self.viscosity(T) if mu is None else mu
-        return self._gamma_r * mu / self._gm1_prandtl
+        return np.divide(np.multiply(self._gamma_r, mu, out),
+                         self._gm1_prandtl, out)
 
 
 class PrimState(NamedTuple):
@@ -204,10 +249,10 @@ def cons_to_prim(w, gas: GasModel) -> PrimState:
     return PrimState(rho, u, (gas.gamma - 1.0) * (E - 0.5 * m * u))
 
 
-def temperature(q, gas: GasModel):
-    """T = p / (rho R)."""
+def temperature(q, gas: GasModel, out=None):
+    """T = p / (rho R), written into out when given."""
     rho, p = q[0], q[2]
-    return p / (rho * gas._r)
+    return np.divide(p, np.multiply(rho, gas._r, out), out)
 
 
 def physical_entropy(q, gas: GasModel):
@@ -264,19 +309,23 @@ class FaceMeans:
     The stage's workspace (spatial._StageWork) holds its records through
     a march: it writes new pairs into the same block every stage and
     refills the record (_refill), so every array a record hands out is
-    overwritten by the next stage.  A cell-pair record there reads
-    sides() on the cell rows, so a cell quantity is evaluated once per
-    cell.
+    overwritten by the next stage.  A held record writes its log means
+    into a block of its own, and the workspace's scratch holds the
+    temporaries of its refill and its log means (_take).  A kernel reads
+    a quantity of the left and the right sides from one evaluation on the
+    record's cells (_side_views): a cell-pair record's cells are the cell
+    rows, so a cell quantity is evaluated once per cell.
     """
 
     def __init__(self, left, right):
         shape = np.broadcast_shapes(*(np.shape(f) for q in (left, right)
                                       for f in q))
-        self.pairs = np.empty((2, 5) + shape)
-        self._bar = np.empty((5,) + shape)
+        self._blocks(shape)
         for side, state in zip(self.pairs, (left, right)):
             for k, f in zip((0, 2, 4), state):
                 side[k] = f
+        self._fields = _fields_work(self.pairs.swapaxes(0, 1), _Scratch())
+        self._ln = self._ln_rows = self._ln_work = None
         self._refill(True)
         # bound once the blocks hold values: a row of a single pair is
         # a scalar
@@ -284,19 +333,29 @@ class FaceMeans:
 
     @classmethod
     def _held(cls, shape, cells=None, lo=None, hi=None):
-        """A record of new pair and bar blocks with one or more axes of
-        pairs (shape), which its holder fills before each _refill; cells,
-        lo and hi as in _bind."""
+        """A record of new pair, bar and log-mean blocks with one or more
+        axes of pairs (shape), which its holder fills before each _refill
+        and whose temporaries it binds (_take); cells, lo and hi as in
+        _bind."""
         self = cls.__new__(cls)
-        self.pairs = np.empty((2, 5) + shape)
-        self._bar = np.empty((5,) + shape)
+        self._blocks(shape)
+        self._ln = ln = np.empty((2,) + shape)
+        self._ln_rows = ln[0], ln[1]
         self._bind(cells, lo, hi)
         return self
 
+    def _blocks(self, shape):
+        self.pairs = pairs = np.empty((2, 5) + shape)
+        self._bar = np.empty((5,) + shape)
+        # the two sides, and the contiguous (rho, beta) halves of both
+        self._sides = pairs[0], pairs[1]
+        self._ln_sides = pairs[0, :2], pairs[1, :2]
+
     def _bind(self, cells=None, lo=None, hi=None):
-        # cells holds the (rho, u, p) rows that sides() evaluates, and lo,
-        # hi index the left and the right side of each pair in them; by
-        # default they are the sides of the pairs, (3, 2) + shape
+        # cells holds the (rho, u, p) rows that a side quantity is
+        # evaluated on, and lo, hi index the left and the right side of
+        # each pair in them; by default they are the sides of the pairs,
+        # (3, 2) + shape
         pairs, bar = self.pairs, self._bar
         self.shape = shape = pairs.shape[2:]
         if cells is None:
@@ -311,60 +370,102 @@ class FaceMeans:
         self.rho_bar, self.beta_bar, self.u_bar = bar[0], bar[1], bar[2]
         self.u2_bar, self.p_bar = bar[3], bar[4]
 
+    def _take(self, scratch):
+        """Bind the temporaries of _refill and of the log means from
+        scratch, both at its cursor: they are used at different times."""
+        at = scratch.at
+        self._fields = _fields_work(self.pairs.swapaxes(0, 1), scratch)
+        scratch.at = at
+        self._ln_work = _log_mean_work(self._ln.shape, scratch)
+
     def _refill(self, fields: bool):
         """Form the record's means from the pairs, in place: beta and u^2
         of both sides first when fields is set (the caller wrote only
         rho, u and p), then the bar rows; the log means of earlier pairs
         are dropped, to be formed again on their next read."""
-        pairs, bar = self.pairs, self._bar
         if fields:
-            _form_fields(pairs.swapaxes(0, 1))
-        np.add(pairs[0], pairs[1], bar)
+            _form_fields(self._fields)
+        bar = self._bar
+        np.add(*self._sides, bar)
         bar *= _HALF
         self.__dict__.pop("rho_ln", None)
         self.__dict__.pop("beta_ln", None)
 
-    def sides(self, quantity):
-        """(quantity(left), quantity(right)); quantity maps (rho, u, p) rows
-        to an array with the trailing shape of the rows."""
-        q = quantity(self._cells)
+    def _side_views(self, q):
+        """The left and the right side of each pair in q, a quantity
+        evaluated on the record's cells, with their trailing shape."""
         return q[self._lo], q[self._hi]
 
     def __getattr__(self, name):
         # the log means are formed on the first read of either
         if name not in ("rho_ln", "beta_ln"):
             raise AttributeError(name)
-        pairs = self.pairs
-        ln = log_mean(pairs[0, :2], pairs[1, :2])
-        self.rho_ln, self.beta_ln = ln[0], ln[1]
+        ln = log_mean(*self._ln_sides, self._ln, self._ln_work)
+        # a held record's rows are bound once; a single pair's rows are
+        # scalars, taken once formed
+        self.rho_ln, self.beta_ln = self._ln_rows or ln
         return getattr(self, name)
 
 
-def _form_fields(fields):
+def _fields_work(fields, scratch):
+    """_form_fields' bound arrays on the fields (rho, beta, u, u^2, p):
+    their rows and a temporary for 2 p."""
+    rows = tuple(fields[k, ...] for k in range(5))
+    return rows + (scratch.take(*rows[4].shape),)
+
+
+def _form_fields(work):
     """Rows 1 and 3 of the fields (rho, beta, u, u^2, p), beta = rho/(2 p)
-    and u^2, from rows 0, 2 and 4, in place."""
-    np.divide(fields[0], _TWO * fields[4], fields[1, ...])
-    np.multiply(fields[2], fields[2], fields[3, ...])
+    and u^2, from rows 0, 2 and 4, in place; work is _fields_work's."""
+    rho, beta, u, u2, p, two_p = work
+    np.multiply(_TWO, p, two_p)
+    np.divide(rho, two_p, beta)
+    np.multiply(u, u, u2)
 
 
-def entropy_vars_jump(m: FaceMeans, gas: GasModel) -> np.ndarray:
+def _evj_work(m: FaceMeans, scratch, out=None):
+    """entropy_vars_jump's bound arrays for the record m: the stacked
+    result out, new unless given, and its rows, the (rho, beta, u) halves
+    of both sides, their jump and its rows, and two temporaries."""
+    if out is None:
+        out = np.empty((3,) + m.shape)
+    jump = scratch.take(3, *m.shape)
+    return (out, out[0, ...], out[1, ...], out[2, ...], m.pairs[1, :3],
+            m.pairs[0, :3], jump, jump[0, ...], jump[1, ...], jump[2, ...],
+            scratch.take(*m.shape), scratch.take(*m.shape))
+
+
+def entropy_vars_jump(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
     """Stacked jump v(right) - v(left) of the pairs of the record m, written
     with the log-mean identities d(ln x) = dx / x_ln.
 
     Algebraically identical to differencing entropy_vars pointwise, but the
     cancellation noise for near-degenerate jumps (stationary contacts) is
     an order of magnitude smaller, which matters when such jumps are
-    integrated over thousands of steps.
+    integrated over thousands of steps.  work, when given, is the bound
+    arrays of _evj_work, whose out is returned.
     """
+    if work is None:
+        work = _evj_work(m, _Scratch())
+    (out, v1, v2, v3, right, left, jump, d_rho, d_beta, d_u, t1,
+     t2) = work
     # the (rho, beta, u) rows of right - left, from the contiguous halves
-    jump = m.pairs[1, :3] - m.pairs[0, :3]
-    d_rho, d_beta, d_u = jump[0], jump[1], jump[2]
-    out = np.empty((3,) + m.shape)
-    np.subtract(d_rho / m.rho_ln
-                + (_ONE / (gas._gm1 * m.beta_ln) - m.u2_bar) * d_beta,
-                _TWO * m.u_bar * m.beta_bar * d_u, out[0, ...])
-    np.multiply(_TWO, m.beta_bar * d_u + m.u_bar * d_beta, out[1, ...])
-    np.multiply(_NEG_TWO, d_beta, out[2, ...])
+    np.subtract(right, left, jump)
+    np.divide(d_rho, m.rho_ln, t1)
+    np.multiply(gas._gm1, m.beta_ln, t2)
+    np.divide(_ONE, t2, t2)
+    np.subtract(t2, m.u2_bar, t2)
+    np.multiply(t2, d_beta, t2)
+    np.add(t1, t2, t1)
+    np.multiply(_TWO, m.u_bar, t2)
+    np.multiply(t2, m.beta_bar, t2)
+    np.multiply(t2, d_u, t2)
+    np.subtract(t1, t2, v1)
+    np.multiply(m.beta_bar, d_u, t1)
+    np.multiply(m.u_bar, d_beta, t2)
+    np.add(t1, t2, t1)
+    np.multiply(_TWO, t1, v2)
+    np.multiply(_NEG_TWO, d_beta, v3)
     return out
 
 
@@ -376,10 +477,10 @@ def entropy_pair(q, gas: GasModel):
     return U, u * U, rho * u
 
 
-def sound_speed(q, gas: GasModel):
-    """a = sqrt(gamma p / rho)."""
+def sound_speed(q, gas: GasModel, out=None):
+    """a = sqrt(gamma p / rho), written into out when given."""
     rho, p = q[0], q[2]
-    return np.sqrt(gas._gamma * p / rho)
+    return np.sqrt(np.divide(np.multiply(gas._gamma, p, out), rho, out), out)
 
 
 def total_enthalpy(q, gas: GasModel):
@@ -388,26 +489,48 @@ def total_enthalpy(q, gas: GasModel):
     return gas._gamma * p / (gas._gm1 * rho) + _HALF * u * u
 
 
-def log_mean(a, b):
+def _log_mean_work(shape, scratch):
+    """log_mean's temporaries for a result of the shape: four arrays and
+    the flags of the direct quotient."""
+    return tuple(scratch.take(*shape) for _ in range(4)) + (
+        scratch.take(*shape, dtype=bool),)
+
+
+def log_mean(a, b, out=None, work=None):
     """Logarithmic mean (b - a)/(ln b - ln a), stable as b -> a.
 
     For zeta = (b-a)/(b+a) with zeta^2 below LOG_MEAN_SWITCH the direct
     quotient is replaced by the series
-    (a+b)/2 / (1 + zeta^2/3 + zeta^4/5 + zeta^6/7).
+    (a+b)/2 / (1 + zeta^2/3 + zeta^4/5 + zeta^6/7).  out and work, when
+    given, take the result and the temporaries (_log_mean_work).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    # fmin skips a NaN partner: this flags exactly the entries where
-    # a <= 0 or b <= 0
-    if np.count_nonzero(np.fmin(a, b) <= _ZERO):
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    if work is None:
+        work = _log_mean_work(out.shape, _Scratch())
+    diff, total, z2, t, direct = work
+    # fmin skips a NaN partner, and its reduction a NaN entry: this flags
+    # exactly the pairs where a <= 0 or b <= 0
+    if np.fmin.reduce(np.fmin(a, b, diff), None, initial=np.inf) <= _ZERO:
         raise ValueError("log_mean requires strictly positive arguments")
-    diff = b - a
-    total = b + a
-    zeta = diff / total
-    z2 = zeta * zeta
-    mean = np.asarray(
-        _HALF * total / (_ONE + z2 * (_THIRD + z2 * (_FIFTH + z2 / _SEVEN))))
+    np.subtract(b, a, diff)
+    np.add(b, a, total)
+    np.divide(diff, total, z2)
+    np.multiply(z2, z2, z2)
+    np.multiply(_HALF, total, out)
+    np.divide(z2, _SEVEN, t)
+    np.add(_FIFTH, t, t)
+    np.multiply(z2, t, t)
+    np.add(_THIRD, t, t)
+    np.multiply(z2, t, t)
+    np.add(_ONE, t, t)
+    np.divide(out, t, out)
     # the direct quotient overwrites the series where zeta^2 is not small
     # (both are NaN where zeta is) and is not evaluated elsewhere
-    return np.divide(diff, np.log(b) - np.log(a), out=mean,
-                     where=z2 >= _LOG_MEAN_SWITCH)
+    np.greater_equal(z2, _LOG_MEAN_SWITCH, direct)
+    np.log(b, t)
+    np.log(a, total)
+    np.subtract(t, total, t)
+    return np.divide(diff, t, out, where=direct)

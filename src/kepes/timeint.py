@@ -119,11 +119,12 @@ class MarchState:
     and faces, its FaceData, come from one assemble_rhs call.  march sets
     both to None before it steps on, so a caller reads them before it asks
     for the next state and keeps no reference to them: once the march
-    resumes, the next stage refills the workspace that faces views, unless
-    the state was sampled (mark or reason set).  mark is True on
-    the initial state and on the first state at or past each
-    snapshot_interval mark; residual is max|rhs| where the steady check
-    read it.  reason is None until the last state, which names why the
+    resumes, the next stage overwrites rhs, the four fluxes of faces
+    (central, diss, visc and net) and its cells, which are arrays of the
+    held workspace, unless the state was sampled (mark or reason set).
+    mark is True on the initial state and on the first state at or past
+    each snapshot_interval mark; residual is max|rhs| where the steady
+    check read it.  reason is None until the last state, which names why the
     march stopped: "t_final", "steady", "max_steps" or "invalid_state".
     On "invalid_state", error is the StageError (the evaluation of a new
     state is stage 1 of the step from it), and w, t and step are those of
@@ -151,22 +152,26 @@ def march(config, w0: np.ndarray):
     max|rhs| below steady_tol, or on an invalid state.
 
     Every evaluation refills one held stage workspace (spatial._StageWork:
-    the cell block and the face-pair records), so a stage allocates only
-    its fluxes and temporaries.  The march drops the workspace before it
-    yields a state with mark or reason set, and the next evaluation builds
-    a new one: no later stage overwrites a sampled state's FaceData, and
-    its records are freed while the caller samples and writes it.  A
+    the cell block, the face-pair records, the fluxes, rhs and every
+    temporary), so a stage allocates nothing the size of a face row.
+    ssp_rk3_step reads each stage's rhs before it asks for the next.  The
+    march drops the workspace before it yields a state with mark or
+    reason set, and the next evaluation builds a new one: no later stage
+    overwrites a sampled state's rhs or FaceData, and its workspace is
+    freed while the caller samples and writes it.  A
     build that held the workspace through those samples raised the peak
     RSS of perfbench's sod_large (10^5 cells) from 90.5 to 95.9 MB.
     """
     grid, gas, spec = config.grid, config.gas, config.time
-    work = None
+    work = size = None
 
     def evaluate(w):
-        nonlocal work
+        nonlocal work, size
         if work is None:
+            # a rebuilt workspace takes the scratch size the first learnt
             work = _StageWork(grid.n_cells, config.recon, config.diss,
-                              gas.is_viscous)
+                              gas.is_viscous, size)
+            size = work.size
         return assemble_rhs(w, grid, gas, config.flux_kind, config.diss,
                             config.recon, config.bcs, work)
 

@@ -218,6 +218,14 @@ class TestConfigValidation:
         (lambda: preset("stationary_shock_m4").bcs.left, "state",
          PrimState(1.0, 0.0, np.inf),
          "boundary state: rho, u and p must be finite"),
+        # inf passes >= 0: such a run wrote a NaN budget row and ended
+        # on an invalid state at step 0
+        (lambda: preset("sod_viscous").diss, "kappa4", np.inf,
+         "kappa4 must be finite"),
+        (lambda: preset("sod_viscous").diss, "kappa2", np.inf,
+         "kappa2 must be finite"),
+        (lambda: preset("stationary_shock_m4").diss, "ec1_beta", np.inf,
+         "ec1_beta must be finite"),
     ], ids=["kappa2", "kappa4", "ec1_beta", "mu_ref", "t_ref",
             "x_diaphragm-nan", "x_diaphragm-inf", "mass_flux",
             "ic-left-rho", "ic-right-p-nan", "ic-uniform-rho-nan",
@@ -226,7 +234,8 @@ class TestConfigValidation:
             "exponent-nan", "exponent-inf", "gamma-nan", "gamma-inf",
             "gas_constant-inf", "prandtl-inf", "ic-left-u-nan",
             "ic-right-rho-inf", "ic-uniform-u-inf", "fixed_state-u-nan",
-            "fixed_state-p-inf"])
+            "fixed_state-p-inf", "kappa4-inf", "kappa2-inf",
+            "ec1_beta-inf"])
     def test_range_checks_reject_nan_on_replace(self, make, field, value,
                                                 message):
         # NaN fails every comparison, so a check written as x < 0 passes it

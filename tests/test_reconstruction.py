@@ -63,6 +63,43 @@ class TestMinmodSingleWhere:
                                           want.view(np.int64))
 
 
+def minmod_masked_copy(a, b):
+    """The masked-copy minmod the branch-free one replaced: the smaller
+    magnitude with a's sign, then +0 copied wherever a b > 0 fails."""
+    out = np.copysign(np.minimum(np.abs(a), np.abs(b)), a)
+    np.copyto(out, 0.0, where=~(a * b > 0.0))
+    return out
+
+
+class TestMinmodBranchFree:
+    def test_bitwise_equal_to_masked_copy(self):
+        # random magnitudes across the exponent range with either sign,
+        # signed zeros, subnormals, pairs whose product underflows to 0,
+        # pairs of opposite sign, infinities of either sign and NaN
+        rng = np.random.default_rng(11)
+        n = 4000
+        mags = 10.0 ** rng.uniform(-320, 300, n)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-170,
+                            -1e-170, 1e-200, np.inf, -np.inf, np.nan, 1.0,
+                            -1.0])
+        a = np.where(rng.random(n) < 0.3, rng.choice(special, n),
+                     np.where(rng.random(n) < 0.5, mags, -mags))
+        b = np.where(rng.random(n) < 0.3, rng.choice(special, n),
+                     rng.choice([-1.0, 1.0], n)
+                     * 10.0 ** rng.uniform(-320, 300, n))
+        # every special pair, and a pair of one magnitude per sign pattern
+        a = np.concatenate([a, np.repeat(special, special.size), mags[:50],
+                            -mags[:50]])
+        b = np.concatenate([b, np.tile(special, special.size), -mags[:50],
+                            mags[:50]])
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            assert np.any((a * b == 0.0) & (a != 0.0) & (b != 0.0))
+            got = minmod(a, b)
+            want = minmod_masked_copy(a, b)
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      want.view(np.int64))
+
+
 class TestVanAlbada:
     def test_symmetric_smooth_limit(self):
         assert np.isclose(van_albada(1.0, 1.0), 1.0, rtol=1e-12)

@@ -128,16 +128,17 @@ class TestViscousFaceFlux:
                                       "sod_viscous"])
     def test_one_viscosity_call_per_rhs(self, name, monkeypatch):
         # kappa is formed from the mu already evaluated, in the bits of
-        # conductivity(T) alone
+        # conductivity(T) alone.  The stage's face temperature is scratch
+        # that the rest of the stage overwrites, so a copy is recorded.
         from kepes.config import initial_state
         from kepes.presets import preset
 
         config = preset(name)
         calls, viscosity = [], GasModel.viscosity
 
-        def counted(gas, T):
-            calls.append(T)
-            return viscosity(gas, T)
+        def counted(gas, T, *out):
+            calls.append(np.array(T))
+            return viscosity(gas, T, *out)
 
         monkeypatch.setattr(GasModel, "viscosity", counted)
         assemble_rhs(initial_state(config), config.grid,

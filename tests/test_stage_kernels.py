@@ -4,11 +4,18 @@ to explicit face pairs at every face, a shock_outflow face included, and
 FaceData.net to their sum with the boundary-flux step, for every central
 flux, dissipation, order and boundary set, on random and near-degenerate
 states.  One held stage workspace, refilled by a sequence of such states,
-gives bitwise the results of calls that build their own."""
+gives bitwise the results of calls that build their own, returns
+results that share no memory, and allocates nothing the size of a face
+row."""
+
+import itertools
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from kepes.config import initial_state
 from kepes.dissipation import (
     MATRIX_LAWS,
     DissipationSpec,
@@ -191,3 +198,82 @@ def test_held_workspace_equals_one_shot(flux_kind, bc):
                         assert np.array_equal(bits(getattr(faces, name)),
                                               bits(getattr(want, name))), \
                             f"{case} {name}"
+
+
+def log_means(work):
+    """The log means of each record of the workspace, formed on this read
+    where the stage did not form them."""
+    records = {id(r): r for r in (work.cell_means, work.means)
+               if r is not None}
+    return [(f"record {k} {name}", getattr(record, name))
+            for k, record in enumerate(records.values())
+            for name in ("rho_ln", "beta_ln")]
+
+
+@pytest.mark.parametrize("bc", sorted(BOUNDARIES))
+@pytest.mark.parametrize("flux_kind", sorted(CENTRAL_FLUXES))
+def test_held_results_share_no_memory(flux_kind, bc):
+    # no two of the arrays a held call returns, or leaves readable in its
+    # workspace, are one: a scratch slot handed out twice would show
+    grid = Grid1D(N_CELLS, 0.0, 1.0)
+    bcs = BOUNDARIES[bc]
+    prim = next(states(np.random.default_rng(5)))
+    for gas in GASES:
+        cells = prim_to_cons(prim, gas)
+        for diss in DISSIPATIONS:
+            for recon in RECON_ALL:
+                case = (f"{gas.viscosity_law.kind}/{diss.kind}/"
+                        f"{diss.matrix_law}/{recon.order}/{recon.limiter}")
+                work = _StageWork(N_CELLS, recon, diss, gas.is_viscous)
+                rhs, faces = assemble_rhs(cells, grid, gas, flux_kind, diss,
+                                          recon, bcs, work)
+                results = [("rhs", rhs)] + [
+                    (name, getattr(faces, name))
+                    for name in ("central", "diss", "visc", "net", "cells")]
+                before = [bits(a).copy() for _, a in results]
+                arrays = results + log_means(work)
+                for (a_name, a), (b_name, b) in itertools.combinations(
+                        arrays, 2):
+                    assert not np.shares_memory(a, b), \
+                        f"{case}: {a_name} and {b_name}"
+                # log means first read after the call leave the results
+                for (name, a), want in zip(results, before):
+                    assert np.array_equal(bits(a), want), f"{case}: {name}"
+
+
+# -- what a held stage allocates ------------------------------------------------
+
+HELD_N = 10_000
+_SOD, _SHOCK = preset("sod"), preset("stationary_shock_m4")
+HELD_CONFIGS = {
+    "sod": _SOD,
+    "stationary_shock_m4 ec1": replace(
+        _SHOCK, diss=replace(_SHOCK.diss, matrix_law="ec1")),
+    "stationary_shock_m4 hyb": replace(
+        _SHOCK, diss=replace(_SHOCK.diss, matrix_law="hyb")),
+    "ns_shock_structure_n200_d4": preset("ns_shock_structure_n200_d4"),
+    "sod kepec_ac periodic": replace(_SOD, flux_kind="kepec_ac",
+                                     bcs=BOUNDARIES["periodic"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HELD_CONFIGS))
+def test_held_stage_allocates_no_face_row(name):
+    # after one warm call, a held stage writes into its workspace alone:
+    # its traced peak stays below one face row of float64
+    config = HELD_CONFIGS[name]
+    config = replace(config, grid=replace(config.grid, n_cells=HELD_N))
+    w = initial_state(config)
+    w = w * (1.0 + 1e-3 * np.random.default_rng(3).uniform(-1, 1, w.shape))
+    work = _StageWork(HELD_N, config.recon, config.diss,
+                      config.gas.is_viscous)
+    args = (w, config.grid, config.gas, config.flux_kind, config.diss,
+            config.recon, config.bcs, work)
+    assemble_rhs(*args)
+    tracemalloc.start()
+    try:
+        assemble_rhs(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (HELD_N + 1), peak
