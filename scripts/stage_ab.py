@@ -12,14 +12,15 @@ spatial._StageWork per config on every call, and that tree's one-shot
 call, which builds a workspace of its own, is timed beside it.  compute_dt
 is timed on the config's (rho, u, p) rows, and ssp_rk3_step on its
 conserved state with a stub operator that returns the stage's rhs, so a
-step times the three combinations alone.  Per config the two trees' rhs
-must be np.array_equal, the budget rows their face records give
-(diagnostics.budget_report, csv_row) equal, which holds for trees whose
-budget_report takes no prim, a held call's rhs equal to its tree's
-one-shot rhs, and the two trees' dt and stepped states equal; then each
-round times a batch of calls per call kind, alternating which goes
-first, and for each of rhs, dt and rk3 the medians and quartiles in us
-per call, old/new of the medians and the rounds the new tree won are
+step times the three combinations alone; each takes the held rows or
+buffers that its tree's march passes, where it takes them.  Per config
+the two trees' rhs must be np.array_equal, the budget rows their face
+records give (diagnostics.budget_report, csv_row) equal, which holds for
+trees whose budget_report takes no prim, a held call's rhs equal to its
+tree's one-shot rhs, and the two trees' dt and stepped states equal;
+then each round times a batch of calls per call kind, alternating which
+goes first, and for each of rhs, dt and rk3 the medians and quartiles in
+us per call, old/new of the medians and the rounds the new tree won are
 printed, with the median of each tree's one-shot rhs.  The data are the
 config's initial state perturbed by a seeded relative 1e-3.  The trees
 share one heap, so at 10^4 cells one tree's page faults depend on the
@@ -85,9 +86,15 @@ def stage(tree, name, n, law, seed):
     budget = (lambda rhs, faces: tree["diagnostics"].budget_report(
         0.0, rhs, faces, cfg.grid, cfg.gas).csv_row())
     rows = np.array(q)
-    dt = (lambda: timeint.compute_dt(rows, cfg.grid, cfg.gas, cfg.time.cfl))
-    rk3 = (lambda step_dt, rhs: timeint.ssp_rk3_step(w, step_dt,
-                                                     lambda _: rhs))
+    dt_held = rk3_held = ()
+    if "rows" in inspect.signature(timeint.compute_dt).parameters:
+        dt_held = (tuple(np.empty((2, n))),)
+    if "bufs" in inspect.signature(timeint.ssp_rk3_step).parameters:
+        rk3_held = (None, (np.empty((3, n)), np.empty((3, n))))
+    dt = (lambda: timeint.compute_dt(rows, cfg.grid, cfg.gas, cfg.time.cfl,
+                                     *dt_held))
+    rk3 = (lambda step_dt, rhs: timeint.ssp_rk3_step(
+        w, step_dt, lambda _: rhs, *rk3_held))
     return (lambda: spatial.assemble_rhs(*args)), held, budget, dt, rk3
 
 

@@ -186,12 +186,13 @@ def _switch_work(p, eps2, eps4, scratch):
             nu[..., -2], eps2, eps4)
 
 
-def _switches(kappa2, kappa4, end_rule, work):
+def _switches(kappa2, kappa4, ends, work):
     """jst_switches of the faces between cells j and j + 1, j = 1 .. m - 3,
     of the pressures of m cells along the last axis bound in work
     (_switch_work), with the sensor of each cell j = 1 .. m - 2 formed
-    once.  With end_rule the first and the last of those cells take the
-    sensor of their inner neighbour."""
+    once.  ends is a pair of flags: with the first set, the first of
+    those cells takes the sensor of its inner neighbour, and with the
+    second, the last."""
     (pm1, p0, p1, two_p0, nu, t, nu_lo, nu_hi, first, second, last,
      penult, eps2, eps4) = work
     np.multiply(_TWO, p0, two_p0)
@@ -201,8 +202,9 @@ def _switches(kappa2, kappa4, end_rule, work):
     np.add(pm1, two_p0, t)
     np.add(t, p1, t)
     np.divide(nu, t, nu)
-    if end_rule:
+    if ends[0]:
         first[...] = second
+    if ends[1]:
         last[...] = penult
     np.maximum(nu_lo, nu_hi, out=eps2)
     np.multiply(kappa2, eps2, eps2)
@@ -221,7 +223,7 @@ def jst_switches(p_stencil, kappa2, kappa4):
     """
     p = np.stack(np.broadcast_arrays(*p_stencil), axis=-1).astype(float)
     face = p.shape[:-1] + (1,)
-    eps2, eps4 = _switches(kappa2, kappa4, False, _switch_work(
+    eps2, eps4 = _switches(kappa2, kappa4, (False, False), _switch_work(
         p, np.empty(face), np.empty(face), _Scratch()))
     return eps2[..., 0], eps4[..., 0]
 
@@ -252,7 +254,7 @@ def _jst_work(cells, m: FaceMeans, scratch, out=None):
 
 
 def jst_dissipation(cells, m: FaceMeans, gas: GasModel,
-                    spec: DissipationSpec, end_rule: bool = False,
+                    spec: DissipationSpec, end_rule: bool | tuple = False,
                     beta=None, work=None):
     """Blended second/fourth-difference dissipation flux of the faces of
     the stacked (rho, u, p) of k cells along the last axis.
@@ -263,7 +265,9 @@ def jst_dissipation(cells, m: FaceMeans, gas: GasModel,
     of the (rho, u, 1/beta) slots, with the pressure-sensor switches of
     jst_switches.  With end_rule, which the stage sets at non-periodic
     boundaries, the first and the last face read the sensor of their inner
-    cell in place of the outer one's.  Returns the stacked flux
+    cell in place of the outer one's; a (first, last) pair of flags sets
+    the rule at each end alone, as a stage window that holds one end of
+    the grid does.  Returns the stacked flux
     correction -(1/2) lambda D of the k - 3 faces.  m is the FaceMeans
     record of the pairs (q_j, q_{j+1}); beta, when given, is
     rho / (2 p) of the cells, as the stage's cell block holds it.  work,
@@ -276,7 +280,8 @@ def jst_dissipation(cells, m: FaceMeans, gas: GasModel,
     (switches, rho_u, rho, p, slots, slot_ru, slot_b, fm1, f0, f1, f2,
      three, three1, three2, jumps, d_rho, d_u, d_inv_beta, t,
      d_work) = work
-    eps2, eps4 = _switches(spec._kappa2, spec._kappa4, end_rule, switches)
+    ends = end_rule if isinstance(end_rule, tuple) else (end_rule,) * 2
+    eps2, eps4 = _switches(spec._kappa2, spec._kappa4, ends, switches)
     slot_ru[...] = rho_u
     if beta is None:
         beta = np.divide(rho, np.multiply(_TWO, p, slot_b), slot_b)

@@ -8,11 +8,13 @@ state is the stacked (3, n) array of the rows rho, m, E, and rhs comes back
 in that form.  Inside, the cells and their ghosts are one (5, n + 4) cell
 block of the rows rho, beta, u, u^2, p: the stage writes rho, u and p, the
 stencil kernels read those three rows whole, and a cell-pair record forms
-beta and u^2.  One FaceMeans record, which holds the face pairs as one
-contiguous (2, 5, n + 1) block, is the pair input of the central flux
-and the dissipation, and each flux is a stacked (3, n + 1) array.  The
-block and the records live in a stage workspace (_StageWork) that the
-march holds and every call refills in place.
+beta and u^2.  The faces run in windows of at most WINDOW faces: per
+window, one FaceMeans record, which holds the window's face pairs as one
+contiguous (2, 5, m) block, is the pair input of the central flux and
+the dissipation, and each flux is written into the window's columns of
+a stacked (3, n + 1) array.  The block, the fluxes and the windows live
+in a stage workspace (_StageWork) that the march holds and every call
+refills in place.
 The net flux F - G is formed once, and a shock_outflow boundary writes
 its last face there alone.  All per-face quantities needed by the budget
 diagnostics are returned in a FaceData record, which derives them only
@@ -270,104 +272,144 @@ def _ghost(bc: BoundaryCondition, edge):
     return bc.ghost if bc.kind == "fixed_state" else edge
 
 
+# The stage runs its face kernels over windows of at most WINDOW faces,
+# whose records and temporaries take a few MB where a whole large grid's
+# take tens: at 10^5 cells a sod RHS costs 79 ns/cell in windows and 105
+# in one.  See README, "How the RHS is assembled", for the sweep that
+# chose it.
+WINDOW = 8192
+
+
 class _StageWork:
     """Every array an RHS stage writes, and every view it reads, bound
     once per march from the cell count n, the reconstruction, the
     dissipation and whether the gas is viscous.
 
     The workspace owns the (5, n + 4) cell block (rows rho, beta, u, u^2
-    and p of the n cells and two ghost cells per side), the record of the
-    cell pairs (cell_means: first order, the scalar stencil, the viscous
-    flux) and the face record (means: at order 2 the reconstructed
-    faces', else cell_means), each with its log means, and the central,
-    dissipative and viscous fluxes, zero arrays for a stage without
-    dissipation or viscosity.  Every kernel's temporaries, and the net
-    flux and rhs, which are written after the last kernel, are views of
-    one scratch buffer (thermo._Scratch) that the kernels share in
-    sequence; a kernel that reads log means forms them before it writes
-    a temporary, since log_mean's lie in the same room.  Each kernel's
-    bound arrays are built by its _*_work function, which a one-shot
-    call of the kernel builds for itself.  size is the scratch length:
-    the workspace learns it by a first binding unless it is given, as the
-    size of an earlier workspace of the same n, recon, diss and viscous.
+    and p of the n cells and two ghost cells per side), the central,
+    dissipative and viscous fluxes (zero arrays for a stage without
+    dissipation or viscosity), the net flux and rhs.  The faces run in
+    windows (_Window) of at most WINDOW faces, in order; all windows
+    share one buffer of records (records: the cell-pair record and, at
+    order 2, the face record, with their log means) and one scratch
+    buffer (thermo._Scratch) that holds every kernel's temporaries.  The
+    kernels of a window run in sequence and share the scratch; a kernel
+    that reads log means forms them before it writes a temporary, since
+    log_mean's lie in the same room.  size is the pair of lengths of the
+    record and the scratch buffers, those of a window of WINDOW faces
+    (of all n + 1 on a smaller grid), so it is the same at every n past
+    WINDOW faces: the workspace learns it by a first binding unless it is
+    given, as the size of an earlier workspace of the same n, recon, diss
+    and viscous.
     """
 
     def __init__(self, n: int, recon: ReconSpec, diss: DissipationSpec,
-                 viscous: bool, size: int | None = None):
-        self.block = block = np.empty((5, n + 4))
-        self.rows = rows = block[::2]
+                 viscous: bool, size: tuple | None = None):
+        self.block = np.empty((5, n + 4))
+        self.rows = rows = self.block[::2]
         self.ghosts = _ghost_views(rows)
         self.inner = inner = rows[:, 2:-2]
         self.rho_p = inner[::2]
-        self.beta = block[1]
-        # face k sits between cells k+1 and k+2 of rows.  These cell pairs
-        # are the face pairs at first order and, at any order, the pairs
-        # that the scalar stencil and the viscous flux difference.
-        lo, hi = slice(1, n + 2), slice(2, n + 3)
-        self.left, self.right = rows[:, lo], rows[:, hi]
-        self.cell_pairs = None
-        self.cell_means = None
-        if recon.order == 1 or diss.kind == "scalar" or viscous:
-            self.cell_means = FaceMeans._held((n + 1,), rows, (..., lo),
-                                              (..., hi))
-            # the (2, 5, n + 1) cell pairs as one view of the block, whose
-            # side k starts at column k + 1
-            col, row = block.strides[1], block.strides[0]
-            self.cell_pairs = np.ndarray((2, 5, n + 1), float, block, col,
-                                         (col, row, col))
-        self.means = self.cell_means
-        if recon.order == 2:
-            self.means = FaceMeans._held((n + 1,))
-            # rows rho, u and p of both sides, which reconstruct_face fills
-            self.face_sides = self.means.pairs[:, ::2]
+        # face k sits between cells k+1 and k+2 of rows
+        self.left, self.right = rows[:, 1:n + 2], rows[:, 2:n + 3]
         # each its own array: a caller that writes into one of the
         # returned fluxes must not change another
-        self.central = np.empty((3, n + 1))
-        self.diss = np.empty((3, n + 1))
-        self.visc = np.empty((3, n + 1))
+        self.central, self.diss, self.visc, self.net = (
+            np.empty((3, n + 1)) for _ in range(4))
         if diss.kind == "none":
             self.diss[...] = 0.0
         if not viscous:
             self.visc[...] = 0.0
-        if size is None:
-            sizing = _Scratch(0)
-            self._bind(n, recon, diss, viscous, sizing)
-            size = sizing.size
-        self.size = size
-        self._bind(n, recon, diss, viscous, _Scratch(size))
-
-    def _bind(self, n, recon, diss, viscous, scratch):
-        # each kernel takes its temporaries from the start of scratch
-        inner = self.inner
-        self.prim = (inner[0], inner[1], inner[2],
-                     scratch.rewind().take(n))
-        self.fields = _fields_work(self.block, scratch.rewind())
-        self.means._take(scratch.rewind())
-        if self.cell_means not in (None, self.means):
-            self.cell_means._take(scratch.rewind())
-        # the net flux and rhs lie past the temporaries of the log means,
-        # so that log means first read after the call leave them intact
-        past_log_means = scratch.at
-        if recon.order == 2:
-            self.recon = _recon_work(self.rows, recon, self.face_sides,
-                                     scratch.rewind())
-        self.central_work = _central_work(self.means, scratch.rewind(),
-                                          self.central)
-        if diss.kind == "matrix":
-            self.diss_work = _matrix_work(self.means, diss, scratch.rewind(),
-                                          self.diss)
-        elif diss.kind == "scalar":
-            self.diss_work = _jst_work(self.rows, self.cell_means,
-                                       scratch.rewind(), self.diss)
-        if viscous:
-            self.visc_work = _visc_work(self.cell_means, scratch.rewind(),
-                                        self.visc)
-        scratch.at = past_log_means
-        self.net = net = scratch.take(3, n + 1)
-        self.rhs = scratch.take(3, n)
+        self.rhs = rhs = np.empty((3, n))
+        # rhs is written last: its first row is the prologue's temporary
+        self.prim = (inner[0], inner[1], inner[2], rhs[0])
+        net = self.net
         self.net_lo, self.net_hi = net[:, :-1], net[:, 1:]
         # the momentum and energy rows of the last face and the one before
         self.net_last, self.net_prev = net[1:, n], net[1:, n - 1]
+        # n + 1 faces in k windows of equal size, give or take a face, so
+        # that each window of a larger grid holds more than WINDOW / 2 =
+        # 4,096 faces: numpy buffers, and allocates for, a 2-D call on a
+        # strided or broadcast operand whose rows are shorter
+        k = -(-(n + 1) // WINDOW)
+        cuts = [i * (n + 1) // k for i in range(k + 1)]
+        if size is None:
+            # a window of min(n + 1, WINDOW) faces sets both lengths
+            sizing = _Scratch(0), _Scratch(0)
+            _Window(self, 0, min(n + 1, WINDOW), recon, diss, viscous,
+                    *sizing)
+            size = tuple(s.size for s in sizing)
+        self.size = size
+        records, scratch = map(_Scratch, size)
+        self.windows = [_Window(self, a, b, recon, diss, viscous,
+                                records.rewind(), scratch)
+                        for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+class _Window:
+    """The bound arrays of the faces a .. b - 1 (faces) of the workspace
+    work.
+
+    Those faces read the block columns a .. b + 2, so the window's view
+    of the cell block is the cell block of a (b - a - 1)-cell grid, and
+    each kernel is bound on it by its _*_work function as on a whole
+    grid's; its results go to the columns a .. b - 1 of work's fluxes
+    (fluxes: central, diss, visc and net).  The window's records take
+    their blocks from records and its kernels their temporaries from
+    scratch, which every window shares.  The cell-pair record (cell_means:
+    first order, the scalar stencil, the viscous flux) and the face record
+    (means: at order 2 the reconstructed faces', else cell_means) are
+    refilled by the window's stage.  ends flags whether the window holds
+    the grid's first face and its last, where the JST end rule acts.
+    """
+
+    def __init__(self, work, a, b, recon, diss, viscous, records, scratch):
+        faces = b - a
+        block = work.block[:, a:b + 3]
+        self.rows = rows = block[::2]
+        self.beta = block[1]
+        self.faces = slice(a, b)
+        self.ends = (a == 0, b == work.net.shape[1])
+        self.fluxes = tuple(f[:, a:b] for f in (work.central, work.diss,
+                                               work.visc, work.net))
+        central, d_flux, g_flux, _ = self.fluxes
+        # face k of the window sits between its cells k+1 and k+2.  These
+        # cell pairs are the face pairs at first order and, at any order,
+        # the pairs that the scalar stencil and the viscous flux difference.
+        self.cell_pairs = self.cell_means = None
+        if recon.order == 1 or diss.kind == "scalar" or viscous:
+            self.cell_means = FaceMeans._held(
+                (faces,), rows, (..., slice(1, faces + 1)),
+                (..., slice(2, faces + 2)), records)
+            # the (2, 5, faces) cell pairs as one view of the block, whose
+            # side k starts at column a + k + 1
+            col, row = work.block.strides[1], work.block.strides[0]
+            self.cell_pairs = np.ndarray((2, 5, faces), float, work.block,
+                                         (a + 1) * col, (col, row, col))
+        self.means = self.cell_means
+        if recon.order == 2:
+            self.means = FaceMeans._held((faces,), blocks=records)
+            # rows rho, u and p of both sides, which reconstruct_face fills
+            self.face_sides = self.means.pairs[:, ::2]
+        # each kernel takes its temporaries from the start of scratch
+        self.fields = _fields_work(block, scratch.rewind())
+        self.means._take(scratch.rewind())
+        if self.cell_means not in (None, self.means):
+            self.cell_means._take(scratch.rewind())
+        if recon.order == 2:
+            self.recon = _recon_work(rows, recon, self.face_sides,
+                                     scratch.rewind())
+        self.central_work = _central_work(self.means, scratch.rewind(),
+                                          central)
+        if diss.kind == "matrix":
+            self.diss_work = _matrix_work(self.means, diss, scratch.rewind(),
+                                          d_flux)
+        elif diss.kind == "scalar":
+            self.diss_work = _jst_work(rows, self.cell_means,
+                                       scratch.rewind(), d_flux)
+        if viscous:
+            self.visc_work = _visc_work(self.cell_means, scratch.rewind(),
+                                        g_flux)
 
 
 def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
@@ -412,43 +454,42 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
         raise InvalidStateError(
             f"invalid state in cell {idx}: rho={inner[0, idx]:.6g}, "
             f"p={inner[2, idx]:.6g}")
-    rows = work.rows
-    apply_boundary(rows, bcs, work.ghosts)
+    apply_boundary(work.rows, bcs, work.ghosts)
 
-    pairs = work.cell_means
-    if pairs is not None:
-        # beta and u^2 once per cell, on the block, then the cell pairs
-        _form_fields(work.fields)
-        pairs.pairs[...] = work.cell_pairs
-        pairs._refill(False)
-    means = work.means
-    if recon.order == 2:
-        reconstruct_face(rows, recon, work.recon)
-        means._refill(True)
-    central = CENTRAL_FLUXES[flux_kind](means, gas, work.central_work)
+    # the boundary faces of a scalar stencil reuse the nearest interior
+    # sensor, in the windows that hold them
+    end_rule = not bcs.is_periodic
+    for win in work.windows:
+        pairs = win.cell_means
+        if pairs is not None:
+            # beta and u^2 once per cell, on the block, then the cell pairs
+            _form_fields(win.fields)
+            pairs.pairs[...] = win.cell_pairs
+            pairs._refill(False)
+        means = win.means
+        if recon.order == 2:
+            reconstruct_face(win.rows, recon, win.recon)
+            means._refill(True)
+        central, d_flux, g_flux, net = win.fluxes
+        CENTRAL_FLUXES[flux_kind](means, gas, win.central_work)
+        if diss.kind == "matrix":
+            matrix_dissipation(means, gas, diss, flux_kind, win.diss_work)
+        elif diss.kind == "scalar":
+            # the stencil differences the cells, whose pairs are the face
+            # pairs only without reconstruction; the cell block's row 1
+            # holds beta
+            jst_dissipation(win.rows, pairs, gas, diss,
+                            win.ends if end_rule else (False, False),
+                            win.beta, win.diss_work)
+        if viscous:
+            viscous_face_flux(pairs, gas, grid._dx, win.visc_work)
+        # net = F - G.  An inviscid G is zero and x - 0 is x, so it is not
+        # subtracted.
+        np.add(central, d_flux, net)
+        if viscous:
+            np.subtract(net, g_flux, net)
 
-    if diss.kind == "matrix":
-        d_flux = matrix_dissipation(means, gas, diss, flux_kind,
-                                    work.diss_work)
-    elif diss.kind == "scalar":
-        # the stencil differences the cells, whose pairs are the face pairs
-        # only without reconstruction; boundary faces reuse the nearest
-        # interior sensor, and the cell block's row 1 holds beta
-        d_flux = jst_dissipation(rows, pairs, gas, diss, not bcs.is_periodic,
-                                 work.beta, work.diss_work)
-    else:
-        d_flux = work.diss
-    if viscous:
-        g_flux = viscous_face_flux(pairs, gas, grid._dx, work.visc_work)
-    else:
-        g_flux = work.visc
-
-    # net = F - G.  An inviscid G is zero and x - 0 is x, so it is not
-    # subtracted.
     net = work.net
-    np.add(central, d_flux, net)
-    if viscous:
-        np.subtract(net, g_flux, net)
     if bcs.right.kind == "shock_outflow":
         # boundary-flux step: the last face carries the prescribed mass
         # flux and, in momentum and energy, the net flux of the face before
@@ -458,6 +499,6 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
     # -(net[1:] - net[:-1]) / dx: x / -dx is -(x / dx) bitwise
     rhs = np.subtract(work.net_hi, work.net_lo, work.rhs)
     rhs /= grid._neg_dx
-    faces = FaceData(central, d_flux, g_flux, net, work.left, work.right,
-                     gas, bcs.is_periodic)
+    faces = FaceData(work.central, work.diss, work.visc, net, work.left,
+                     work.right, gas, bcs.is_periodic)
     return rhs, faces

@@ -307,20 +307,22 @@ class FaceMeans:
     call on the contiguous (rho, beta) halves.
 
     The stage's workspace (spatial._StageWork) holds its records through
-    a march: it writes new pairs into the same block every stage and
-    refills the record (_refill), so every array a record hands out is
-    overwritten by the next stage.  A held record writes its log means
-    into a block of its own, and the workspace's scratch holds the
-    temporaries of its refill and its log means (_take).  A kernel reads
-    a quantity of the left and the right sides from one evaluation on the
-    record's cells (_side_views): a cell-pair record's cells are the cell
-    rows, so a cell quantity is evaluated once per cell.
+    a march, one set per stage window: it writes new pairs into the same
+    block every stage and refills the record (_refill), so every array a
+    record hands out is overwritten by the next stage.  A held record
+    writes its log means into a block of its own; the blocks of the
+    records of all windows lie in one buffer, and the workspace's scratch
+    holds the temporaries of a refill and of the log means (_take).  A
+    kernel reads a quantity of the left and the right sides from one
+    evaluation on the record's cells (_side_views): a cell-pair record's
+    cells are the cell rows, so a cell quantity is evaluated once per
+    cell.
     """
 
     def __init__(self, left, right):
         shape = np.broadcast_shapes(*(np.shape(f) for q in (left, right)
                                       for f in q))
-        self._blocks(shape)
+        self._blocks(shape, _Scratch())
         for side, state in zip(self.pairs, (left, right)):
             for k, f in zip((0, 2, 4), state):
                 side[k] = f
@@ -332,21 +334,23 @@ class FaceMeans:
         self._bind()
 
     @classmethod
-    def _held(cls, shape, cells=None, lo=None, hi=None):
-        """A record of new pair, bar and log-mean blocks with one or more
-        axes of pairs (shape), which its holder fills before each _refill
-        and whose temporaries it binds (_take); cells, lo and hi as in
-        _bind."""
+    def _held(cls, shape, cells=None, lo=None, hi=None, blocks=None):
+        """A record of pair, bar and log-mean blocks with one or more axes
+        of pairs (shape), which its holder fills before each _refill and
+        whose temporaries it binds (_take); the blocks are taken from
+        blocks, a _Scratch, and are new arrays without it; cells, lo and
+        hi as in _bind."""
         self = cls.__new__(cls)
-        self._blocks(shape)
-        self._ln = ln = np.empty((2,) + shape)
+        blocks = blocks or _Scratch()
+        self._blocks(shape, blocks)
+        self._ln = ln = blocks.take(2, *shape)
         self._ln_rows = ln[0], ln[1]
         self._bind(cells, lo, hi)
         return self
 
-    def _blocks(self, shape):
-        self.pairs = pairs = np.empty((2, 5) + shape)
-        self._bar = np.empty((5,) + shape)
+    def _blocks(self, shape, blocks):
+        self.pairs = pairs = blocks.take(2, 5, *shape)
+        self._bar = blocks.take(5, *shape)
         # the two sides, and the contiguous (rho, beta) halves of both
         self._sides = pairs[0], pairs[1]
         self._ln_sides = pairs[0, :2], pairs[1, :2]

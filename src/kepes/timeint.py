@@ -69,7 +69,8 @@ def _stage(k: int, rhs_operator, u):
         raise StageError(k, exc) from exc
 
 
-def ssp_rk3_step(state, dt: float, rhs_operator, first: list | None = None):
+def ssp_rk3_step(state, dt: float, rhs_operator, first: list | None = None,
+                 bufs=None):
     """Three-stage third-order SSP Runge-Kutta step (Shu-Osher form).
 
     u1 = u + dt L(u); u2 = 3/4 u + 1/4 (u1 + dt L(u1));
@@ -78,31 +79,46 @@ def ssp_rk3_step(state, dt: float, rhs_operator, first: list | None = None):
     rows rho, m, E, and rhs_operator maps it to an array of its shape.
     first, when given, is a one-element list holding L(state): stage 1
     pops it in place of evaluating it, so no reference to it outlives
-    stage 1 (an argument would live through the whole call).
+    stage 1 (an argument would live through the whole call).  bufs, when
+    given, is two arrays of state's shape that the step writes dt L, u1
+    and u2 into (the march holds them); u3 is a new array, the only
+    array of state's size that a step with bufs allocates.
     """
-    # w holds u1, then u2, so u1 is freed before stage 3 runs; the state
-    # term of a combination is added last (a + b == b + a in floating
-    # point), so no copy of it is held through a stage.  dt is a 0-d
-    # array, as are the weights: same bits, cheaper ufunc calls.
+    # a holds u1, then u2, and b dt L and the sums: each weighted sum is
+    # formed in the order of the expression above.  dt is a 0-d array, as
+    # are the weights: same bits, cheaper ufunc calls.
+    if bufs is None:
+        bufs = np.empty(np.shape(state)), np.empty(np.shape(state))
+    a, b = bufs
     dt = np.array(dt, dtype=float)
-    w = state + dt * (first.pop() if first else _stage(1, rhs_operator,
-                                                        state))
-    w = (_QUARTER * (w + dt * _stage(2, rhs_operator, w))
-         + _THREE_QUARTERS * state)
-    return (_TWO_THIRDS * (w + dt * _stage(3, rhs_operator, w))
-            + _THIRD * state)
+    np.multiply(dt, first.pop() if first else _stage(1, rhs_operator, state),
+                a)
+    np.add(state, a, a)
+    np.multiply(dt, _stage(2, rhs_operator, a), b)
+    np.add(a, b, b)
+    np.multiply(_QUARTER, b, b)
+    np.multiply(_THREE_QUARTERS, state, a)
+    np.add(b, a, a)
+    np.multiply(dt, _stage(3, rhs_operator, a), b)
+    np.add(a, b, b)
+    np.multiply(_TWO_THIRDS, b, b)
+    u3 = np.multiply(_THIRD, state)
+    return np.add(b, u3, u3)
 
 
-def compute_dt(prim, grid: Grid1D, gas: GasModel, cfl: float) -> float:
+def compute_dt(prim, grid: Grid1D, gas: GasModel, cfl: float,
+               rows=None) -> float:
     """CFL step dt = cfl dx / max(|u| + a), with an additional parabolic
     bound cfl dx^2 rho_min / (2 (4/3) mu_max) when viscosity is active.
     prim is the (rho, u, p) rows of the cells: a (3, n) array, such as the
-    rows the stage formed (FaceData.cells), or a triple of rows."""
+    rows the stage formed (FaceData.cells), or a triple of rows.  rows,
+    when given, is two rows of n that take the temporaries."""
     rho, u, _ = prim
-    speed = (np.abs(u) + sound_speed(prim, gas)).max()
+    a, t = (None, None) if rows is None else rows
+    speed = np.add(np.abs(u, t), sound_speed(prim, gas, a), t).max()
     dt = cfl * grid.dx / speed
     if gas.is_viscous:
-        mu_max = np.max(gas.viscosity(temperature(prim, gas)))
+        mu_max = np.max(gas.viscosity(temperature(prim, gas, a), a))
         if mu_max > 0.0:
             dt_visc = (cfl * grid.dx ** 2 * np.min(rho)
                        / (2.0 * (4.0 / 3.0) * mu_max))
@@ -153,7 +169,9 @@ def march(config, w0: np.ndarray):
 
     Every evaluation refills one held stage workspace (spatial._StageWork:
     the cell block, the face-pair records, the fluxes, rhs and every
-    temporary), so a stage allocates nothing the size of a face row.
+    temporary), so a stage allocates nothing the size of a face row, and
+    every step writes its RK combinations and compute_dt's temporaries
+    into two held (3, n) buffers, so it allocates the new state alone.
     ssp_rk3_step reads each stage's rhs before it asks for the next.  The
     march drops the workspace before it yields a state with mark or
     reason set, and the next evaluation builds a new one: no later stage
@@ -182,6 +200,10 @@ def march(config, w0: np.ndarray):
     interval = config.snapshot_interval
     next_mark = interval if interval else None
     state = MarchState(0, 0.0, w0)
+    # the RK buffers, whose first two rows also take compute_dt's
+    # temporaries: both are free before a step
+    bufs = np.empty(np.shape(w0)), np.empty(np.shape(w0))
+    dt_rows = bufs[0][0], bufs[0][1]
     # state.w is the only reference the march keeps: a parameter of a
     # generator would hold the initial state through the whole march
     del w0
@@ -207,11 +229,13 @@ def march(config, w0: np.ndarray):
             if state.reason is not None:
                 return
 
-            dt = min(compute_dt(state.faces.cells, grid, gas, spec.cfl),
+            dt = min(compute_dt(state.faces.cells, grid, gas, spec.cfl,
+                                dt_rows),
                      spec.t_final - state.t)
             first = [state.rhs]
             state.rhs = state.faces = state.residual = None
-            state.w = ssp_rk3_step(state.w, dt, rhs_op, first)
+            # the new state is a new array: a yielded w never aliases bufs
+            state.w = ssp_rk3_step(state.w, dt, rhs_op, first, bufs)
             state.t += dt
             state.step += 1
             state.mark = next_mark is not None and state.t + tiny >= next_mark

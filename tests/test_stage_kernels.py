@@ -6,7 +6,8 @@ flux, dissipation, order and boundary set, on random and near-degenerate
 states.  One held stage workspace, refilled by a sequence of such states,
 gives bitwise the results of calls that build their own, returns
 results that share no memory, and allocates nothing the size of a face
-row."""
+row.  A grid of several stage windows gives bitwise the results of a
+workspace that runs all its faces as one window."""
 
 import itertools
 import tracemalloc
@@ -15,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kepes import spatial
 from kepes.config import initial_state
 from kepes.dissipation import (
     MATRIX_LAWS,
@@ -26,6 +28,7 @@ from kepes.fluxes import CENTRAL_FLUXES
 from kepes.presets import preset
 from kepes.reconstruction import ReconSpec, reconstruct_face
 from kepes.spatial import (
+    WINDOW,
     BoundaryCondition,
     BoundarySpec,
     Grid1D,
@@ -201,9 +204,11 @@ def test_held_workspace_equals_one_shot(flux_kind, bc):
 
 
 def log_means(work):
-    """The log means of each record of the workspace, formed on this read
-    where the stage did not form them."""
-    records = {id(r): r for r in (work.cell_means, work.means)
+    """The log means of each record of the workspace's last window, which
+    holds the last pairs the stage formed, formed on this read where the
+    stage did not form them."""
+    window = work.windows[-1]
+    records = {id(r): r for r in (window.cell_means, window.means)
                if r is not None}
     return [(f"record {k} {name}", getattr(record, name))
             for k, record in enumerate(records.values())
@@ -241,6 +246,101 @@ def test_held_results_share_no_memory(flux_kind, bc):
                     assert np.array_equal(bits(a), want), f"{case}: {name}"
 
 
+# -- several windows against one ----------------------------------------------
+
+# three balanced windows each: of 5,462 faces, and of 8,191, 8,192 and
+# 8,192 faces
+MULTI_N = (2 * WINDOW + 1, 3 * WINDOW - 2)
+
+
+def single_window(n, recon, diss, viscous, monkeypatch):
+    """A workspace of n cells that runs all its faces as one window."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spatial, "WINDOW", n + 1)
+        work = _StageWork(n, recon, diss, viscous)
+    assert len(work.windows) == 1
+    return work
+
+
+# the boundary sets, and fixed states on both sides whose pressures make
+# the outer sensors of both ends exceed the inner ones (window_edge_state)
+MULTI_BOUNDARIES = {**BOUNDARIES, "fixed_state": BoundarySpec(
+    BoundaryCondition("fixed_state", state=PrimState(0.8, 0.1, 0.9)),
+    BoundaryCondition("fixed_state", state=PrimState(1.2, -0.1, 0.5)))}
+
+
+def window_edge_state(rng, n, edges):
+    """A random state with, about each window edge (the first face a of a
+    window), the rho of the cells a - 3 .. a + 1 set to 10, 0.1, 0.1, 0.1,
+    10: unlimited slopes then drive the left state of face a - 1 and the
+    right state of face a negative, so the reconstruction falls back to
+    first order on both sides of the edge.  The p of cell a - 1 is 3, so
+    the JST sensor of the last cell of one window and of the first of the
+    next exceeds that of its inner neighbour, as do the outer sensors of
+    both grid ends beside the fixed states.  Runs of equal cells take
+    log_mean's series branch past the edges."""
+    rho = 1.0 + 0.2 * rng.uniform(-1, 1, n)
+    p = 1.0 + 0.2 * rng.uniform(-1, 1, n)
+    u = rng.uniform(-0.5, 0.5, n)
+    for a in edges:
+        rho[a - 3:a + 2] = (10.0, 0.1, 0.1, 0.1, 10.0)
+        p[a - 1] = 3.0
+        for f in (rho, p):
+            f[a + 4:a + 12] = f[a + 3]
+        # the unlimited half slope of a cell is (q_{j+1} - q_{j-1}) / 4
+        assert rho[a - 2] + (rho[a - 1] - rho[a - 3]) / 4 < 0
+        assert rho[a] - (rho[a + 1] - rho[a - 1]) / 4 < 0
+    p[:2] = p[-2:] = 1.0
+    return PrimState(rho, u, p)
+
+
+@pytest.mark.parametrize("n", MULTI_N)
+def test_windows_equal_one_window(n, monkeypatch):
+    # every dissipation with every reconstruction and boundary set, the
+    # central flux and the gas (inviscid, constant and power-law viscosity)
+    # cycled: the windowed stage is bitwise the one-window stage, the JST
+    # end rule and the positivity fallback at window edges included
+    grid = Grid1D(n, 0.0, 1.0)
+    rng = np.random.default_rng(n)
+    fluxes = itertools.cycle(sorted(CENTRAL_FLUXES))
+    gases = itertools.cycle(GASES)
+    for diss, recon in itertools.product(DISSIPATIONS, RECON_ALL):
+        gas = next(gases)
+        work = _StageWork(n, recon, diss, gas.is_viscous)
+        one = single_window(n, recon, diss, gas.is_viscous, monkeypatch)
+        assert len(work.windows) == 3
+        edges = [win.faces.start for win in work.windows[1:]]
+        cells = prim_to_cons(window_edge_state(rng, n, edges), gas)
+        for bc in sorted(MULTI_BOUNDARIES):
+            flux_kind = next(fluxes)
+            case = (f"{flux_kind}/{bc}/{gas.viscosity_law.kind}/"
+                    f"{diss.kind}/{diss.matrix_law}/{recon.order}/"
+                    f"{recon.limiter}")
+            args = (cells, grid, gas, flux_kind, diss, recon,
+                    MULTI_BOUNDARIES[bc])
+            rhs, faces = assemble_rhs(*args, work)
+            want_rhs, want = assemble_rhs(*args, one)
+            assert np.array_equal(bits(rhs), bits(want_rhs)), f"{case} rhs"
+            for name in ("central", "diss", "visc", "net", "cells"):
+                assert np.array_equal(bits(getattr(faces, name)),
+                                      bits(getattr(want, name))), \
+                    f"{case} {name}"
+
+
+def test_invalid_cell_in_last_window_reported_by_global_index():
+    n = MULTI_N[0]
+    config = replace(preset("sod"), grid=Grid1D(n))
+    prim = cons_to_prim(initial_state(config), config.gas)
+    bad = n - 3
+    prim = PrimState(prim.rho, prim.u,
+                     np.where(np.arange(n) == bad, -1.0, prim.p))
+    work = _StageWork(n, config.recon, config.diss, False)
+    with pytest.raises(InvalidStateError, match=f"in cell {bad}: "):
+        assemble_rhs(prim_to_cons(prim, config.gas), config.grid,
+                     config.gas, config.flux_kind, config.diss,
+                     config.recon, config.bcs, work)
+
+
 # -- what a held stage allocates ------------------------------------------------
 
 HELD_N = 10_000
@@ -259,21 +359,38 @@ HELD_CONFIGS = {
 
 @pytest.mark.parametrize("name", sorted(HELD_CONFIGS))
 def test_held_stage_allocates_no_face_row(name):
-    # after one warm call, a held stage writes into its workspace alone:
-    # its traced peak stays below one face row of float64
-    config = HELD_CONFIGS[name]
-    config = replace(config, grid=replace(config.grid, n_cells=HELD_N))
-    w = initial_state(config)
-    w = w * (1.0 + 1e-3 * np.random.default_rng(3).uniform(-1, 1, w.shape))
-    work = _StageWork(HELD_N, config.recon, config.diss,
-                      config.gas.is_viscous)
-    args = (w, config.grid, config.gas, config.flux_kind, config.diss,
-            config.recon, config.bcs, work)
-    assemble_rhs(*args)
-    tracemalloc.start()
-    try:
+    # after one warm call, a held stage of several windows writes into its
+    # workspace alone: its traced peak stays below one face row of float64
+    for n in (HELD_N,) + MULTI_N:
+        config = HELD_CONFIGS[name]
+        config = replace(config, grid=replace(config.grid, n_cells=n))
+        w = initial_state(config)
+        r = np.random.default_rng(3).uniform(-1, 1, w.shape)
+        w = w * (1.0 + 1e-3 * r)
+        work = _StageWork(n, config.recon, config.diss,
+                          config.gas.is_viscous)
+        assert len(work.windows) > 1
+        args = (w, config.grid, config.gas, config.flux_kind, config.diss,
+                config.recon, config.bcs, work)
         assemble_rhs(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * (HELD_N + 1), peak
+        tracemalloc.start()
+        try:
+            assemble_rhs(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (n + 1), (n, peak)
+
+
+@pytest.mark.parametrize("name", sorted(HELD_CONFIGS))
+def test_workspace_size_stops_growing_at_one_window(name):
+    # the record and scratch buffers of a grid of several windows are
+    # sized for one window of WINDOW faces, whatever n
+    config = HELD_CONFIGS[name]
+
+    def size(n):
+        return _StageWork(n, config.recon, config.diss,
+                          config.gas.is_viscous).size
+
+    assert size(2 * WINDOW) == size(100_000) == size(WINDOW - 1)
+    assert all(a < b for a, b in zip(size(WINDOW // 2), size(WINDOW - 1)))

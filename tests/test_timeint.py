@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from kepes.dissipation import DissipationSpec
 from kepes.presets import preset
 from kepes.reconstruction import ReconSpec
-from kepes.spatial import BoundaryCondition, BoundarySpec, Grid1D
+from kepes.spatial import (BoundaryCondition, BoundarySpec, Grid1D,
+                           _StageWork, assemble_rhs)
 from kepes.thermo import GasModel, PrimState, ViscosityLaw, prim_to_cons
 from kepes.timeint import (StageError, TimeSpec, compute_dt, march,
                            ssp_rk3_step)
@@ -87,6 +89,75 @@ class TestSspRk3Step:
             ssp_rk3_step(state, 0.1, op)
 
 
+def rk3_expression(state, dt, op):
+    """ssp_rk3_step's combinations in the expression form they had before
+    the step wrote into held buffers: the bitwise reference."""
+    w = state + dt * op(state)
+    w = 0.25 * (w + dt * op(w)) + 0.75 * state
+    return 2.0 / 3.0 * (w + dt * op(w)) + 1.0 / 3.0 * state
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestHeldRk3Step:
+    def test_bitwise_equal_to_expression_form(self):
+        # a nonlinear operator on random states over a wide range of
+        # magnitudes, with and without held buffers and a popped L(u)
+        rng = np.random.default_rng(11)
+
+        def op(w):
+            return np.sin(3.7 * w) * w[::-1]
+
+        for _ in range(20):
+            n = int(rng.integers(1, 300))
+            state = 10.0 ** rng.uniform(-8, 8, (3, n)) * rng.choice(
+                (-1.0, 1.0), (3, n))
+            dt = float(10.0 ** rng.uniform(-6, 0))
+            want = rk3_expression(state, dt, op)
+            bufs = np.empty((3, n)), np.empty((3, n))
+            for got in (ssp_rk3_step(state, dt, op),
+                        ssp_rk3_step(state, dt, op, [op(state)], bufs)):
+                assert np.array_equal(bits(got), bits(want))
+                assert not any(np.shares_memory(got, b) for b in bufs)
+
+    def test_held_step_allocates_one_state(self):
+        # a step of held stages with held buffers allocates the new state
+        # (3, n) and less than one face row more; compute_dt with two held
+        # rows less than one row
+        config = preset("sod")
+        n = 10_000
+        config = replace(config, grid=replace(config.grid, n_cells=n))
+        state = prim_to_cons(PrimState(
+            np.where(np.arange(n) < n // 2, 1.0, 0.125), np.zeros(n),
+            np.where(np.arange(n) < n // 2, 1.0, 0.1)), config.gas)
+        work = _StageWork(n, config.recon, config.diss, False)
+
+        def op(w):
+            return assemble_rhs(w, config.grid, config.gas,
+                                config.flux_kind, config.diss, config.recon,
+                                config.bcs, work)[0]
+
+        bufs = np.empty((3, n)), np.empty((3, n))
+        # a warm step; then the (rho, u, p) rows the stage formed of state
+        ssp_rk3_step(state, 1e-4, op, [op(state)], bufs)
+        first = [op(state)]
+        cells = work.inner
+        compute_dt(cells, config.grid, config.gas, 0.4, bufs[0][:2])
+        tracemalloc.start()
+        try:
+            ssp_rk3_step(state, 1e-4, op, first, bufs)
+            step = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            compute_dt(cells, config.grid, config.gas, 0.4, bufs[0][:2])
+            dt = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert step < 24 * n + 8 * (n + 1), step
+        assert dt < 8 * n, dt
+
+
 class TestComputeDt:
     def test_uniform_state_value(self, gas):
         grid = Grid1D(100, 0.0, 1.0)
@@ -115,6 +186,19 @@ class TestComputeDt:
         dt = compute_dt(rows(prim), grid, gas, 0.4)
         dt_visc = 0.4 * 0.001 ** 2 * 1.0 / (2 * (4 / 3) * 0.05)
         assert np.isclose(dt, dt_visc, rtol=1e-14)
+
+    @pytest.mark.parametrize("law", [ViscosityLaw(), ViscosityLaw(
+        "constant", 0.05), ViscosityLaw("power", 0.05, 1.2, 0.8)])
+    def test_held_rows_give_the_same_dt(self, law):
+        gas = GasModel(viscosity_law=law)
+        rng = np.random.default_rng(2)
+        prim = PrimState(10.0 ** rng.uniform(-2, 2, 500),
+                         rng.uniform(-3, 3, 500),
+                         10.0 ** rng.uniform(-2, 2, 500))
+        held = np.empty((2, 500))
+        for grid in (Grid1D(500), Grid1D(500, 0.0, 1e-3)):
+            dt = compute_dt(rows(prim), grid, gas, 0.4)
+            assert compute_dt(rows(prim), grid, gas, 0.4, held) == dt
 
 
 class TestConservationOverRun:
