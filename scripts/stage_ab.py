@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """A/B timing of one RHS stage (spatial.assemble_rhs), the CFL step
-(timeint.compute_dt) and one SSP-RK3 combination (timeint.ssp_rk3_step)
-of two source trees:
+(timeint.compute_dt), one SSP-RK3 combination (timeint.ssp_rk3_step) and
+one budget sample (diagnostics.budget_report) of two source trees:
 
     python scripts/stage_ab.py OLD_SRC NEW_SRC [--rounds 25] [--seed 0]
 
@@ -13,18 +13,21 @@ call, which builds a workspace of its own, is timed beside it.  compute_dt
 is timed on the config's (rho, u, p) rows, and ssp_rk3_step on its
 conserved state with a stub operator that returns the stage's rhs, so a
 step times the three combinations alone; each takes the held rows or
-buffers that its tree's march passes, where it takes them.  Per config
-the two trees' rhs must be np.array_equal, the budget rows their face
-records give (diagnostics.budget_report, csv_row) equal, which holds for
-trees whose budget_report takes no prim, a held call's rhs equal to its
-tree's one-shot rhs, and the two trees' dt and stepped states equal;
-then each round times a batch of calls per call kind, alternating which
-goes first, and for each of rhs, dt and rk3 the medians and quartiles in
-us per call, old/new of the medians and the rounds the new tree won are
-printed, with the median of each tree's one-shot rhs.  The data are the
-config's initial state perturbed by a seeded relative 1e-3.  The trees
-share one heap, so at 10^4 cells one tree's page faults depend on the
-other's allocations: time large grids in separate processes as well.
+buffers that its tree's march passes, where it takes them.
+budget_report is timed on its tree's stage result, each call on a new
+FaceData of the same arrays (dataclasses.replace), so that no call reads
+a face field cached by an earlier one.  Per config the two trees' rhs
+must be np.array_equal, the budget rows their face records give
+(diagnostics.budget_report, csv_row) equal, which holds for trees whose
+budget_report takes no prim, a held call's rhs equal to its tree's
+one-shot rhs, and the two trees' dt and stepped states equal; then each
+round times a batch of calls per call kind, alternating which goes
+first, and for each of rhs, dt, rk3 and budget the medians and quartiles
+in us per call, old/new of the medians and the rounds the new tree won
+are printed, with the median of each tree's one-shot rhs.  The data are
+the config's initial state perturbed by a seeded relative 1e-3.  The
+trees share one heap, so at 10^4 cells one tree's page faults depend on
+the other's allocations: time large grids in separate processes as well.
 """
 
 import argparse
@@ -43,7 +46,7 @@ CONFIGS = ([("stationary_shock_m4", 24, law)
            + [(name, n, None) for name in ("sod", "ns_shock_structure_n200_d4")
               for n in (200, 10_000)])
 # the timed call kinds of each config, in printed order
-KINDS = ("rhs", "dt", "rk3")
+KINDS = ("rhs", "dt", "rk3", "budget")
 BATCH_S = 0.02
 
 
@@ -62,7 +65,7 @@ def load(src, name):
 def stage(tree, name, n, law, seed):
     """The tree's calls on the config and its data: assemble_rhs as a
     one-shot call and as a call that refills one held workspace (None if
-    the tree's assemble_rhs takes none), the budget row of a result,
+    the tree's assemble_rhs takes none), the budget sample of a result,
     compute_dt, and ssp_rk3_step with a stub operator that returns rhs
     (the timed step's dt and rhs are given later)."""
     cfg = tree["presets"].preset(name)
@@ -84,7 +87,7 @@ def stage(tree, name, n, law, seed):
         work = spatial._StageWork(n, cfg.recon, cfg.diss, cfg.gas.is_viscous)
         held = (lambda: spatial.assemble_rhs(*args, work))
     budget = (lambda rhs, faces: tree["diagnostics"].budget_report(
-        0.0, rhs, faces, cfg.grid, cfg.gas).csv_row())
+        0.0, rhs, faces, cfg.grid, cfg.gas))
     rows = np.array(q)
     dt_held = rk3_held = ()
     if "rows" in inspect.signature(timeint.compute_dt).parameters:
@@ -153,7 +156,8 @@ def main(argv=None):
         if not np.array_equal(out[0][0], out[1][0]):
             sys.exit(f"{case}: rhs differ")
         # a held result is read before its workspace is refilled
-        if stages[0][2](*out[0]) != stages[1][2](*out[1]):
+        if (stages[0][2](*out[0]).csv_row()
+                != stages[1][2](*out[1]).csv_row()):
             sys.exit(f"{case}: budget differ")
         for shot, held, *_ in stages:
             if held and not np.array_equal(held()[0], shot()[0]):
@@ -166,7 +170,12 @@ def main(argv=None):
         steps = [(lambda rk3=rk3: rk3(dt, rhs)) for *_, rk3 in stages]
         if not np.array_equal(steps[0](), steps[1]()):
             sys.exit(f"{case}: rk3 differ")
-        for kind, pair in zip(KINDS, (calls, [s[3] for s in stages], steps)):
+        # each tree samples its own stage result, on a new FaceData per call
+        samples = [(lambda budget=budget, rhs=rhs, faces=faces: budget(
+            rhs, replace(faces))) for (_, _, budget, *_), (rhs, faces)
+            in zip(stages, [call() for call in calls])]
+        for kind, pair in zip(KINDS, (calls, [s[3] for s in stages], steps,
+                                      samples)):
             # each tree's march call and, for rhs, the one-shot call of a
             # tree whose march call is held
             timed = {(side, "march"): call for side, call in enumerate(pair)}

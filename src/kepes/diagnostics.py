@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .spatial import FaceData, Grid1D
-from .thermo import GasModel, entropy_pair, entropy_vars
+from .thermo import GasModel, entropy_vars, physical_entropy
 
 __all__ = [
     "BudgetReport",
@@ -81,25 +81,34 @@ def budget_report(time: float, rhs, faces: FaceData, grid: Grid1D,
     dv . d_diss = -(1/2) dv^T Q dv, which is never positive.
     """
     n, dx = grid.n_cells, grid.dx
-    prim = faces.cells
-    rho, u = prim[0], prim[1]
-    # face- and cell-major contiguous copies: a sum adds pairwise in memory
+    rho, u = faces.cells[0], faces.cells[1]
+    # face- and cell-major contiguous arrays: a sum adds pairwise in memory
     # order, so the layout fixes the rounding of every sum below.  One
-    # entropy-variable pass over the n + 2 cells behind the faces gives the
-    # cells' v (columns 1 .. n) and, as FaceData.dv, the face jumps dv.
-    # The boundary net fluxes are the stage's, at the first and last face.
-    ev = entropy_vars(np.concatenate((faces.left[:, :1], faces.right),
-                                     axis=1), gas)
-    rhs_cells = np.stack(rhs, axis=-1)
-    v = np.ascontiguousarray(ev[:, 1:-1].T)
-    sl = slice(0, n) if faces.periodic else slice(1, n)
-    du, ub = faces.du[sl], faces.u_bar[sl]
-    dv = np.ascontiguousarray((ev[:, 1:] - ev[:, :-1]).T)[sl]
-    del ev  # freed before the face copies: held, it raises the memory peak
-    dpsi = faces.dpsi[sl]
-    central, diss, visc = (np.ascontiguousarray(f.T)[sl]
-                           for f in (faces.central, faces.diss, faces.visc))
+    # entropy-variable pass over the n + 2 cells behind the faces, written
+    # face-major, gives the cells' v (rows 1 .. n) and, as FaceData.dv,
+    # the face jumps dv; its s gives the cells' entropy.  The boundary net
+    # fluxes are the stage's, at the first and last face.  Each array is
+    # freed once read, which keeps the sample's memory peak low.
+    s = physical_entropy(faces.sides, gas)
+    ev = np.empty((n + 2, 3))
+    entropy_vars(faces.sides, gas, ev.T, s)
+    v = ev[1:-1]
+    total_entropy = float((-rho * s[1:-1] / (gas.gamma - 1.0)).sum() * dx)
+    del s
     first, last = faces.net[:, [0, -1]].T
+    rhs_cells = np.stack(rhs, axis=-1)
+    cons_err = rhs_cells.sum(axis=0) * dx - (first - last)
+    du_dt = float(np.multiply(v, rhs_cells, rhs_cells).sum() * dx)
+    del rhs_cells
+    sl = slice(0, n) if faces.periodic else slice(1, n)
+    du, ub, dpsi = faces.du[sl], faces.u_bar[sl], faces.dpsi[sl]
+    dv = (ev[1:] - ev[:-1])[sl]
+
+    def dv_times(flux):
+        # the face-major product of dv and one flux, whose copy is freed
+        # before the next flux is copied
+        f = np.ascontiguousarray(flux[:, sl].T)
+        return np.multiply(dv, f, f)
 
     ke_boundary = 0.0
     entropy_boundary = float(dpsi.sum())
@@ -108,23 +117,23 @@ def budget_report(time: float, rhs, faces: FaceData, grid: Grid1D,
         phi_last = np.array([-0.5 * u[-1] ** 2, u[-1], 0.0])
         ke_boundary = float(phi_first @ first - phi_last @ last)
         entropy_boundary += float(v[0] @ first - v[-1] @ last)
-    cons_err = rhs_cells.sum(axis=0) * dx - (first - last)
+    del ev, v
 
     return BudgetReport(
         time=time,
         total_ke=float((0.5 * rho * u ** 2).sum() * dx),
-        total_entropy=float(entropy_pair(prim, gas)[0].sum() * dx),
+        total_entropy=total_entropy,
         dke_dt=float((-0.5 * u ** 2 * rhs[0] + u * rhs[1]).sum() * dx),
         dke_dt_pressure_work=float((du * faces.p_tilde[sl]).sum()),
         dke_dt_numerical=float((du * (faces.diss[1, sl]
                                       - ub * faces.diss[0, sl])).sum()),
         dke_dt_viscous=float(-(du * faces.visc[1, sl]).sum()),
         dke_dt_boundary=ke_boundary,
-        du_dt=float((v * rhs_cells).sum() * dx),
-        du_dt_flux_residual=float(((dv * central).sum(axis=-1)
+        du_dt=du_dt,
+        du_dt_flux_residual=float((dv_times(faces.central).sum(axis=-1)
                                    - dpsi).sum()),
-        du_dt_numerical=float((dv * diss).sum()),
-        du_dt_viscous=float(-(dv * visc).sum()),
+        du_dt_numerical=float(dv_times(faces.diss).sum()),
+        du_dt_viscous=float(-dv_times(faces.visc).sum()),
         du_dt_boundary=entropy_boundary,
         mass_error=float(cons_err[0]),
         momentum_error=float(cons_err[1]),

@@ -19,8 +19,9 @@ the last one with the run (_SnapshotWriter); the bytes stay the same.
 run consumes timeint.march, which evaluates each marched state once.
 The snapshot and the budget sample of a state (the initial one, the first
 at or past each snapshot_interval mark, and the last) read that
-evaluation: its (rho, u, p) rows, rhs and FaceData, which the march
-drops before it steps on.  RunResult.reason says why the run stopped.
+evaluation: its (rho, u, p) rows, rhs and FaceData, which are valid
+until the run resumes the march.  RunResult.reason says why the run
+stopped.
 """
 
 from __future__ import annotations
@@ -361,7 +362,7 @@ def _run(config: ProblemConfig, output_dir: str, result: RunResult):
     budget_rows = []
 
     # the sample and the snapshot read the state's evaluation, which the
-    # march drops before it steps on: nothing here may keep a reference
+    # next stage overwrites: nothing here may keep a reference to it
     def sample_budget(state):
         budget_rows.append(budget_report(state.t, state.rhs, state.faces,
                                          grid, gas))

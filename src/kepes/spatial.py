@@ -150,29 +150,37 @@ class FaceData:
     and net is the stage's net flux F - G, the boundary-flux step of a
     shock_outflow face included.  Arrays have one entry per face
     (n_cells + 1; under periodic boundaries face n_cells duplicates face
-    0).  du, u_bar, dv and dpsi are built from the cell values adjacent to
-    each face, the stacked (rho, u, p) rows left and right, which is what
-    the summation-by-parts budget identities require.  They and p_tilde
-    are computed on first read, so marching never pays for them.  The
-    four fluxes, left and right are arrays of the stage's workspace: the
-    next stage on a held workspace overwrites them, so the march samples
-    a state only from a workspace that it then drops.
+    0).  sides is the stacked (rho, u, p) rows of the n + 2 cells behind
+    the faces, so face k lies between its columns k and k + 1, the views
+    left and right.  du, u_bar, dv and dpsi are built from those adjacent
+    cell values, which is what the summation-by-parts budget identities
+    require.  They and p_tilde are computed on first read, so marching
+    never pays for them.  The four fluxes and sides are arrays of the
+    stage's workspace, which the march holds: they are valid until the
+    caller resumes the march, whose next stage overwrites them.
     """
 
     central: np.ndarray
     diss: np.ndarray
     visc: np.ndarray
     net: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    sides: np.ndarray
     gas: GasModel
     periodic: bool
+
+    @property
+    def left(self) -> np.ndarray:
+        return self.sides[:, :-1]
+
+    @property
+    def right(self) -> np.ndarray:
+        return self.sides[:, 1:]
 
     @property
     def cells(self) -> np.ndarray:
         """The (rho, u, p) rows of the n cells, (3, n): a view of the rows
         the stage formed."""
-        return self.right[:, :-1]
+        return self.sides[:, 1:-1]
 
     @cached_property
     def u_bar(self) -> np.ndarray:
@@ -298,20 +306,18 @@ class _StageWork:
     log_mean's lie in the same room.  size is the pair of lengths of the
     record and the scratch buffers, those of a window of WINDOW faces
     (of all n + 1 on a smaller grid), so it is the same at every n past
-    WINDOW faces: the workspace learns it by a first binding unless it is
-    given, as the size of an earlier workspace of the same n, recon, diss
-    and viscous.
+    WINDOW faces: the workspace learns it by a first binding.
     """
 
     def __init__(self, n: int, recon: ReconSpec, diss: DissipationSpec,
-                 viscous: bool, size: tuple | None = None):
+                 viscous: bool):
         self.block = np.empty((5, n + 4))
         self.rows = rows = self.block[::2]
         self.ghosts = _ghost_views(rows)
         self.inner = inner = rows[:, 2:-2]
         self.rho_p = inner[::2]
         # face k sits between cells k+1 and k+2 of rows
-        self.left, self.right = rows[:, 1:n + 2], rows[:, 2:n + 3]
+        self.sides = rows[:, 1:n + 3]
         # each its own array: a caller that writes into one of the
         # returned fluxes must not change another
         self.central, self.diss, self.visc, self.net = (
@@ -333,14 +339,11 @@ class _StageWork:
         # strided or broadcast operand whose rows are shorter
         k = -(-(n + 1) // WINDOW)
         cuts = [i * (n + 1) // k for i in range(k + 1)]
-        if size is None:
-            # a window of min(n + 1, WINDOW) faces sets both lengths
-            sizing = _Scratch(0), _Scratch(0)
-            _Window(self, 0, min(n + 1, WINDOW), recon, diss, viscous,
-                    *sizing)
-            size = tuple(s.size for s in sizing)
-        self.size = size
-        records, scratch = map(_Scratch, size)
+        # a window of min(n + 1, WINDOW) faces sets both lengths
+        sizing = _Scratch(0), _Scratch(0)
+        _Window(self, 0, min(n + 1, WINDOW), recon, diss, viscous, *sizing)
+        self.size = tuple(s.size for s in sizing)
+        records, scratch = map(_Scratch, self.size)
         self.windows = [_Window(self, a, b, recon, diss, viscous,
                                 records.rewind(), scratch)
                         for a, b in zip(cuts[:-1], cuts[1:])]
@@ -499,6 +502,6 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
     # -(net[1:] - net[:-1]) / dx: x / -dx is -(x / dx) bitwise
     rhs = np.subtract(work.net_hi, work.net_lo, work.rhs)
     rhs /= grid._neg_dx
-    faces = FaceData(work.central, work.diss, work.visc, net, work.left,
-                     work.right, gas, bcs.is_periodic)
+    faces = FaceData(work.central, work.diss, work.visc, net, work.sides,
+                     gas, bcs.is_periodic)
     return rhs, faces

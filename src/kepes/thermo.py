@@ -261,15 +261,21 @@ def physical_entropy(q, gas: GasModel):
     return np.log(p) - gas.gamma * np.log(rho)
 
 
-def entropy_vars(q, gas: GasModel) -> np.ndarray:
+def entropy_vars(q, gas: GasModel, out=None, s=None) -> np.ndarray:
     """Stacked v = [(gamma - s)/(gamma - 1) - beta u^2, 2 beta u, -2 beta],
-    dual to (rho, m, E)."""
+    dual to (rho, m, E), written into the (3, ...) array out when given.
+    s, when given, is physical_entropy(q, gas)."""
     g = gas.gamma
     rho, u, p = q
-    s = physical_entropy(q, gas)
+    if s is None:
+        s = physical_entropy(q, gas)
+    if out is None:
+        out = np.empty((3,) + np.broadcast(rho, u, p).shape)
     beta = rho / (2.0 * p)
-    return _stacked((g - s) / (g - 1.0) - beta * u * u, 2.0 * beta * u,
-                    -2.0 * beta)
+    np.subtract((g - s) / (g - 1.0), beta * u * u, out[0, ...])
+    np.multiply(2.0 * beta, u, out[1, ...])
+    np.multiply(-2.0, beta, out[2, ...])
+    return out
 
 
 def prim_from_entropy_vars(v, gas: GasModel) -> PrimState:

@@ -5,8 +5,8 @@ evaluates every marched state once: one assemble_rhs call gives L(w^n)
 and its FaceData, and that evaluation feeds the CFL step (through the
 primitive rows the stage formed), the steady check, the caller's budget
 sample and snapshot, and stage 1 of the next SSP-RK3 step.  A run makes
-exactly 3 steps + 1 assemble_rhs calls, and they refill one held stage
-workspace until the march yields a sampled state.
+exactly 3 steps + 1 assemble_rhs calls, and they refill the one stage
+workspace of the march.
 """
 
 from __future__ import annotations
@@ -132,16 +132,16 @@ class MarchState:
     the initial evaluation and after every step.
 
     w is the conserved (3, n) state at time t after step steps; rhs = L(w)
-    and faces, its FaceData, come from one assemble_rhs call.  march sets
-    both to None before it steps on, so a caller reads them before it asks
-    for the next state and keeps no reference to them: once the march
-    resumes, the next stage overwrites rhs, the four fluxes of faces
-    (central, diss, visc and net) and its cells, which are arrays of the
-    held workspace, unless the state was sampled (mark or reason set).
-    mark is True on the initial state and on the first state at or past
-    each snapshot_interval mark; residual is max|rhs| where the steady
-    check read it.  reason is None until the last state, which names why the
-    march stopped: "t_final", "steady", "max_steps" or "invalid_state".
+    and faces, its FaceData, come from one assemble_rhs call.  They are
+    valid until the caller resumes the march: march sets both to None
+    before it steps on, and the next stage overwrites rhs, the four fluxes
+    of faces (central, diss, visc and net) and its cells, which are
+    arrays of the march's workspace.  No stage follows the last state, so
+    its rhs and faces stay valid.  mark is True on the initial state and
+    on the first state at or past each snapshot_interval mark; residual
+    is max|rhs| where the steady check read it.  reason is None until the
+    last state, which names why the march stopped: "t_final", "steady",
+    "max_steps" or "invalid_state".
     On "invalid_state", error is the StageError (the evaluation of a new
     state is stage 1 of the step from it), and w, t and step are those of
     the state that failed or that the failed step started from.
@@ -167,29 +167,20 @@ def march(config, w0: np.ndarray):
     (every _STEADY_CHECK_EVERY steps, when steady_tol is set) reads
     max|rhs| below steady_tol, or on an invalid state.
 
-    Every evaluation refills one held stage workspace (spatial._StageWork:
-    the cell block, the face-pair records, the fluxes, rhs and every
-    temporary), so a stage allocates nothing the size of a face row, and
-    every step writes its RK combinations and compute_dt's temporaries
-    into two held (3, n) buffers, so it allocates the new state alone.
-    ssp_rk3_step reads each stage's rhs before it asks for the next.  The
-    march drops the workspace before it yields a state with mark or
-    reason set, and the next evaluation builds a new one: no later stage
-    overwrites a sampled state's rhs or FaceData, and its workspace is
-    freed while the caller samples and writes it.  A
-    build that held the workspace through those samples raised the peak
-    RSS of perfbench's sod_large (10^5 cells) from 90.5 to 95.9 MB.
+    Every evaluation refills the one stage workspace the march builds
+    (spatial._StageWork: the cell block, the face-pair records, the
+    fluxes, rhs and every temporary), so a stage allocates nothing the
+    size of a face row, and every step writes its RK combinations and
+    compute_dt's temporaries into two held (3, n) buffers, so it
+    allocates the new state alone.  ssp_rk3_step reads each stage's rhs
+    before it asks for the next, and a caller reads a yielded state's
+    rhs and FaceData (its sample and snapshot) before it resumes.
     """
     grid, gas, spec = config.grid, config.gas, config.time
-    work = size = None
+    work = _StageWork(grid.n_cells, config.recon, config.diss,
+                      gas.is_viscous)
 
     def evaluate(w):
-        nonlocal work, size
-        if work is None:
-            # a rebuilt workspace takes the scratch size the first learnt
-            work = _StageWork(grid.n_cells, config.recon, config.diss,
-                              gas.is_viscous, size)
-            size = work.size
         return assemble_rhs(w, grid, gas, config.flux_kind, config.diss,
                             config.recon, config.bcs, work)
 
@@ -220,11 +211,6 @@ def march(config, w0: np.ndarray):
                     state.reason = "t_final"
                 elif state.step >= spec.max_steps:
                     state.reason = "max_steps"
-            if state.mark or state.reason is not None:
-                # the caller may keep this evaluation (a snapshot, a
-                # budget sample, the final state) and allocate beside it:
-                # no later stage refills it, and its records are freed
-                work = None
             yield state
             if state.reason is not None:
                 return

@@ -1,5 +1,6 @@
 import importlib.util
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from kepes.config import initial_state
 from kepes.diagnostics import (
+    BudgetReport,
     budget_report,
     jump_width_cells,
     l1_error,
@@ -14,7 +16,7 @@ from kepes.diagnostics import (
     overshoot_undershoot,
 )
 from kepes.dissipation import MATRIX_LAWS, DissipationSpec
-from kepes.presets import preset
+from kepes.presets import list_presets, preset
 from kepes.reconstruction import ReconSpec
 from kepes.spatial import (
     BoundaryCondition,
@@ -23,7 +25,8 @@ from kepes.spatial import (
     assemble_rhs,
 )
 from kepes.thermo import (FaceMeans, GasModel, PrimState, ViscosityLaw,
-                          prim_to_cons)
+                          cons_to_prim, entropy_pair, entropy_vars,
+                          prim_to_cons, sound_speed)
 from kepes.timeint import march
 
 PERIODIC = BoundarySpec(BoundaryCondition("periodic"), BoundaryCondition("periodic"))
@@ -307,3 +310,166 @@ def test_budget_demo_prints_every_case(capsys, monkeypatch):
         if flux in ("kep", "kepec") and diss.kind == "none":
             # without dissipation the KE rate is the pressure work
             assert abs(rep.dke_dt - rep.dke_dt_pressure_work) <= 1e-12
+
+
+def oracle_budget_report(time, rhs, faces, grid, gas):
+    """budget_report before the lean sample, frozen: entropy_vars over a
+    concatenated copy of the n + 2 cells, transposed copies of v and dv,
+    the three face-major flux copies made together, and total_entropy
+    from entropy_pair.  The sample must add the same values in the same
+    memory order, so every field is bitwise this one's."""
+    n, dx = grid.n_cells, grid.dx
+    prim = faces.cells
+    rho, u = prim[0], prim[1]
+    ev = entropy_vars(np.concatenate((faces.left[:, :1], faces.right),
+                                     axis=1), gas)
+    rhs_cells = np.stack(rhs, axis=-1)
+    v = np.ascontiguousarray(ev[:, 1:-1].T)
+    sl = slice(0, n) if faces.periodic else slice(1, n)
+    du, ub = faces.du[sl], faces.u_bar[sl]
+    dv = np.ascontiguousarray((ev[:, 1:] - ev[:, :-1]).T)[sl]
+    dpsi = faces.dpsi[sl]
+    central, diss, visc = (np.ascontiguousarray(f.T)[sl]
+                           for f in (faces.central, faces.diss, faces.visc))
+    first, last = faces.net[:, [0, -1]].T
+
+    ke_boundary = 0.0
+    entropy_boundary = float(dpsi.sum())
+    if not faces.periodic:
+        phi_first = np.array([-0.5 * u[0] ** 2, u[0], 0.0])
+        phi_last = np.array([-0.5 * u[-1] ** 2, u[-1], 0.0])
+        ke_boundary = float(phi_first @ first - phi_last @ last)
+        entropy_boundary += float(v[0] @ first - v[-1] @ last)
+    cons_err = rhs_cells.sum(axis=0) * dx - (first - last)
+
+    return BudgetReport(
+        time=time,
+        total_ke=float((0.5 * rho * u ** 2).sum() * dx),
+        total_entropy=float(entropy_pair(prim, gas)[0].sum() * dx),
+        dke_dt=float((-0.5 * u ** 2 * rhs[0] + u * rhs[1]).sum() * dx),
+        dke_dt_pressure_work=float((du * faces.p_tilde[sl]).sum()),
+        dke_dt_numerical=float((du * (faces.diss[1, sl]
+                                      - ub * faces.diss[0, sl])).sum()),
+        dke_dt_viscous=float(-(du * faces.visc[1, sl]).sum()),
+        dke_dt_boundary=ke_boundary,
+        du_dt=float((v * rhs_cells).sum() * dx),
+        du_dt_flux_residual=float(((dv * central).sum(axis=-1)
+                                   - dpsi).sum()),
+        du_dt_numerical=float((dv * diss).sum()),
+        du_dt_viscous=float(-(dv * visc).sum()),
+        du_dt_boundary=entropy_boundary,
+        mass_error=float(cons_err[0]),
+        momentum_error=float(cons_err[1]),
+        energy_error=float(cons_err[2]),
+    )
+
+
+def assert_oracle_bits(config, rhs, faces, time=0.0):
+    report = budget_report(time, rhs, faces, config.grid, config.gas)
+    expected = oracle_budget_report(time, rhs, faces, config.grid,
+                                    config.gas)
+    for f in fields(BudgetReport):
+        got, want = (np.float64(getattr(r, f.name)).tobytes()
+                     for r in (report, expected))
+        assert got == want, (f.name, getattr(report, f.name),
+                             getattr(expected, f.name))
+
+
+def one_shot(config, w):
+    return assemble_rhs(w, config.grid, config.gas, config.flux_kind,
+                        config.diss, config.recon, config.bcs)
+
+
+def perturbed(config, seed, amplitude=1e-2):
+    """config's initial state with a seeded relative perturbation of the
+    given amplitude (velocity: times the sound speed)."""
+    gas = config.gas
+    q = cons_to_prim(initial_state(config), gas)
+    r = np.random.default_rng(seed).uniform(-1.0, 1.0,
+                                            (3, config.grid.n_cells))
+    return prim_to_cons(PrimState(q.rho * (1.0 + amplitude * r[0]),
+                                  q.u + amplitude * sound_speed(q, gas) * r[1],
+                                  q.p * (1.0 + amplitude * r[2])), gas)
+
+
+def resized(config, n, bcs=None):
+    return replace(config, grid=replace(config.grid, n_cells=n),
+                   bcs=bcs or config.bcs)
+
+
+class TestSampleMatchesOracle:
+    @pytest.mark.parametrize("name", list_presets())
+    def test_every_marched_state(self, name):
+        # every state of a march, each a mark, sampled from the march's
+        # one workspace
+        config = replace(preset(name), snapshot_interval=1e-12)
+        config = replace(config, time=replace(config.time, max_steps=12))
+        marched = 0
+        for state in march(config, initial_state(config)):
+            assert state.mark or state.reason is not None
+            assert_oracle_bits(config, state.rhs, state.faces, state.t)
+            marched += 1
+        assert marched == 13
+
+    @pytest.mark.parametrize("name", list_presets())
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_random_states(self, name, seed):
+        config = preset(name)
+        assert_oracle_bits(config, *one_shot(config, perturbed(config, seed)))
+
+    @pytest.mark.parametrize("name", ["sod", "sod_viscous",
+                                      "stationary_shock_m4"])
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_two_window_grid(self, name, periodic):
+        # 2 * 10^4 cells: three stage windows, and sums past numpy's
+        # pairwise blocks
+        config = resized(preset(name), 20_000, PERIODIC if periodic else None)
+        assert_oracle_bits(config, *one_shot(config, perturbed(config, 5)))
+
+    @pytest.mark.parametrize("n", [16, 301])
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("name", ["sod", "sod_viscous",
+                                      "stationary_shock_m4"])
+    def test_uniform_flow(self, name, n, periodic):
+        # near-degenerate: every jump and every face term is zero
+        config = resized(preset(name), n, PERIODIC if periodic else None)
+        prim = PrimState(np.full(n, 1.1), np.full(n, 0.6), np.full(n, 0.9))
+        assert_oracle_bits(config, *one_shot(config,
+                                             prim_to_cons(prim, config.gas)))
+
+    @pytest.mark.parametrize("amplitude", [0.0, 1e-13, 1e-8])
+    def test_stationary_contact(self, amplitude):
+        # near-degenerate: the contact's zero velocity and pressure jump,
+        # exactly and under perturbations near round-off
+        config = preset("stationary_contact")
+        assert_oracle_bits(config, *one_shot(config, perturbed(
+            config, 3, amplitude)))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_periodic_grid(self, seed):
+        config = resized(preset("sod"), 64, PERIODIC)
+        assert_oracle_bits(config, *one_shot(config, perturbed(config, seed)))
+        config = replace(config, time=replace(config.time, max_steps=5),
+                         snapshot_interval=1e-12)
+        for state in march(config, perturbed(config, seed)):
+            assert_oracle_bits(config, state.rhs, state.faces, state.t)
+
+
+# A budget sample at SAMPLE_CELLS cells peaks, in tracemalloc, below this
+# many face rows of float64: it reads 11.03 on sod and sod_viscous, where
+# the sample that made five face-major copies read 26.03.
+SAMPLE_CELLS = 20_000
+SAMPLE_FACE_ROWS = 12
+
+
+@pytest.mark.parametrize("name", ["sod", "sod_viscous"])
+def test_sample_memory_peak(name):
+    config = resized(preset(name), SAMPLE_CELLS)
+    rhs, faces = one_shot(config, perturbed(config, 0))
+    tracemalloc.start()
+    try:
+        budget_report(0.0, rhs, faces, config.grid, config.gas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < SAMPLE_FACE_ROWS * 8 * (SAMPLE_CELLS + 1), peak

@@ -3,13 +3,15 @@ state once.  A frozen copy of the loop driver.run ran before the march
 shared that evaluation, which spent a second RHS on every budget sample
 and steady check, gives bitwise the same time steps, final state, budget
 rows and snapshot bytes.  The march calls assemble_rhs 3 steps + 1 times,
-lets each stage-1 evaluation go before stage 2, and refills one stage
-workspace until it yields a sampled state."""
+lets each stage-1 evaluation go before stage 2, and refills the one stage
+workspace it builds."""
 
-import itertools
+import importlib.util
 import os
+import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,34 +296,52 @@ def test_stage_one_evaluation_released_before_stage_two(tmp_path,
                                                         monkeypatch):
     # The evaluation of a state is its step's stage 1.  Once dt, the
     # sample and the steady check have read it, nothing may hold its
-    # FaceData or rhs through stages 2 and 3: a kept FaceData raised the
-    # peak RSS of a 10^5-cell sod run from 88 to 104 MB.
+    # FaceData through stages 2 and 3: a kept FaceData raised the peak
+    # RSS of a 10^5-cell sod run from 88 to 104 MB.  Stage 2 writes its
+    # rhs into stage 1's array, the march's workspace's.
     base = preset("sod")
     config = replace(base, snapshot_interval=1e-9,
                      time=replace(base.time, max_steps=60, steady_tol=1e-300))
-    refs, dead = [], []
+    refs, dead, same = [], [], []
 
     def watched(*args):
-        if len(refs) % 3 == 1:
-            # stage 2 of a step: its stage 1 was the last state evaluation
-            dead.append(all(r() is None for r in refs[-1]))
+        stage_two = len(refs) % 3 == 1
+        if stage_two:
+            # its stage 1 was the last state evaluation
+            dead.append(refs[-1][0]() is None)
         rhs, faces = assemble_rhs(*args)
-        refs.append((weakref.ref(faces), weakref.ref(rhs)))
+        if stage_two:
+            same.append(rhs is refs[-1][1])
+        refs.append((weakref.ref(faces), rhs))
         return rhs, faces
 
     monkeypatch.setattr(kepes.timeint, "assemble_rhs", watched)
     result = driver.run(config, str(tmp_path))
     assert (result.status, result.steps) == (0, 60)
     assert len(dead) == 60 and all(dead)
+    assert len(same) == 60 and all(same)
+
+
+def counted_workspaces(monkeypatch):
+    """The list that gets one entry per _StageWork the march builds."""
+    builds = []
+
+    class Counted(kepes.timeint._StageWork):
+        def __init__(self, *args):
+            builds.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(kepes.timeint, "_StageWork", Counted)
+    return builds
 
 
 @pytest.mark.parametrize("name", ["sod", "stationary_shock_m4_ec1",
                                   "ns_shock_structure_n200_d4"])
-def test_held_workspace_until_a_sampled_state(name, monkeypatch):
-    # consecutive evaluations between sampled states refill one stage
-    # workspace; a sampled state's evaluation (a mark or the last state)
-    # shares no memory with any later one, and the march still makes one
-    # log_mean call per RHS (test_one_prim_state_per_rhs counts the
+def test_one_workspace_serves_every_evaluation(name, monkeypatch):
+    # the march builds one stage workspace, and every evaluation refills
+    # it, a sampled state's (a mark or the last state) included, so
+    # consecutive evaluations share the cell block; the march still makes
+    # one log_mean call per RHS (test_one_prim_state_per_rhs counts the
     # PrimStates of these configs)
     config = CONFIGS.get(name) or preset(name)
     w0 = initial_state(config)
@@ -336,33 +356,51 @@ def test_held_workspace_until_a_sampled_state(name, monkeypatch):
         return log_mean(*args)
 
     monkeypatch.setattr(kepes.thermo, "log_mean", counted_log_mean)
+    builds = counted_workspaces(monkeypatch)
     evals = []
 
     def watched(*args):
         rhs, faces = assemble_rhs(*args)
-        evals.append([("rhs", rhs)] + [
-            (key, getattr(faces, key)) for key in
-            ("central", "diss", "visc", "net", "cells", "left", "right")])
+        evals.append((rhs, faces.cells))
         return rhs, faces
 
     monkeypatch.setattr(kepes.timeint, "assemble_rhs", watched)
-    sampled = []
+    sampled = 0
     for state in kepes.timeint.march(config, w0):
-        assert state.faces.central is evals[-1][1][1]
-        if state.mark or state.reason is not None:
-            sampled.append(len(evals) - 1)
+        assert state.rhs is evals[-1][0]
+        sampled += state.mark or state.reason is not None
     assert (state.reason, state.step) == ("max_steps", 30)
     assert len(evals) == 3 * 30 + 1
     assert len(log_means) == len(evals)
-    assert 5 <= len(sampled) <= 10
-    for i in range(len(evals) - 1):
-        shared = np.shares_memory(evals[i][5][1], evals[i + 1][5][1])
-        assert shared == (i not in sampled), i
-    for i in sampled:
-        for j in range(i + 1, len(evals)):
-            for (a_name, a), (b_name, b) in itertools.product(evals[i],
-                                                              evals[j]):
-                assert not np.shares_memory(a, b), (i, a_name, j, b_name)
+    assert len(builds) == 1
+    assert 5 <= sampled <= 10
+    for (rhs_a, cells_a), (rhs_b, cells_b) in zip(evals, evals[1:]):
+        assert rhs_a is rhs_b
+        assert np.shares_memory(cells_a, cells_b)
+
+
+def test_one_workspace_per_run_of_every_workload(tmp_path, monkeypatch):
+    # every driver.run of every perfbench workload builds one stage
+    # workspace, however many states it samples (budget_dense's 103)
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench"
+        / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    builds = counted_workspaces(monkeypatch)
+    samples = {}
+    for workload in workloads.WORKLOADS:
+        for case in workloads.build_cases(workload):
+            builds.clear()
+            result = driver.run(case.config, str(tmp_path / case.tag))
+            assert (result.status, result.steps) == (0, case.steps)
+            assert len(builds) == 1, case.tag
+            with open(result.budget_path) as fh:
+                samples[workload] = len(fh.readlines()) - 1
+    assert samples == {"shock_sweep_small": 2, "sod_large": 2,
+                       "ns_viscous": 2, "budget_dense": 103}
 
 
 class TestTerminationReason:

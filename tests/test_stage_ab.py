@@ -36,6 +36,8 @@ def test_every_config_timed(stage_ab, capsys):
     for line, label in zip(lines[1:], labels):
         assert line.startswith(label)
         assert line.endswith("/2")
+    # the budget sample is timed beside the stage, dt and the RK step
+    assert stage_ab.KINDS == ("rhs", "dt", "rk3", "budget")
     # both benchmark sizes of the JST path are timed
     assert ("ns_shock_structure_n50", 50, None) in stage_ab.CONFIGS
     assert ("sod_viscous", 500, None) in stage_ab.CONFIGS
