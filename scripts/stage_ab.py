@@ -17,11 +17,12 @@ buffers that its tree's march passes, where it takes them.
 budget_report is timed on its tree's stage result, each call on a new
 FaceData of the same arrays (dataclasses.replace), so that no call reads
 a face field cached by an earlier one.  Per config the two trees' rhs
-must be np.array_equal, the budget rows their face records give
-(diagnostics.budget_report, csv_row) equal, which holds for trees whose
-budget_report takes no prim, a held call's rhs equal to its tree's
-one-shot rhs, and the two trees' dt and stepped states equal; then each
-round times a batch of calls per call kind, alternating which goes
+must be np.array_equal, and so must their FaceData central, diss,
+visc, net and cells (FACE_FIELDS); the budget rows their face records
+give (diagnostics.budget_report, csv_row) must be equal, which holds for
+trees whose budget_report takes no prim, as must a held call's rhs and
+its tree's one-shot rhs, and the two trees' dt and stepped states; then
+each round times a batch of calls per call kind, alternating which goes
 first, and for each of rhs, dt, rk3 and budget the medians and quartiles
 in us per call, old/new of the medians and the rounds the new tree won
 are printed, with the median of each tree's one-shot rhs.  The data are
@@ -47,6 +48,8 @@ CONFIGS = ([("stationary_shock_m4", 24, law)
               for n in (200, 10_000)])
 # the timed call kinds of each config, in printed order
 KINDS = ("rhs", "dt", "rk3", "budget")
+# the FaceData arrays of the stage that the two trees must give equal
+FACE_FIELDS = ("central", "diss", "visc", "net", "cells")
 BATCH_S = 0.02
 
 
@@ -155,6 +158,10 @@ def main(argv=None):
         out = [call() for call in calls]
         if not np.array_equal(out[0][0], out[1][0]):
             sys.exit(f"{case}: rhs differ")
+        for field in FACE_FIELDS:
+            if not np.array_equal(getattr(out[0][1], field),
+                                  getattr(out[1][1], field)):
+                sys.exit(f"{case}: {field} differ")
         # a held result is read before its workspace is refilled
         if (stages[0][2](*out[0]).csv_row()
                 != stages[1][2](*out[1]).csv_row()):

@@ -85,8 +85,9 @@ def budget_report(time: float, rhs, faces: FaceData, grid: Grid1D,
     # face- and cell-major contiguous arrays: a sum adds pairwise in memory
     # order, so the layout fixes the rounding of every sum below.  One
     # entropy-variable pass over the n + 2 cells behind the faces, written
-    # face-major, gives the cells' v (rows 1 .. n) and, as FaceData.dv,
-    # the face jumps dv; its s gives the cells' entropy.  The boundary net
+    # face-major, gives the cells' v (rows 1 .. n) and, as the
+    # differences of adjacent rows, the face jumps dv; its s gives the
+    # cells' entropy.  The boundary net
     # fluxes are the stage's, at the first and last face.  Each array is
     # freed once read, which keeps the sample's memory peak low.
     s = physical_entropy(faces.sides, gas)

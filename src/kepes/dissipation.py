@@ -15,13 +15,14 @@ face pairs takes their FaceMeans record as its one pair input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .thermo import (_HALF, _NEG_HALF, _ONE, _THREE, _TWO, _ZERO, FaceMeans,
-                     GasModel, PrimState, _check_finite, _constant,
-                     _evj_work, _Scratch, _stacked, entropy_vars_jump,
-                     log_mean, sound_speed)
+                     GasModel, PrimState, _calls, _check_finite, _constant,
+                     _copy, _evj_work, _run, _Scratch, _stacked,
+                     entropy_vars_jump, log_mean, sound_speed)
 
 __all__ = [
     "DissipationSpec",
@@ -91,49 +92,37 @@ class FaceAverage:
 
 
 def _beta_mean(m: FaceMeans, beta_average: str):
-    """The beta mean of the scalar energy slot and wave speed."""
-    return m.beta_ln if beta_average == "logarithmic" else m.beta_bar
+    """The beta mean of the scalar energy slot and wave speed, as a
+    kernel binds it (FaceMeans._ln_operands)."""
+    return (m._ln_operands[1] if beta_average == "logarithmic"
+            else m.beta_bar)
 
 
-def _scalar_d_work(m: FaceMeans, scratch, out=None):
-    """_scalar_d_from_jumps' bound arrays for the record m: the stacked D
-    out, new unless given, and its rows, the u rows of both sides, two
-    temporaries and lambda."""
+def _scalar_d_calls(m: FaceMeans, gas: GasModel, beta_m, d_rho, d_u,
+                    d_inv_beta, scratch, out=None):
+    """The calls that form the stacked D vector, with the three jump slots
+    supplied by the caller, into out, new unless given, and the wave
+    speed lambda = |u_bar| + sqrt(gamma/(2 beta_m)) into a temporary;
+    returns out, lambda and the calls, whose temporaries (two, then
+    lambda) come from scratch."""
     if out is None:
         out = np.empty((3,) + m.shape)
-    return ((out, out[0, ...], out[1, ...], out[2, ...], m.left[1, ...],
-             m.right[1, ...])
-            + tuple(scratch.take(*m.shape) for _ in range(3)))
-
-
-def _scalar_d_from_jumps(m: FaceMeans, gas: GasModel, beta_m, d_rho, d_u,
-                         d_inv_beta, work):
-    """Stacked D vector with the three jump slots supplied by the caller,
-    and the wave speed lambda = |u_bar| + sqrt(gamma/(2 beta_m)), written
-    into the out and lambda of work (_scalar_d_work)."""
-    out, D_rho, D_m, D_e, u_l, u_r, t1, t2, lam = work
-    D_rho[...] = d_rho
-    np.multiply(m.u_bar, d_rho, t1)
-    np.multiply(m.rho_bar, d_u, t2)
-    np.add(t1, t2, D_m)
-    np.multiply(gas._gm1, beta_m, t1)
-    np.divide(_HALF, t1, t1)
-    np.multiply(_HALF, u_l, t2)
-    np.multiply(t2, u_r, t2)
-    np.add(t1, t2, t1)
-    np.multiply(t1, d_rho, t1)
-    np.multiply(m.rho_bar, m.u_bar, t2)
-    np.multiply(t2, d_u, t2)
-    np.add(t1, t2, t1)
-    np.divide(m.rho_bar, gas._two_gm1, t2)
-    np.multiply(t2, d_inv_beta, t2)
-    np.add(t1, t2, D_e)
-    np.multiply(_TWO, beta_m, t1)
-    np.divide(gas._gamma, t1, t1)
-    np.sqrt(t1, t1)
-    np.abs(m.u_bar, lam)
-    np.add(lam, t1, lam)
-    return out, lam
+    t1, t2, lam = (scratch.take(*m.shape) for _ in range(3))
+    u_bar, rho_bar = m.u_bar, m.rho_bar
+    return out, lam, [
+        _copy(out[0, ...], d_rho),
+        (np.multiply, u_bar, d_rho, t1), (np.multiply, rho_bar, d_u, t2),
+        (np.add, t1, t2, out[1, ...]),
+        (np.multiply, gas._gm1, beta_m, t1), (np.divide, _HALF, t1, t1),
+        (np.multiply, _HALF, m.left[1, ...], t2),
+        (np.multiply, t2, m.right[1, ...], t2),
+        (np.add, t1, t2, t1), (np.multiply, t1, d_rho, t1),
+        (np.multiply, rho_bar, u_bar, t2), (np.multiply, t2, d_u, t2),
+        (np.add, t1, t2, t1),
+        (np.divide, rho_bar, gas._two_gm1, t2),
+        (np.multiply, t2, d_inv_beta, t2), (np.add, t1, t2, out[2, ...]),
+        (np.multiply, _TWO, beta_m, t1), (np.divide, gas._gamma, t1, t1),
+        (np.sqrt, t1, t1), (np.abs, u_bar, lam), (np.add, lam, t1, lam)]
 
 
 def scalar_d_vector(left: PrimState, right: PrimState, gas: GasModel,
@@ -152,9 +141,10 @@ def scalar_d_vector(left: PrimState, right: PrimState, gas: GasModel,
     # -(d beta)/(beta_L beta_R): algebraically 1/beta_R - 1/beta_L but
     # without the cancellation of two large reciprocals
     d_inv_beta = -(m.beta_r - m.beta_l) / (m.beta_l * m.beta_r)
-    return _scalar_d_from_jumps(m, gas, _beta_mean(m, beta_average), d_rho,
-                                d_u, d_inv_beta,
-                                _scalar_d_work(m, _Scratch()))
+    D, lam, calls = _scalar_d_calls(m, gas, _beta_mean(m, beta_average),
+                                    d_rho, d_u, d_inv_beta, _Scratch())
+    _run(calls)
+    return D, lam
 
 
 def scalar_quadratic_form(left: PrimState, right: PrimState, gas: GasModel):
@@ -174,44 +164,31 @@ def scalar_quadratic_form(left: PrimState, right: PrimState, gas: GasModel):
             + rho_bar * d_beta * d_beta / ((g - 1.0) * left.beta * right.beta))
 
 
-def _switch_work(p, eps2, eps4, scratch):
-    """_switches' bound arrays for the pressures p of m cells along the
-    last axis and the switches eps2, eps4 of its m - 3 faces: the three
-    shifted pressures, 2 p_0, the sensor nu of the cells j = 1 .. m - 2
-    with its face pairs and end cells, and a temporary."""
+def _switch_calls(p, kappa2, kappa4, ends, eps2, eps4, scratch):
+    """The calls that form jst_switches of the faces between cells j and
+    j + 1, j = 1 .. m - 3, of the pressures p of m cells along the last
+    axis into eps2 and eps4, with the sensor nu of each cell j = 1 .. m -
+    2 formed once, and 2 p_0, nu and a temporary from scratch.  ends is a
+    pair of flags: with the first set, the first of those cells takes the
+    sensor of its inner neighbour, and with the second, the last."""
     inner = p.shape[:-1] + (p.shape[-1] - 2,)
     two_p0, nu, t = (scratch.take(*inner) for _ in range(3))
-    return (p[..., :-2], p[..., 1:-1], p[..., 2:], two_p0, nu, t,
-            nu[..., :-1], nu[..., 1:], nu[..., 0], nu[..., 1], nu[..., -1],
-            nu[..., -2], eps2, eps4)
-
-
-def _switches(kappa2, kappa4, ends, work):
-    """jst_switches of the faces between cells j and j + 1, j = 1 .. m - 3,
-    of the pressures of m cells along the last axis bound in work
-    (_switch_work), with the sensor of each cell j = 1 .. m - 2 formed
-    once.  ends is a pair of flags: with the first set, the first of
-    those cells takes the sensor of its inner neighbour, and with the
-    second, the last."""
-    (pm1, p0, p1, two_p0, nu, t, nu_lo, nu_hi, first, second, last,
-     penult, eps2, eps4) = work
-    np.multiply(_TWO, p0, two_p0)
-    np.subtract(pm1, two_p0, nu)
-    np.add(nu, p1, nu)
-    np.abs(nu, nu)
-    np.add(pm1, two_p0, t)
-    np.add(t, p1, t)
-    np.divide(nu, t, nu)
+    pm1, p0, p1 = p[..., :-2], p[..., 1:-1], p[..., 2:]
+    calls = [
+        (np.multiply, _TWO, p0, two_p0), (np.subtract, pm1, two_p0, nu),
+        (np.add, nu, p1, nu), (np.abs, nu, nu),
+        (np.add, pm1, two_p0, t), (np.add, t, p1, t),
+        (np.divide, nu, t, nu)]
     if ends[0]:
-        first[...] = second
+        calls.append(_copy(nu[..., 0], nu[..., 1]))
     if ends[1]:
-        last[...] = penult
-    np.maximum(nu_lo, nu_hi, out=eps2)
-    np.multiply(kappa2, eps2, eps2)
-    np.minimum(_ONE, eps2, out=eps2)
-    np.subtract(kappa4, eps2, eps4)
-    np.maximum(_ZERO, eps4, out=eps4)
-    return eps2, eps4
+        calls.append(_copy(nu[..., -1], nu[..., -2]))
+    return calls + [
+        (partial(np.maximum, out=eps2), nu[..., :-1], nu[..., 1:]),
+        (np.multiply, kappa2, eps2, eps2),
+        (partial(np.minimum, out=eps2), _ONE, eps2),
+        (np.subtract, kappa4, eps2, eps4),
+        (partial(np.maximum, out=eps4), _ZERO, eps4)]
 
 
 def jst_switches(p_stencil, kappa2, kappa4):
@@ -222,35 +199,54 @@ def jst_switches(p_stencil, kappa2, kappa4):
     nu = |p_{j-1} - 2 p_j + p_{j+1}| / (p_{j-1} + 2 p_j + p_{j+1}).
     """
     p = np.stack(np.broadcast_arrays(*p_stencil), axis=-1).astype(float)
-    face = p.shape[:-1] + (1,)
-    eps2, eps4 = _switches(kappa2, kappa4, (False, False), _switch_work(
-        p, np.empty(face), np.empty(face), _Scratch()))
+    eps2, eps4 = np.empty(p.shape[:-1] + (1,)), np.empty(p.shape[:-1] + (1,))
+    _run(_switch_calls(p, kappa2, kappa4, (False, False), eps2, eps4,
+                       _Scratch()))
     return eps2[..., 0], eps4[..., 0]
 
 
-def _jst_work(cells, m: FaceMeans, scratch, out=None):
-    """jst_dissipation's bound arrays for the stacked (rho, u, p) of k
-    cells along the last axis and the record m of their inner pairs: the
-    switches (_switch_work), the cell views, the slots (rho, u, 1/beta)
-    of the cells, their three-fold copy and the stencil views of both,
-    the jumps and their rows, a temporary, and the bound D and lambda
-    (_scalar_d_work) with out, new unless given, as D."""
+def _jst_work(cells, m: FaceMeans, gas: GasModel, spec: DissipationSpec,
+              ends, beta, scratch, out=None):
+    """jst_dissipation's work for the stacked (rho, u, p) of k cells along
+    the last axis, the record m of their inner pairs, the (first, last)
+    end flags and beta (None, or the cells' beta): the stacked result
+    out, new unless given, and the calls, with the switches, the jumps,
+    the slots (rho, u, 1/beta) of the cells, their three-fold copy, a
+    temporary and D's temporaries from scratch."""
     faces = cells.shape[1:-1] + (cells.shape[-1] - 3,)
     n = faces[-1]
     eps2, eps4, jumps = (scratch.take(*faces), scratch.take(*faces),
                          scratch.take(3, *faces))
     at = scratch.at
-    switches = _switch_work(cells[2, ...], eps2, eps4, scratch)
+    calls = _switch_calls(cells[2, ...], spec._kappa2, spec._kappa4, ends,
+                          eps2, eps4, scratch)
     scratch.at = at
     slots, three = scratch.take(*cells.shape), scratch.take(*cells.shape)
     t = scratch.take(3, *faces)
+    slot_b = slots[2, ...]
+    fm1, f0, f1, f2 = (slots[..., k:k + n] for k in range(4))
+    calls.append(_copy(slots[:2], cells[:2]))
+    if beta is None:
+        calls += [(np.multiply, _TWO, cells[2, ...], slot_b),
+                  (np.divide, cells[0, ...], slot_b, slot_b)]
+        beta = slot_b
+    calls += [
+        (np.divide, _ONE, beta, slot_b),
+        # 3 f1 and 3 f0 are slices of one scaled copy of the slots
+        (np.multiply, _THREE, slots, three),
+        (np.subtract, f1, f0, jumps),
+        (np.multiply, eps2, jumps, jumps),
+        (np.subtract, f2, three[..., 2:2 + n], t),
+        (np.add, t, three[..., 1:1 + n], t),
+        (np.subtract, t, fm1, t),
+        (np.multiply, eps4, t, t),
+        (np.subtract, jumps, t, jumps)]
     scratch.at = at
-    return ((switches, cells[:2], cells[0, ...], cells[2, ...], slots,
-             slots[:2], slots[2, ...])
-            + tuple(slots[..., k:k + n] for k in range(4))
-            + (three, three[..., 1:1 + n], three[..., 2:2 + n], jumps,
-               jumps[0, ...], jumps[1, ...], jumps[2, ...], t,
-               _scalar_d_work(m, scratch, out)))
+    out, lam, d_calls = _scalar_d_calls(
+        m, gas, _beta_mean(m, spec.beta_average), jumps[0, ...],
+        jumps[1, ...], jumps[2, ...], scratch, out)
+    return out, _calls(calls + d_calls + [(np.multiply, _NEG_HALF, lam, lam),
+                                          (np.multiply, out, lam, out)])
 
 
 def jst_dissipation(cells, m: FaceMeans, gas: GasModel,
@@ -271,35 +267,18 @@ def jst_dissipation(cells, m: FaceMeans, gas: GasModel,
     correction -(1/2) lambda D of the k - 3 faces.  m is the FaceMeans
     record of the pairs (q_j, q_{j+1}); beta, when given, is
     rho / (2 p) of the cells, as the stage's cell block holds it.  work,
-    when given, is the bound arrays of _jst_work for these cells and m.
+    when given, is _jst_work's for these cells, m, end_rule and beta.
     """
     # a log mean is formed before any temporary of work is written
-    beta_m = _beta_mean(m, spec.beta_average)
+    if spec.beta_average == "logarithmic":
+        m.beta_ln
     if work is None:
-        work = _jst_work(cells, m, _Scratch())
-    (switches, rho_u, rho, p, slots, slot_ru, slot_b, fm1, f0, f1, f2,
-     three, three1, three2, jumps, d_rho, d_u, d_inv_beta, t,
-     d_work) = work
-    ends = end_rule if isinstance(end_rule, tuple) else (end_rule,) * 2
-    eps2, eps4 = _switches(spec._kappa2, spec._kappa4, ends, switches)
-    slot_ru[...] = rho_u
-    if beta is None:
-        beta = np.divide(rho, np.multiply(_TWO, p, slot_b), slot_b)
-    np.divide(_ONE, beta, slot_b)
-    # 3 f1 and 3 f0 are slices of one scaled copy of the slots
-    np.multiply(_THREE, slots, three)
-    np.subtract(f1, f0, jumps)
-    np.multiply(eps2, jumps, jumps)
-    np.subtract(f2, three2, t)
-    np.add(t, three1, t)
-    np.subtract(t, fm1, t)
-    np.multiply(eps4, t, t)
-    np.subtract(jumps, t, jumps)
-    D, lam = _scalar_d_from_jumps(m, gas, beta_m, d_rho, d_u, d_inv_beta,
-                                  d_work)
-    np.multiply(_NEG_HALF, lam, lam)
-    np.multiply(D, lam, D)
-    return D
+        ends = end_rule if isinstance(end_rule, tuple) else (end_rule,) * 2
+        work = _jst_work(cells, m, gas, spec, ends, beta, _Scratch())
+    out, calls = work
+    for f, a in calls:
+        f(*a)
+    return out
 
 
 def face_average(m: FaceMeans, gas: GasModel,
@@ -320,11 +299,12 @@ def face_average(m: FaceMeans, gas: GasModel,
 
 
 def _rho_beta(m: FaceMeans, flux_kind: str):
-    """The density and beta means of the dissipation matrix: arithmetic
-    beside the kepec_ac flux, logarithmic otherwise."""
+    """The density and beta means of the dissipation matrix, as a kernel
+    binds them: arithmetic beside the kepec_ac flux, logarithmic
+    otherwise."""
     if flux_kind == "kepec_ac":
         return m.rho_bar, m.beta_bar
-    return m.rho_ln, m.beta_ln
+    return m._ln_operands
 
 
 def eigen_system(avg: FaceAverage, gas: GasModel):
@@ -360,76 +340,62 @@ def eigenvalue_law(u_f, a_f, m: FaceMeans, gas: GasModel,
     """
     u_f, a_f = (np.broadcast_to(x, m.shape) for x in (u_f, a_f))
     speeds = np.array((u_f - a_f, u_f, u_f + a_f))
-    lam = _law(speeds, a_f, m, gas, spec,
-               _law_work(m, spec, np.empty(speeds.shape), _Scratch()))
+    lam = np.empty(speeds.shape)
+    _run(_law_calls(speeds, a_f, m, gas, spec, lam, _Scratch()))
     return np.ascontiguousarray(np.moveaxis(lam, 0, -1))
 
 
-def _law_work(m: FaceMeans, spec: DissipationSpec, lam, scratch):
-    """_law's bound arrays for the record m: the stacked result lam, its
-    acoustic rows and its entropy row, then the law's own.  ec1: the cells
-    of m, their velocity row and sound speed, the rows of their stacked
-    acoustic eigenvalues (u - a, u + a) and the views of its left and
-    right sides, and a temporary; kes, rus and hyb: |u| + a and two
-    temporaries, and the pressure rows of both sides, which hyb reads."""
-    shape, law = m.shape, spec.matrix_law
-    own = ()
-    if law == "ec1":
-        cells = m._cells
-        ac = scratch.take(2, *cells.shape[1:])
-        own = ((cells, cells[1, ...], scratch.take(*cells.shape[1:]),
-                ac[0, ...], ac[1, ...])
-               + m._side_views(ac) + (scratch.take(2, *shape),))
-    elif law != "roe":
-        own = tuple(scratch.take(*shape) for _ in range(3)) + (
-            m.right[2, ...], m.left[2, ...])
-    return (lam, lam[::2], lam[1, ...]) + own
-
-
-def _law(speeds, a_f, m: FaceMeans, gas: GasModel, spec: DissipationSpec,
-         work):
-    """Stacked |Lambda| of eigenvalue_law from the wave speeds
-    (u-a, u, u+a) of the face, written into the lam of work (_law_work)."""
+def _law_calls(speeds, a_f, m: FaceMeans, gas: GasModel,
+               spec: DissipationSpec, lam, scratch):
+    """The calls that form the stacked |Lambda| of eigenvalue_law from the
+    wave speeds (u - a, u, u + a) of the face into lam, with the law's
+    temporaries from scratch.  ec1: the stacked acoustic eigenvalues
+    (u - a, u + a) and the sound speed of the cells of m, and the jump of
+    each eigenvalue across its face; kes, rus and hyb: |u| + a, phi and a
+    temporary."""
     law = spec.matrix_law
-    lam, lam_ac, abs_u, *own = work
-    np.abs(speeds, lam)
+    lam_ac, abs_u = lam[::2], lam[1, ...]
+    calls = [(np.abs, speeds, lam)]
     if law == "roe":
-        return lam
+        return calls
     if law == "ec1":
         # the acoustic eigenvalues of the cells, and the jump of each
         # across its face
-        cells, u, a, minus, plus, side_l, side_r, t = own
-        sound_speed(cells, gas, a)
-        np.subtract(u, a, minus)
-        np.add(u, a, plus)
-        np.subtract(side_r, side_l, t)
-        np.abs(t, t)
-        np.multiply(spec._ec1_beta, t, t)
-        np.add(lam_ac, t, lam_ac)
-        return lam
+        cells = m._cells
+        ac = scratch.take(2, *cells.shape[1:])
+        a = scratch.take(*cells.shape[1:])
+        t = scratch.take(2, *m.shape)
+        side_l, side_r = m._side_views(ac)
+        return calls + [
+            (sound_speed, cells, gas, a),
+            (np.subtract, cells[1, ...], a, ac[0, ...]),
+            (np.add, cells[1, ...], a, ac[1, ...]),
+            (np.subtract, side_r, side_l, t),
+            (np.abs, t, t),
+            (np.multiply, spec._ec1_beta, t, t),
+            (np.add, lam_ac, t, lam_ac)]
     if law not in ("kes", "rus", "hyb"):
         raise ValueError(f"unknown matrix law {law!r}")
-    lam_max, phi, t, p_r, p_l = own
-    np.add(abs_u, a_f, lam_max)
+    lam_max, phi, t = (scratch.take(*m.shape) for _ in range(3))
+    calls.append((np.add, abs_u, a_f, lam_max))
     if law == "kes":
-        lam_ac[...] = lam_max
-    elif law == "rus":
-        lam[...] = lam_max
-    else:
-        # phi = clip(sqrt(|dp|/(2 p_bar)), 0, 1): the root is >= 0 or NaN,
-        # so the upper bound alone gives the same value; then
-        # (1 - phi) lam + phi lam_max
-        np.subtract(p_r, p_l, phi)
-        np.abs(phi, phi)
-        np.multiply(_TWO, m.p_bar, t)
-        np.divide(phi, t, phi)
-        np.sqrt(phi, phi)
-        np.minimum(phi, _ONE, out=phi)
-        np.subtract(_ONE, phi, t)
-        np.multiply(t, lam, lam)
-        np.multiply(phi, lam_max, phi)
-        np.add(lam, phi, lam)
-    return lam
+        return calls + [_copy(lam_ac, lam_max)]
+    if law == "rus":
+        return calls + [_copy(lam, lam_max)]
+    # phi = clip(sqrt(|dp|/(2 p_bar)), 0, 1): the root is >= 0 or NaN, so
+    # the upper bound alone gives the same value; then
+    # (1 - phi) lam + phi lam_max
+    return calls + [
+        (np.subtract, m.right[2, ...], m.left[2, ...], phi),
+        (np.abs, phi, phi),
+        (np.multiply, _TWO, m.p_bar, t),
+        (np.divide, phi, t, phi),
+        (np.sqrt, phi, phi),
+        (partial(np.minimum, out=phi), phi, _ONE),
+        (np.subtract, _ONE, phi, t),
+        (np.multiply, t, lam, lam),
+        (np.multiply, phi, lam_max, phi),
+        (np.add, lam, phi, lam)]
 
 
 def assemble_q(R, lam, S):
@@ -437,34 +403,66 @@ def assemble_q(R, lam, S):
     return np.einsum("...ik,...k,...jk->...ij", R, lam * S, R)
 
 
-def _matrix_work(m: FaceMeans, spec: DissipationSpec, scratch, out=None):
-    """matrix_dissipation's bound arrays for the record m: the views of
-    one (3, 3) + m block of w and rows 2 and 3 of R, a, H and u a, the
-    law's arrays (_law_work), a temporary, the entropy-variable jump
-    (_evj_work, whose out, new unless given, takes the result) and its
-    rows, and the two products of R^T dv.  Arrays that are dead by the
-    time a later one is written share its room in scratch."""
-    shape = m.shape
+def _matrix_work(m: FaceMeans, gas: GasModel, spec: DissipationSpec,
+                 flux_kind: str, scratch, out=None):
+    """matrix_dissipation's work for the record m, spec and the central
+    flux: out, the entropy-variable jump's result (new unless given),
+    which takes the result, and the calls.  From scratch: one (3, 3) + m
+    block of w and rows 2 and 3 of R, a, H and u a, the law's
+    temporaries, a temporary, the jump's and the two products of R^T dv.
+    Arrays that are dead by the time a later one is written share its
+    room in scratch."""
+    shape, u = m.shape, m.u_bar
+    rho, beta = _rho_beta(m, flux_kind)
     R = scratch.take(3, 3, *shape)
+    w, speeds, enthalpies = R
     live = scratch.at
     a = scratch.take(*shape)
     after_a = scratch.at
     H, ua = scratch.take(*shape), scratch.take(*shape)
     scratch.at = after_a
-    law = _law_work(m, spec, R[0], scratch)
+    law = _law_calls(speeds, a, m, gas, spec, w, scratch)
     scratch.at = after_a
     t = scratch.take(*shape)
     scratch.at = live
-    dv = _evj_work(m, scratch, out)
+    dv = _evj_work(m, gas, scratch, out)
     out = dv[0]
     scratch.at = live
-    products = scratch.take(2, 3, *shape)
-    return ((R[0], R[1], R[2])
-            + tuple(R[i, k, ...] for i in (1, 2) for k in (0, 1, 2))
-            + tuple(R[:, k] for k in (0, 1, 2))
-            + (R[0, 0, ...], R[0, 1, ...], R[0, 2, ...], a, H, ua, law, t,
-               dv, out, out[0, ...], out[1, ...], out[2, ...], products[0],
-               products[1]))
+    by_dv1, by_dv2 = scratch.take(2, 3, *shape)
+    (u_minus_a, u_row, u_plus_a), (h_minus, half_u2, h_plus) = (
+        [rows[k, ...] for k in range(3)] for rows in (speeds, enthalpies))
+    return out, _calls([
+        (np.multiply, _TWO, beta, a), (np.divide, gas._gamma, a, a),
+        (np.sqrt, a, a),
+        # R is a row of ones over the rows (u - a, u, u + a) and
+        # (H - u a, u^2/2, H + u a), H = a^2/(gamma - 1) + u^2/2; the
+        # first row of the block holds w in place of the ones, and ua
+        # holds u/2 until u a is formed
+        (np.multiply, _HALF, u, ua), (np.multiply, ua, u, half_u2),
+        (np.multiply, a, a, H), (np.divide, H, gas._gm1, H),
+        (np.add, H, half_u2, H), (np.multiply, u, a, ua),
+        (np.subtract, u, a, u_minus_a), _copy(u_row, u),
+        (np.add, u, a, u_plus_a),
+        (np.subtract, H, ua, h_minus), (np.add, H, ua, h_plus)] + law + [
+        # S: the acoustic rows of w are scaled by rho/(2 gamma), the
+        # entropy row by (gamma - 1) rho/gamma
+        (np.divide, rho, gas._two_gamma, t),
+        (np.multiply, w[0, ...], t, w[0, ...]),
+        (np.multiply, w[2, ...], t, w[2, ...]),
+        (np.multiply, gas._gm1, rho, t), (np.divide, t, gas._gamma, t),
+        (np.multiply, w[1, ...], t, w[1, ...]),
+        (entropy_vars_jump, m, gas, dv),
+        # w *= dv[0] + rows[0] dv[1] + rows[1] dv[2]
+        (np.multiply, speeds, out[1, ...], by_dv1),
+        (np.add, out[0, ...], by_dv1, by_dv1),
+        (np.multiply, enthalpies, out[2, ...], by_dv2),
+        (np.add, by_dv1, by_dv2, by_dv1), (np.multiply, w, by_dv1, w),
+        (np.multiply, speeds, w, speeds),
+        (np.multiply, enthalpies, w, enthalpies),
+        # dv is spent: it takes R w.  The two acoustic waves are summed
+        # before the entropy wave is added.
+        (np.add, R[:, 0], R[:, 2], out), (np.add, out, R[:, 1], out),
+        (np.multiply, out, _NEG_HALF, out)])
 
 
 def matrix_dissipation(m: FaceMeans, gas: GasModel, spec: DissipationSpec,
@@ -473,57 +471,12 @@ def matrix_dissipation(m: FaceMeans, gas: GasModel, spec: DissipationSpec,
     of the pairs of m, multiplied out in closed form: w = |Lambda| S R^T dv,
     then R w, formed in place.  The averages (rho, u, a, H) are
     face_average's, and each face quantity is formed once.  work, when
-    given, is the bound arrays of _matrix_work for m and spec."""
-    rho, beta = _rho_beta(m, flux_kind)
+    given, is _matrix_work's for m, spec and flux_kind."""
     # entropy_vars_jump reads the log means: they are formed here, before
     # a temporary of work is written (the stage's log_mean and work share
     # the stage's scratch)
     m.rho_ln
-    if work is None:
-        work = _matrix_work(m, spec, _Scratch())
-    (w, speeds, enthalpies, u_minus_a, u_row, u_plus_a, h_minus,
-     half_u2, h_plus, col_minus, col_mid, col_plus, w_minus, w_mid, w_plus,
-     a, H, ua, law, t, dv_work, out, dv0, dv1, dv2, by_dv1, by_dv2) = work
-    u = m.u_bar
-    np.multiply(_TWO, beta, a)
-    np.divide(gas._gamma, a, a)
-    np.sqrt(a, a)
-    # R is a row of ones over the rows (u - a, u, u + a) and
-    # (H - u a, u^2/2, H + u a), H = a^2/(gamma - 1) + u^2/2; the first row
-    # of the block holds w in place of the ones, and ua holds u/2 until
-    # u a is formed
-    np.multiply(_HALF, u, ua)
-    np.multiply(ua, u, half_u2)
-    np.multiply(a, a, H)
-    np.divide(H, gas._gm1, H)
-    np.add(H, half_u2, H)
-    np.multiply(u, a, ua)
-    np.subtract(u, a, u_minus_a)
-    u_row[...] = u
-    np.add(u, a, u_plus_a)
-    np.subtract(H, ua, h_minus)
-    np.add(H, ua, h_plus)
-    _law(speeds, a, m, gas, spec, law)
-    # S: the acoustic rows of w are scaled by rho/(2 gamma), the entropy
-    # row by (gamma - 1) rho/gamma
-    np.divide(rho, gas._two_gamma, t)
-    np.multiply(w_minus, t, w_minus)
-    np.multiply(w_plus, t, w_plus)
-    np.multiply(gas._gm1, rho, t)
-    np.divide(t, gas._gamma, t)
-    np.multiply(w_mid, t, w_mid)
-    entropy_vars_jump(m, gas, dv_work)
-    # w *= dv[0] + rows[0] dv[1] + rows[1] dv[2]
-    np.multiply(speeds, dv1, by_dv1)
-    np.add(dv0, by_dv1, by_dv1)
-    np.multiply(enthalpies, dv2, by_dv2)
-    np.add(by_dv1, by_dv2, by_dv1)
-    np.multiply(w, by_dv1, w)
-    np.multiply(speeds, w, speeds)
-    np.multiply(enthalpies, w, enthalpies)
-    # dv is spent: it takes R w.  The two acoustic waves are summed before
-    # the entropy wave is added.
-    np.add(col_minus, col_plus, out)
-    np.add(out, col_mid, out)
-    np.multiply(out, _NEG_HALF, out)
+    out, calls = work or _matrix_work(m, gas, spec, flux_kind, _Scratch())
+    for f, a in calls:
+        f(*a)
     return out

@@ -7,9 +7,10 @@ remaining averages with logarithmic means so that the two-point condition
 dv . f = d(rho u) holds exactly across any interface.
 Every flux takes the FaceMeans record of its pairs and returns the stacked
 (3, ...) array (f_rho, f_m, f_e); the solver passes the one record it
-builds per stage.  A flux writes its rows into the out of its bound
-arrays (_central_work: row [i, ...] is a view, 0-d for a single pair),
-which the stage binds once per march and a one-shot call builds.
+builds per stage.  A flux writes into the out of its work
+(_central_work), which the stage binds once per march and a one-shot
+call builds: the KEP family runs its bound calls, and the other fluxes
+write out's rows ([i, ...], a view, 0-d for a single pair).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .thermo import (
     _HALF,
     _TWO,
     FaceMeans,
+    _calls,
     _Scratch,
     _avg,
     _stacked,
@@ -50,13 +52,34 @@ def exact_flux(q: PrimState, gas: GasModel) -> np.ndarray:
     return _stacked(f_rho, p + f_rho * u, f_rho * H)
 
 
-def _central_work(m: FaceMeans, scratch, out=None):
-    """A central flux's bound arrays for the record m: the stacked result
-    out, new unless given, its three rows and two temporaries."""
+def _central_work(m: FaceMeans, gas: GasModel, flux_kind: str, scratch,
+                 out=None):
+    """A central flux's work for the record m: the stacked result out,
+    new unless given, and, for the KEP family (flux_kepec_ac,
+    flux_kepec), its calls with two temporaries from scratch; the other
+    fluxes, which bind nothing, take out's three rows in their place.
+
+    The KEP family's flux is f_rho = rho_f u_bar, f_m = p_tilde + u_bar
+    f_rho and f_e = (1/(2 (gamma-1) beta_f) - u2_bar/2) f_rho + u_bar
+    f_m, with the means rho_f, beta_f of its kind."""
     if out is None:
         out = np.empty((3,) + m.shape)
-    return (out, out[0, ...], out[1, ...], out[2, ...],
-            scratch.take(*m.shape), scratch.take(*m.shape))
+    f_rho, f_m, f_e = out[0, ...], out[1, ...], out[2, ...]
+    t1, t2 = scratch.take(*m.shape), scratch.take(*m.shape)
+    if flux_kind not in ("kepec_ac", "kepec"):
+        return out, f_rho, f_m, f_e
+    rho_f, beta_f = (m._ln_operands if flux_kind == "kepec"
+                     else (m.rho_bar, m.beta_bar))
+    u_bar = m.u_bar
+    return out, _calls([
+        (np.multiply, rho_f, u_bar, f_rho),
+        # p_tilde = rho_bar / (2 beta_bar)
+        (np.multiply, _TWO, m.beta_bar, t1), (np.divide, m.rho_bar, t1, t1),
+        (np.multiply, u_bar, f_rho, t2), (np.add, t1, t2, f_m),
+        (np.multiply, gas._gm1, beta_f, t1), (np.divide, _HALF, t1, t1),
+        (np.multiply, _HALF, m.u2_bar, t2), (np.subtract, t1, t2, t1),
+        (np.multiply, t1, f_rho, t1), (np.multiply, u_bar, f_m, t2),
+        (np.add, t1, t2, f_e)])
 
 
 def flux_kep(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
@@ -64,7 +87,7 @@ def flux_kep(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
 
     f_rho = rho_bar u_bar, p_tilde = p_bar, f_e = rho_bar u_bar H_bar.
     """
-    out, f_rho, f_m, f_e, *_ = work or _central_work(m, _Scratch())
+    out, f_rho, f_m, f_e = work or _central_work(m, gas, "kep", _Scratch())
     H_bar = _avg(total_enthalpy(m.left, gas), total_enthalpy(m.right, gas))
     np.multiply(m.rho_bar, m.u_bar, f_rho)
     np.add(m.p_bar, m.u_bar * f_rho, f_m)
@@ -100,31 +123,11 @@ def flux_roe_ec(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
     a_t = np.sqrt(gas._gamma * p2_t / rho_t)
     H_t = a_t * a_t / gas._gm1 + _HALF * u_t * u_t
 
-    out, f_rho, f_m, f_e, *_ = work or _central_work(m, _Scratch())
+    out, f_rho, f_m, f_e = work or _central_work(m, gas, "roe_ec",
+                                                 _Scratch())
     np.multiply(rho_t, u_t, f_rho)
     np.add(p1_t, u_t * f_rho, f_m)
     np.multiply(H_t, f_rho, f_e)
-    return out
-
-
-def _kep_family(m: FaceMeans, gas: GasModel, rho_f, beta_f, work):
-    """KEP flux f_rho = rho_f u_bar, f_m = p_tilde + u_bar f_rho and
-    f_e = (1/(2 (gamma-1) beta_f) - u2_bar/2) f_rho + u_bar f_m."""
-    out, f_rho, f_m, f_e, t1, t2 = work or _central_work(m, _Scratch())
-    u_bar = m.u_bar
-    np.multiply(rho_f, u_bar, f_rho)
-    # p_tilde = rho_bar / (2 beta_bar)
-    np.multiply(_TWO, m.beta_bar, t1)
-    np.divide(m.rho_bar, t1, t1)
-    np.multiply(u_bar, f_rho, t2)
-    np.add(t1, t2, f_m)
-    np.multiply(gas._gm1, beta_f, t1)
-    np.divide(_HALF, t1, t1)
-    np.multiply(_HALF, m.u2_bar, t2)
-    np.subtract(t1, t2, t1)
-    np.multiply(t1, f_rho, t1)
-    np.multiply(u_bar, f_m, t2)
-    np.add(t1, t2, f_e)
     return out
 
 
@@ -135,7 +138,10 @@ def flux_kepec_ac(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
     O(jump^3).  p_tilde = rho_bar/(2 beta_bar) is the harmonic-temperature
     pressure average.
     """
-    return _kep_family(m, gas, m.rho_bar, m.beta_bar, work)
+    out, calls = work or _central_work(m, gas, "kepec_ac", _Scratch())
+    for f, a in calls:
+        f(*a)
+    return out
 
 
 def flux_kepec(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
@@ -144,7 +150,12 @@ def flux_kepec(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
     Same structure as flux_kepec_ac with the density and beta averages in
     the mass and energy fluxes replaced by logarithmic means.
     """
-    return _kep_family(m, gas, m.rho_ln, m.beta_ln, work)
+    # the log means are formed before a temporary of work is written
+    m.rho_ln
+    out, calls = work or _central_work(m, gas, "kepec", _Scratch())
+    for f, a in calls:
+        f(*a)
+    return out
 
 
 def flux_central_mean(m: FaceMeans, gas: GasModel,
@@ -156,7 +167,7 @@ def flux_central_mean(m: FaceMeans, gas: GasModel,
     record's sides, which are broadcast against each other, so a scalar
     side combines with an array side.
     """
-    out = (work or _central_work(m, _Scratch()))[0]
+    out = (work or _central_work(m, gas, "roe_baseline", _Scratch()))[0]
     np.add(exact_flux(m.left, gas), exact_flux(m.right, gas), out)
     out *= _HALF
     return out

@@ -8,10 +8,11 @@ physical region falls back to the first-order cell value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .thermo import _HALF, _ZERO, _const, _Scratch
+from .thermo import _HALF, _ZERO, _calls, _const, _run, _Scratch
 
 __all__ = ["ReconSpec", "minmod", "van_albada", "reconstruct_face"]
 
@@ -38,26 +39,24 @@ def minmod(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    return _minmod(a, b, np.abs(a), np.abs(b), out, np.empty(out.shape))
+    _run(_minmod_calls(a, b, np.abs(a), np.abs(b), out, np.empty(out.shape)))
+    return out
 
 
-def _minmod(a, b, abs_a, abs_b, out, t):
-    """minmod of a and b with their magnitudes given, into out; t is a
-    temporary of out's shape.
+def _minmod_calls(a, b, abs_a, abs_b, out, t):
+    """The calls that form minmod of a and b, with their magnitudes
+    given, into out; t is a temporary of out's shape.
 
     min(|a|, |b|) is kept where a b > 0 and cleared elsewhere by a product
     with sign(a b) and a max with +0 (a NaN sign or product clears too);
     then it takes a's sign, which is b's where it is kept, and + 0 turns
     the -0 of a cleared entry into +0.  No step branches per entry.
     """
-    np.minimum(abs_a, abs_b, out=out)
-    np.multiply(a, b, t)
-    np.sign(t, t)
-    np.multiply(out, t, out)
-    np.fmax(out, _ZERO, out)
-    np.copysign(out, a, out)
-    np.add(out, _ZERO, out)
-    return out
+    return [(partial(np.minimum, out=out), abs_a, abs_b),
+            (np.multiply, a, b, t),
+            (np.sign, t, t), (np.multiply, out, t, out),
+            (np.fmax, out, _ZERO, out), (np.copysign, out, a, out),
+            (np.add, out, _ZERO, out)]
 
 
 def van_albada(a, b):
@@ -65,46 +64,51 @@ def van_albada(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    return _van_albada(a, b, out, np.empty(out.shape), np.empty(out.shape))
+    _run(_van_albada_calls(a, b, out, np.empty(out.shape),
+                           np.empty(out.shape)))
+    return out
 
 
-def _van_albada(a, b, out, t1, t2):
-    """van_albada of a and b into out, with two temporaries of its shape."""
-    np.multiply(a, a, out)
-    np.multiply(out, b, out)
-    np.multiply(b, b, t1)
-    np.multiply(t1, a, t1)
-    np.add(out, t1, out)
-    np.add(a, b, t1)
-    np.multiply(_EPS, t1, t1)
-    np.add(out, t1, out)
-    np.multiply(a, a, t1)
-    np.multiply(b, b, t2)
-    np.add(t1, t2, t1)
-    np.add(t1, _TWO_EPS, t1)
-    return np.divide(out, t1, out)
+def _van_albada_calls(a, b, out, t1, t2):
+    """The calls that form van_albada of a and b into out, with two
+    temporaries of its shape."""
+    return [(np.multiply, a, a, out), (np.multiply, out, b, out),
+            (np.multiply, b, b, t1), (np.multiply, t1, a, t1),
+            (np.add, out, t1, out), (np.add, a, b, t1),
+            (np.multiply, _EPS, t1, t1), (np.add, out, t1, out),
+            (np.multiply, a, a, t1), (np.multiply, b, b, t2),
+            (np.add, t1, t2, t1), (np.add, t1, _TWO_EPS, t1),
+            (np.divide, out, t1, out)]
 
 
 def _recon_work(cells, spec: ReconSpec, out, scratch):
-    """reconstruct_face's bound arrays at order 2 for the stacked cells
-    and the (2,) + face-shaped out: the cells left and right of each
-    face, the cells after and before each jump, the jumps and their back
-    and forward views, the half slopes and their views left and right of
-    each face, the limiter's temporaries, and out, its two sides and
-    their rho and p rows."""
+    """reconstruct_face's work at order 2 for the stacked cells and the
+    (2,) + face-shaped out: the calls, with the jumps, the half slopes
+    and the limiter's temporaries from scratch, then what the positivity
+    fallback reads: out's two sides, the cells left and right of each
+    face, and out's rho and p rows."""
     jump = scratch.take(*cells.shape[:-1], cells.shape[-1] - 1)
     half = scratch.take(*cells.shape[:-1], cells.shape[-1] - 2)
-    temps = ()
+    back, fwd = jump[..., :-1], jump[..., 1:]
+    calls = [(np.subtract, cells[..., 1:], cells[..., :-1], jump)]
+    # the limited slopes of the cells between consecutive jumps; minmod
+    # takes |jump| once for both sides
     if spec.limiter == "minmod":
         size = scratch.take(*jump.shape)
-        temps = (size[..., :-1], size[..., 1:], size,
-                 scratch.take(*half.shape))
+        calls += [(np.abs, jump, size)] + _minmod_calls(
+            back, fwd, size[..., :-1], size[..., 1:], half,
+            scratch.take(*half.shape))
     elif spec.limiter == "van_albada":
-        temps = (scratch.take(*half.shape), scratch.take(*half.shape))
-    return (cells[..., 1:-2], cells[..., 2:-1], cells[..., 1:],
-            cells[..., :-1], jump, jump[..., :-1], jump[..., 1:], half,
-            half[..., :-1], half[..., 1:], temps, out, out[0], out[1],
-            out[:, ::2])
+        calls += _van_albada_calls(back, fwd, half, scratch.take(*half.shape),
+                                   scratch.take(*half.shape))
+    else:
+        calls += [(np.add, back, fwd, half), (np.multiply, half, _HALF, half)]
+    left, right = out[0], out[1]
+    f0, f1 = cells[..., 1:-2], cells[..., 2:-1]
+    calls += [(np.multiply, half, _HALF, half),
+              (np.add, f0, half[..., :-1], left),
+              (np.subtract, f1, half[..., 1:], right)]
+    return _calls(calls), left, right, f0, f1, out[:, ::2]
 
 
 def reconstruct_face(cells, spec: ReconSpec, work=None):
@@ -118,33 +122,19 @@ def reconstruct_face(cells, spec: ReconSpec, work=None):
     q_{j+1} - slope/2 with limited slopes, reverting a side to first order
     wherever rho or p would become non-positive.  Each cell's half slope
     is formed once and read by both of its faces.  work, when given, is
-    the bound arrays of _recon_work for these cells and a (2,) +
-    face-shaped out, whose out[0] and out[1] take the order-2 sides and
-    are returned (the stage's out is rows 0, 2 and 4 of its record's
-    pair block); without it the sides are a new array's.
+    _recon_work's for these cells and a (2,) + face-shaped out, whose
+    out[0] and out[1] take the order-2 sides and are returned (the
+    stage's out is rows 0, 2 and 4 of its record's pair block); without
+    it the sides are a new array's.
     """
     if spec.order == 1:
         return cells[..., 1:-2], cells[..., 2:-1]
     if work is None:
         work = _recon_work(cells, spec, np.empty((2,) + cells[..., 3:].shape),
                            _Scratch())
-    (f0, f1, hi, lo, jump, back, fwd, half, half_l, half_r, temps, out,
-     left, right, rho_p) = work
-    np.subtract(hi, lo, jump)
-    # the limited slopes of the cells between consecutive jumps; minmod
-    # takes |jump| once for both sides
-    if spec.limiter == "minmod":
-        abs_back, abs_fwd, size, t = temps
-        np.abs(jump, size)
-        _minmod(back, fwd, abs_back, abs_fwd, half, t)
-    elif spec.limiter == "van_albada":
-        _van_albada(back, fwd, half, *temps)
-    else:
-        np.add(back, fwd, half)
-        half *= _HALF
-    half *= _HALF
-    np.add(f0, half_l, left)
-    np.subtract(f1, half_r, right)
+    calls, left, right, f0, f1, rho_p = work
+    for f, a in calls:
+        f(*a)
     # a side whose rho or p would not be positive reverts to first order;
     # the min is not > 0 on any such side (or on a NaN)
     if not np.minimum.reduce(rho_p, None) > 0.0:

@@ -14,7 +14,7 @@ contiguous (2, 5, m) block, is the pair input of the central flux and
 the dissipation, and each flux is written into the window's columns of
 a stacked (3, n + 1) array.  The block, the fluxes and the windows live
 in a stage workspace (_StageWork) that the march holds and every call
-refills in place.
+refills in place, by running the calls the workspace binds once.
 The net flux F - G is formed once, and a shock_outflow boundary writes
 its last face there alone.  All per-face quantities needed by the budget
 diagnostics are returned in a FaceData record, which derives them only
@@ -35,17 +35,18 @@ from .reconstruction import ReconSpec, _recon_work, reconstruct_face
 from .thermo import (
     _FOUR_THIRDS,
     _HALF,
+    _ONE,
     _ZERO,
     FaceMeans,
     GasModel,
     InvalidStateError,
     PrimState,
+    _calls,
     _check_states,
     _constant,
-    _fields_work,
-    _form_fields,
+    _copy,
+    _fields_calls,
     _Scratch,
-    entropy_vars,
     temperature,
 )
 
@@ -119,6 +120,9 @@ class BoundaryCondition:
         if self.mass_flux is not None and not np.isfinite(self.mass_flux):
             raise ValueError("mass_flux must be finite")
 
+    # the prescribed mass flux as the stage's copy operand
+    _mass_flux = _constant(lambda bc: bc.mass_flux)
+
     @cached_property
     def ghost(self) -> np.ndarray:
         """The (rho, u, p) column of a fixed_state side's ghost cells."""
@@ -152,12 +156,14 @@ class FaceData:
     (n_cells + 1; under periodic boundaries face n_cells duplicates face
     0).  sides is the stacked (rho, u, p) rows of the n + 2 cells behind
     the faces, so face k lies between its columns k and k + 1, the views
-    left and right.  du, u_bar, dv and dpsi are built from those adjacent
+    left and right.  du, u_bar and dpsi are built from those adjacent
     cell values, which is what the summation-by-parts budget identities
-    require.  They and p_tilde are computed on first read, so marching
-    never pays for them.  The four fluxes and sides are arrays of the
-    stage's workspace, which the march holds: they are valid until the
-    caller resumes the march, whose next stage overwrites them.
+    require (the entropy-variable jumps come from one entropy_vars pass
+    over sides, as diagnostics.budget_report makes it).  They and p_tilde
+    are computed on first read, so marching never pays for them.  The
+    four fluxes and sides are arrays of the stage's workspace, which the
+    march holds: they are valid until the caller resumes the march, whose
+    next stage overwrites them.
     """
 
     central: np.ndarray
@@ -191,14 +197,6 @@ class FaceData:
         return self.right[1] - self.left[1]
 
     @cached_property
-    def dv(self) -> np.ndarray:
-        """(n_faces, 3), face-major and contiguous: the budget sums add in
-        memory order, so this layout fixes their rounding."""
-        dv = (entropy_vars(self.right, self.gas)
-              - entropy_vars(self.left, self.gas))
-        return np.ascontiguousarray(dv.T)
-
-    @cached_property
     def dpsi(self) -> np.ndarray:
         return self.right[0] * self.right[1] - self.left[0] * self.left[1]
 
@@ -207,17 +205,30 @@ class FaceData:
         return self.central[1] - self.u_bar * self.central[0]
 
 
-def _visc_work(m: FaceMeans, scratch, out=None):
-    """viscous_face_flux's bound arrays for the record m: the stacked
-    result out, new unless given, and its rows, the u rows of both sides,
-    the temperature of m's cells and the views of its sides, and four
-    temporaries (the face temperature, mu, q and one more)."""
+def _visc_work(m: FaceMeans, gas: GasModel, dx, scratch, out=None):
+    """viscous_face_flux's work for the record m and the cell width dx:
+    the stacked result out, new unless given, and the calls, with the
+    temperature of m's cells and four temporaries (the face temperature,
+    mu, q and one more) from scratch."""
     if out is None:
         out = np.empty((3,) + m.shape)
     T = scratch.take(*m._cells.shape[1:])
-    return ((out, out[0, ...], out[1, ...], out[2, ...], m.left[1, ...],
-             m.right[1, ...], m._cells, T) + m._side_views(T)
-            + tuple(scratch.take(*m.shape) for _ in range(4)))
+    t_l, t_r = m._side_views(T)
+    t_face, mu, q, t = (scratch.take(*m.shape) for _ in range(4))
+    tau = out[1, ...]
+    return out, _calls([
+        (temperature, m._cells, gas, T),
+        (np.add, t_l, t_r, t_face), (np.multiply, _HALF, t_face, t_face),
+        (gas.viscosity, t_face, mu),
+        # q = -kappa (t_r - t_l) / dx
+        (gas.conductivity, t_face, mu, q), (np.negative, q, q),
+        (np.subtract, t_r, t_l, t), (np.multiply, q, t, q),
+        (np.divide, q, dx, q),
+        _copy(out[0, ...], _ZERO),
+        (np.multiply, _FOUR_THIRDS, mu, t),
+        (np.subtract, m.right[1, ...], m.left[1, ...], t_face),
+        (np.multiply, t, t_face, t), (np.divide, t, dx, tau),
+        (np.multiply, m.u_bar, tau, t), (np.subtract, t, q, out[2, ...])])
 
 
 def viscous_face_flux(m: FaceMeans, gas: GasModel, dx: float,
@@ -227,51 +238,33 @@ def viscous_face_flux(m: FaceMeans, gas: GasModel, dx: float,
 
     tau = (4/3) mu du/dx and q = -kappa dT/dx with mu, kappa evaluated at
     the arithmetic-mean face temperature.  dx is a float or, as the stage
-    passes it, the grid's 0-d dx.  work, when given, is the bound arrays
-    of _visc_work for m.
+    passes it, the grid's 0-d dx.  work, when given, is _visc_work's for
+    m and dx.
     """
-    (out, f_rho, tau, f_e, u_l, u_r, cells, T, t_l, t_r, t_face, mu, q,
-     t) = work or _visc_work(m, _Scratch())
-    temperature(cells, gas, T)
-    np.add(t_l, t_r, t_face)
-    np.multiply(_HALF, t_face, t_face)
-    gas.viscosity(t_face, mu)
-    # q = -kappa (t_r - t_l) / dx
-    gas.conductivity(t_face, mu, q)
-    np.negative(q, q)
-    np.subtract(t_r, t_l, t)
-    np.multiply(q, t, q)
-    np.divide(q, dx, q)
-    f_rho[...] = _ZERO
-    np.multiply(_FOUR_THIRDS, mu, t)
-    np.subtract(u_r, u_l, t_face)
-    np.multiply(t, t_face, t)
-    np.divide(t, dx, tau)
-    np.multiply(m.u_bar, tau, t)
-    np.subtract(t, q, f_e)
+    out, calls = work or _visc_work(m, gas, dx, _Scratch())
+    for f, a in calls:
+        f(*a)
     return out
 
 
-def _ghost_views(rows):
-    """apply_boundary's views of rows: the ghost cells of each side, the
-    edge cell of each side, and the cells whose copies are the periodic
-    ghosts of each side."""
-    return (rows[:, :2], rows[:, -2:], rows[:, 2:3], rows[:, -3:-2],
-            rows[:, -4:-2], rows[:, 2:4])
+def _ghost_calls(rows, bcs: BoundarySpec):
+    """apply_boundary's calls for rows and bcs: the copies into the two
+    ghost cells of each side."""
+    lo, hi = rows[:, :2], rows[:, -2:]
+    if bcs.is_periodic:
+        return _calls([_copy(lo, rows[:, -4:-2]),
+                       _copy(hi, rows[:, 2:4])])
+    return _calls([_copy(lo, _ghost(bcs.left, rows[:, 2:3])),
+                   _copy(hi, _ghost(bcs.right, rows[:, -3:-2]))])
 
 
 def apply_boundary(rows: np.ndarray, bcs: BoundarySpec,
-                   views=None) -> np.ndarray:
+                   calls=None) -> np.ndarray:
     """Fill, in place, the two ghost cells per side of rows, the (3, n + 4)
     (rho, u, p) rows whose columns 2 .. n + 1 hold n cells; returns
-    rows.  views, when given, is _ghost_views(rows)."""
-    lo, hi, first, last, wrap_lo, wrap_hi = views or _ghost_views(rows)
-    if bcs.is_periodic:
-        lo[...] = wrap_lo
-        hi[...] = wrap_hi
-    else:
-        lo[...] = _ghost(bcs.left, first)
-        hi[...] = _ghost(bcs.right, last)
+    rows.  calls, when given, is _ghost_calls(rows, bcs)."""
+    for f, a in calls or _ghost_calls(rows, bcs):
+        f(*a)
     return rows
 
 
@@ -289,9 +282,11 @@ WINDOW = 8192
 
 
 class _StageWork:
-    """Every array an RHS stage writes, and every view it reads, bound
+    """Every array an RHS stage writes, and the calls it makes, bound
     once per march from the cell count n, the reconstruction, the
-    dissipation and whether the gas is viscous.
+    dissipation and whether the gas is viscous, and, on the first call
+    with them, the grid, the gas, the central flux and the boundaries
+    (key; a call with another key binds the calls again).
 
     The workspace owns the (5, n + 4) cell block (rows rho, beta, u, u^2
     and p of the n cells and two ghost cells per side), the central,
@@ -303,17 +298,25 @@ class _StageWork:
     buffer (thermo._Scratch) that holds every kernel's temporaries.  The
     kernels of a window run in sequence and share the scratch; a kernel
     that reads log means forms them before it writes a temporary, since
-    log_mean's lie in the same room.  size is the pair of lengths of the
-    record and the scratch buffers, those of a window of WINDOW faces
-    (of all n + 1 on a smaller grid), so it is the same at every n past
-    WINDOW faces: the workspace learns it by a first binding.
+    log_mean's lie in the same room.  calls is the list the stage runs
+    after its validity check: the ghost fill, each window's calls, the
+    boundary-flux step of a shock_outflow side and the rhs difference,
+    where each public kernel is one entry (so a trace of the public
+    functions sees every kernel) and the calls of a private helper are
+    spliced in.  size is the pair of lengths of the record and the
+    scratch buffers, those of a window of WINDOW faces (of all n + 1 on
+    a smaller grid), so it is the same at every n past WINDOW faces: the
+    workspace learns it by a first binding on stand-ins, since no take
+    depends on the key.
     """
+
+    # the stand-in dx, gas, flux and end rule of the sizing binding
+    _SIZING = (_ONE, GasModel(), "kepec", True)
 
     def __init__(self, n: int, recon: ReconSpec, diss: DissipationSpec,
                  viscous: bool):
         self.block = np.empty((5, n + 4))
         self.rows = rows = self.block[::2]
-        self.ghosts = _ghost_views(rows)
         self.inner = inner = rows[:, 2:-2]
         self.rho_p = inner[::2]
         # face k sits between cells k+1 and k+2 of rows
@@ -329,10 +332,6 @@ class _StageWork:
         self.rhs = rhs = np.empty((3, n))
         # rhs is written last: its first row is the prologue's temporary
         self.prim = (inner[0], inner[1], inner[2], rhs[0])
-        net = self.net
-        self.net_lo, self.net_hi = net[:, :-1], net[:, 1:]
-        # the momentum and energy rows of the last face and the one before
-        self.net_last, self.net_prev = net[1:, n], net[1:, n - 1]
         # n + 1 faces in k windows of equal size, give or take a face, so
         # that each window of a larger grid holds more than WINDOW / 2 =
         # 4,096 faces: numpy buffers, and allocates for, a 2-D call on a
@@ -341,17 +340,43 @@ class _StageWork:
         cuts = [i * (n + 1) // k for i in range(k + 1)]
         # a window of min(n + 1, WINDOW) faces sets both lengths
         sizing = _Scratch(0), _Scratch(0)
-        _Window(self, 0, min(n + 1, WINDOW), recon, diss, viscous, *sizing)
+        _Window(self, 0, min(n + 1, WINDOW), recon, diss, viscous,
+                *sizing).bind(*self._SIZING)
         self.size = tuple(s.size for s in sizing)
         records, scratch = map(_Scratch, self.size)
         self.windows = [_Window(self, a, b, recon, diss, viscous,
                                 records.rewind(), scratch)
                         for a, b in zip(cuts[:-1], cuts[1:])]
+        self.key = self.calls = None
+
+    def bind(self, grid: Grid1D, gas: GasModel, flux_kind: str,
+             bcs: BoundarySpec):
+        """Bind calls for the key (grid, gas, flux_kind, bcs)."""
+        if flux_kind not in CENTRAL_FLUXES:
+            raise ValueError(f"unknown flux kind {flux_kind!r}")
+        calls = [(apply_boundary, self.rows, bcs,
+                  _ghost_calls(self.rows, bcs))]
+        # the boundary faces of a scalar stencil reuse the nearest
+        # interior sensor, in the windows that hold them
+        for win in self.windows:
+            calls += win.bind(grid._dx, gas, flux_kind, not bcs.is_periodic)
+        n, net, rhs = grid.n_cells, self.net, self.rhs
+        if bcs.right.kind == "shock_outflow":
+            # boundary-flux step: the last face carries the prescribed mass
+            # flux and, in momentum and energy, the net flux of the face
+            # before it, so the last cell sees zero update in them
+            calls += [_copy(net[0, n:], bcs.right._mass_flux),
+                      _copy(net[1:, n], net[1:, n - 1])]
+        # -(net[1:] - net[:-1]) / dx: x / -dx is -(x / dx) bitwise
+        calls += [(np.subtract, net[:, 1:], net[:, :-1], rhs),
+                  (np.divide, rhs, grid._neg_dx, rhs)]
+        self.calls = _calls(calls)
+        self.key = grid, gas, flux_kind, bcs
 
 
 class _Window:
-    """The bound arrays of the faces a .. b - 1 (faces) of the workspace
-    work.
+    """The faces a .. b - 1 (faces) of the workspace work, and their
+    calls.
 
     Those faces read the block columns a .. b + 2, so the window's view
     of the cell block is the cell block of a (b - a - 1)-cell grid, and
@@ -362,20 +387,20 @@ class _Window:
     scratch, which every window shares.  The cell-pair record (cell_means:
     first order, the scalar stencil, the viscous flux) and the face record
     (means: at order 2 the reconstructed faces', else cell_means) are
-    refilled by the window's stage.  ends flags whether the window holds
+    refilled by the window's calls.  ends flags whether the window holds
     the grid's first face and its last, where the JST end rule acts.
     """
 
     def __init__(self, work, a, b, recon, diss, viscous, records, scratch):
         faces = b - a
-        block = work.block[:, a:b + 3]
-        self.rows = rows = block[::2]
-        self.beta = block[1]
+        self.block = work.block[:, a:b + 3]
+        self.rows = rows = self.block[::2]
         self.faces = slice(a, b)
         self.ends = (a == 0, b == work.net.shape[1])
         self.fluxes = tuple(f[:, a:b] for f in (work.central, work.diss,
                                                work.visc, work.net))
-        central, d_flux, g_flux, _ = self.fluxes
+        self.recon, self.diss, self.viscous = recon, diss, viscous
+        self.scratch = scratch
         # face k of the window sits between its cells k+1 and k+2.  These
         # cell pairs are the face pairs at first order and, at any order,
         # the pairs that the scalar stencil and the viscous flux difference.
@@ -392,27 +417,52 @@ class _Window:
         self.means = self.cell_means
         if recon.order == 2:
             self.means = FaceMeans._held((faces,), blocks=records)
-            # rows rho, u and p of both sides, which reconstruct_face fills
-            self.face_sides = self.means.pairs[:, ::2]
-        # each kernel takes its temporaries from the start of scratch
-        self.fields = _fields_work(block, scratch.rewind())
-        self.means._take(scratch.rewind())
-        if self.cell_means not in (None, self.means):
-            self.cell_means._take(scratch.rewind())
+
+    def bind(self, dx, gas: GasModel, flux_kind: str, end_rule: bool):
+        """The window's calls for the grid's 0-d dx, the gas, the central
+        flux and whether the JST end rule acts at the grid's ends; each
+        kernel takes its temporaries from the start of the scratch."""
+        recon, diss, scratch = self.recon, self.diss, self.scratch
+        pairs, means, rows = self.cell_means, self.means, self.rows
+        central, d_flux, g_flux, net = self.fluxes
+        calls = []
+        if pairs is not None:
+            # beta and u^2 once per cell, on the block, then the cell pairs
+            calls += _fields_calls(self.block, scratch.rewind())
+            calls.append(_copy(pairs.pairs, self.cell_pairs))
+            calls += pairs._take(scratch.rewind(), False)
         if recon.order == 2:
-            self.recon = _recon_work(rows, recon, self.face_sides,
-                                     scratch.rewind())
-        self.central_work = _central_work(self.means, scratch.rewind(),
-                                          central)
+            # rows rho, u and p of both sides, which reconstruct_face fills
+            work = _recon_work(rows, recon, means.pairs[:, ::2],
+                               scratch.rewind())
+            calls.append((reconstruct_face, rows, recon, work))
+            calls += means._take(scratch.rewind(), True)
+        work = _central_work(means, gas, flux_kind, scratch.rewind(), central)
+        calls.append((CENTRAL_FLUXES[flux_kind], means, gas, work))
         if diss.kind == "matrix":
-            self.diss_work = _matrix_work(self.means, diss, scratch.rewind(),
-                                          d_flux)
+            work = _matrix_work(means, gas, diss, flux_kind, scratch.rewind(),
+                                d_flux)
+            calls.append((matrix_dissipation, means, gas, diss, flux_kind,
+                          work))
         elif diss.kind == "scalar":
-            self.diss_work = _jst_work(rows, self.cell_means,
-                                       scratch.rewind(), d_flux)
-        if viscous:
-            self.visc_work = _visc_work(self.cell_means, scratch.rewind(),
-                                        g_flux)
+            # the stencil differences the cells, whose pairs are the face
+            # pairs only without reconstruction; the cell block's row 1
+            # holds beta
+            ends = self.ends if end_rule else (False, False)
+            beta = self.block[1]
+            work = _jst_work(rows, pairs, gas, diss, ends, beta,
+                             scratch.rewind(), d_flux)
+            calls.append((jst_dissipation, rows, pairs, gas, diss, ends, beta,
+                          work))
+        if self.viscous:
+            work = _visc_work(pairs, gas, dx, scratch.rewind(), g_flux)
+            calls.append((viscous_face_flux, pairs, gas, dx, work))
+        # net = F - G.  An inviscid G is zero and x - 0 is x, so it is not
+        # subtracted.
+        calls.append((np.add, central, d_flux, net))
+        if self.viscous:
+            calls.append((np.subtract, net, g_flux, net))
+        return calls
 
 
 def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
@@ -422,23 +472,24 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
 
     cells is the stacked (3, n) array of the rows rho, m, E; rhs comes
     back as a (3, n) array.  work is the stage workspace that the march
-    holds (a _StageWork of this grid, recon, diss and gas): the call
-    refills it, and rhs and the returned FaceData's central, diss, visc,
-    net, cells, left and right are arrays of it, so the next call with
-    the same work overwrites them (the zero diss and visc of a stage
-    without dissipation or viscosity stay zero).  Without work, the call
-    builds a workspace of its own, and nothing it returns is shared.
+    holds (a _StageWork of this grid, recon, diss and gas): the call runs
+    its calls, bound again first when the grid, gas, flux or boundaries
+    are not those of the last call, and rhs and the returned FaceData's
+    central, diss, visc, net, cells, left and right are arrays of it, so
+    the next call with the same work overwrites them (the zero diss and
+    visc of a stage without dissipation or viscosity stay zero).  Without
+    work, the call builds a workspace of its own, and nothing it returns
+    is shared.
     """
-    if flux_kind not in CENTRAL_FLUXES:
-        raise ValueError(f"unknown flux kind {flux_kind!r}")
-    n = grid.n_cells
-    viscous = gas.is_viscous
     if work is None:
-        work = _StageWork(n, recon, diss, viscous)
+        work = _StageWork(grid.n_cells, recon, diss, gas.is_viscous)
+    if work.key != (grid, gas, flux_kind, bcs):
+        work.bind(grid, gas, flux_kind, bcs)
     # the stage writes rho, u and p (cons_to_prim's formula) into the cell
     # block and then the ghosts; the records form beta and u^2
     rho_row, u, p, t = work.prim
-    rho, m, E = cells
+    # rows by index: unpacking an array costs ~0.3 us more
+    rho, m, E = cells[0], cells[1], cells[2]
     rho_row[...] = rho
     np.divide(m, rho, u)
     np.multiply(_HALF, m, t)
@@ -457,51 +508,8 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
         raise InvalidStateError(
             f"invalid state in cell {idx}: rho={inner[0, idx]:.6g}, "
             f"p={inner[2, idx]:.6g}")
-    apply_boundary(work.rows, bcs, work.ghosts)
-
-    # the boundary faces of a scalar stencil reuse the nearest interior
-    # sensor, in the windows that hold them
-    end_rule = not bcs.is_periodic
-    for win in work.windows:
-        pairs = win.cell_means
-        if pairs is not None:
-            # beta and u^2 once per cell, on the block, then the cell pairs
-            _form_fields(win.fields)
-            pairs.pairs[...] = win.cell_pairs
-            pairs._refill(False)
-        means = win.means
-        if recon.order == 2:
-            reconstruct_face(win.rows, recon, win.recon)
-            means._refill(True)
-        central, d_flux, g_flux, net = win.fluxes
-        CENTRAL_FLUXES[flux_kind](means, gas, win.central_work)
-        if diss.kind == "matrix":
-            matrix_dissipation(means, gas, diss, flux_kind, win.diss_work)
-        elif diss.kind == "scalar":
-            # the stencil differences the cells, whose pairs are the face
-            # pairs only without reconstruction; the cell block's row 1
-            # holds beta
-            jst_dissipation(win.rows, pairs, gas, diss,
-                            win.ends if end_rule else (False, False),
-                            win.beta, win.diss_work)
-        if viscous:
-            viscous_face_flux(pairs, gas, grid._dx, win.visc_work)
-        # net = F - G.  An inviscid G is zero and x - 0 is x, so it is not
-        # subtracted.
-        np.add(central, d_flux, net)
-        if viscous:
-            np.subtract(net, g_flux, net)
-
-    net = work.net
-    if bcs.right.kind == "shock_outflow":
-        # boundary-flux step: the last face carries the prescribed mass
-        # flux and, in momentum and energy, the net flux of the face before
-        # it, so the last cell sees zero update in them
-        net[0, n] = bcs.right.mass_flux
-        work.net_last[...] = work.net_prev
-    # -(net[1:] - net[:-1]) / dx: x / -dx is -(x / dx) bitwise
-    rhs = np.subtract(work.net_hi, work.net_lo, work.rhs)
-    rhs /= grid._neg_dx
-    faces = FaceData(work.central, work.diss, work.visc, net, work.sides,
-                     gas, bcs.is_periodic)
-    return rhs, faces
+    for f, a in work.calls:
+        f(*a)
+    faces = FaceData(work.central, work.diss, work.visc, work.net,
+                     work.sides, gas, bcs.is_periodic)
+    return work.rhs, faces

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -78,11 +78,11 @@ class _Scratch:
     one element, so that a binding learns the size without allocating;
     with a size, consecutive views of one flat buffer of that length.
     size records the length the takes need.  The stage workspace
-    (spatial._StageWork) binds its kernels twice, with 0 and then with the
+    (spatial._StageWork) binds its calls twice, with 0 and then with the
     size learnt.  The kernels of a stage run in sequence and a kernel's
     temporaries are dead once it returns, so the workspace rewinds before
-    it binds each kernel and they all share the buffer; a kernel that
-    calls another binds the callee past its own live temporaries.
+    it binds each kernel's calls and they all share the buffer; a kernel
+    that calls another binds the callee past its own live temporaries.
     """
 
     def __init__(self, size=None):
@@ -110,6 +110,27 @@ class _Scratch:
     def rewind(self):
         self.at = 0
         return self
+
+
+def _calls(entries):
+    """A kernel's bound calls, written as (callable, operands...) entries,
+    as the (callable, operands) pairs that the kernel runs by
+    `for f, a in calls: f(*a)`.  That loop builds no list per call, and
+    costs ~0.15 us a call less than `for f, *a in entries` on numpy 2.4."""
+    return [(e[0], e[1:]) for e in entries]
+
+
+def _run(entries):
+    """Run (callable, operands...) entries once, as the one-shot call of
+    a private helper does."""
+    for f, *a in entries:
+        f(*a)
+
+
+def _copy(dst, src):
+    """The call entry of dst[...] = src, which costs ~0.1 us less a call
+    than np.copyto."""
+    return dst.__setitem__, Ellipsis, src
 
 
 def _check_finite(**fields):
@@ -298,6 +319,24 @@ def _stacked(*fields):
     return np.array(np.broadcast_arrays(*fields), dtype=float)
 
 
+class _LogMeans:
+    """rho_ln or beta_ln of a FaceMeans record: the first read of either
+    forms both, by one log_mean call, and stores them on the record,
+    where later reads find them until a refill drops them."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, m, owner=None):
+        if m is None:
+            return self
+        ln = log_mean(*m._ln_sides, m._ln, m._ln_work)
+        # a held record's rows are bound once; a single pair's rows are
+        # scalars, taken once formed
+        m.rho_ln, m.beta_ln = m._ln_rows or ln
+        return m.__dict__[self.name]
+
+
 class FaceMeans:
     """Two-point averages of the pairs (left, right), shared by the central
     flux, the dissipation and the entropy-variable jump of one RHS stage.
@@ -314,16 +353,18 @@ class FaceMeans:
 
     The stage's workspace (spatial._StageWork) holds its records through
     a march, one set per stage window: it writes new pairs into the same
-    block every stage and refills the record (_refill), so every array a
-    record hands out is overwritten by the next stage.  A held record
-    writes its log means into a block of its own; the blocks of the
-    records of all windows lie in one buffer, and the workspace's scratch
-    holds the temporaries of a refill and of the log means (_take).  A
+    block every stage and runs the record's refill calls (_take), so
+    every array a record hands out is overwritten by the next stage.  A
+    held record writes its log means into a block of its own; the blocks
+    of the records of all windows lie in one buffer, and the workspace's
+    scratch holds the temporaries of a refill and of the log means.  A
     kernel reads a quantity of the left and the right sides from one
     evaluation on the record's cells (_side_views): a cell-pair record's
     cells are the cell rows, so a cell quantity is evaluated once per
     cell.
     """
+
+    rho_ln, beta_ln = _LogMeans(), _LogMeans()
 
     def __init__(self, left, right):
         shape = np.broadcast_shapes(*(np.shape(f) for q in (left, right)
@@ -332,9 +373,8 @@ class FaceMeans:
         for side, state in zip(self.pairs, (left, right)):
             for k, f in zip((0, 2, 4), state):
                 side[k] = f
-        self._fields = _fields_work(self.pairs.swapaxes(0, 1), _Scratch())
         self._ln = self._ln_rows = self._ln_work = None
-        self._refill(True)
+        _run(self._refill_calls(_Scratch(), True))
         # bound once the blocks hold values: a row of a single pair is
         # a scalar
         self._bind()
@@ -342,7 +382,7 @@ class FaceMeans:
     @classmethod
     def _held(cls, shape, cells=None, lo=None, hi=None, blocks=None):
         """A record of pair, bar and log-mean blocks with one or more axes
-        of pairs (shape), which its holder fills before each _refill and
+        of pairs (shape), which its holder fills before each refill and
         whose temporaries it binds (_take); the blocks are taken from
         blocks, a _Scratch, and are new arrays without it; cells, lo and
         hi as in _bind."""
@@ -380,69 +420,76 @@ class FaceMeans:
         self.rho_bar, self.beta_bar, self.u_bar = bar[0], bar[1], bar[2]
         self.u2_bar, self.p_bar = bar[3], bar[4]
 
-    def _take(self, scratch):
-        """Bind the temporaries of _refill and of the log means from
-        scratch, both at its cursor: they are used at different times."""
+    def _take(self, scratch, fields: bool):
+        """Bind log_mean's work and the refill calls (_refill_calls) of a
+        held record from scratch, both at its cursor: they run at
+        different times.  Returns the refill calls."""
         at = scratch.at
-        self._fields = _fields_work(self.pairs.swapaxes(0, 1), scratch)
+        calls = self._refill_calls(scratch, fields)
         scratch.at = at
-        self._ln_work = _log_mean_work(self._ln.shape, scratch)
+        self._ln_work = _log_mean_work(*self._ln_sides, self._ln, scratch)
+        return calls
 
-    def _refill(self, fields: bool):
-        """Form the record's means from the pairs, in place: beta and u^2
-        of both sides first when fields is set (the caller wrote only
-        rho, u and p), then the bar rows; the log means of earlier pairs
-        are dropped, to be formed again on their next read."""
-        if fields:
-            _form_fields(self._fields)
-        bar = self._bar
-        np.add(*self._sides, bar)
-        bar *= _HALF
-        self.__dict__.pop("rho_ln", None)
-        self.__dict__.pop("beta_ln", None)
+    def _refill_calls(self, scratch, fields: bool):
+        """The calls that form the record's means from the pairs, in
+        place: beta and u^2 of both sides first when fields is set (the
+        caller wrote only rho, u and p), then the bar rows; the log means
+        of earlier pairs are dropped, to be formed again on their next
+        read."""
+        calls = (_fields_calls(self.pairs.swapaxes(0, 1), scratch)
+                 if fields else [])
+        bar, formed = self._bar, self.__dict__
+        return calls + [(np.add, *self._sides, bar),
+                        (np.multiply, bar, _HALF, bar),
+                        (formed.pop, "rho_ln", None),
+                        (formed.pop, "beta_ln", None)]
 
     def _side_views(self, q):
         """The left and the right side of each pair in q, a quantity
         evaluated on the record's cells, with their trailing shape."""
         return q[self._lo], q[self._hi]
 
-    def __getattr__(self, name):
-        # the log means are formed on the first read of either
-        if name not in ("rho_ln", "beta_ln"):
-            raise AttributeError(name)
-        ln = log_mean(*self._ln_sides, self._ln, self._ln_work)
-        # a held record's rows are bound once; a single pair's rows are
-        # scalars, taken once formed
-        self.rho_ln, self.beta_ln = self._ln_rows or ln
-        return getattr(self, name)
+    @property
+    def _ln_operands(self):
+        """rho_ln and beta_ln as a kernel binds them: a held record's
+        rows, which the kernel forms by its first read in each stage, or
+        a one-shot record's, formed now."""
+        return self._ln_rows or (self.rho_ln, self.beta_ln)
 
 
-def _fields_work(fields, scratch):
-    """_form_fields' bound arrays on the fields (rho, beta, u, u^2, p):
-    their rows and a temporary for 2 p."""
-    rows = tuple(fields[k, ...] for k in range(5))
-    return rows + (scratch.take(*rows[4].shape),)
+def _fields_calls(fields, scratch):
+    """The calls that form rows 1 and 3 of the fields (rho, beta, u, u^2,
+    p), beta = rho/(2 p) and u^2, from rows 0, 2 and 4, in place, with a
+    temporary for 2 p from scratch."""
+    rho, beta, u, u2, p = (fields[k, ...] for k in range(5))
+    two_p = scratch.take(*p.shape)
+    return [(np.multiply, _TWO, p, two_p), (np.divide, rho, two_p, beta),
+            (np.multiply, u, u, u2)]
 
 
-def _form_fields(work):
-    """Rows 1 and 3 of the fields (rho, beta, u, u^2, p), beta = rho/(2 p)
-    and u^2, from rows 0, 2 and 4, in place; work is _fields_work's."""
-    rho, beta, u, u2, p, two_p = work
-    np.multiply(_TWO, p, two_p)
-    np.divide(rho, two_p, beta)
-    np.multiply(u, u, u2)
-
-
-def _evj_work(m: FaceMeans, scratch, out=None):
-    """entropy_vars_jump's bound arrays for the record m: the stacked
-    result out, new unless given, and its rows, the (rho, beta, u) halves
-    of both sides, their jump and its rows, and two temporaries."""
+def _evj_work(m: FaceMeans, gas: GasModel, scratch, out=None):
+    """entropy_vars_jump's work for the record m: the stacked result out,
+    new unless given, and the calls, with the jump of the (rho, beta, u)
+    halves of both sides and two temporaries from scratch."""
     if out is None:
         out = np.empty((3,) + m.shape)
     jump = scratch.take(3, *m.shape)
-    return (out, out[0, ...], out[1, ...], out[2, ...], m.pairs[1, :3],
-            m.pairs[0, :3], jump, jump[0, ...], jump[1, ...], jump[2, ...],
-            scratch.take(*m.shape), scratch.take(*m.shape))
+    d_rho, d_beta, d_u = jump[0, ...], jump[1, ...], jump[2, ...]
+    t1, t2 = scratch.take(*m.shape), scratch.take(*m.shape)
+    rho_ln, beta_ln = m._ln_operands
+    return out, _calls([
+        # the (rho, beta, u) rows of right - left, from the contiguous
+        # halves
+        (np.subtract, m.pairs[1, :3], m.pairs[0, :3], jump),
+        (np.divide, d_rho, rho_ln, t1),
+        (np.multiply, gas._gm1, beta_ln, t2), (np.divide, _ONE, t2, t2),
+        (np.subtract, t2, m.u2_bar, t2), (np.multiply, t2, d_beta, t2),
+        (np.add, t1, t2, t1),
+        (np.multiply, _TWO, m.u_bar, t2), (np.multiply, t2, m.beta_bar, t2),
+        (np.multiply, t2, d_u, t2), (np.subtract, t1, t2, out[0, ...]),
+        (np.multiply, m.beta_bar, d_u, t1), (np.multiply, m.u_bar, d_beta, t2),
+        (np.add, t1, t2, t1), (np.multiply, _TWO, t1, out[1, ...]),
+        (np.multiply, _NEG_TWO, d_beta, out[2, ...])])
 
 
 def entropy_vars_jump(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
@@ -452,30 +499,14 @@ def entropy_vars_jump(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
     Algebraically identical to differencing entropy_vars pointwise, but the
     cancellation noise for near-degenerate jumps (stationary contacts) is
     an order of magnitude smaller, which matters when such jumps are
-    integrated over thousands of steps.  work, when given, is the bound
-    arrays of _evj_work, whose out is returned.
+    integrated over thousands of steps.  work, when given, is _evj_work's
+    for m, whose out is returned.
     """
-    if work is None:
-        work = _evj_work(m, _Scratch())
-    (out, v1, v2, v3, right, left, jump, d_rho, d_beta, d_u, t1,
-     t2) = work
-    # the (rho, beta, u) rows of right - left, from the contiguous halves
-    np.subtract(right, left, jump)
-    np.divide(d_rho, m.rho_ln, t1)
-    np.multiply(gas._gm1, m.beta_ln, t2)
-    np.divide(_ONE, t2, t2)
-    np.subtract(t2, m.u2_bar, t2)
-    np.multiply(t2, d_beta, t2)
-    np.add(t1, t2, t1)
-    np.multiply(_TWO, m.u_bar, t2)
-    np.multiply(t2, m.beta_bar, t2)
-    np.multiply(t2, d_u, t2)
-    np.subtract(t1, t2, v1)
-    np.multiply(m.beta_bar, d_u, t1)
-    np.multiply(m.u_bar, d_beta, t2)
-    np.add(t1, t2, t1)
-    np.multiply(_TWO, t1, v2)
-    np.multiply(_NEG_TWO, d_beta, v3)
+    # the log means are formed before a temporary of work is written
+    m.rho_ln
+    out, calls = work or _evj_work(m, gas, _Scratch())
+    for f, a in calls:
+        f(*a)
     return out
 
 
@@ -499,11 +530,26 @@ def total_enthalpy(q, gas: GasModel):
     return gas._gamma * p / (gas._gm1 * rho) + _HALF * u * u
 
 
-def _log_mean_work(shape, scratch):
-    """log_mean's temporaries for a result of the shape: four arrays and
-    the flags of the direct quotient."""
-    return tuple(scratch.take(*shape) for _ in range(4)) + (
-        scratch.take(*shape, dtype=bool),)
+def _log_mean_work(a, b, out, scratch):
+    """log_mean's work for the arguments a and b and the result out: out,
+    a temporary for the positivity check, and the calls, with four
+    temporaries and the flags of the direct quotient from scratch."""
+    diff, total, z2, t = (scratch.take(*out.shape) for _ in range(4))
+    direct = scratch.take(*out.shape, dtype=bool)
+    return out, diff, _calls([
+        (np.subtract, b, a, diff), (np.add, b, a, total),
+        (np.divide, diff, total, z2), (np.multiply, z2, z2, z2),
+        (np.multiply, _HALF, total, out),
+        (np.divide, z2, _SEVEN, t), (np.add, _FIFTH, t, t),
+        (np.multiply, z2, t, t), (np.add, _THIRD, t, t),
+        (np.multiply, z2, t, t), (np.add, _ONE, t, t),
+        (np.divide, out, t, out),
+        # the direct quotient overwrites the series where zeta^2 is not
+        # small (both are NaN where zeta is) and is not evaluated
+        # elsewhere
+        (np.greater_equal, z2, _LOG_MEAN_SWITCH, direct),
+        (np.log, b, t), (np.log, a, total), (np.subtract, t, total, t),
+        (partial(np.divide, where=direct), diff, t, out)])
 
 
 def log_mean(a, b, out=None, work=None):
@@ -511,36 +557,20 @@ def log_mean(a, b, out=None, work=None):
 
     For zeta = (b-a)/(b+a) with zeta^2 below LOG_MEAN_SWITCH the direct
     quotient is replaced by the series
-    (a+b)/2 / (1 + zeta^2/3 + zeta^4/5 + zeta^6/7).  out and work, when
-    given, take the result and the temporaries (_log_mean_work).
+    (a+b)/2 / (1 + zeta^2/3 + zeta^4/5 + zeta^6/7).  work, when given, is
+    _log_mean_work's for a, b and out, whose out is returned.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if out is None:
-        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
     if work is None:
-        work = _log_mean_work(out.shape, _Scratch())
-    diff, total, z2, t, direct = work
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if out is None:
+            out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+        work = _log_mean_work(a, b, out, _Scratch())
+    out, diff, calls = work
     # fmin skips a NaN partner, and its reduction a NaN entry: this flags
     # exactly the pairs where a <= 0 or b <= 0
-    if np.fmin.reduce(np.fmin(a, b, diff), None, initial=np.inf) <= _ZERO:
+    if np.fmin.reduce(np.fmin(a, b, diff), None, initial=np.inf) <= 0.0:
         raise ValueError("log_mean requires strictly positive arguments")
-    np.subtract(b, a, diff)
-    np.add(b, a, total)
-    np.divide(diff, total, z2)
-    np.multiply(z2, z2, z2)
-    np.multiply(_HALF, total, out)
-    np.divide(z2, _SEVEN, t)
-    np.add(_FIFTH, t, t)
-    np.multiply(z2, t, t)
-    np.add(_THIRD, t, t)
-    np.multiply(z2, t, t)
-    np.add(_ONE, t, t)
-    np.divide(out, t, out)
-    # the direct quotient overwrites the series where zeta^2 is not small
-    # (both are NaN where zeta is) and is not evaluated elsewhere
-    np.greater_equal(z2, _LOG_MEAN_SWITCH, direct)
-    np.log(b, t)
-    np.log(a, total)
-    np.subtract(t, total, t)
-    return np.divide(diff, t, out, where=direct)
+    for f, x in calls:
+        f(*x)
+    return out

@@ -113,7 +113,7 @@ def compute_dt(prim, grid: Grid1D, gas: GasModel, cfl: float,
     prim is the (rho, u, p) rows of the cells: a (3, n) array, such as the
     rows the stage formed (FaceData.cells), or a triple of rows.  rows,
     when given, is two rows of n that take the temporaries."""
-    rho, u, _ = prim
+    rho, u = prim[0], prim[1]
     a, t = (None, None) if rows is None else rows
     speed = np.add(np.abs(u, t), sound_speed(prim, gas, a), t).max()
     dt = cfl * grid.dx / speed

@@ -43,6 +43,14 @@ def field(n=64, viscous=False):
     return gas, grid, prim
 
 
+def face_jumps(faces, gas):
+    """The (n + 1, 3) entropy-variable jumps of the faces, face-major, from
+    one entropy_vars pass over the cells behind them, as budget_report
+    takes them."""
+    v = entropy_vars(faces.sides, gas)
+    return np.ascontiguousarray((v[:, 1:] - v[:, :-1]).T)
+
+
 def report_for(gas, grid, prim, flux_kind, diss, bcs=PERIODIC, recon=None):
     cells = prim_to_cons(prim, gas)
     rhs, faces = assemble_rhs(cells, grid, gas, flux_kind, diss,
@@ -164,16 +172,16 @@ class TestEntropyBudget:
                                   ReconSpec(1), PERIODIC)
         rep = budget_report(0.0, rhs, faces, grid, gas)
         # dv . d = -(1/2) dv^T Q dv summed over faces
-        quad = float(np.sum(faces.dv[:-1] * faces.diss.T[:-1]))
+        quad = float(np.sum(face_jumps(faces, gas)[:-1] * faces.diss.T[:-1]))
         assert abs(rep.du_dt_numerical - quad) < 1e-13
 
     @pytest.mark.parametrize("law", MATRIX_LAWS)
     @pytest.mark.parametrize("name", ["sod", "modified_sod"])
     def test_first_order_face_production_nonpositive(self, name, law):
         # dv . D = -(1/2) dv^T Q dv <= 0 on every face of every marched
-        # state at first order, where FaceData.dv is the jump that D is
-        # built from.  At order 2 it is the cell jump and the sign can
-        # fail (ROADMAP item 6); JST's fourth difference has no sign.
+        # state at first order, where D is built from the cells' jump dv.
+        # At order 2 D is built from the reconstructed jump and the sign
+        # can fail (ROADMAP item 5); JST's fourth difference has no sign.
         base = preset(name)
         config = replace(base, recon=ReconSpec(1),
                          diss=replace(base.diss, kind="matrix",
@@ -182,7 +190,8 @@ class TestEntropyBudget:
         states = 0
         for state in march(config, initial_state(config)):
             faces = state.faces
-            production = np.sum(faces.dv * faces.diss.T, axis=1)
+            production = np.sum(face_jumps(faces, config.gas) * faces.diss.T,
+                                axis=1)
             assert production.max() <= 1e-12 * np.abs(production).max()
             states += 1
         assert (state.reason, states) == ("max_steps", 61)
@@ -211,7 +220,8 @@ class TestEntropyBudget:
                                       DissipationSpec(), ReconSpec(1),
                                       PERIODIC)
             rep = budget_report(0.0, rhs, faces, grid, gas)
-            per_face = np.sum(faces.dv[:-1] * faces.central.T[:-1],
+            per_face = np.sum(face_jumps(faces, gas)[:-1]
+                              * faces.central.T[:-1],
                               axis=-1) - faces.dpsi[:-1]
             face_res.append(np.abs(per_face).max())
             global_res.append(abs(rep.du_dt))

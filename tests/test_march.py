@@ -16,6 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kepes.dissipation
+import kepes.fluxes
+import kepes.spatial
 import kepes.thermo
 import kepes.timeint
 from kepes import driver
@@ -323,16 +326,42 @@ def test_stage_one_evaluation_released_before_stage_two(tmp_path,
 
 
 def counted_workspaces(monkeypatch):
-    """The list that gets one entry per _StageWork the march builds."""
+    """The list that gets each _StageWork the march builds."""
     builds = []
 
     class Counted(kepes.timeint._StageWork):
         def __init__(self, *args):
-            builds.append(1)
             super().__init__(*args)
+            builds.append(self)
 
     monkeypatch.setattr(kepes.timeint, "_StageWork", Counted)
     return builds
+
+
+def counted_kernels(config, monkeypatch):
+    """{name: calls} of every public kernel the stage calls, each counted
+    by a wrapper set where the stage binds it, before the march builds
+    its workspace; and the counts config's stage makes per window and
+    RHS (apply_boundary fills the whole grid's ghosts, once per RHS)."""
+    diss = config.diss.kind
+    kernels = [
+        (kepes.fluxes.CENTRAL_FLUXES, config.flux_kind, True),
+        (vars(kepes.spatial), "matrix_dissipation", diss == "matrix"),
+        (vars(kepes.spatial), "jst_dissipation", diss == "scalar"),
+        (vars(kepes.spatial), "viscous_face_flux", config.gas.is_viscous),
+        (vars(kepes.spatial), "reconstruct_face", config.recon.order == 2),
+        (vars(kepes.spatial), "apply_boundary", True),
+        (vars(kepes.dissipation), "entropy_vars_jump", diss == "matrix"),
+        (vars(kepes.thermo), "log_mean", True),
+    ]
+    calls = {name: [] for _, name, _ in kernels}
+    for table, name, _ in kernels:
+        def counted(*args, kernel=table[name], tally=calls[name]):
+            tally.append(1)
+            return kernel(*args)
+
+        monkeypatch.setitem(table, name, counted)
+    return calls, {name: int(called) for _, name, called in kernels}
 
 
 @pytest.mark.parametrize("name", ["sod", "stationary_shock_m4_ec1",
@@ -340,22 +369,17 @@ def counted_workspaces(monkeypatch):
 def test_one_workspace_serves_every_evaluation(name, monkeypatch):
     # the march builds one stage workspace, and every evaluation refills
     # it, a sampled state's (a mark or the last state) included, so
-    # consecutive evaluations share the cell block; the march still makes
-    # one log_mean call per RHS (test_one_prim_state_per_rhs counts the
-    # PrimStates of these configs)
+    # consecutive evaluations share the cell block; every public kernel
+    # of the stage, log_mean among them, is still called once per window
+    # and RHS, so a trace of the public functions sees each of them
+    # (test_one_prim_state_per_rhs counts the PrimStates of these configs)
     config = CONFIGS.get(name) or preset(name)
     w0 = initial_state(config)
     dt0 = compute_dt(cons_to_prim(w0, config.gas), config.grid, config.gas,
                      config.time.cfl)
     # a mark about every fifth step
     config = capped(config, 30, snapshot_interval=4.5 * dt0)
-    log_means = []
-
-    def counted_log_mean(*args, log_mean=kepes.thermo.log_mean):
-        log_means.append(1)
-        return log_mean(*args)
-
-    monkeypatch.setattr(kepes.thermo, "log_mean", counted_log_mean)
+    calls, per_rhs = counted_kernels(config, monkeypatch)
     builds = counted_workspaces(monkeypatch)
     evals = []
 
@@ -371,8 +395,12 @@ def test_one_workspace_serves_every_evaluation(name, monkeypatch):
         sampled += state.mark or state.reason is not None
     assert (state.reason, state.step) == ("max_steps", 30)
     assert len(evals) == 3 * 30 + 1
-    assert len(log_means) == len(evals)
     assert len(builds) == 1
+    windows = len(builds[0].windows)
+    assert {k: len(v) for k, v in calls.items()} == {
+        k: len(evals) * per * (1 if k == "apply_boundary" else windows)
+        for k, per in per_rhs.items()}
+    assert per_rhs["log_mean"] == 1 and len(calls["log_mean"]) > 0
     assert 5 <= sampled <= 10
     for (rhs_a, cells_a), (rhs_b, cells_b) in zip(evals, evals[1:]):
         assert rhs_a is rhs_b

@@ -76,6 +76,22 @@ def test_budget_compared(stage_ab, tmp_path):
     assert exit_info.value.code == f"{name} {law or ''} n={n}: budget differ"
 
 
+def test_face_fields_compared(stage_ab, tmp_path):
+    # a tree whose stage gives an inviscid config a nonzero visc: its rhs
+    # is the same, since an inviscid net subtracts no visc
+    shutil.copytree(ROOT / "src" / "kepes", tmp_path / "kepes")
+    spatial = tmp_path / "kepes" / "spatial.py"
+    text = spatial.read_text()
+    assert "            self.visc[...] = 0.0\n" in text
+    spatial.write_text(text.replace("            self.visc[...] = 0.0\n",
+                                    "            self.visc[...] = 1.0\n"))
+    with pytest.raises(SystemExit) as exit_info:
+        stage_ab.main([SRC, str(tmp_path), "--rounds", "2"])
+    name, n, law = stage_ab.CONFIGS[0]
+    assert exit_info.value.code == f"{name} {law or ''} n={n}: visc differ"
+    assert stage_ab.FACE_FIELDS == ("central", "diss", "visc", "net", "cells")
+
+
 @pytest.mark.parametrize("rounds", ["1", "0", "-3"])
 def test_too_few_rounds_rejected(stage_ab, rounds, capsys):
     # the quartiles need two rounds per tree

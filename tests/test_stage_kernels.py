@@ -5,9 +5,10 @@ FaceData.net to their sum with the boundary-flux step, for every central
 flux, dissipation, order and boundary set, on random and near-degenerate
 states.  One held stage workspace, refilled by a sequence of such states,
 gives bitwise the results of calls that build their own, returns
-results that share no memory, and allocates nothing the size of a face
-row.  A grid of several stage windows gives bitwise the results of a
-workspace that runs all its faces as one window."""
+results that share no memory, allocates nothing the size of a face row,
+and binds no call on a Python float or int.  A grid of several stage
+windows gives bitwise the results of a workspace that runs all its faces
+as one window."""
 
 import itertools
 import tracemalloc
@@ -150,7 +151,7 @@ def test_stage_equals_kernels(flux_kind, bc):
 RECON_ALL = (ReconSpec(1), ReconSpec(2, "minmod"), ReconSpec(2, "van_albada"),
              ReconSpec(2, "none"))
 FACE_FIELDS = ("central", "diss", "visc", "net", "cells", "left", "right",
-               "dv", "u_bar", "du", "dpsi", "p_tilde")
+               "u_bar", "du", "dpsi", "p_tilde")
 
 
 def held_sequence(rng):
@@ -244,6 +245,57 @@ def test_held_results_share_no_memory(flux_kind, bc):
                 # log means first read after the call leave the results
                 for (name, a), want in zip(results, before):
                     assert np.array_equal(bits(a), want), f"{case}: {name}"
+
+
+# -- the operands of a held workspace's calls ---------------------------------
+
+
+def bound_entries(calls, seen):
+    """Every (callable, operands) entry of the bound calls, and of the
+    calls bound in their operands (a kernel's work, a record's log-mean
+    work), each list once."""
+    if id(calls) in seen:
+        return
+    seen.add(id(calls))
+    for f, operands in calls:
+        yield f, operands
+        for x in operands:
+            if isinstance(x, FaceMeans):
+                x = x._ln_work
+            for y in (x if isinstance(x, tuple) else (x,)):
+                if isinstance(y, list):
+                    yield from bound_entries(y, seen)
+
+
+@pytest.mark.parametrize("bc", sorted(BOUNDARIES))
+@pytest.mark.parametrize("flux_kind", sorted(CENTRAL_FLUXES))
+def test_held_calls_take_array_operands(flux_kind, bc):
+    # a Python float or int operand costs a ufunc call ~150 ns more than a
+    # 0-d array of the same value: no bound call of a held workspace takes
+    # one, and every operand of a numpy call is an array
+    grid = Grid1D(N_CELLS, 0.0, 1.0)
+    bcs = BOUNDARIES[bc]
+    prim = next(states(np.random.default_rng(9)))
+    for gas in GASES:
+        cells = prim_to_cons(prim, gas)
+        for diss in DISSIPATIONS:
+            for recon in RECON_ALL:
+                case = (f"{gas.viscosity_law.kind}/{diss.kind}/"
+                        f"{diss.matrix_law}/{recon.order}/{recon.limiter}")
+                work = _StageWork(N_CELLS, recon, diss, gas.is_viscous)
+                assemble_rhs(cells, grid, gas, flux_kind, diss, recon, bcs,
+                             work)
+                funcs = []
+                for f, operands in bound_entries(work.calls, set()):
+                    assert not any(type(x) in (float, int)
+                                   for x in operands), f"{case}: {f}"
+                    # a ufunc, or one bound by keyword (functools.partial)
+                    funcs.append(getattr(f, "func", f))
+                    if isinstance(funcs[-1], np.ufunc):
+                        assert all(isinstance(x, np.ndarray)
+                                   for x in operands), f"{case}: {f}"
+                # the walk reaches the records' log-mean calls
+                assert np.log in funcs, case
 
 
 # -- several windows against one ----------------------------------------------
