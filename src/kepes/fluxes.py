@@ -65,6 +65,8 @@ def _central_work(m: FaceMeans, gas: GasModel, flux_kind: str, scratch,
     if out is None:
         out = np.empty((3,) + m.shape)
     f_rho, f_m, f_e = out[0, ...], out[1, ...], out[2, ...]
+    # taken for every flux, so that the workspace's sizing pass, which
+    # binds a stand-in flux, learns a size that fits them all
     t1, t2 = scratch.take(*m.shape), scratch.take(*m.shape)
     if flux_kind not in ("kepec_ac", "kepec"):
         return out, f_rho, f_m, f_e

@@ -53,10 +53,9 @@ def _minmod_calls(a, b, abs_a, abs_b, out, t):
     the -0 of a cleared entry into +0.  No step branches per entry.
     """
     return [(partial(np.minimum, out=out), abs_a, abs_b),
-            (np.multiply, a, b, t),
-            (np.sign, t, t), (np.multiply, out, t, out),
-            (np.fmax, out, _ZERO, out), (np.copysign, out, a, out),
-            (np.add, out, _ZERO, out)]
+            (np.multiply, a, b, t), (np.sign, t, t),
+            (np.multiply, out, t, out), (np.fmax, out, _ZERO, out),
+            (np.copysign, out, a, out), (np.add, out, _ZERO, out)]
 
 
 def van_albada(a, b):

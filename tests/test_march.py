@@ -400,7 +400,6 @@ def test_one_workspace_serves_every_evaluation(name, monkeypatch):
     assert {k: len(v) for k, v in calls.items()} == {
         k: len(evals) * per * (1 if k == "apply_boundary" else windows)
         for k, per in per_rhs.items()}
-    assert per_rhs["log_mean"] == 1 and len(calls["log_mean"]) > 0
     assert 5 <= sampled <= 10
     for (rhs_a, cells_a), (rhs_b, cells_b) in zip(evals, evals[1:]):
         assert rhs_a is rhs_b
