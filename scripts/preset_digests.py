@@ -7,9 +7,10 @@ Five fixed cases follow.  The first two take the forked writer
 (driver._FORK_ROWS) on a host with a spare CPU, forking at their first
 snapshot: sod at 2e4 cells, 6 steps, a snapshot every 2.5e-5 (two mid-run
 marks); and sod_viscous (500 cells) for 120 steps with a snapshot every
-1.25e-4, as in perfbench's budget_dense.  The stationary_contact and
-stationary_shock presets plan enough snapshot rows to fork at their first
-snapshot too; no digested run forks mid-run.  The third, sod on 64
+1.25e-4, as in perfbench's budget_dense.  Every other digested run plans
+fewer snapshot rows and writes in-process (the stationary_contact and
+stationary_shock presets plan 3.6e4-3.9e4 at the default --max-steps);
+no digested run forks mid-run.  The third, sod on 64
 periodic cells for 60 steps with a snapshot every 0.02, is the only
 digested run with periodic boundaries.  The last two march 10^4 cells,
 two stage windows (spatial.WINDOW), for 5 steps without a snapshot

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """A/B timing of one RHS stage (spatial.assemble_rhs), the CFL step
-(timeint.compute_dt), one SSP-RK3 combination (timeint.ssp_rk3_step) and
-one budget sample (diagnostics.budget_report) of two source trees:
+(timeint.compute_dt), one SSP-RK3 combination (timeint.ssp_rk3_step), one
+budget sample (diagnostics.budget_report) and the formatting of one
+snapshot (driver._write_blocks) of two source trees:
 
     python scripts/stage_ab.py OLD_SRC NEW_SRC [--rounds 25] [--seed 0]
 
@@ -16,16 +17,21 @@ step times the three combinations alone; each takes the held rows or
 buffers that its tree's march passes, where it takes them.
 budget_report is timed on its tree's stage result, each call on a new
 FaceData of the same arrays (dataclasses.replace), so that no call reads
-a face field cached by an earlier one.  Per config the two trees' rhs
-must be np.array_equal, and so must their FaceData central, diss,
-visc, net and cells (FACE_FIELDS); the budget rows their face records
-give (diagnostics.budget_report, csv_row) must be equal, which holds for
-trees whose budget_report takes no prim, as must a held call's rhs and
-its tree's one-shot rhs, and the two trees' dt and stepped states; then
-each round times a batch of calls per call kind, alternating which goes
-first, and for each of rhs, dt, rk3 and budget the medians and quartiles
-in us per call, old/new of the medians and the rounds the new tree won
-are printed, with the median of each tree's one-shot rhs.  The data are
+a face field cached by an earlier one.  The snapshot is formatted from
+the config's (rho, u, p) rows, every block of it into an in-memory sink,
+the way its tree's writer formats it: a tree that holds the x column as
+text (driver._x_prefixes) formats it once, before the timing, and a tree
+with a block formatter (driver._Fields) holds one.  Per config the two
+trees' rhs must be np.array_equal, and so must their FaceData central,
+diss, visc, net and cells (FACE_FIELDS); the budget rows their face
+records give (diagnostics.budget_report, csv_row) must be equal, which
+holds for trees whose budget_report takes no prim, as must a held call's
+rhs and its tree's one-shot rhs, the two trees' dt and stepped states,
+and the bytes of their snapshots; then each round times a batch of calls
+per call kind, alternating which goes first, and for each of rhs, dt,
+rk3, budget and snapshot the medians and quartiles in us per call,
+old/new of the medians and the rounds the new tree won are printed, with
+the median of each tree's one-shot rhs.  The data are
 the config's initial state perturbed by a seeded relative 1e-3.  The
 trees share one heap, so at 10^4 cells one tree's page faults depend on
 the other's allocations: time large grids in separate processes as well.
@@ -47,7 +53,7 @@ CONFIGS = ([("stationary_shock_m4", 24, law)
            + [(name, n, None) for name in ("sod", "ns_shock_structure_n200_d4")
               for n in (200, 10_000)])
 # the timed call kinds of each config, in printed order
-KINDS = ("rhs", "dt", "rk3", "budget")
+KINDS = ("rhs", "dt", "rk3", "budget", "snapshot")
 # the FaceData arrays of the stage that the two trees must give equal
 FACE_FIELDS = ("central", "diss", "visc", "net", "cells")
 BATCH_S = 0.02
@@ -61,16 +67,45 @@ def load(src, name):
     sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sys.modules[name])
     return {m: importlib.import_module(f"{name}.{m}")
-            for m in ("config", "diagnostics", "presets", "spatial",
-                      "thermo", "timeint")}
+            for m in ("config", "diagnostics", "driver", "presets",
+                      "spatial", "thermo", "timeint")}
+
+
+class Sink(list):
+    """An in-memory text or binary file: the list of what was written."""
+    write = list.append
+
+    def bytes(self) -> bytes:
+        return b"".join(s.encode() if isinstance(s, str) else bytes(s)
+                        for s in self)
+
+
+def snapshot(driver, x, rows, gas):
+    """A call that formats every block of the snapshot of the (rho, u, p)
+    rows of the cells at x into a new Sink, and returns it, as the tree's
+    writer formats it."""
+    if hasattr(driver, "_x_prefixes"):
+        prefixes = driver._x_prefixes(x)
+        for k in range(len(prefixes)):
+            prefixes[k]  # the writer formats the x text once
+        args = (prefixes, driver._columns(rows, gas), range(len(prefixes)))
+    else:
+        args = (driver._Fields(), driver._columns(x, rows, gas),
+                driver._blocks(len(x)))
+
+    def call():
+        sink = Sink()
+        driver._write_blocks(sink, *args)
+        return sink
+    return call
 
 
 def stage(tree, name, n, law, seed):
     """The tree's calls on the config and its data: assemble_rhs as a
     one-shot call and as a call that refills one held workspace (None if
     the tree's assemble_rhs takes none), the budget sample of a result,
-    compute_dt, and ssp_rk3_step with a stub operator that returns rhs
-    (the timed step's dt and rhs are given later)."""
+    compute_dt, ssp_rk3_step with a stub operator that returns rhs (the
+    timed step's dt and rhs are given later), and the snapshot."""
     cfg = tree["presets"].preset(name)
     cfg = replace(cfg, grid=replace(cfg.grid, n_cells=n))
     if law:
@@ -101,7 +136,8 @@ def stage(tree, name, n, law, seed):
                                      *dt_held))
     rk3 = (lambda step_dt, rhs: timeint.ssp_rk3_step(
         w, step_dt, lambda _: rhs, *rk3_held))
-    return (lambda: spatial.assemble_rhs(*args)), held, budget, dt, rk3
+    return ((lambda: spatial.assemble_rhs(*args)), held, budget, dt, rk3,
+            snapshot(tree["driver"], cfg.grid.cell_centers(), rows, cfg.gas))
 
 
 def rounds(text):
@@ -169,20 +205,23 @@ def main(argv=None):
         for shot, held, *_ in stages:
             if held and not np.array_equal(held()[0], shot()[0]):
                 sys.exit(f"{case}: held rhs differ")
-        dts = [dt() for *_, dt, _ in stages]
+        dts = [stage[3]() for stage in stages]
         if dts[0] != dts[1]:
             sys.exit(f"{case}: dt differ")
         # both trees step the same state with the same dt and rhs
         dt, rhs = dts[0], out[0][0].copy()
-        steps = [(lambda rk3=rk3: rk3(dt, rhs)) for *_, rk3 in stages]
+        steps = [(lambda rk3=stage[4]: rk3(dt, rhs)) for stage in stages]
         if not np.array_equal(steps[0](), steps[1]()):
             sys.exit(f"{case}: rk3 differ")
         # each tree samples its own stage result, on a new FaceData per call
         samples = [(lambda budget=budget, rhs=rhs, faces=faces: budget(
             rhs, replace(faces))) for (_, _, budget, *_), (rhs, faces)
             in zip(stages, [call() for call in calls])]
+        snapshots = [stage[5] for stage in stages]
+        if snapshots[0]().bytes() != snapshots[1]().bytes():
+            sys.exit(f"{case}: snapshot differ")
         for kind, pair in zip(KINDS, (calls, [s[3] for s in stages], steps,
-                                      samples)):
+                                      samples, snapshots)):
             # each tree's march call and, for rhs, the one-shot call of a
             # tree whose march call is held
             timed = {(side, "march"): call for side, call in enumerate(pair)}

@@ -7,9 +7,10 @@ row per sample time (column order fixed by BudgetReport), and a plain-text
 metrics.txt.  Runs are deterministic: identical configs produce
 byte-identical CSV files.  Every CSV value is formatted %.17g and every
 line ends in "\n"; a snapshot is formatted one block of _CSV_BLOCK_ROWS
-rows per call, and the block size never changes the bytes.  Each block
-of the x column is formatted once, by the process that first writes it
-(_x_prefixes), and is the row prefix of every snapshot's format text.
+rows per call, and the block size never changes the bytes.  A block of
+_KERNEL_ROWS rows or more is formatted by a numpy kernel that writes the
+bytes of "%.17g" exactly (kepes.formatting), a smaller one by "%"
+(_Fields).
 
 A run whose planned snapshots (_planned_snapshots) hold _FORK_ROWS rows
 or more forks a child at its first snapshot.  The child formats every
@@ -43,15 +44,20 @@ from .timeint import march
 
 __all__ = ["RunResult", "run", "reference_profile"]
 
-# Snapshot rows formatted per call.  Any size writes the same bytes; this
-# one keeps each call's strings small at no measurable cost in speed.
-_CSV_BLOCK_ROWS = 2048
+# Snapshot rows formatted per call.  Any size writes the same bytes; at
+# this one the kernel's buffers (~0.8 MB) stay in a core's L2 cache.
+_CSV_BLOCK_ROWS = 512
+# Blocks of at least this many rows are formatted by the numpy kernel
+# (kepes.formatting), smaller ones by Python's "%": on perturbed sod rows
+# the two cost the same at 32-40 rows, and the kernel is 1.35x faster
+# at 48.
+_KERNEL_ROWS = 40
 # A run whose planned snapshots hold this many rows forks its writer child
-# at its first snapshot.  A fork and its reap cost ~2.8 ms, as much as
-# formatting ~500 rows: a run planned to format fewer stays in-process.
-_FORK_ROWS = 10_000
+# at its first snapshot.  A fork and its reap cost ~3.4 ms, as much as
+# formatting ~2,000 rows: a run planned to format fewer stays in-process.
+_FORK_ROWS = 50_000
 
-_SNAPSHOT_HEADER = "x,rho,u,p,T,s\n"
+_SNAPSHOT_HEADER = b"x,rho,u,p,T,s\n"
 
 
 @dataclass
@@ -71,59 +77,59 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-class _x_prefixes:
-    """The x column as text, a sequence of one string of "x\\n" lines per
-    block of _CSV_BLOCK_ROWS rows.  A block is formatted on its first
-    read, once per process: a forked writer child formats the blocks it
-    writes, and the run only those it writes itself."""
-
-    def __init__(self, x):
-        self.x = x
-        self.blocks = [None] * -(-len(x) // _CSV_BLOCK_ROWS)
-
-    def __len__(self):
-        return len(self.blocks)
-
-    def __getitem__(self, k):
-        if self.blocks[k] is None:
-            block = self.x[k * _CSV_BLOCK_ROWS:(k + 1) * _CSV_BLOCK_ROWS]
-            self.blocks[k] = ("%.17g\n" * len(block)) % tuple(block.tolist())
-        return self.blocks[k]
-
-
-def _columns(prim, gas):
-    """The snapshot columns after x: rho, u, p, T and s of the (rho, u, p)
+def _columns(x, prim, gas):
+    """The snapshot columns: x, then rho, u, p, T and s of the (rho, u, p)
     rows prim."""
-    return (*prim, temperature(prim, gas), physical_entropy(prim, gas))
+    return (x, *prim, temperature(prim, gas), physical_entropy(prim, gas))
 
 
-def _write_blocks(fh, x_prefixes, columns, blocks):
-    """Write the rows of the given blocks (indices into x_prefixes) to
-    the text file fh."""
-    tail = ",%.17g" * len(columns) + "\n"
+class _Fields:
+    """Formats rows lo:hi of float64 columns as CSV lines of "%.17g"
+    fields: blocks of fewer than _KERNEL_ROWS rows by Python's "%",
+    larger ones by the numpy kernel of kepes.formatting, which writes the
+    same bytes.  The kernel, and its module, are made on first use."""
+
+    def __init__(self):
+        self.kernel = None
+
+    def __call__(self, columns, lo: int, hi: int):
+        if hi - lo < _KERNEL_ROWS:
+            block = np.column_stack([c[lo:hi] for c in columns])
+            return (((b",%.17g" * len(columns))[1:] + b"\n") * (hi - lo)
+                    % tuple(block.ravel().tolist()))
+        if self.kernel is None:
+            from .formatting import Kernel
+            self.kernel = Kernel()
+        return self.kernel(columns, lo, hi)
+
+
+def _write_blocks(fh, fields, columns, blocks):
+    """Write the rows of the given blocks (indices of _CSV_BLOCK_ROWS
+    rows) of the columns to the binary file fh, formatted by the _Fields
+    fields."""
     for k in blocks:
         lo = k * _CSV_BLOCK_ROWS
-        # one block of rows, stacked row-major, formatted by one call
-        # whose format text already holds the block's x values (they
-        # hold no "%" or "\n", so the replace makes them row prefixes)
-        block = np.column_stack([c[lo:lo + _CSV_BLOCK_ROWS]
-                                 for c in columns])
-        fh.write(x_prefixes[k].replace("\n", tail)
-                 % tuple(block.ravel().tolist()))
+        fh.write(fields(columns, lo, min(lo + _CSV_BLOCK_ROWS,
+                                         len(columns[0]))))
 
 
 def _open_csv(path_or_fd, closefd=True):
-    return open(path_or_fd, "w", encoding="utf-8", newline="\n",
-                closefd=closefd)
+    return open(path_or_fd, "wb", closefd=closefd)
 
 
-def _write_snapshot(path: str, x_prefixes, prim, gas, n_blocks=None):
-    """Write one snapshot, or with n_blocks its header and first n_blocks
-    blocks; x_prefixes is _x_prefixes(x) of its cells."""
+def _blocks(n_rows: int) -> range:
+    """The blocks of _CSV_BLOCK_ROWS rows of a snapshot of n_rows rows."""
+    return range(-(-n_rows // _CSV_BLOCK_ROWS))
+
+
+def _write_snapshot(path: str, x, prim, gas, n_blocks=None, fields=None):
+    """Write one snapshot of the cells at x, or with n_blocks its header
+    and first n_blocks blocks, formatted by fields (a new _Fields if
+    None)."""
     with _open_csv(path) as fh:
         fh.write(_SNAPSHOT_HEADER)
-        _write_blocks(fh, x_prefixes, _columns(prim, gas),
-                      range(len(x_prefixes))[:n_blocks])
+        _write_blocks(fh, fields or _Fields(), _columns(x, prim, gas),
+                      _blocks(len(x))[:n_blocks])
 
 
 def _write_all(fd, data):
@@ -159,7 +165,7 @@ class _SnapshotWriter:
     to the child once the child confirmed it."""
 
     def __init__(self, x, gas, planned: float):
-        self.x_prefixes, self.gas, self.n_rows = _x_prefixes(x), gas, len(x)
+        self.x, self.gas, self.fields = x, gas, _Fields()
         self.may_fork = len(x) * planned >= _FORK_ROWS and _spare_cpu()
         self.child = None  # (pid, pipe, count of messages it wrote)
         self.sent = []  # (path, whether the child writes it all) in order
@@ -188,7 +194,7 @@ class _SnapshotWriter:
             status = 255
             try:
                 os.close(w)
-                rows = np.empty((3, self.n_rows))
+                rows = np.empty((3, len(self.x)))
                 with open(r, "rb") as pipe:
                     # one snapshot per message, until the run closes the pipe
                     while head := pipe.read(16):
@@ -196,8 +202,8 @@ class _SnapshotWriter:
                         path = os.fsdecode(pipe.read(size))
                         if pipe.readinto(rows) != rows.nbytes:
                             raise EOFError(f"{path}: its rows were cut short")
-                        _write_snapshot(path, self.x_prefixes, rows,
-                                        self.gas, n_blocks)
+                        _write_snapshot(path, self.x, rows, self.gas,
+                                        n_blocks, self.fields)
                         confirmed[0] += 1
                 status = 0
             except OSError as exc:
@@ -248,19 +254,20 @@ class _SnapshotWriter:
             self.may_fork = False
             self._fork()
         if self.child is None:
-            _write_snapshot(path, self.x_prefixes, prim, self.gas)
+            _write_snapshot(path, self.x, prim, self.gas,
+                            fields=self.fields)
             self.written.append(path)
             return
+        blocks = _blocks(len(self.x))
         if not last:
-            return self._send(path, prim, len(self.x_prefixes))
-        blocks = range(len(self.x_prefixes))
+            return self._send(path, prim, len(blocks))
         half = len(blocks) // 2
         with tempfile.TemporaryFile(
                 dir=os.path.dirname(os.path.abspath(path))) as rest:
             self._send(path, prim, half, whole=False)
             with _open_csv(rest.fileno(), closefd=False) as fh:
-                _write_blocks(fh, self.x_prefixes, _columns(prim, self.gas),
-                              blocks[half:])
+                _write_blocks(fh, self.fields,
+                              _columns(self.x, prim, self.gas), blocks[half:])
             self.reap()
             rest.seek(0)
             with open(path, "ab") as fh:

@@ -3,8 +3,10 @@ import os
 import signal
 from dataclasses import replace
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from kepes import driver
 from kepes.cli import main
@@ -71,6 +73,13 @@ class TestDeterminism:
             assert blob_a == blob_b
 
 
+def per_value_rows(block) -> bytes:
+    """The rows of block as CSV lines of "%.17g" fields, one value at a
+    time."""
+    return "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                   for row in block.tolist()).encode()
+
+
 def per_value_snapshot(x, prim, gas) -> bytes:
     """A snapshot file as the one-value-at-a-time writer formatted it."""
     T = temperature(prim, gas)
@@ -109,8 +118,7 @@ class TestSnapshotBytes:
         x, prim = columns
         gas = GasModel()
         path = tmp_path / "snapshot.csv"
-        prefixes = driver._x_prefixes(x)
-        driver._write_snapshot(str(path), prefixes, prim, gas)
+        driver._write_snapshot(str(path), x, prim, gas)
         blob = path.read_bytes()
         assert blob == per_value_snapshot(x, prim, gas)
         assert blob.count(b"x,rho,u,p,T,s") == 1
@@ -124,9 +132,49 @@ class TestSnapshotBytes:
         gas = GasModel()
         monkeypatch.setattr(driver, "_CSV_BLOCK_ROWS", rows)
         path = tmp_path / "snapshot.csv"
-        prefixes = driver._x_prefixes(x)
-        driver._write_snapshot(str(path), prefixes, prim, gas)
+        driver._write_snapshot(str(path), x, prim, gas)
         assert path.read_bytes() == per_value_snapshot(x, prim, gas)
+
+    @pytest.mark.parametrize("values", [
+        # exact ties at the 17th digit, N/4 for odd N in [4e15, 9e15]:
+        # rounded half to even
+        (2 * np.linspace(2e15, 4.5e15, 2000).astype(np.int64) + 1) / 4,
+        # 10**k, subnormal to near overflow: with its neighbours below,
+        # the only doubles whose 17 digits could round up to a power of ten
+        np.array([float(f"1e{k}") for k in range(-320, 308)]),
+        # the switches between the notations at 1e-5/1e-4 and 1e16/1e17
+        np.array([1e-5, 1e-4, 1e16, 1e17, 5e-5, 99999999999999990.0]),
+        # log10 rounds up to the next power of ten
+        np.array([9.9999999999999995e-07, 9.9999999999999991e-06,
+                  0.0009999999999999998, 99.999999999999986,
+                  999999999999999.88]),
+        np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 0.125]),
+    ], ids=["ties", "powers", "notation", "log10", "special"])
+    def test_hard_cases(self, values):
+        values = np.concatenate([values, np.nextafter(values, -np.inf),
+                                 np.nextafter(values, np.inf)])
+        values = np.concatenate([values, -values])
+        # both sides of the crossover, every value on the kernel's side
+        for rows in (driver._KERNEL_ROWS - 1,
+                     max(driver._KERNEL_ROWS, -(-len(values) // 6))):
+            block = np.resize(values, (rows, 6))
+            assert (driver._Fields()([*block.T], 0, rows)
+                    == per_value_rows(block))
+
+    @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=6,
+                         max_size=6 * 2 * driver._KERNEL_ROWS))
+    @settings(max_examples=200, deadline=None)
+    def test_finite_bit_patterns(self, bits):
+        # both sides of the crossover: 1 to 2 _KERNEL_ROWS rows
+        bits = np.array(bits[:len(bits) // 6 * 6], np.uint64)
+        # an all-ones exponent (inf, nan) loses its top bit: finite
+        top = np.uint64(1 << 62)
+        inf = (bits & np.uint64(0x7FF << 52)) == np.uint64(0x7FF << 52)
+        bits[inf] ^= top
+        block = bits.view(np.float64).reshape(-1, 6)
+        assert np.isfinite(block).all()
+        assert (driver._Fields()([*block.T], 0, len(block))
+                == per_value_rows(block))
 
 
 class TestStationaryContactRun:
@@ -289,26 +337,27 @@ class TestForkedWriter:
         writers = fork_every_snapshot(monkeypatch)
         # the run's 6 planned snapshots of 45 rows reach the threshold
         monkeypatch.setattr(driver, "_FORK_ROWS", 6 * 45)
-        parent, write_snapshot = os.getpid(), driver._write_snapshot
+        parent = os.getpid()
+        write_snapshot, write_blocks = (driver._write_snapshot,
+                                        driver._write_blocks)
         in_process, formatted = [], []
 
-        def listed(path, *args):
+        def listed(path, *args, **kwargs):
             if os.getpid() == parent:
                 in_process.append(os.path.basename(path))
-            write_snapshot(path, *args)
+            write_snapshot(path, *args, **kwargs)
 
-        class Listed(driver._x_prefixes):
-            def __getitem__(self, k):
-                if os.getpid() == parent and self.blocks[k] is None:
-                    formatted.append(k)
-                return super().__getitem__(k)
+        def listed_blocks(fh, fields, columns, blocks):
+            if os.getpid() == parent:
+                formatted.extend(blocks)
+            write_blocks(fh, fields, columns, blocks)
 
         monkeypatch.setattr(driver, "_write_snapshot", listed)
-        monkeypatch.setattr(driver, "_x_prefixes", Listed)
+        monkeypatch.setattr(driver, "_write_blocks", listed_blocks)
         crossed = run(cfg, str(tmp_path / "crossed"))
         assert_no_children()
         assert writers["forks"] == 1
-        # the child writes every snapshot; the run formats the x text of
+        # the child writes every snapshot; the run formats the blocks of
         # its own half of the last one only
         assert in_process == []
         n_blocks = -(-45 // block_rows)
@@ -402,10 +451,10 @@ class TestForkedWriter:
         # is raised, not the failed child's
         write_blocks = driver._write_blocks
 
-        def failing_halves(fh, x_prefixes, columns, blocks):
-            if len(blocks) != len(x_prefixes):
+        def failing_halves(fh, fields, columns, blocks):
+            if len(blocks) != len(driver._blocks(len(columns[0]))):
                 raise RuntimeError("no rows")
-            write_blocks(fh, x_prefixes, columns, blocks)
+            write_blocks(fh, fields, columns, blocks)
 
         monkeypatch.setattr(driver, "_CSV_BLOCK_ROWS", 7)
         monkeypatch.setattr(driver, "_write_blocks", failing_halves)

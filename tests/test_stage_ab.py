@@ -36,8 +36,9 @@ def test_every_config_timed(stage_ab, capsys):
     for line, label in zip(lines[1:], labels):
         assert line.startswith(label)
         assert line.endswith("/2")
-    # the budget sample is timed beside the stage, dt and the RK step
-    assert stage_ab.KINDS == ("rhs", "dt", "rk3", "budget")
+    # the budget sample and the snapshot are timed beside the stage, dt
+    # and the RK step
+    assert stage_ab.KINDS == ("rhs", "dt", "rk3", "budget", "snapshot")
     # both benchmark sizes of the JST path are timed
     assert ("ns_shock_structure_n50", 50, None) in stage_ab.CONFIGS
     assert ("sod_viscous", 500, None) in stage_ab.CONFIGS
@@ -90,6 +91,26 @@ def test_face_fields_compared(stage_ab, tmp_path):
     name, n, law = stage_ab.CONFIGS[0]
     assert exit_info.value.code == f"{name} {law or ''} n={n}: visc differ"
     assert stage_ab.FACE_FIELDS == ("central", "diss", "visc", "net", "cells")
+
+
+@pytest.mark.parametrize("old, new, config", [
+    # the "%" format of a small block: the first config, at 24 cells
+    ('(b",%.17g" * len(columns))', '(b",%.16g" * len(columns))', 0),
+    # the kernel's separator: the first config of 40 cells or more
+    ("(44, 10)", "(59, 10)", 4),
+])
+def test_snapshot_compared(stage_ab, tmp_path, old, new, config):
+    # a tree whose snapshot bytes differ while everything else is equal
+    shutil.copytree(ROOT / "src" / "kepes", tmp_path / "kepes")
+    module = tmp_path / "kepes" / ("driver.py" if config == 0
+                                   else "formatting.py")
+    text = module.read_text()
+    assert text.count(old) == 1
+    module.write_text(text.replace(old, new))
+    with pytest.raises(SystemExit) as exit_info:
+        stage_ab.main([SRC, str(tmp_path), "--rounds", "2"])
+    name, n, law = stage_ab.CONFIGS[config]
+    assert exit_info.value.code == f"{name} {law or ''} n={n}: snapshot differ"
 
 
 @pytest.mark.parametrize("rounds", ["1", "0", "-3"])
