@@ -122,13 +122,12 @@ def _blocks(n_rows: int) -> range:
     return range(-(-n_rows // _CSV_BLOCK_ROWS))
 
 
-def _write_snapshot(path: str, x, prim, gas, n_blocks=None, fields=None):
+def _write_snapshot(path: str, fields, x, prim, gas, n_blocks=None):
     """Write one snapshot of the cells at x, or with n_blocks its header
-    and first n_blocks blocks, formatted by fields (a new _Fields if
-    None)."""
+    and first n_blocks blocks, formatted by the _Fields fields."""
     with _open_csv(path) as fh:
         fh.write(_SNAPSHOT_HEADER)
-        _write_blocks(fh, fields or _Fields(), _columns(x, prim, gas),
+        _write_blocks(fh, fields, _columns(x, prim, gas),
                       _blocks(len(x))[:n_blocks])
 
 
@@ -202,8 +201,8 @@ class _SnapshotWriter:
                         path = os.fsdecode(pipe.read(size))
                         if pipe.readinto(rows) != rows.nbytes:
                             raise EOFError(f"{path}: its rows were cut short")
-                        _write_snapshot(path, self.x, rows, self.gas,
-                                        n_blocks, self.fields)
+                        _write_snapshot(path, self.fields, self.x, rows,
+                                        self.gas, n_blocks)
                         confirmed[0] += 1
                 status = 0
             except OSError as exc:
@@ -254,8 +253,7 @@ class _SnapshotWriter:
             self.may_fork = False
             self._fork()
         if self.child is None:
-            _write_snapshot(path, self.x, prim, self.gas,
-                            fields=self.fields)
+            _write_snapshot(path, self.fields, self.x, prim, self.gas)
             self.written.append(path)
             return
         blocks = _blocks(len(self.x))

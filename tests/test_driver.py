@@ -118,7 +118,7 @@ class TestSnapshotBytes:
         x, prim = columns
         gas = GasModel()
         path = tmp_path / "snapshot.csv"
-        driver._write_snapshot(str(path), x, prim, gas)
+        driver._write_snapshot(str(path), driver._Fields(), x, prim, gas)
         blob = path.read_bytes()
         assert blob == per_value_snapshot(x, prim, gas)
         assert blob.count(b"x,rho,u,p,T,s") == 1
@@ -132,7 +132,7 @@ class TestSnapshotBytes:
         gas = GasModel()
         monkeypatch.setattr(driver, "_CSV_BLOCK_ROWS", rows)
         path = tmp_path / "snapshot.csv"
-        driver._write_snapshot(str(path), x, prim, gas)
+        driver._write_snapshot(str(path), driver._Fields(), x, prim, gas)
         assert path.read_bytes() == per_value_snapshot(x, prim, gas)
 
     @pytest.mark.parametrize("values", [
@@ -342,10 +342,10 @@ class TestForkedWriter:
                                         driver._write_blocks)
         in_process, formatted = [], []
 
-        def listed(path, *args, **kwargs):
+        def listed(path, *args):
             if os.getpid() == parent:
                 in_process.append(os.path.basename(path))
-            write_snapshot(path, *args, **kwargs)
+            write_snapshot(path, *args)
 
         def listed_blocks(fh, fields, columns, blocks):
             if os.getpid() == parent:
