@@ -7,22 +7,18 @@ remaining averages with logarithmic means so that the two-point condition
 dv . f = d(rho u) holds exactly across any interface.
 Every flux takes the FaceMeans record of its pairs and returns the stacked
 (3, ...) array (f_rho, f_m, f_e); the solver passes the one record it
-builds per stage.  A flux writes into the out of its work
-(_central_work), which the stage binds once per march and a one-shot
-call builds: the KEP family runs its bound calls, and the other fluxes
-write out's rows ([i, ...], a view, 0-d for a single pair).
+builds per stage.  A flux's work, when given, is the array that takes the
+result or, for the KEP family, whose formula the stage records
+(FORMULAS), the bound calls of that formula.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .record import empty, run
 from .thermo import (
-    _HALF,
-    _TWO,
     FaceMeans,
-    _calls,
-    _Scratch,
     _avg,
     _stacked,
     GasModel,
@@ -52,36 +48,33 @@ def exact_flux(q: PrimState, gas: GasModel) -> np.ndarray:
     return _stacked(f_rho, p + f_rho * u, f_rho * H)
 
 
-def _central_work(m: FaceMeans, gas: GasModel, flux_kind: str, scratch,
-                 out=None):
-    """A central flux's work for the record m: the stacked result out,
-    new unless given, and, for the KEP family (flux_kepec_ac,
-    flux_kepec), its calls with two temporaries from scratch; the other
-    fluxes, which bind nothing, take out's three rows in their place.
+def _out(work, m: FaceMeans):
+    """The array that takes a flux of the pairs of m: work, or a new one."""
+    return np.empty((3,) + m.shape) if work is None else work
 
-    The KEP family's flux is f_rho = rho_f u_bar, f_m = p_tilde + u_bar
-    f_rho and f_e = (1/(2 (gamma-1) beta_f) - u2_bar/2) f_rho + u_bar
-    f_m, with the means rho_f, beta_f of its kind."""
-    if out is None:
-        out = np.empty((3,) + m.shape)
-    f_rho, f_m, f_e = out[0, ...], out[1, ...], out[2, ...]
-    # taken for every flux, so that the workspace's sizing pass, which
-    # binds a stand-in flux, learns a size that fits them all
-    t1, t2 = scratch.take(*m.shape), scratch.take(*m.shape)
-    if flux_kind not in ("kepec_ac", "kepec"):
-        return out, f_rho, f_m, f_e
-    rho_f, beta_f = (m._ln_operands if flux_kind == "kepec"
-                     else (m.rho_bar, m.beta_bar))
+
+def _kep_family(m: FaceMeans, gas: GasModel, rho_f, beta_f, out):
+    """The KEP family's flux f_rho = rho_f u_bar, f_m = p_tilde + u_bar
+    f_rho and f_e = (1/(2 (gamma-1) beta_f) - u2_bar/2) f_rho + u_bar f_m,
+    with the means rho_f, beta_f of its kind, into out (new unless
+    given)."""
+    out = empty(3, *m.shape) if out is None else out
     u_bar = m.u_bar
-    return out, _calls([
-        (np.multiply, rho_f, u_bar, f_rho),
-        # p_tilde = rho_bar / (2 beta_bar)
-        (np.multiply, _TWO, m.beta_bar, t1), (np.divide, m.rho_bar, t1, t1),
-        (np.multiply, u_bar, f_rho, t2), (np.add, t1, t2, f_m),
-        (np.multiply, gas._gm1, beta_f, t1), (np.divide, _HALF, t1, t1),
-        (np.multiply, _HALF, m.u2_bar, t2), (np.subtract, t1, t2, t1),
-        (np.multiply, t1, f_rho, t1), (np.multiply, u_bar, f_m, t2),
-        (np.add, t1, t2, f_e)])
+    out[0] = rho_f * u_bar
+    f_rho = out[0]
+    # p_tilde = rho_bar / (2 beta_bar)
+    out[1] = m.rho_bar / (2 * m.beta_bar) + u_bar * f_rho
+    out[2] = ((0.5 / ((gas.gamma - 1.0) * beta_f) - 0.5 * m.u2_bar) * f_rho
+              + u_bar * out[1])
+    return out
+
+
+def _kepec_ac(m: FaceMeans, gas: GasModel, out=None):
+    return _kep_family(m, gas, m.rho_bar, m.beta_bar, out)
+
+
+def _kepec(m: FaceMeans, gas: GasModel, out=None):
+    return _kep_family(m, gas, m.rho_ln, m.beta_ln, out)
 
 
 def flux_kep(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
@@ -89,11 +82,11 @@ def flux_kep(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
 
     f_rho = rho_bar u_bar, p_tilde = p_bar, f_e = rho_bar u_bar H_bar.
     """
-    out, f_rho, f_m, f_e = work or _central_work(m, gas, "kep", _Scratch())
+    out = _out(work, m)
     H_bar = _avg(total_enthalpy(m.left, gas), total_enthalpy(m.right, gas))
-    np.multiply(m.rho_bar, m.u_bar, f_rho)
-    np.add(m.p_bar, m.u_bar * f_rho, f_m)
-    np.multiply(f_rho, H_bar, f_e)
+    out[0] = m.rho_bar * m.u_bar
+    out[1] = m.p_bar + m.u_bar * out[0]
+    out[2] = out[0] * H_bar
     return out
 
 
@@ -122,14 +115,13 @@ def flux_roe_ec(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
     u_t = z2_bar / z1_bar
     p1_t = z3_bar / z1_bar
     p2_t = (g + 1.0) / (2.0 * g) * z3_ln / z1_ln + (g - 1.0) / (2.0 * g) * p1_t
-    a_t = np.sqrt(gas._gamma * p2_t / rho_t)
-    H_t = a_t * a_t / gas._gm1 + _HALF * u_t * u_t
+    a_t = np.sqrt(g * p2_t / rho_t)
+    H_t = a_t * a_t / (g - 1.0) + 0.5 * u_t * u_t
 
-    out, f_rho, f_m, f_e = work or _central_work(m, gas, "roe_ec",
-                                                 _Scratch())
-    np.multiply(rho_t, u_t, f_rho)
-    np.add(p1_t, u_t * f_rho, f_m)
-    np.multiply(H_t, f_rho, f_e)
+    out = _out(work, m)
+    out[0] = rho_t * u_t
+    out[1] = p1_t + u_t * out[0]
+    out[2] = H_t * out[0]
     return out
 
 
@@ -140,10 +132,7 @@ def flux_kepec_ac(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
     O(jump^3).  p_tilde = rho_bar/(2 beta_bar) is the harmonic-temperature
     pressure average.
     """
-    out, calls = work or _central_work(m, gas, "kepec_ac", _Scratch())
-    for f, a in calls:
-        f(*a)
-    return out
+    return run(work, _kepec_ac, m, gas)
 
 
 def flux_kepec(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
@@ -154,10 +143,7 @@ def flux_kepec(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
     """
     # the log means are formed before a temporary of work is written
     m.rho_ln
-    out, calls = work or _central_work(m, gas, "kepec", _Scratch())
-    for f, a in calls:
-        f(*a)
-    return out
+    return run(work, _kepec, m, gas)
 
 
 def flux_central_mean(m: FaceMeans, gas: GasModel,
@@ -169,9 +155,9 @@ def flux_central_mean(m: FaceMeans, gas: GasModel,
     record's sides, which are broadcast against each other, so a scalar
     side combines with an array side.
     """
-    out = (work or _central_work(m, gas, "roe_baseline", _Scratch()))[0]
+    out = _out(work, m)
     np.add(exact_flux(m.left, gas), exact_flux(m.right, gas), out)
-    out *= _HALF
+    out *= 0.5
     return out
 
 
@@ -194,3 +180,6 @@ CENTRAL_FLUXES = {
     "kepec": flux_kepec,
     "roe_baseline": flux_central_mean,
 }
+# The formulas of the fluxes that the stage records; the others run as
+# they are, into the stage's array
+FORMULAS = {"kepec_ac": _kepec_ac, "kepec": _kepec}

@@ -8,16 +8,14 @@ physical region falls back to the first-order cell value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .thermo import _HALF, _ZERO, _calls, _const, _run, _Scratch
+from .record import empty, run
 
 __all__ = ["ReconSpec", "minmod", "van_albada", "reconstruct_face"]
 
 VAN_ALBADA_EPS = 1.0e-12
-_EPS, _TWO_EPS = _const(VAN_ALBADA_EPS), _const(2.0 * VAN_ALBADA_EPS)
 
 LIMITERS = ("minmod", "van_albada", "none")
 
@@ -38,76 +36,53 @@ def minmod(a, b):
     """Zero on sign disagreement, else the smaller-magnitude argument."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    _run(_minmod_calls(a, b, np.abs(a), np.abs(b), out, np.empty(out.shape)))
-    return out
+    return _minmod(a, b, np.abs(a), np.abs(b))
 
 
-def _minmod_calls(a, b, abs_a, abs_b, out, t):
-    """The calls that form minmod of a and b, with their magnitudes
-    given, into out; t is a temporary of out's shape.
+def _minmod(a, b, abs_a, abs_b):
+    """minmod of a and b, with their magnitudes given.
 
     min(|a|, |b|) is kept where a b > 0 and cleared elsewhere by a product
     with sign(a b) and a max with +0 (a NaN sign or product clears too);
     then it takes a's sign, which is b's where it is kept, and + 0 turns
     the -0 of a cleared entry into +0.  No step branches per entry.
     """
-    return [(partial(np.minimum, out=out), abs_a, abs_b),
-            (np.multiply, a, b, t), (np.sign, t, t),
-            (np.multiply, out, t, out), (np.fmax, out, _ZERO, out),
-            (np.copysign, out, a, out), (np.add, out, _ZERO, out)]
+    return np.copysign(np.fmax(np.minimum(abs_a, abs_b) * np.sign(a * b), 0),
+                       a) + 0
 
 
 def van_albada(a, b):
     """Smooth limiter (a^2 b + b^2 a + eps (a+b)) / (a^2 + b^2 + 2 eps)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    _run(_van_albada_calls(a, b, out, np.empty(out.shape),
-                           np.empty(out.shape)))
-    return out
+    return _van_albada(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
-def _van_albada_calls(a, b, out, t1, t2):
-    """The calls that form van_albada of a and b into out, with two
-    temporaries of its shape."""
-    return [(np.multiply, a, a, out), (np.multiply, out, b, out),
-            (np.multiply, b, b, t1), (np.multiply, t1, a, t1),
-            (np.add, out, t1, out), (np.add, a, b, t1),
-            (np.multiply, _EPS, t1, t1), (np.add, out, t1, out),
-            (np.multiply, a, a, t1), (np.multiply, b, b, t2),
-            (np.add, t1, t2, t1), (np.add, t1, _TWO_EPS, t1),
-            (np.divide, out, t1, out)]
+def _van_albada(a, b):
+    eps = VAN_ALBADA_EPS
+    return ((a * a * b + b * b * a + eps * (a + b))
+            / (a * a + b * b + 2 * eps))
 
 
-def _recon_work(cells, spec: ReconSpec, out, scratch):
-    """reconstruct_face's work at order 2 for the stacked cells and the
-    (2,) + face-shaped out: the calls, with the jumps, the half slopes
-    and the limiter's temporaries from scratch, then what the positivity
-    fallback reads: out's two sides, the cells left and right of each
-    face, and out's rho and p rows."""
-    jump = scratch.take(*cells.shape[:-1], cells.shape[-1] - 1)
-    half = scratch.take(*cells.shape[:-1], cells.shape[-1] - 2)
+def _reconstruct(cells, spec: ReconSpec, out=None):
+    """reconstruct_face's formula at order 2 for the stacked cells, into
+    the (2,) + face-shaped out (new unless given): the jumps, each cell's
+    limited half slope, then the two sides."""
+    if out is None:
+        out = empty(2, *cells.shape[:-1], cells.shape[-1] - 3)
+    jump = cells[..., 1:] - cells[..., :-1]
     back, fwd = jump[..., :-1], jump[..., 1:]
-    calls = [(np.subtract, cells[..., 1:], cells[..., :-1], jump)]
     # the limited slopes of the cells between consecutive jumps; minmod
     # takes |jump| once for both sides
     if spec.limiter == "minmod":
-        size = scratch.take(*jump.shape)
-        calls += [(np.abs, jump, size)] + _minmod_calls(
-            back, fwd, size[..., :-1], size[..., 1:], half,
-            scratch.take(*half.shape))
+        size = abs(jump)
+        half = _minmod(back, fwd, size[..., :-1], size[..., 1:])
     elif spec.limiter == "van_albada":
-        calls += _van_albada_calls(back, fwd, half, scratch.take(*half.shape),
-                                   scratch.take(*half.shape))
+        half = _van_albada(back, fwd)
     else:
-        calls += [(np.add, back, fwd, half), (np.multiply, half, _HALF, half)]
-    left, right = out[0], out[1]
-    f0, f1 = cells[..., 1:-2], cells[..., 2:-1]
-    calls += [(np.multiply, half, _HALF, half),
-              (np.add, f0, half[..., :-1], left),
-              (np.subtract, f1, half[..., 1:], right)]
-    return _calls(calls), left, right, f0, f1, out[:, ::2]
+        half = (back + fwd) * 0.5
+    half *= 0.5
+    out[0] = cells[..., 1:-2] + half[..., :-1]
+    out[1] = cells[..., 2:-1] - half[..., 1:]
+    return out
 
 
 def reconstruct_face(cells, spec: ReconSpec, work=None):
@@ -121,22 +96,18 @@ def reconstruct_face(cells, spec: ReconSpec, work=None):
     q_{j+1} - slope/2 with limited slopes, reverting a side to first order
     wherever rho or p would become non-positive.  Each cell's half slope
     is formed once and read by both of its faces.  work, when given, is
-    _recon_work's for these cells and a (2,) + face-shaped out, whose
-    out[0] and out[1] take the order-2 sides and are returned (the
-    stage's out is rows 0, 2 and 4 of its record's pair block); without
-    it the sides are a new array's.
+    the (2,) + face-shaped array whose [0] and [1] take the order-2 sides
+    (the stage's is rows 0, 2 and 4 of its record's pair block) or the
+    bound calls of the formula into it; without it the sides are a new
+    array's.
     """
     if spec.order == 1:
         return cells[..., 1:-2], cells[..., 2:-1]
-    if work is None:
-        work = _recon_work(cells, spec, np.empty((2,) + cells[..., 3:].shape),
-                           _Scratch())
-    calls, left, right, f0, f1, rho_p = work
-    for f, a in calls:
-        f(*a)
+    out = run(work, _reconstruct, cells, spec)
+    left, right = out[0], out[1]
     # a side whose rho or p would not be positive reverts to first order;
     # the min is not > 0 on any such side (or on a NaN)
-    if not np.minimum.reduce(rho_p, None) > 0.0:
-        for face, cell in ((left, f0), (right, f1)):
+    if not np.minimum.reduce(out[:, ::2], None) > 0.0:
+        for face, cell in ((left, cells[..., 1:-2]), (right, cells[..., 2:-1])):
             np.copyto(face, cell, where=(face[0] <= 0.0) | (face[2] <= 0.0))
     return left, right

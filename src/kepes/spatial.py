@@ -14,7 +14,9 @@ contiguous (2, 5, m) block, is the pair input of the central flux and
 the dissipation, and each flux is written into the window's columns of
 a stacked (3, n + 1) array.  The block, the fluxes and the windows live
 in a stage workspace (_StageWork) that the march holds and every call
-refills in place, by running the calls the workspace binds once.
+refills in place, by replaying the calls that the workspace records once
+from the kernels' formula code (kepes.record); a one-shot call runs that
+code at once.
 The net flux F - G is formed once, and a shock_outflow boundary writes
 its last face there alone.  All per-face quantities needed by the budget
 diagnostics are returned in a FaceData record, which derives them only
@@ -28,25 +30,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .dissipation import (DissipationSpec, _jst_work, _matrix_work,
-                          jst_dissipation, matrix_dissipation)
-from .fluxes import CENTRAL_FLUXES, _central_work
-from .reconstruction import ReconSpec, _recon_work, reconstruct_face
+from .dissipation import (DissipationSpec, _jst, _matrix, jst_dissipation,
+                          matrix_dissipation)
+from .fluxes import CENTRAL_FLUXES, FORMULAS
+from .reconstruction import ReconSpec, _reconstruct, reconstruct_face
+from .record import call, const, empty, record, run, wrap
 from .thermo import (
-    _FOUR_THIRDS,
-    _HALF,
-    _ONE,
-    _ZERO,
     FaceMeans,
     GasModel,
     InvalidStateError,
     PrimState,
-    _calls,
     _check_states,
-    _constant,
-    _copy,
-    _fields_calls,
-    _Scratch,
+    _fields,
+    _log_mean,
+    _means,
     temperature,
 )
 
@@ -84,10 +81,6 @@ class Grid1D:
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.n_cells
 
-    # dx and -dx as the stage's ufunc operands
-    _dx = _constant(lambda grid: grid.dx)
-    _neg_dx = _constant(lambda grid: -grid.dx)
-
     def cell_centers(self) -> np.ndarray:
         return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
 
@@ -119,9 +112,6 @@ class BoundaryCondition:
             raise ValueError("shock_outflow boundary needs a mass_flux")
         if self.mass_flux is not None and not np.isfinite(self.mass_flux):
             raise ValueError("mass_flux must be finite")
-
-    # the prescribed mass flux as the stage's copy operand
-    _mass_flux = _constant(lambda bc: bc.mass_flux)
 
     @cached_property
     def ghost(self) -> np.ndarray:
@@ -205,30 +195,18 @@ class FaceData:
         return self.central[1] - self.u_bar * self.central[0]
 
 
-def _visc_work(m: FaceMeans, gas: GasModel, dx, scratch, out=None):
-    """viscous_face_flux's work for the record m and the cell width dx:
-    the stacked result out, new unless given, and the calls, with the
-    temperature of m's cells and four temporaries (the face temperature,
-    mu, q and one more) from scratch."""
-    if out is None:
-        out = np.empty((3,) + m.shape)
-    T = scratch.take(*m._cells.shape[1:])
-    t_l, t_r = m._side_views(T)
-    t_face, mu, q, t = (scratch.take(*m.shape) for _ in range(4))
-    tau = out[1, ...]
-    return out, _calls([
-        (temperature, m._cells, gas, T),
-        (np.add, t_l, t_r, t_face), (np.multiply, _HALF, t_face, t_face),
-        (gas.viscosity, t_face, mu),
-        # q = -kappa (t_r - t_l) / dx
-        (gas.conductivity, t_face, mu, q), (np.negative, q, q),
-        (np.subtract, t_r, t_l, t), (np.multiply, q, t, q),
-        (np.divide, q, dx, q),
-        _copy(out[0, ...], _ZERO),
-        (np.multiply, _FOUR_THIRDS, mu, t),
-        (np.subtract, m.right[1, ...], m.left[1, ...], t_face),
-        (np.multiply, t, t_face, t), (np.divide, t, dx, tau),
-        (np.multiply, m.u_bar, tau, t), (np.subtract, t, q, out[2, ...])])
+def _viscous(m: FaceMeans, gas: GasModel, dx, out=None):
+    """viscous_face_flux's formula, into out (new unless given)."""
+    out = empty(3, *m.shape) if out is None else out
+    t_l, t_r = m._side_views(temperature(m._cells, gas))
+    t_face = 0.5 * (t_l + t_r)
+    mu = gas.viscosity(t_face)
+    # q = -kappa (t_r - t_l) / dx
+    q = -gas.conductivity(t_face, mu) * (t_r - t_l) / dx
+    out[0] = 0.0
+    out[1] = 4.0 / 3.0 * mu * (m.right[1] - m.left[1]) / dx
+    out[2] = m.u_bar * out[1] - q
+    return out
 
 
 def viscous_face_flux(m: FaceMeans, gas: GasModel, dx: float,
@@ -238,33 +216,30 @@ def viscous_face_flux(m: FaceMeans, gas: GasModel, dx: float,
 
     tau = (4/3) mu du/dx and q = -kappa dT/dx with mu, kappa evaluated at
     the arithmetic-mean face temperature.  dx is a float or, as the stage
-    passes it, the grid's 0-d dx.  work, when given, is _visc_work's for
-    m and dx.
+    passes it, a 0-d array.  work, when given, is the array that takes the
+    result or the bound calls of the formula (record.run).
     """
-    out, calls = work or _visc_work(m, gas, dx, _Scratch())
-    for f, a in calls:
-        f(*a)
-    return out
+    return run(work, _viscous, m, gas, dx)
 
 
-def _ghost_calls(rows, bcs: BoundarySpec):
-    """apply_boundary's calls for rows and bcs: the copies into the two
-    ghost cells of each side."""
-    lo, hi = rows[:, :2], rows[:, -2:]
+def _fill_ghosts(rows, bcs: BoundarySpec, out=None):
+    """apply_boundary's formula: the copies into the two ghost cells of
+    each side of rows (which out, when given, is)."""
     if bcs.is_periodic:
-        return _calls([_copy(lo, rows[:, -4:-2]),
-                       _copy(hi, rows[:, 2:4])])
-    return _calls([_copy(lo, _ghost(bcs.left, rows[:, 2:3])),
-                   _copy(hi, _ghost(bcs.right, rows[:, -3:-2]))])
+        rows[:, :2] = rows[:, -4:-2]
+        rows[:, -2:] = rows[:, 2:4]
+    else:
+        rows[:, :2] = _ghost(bcs.left, rows[:, 2:3])
+        rows[:, -2:] = _ghost(bcs.right, rows[:, -3:-2])
 
 
 def apply_boundary(rows: np.ndarray, bcs: BoundarySpec,
-                   calls=None) -> np.ndarray:
+                   work=None) -> np.ndarray:
     """Fill, in place, the two ghost cells per side of rows, the (3, n + 4)
     (rho, u, p) rows whose columns 2 .. n + 1 hold n cells; returns
-    rows.  calls, when given, is _ghost_calls(rows, bcs)."""
-    for f, a in calls or _ghost_calls(rows, bcs):
-        f(*a)
+    rows.  work, when given, is rows or the bound calls of the formula
+    (record.run)."""
+    run(work, _fill_ghosts, rows, bcs)
     return rows
 
 
@@ -279,14 +254,15 @@ def _ghost(bc: BoundaryCondition, edge):
 # in one.  See README, "How the RHS is assembled", for the sweep that
 # chose it.
 WINDOW = 8192
+_HALF = const(0.5)
 
 
 class _StageWork:
-    """Every array an RHS stage writes, and the calls it makes, bound
-    once per march from the cell count n, the reconstruction, the
-    dissipation and whether the gas is viscous, and, on the first call
-    with them, the grid, the gas, the central flux and the boundaries
-    (key; a call with another key binds the calls again).
+    """Every array an RHS stage writes, and the calls it makes, built once
+    per march from the cell count n, the reconstruction, the dissipation
+    and whether the gas is viscous, with the calls recorded on the first
+    call with the grid, the gas, the central flux and the boundaries
+    (key; a call with another key records them again).
 
     The workspace owns the (5, n + 4) cell block (rows rho, beta, u, u^2
     and p of the n cells and two ghost cells per side), the central,
@@ -294,24 +270,19 @@ class _StageWork:
     dissipation or viscosity), the net flux and rhs.  The faces run in
     windows (_Window) of at most WINDOW faces, in order; all windows
     share one buffer of records (records: the cell-pair record and, at
-    order 2, the face record, with their log means) and one scratch
-    buffer (thermo._Scratch) that holds every kernel's temporaries.  The
-    kernels of a window run in sequence and share the scratch; a kernel
-    that reads log means forms them before it writes a temporary, since
-    log_mean's lie in the same room.  calls is the list the stage runs
-    after its validity check: the ghost fill, each window's calls, the
-    boundary-flux step of a shock_outflow side and the rhs difference,
-    where each public kernel is one entry (so a trace of the public
-    functions sees every kernel) and the calls of a private helper are
-    spliced in.  size is the pair of lengths of the record and the
-    scratch buffers, those of a window of WINDOW faces (of all n + 1 on
-    a smaller grid), so it is the same at every n past WINDOW faces: the
-    workspace learns it by a first binding on stand-ins, since no take
-    depends on the key.
+    order 2, the face record, FaceMeans.ROWS rows each) and one scratch
+    buffer that holds every kernel's temporaries.  run() is the stage
+    after its validity check as formula code: the ghost fill, each
+    window's kernels, the boundary-flux step of a shock_outflow side and
+    the rhs difference.  A one-shot stage runs it at once; bind()
+    records it (record.record) into calls, where each public kernel is
+    one entry (so a trace of the public functions sees every kernel), and
+    the log means of each record into its _ln_work.  The kernels of a
+    window run in sequence; a kernel that reads log means forms them
+    before it writes a temporary, so log_mean's temporaries, placed
+    apart, share the scratch.  size is the pair of lengths of the record
+    and the scratch buffers, those of the widest window.
     """
-
-    # the stand-in dx, gas, flux and end rule of the sizing binding
-    _SIZING = (_ONE, GasModel(), "kepec", True)
 
     def __init__(self, n: int, recon: ReconSpec, diss: DissipationSpec,
                  viscous: bool):
@@ -338,60 +309,79 @@ class _StageWork:
         # strided or broadcast operand whose rows are shorter
         k = -(-(n + 1) // WINDOW)
         cuts = [i * (n + 1) // k for i in range(k + 1)]
-        # a window of min(n + 1, WINDOW) faces sets both lengths
-        sizing = _Scratch(0), _Scratch(0)
-        _Window(self, 0, min(n + 1, WINDOW), recon, diss, viscous,
-                *sizing).bind(*self._SIZING)
-        self.size = tuple(s.size for s in sizing)
-        records, scratch = map(_Scratch, self.size)
-        self.windows = [_Window(self, a, b, recon, diss, viscous,
-                                records.rewind(), scratch)
+        cell_pairs = recon.order == 1 or diss.kind == "scalar" or viscous
+        # a record's room, that of the widest window
+        self.room = FaceMeans.ROWS * -(-(n + 1) // k)
+        self.records = np.empty(self.room * (cell_pairs + (recon.order == 2)))
+        self.windows = [_Window(self, a, b, recon, diss, cell_pairs)
                         for a, b in zip(cuts[:-1], cuts[1:])]
+        self.viscous = viscous
+        self.scratch = np.empty(0)
         self.key = self.calls = None
+
+    @property
+    def size(self):
+        return self.records.size, self.scratch.size
 
     def bind(self, grid: Grid1D, gas: GasModel, flux_kind: str,
              bcs: BoundarySpec):
-        """Bind calls for the key (grid, gas, flux_kind, bcs)."""
+        """Record the calls for the key (grid, gas, flux_kind, bcs)."""
         if flux_kind not in CENTRAL_FLUXES:
             raise ValueError(f"unknown flux kind {flux_kind!r}")
-        calls = [(apply_boundary, self.rows, bcs,
-                  _ghost_calls(self.rows, bcs))]
+        stage = record(self.run, grid, gas, flux_kind, bcs)
+        records = {id(m): m for win in self.windows
+                   for m in (win.cell_means, win.means) if m is not None}
+        lns = [(m, record(_log_mean, *m._ln_sides, m._ln))
+               for m in records.values()]
+        size = max([stage.size] + [rec.size for _, rec in lns])
+        if self.scratch.size < size:
+            self.scratch = np.empty(size)
+        for m, rec in lns:
+            m._ln_work = m._ln, rec.bind(self.scratch)
+        self.calls = stage.bind(self.scratch)
+        # the prologue's operand
+        self.gm1 = const(gas.gamma - 1.0)
+        self.key = grid, gas, flux_kind, bcs
+
+    def run(self, grid: Grid1D, gas: GasModel, flux_kind: str,
+            bcs: BoundarySpec):
+        """The stage after its validity check, as formula code."""
+        rows, net, rhs = wrap(self.rows), wrap(self.net), wrap(self.rhs)
+        call(apply_boundary, _fill_ghosts, rows, bcs, rows)
         # the boundary faces of a scalar stencil reuse the nearest
         # interior sensor, in the windows that hold them
         for win in self.windows:
-            calls += win.bind(grid._dx, gas, flux_kind, not bcs.is_periodic)
-        n, net, rhs = grid.n_cells, self.net, self.rhs
+            win.run(grid.dx, gas, flux_kind, not bcs.is_periodic,
+                    self.viscous)
+        n = grid.n_cells
         if bcs.right.kind == "shock_outflow":
             # boundary-flux step: the last face carries the prescribed mass
             # flux and, in momentum and energy, the net flux of the face
             # before it, so the last cell sees zero update in them
-            calls += [_copy(net[0, n:], bcs.right._mass_flux),
-                      _copy(net[1:, n], net[1:, n - 1])]
+            net[0, n:] = bcs.right.mass_flux
+            net[1:, n] = net[1:, n - 1]
         # -(net[1:] - net[:-1]) / dx: x / -dx is -(x / dx) bitwise
-        calls += [(np.subtract, net[:, 1:], net[:, :-1], rhs),
-                  (np.divide, rhs, grid._neg_dx, rhs)]
-        self.calls = _calls(calls)
-        self.key = grid, gas, flux_kind, bcs
+        np.subtract(net[:, 1:], net[:, :-1], out=rhs)
+        rhs /= -grid.dx
 
 
 class _Window:
-    """The faces a .. b - 1 (faces) of the workspace work, and their
-    calls.
+    """The faces a .. b - 1 (faces) of the workspace work.
 
     Those faces read the block columns a .. b + 2, so the window's view
     of the cell block is the cell block of a (b - a - 1)-cell grid, and
-    each kernel is bound on it by its _*_work function as on a whole
-    grid's; its results go to the columns a .. b - 1 of work's fluxes
-    (fluxes: central, diss, visc and net).  The window's records take
-    their blocks from records and its kernels their temporaries from
-    scratch, which every window shares.  The cell-pair record (cell_means:
-    first order, the scalar stencil, the viscous flux) and the face record
-    (means: at order 2 the reconstructed faces', else cell_means) are
-    refilled by the window's calls.  ends flags whether the window holds
-    the grid's first face and its last, where the JST end rule acts.
+    each kernel runs on it as on a whole grid's; its results go to the
+    columns a .. b - 1 of work's fluxes (fluxes: central, diss, visc and
+    net).  The window's records take their blocks from work's records,
+    which every window shares.  The cell-pair record (cell_means, made
+    when cell_pairs is set: first order, the scalar stencil, the viscous
+    flux) and the face record (means: at order 2 the reconstructed
+    faces', else cell_means) are refilled by run().  ends flags whether
+    the window holds the grid's first face and its last, where the JST
+    end rule acts.
     """
 
-    def __init__(self, work, a, b, recon, diss, viscous, records, scratch):
+    def __init__(self, work, a, b, recon, diss, cell_pairs):
         faces = b - a
         self.block = work.block[:, a:b + 3]
         self.rows = rows = self.block[::2]
@@ -399,16 +389,16 @@ class _Window:
         self.ends = (a == 0, b == work.net.shape[1])
         self.fluxes = tuple(f[:, a:b] for f in (work.central, work.diss,
                                                work.visc, work.net))
-        self.recon, self.diss, self.viscous = recon, diss, viscous
-        self.scratch = scratch
+        self.recon, self.diss = recon, diss
+        records = work.records
         # face k of the window sits between its cells k+1 and k+2.  These
         # cell pairs are the face pairs at first order and, at any order,
         # the pairs that the scalar stencil and the viscous flux difference.
         self.cell_pairs = self.cell_means = None
-        if recon.order == 1 or diss.kind == "scalar" or viscous:
+        if cell_pairs:
             self.cell_means = FaceMeans._held(
-                (faces,), rows, (..., slice(1, faces + 1)),
-                (..., slice(2, faces + 2)), records)
+                (faces,), records, rows, (..., slice(1, faces + 1)),
+                (..., slice(2, faces + 2)))
             # the (2, 5, faces) cell pairs as one view of the block, whose
             # side k starts at column a + k + 1
             col, row = work.block.strides[1], work.block.strides[0]
@@ -416,53 +406,47 @@ class _Window:
                                          (a + 1) * col, (col, row, col))
         self.means = self.cell_means
         if recon.order == 2:
-            self.means = FaceMeans._held((faces,), blocks=records)
+            self.means = FaceMeans._held((faces,),
+                                         records[cell_pairs * work.room:])
 
-    def bind(self, dx, gas: GasModel, flux_kind: str, end_rule: bool):
-        """The window's calls for the grid's 0-d dx, the gas, the central
-        flux and whether the JST end rule acts at the grid's ends; each
-        kernel takes its temporaries from the start of the scratch."""
-        recon, diss, scratch = self.recon, self.diss, self.scratch
-        pairs, means, rows = self.cell_means, self.means, self.rows
-        central, d_flux, g_flux, net = self.fluxes
-        calls = []
+    def run(self, dx, gas: GasModel, flux_kind: str, end_rule: bool,
+            viscous: bool):
+        """The window's kernels as formula code, for the grid's dx, the
+        gas, the central flux, whether the JST end rule acts at the grid's
+        ends and whether the gas is viscous."""
+        recon, diss = self.recon, self.diss
+        block, rows = wrap(self.block), wrap(self.rows)
+        pairs, means = wrap(self.cell_means), wrap(self.means)
+        central, d_flux, g_flux, net = wrap(self.fluxes)
         if pairs is not None:
             # beta and u^2 once per cell, on the block, then the cell pairs
-            calls += _fields_calls(self.block, scratch.rewind())
-            calls.append(_copy(pairs.pairs, self.cell_pairs))
-            calls += pairs._take(scratch.rewind(), False)
+            _fields(*block)
+            pairs.pairs[...] = wrap(self.cell_pairs)
+            call(FaceMeans._refill, _means, pairs, False, pairs._bar)
         if recon.order == 2:
             # rows rho, u and p of both sides, which reconstruct_face fills
-            work = _recon_work(rows, recon, means.pairs[:, ::2],
-                               scratch.rewind())
-            calls.append((reconstruct_face, rows, recon, work))
-            calls += means._take(scratch.rewind(), True)
-        work = _central_work(means, gas, flux_kind, scratch.rewind(), central)
-        calls.append((CENTRAL_FLUXES[flux_kind], means, gas, work))
+            call(reconstruct_face, _reconstruct, rows, recon,
+                 means.pairs[:, ::2])
+            call(FaceMeans._refill, _means, means, True, means._bar)
+        call(CENTRAL_FLUXES[flux_kind], FORMULAS.get(flux_kind), means, gas,
+             central)
         if diss.kind == "matrix":
-            work = _matrix_work(means, gas, diss, flux_kind, scratch.rewind(),
-                                d_flux)
-            calls.append((matrix_dissipation, means, gas, diss, flux_kind,
-                          work))
+            call(matrix_dissipation, _matrix, means, gas, diss, flux_kind,
+                 d_flux)
         elif diss.kind == "scalar":
             # the stencil differences the cells, whose pairs are the face
             # pairs only without reconstruction; the cell block's row 1
             # holds beta
             ends = self.ends if end_rule else (False, False)
-            beta = self.block[1]
-            work = _jst_work(rows, pairs, gas, diss, ends, beta,
-                             scratch.rewind(), d_flux)
-            calls.append((jst_dissipation, rows, pairs, gas, diss, ends, beta,
-                          work))
-        if self.viscous:
-            work = _visc_work(pairs, gas, dx, scratch.rewind(), g_flux)
-            calls.append((viscous_face_flux, pairs, gas, dx, work))
+            call(jst_dissipation, _jst, rows, pairs, gas, diss, ends,
+                 block[1], d_flux)
+        if viscous:
+            call(viscous_face_flux, _viscous, pairs, gas, dx, g_flux)
         # net = F - G.  An inviscid G is zero and x - 0 is x, so it is not
         # subtracted.
-        calls.append((np.add, central, d_flux, net))
-        if self.viscous:
-            calls.append((np.subtract, net, g_flux, net))
-        return calls
+        np.add(central, d_flux, out=net)
+        if viscous:
+            net -= g_flux
 
 
 def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
@@ -481,9 +465,12 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
     work, the call builds a workspace of its own, and nothing it returns
     is shared.
     """
-    if work is None:
+    held = work is not None
+    if not held:
+        if flux_kind not in CENTRAL_FLUXES:
+            raise ValueError(f"unknown flux kind {flux_kind!r}")
         work = _StageWork(grid.n_cells, recon, diss, gas.is_viscous)
-    if work.key != (grid, gas, flux_kind, bcs):
+    elif work.key != (grid, gas, flux_kind, bcs):
         work.bind(grid, gas, flux_kind, bcs)
     # the stage writes rho, u and p (cons_to_prim's formula) into the cell
     # block and then the ghosts; the records form beta and u^2
@@ -495,7 +482,7 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
     np.multiply(_HALF, m, t)
     np.multiply(t, u, t)
     np.subtract(E, t, t)
-    np.multiply(gas._gm1, t, p)
+    np.multiply(work.gm1 if held else gas.gamma - 1.0, t, p)
     # a valid cell is finite with rho > 0 and p > 0.  The min fails on a
     # rho or p that is not > 0 or is NaN, the max on inf or NaN; u = -inf
     # makes p -inf or NaN.  Only a failure looks for the first bad cell.
@@ -508,8 +495,11 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
         raise InvalidStateError(
             f"invalid state in cell {idx}: rho={inner[0, idx]:.6g}, "
             f"p={inner[2, idx]:.6g}")
-    for f, a in work.calls:
-        f(*a)
+    if held:
+        for f, a in work.calls:
+            f(*a)
+    else:
+        work.run(grid, gas, flux_kind, bcs)
     faces = FaceData(work.central, work.diss, work.visc, work.net,
                      work.sides, gas, bcs.is_periodic)
     return work.rhs, faces

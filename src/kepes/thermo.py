@@ -13,12 +13,14 @@ s = ln(p) - gamma*ln(rho).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
+
+from .record import empty, run
 
 __all__ = [
     "ViscosityLaw",
@@ -42,95 +44,6 @@ __all__ = [
 # Switch to the series branch of log_mean when zeta^2 = ((b-a)/(b+a))^2
 # falls below this; keeps the average smooth through a == b.
 LOG_MEAN_SWITCH = 1.0e-4
-
-
-def _const(x) -> np.ndarray:
-    """x as a read-only 0-d float64 array.  A ufunc call dispatches on
-    it about 150 ns faster than on a Python float, with the same bits."""
-    c = np.array(x, dtype=float)
-    c.flags.writeable = False
-    return c
-
-
-class _constant(cached_property):
-    """A value of a frozen object, formed by func on first read and bound
-    as a read-only 0-d float64 array (_const) for the ufunc operands of
-    the stage."""
-
-    def __init__(self, func):
-        super().__init__(lambda obj: _const(func(obj)))
-
-
-# The literal operands of the marching path's ufunc calls, named by value
-_ZERO, _HALF, _ONE, _TWO, _THREE, _SEVEN = map(_const, (0, 0.5, 1, 2, 3, 7))
-_NEG_HALF, _NEG_TWO = _const(-0.5), _const(-2.0)
-_THIRD, _FIFTH, _QUARTER = _const(1.0 / 3.0), _const(1.0 / 5.0), _const(0.25)
-_TWO_THIRDS, _THREE_QUARTERS = _const(2.0 / 3.0), _const(0.75)
-_FOUR_THIRDS = _const(4.0 / 3.0)
-_LOG_MEAN_SWITCH = _const(LOG_MEAN_SWITCH)
-
-
-class _Scratch:
-    """Where the binding of a kernel takes its temporaries.
-
-    take() returns, by the size given: without one, a new array, which is
-    what a one-shot kernel call needs; with 0, a zero-stride stand-in of
-    one element, so that a binding learns the size without allocating;
-    with a size, consecutive views of one flat buffer of that length.
-    size records the length the takes need.  The stage workspace
-    (spatial._StageWork) binds its calls twice, with 0 and then with the
-    size learnt.  The kernels of a stage run in sequence and a kernel's
-    temporaries are dead once it returns, so the workspace rewinds before
-    it binds each kernel's calls and they all share the buffer; a kernel
-    that calls another binds the callee past its own live temporaries.
-    """
-
-    def __init__(self, size=None):
-        self.base = None if size is None else np.empty(max(size, 1))
-        self.sizing = size == 0
-        self.at = self.size = 0
-
-    def take(self, *shape, dtype=float):
-        count = math.prod(shape)
-        start = self.at
-        # flags are packed eight to a float, so every view stays aligned
-        self.at = end = start + (count if dtype is float else -(-count // 8))
-        if end > self.size:
-            self.size = end
-        if self.base is None:
-            return np.empty(shape, dtype)
-        if self.sizing:
-            return np.ndarray(shape, dtype, self.base,
-                              strides=(0,) * len(shape))
-        view = self.base[start:end]
-        if dtype is not float:
-            view = view.view(dtype)[:count]
-        return view.reshape(shape)
-
-    def rewind(self):
-        self.at = 0
-        return self
-
-
-def _calls(entries):
-    """A kernel's bound calls, written as (callable, operands...) entries,
-    as the (callable, operands) pairs that the kernel runs by
-    `for f, a in calls: f(*a)`.  That loop builds no list per call, and
-    costs ~0.15 us a call less than `for f, *a in entries` on numpy 2.4."""
-    return [(e[0], e[1:]) for e in entries]
-
-
-def _run(entries):
-    """Run (callable, operands...) entries once, as the one-shot call of
-    a private helper does."""
-    for f, *a in entries:
-        f(*a)
-
-
-def _copy(dst, src):
-    """The call entry of dst[...] = src, which costs ~0.1 us less a call
-    than np.copyto."""
-    return dst.__setitem__, Ellipsis, src
 
 
 def _check_finite(**fields):
@@ -167,10 +80,6 @@ class ViscosityLaw:
         _check_finite(mu_ref=self.mu_ref, t_ref=self.t_ref,
                       mu_exponent=self.exponent)
 
-    _mu_ref = _constant(lambda law: law.mu_ref)
-    _t_ref = _constant(lambda law: law.t_ref)
-    _exponent = _constant(lambda law: law.exponent)
-
 
 @dataclass(frozen=True)
 class GasModel:
@@ -196,16 +105,6 @@ class GasModel:
         _check_finite(gamma=self.gamma, gas_constant=self.gas_constant,
                       prandtl=self.prandtl)
 
-    # gamma, R and their combinations as the stage's ufunc operands; each
-    # is the Python value of the formula it stands for
-    _gamma = _constant(lambda gas: gas.gamma)
-    _gm1 = _constant(lambda gas: gas.gamma - 1.0)
-    _two_gamma = _constant(lambda gas: 2.0 * gas.gamma)
-    _two_gm1 = _constant(lambda gas: 2.0 * (gas.gamma - 1.0))
-    _r = _constant(lambda gas: gas.gas_constant)
-    _gamma_r = _constant(lambda gas: gas.gamma * gas.gas_constant)
-    _gm1_prandtl = _constant(lambda gas: (gas.gamma - 1.0) * gas.prandtl)
-
     @property
     def is_viscous(self) -> bool:
         law = self.viscosity_law
@@ -215,11 +114,11 @@ class GasModel:
         """Dynamic viscosity mu(T), written into out when given."""
         law = self.viscosity_law
         if law.kind == "power":
-            return np.multiply(law._mu_ref, np.power(
-                np.divide(T, law._t_ref, out), law._exponent, out), out)
+            return np.multiply(law.mu_ref, np.power(
+                np.divide(T, law.t_ref, out), law.exponent, out), out)
         if out is None:
-            out = np.empty_like(np.asarray(T, dtype=float))
-        out[...] = law._mu_ref if law.kind == "constant" else _ZERO
+            out = empty(*np.shape(T))
+        out[...] = law.mu_ref if law.kind == "constant" else 0.0
         return out
 
     def conductivity(self, T, mu=None, out=None):
@@ -227,8 +126,8 @@ class GasModel:
         if given, is viscosity(T) already evaluated, and out, when given,
         takes the result."""
         mu = self.viscosity(T) if mu is None else mu
-        return np.divide(np.multiply(self._gamma_r, mu, out),
-                         self._gm1_prandtl, out)
+        return np.divide(np.multiply(self.gamma * self.gas_constant, mu, out),
+                         (self.gamma - 1.0) * self.prandtl, out)
 
 
 class PrimState(NamedTuple):
@@ -273,7 +172,7 @@ def cons_to_prim(w, gas: GasModel) -> PrimState:
 def temperature(q, gas: GasModel, out=None):
     """T = p / (rho R), written into out when given."""
     rho, p = q[0], q[2]
-    return np.divide(p, np.multiply(rho, gas._r, out), out)
+    return np.divide(p, np.multiply(rho, gas.gas_constant, out), out)
 
 
 def physical_entropy(q, gas: GasModel):
@@ -311,7 +210,7 @@ def prim_from_entropy_vars(v, gas: GasModel) -> PrimState:
 
 
 def _avg(a, b):
-    return _HALF * (a + b)
+    return 0.5 * (a + b)
 
 
 def _stacked(*fields):
@@ -321,8 +220,9 @@ def _stacked(*fields):
 
 class _LogMeans:
     """rho_ln or beta_ln of a FaceMeans record: the first read of either
-    forms both, by one log_mean call, and stores them on the record,
-    where later reads find them until a refill drops them."""
+    forms both, by one log_mean call into the record's log-mean block,
+    and stores its rows on the record, where later reads find them until
+    a refill drops them."""
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -330,10 +230,8 @@ class _LogMeans:
     def __get__(self, m, owner=None):
         if m is None:
             return self
-        ln = log_mean(*m._ln_sides, m._ln, m._ln_work)
-        # a held record's rows are bound once; a single pair's rows are
-        # scalars, taken once formed
-        m.rho_ln, m.beta_ln = m._ln_rows or ln
+        log_mean(*m._ln_sides, m._ln, m._ln_work)
+        m.rho_ln, m.beta_ln = m._ln_rows
         return m.__dict__[self.name]
 
 
@@ -348,55 +246,55 @@ class FaceMeans:
     pairs.  The pair constructor writes both sides into a new block.
     Every record holds a (5, ...) bar block whose rows rho_bar, beta_bar,
     u_bar, u2_bar (the mean of u^2) and p_bar are the half-sum of the two
-    sides.  rho_ln and beta_ln are formed on first read, by one log_mean
-    call on the contiguous (rho, beta) halves.
+    sides (_means), and a (2, ...) log-mean block: rho_ln and beta_ln are
+    its rows, formed on first read by one log_mean call on the
+    contiguous (rho, beta) halves.  The three blocks lie end to end in
+    one buffer of ROWS rows.
 
     The stage's workspace (spatial._StageWork) holds its records through
     a march, one set per stage window: it writes new pairs into the same
-    block every stage and runs the record's refill calls (_take), so
-    every array a record hands out is overwritten by the next stage.  A
-    held record writes its log means into a block of its own; the blocks
-    of the records of all windows lie in one buffer, and the workspace's
-    scratch holds the temporaries of a refill and of the log means.  A
+    block every stage and refills the record (_refill), so every array a
+    record hands out is overwritten by the next stage; the calls of a
+    held record's log means (_ln_work) are bound once per march.  A
     kernel reads a quantity of the left and the right sides from one
     evaluation on the record's cells (_side_views): a cell-pair record's
     cells are the cell rows, so a cell quantity is evaluated once per
     cell.
     """
 
+    ROWS = 17
     rho_ln, beta_ln = _LogMeans(), _LogMeans()
 
     def __init__(self, left, right):
         shape = np.broadcast_shapes(*(np.shape(f) for q in (left, right)
                                       for f in q))
-        self._blocks(shape, _Scratch())
+        self._blocks(np.empty(self.ROWS * math.prod(shape)), shape)
         for side, state in zip(self.pairs, (left, right)):
             for k, f in zip((0, 2, 4), state):
                 side[k] = f
-        self._ln = self._ln_rows = self._ln_work = None
-        _run(self._refill_calls(_Scratch(), True))
+        _means(self, True, self._bar)
         # bound once the blocks hold values: a row of a single pair is
         # a scalar
         self._bind()
 
     @classmethod
-    def _held(cls, shape, cells=None, lo=None, hi=None, blocks=None):
-        """A record of pair, bar and log-mean blocks with one or more axes
-        of pairs (shape), which its holder fills before each refill and
-        whose temporaries it binds (_take); the blocks are taken from
-        blocks, a _Scratch, and are new arrays without it; cells, lo and
-        hi as in _bind."""
+    def _held(cls, shape, buf, cells=None, lo=None, hi=None):
+        """A record with one or more axes of pairs (shape) whose blocks
+        are the first ROWS rows of the flat buffer buf, which its holder
+        fills before each refill; cells, lo and hi as in _bind."""
         self = cls.__new__(cls)
-        blocks = blocks or _Scratch()
-        self._blocks(shape, blocks)
-        self._ln = ln = blocks.take(2, *shape)
-        self._ln_rows = ln[0], ln[1]
+        self._blocks(buf, shape)
         self._bind(cells, lo, hi)
         return self
 
-    def _blocks(self, shape, blocks):
-        self.pairs = pairs = blocks.take(2, 5, *shape)
-        self._bar = blocks.take(5, *shape)
+    def _blocks(self, buf, shape):
+        k = math.prod(shape)
+        self.pairs = pairs = buf[:10 * k].reshape(2, 5, *shape)
+        self._bar = buf[10 * k:15 * k].reshape(5, *shape)
+        self._ln = ln = buf[15 * k:17 * k].reshape(2, *shape)
+        # rows as 0-d views for a single pair, so they stay the block's
+        self._ln_rows = ln[0, ...], ln[1, ...]
+        self._ln_work = None
         # the two sides, and the contiguous (rho, beta) halves of both
         self._sides = pairs[0], pairs[1]
         self._ln_sides = pairs[0, :2], pairs[1, :2]
@@ -420,76 +318,59 @@ class FaceMeans:
         self.rho_bar, self.beta_bar, self.u_bar = bar[0], bar[1], bar[2]
         self.u2_bar, self.p_bar = bar[3], bar[4]
 
-    def _take(self, scratch, fields: bool):
-        """Bind log_mean's work and the refill calls (_refill_calls) of a
-        held record from scratch, both at its cursor: they run at
-        different times.  Returns the refill calls."""
-        at = scratch.at
-        calls = self._refill_calls(scratch, fields)
-        scratch.at = at
-        self._ln_work = _log_mean_work(*self._ln_sides, self._ln, scratch)
-        return calls
+    def _refill(self, fields: bool, work=None):
+        """Form the means of the record's new pairs in place (_means, with
+        the bar block as out; work, when given, its bound calls); the log
+        means of the last pairs are dropped, to be formed again on their
+        next read."""
+        formed = self.__dict__
+        formed.pop("rho_ln", None)
+        formed.pop("beta_ln", None)
+        run(work, _means, self, fields)
 
-    def _refill_calls(self, scratch, fields: bool):
-        """The calls that form the record's means from the pairs, in
-        place: beta and u^2 of both sides first when fields is set (the
-        caller wrote only rho, u and p), then the bar rows; the log means
-        of earlier pairs are dropped, to be formed again on their next
-        read."""
-        calls = (_fields_calls(self.pairs.swapaxes(0, 1), scratch)
-                 if fields else [])
-        bar, formed = self._bar, self.__dict__
-        return calls + [(np.add, *self._sides, bar),
-                        (np.multiply, bar, _HALF, bar),
-                        (formed.pop, "rho_ln", None),
-                        (formed.pop, "beta_ln", None)]
+    def _recorded(self, wrap):
+        """The record's stand-in for recorded formula code: a copy whose
+        arrays are stand-ins (wrap), with the rows of the log-mean block
+        as rho_ln and beta_ln, which the kernels form at their entry."""
+        m = copy.copy(self)
+        m.__dict__.update((k, wrap(v)) for k, v in vars(self).items())
+        m.rho_ln, m.beta_ln = m._ln_rows
+        return m
 
     def _side_views(self, q):
         """The left and the right side of each pair in q, a quantity
         evaluated on the record's cells, with their trailing shape."""
         return q[self._lo], q[self._hi]
 
-    @property
-    def _ln_operands(self):
-        """rho_ln and beta_ln as a kernel binds them: a held record's
-        rows, which the kernel forms by its first read in each stage, or
-        a one-shot record's, formed now."""
-        return self._ln_rows or (self.rho_ln, self.beta_ln)
+
+def _fields(rho, beta, u, u2, p):
+    """Rows beta = rho/(2 p) and u^2 of the fields (rho, beta, u, u^2,
+    p), formed in place from rows rho, u and p."""
+    beta[...] = rho / (2 * p)
+    u2[...] = u * u
 
 
-def _fields_calls(fields, scratch):
-    """The calls that form rows 1 and 3 of the fields (rho, beta, u, u^2,
-    p), beta = rho/(2 p) and u^2, from rows 0, 2 and 4, in place, with a
-    temporary for 2 p from scratch."""
-    rho, beta, u, u2, p = (fields[k, ...] for k in range(5))
-    two_p = scratch.take(*p.shape)
-    return [(np.multiply, _TWO, p, two_p), (np.divide, rho, two_p, beta),
-            (np.multiply, u, u, u2)]
+def _means(m: FaceMeans, fields: bool, out):
+    """The formula of the bar block out of the record m: beta and u^2 of
+    both sides first when fields is set (the caller wrote only rho, u and
+    p), then the half-sum of the two sides."""
+    if fields:
+        _fields(*(m.pairs[:, k] for k in range(5)))
+    np.add(*m._sides, out=out)
+    out *= 0.5
 
 
-def _evj_work(m: FaceMeans, gas: GasModel, scratch, out=None):
-    """entropy_vars_jump's work for the record m: the stacked result out,
-    new unless given, and the calls, with the jump of the (rho, beta, u)
-    halves of both sides and two temporaries from scratch."""
-    if out is None:
-        out = np.empty((3,) + m.shape)
-    jump = scratch.take(3, *m.shape)
-    d_rho, d_beta, d_u = jump[0, ...], jump[1, ...], jump[2, ...]
-    t1, t2 = scratch.take(*m.shape), scratch.take(*m.shape)
-    rho_ln, beta_ln = m._ln_operands
-    return out, _calls([
-        # the (rho, beta, u) rows of right - left, from the contiguous
-        # halves
-        (np.subtract, m.pairs[1, :3], m.pairs[0, :3], jump),
-        (np.divide, d_rho, rho_ln, t1),
-        (np.multiply, gas._gm1, beta_ln, t2), (np.divide, _ONE, t2, t2),
-        (np.subtract, t2, m.u2_bar, t2), (np.multiply, t2, d_beta, t2),
-        (np.add, t1, t2, t1),
-        (np.multiply, _TWO, m.u_bar, t2), (np.multiply, t2, m.beta_bar, t2),
-        (np.multiply, t2, d_u, t2), (np.subtract, t1, t2, out[0, ...]),
-        (np.multiply, m.beta_bar, d_u, t1), (np.multiply, m.u_bar, d_beta, t2),
-        (np.add, t1, t2, t1), (np.multiply, _TWO, t1, out[1, ...]),
-        (np.multiply, _NEG_TWO, d_beta, out[2, ...])])
+def _evj(m: FaceMeans, gas: GasModel, out=None):
+    """entropy_vars_jump's formula, into out (new unless given)."""
+    out = empty(3, *m.shape) if out is None else out
+    # the (rho, beta, u) rows of right - left, from the contiguous halves
+    d_rho, d_beta, d_u = m.pairs[1, :3] - m.pairs[0, :3]
+    out[0] = (d_rho / m.rho_ln
+              + (1 / ((gas.gamma - 1.0) * m.beta_ln) - m.u2_bar) * d_beta
+              - 2 * m.u_bar * m.beta_bar * d_u)
+    out[1] = 2 * (m.beta_bar * d_u + m.u_bar * d_beta)
+    out[2] = -2 * d_beta
+    return out
 
 
 def entropy_vars_jump(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
@@ -499,15 +380,12 @@ def entropy_vars_jump(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
     Algebraically identical to differencing entropy_vars pointwise, but the
     cancellation noise for near-degenerate jumps (stationary contacts) is
     an order of magnitude smaller, which matters when such jumps are
-    integrated over thousands of steps.  work, when given, is _evj_work's
-    for m, whose out is returned.
+    integrated over thousands of steps.  work, when given, is the array
+    that takes the result or the bound calls of the formula (record.run).
     """
     # the log means are formed before a temporary of work is written
     m.rho_ln
-    out, calls = work or _evj_work(m, gas, _Scratch())
-    for f, a in calls:
-        f(*a)
-    return out
+    return run(work, _evj, m, gas)
 
 
 def entropy_pair(q, gas: GasModel):
@@ -521,35 +399,26 @@ def entropy_pair(q, gas: GasModel):
 def sound_speed(q, gas: GasModel, out=None):
     """a = sqrt(gamma p / rho), written into out when given."""
     rho, p = q[0], q[2]
-    return np.sqrt(np.divide(np.multiply(gas._gamma, p, out), rho, out), out)
+    return np.sqrt(np.divide(np.multiply(gas.gamma, p, out), rho, out), out)
 
 
 def total_enthalpy(q, gas: GasModel):
     """H = a^2/(gamma-1) + u^2/2 = gamma p/((gamma-1) rho) + u^2/2."""
     rho, u, p = q
-    return gas._gamma * p / (gas._gm1 * rho) + _HALF * u * u
+    return gas.gamma * p / ((gas.gamma - 1.0) * rho) + 0.5 * u * u
 
 
-def _log_mean_work(a, b, out, scratch):
-    """log_mean's work for the arguments a and b and the result out: out,
-    a temporary for the positivity check, and the calls, with four
-    temporaries and the flags of the direct quotient from scratch."""
-    diff, total, z2, t = (scratch.take(*out.shape) for _ in range(4))
-    direct = scratch.take(*out.shape, dtype=bool)
-    return out, diff, _calls([
-        (np.subtract, b, a, diff), (np.add, b, a, total),
-        (np.divide, diff, total, z2), (np.multiply, z2, z2, z2),
-        (np.multiply, _HALF, total, out),
-        (np.divide, z2, _SEVEN, t), (np.add, _FIFTH, t, t),
-        (np.multiply, z2, t, t), (np.add, _THIRD, t, t),
-        (np.multiply, z2, t, t), (np.add, _ONE, t, t),
-        (np.divide, out, t, out),
-        # the direct quotient overwrites the series where zeta^2 is not
-        # small (both are NaN where zeta is) and is not evaluated
-        # elsewhere
-        (np.greater_equal, z2, _LOG_MEAN_SWITCH, direct),
-        (np.log, b, t), (np.log, a, total), (np.subtract, t, total, t),
-        (partial(np.divide, where=direct), diff, t, out)])
+def _log_mean(a, b, out):
+    """log_mean's formula, into out."""
+    diff, total = b - a, b + a
+    z2 = diff / total
+    z2 = z2 * z2
+    out[...] = 0.5 * total / (1 + z2 * (1 / 3 + z2 * (0.2 + z2 / 7)))
+    # the direct quotient overwrites the series where zeta^2 is not small
+    # (both are NaN where zeta is) and is not evaluated elsewhere
+    direct = z2 >= LOG_MEAN_SWITCH
+    np.divide(diff, np.log(b) - np.log(a), out=out, where=direct)
+    return out
 
 
 def log_mean(a, b, out=None, work=None):
@@ -557,20 +426,19 @@ def log_mean(a, b, out=None, work=None):
 
     For zeta = (b-a)/(b+a) with zeta^2 below LOG_MEAN_SWITCH the direct
     quotient is replaced by the series
-    (a+b)/2 / (1 + zeta^2/3 + zeta^4/5 + zeta^6/7).  work, when given, is
-    _log_mean_work's for a, b and out, whose out is returned.
+    (a+b)/2 / (1 + zeta^2/3 + zeta^4/5 + zeta^6/7).  The result is
+    written into out when given; work, when given, is the bound calls of
+    the formula into out (record.run).
     """
     if work is None:
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if out is None:
             out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-        work = _log_mean_work(a, b, out, _Scratch())
-    out, diff, calls = work
+        work = out
     # fmin skips a NaN partner, and its reduction a NaN entry: this flags
-    # exactly the pairs where a <= 0 or b <= 0
-    if np.fmin.reduce(np.fmin(a, b, diff), None, initial=np.inf) <= 0.0:
+    # exactly the pairs where a <= 0 or b <= 0.  out, which the formula
+    # writes before it reads, takes the elementwise minimum.
+    if np.fmin.reduce(np.fmin(a, b, out), None, initial=np.inf) <= 0.0:
         raise ValueError("log_mean requires strictly positive arguments")
-    for f, x in calls:
-        f(*x)
-    return out
+    return run(work, _log_mean, a, b)

@@ -15,12 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .record import const
 from .spatial import FaceData, Grid1D, _StageWork, assemble_rhs
-from .thermo import (_QUARTER, _THIRD, _THREE_QUARTERS, _TWO_THIRDS, GasModel,
-                     sound_speed, temperature)
+from .thermo import GasModel, sound_speed, temperature
 
 __all__ = ["TimeSpec", "MarchState", "march", "ssp_rk3_step", "compute_dt",
            "StageError"]
+
+# the Shu-Osher weights of ssp_rk3_step
+_THIRD, _QUARTER = const(1.0 / 3.0), const(0.25)
+_TWO_THIRDS, _THREE_QUARTERS = const(2.0 / 3.0), const(0.75)
 
 # the steady check reads max|rhs| of every this-many-th step
 _STEADY_CHECK_EVERY = 25
