@@ -1,22 +1,18 @@
 """Formula code recorded as a list of bound ufunc calls.
 
-A stage kernel is written once, as numpy formula code.  Called on arrays,
-it runs at once.  Called while a Recorder is active, on the recorder's
-stand-ins for its arrays (Ref, made by wrap), each ufunc call and item
-assignment it makes is appended to the recorder's list instead of run,
-and a public kernel reached through call() becomes one entry of that
-list, (kernel, (*inputs, work)), whose work (out, calls) holds the calls
-of the kernel's formula.  Placement then gives every temporary a slot in
-one flat scratch buffer, and bind() returns the list as the (callable,
-operands) pairs that replay the formula (run).
-
-The rules:
-- a result takes the slot of an operand of its call with its shape whose
-  last use is that call (the in-place pattern), else the lowest free
-  slot; the buffer's length follows;
-- `dst[k] = expr` retargets the call that formed expr, so that it writes
-  dst[k], when that call is the one just recorded and no later call uses
-  its result; otherwise the assignment is recorded as a copy;
+A stage kernel is written once, as numpy formula code, and runs at once
+on arrays.  While a Recorder is active the same code runs on its
+stand-ins (Ref, made by wrap): each ufunc call and item assignment is
+appended to a list instead, and a public kernel reached through call()
+becomes one entry (kernel, (*inputs, work)) whose work (out, calls)
+holds its formula's calls, which run() replays.  place() then puts every
+temporary in one flat scratch buffer:
+- a result takes the slot of a same-shape operand whose last use is its
+  call (the in-place pattern), else the lowest free slot, and the
+  buffer's length follows;
+- `dst[k] = expr` makes the call that formed expr write dst[k] when that
+  call is the one just recorded and nothing uses its result afterwards;
+  otherwise the assignment is recorded as a copy;
 - a Python number becomes a cached read-only 0-d float64 array (const).
 """
 
@@ -27,27 +23,19 @@ from functools import partial
 
 import numpy as np
 
-__all__ = ["Recorder", "Ref", "call", "const", "empty", "record", "run",
-           "wrap"]
-
-# the recorder that formula code records into, when one is active
-_active = None
+_active = None  # the Recorder that formula code records into, if any
 _CONSTS = {}
-# the ufuncs whose out is passed by keyword: numpy 2 deprecates a third
-# positional argument of these
-_KEYWORD_OUT = frozenset((np.maximum, np.minimum))
-# the ufuncs whose result is a flag
-_PREDICATES = frozenset((np.greater, np.greater_equal, np.less,
-                         np.less_equal))
-_STAND_IN = np.zeros(1)
+# numpy 2 deprecates a third positional argument of these: out is a keyword
+_KEYWORD_OUT = (np.maximum, np.minimum)
+_PREDICATES = (np.greater, np.greater_equal, np.less, np.less_equal)
 _FLOAT, _FLAG = np.dtype(float), np.dtype(bool)
+_STAND_IN = np.zeros(1)
 
 
 def const(x) -> np.ndarray:
     """x as a cached read-only 0-d float64 array.  A ufunc call dispatches
     on it about 150 ns faster than on a Python float, with the same bits."""
-    # zeros are keyed by their text, which tells -0.0 from 0.0
-    key = x if x else str(x)
+    key = x if x else str(x)  # the text tells -0.0 from 0.0
     c = _CONSTS.get(key)
     if c is None:
         c = _CONSTS[key] = np.array(x, dtype=float)
@@ -57,21 +45,18 @@ def const(x) -> np.ndarray:
 
 def empty(*shape):
     """A new float array of shape, or a recorded temporary of it."""
-    return np.empty(shape) if _active is None else _active.temp(shape, _FLOAT)
+    return np.empty(shape) if _active is None else _active.temp(shape)
 
 
 def wrap(x):
-    """x as formula code reads it: x itself, or its stand-in while a
-    recorder is active (Recorder.wrap)."""
+    """x as formula code reads it: x, or its stand-in while recording."""
     return x if _active is None else _active.wrap(x)
 
 
 def call(kernel, formula, *args):
-    """kernel(*args) from formula code, where args end with the out that
-    takes the result: called at once, or recorded as one entry
-    (kernel, (*inputs, work)) whose work is (out, the calls of
-    formula(*args)); with formula None, work is out and the kernel runs
-    as it is."""
+    """kernel(*args) in formula code, args ending with the out that takes
+    the result: called at once, or recorded as one entry whose work holds
+    formula(*args)'s calls (is out, with formula None)."""
     if _active is None:
         return kernel(*args)
     return _active.entry(kernel, formula, args[:-1], args[-1])
@@ -79,8 +64,7 @@ def call(kernel, formula, *args):
 
 def run(work, formula, *args):
     """A kernel's result: work's calls replayed when work is bound (out,
-    calls), else formula(*args, work) run at once, work being the out
-    that takes the result or None."""
+    calls), else formula(*args, work), work being its out or None."""
     if type(work) is tuple:
         out, calls = work
         for f, a in calls:
@@ -98,15 +82,14 @@ def record(formula, *args) -> Recorder:
 
 
 class _Temp:
-    """A temporary: its shape and dtype, the first and the last call that
-    use it, and, once placed, its slot (offset) and then its view."""
+    """A temporary: shape, dtype, the first and the last call that use it
+    and, once placed, its slot and its view."""
 
     __slots__ = ("shape", "dtype", "first", "last", "slot", "view")
 
     def __init__(self, shape, dtype, first):
-        self.shape, self.dtype = shape, dtype
-        self.first = self.last = first
-        self.slot = self.view = None
+        self.shape, self.dtype, self.first = shape, dtype, first
+        self.last, self.slot, self.view = first, None, None
 
     def count(self):
         """Its length in floats; flags are packed eight to a float."""
@@ -114,19 +97,16 @@ class _Temp:
         return n if self.dtype is _FLOAT else -(-n // 8)
 
 
-def _ufunc(f, swap=False, inplace=False):
+def _op(f, swap=False, inplace=False):
     if inplace:
         return lambda a, b: _active.ufunc(f, (a, b), a)
-    if swap:
-        return lambda a, b: _active.ufunc(f, (b, a))
-    return lambda a, b: _active.ufunc(f, (a, b))
+    return lambda a, b: _active.ufunc(f, (b, a) if swap else (a, b))
 
 
 class Ref:
-    """The stand-in of an array in recorded formula code: an operand
-    (temp None, arr the array) or the view keys of a temporary (arr None
-    for the whole one, else a zero-stride array of the view's shape and
-    dtype)."""
+    """The stand-in of an array: an operand (temp None, arr the array) or
+    the view keys of a temporary (arr None for all of it, else a
+    zero-stride array of the view's shape)."""
 
     __slots__ = ("temp", "keys", "arr", "shape")
 
@@ -142,9 +122,8 @@ class Ref:
     def __setitem__(self, key, value):
         _active.store(_active.view(self, key), value)
 
-    def __array_ufunc__(self, f, method, *inputs, out=None, where=True,
-                        **kwargs):
-        if method != "__call__" or kwargs:
+    def __array_ufunc__(self, f, method, *inputs, out=None, where=True, **kw):
+        if method != "__call__" or kw:
             return NotImplemented
         return _active.ufunc(f, inputs, out and out[0],
                              None if where is True else where)
@@ -155,40 +134,26 @@ class Ref:
     def __abs__(self):
         return _active.ufunc(np.absolute, (self,))
 
-    __add__, __radd__, __iadd__ = (_ufunc(np.add, *k) for k in
+    __add__, __radd__, __iadd__ = (_op(np.add, *k) for k in
                                    ((), (True,), (False, True)))
-    __sub__, __rsub__, __isub__ = (_ufunc(np.subtract, *k) for k in
+    __sub__, __rsub__, __isub__ = (_op(np.subtract, *k) for k in
                                    ((), (True,), (False, True)))
-    __mul__, __rmul__, __imul__ = (_ufunc(np.multiply, *k) for k in
+    __mul__, __rmul__, __imul__ = (_op(np.multiply, *k) for k in
                                    ((), (True,), (False, True)))
     __truediv__, __rtruediv__, __itruediv__ = (
-        _ufunc(np.divide, *k) for k in ((), (True,), (False, True)))
-    __ge__, __gt__ = _ufunc(np.greater_equal), _ufunc(np.greater)
-    __le__, __lt__ = _ufunc(np.less_equal), _ufunc(np.less)
-
-
-def _fit(spans, count):
-    """The lowest span of count floats clear of spans."""
-    at = 0
-    for a, b in sorted(spans):
-        if a - at >= count:
-            break
-        at = max(at, b)
-    return at, at + count
+        _op(np.divide, *k) for k in ((), (True,), (False, True)))
+    __ge__, __gt__ = _op(np.greater_equal), _op(np.greater)
+    __le__, __lt__ = _op(np.less_equal), _op(np.less)
 
 
 class Recorder:
-    """The calls of formula code run on stand-ins, in order.
-
-    calls holds [func, operands, out, where] per call (func None for a
-    copy); lists holds the list being recorded, innermost last, whose
-    items are call indices and entries (kernel, inputs, out, list); size
-    is the scratch length that place() finds.
-    """
+    """The calls of formula code run on stand-ins, in order: calls holds
+    [func, operands, out, where] (func None for a copy), and lists the
+    list being recorded, innermost last, of call indices and entries
+    (kernel, inputs, out, list); place() sets size."""
 
     def __init__(self):
-        self.calls, self.temps, self.stores = [], [], []
-        self.lists = [[]]
+        self.calls, self.temps, self.stores, self.lists = [], [], [], [[]]
         self.copies, self.real, self.views = {}, {}, {}
         self.size = 0
 
@@ -203,7 +168,7 @@ class Recorder:
 
     def wrap(self, x):
         """x's stand-in: a Ref of an array, a tuple of stand-ins, or one
-        copy per object of a class that makes one (_recorded)."""
+        copy per object that makes one (_recorded), else x."""
         if isinstance(x, np.ndarray):
             return Ref(None, (), x, x.shape)
         if type(x) is tuple:
@@ -211,85 +176,69 @@ class Recorder:
         made = getattr(x, "_recorded", None)
         if made is None:
             return x
-        w = self.copies.get(id(x))
-        if w is None:
-            w = self.copies[id(x)] = made(self.wrap)
+        if id(x) not in self.copies:
+            self.copies[id(x)] = w = made(self.wrap)
             self.real[id(w)] = x
-        return w
+        return self.copies[id(x)]
 
-    def temp(self, shape, dtype):
+    def temp(self, shape, dtype=_FLOAT):
         t = _Temp(shape, dtype, len(self.calls))
         self.temps.append(t)
         return Ref(t, (), None, shape)
 
     def view(self, ref: Ref, key) -> Ref:
         """ref[key], one Ref per view, so that a call that writes a view
-        it reads is bound to one array for both."""
-        parent = ref.arr
-        if parent is None:
-            t = ref.temp
-            parent = np.ndarray(t.shape, t.dtype, _STAND_IN,
-                                strides=(0,) * len(t.shape))
-        try:
-            k = id(ref), key
-            v = self.views.get(k)
-        except TypeError:
-            # slices are unhashable before Python 3.12
-            k = id(ref), repr(key)
-            v = self.views.get(k)
-        if v is None:
-            arr = parent[key]
-            v = Ref(ref.temp, ref.keys + (key,), arr, arr.shape)
+        it reads is bound to one array for both: numpy checks two arrays
+        of one memory for overlap, at ~0.3 us a call."""
+        k = id(ref), repr(key)  # slices are unhashable before Python 3.12
+        if k not in self.views:
+            arr, t = ref.arr, ref.temp
+            if arr is None:
+                arr = np.ndarray(t.shape, t.dtype, _STAND_IN,
+                                 strides=(0,) * len(t.shape))
+            arr = arr[key]
             # ref is kept, so that its id is not reused
-            self.views[k] = v, ref
-            return v
-        return v[0]
+            self.views[k] = Ref(t, ref.keys + (key,), arr, arr.shape), ref
+        return self.views[k][0]
+
+    def _append(self, call):
+        i = len(self.calls)
+        self.calls.append(call)
+        self.lists[-1].append(i)
+        for x in call[1] + (call[2], call[3]):
+            if type(x) is Ref and x.temp is not None:
+                x.temp.last = i
 
     def ufunc(self, f, inputs, out=None, where=None):
-        i = len(self.calls)
         operands = tuple([x if type(x) is Ref or type(x) is np.ndarray
                           else const(x) for x in inputs])
         if out is None:
             shape = operands[0].shape
             for x in operands[1:]:
-                s = x.shape
-                if s != shape and s:
-                    shape = np.broadcast_shapes(shape, s) if shape else s
-            t = _Temp(shape, _FLAG if f in _PREDICATES else _FLOAT, i)
-            self.temps.append(t)
-            out = Ref(t, (), None, shape)
+                if x.shape != shape and x.shape:
+                    shape = (np.broadcast_shapes(shape, x.shape) if shape
+                             else x.shape)
+            out = self.temp(shape, _FLAG if f in _PREDICATES else _FLOAT)
         elif type(out) is not Ref:
             out = self.wrap(out)
-        self.calls.append([f, operands, out, where])
-        self.lists[-1].append(i)
-        for x in operands:
-            if type(x) is Ref and x.temp is not None:
-                x.temp.last = i
-        if out.temp is not None:
-            out.temp.last = i
-        if where is not None and where.temp is not None:
-            where.temp.last = i
+        self._append([f, operands, out, where])
         return out
 
     def store(self, dst: Ref, src):
         """dst[...] = src: nothing for x[k] op= y's store of x[k] into
-        itself, a possible retarget of the call just recorded, or a copy."""
+        itself, else a copy, which place() may turn into a retarget."""
         if src is dst:
             return
         if type(src) is not Ref:
             src = self.wrap(src if type(src) is np.ndarray else const(src))
-        i = len(self.calls)
-        last = self.calls[-1] if i else None
-        self.calls.append([None, (src,), dst, None])
-        self.lists[-1].append(i)
-        for x in (src, dst):
-            if x.temp is not None:
-                x.temp.last = i
-        t = src.temp
+        t, last = src.temp, self.calls[-1] if self.calls else None
+        self._append([None, (src,), dst, None])
+        i = len(self.calls) - 1
         if (t is not None and not src.keys and t.first == i - 1
                 and last[0] is not None and last[2] is src
                 and t.shape == dst.shape and t.dtype == dst.arr.dtype):
             self.stores.append(i)
+
     def entry(self, kernel, formula, inputs, out):
         sub = None if formula is None else []
         self.lists[-1].append((kernel, inputs, out, sub))
@@ -300,29 +249,26 @@ class Recorder:
             finally:
                 self.lists.pop()
         # what the kernel is passed lives through its calls
-        end = len(self.calls) - 1
         for x in inputs + (out,):
             if type(x) is Ref and x.temp is not None:
-                x.temp.last = max(x.temp.last, end)
+                x.temp.last = max(x.temp.last, len(self.calls) - 1)
         return out
 
     def place(self):
-        """Retarget the assignments that can be, then give each temporary
-        a slot (the rules in the module docstring) and find size."""
+        """Retarget the stores that can be, then give each temporary its
+        slot (the rules of the module docstring) and find size."""
         calls = self.calls
         for i in self.stores:
             src, dst = calls[i][1][0], calls[i][2]
             if src.temp.last == i:
-                calls[i - 1][2], calls[i] = dst, None
-                src.temp.first = -1
+                calls[i - 1][2], calls[i], src.temp.first = dst, None, -1
                 if dst.temp is not None:
                     dst.temp.first = min(dst.temp.first, i - 1)
-        born, dying = {}, {}
+        born, dying, live = {}, {}, {}
         for t in self.temps:
             if t.first >= 0:
                 born.setdefault(t.first, []).append(t)
                 dying.setdefault(t.last, []).append(t)
-        live = {}
         for i, c in enumerate(calls):
             for t in born.get(i, ()):
                 donor = (c is not None and c[2].temp is t and not c[2].keys
@@ -330,30 +276,35 @@ class Recorder:
                                    and x.temp in live and not x.keys
                                    and x.temp.last == i
                                    and x.temp.shape == t.shape
-                                   and x.temp.dtype == t.dtype), None))
-                span = live.pop(donor) if donor else _fit(live.values(),
-                                                          t.count())
-                live[t] = span
-                t.slot = span[0]
-                self.size = max(self.size, span[1])
+                                   and x.temp.dtype is t.dtype), None))
+                if donor:
+                    live[t] = live.pop(donor)
+                else:
+                    # the lowest span clear of the live ones
+                    at = 0
+                    for a, b in sorted(live.values()):
+                        if a - at >= t.count():
+                            break
+                        at = max(at, b)
+                    live[t] = at, at + t.count()
+                t.slot = live[t][0]
+                self.size = max(self.size, live[t][1])
             for t in dying.get(i, ()):
                 live.pop(t, None)
 
     def bind(self, scratch: np.ndarray) -> list:
-        """The recorded list, its temporaries placed in scratch.  A call
-        that writes what it reads, in place or into a donor's slot, is
-        bound to one array for both: numpy checks two arrays of one
-        memory for overlap, at ~0.3 us a call."""
+        """The recorded list, its temporaries placed in scratch; those of
+        one slot share one view, as views of one Ref do (view)."""
         whole, self.arrays = {}, {}
         for t in self.temps:
             if t.slot is not None:
                 key = t.slot, t.shape, t.dtype
-                t.view = whole.get(key)
-                if t.view is None:
+                if key not in whole:
                     v = scratch[t.slot:t.slot + t.count()]
-                    if t.dtype is not _FLOAT:
-                        v = v.view(t.dtype)[:math.prod(t.shape)]
-                    t.view = whole[key] = v.reshape(t.shape)
+                    if t.dtype is _FLAG:
+                        v = v.view(bool)[:math.prod(t.shape)]
+                    whole[key] = v.reshape(t.shape)
+                t.view = whole[key]
         return self._bound(self.lists[0])
 
     def _array(self, x):
@@ -361,19 +312,17 @@ class Recorder:
             return x
         if x.temp is None:
             return x.arr
-        v = self.arrays.get(id(x))
-        if v is None:
+        if id(x) not in self.arrays:
             v = x.temp.view
             for k in x.keys:
                 v = v[k]
             self.arrays[id(x)] = v
-        return v
+        return self.arrays[id(x)]
 
     def _input(self, x):
         if type(x) in (float, int):
             return const(x)
-        return self.real.get(id(x), x) if type(x) is not Ref else \
-            self._array(x)
+        return self._array(x) if type(x) is Ref else self.real.get(id(x), x)
 
     def _bound(self, items):
         bound = []
@@ -384,18 +333,14 @@ class Recorder:
                 if sub is not None:
                     work = work, self._bound(sub)
                 bound.append((kernel, (*map(self._input, inputs), work)))
-                continue
-            c = self.calls[item]
-            if c is None:
-                continue
-            f, operands, out, where = c
-            a, out = tuple(map(self._array, operands)), self._array(out)
-            if f is None:
-                bound.append((out.__setitem__, (Ellipsis, a[0])))
-                continue
-            if f in _KEYWORD_OUT:
-                f, out = partial(f, out=out), None
-            if where is not None:
-                f = partial(f, where=self._array(where))
-            bound.append((f, a if out is None else a + (out,)))
+            elif self.calls[item] is not None:
+                f, operands, out, where = self.calls[item]
+                a, out = tuple(map(self._array, operands)), self._array(out)
+                if f is None:
+                    f, a, out = out.__setitem__, (Ellipsis, a[0]), None
+                elif f in _KEYWORD_OUT:
+                    f, out = partial(f, out=out), None
+                if where is not None:
+                    f = partial(f, where=self._array(where))
+                bound.append((f, a if out is None else a + (out,)))
         return bound
