@@ -215,7 +215,7 @@ def jst_dissipation(cells, m: FaceMeans, gas: GasModel,
     correction -(1/2) lambda D of the k - 3 faces.  m is the FaceMeans
     record of the pairs (q_j, q_{j+1}); beta, when given, is
     rho / (2 p) of the cells, as the stage's cell block holds it.  work,
-    when given, is the array that takes the result or the bound calls of
+    when given, is the array that takes the result or the recorded calls of
     the formula (record.run).
     """
     # a log mean is formed before any temporary of work is written
@@ -376,7 +376,7 @@ def matrix_dissipation(m: FaceMeans, gas: GasModel, spec: DissipationSpec,
     of the pairs of m, multiplied out in closed form: w = |Lambda| S R^T dv,
     then R w, formed in place.  The averages (rho, u, a, H) are
     face_average's, and each face quantity is formed once.  work, when
-    given, is the array that takes the result or the bound calls of the
+    given, is the array that takes the result or the recorded calls of the
     formula (record.run)."""
     # entropy_vars_jump reads the log means: they are formed here, before
     # a temporary of work is written (the stage's log_mean and work share

@@ -9,7 +9,7 @@ Every flux takes the FaceMeans record of its pairs and returns the stacked
 (3, ...) array (f_rho, f_m, f_e); the solver passes the one record it
 builds per stage.  A flux's work, when given, is the array that takes the
 result or, for the KEP family, whose formula the stage records
-(FORMULAS), the bound calls of that formula.
+(FORMULAS), the recorded calls of that formula (record.run).
 """
 
 from __future__ import annotations

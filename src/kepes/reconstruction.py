@@ -98,7 +98,7 @@ def reconstruct_face(cells, spec: ReconSpec, work=None):
     is formed once and read by both of its faces.  work, when given, is
     the (2,) + face-shaped array whose [0] and [1] take the order-2 sides
     (the stage's is rows 0, 2 and 4 of its record's pair block) or the
-    bound calls of the formula into it; without it the sides are a new
+    recorded calls of the formula into it; without it the sides are a new
     array's.
     """
     if spec.order == 1:

@@ -217,7 +217,7 @@ def viscous_face_flux(m: FaceMeans, gas: GasModel, dx: float,
     tau = (4/3) mu du/dx and q = -kappa dT/dx with mu, kappa evaluated at
     the arithmetic-mean face temperature.  dx is a float or, as the stage
     passes it, a 0-d array.  work, when given, is the array that takes the
-    result or the bound calls of the formula (record.run).
+    result or the recorded calls of the formula (record.run).
     """
     return run(work, _viscous, m, gas, dx)
 
@@ -237,8 +237,7 @@ def apply_boundary(rows: np.ndarray, bcs: BoundarySpec,
                    work=None) -> np.ndarray:
     """Fill, in place, the two ghost cells per side of rows, the (3, n + 4)
     (rho, u, p) rows whose columns 2 .. n + 1 hold n cells; returns
-    rows.  work, when given, is rows or the bound calls of the formula
-    (record.run)."""
+    rows.  work is as record.run takes it."""
     run(work, _fill_ghosts, rows, bcs)
     return rows
 
@@ -258,30 +257,22 @@ _HALF = const(0.5)
 
 
 class _StageWork:
-    """Every array an RHS stage writes, and the calls it makes, built once
-    per march from the cell count n, the reconstruction, the dissipation
-    and whether the gas is viscous, with the calls recorded on the first
-    call with the grid, the gas, the central flux and the boundaries
-    (key; a call with another key records them again).
+    """Every array an RHS stage writes, and the calls it makes, for n
+    cells, the reconstruction, the dissipation and whether the gas is
+    viscous; the calls are recorded for the key (the grid, gas, central
+    flux and boundaries) of the first call with it.
 
-    The workspace owns the (5, n + 4) cell block (rows rho, beta, u, u^2
-    and p of the n cells and two ghost cells per side), the central,
-    dissipative and viscous fluxes (zero arrays for a stage without
-    dissipation or viscosity), the net flux and rhs.  The faces run in
-    windows (_Window) of at most WINDOW faces, in order; all windows
-    share one buffer of records (records: the cell-pair record and, at
-    order 2, the face record, FaceMeans.ROWS rows each) and one scratch
-    buffer that holds every kernel's temporaries.  run() is the stage
-    after its validity check as formula code: the ghost fill, each
-    window's kernels, the boundary-flux step of a shock_outflow side and
-    the rhs difference.  A one-shot stage runs it at once; bind()
-    records it (record.record) into calls, where each public kernel is
-    one entry (so a trace of the public functions sees every kernel), and
-    the log means of each record into its _ln_work.  The kernels of a
-    window run in sequence; a kernel that reads log means forms them
-    before it writes a temporary, so log_mean's temporaries, placed
-    apart, share the scratch.  size is the pair of lengths of the record
-    and the scratch buffers, those of the widest window.
+    It owns the (5, n + 4) cell block (rows rho, beta, u, u^2 and p, two
+    ghost cells per side), the central, dissipative and viscous fluxes
+    (zero without dissipation or viscosity), the net flux and rhs.  The
+    faces run in windows (_Window) of at most WINDOW faces, which share
+    one buffer of records and one scratch buffer; size is their lengths,
+    those of the widest window.  run() is the stage after its validity
+    check as formula code: a one-shot stage runs it at once, and bind()
+    records it into calls, where each public kernel is one entry, and
+    each record's log means into its _ln_work.  A kernel forms the log
+    means it reads before it writes a temporary, so their temporaries,
+    placed apart, share the scratch.
     """
 
     def __init__(self, n: int, recon: ReconSpec, diss: DissipationSpec,
@@ -366,19 +357,14 @@ class _StageWork:
 
 
 class _Window:
-    """The faces a .. b - 1 (faces) of the workspace work.
-
-    Those faces read the block columns a .. b + 2, so the window's view
-    of the cell block is the cell block of a (b - a - 1)-cell grid, and
-    each kernel runs on it as on a whole grid's; its results go to the
-    columns a .. b - 1 of work's fluxes (fluxes: central, diss, visc and
-    net).  The window's records take their blocks from work's records,
-    which every window shares.  The cell-pair record (cell_means, made
-    when cell_pairs is set: first order, the scalar stencil, the viscous
-    flux) and the face record (means: at order 2 the reconstructed
-    faces', else cell_means) are refilled by run().  ends flags whether
-    the window holds the grid's first face and its last, where the JST
-    end rule acts.
+    """The faces a .. b - 1 (faces) of the workspace work, which read its
+    block columns a .. b + 2: each kernel runs on the window's view of the
+    block as on a whole grid's and writes the window's columns of work's
+    fluxes (central, diss, visc and net).  Its records, the cell-pair
+    record (cell_means: first order, the scalar stencil, the viscous flux)
+    and the face record (means: at order 2 the reconstructed faces', else
+    cell_means), take their blocks from work's records.  ends flags
+    whether it holds the grid's first face and its last.
     """
 
     def __init__(self, work, a, b, recon, diss, cell_pairs):
@@ -411,9 +397,8 @@ class _Window:
 
     def run(self, dx, gas: GasModel, flux_kind: str, end_rule: bool,
             viscous: bool):
-        """The window's kernels as formula code, for the grid's dx, the
-        gas, the central flux, whether the JST end rule acts at the grid's
-        ends and whether the gas is viscous."""
+        """The window's kernels as formula code; end_rule: whether the JST
+        end rule acts at the grid's ends."""
         recon, diss = self.recon, self.diss
         block, rows = wrap(self.block), wrap(self.rows)
         pairs, means = wrap(self.cell_means), wrap(self.means)
@@ -457,13 +442,13 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
     cells is the stacked (3, n) array of the rows rho, m, E; rhs comes
     back as a (3, n) array.  work is the stage workspace that the march
     holds (a _StageWork of this grid, recon, diss and gas): the call runs
-    its calls, bound again first when the grid, gas, flux or boundaries
+    its calls, recorded again first when the grid, gas, flux or boundaries
     are not those of the last call, and rhs and the returned FaceData's
     central, diss, visc, net, cells, left and right are arrays of it, so
     the next call with the same work overwrites them (the zero diss and
     visc of a stage without dissipation or viscosity stay zero).  Without
-    work, the call builds a workspace of its own, and nothing it returns
-    is shared.
+    work, the call builds a workspace of its own and runs the stage's
+    formula code at once, and nothing it returns is shared.
     """
     held = work is not None
     if not held:

@@ -255,7 +255,7 @@ class FaceMeans:
     a march, one set per stage window: it writes new pairs into the same
     block every stage and refills the record (_refill), so every array a
     record hands out is overwritten by the next stage; the calls of a
-    held record's log means (_ln_work) are bound once per march.  A
+    held record's log means (_ln_work) are recorded once per march.  A
     kernel reads a quantity of the left and the right sides from one
     evaluation on the record's cells (_side_views): a cell-pair record's
     cells are the cell rows, so a cell quantity is evaluated once per
@@ -273,7 +273,7 @@ class FaceMeans:
             for k, f in zip((0, 2, 4), state):
                 side[k] = f
         _means(self, True, self._bar)
-        # bound once the blocks hold values: a row of a single pair is
+        # rows taken once the blocks hold values: a row of a single pair is
         # a scalar
         self._bind()
 
@@ -320,7 +320,7 @@ class FaceMeans:
 
     def _refill(self, fields: bool, work=None):
         """Form the means of the record's new pairs in place (_means, with
-        the bar block as out; work, when given, its bound calls); the log
+        the bar block as out; work, when given, its recorded calls); the log
         means of the last pairs are dropped, to be formed again on their
         next read."""
         formed = self.__dict__
@@ -381,7 +381,7 @@ def entropy_vars_jump(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
     cancellation noise for near-degenerate jumps (stationary contacts) is
     an order of magnitude smaller, which matters when such jumps are
     integrated over thousands of steps.  work, when given, is the array
-    that takes the result or the bound calls of the formula (record.run).
+    that takes the result or the recorded calls of the formula (record.run).
     """
     # the log means are formed before a temporary of work is written
     m.rho_ln
@@ -427,7 +427,7 @@ def log_mean(a, b, out=None, work=None):
     For zeta = (b-a)/(b+a) with zeta^2 below LOG_MEAN_SWITCH the direct
     quotient is replaced by the series
     (a+b)/2 / (1 + zeta^2/3 + zeta^4/5 + zeta^6/7).  The result is
-    written into out when given; work, when given, is the bound calls of
+    written into out when given; work, when given, is the recorded calls of
     the formula into out (record.run).
     """
     if work is None:
