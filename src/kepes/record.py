@@ -85,16 +85,14 @@ class _Temp:
     """A temporary: shape, dtype, the first and the last call that use it
     and, once placed, its slot and its view."""
 
-    __slots__ = ("shape", "dtype", "first", "last", "slot", "view")
+    __slots__ = ("shape", "dtype", "first", "last", "slot", "view", "count")
 
     def __init__(self, shape, dtype, first):
         self.shape, self.dtype, self.first = shape, dtype, first
         self.last, self.slot, self.view = first, None, None
-
-    def count(self):
-        """Its length in floats; flags are packed eight to a float."""
-        n = math.prod(self.shape)
-        return n if self.dtype is _FLOAT else -(-n // 8)
+        # its length in floats; flags are packed eight to a float
+        n = math.prod(shape)
+        self.count = n if dtype is _FLOAT else -(-n // 8)
 
 
 def _op(f, swap=False, inplace=False):
@@ -106,12 +104,13 @@ def _op(f, swap=False, inplace=False):
 class Ref:
     """The stand-in of an array: an operand (temp None, arr the array) or
     the view keys of a temporary (arr None for all of it, else a
-    zero-stride array of the view's shape)."""
+    zero-stride array of the view's shape); views holds its views."""
 
-    __slots__ = ("temp", "keys", "arr", "shape")
+    __slots__ = ("temp", "keys", "arr", "shape", "views")
 
     def __init__(self, temp, keys, arr, shape):
         self.temp, self.keys, self.arr, self.shape = temp, keys, arr, shape
+        self.views = None
 
     def __iter__(self):
         return (self[k] for k in range(self.shape[0]))
@@ -154,7 +153,7 @@ class Recorder:
 
     def __init__(self):
         self.calls, self.temps, self.stores, self.lists = [], [], [], [[]]
-        self.copies, self.real, self.views = {}, {}, {}
+        self.copies, self.real = {}, {}
         self.size = 0
 
     def __enter__(self):
@@ -190,23 +189,29 @@ class Recorder:
         """ref[key], one Ref per view, so that a call that writes a view
         it reads is bound to one array for both: numpy checks two arrays
         of one memory for overlap, at ~0.3 us a call."""
-        k = id(ref), repr(key)  # slices are unhashable before Python 3.12
-        if k not in self.views:
+        if ref.views is None:
+            ref.views = {}
+        # slices are unhashable before Python 3.12
+        k = key if type(key) is int else repr(key)
+        v = ref.views.get(k)
+        if v is None:
             arr, t = ref.arr, ref.temp
             if arr is None:
                 arr = np.ndarray(t.shape, t.dtype, _STAND_IN,
                                  strides=(0,) * len(t.shape))
             arr = arr[key]
-            # ref is kept, so that its id is not reused
-            self.views[k] = Ref(t, ref.keys + (key,), arr, arr.shape), ref
-        return self.views[k][0]
+            v = ref.views[k] = Ref(t, ref.keys + (key,), arr, arr.shape)
+        return v
 
     def _append(self, call):
         i = len(self.calls)
         self.calls.append(call)
         self.lists[-1].append(i)
-        for x in call[1] + (call[2], call[3]):
+        for x in call[1]:
             if type(x) is Ref and x.temp is not None:
+                x.temp.last = i
+        for x in call[2:]:
+            if x is not None and x.temp is not None:
                 x.temp.last = i
 
     def ufunc(self, f, inputs, out=None, where=None):
@@ -218,7 +223,10 @@ class Recorder:
                 if x.shape != shape and x.shape:
                     shape = (np.broadcast_shapes(shape, x.shape) if shape
                              else x.shape)
-            out = self.temp(shape, _FLAG if f in _PREDICATES else _FLOAT)
+            t = _Temp(shape, _FLAG if f in _PREDICATES else _FLOAT,
+                      len(self.calls))
+            self.temps.append(t)
+            out = Ref(t, (), None, shape)
         elif type(out) is not Ref:
             out = self.wrap(out)
         self._append([f, operands, out, where])
@@ -271,22 +279,25 @@ class Recorder:
                 dying.setdefault(t.last, []).append(t)
         for i, c in enumerate(calls):
             for t in born.get(i, ()):
-                donor = (c is not None and c[2].temp is t and not c[2].keys
-                         and next((x.temp for x in c[1] if type(x) is Ref
-                                   and x.temp in live and not x.keys
-                                   and x.temp.last == i
-                                   and x.temp.shape == t.shape
-                                   and x.temp.dtype is t.dtype), None))
-                if donor:
+                donor = None
+                if c is not None and c[2].temp is t and not c[2].keys:
+                    for x in c[1]:
+                        if (type(x) is Ref and x.temp in live and not x.keys
+                                and x.temp.last == i
+                                and x.temp.shape == t.shape
+                                and x.temp.dtype is t.dtype):
+                            donor = x.temp
+                            break
+                if donor is not None:
                     live[t] = live.pop(donor)
                 else:
                     # the lowest span clear of the live ones
                     at = 0
                     for a, b in sorted(live.values()):
-                        if a - at >= t.count():
+                        if a - at >= t.count:
                             break
                         at = max(at, b)
-                    live[t] = at, at + t.count()
+                    live[t] = at, at + t.count
                 t.slot = live[t][0]
                 self.size = max(self.size, live[t][1])
             for t in dying.get(i, ()):
@@ -300,7 +311,7 @@ class Recorder:
             if t.slot is not None:
                 key = t.slot, t.shape, t.dtype
                 if key not in whole:
-                    v = scratch[t.slot:t.slot + t.count()]
+                    v = scratch[t.slot:t.slot + t.count]
                     if t.dtype is _FLAG:
                         v = v.view(bool)[:math.prod(t.shape)]
                     whole[key] = v.reshape(t.shape)
