@@ -104,13 +104,14 @@ def _op(f, swap=False, inplace=False):
 class Ref:
     """The stand-in of an array: an operand (temp None, arr the array) or
     the view keys of a temporary (arr None for all of it, else a
-    zero-stride array of the view's shape); views holds its views."""
+    zero-stride array of the view's shape); views holds its views, and
+    bound the array that bind() gives it."""
 
-    __slots__ = ("temp", "keys", "arr", "shape", "views")
+    __slots__ = ("temp", "keys", "arr", "shape", "views", "bound")
 
     def __init__(self, temp, keys, arr, shape):
         self.temp, self.keys, self.arr, self.shape = temp, keys, arr, shape
-        self.views = None
+        self.views = self.bound = None
 
     def __iter__(self):
         return (self[k] for k in range(self.shape[0]))
@@ -215,21 +216,28 @@ class Recorder:
                 x.temp.last = i
 
     def ufunc(self, f, inputs, out=None, where=None):
+        i = len(self.calls)
         operands = tuple([x if type(x) is Ref or type(x) is np.ndarray
                           else const(x) for x in inputs])
+        shape = None
+        for x in operands:
+            if type(x) is Ref and x.temp is not None:
+                x.temp.last = i
+            if out is None and x.shape != shape:
+                shape = (x.shape if shape is None or not shape
+                         else shape if not x.shape
+                         else np.broadcast_shapes(shape, x.shape))
         if out is None:
-            shape = operands[0].shape
-            for x in operands[1:]:
-                if x.shape != shape and x.shape:
-                    shape = (np.broadcast_shapes(shape, x.shape) if shape
-                             else x.shape)
-            t = _Temp(shape, _FLAG if f in _PREDICATES else _FLOAT,
-                      len(self.calls))
+            t = _Temp(shape, _FLAG if f in _PREDICATES else _FLOAT, i)
             self.temps.append(t)
             out = Ref(t, (), None, shape)
         elif type(out) is not Ref:
             out = self.wrap(out)
-        self._append([f, operands, out, where])
+        for x in (out, where):
+            if x is not None and x.temp is not None:
+                x.temp.last = i
+        self.calls.append([f, operands, out, where])
+        self.lists[-1].append(i)
         return out
 
     def store(self, dst: Ref, src):
@@ -306,7 +314,7 @@ class Recorder:
     def bind(self, scratch: np.ndarray) -> list:
         """The recorded list, its temporaries placed in scratch; those of
         one slot share one view, as views of one Ref do (view)."""
-        whole, self.arrays = {}, {}
+        whole = {}
         for t in self.temps:
             if t.slot is not None:
                 key = t.slot, t.shape, t.dtype
@@ -318,17 +326,16 @@ class Recorder:
                 t.view = whole[key]
         return self._bound(self.lists[0])
 
-    def _array(self, x):
+    @staticmethod
+    def _array(x):
         if type(x) is not Ref:
             return x
-        if x.temp is None:
-            return x.arr
-        if id(x) not in self.arrays:
-            v = x.temp.view
-            for k in x.keys:
+        if x.bound is None:
+            v = x.arr if x.temp is None else x.temp.view
+            for k in () if x.temp is None else x.keys:
                 v = v[k]
-            self.arrays[id(x)] = v
-        return self.arrays[id(x)]
+            x.bound = v
+        return x.bound
 
     def _input(self, x):
         if type(x) in (float, int):
