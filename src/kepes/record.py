@@ -204,17 +204,6 @@ class Recorder:
             v = ref.views[k] = Ref(t, ref.keys + (key,), arr, arr.shape)
         return v
 
-    def _append(self, call):
-        i = len(self.calls)
-        self.calls.append(call)
-        self.lists[-1].append(i)
-        for x in call[1]:
-            if type(x) is Ref and x.temp is not None:
-                x.temp.last = i
-        for x in call[2:]:
-            if x is not None and x.temp is not None:
-                x.temp.last = i
-
     def ufunc(self, f, inputs, out=None, where=None):
         i = len(self.calls)
         operands = tuple([x if type(x) is Ref or type(x) is np.ndarray
@@ -247,9 +236,13 @@ class Recorder:
             return
         if type(src) is not Ref:
             src = self.wrap(src if type(src) is np.ndarray else const(src))
-        t, last = src.temp, self.calls[-1] if self.calls else None
-        self._append([None, (src,), dst, None])
-        i = len(self.calls) - 1
+        i, t = len(self.calls), src.temp
+        last = self.calls[-1] if i else None
+        self.calls.append([None, (src,), dst, None])
+        self.lists[-1].append(i)
+        for x in (src, dst):
+            if x.temp is not None:
+                x.temp.last = i
         if (t is not None and not src.keys and t.first == i - 1
                 and last[0] is not None and last[2] is src
                 and t.shape == dst.shape and t.dtype == dst.arr.dtype):
