@@ -300,7 +300,7 @@ def _law(speeds, a_f, m: FaceMeans, gas: GasModel, spec: DissipationSpec,
         # the acoustic eigenvalues of the cells, and the jump of each
         # across its face
         cells = m._cells
-        a = sound_speed(cells, gas)
+        a = call(sound_speed, None, cells, gas, empty(*cells.shape[1:]))
         ac = empty(2, *a.shape)
         ac[0] = cells[1] - a
         ac[1] = cells[1] + a

@@ -198,7 +198,9 @@ class FaceData:
 def _viscous(m: FaceMeans, gas: GasModel, dx, out=None):
     """viscous_face_flux's formula, into out (new unless given)."""
     out = empty(3, *m.shape) if out is None else out
-    t_l, t_r = m._side_views(temperature(m._cells, gas))
+    cells = m._cells
+    t_l, t_r = m._side_views(call(temperature, None, cells, gas,
+                                  empty(*cells.shape[1:])))
     t_face = 0.5 * (t_l + t_r)
     mu = gas.viscosity(t_face)
     # q = -kappa (t_r - t_l) / dx
@@ -267,7 +269,8 @@ class _StageWork:
     (zero without dissipation or viscosity), the net flux and rhs.  The
     faces run in windows (_Window) of at most WINDOW faces, which share
     one buffer of records and one scratch buffer; size is their lengths,
-    those of the widest window.  run() is the stage after its validity
+    for a window of min(n + 1, WINDOW) faces and for the widest window.
+    run() is the stage after its validity
     check as formula code: a one-shot stage runs it at once, and bind()
     records it into calls, where each public kernel is one entry, and
     each record's log means into its _ln_work.  A kernel forms the log
@@ -301,8 +304,8 @@ class _StageWork:
         k = -(-(n + 1) // WINDOW)
         cuts = [i * (n + 1) // k for i in range(k + 1)]
         cell_pairs = recon.order == 1 or diss.kind == "scalar" or viscous
-        # a record's room, that of the widest window
-        self.room = FaceMeans.ROWS * -(-(n + 1) // k)
+        # a record's room, that of a window of min(n + 1, WINDOW) faces
+        self.room = FaceMeans.ROWS * min(n + 1, WINDOW)
         self.records = np.empty(self.room * (cell_pairs + (recon.order == 2)))
         self.windows = [_Window(self, a, b, recon, diss, cell_pairs)
                         for a, b in zip(cuts[:-1], cuts[1:])]
