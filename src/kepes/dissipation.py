@@ -211,12 +211,10 @@ def jst_dissipation(cells, m: FaceMeans, gas: GasModel,
     boundaries, the first and the last face read the sensor of their inner
     cell in place of the outer one's; a (first, last) pair of flags sets
     the rule at each end alone, as a stage window that holds one end of
-    the grid does.  Returns the stacked flux
-    correction -(1/2) lambda D of the k - 3 faces.  m is the FaceMeans
-    record of the pairs (q_j, q_{j+1}); beta, when given, is
-    rho / (2 p) of the cells, as the stage's cell block holds it.  work,
-    when given, is the array that takes the result or the recorded calls of
-    the formula (record.run).
+    the grid does.  Returns the stacked flux correction -(1/2) lambda D of
+    the k - 3 faces.  m is the FaceMeans record of the pairs (q_j,
+    q_{j+1}); beta, when given, is rho / (2 p) of the cells, as the
+    stage's cell block holds it.  work is as record.run takes it.
     """
     # a log mean is formed before any temporary of work is written
     if spec.beta_average == "logarithmic":
@@ -375,11 +373,9 @@ def matrix_dissipation(m: FaceMeans, gas: GasModel, spec: DissipationSpec,
     """Stacked entropy-variable matrix dissipation -(1/2) R |Lambda| S R^T dv
     of the pairs of m, multiplied out in closed form: w = |Lambda| S R^T dv,
     then R w, formed in place.  The averages (rho, u, a, H) are
-    face_average's, and each face quantity is formed once.  work, when
-    given, is the array that takes the result or the recorded calls of the
-    formula (record.run)."""
-    # entropy_vars_jump reads the log means: they are formed here, before
-    # a temporary of work is written (the stage's log_mean and work share
-    # the stage's scratch)
+    face_average's, and each face quantity is formed once.  work is as
+    record.run takes it."""
+    # the log means that entropy_vars_jump reads are formed before a
+    # temporary of work is written
     m.rho_ln
     return run(work, _matrix, m, gas, spec, flux_kind)

@@ -7,12 +7,14 @@ remaining averages with logarithmic means so that the two-point condition
 dv . f = d(rho u) holds exactly across any interface.
 Every flux takes the FaceMeans record of its pairs and returns the stacked
 (3, ...) array (f_rho, f_m, f_e); the solver passes the one record it
-builds per stage.  A flux's work, when given, is the array that takes the
-result or, for the KEP family, whose formula the stage records
-(FORMULAS), the recorded calls of that formula (record.run).
+builds per stage.  A flux's work is the array that takes the result or,
+for a flux whose formula the stage records (FORMULAS), as record.run
+takes it.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -48,16 +50,12 @@ def exact_flux(q: PrimState, gas: GasModel) -> np.ndarray:
     return _stacked(f_rho, p + f_rho * u, f_rho * H)
 
 
-def _out(work, m: FaceMeans):
-    """The array that takes a flux of the pairs of m: work, or a new one."""
-    return np.empty((3,) + m.shape) if work is None else work
-
-
-def _kep_family(m: FaceMeans, gas: GasModel, rho_f, beta_f, out):
+def _kep_family(m: FaceMeans, gas: GasModel, out=None, log=True):
     """The KEP family's flux f_rho = rho_f u_bar, f_m = p_tilde + u_bar
     f_rho and f_e = (1/(2 (gamma-1) beta_f) - u2_bar/2) f_rho + u_bar f_m,
-    with the means rho_f, beta_f of its kind, into out (new unless
-    given)."""
+    with the logarithmic means rho_f, beta_f (log) or the arithmetic ones,
+    into out (new unless given)."""
+    rho_f, beta_f = (m.rho_ln, m.beta_ln) if log else (m.rho_bar, m.beta_bar)
     out = empty(3, *m.shape) if out is None else out
     u_bar = m.u_bar
     out[0] = rho_f * u_bar
@@ -69,20 +67,12 @@ def _kep_family(m: FaceMeans, gas: GasModel, rho_f, beta_f, out):
     return out
 
 
-def _kepec_ac(m: FaceMeans, gas: GasModel, out=None):
-    return _kep_family(m, gas, m.rho_bar, m.beta_bar, out)
-
-
-def _kepec(m: FaceMeans, gas: GasModel, out=None):
-    return _kep_family(m, gas, m.rho_ln, m.beta_ln, out)
-
-
 def flux_kep(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
     """Kinetic-energy-preserving flux built from plain arithmetic averages.
 
     f_rho = rho_bar u_bar, p_tilde = p_bar, f_e = rho_bar u_bar H_bar.
     """
-    out = _out(work, m)
+    out = np.empty((3,) + m.shape) if work is None else work
     H_bar = _avg(total_enthalpy(m.left, gas), total_enthalpy(m.right, gas))
     out[0] = m.rho_bar * m.u_bar
     out[1] = m.p_bar + m.u_bar * out[0]
@@ -118,7 +108,7 @@ def flux_roe_ec(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
     a_t = np.sqrt(g * p2_t / rho_t)
     H_t = a_t * a_t / (g - 1.0) + 0.5 * u_t * u_t
 
-    out = _out(work, m)
+    out = np.empty((3,) + m.shape) if work is None else work
     out[0] = rho_t * u_t
     out[1] = p1_t + u_t * out[0]
     out[2] = H_t * out[0]
@@ -132,7 +122,7 @@ def flux_kepec_ac(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
     O(jump^3).  p_tilde = rho_bar/(2 beta_bar) is the harmonic-temperature
     pressure average.
     """
-    return run(work, _kepec_ac, m, gas)
+    return run(work, FORMULAS["kepec_ac"], m, gas)
 
 
 def flux_kepec(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
@@ -143,7 +133,7 @@ def flux_kepec(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
     """
     # the log means are formed before a temporary of work is written
     m.rho_ln
-    return run(work, _kepec, m, gas)
+    return run(work, _kep_family, m, gas)
 
 
 def flux_central_mean(m: FaceMeans, gas: GasModel,
@@ -155,7 +145,7 @@ def flux_central_mean(m: FaceMeans, gas: GasModel,
     record's sides, which are broadcast against each other, so a scalar
     side combines with an array side.
     """
-    out = _out(work, m)
+    out = np.empty((3,) + m.shape) if work is None else work
     np.add(exact_flux(m.left, gas), exact_flux(m.right, gas), out)
     out *= 0.5
     return out
@@ -182,4 +172,5 @@ CENTRAL_FLUXES = {
 }
 # The formulas of the fluxes that the stage records; the others run as
 # they are, into the stage's array
-FORMULAS = {"kepec_ac": _kepec_ac, "kepec": _kepec}
+FORMULAS = {"kepec_ac": partial(_kep_family, log=False),
+            "kepec": _kep_family}

@@ -95,11 +95,10 @@ def reconstruct_face(cells, spec: ReconSpec, work=None):
     adjacent cell states; order 2 extrapolates q_j + slope/2 and
     q_{j+1} - slope/2 with limited slopes, reverting a side to first order
     wherever rho or p would become non-positive.  Each cell's half slope
-    is formed once and read by both of its faces.  work, when given, is
-    the (2,) + face-shaped array whose [0] and [1] take the order-2 sides
-    (the stage's is rows 0, 2 and 4 of its record's pair block) or the
-    recorded calls of the formula into it; without it the sides are a new
-    array's.
+    is formed once and read by both of its faces.  work, as record.run
+    takes it, is for the (2,) + face-shaped array whose [0] and [1] take
+    the order-2 sides (the stage's: rows 0, 2 and 4 of its record's pair
+    block); without it the sides are a new array's.
     """
     if spec.order == 1:
         return cells[..., 1:-2], cells[..., 2:-1]

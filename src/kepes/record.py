@@ -1,15 +1,13 @@
 """Formula code recorded as a list of bound ufunc calls.
 
 A stage kernel is written once, as numpy formula code, and runs at once
-on arrays.  While a Recorder is active the same code runs on its
-stand-ins (Ref, made by wrap): each ufunc call and item assignment is
-appended to a list instead, and a public kernel reached through call()
-becomes one entry (kernel, (*inputs, work)) whose work (out, calls)
-holds its formula's calls, which run() replays.  place() then puts every
-temporary in one flat scratch buffer:
+on arrays.  Inside record() the same code runs on stand-ins (Ref) of the
+arrays: each ufunc call and item assignment is appended to a list, and a
+public kernel reached through call() becomes one entry (kernel, (*inputs,
+work)) whose work (out, calls) holds its formula's calls, which run()
+replays.  place() puts every temporary in one flat scratch buffer:
 - a result takes the slot of a same-shape operand whose last use is its
-  call (the in-place pattern), else the lowest free slot, and the
-  buffer's length follows;
+  call (the in-place pattern), else the lowest free slot;
 - `dst[k] = expr` makes the call that formed expr write dst[k] when that
   call is the one just recorded and nothing uses its result afterwards;
   otherwise the assignment is recorded as a copy;
@@ -66,33 +64,23 @@ def run(work, formula, *args):
     """A kernel's result: work's calls replayed when work is bound (out,
     calls), else formula(*args, work), work being its out or None."""
     if type(work) is tuple:
-        out, calls = work
-        for f, a in calls:
+        for f, a in work[1]:
             f(*a)
-        return out
+        return work[0]
     return formula(*args, work)
 
 
 def record(formula, *args) -> Recorder:
     """The placed Recorder of formula(*args) on the stand-ins of args."""
-    with Recorder() as rec:
+    global _active
+    rec, outer = Recorder(), _active
+    _active = rec
+    try:
         formula(*map(rec.wrap, args))
+    finally:
+        _active = outer
     rec.place()
     return rec
-
-
-class _Temp:
-    """A temporary: shape, dtype, the first and the last call that use it
-    and, once placed, its slot and its view."""
-
-    __slots__ = ("shape", "dtype", "first", "last", "slot", "view", "count")
-
-    def __init__(self, shape, dtype, first):
-        self.shape, self.dtype, self.first = shape, dtype, first
-        self.last, self.slot, self.view = first, None, None
-        # its length in floats; flags are packed eight to a float
-        n = math.prod(shape)
-        self.count = n if dtype is _FLOAT else -(-n // 8)
 
 
 def _op(f, swap=False, inplace=False):
@@ -102,25 +90,27 @@ def _op(f, swap=False, inplace=False):
 
 
 class Ref:
-    """The stand-in of an array: an operand (temp None, arr the array) or
-    the view keys of a temporary (arr None for all of it, else a
-    zero-stride array of the view's shape); views holds its views, and
-    bound the array that bind() gives it."""
+    """The stand-in of an array: an operand (root None, arr the array), a
+    temporary (root itself) or a view of one (keys its indices, arr a
+    zero-stride array of its shape).  subs holds its views, view the array
+    that bind() gives it; a temporary also holds its dtype, the first and
+    the last call that use it, and once placed its slot."""
 
-    __slots__ = ("temp", "keys", "arr", "shape", "views", "bound")
+    __slots__ = ("root", "keys", "arr", "shape", "subs", "view", "dtype",
+                 "first", "last", "slot")
 
-    def __init__(self, temp, keys, arr, shape):
-        self.temp, self.keys, self.arr, self.shape = temp, keys, arr, shape
-        self.views = self.bound = None
+    def __init__(self, root, keys, arr, shape):
+        self.root, self.keys, self.arr, self.shape = root, keys, arr, shape
+        self.subs = self.view = self.slot = None
 
     def __iter__(self):
         return (self[k] for k in range(self.shape[0]))
 
     def __getitem__(self, key):
-        return _active.view(self, key)
+        return _active.sub(self, key)
 
     def __setitem__(self, key, value):
-        _active.store(_active.view(self, key), value)
+        _active.store(_active.sub(self, key), value)
 
     def __array_ufunc__(self, f, method, *inputs, out=None, where=True, **kw):
         if method != "__call__" or kw:
@@ -157,15 +147,6 @@ class Recorder:
         self.copies, self.real = {}, {}
         self.size = 0
 
-    def __enter__(self):
-        global _active
-        self.outer, _active = _active, self
-        return self
-
-    def __exit__(self, *exc):
-        global _active
-        _active = self.outer
-
     def wrap(self, x):
         """x's stand-in: a Ref of an array, a tuple of stand-ins, or one
         copy per object that makes one (_recorded), else x."""
@@ -173,36 +154,41 @@ class Recorder:
             return Ref(None, (), x, x.shape)
         if type(x) is tuple:
             return tuple(map(self.wrap, x))
-        made = getattr(x, "_recorded", None)
-        if made is None:
+        if not hasattr(x, "_recorded"):
             return x
         if id(x) not in self.copies:
-            self.copies[id(x)] = w = made(self.wrap)
+            self.copies[id(x)] = w = x._recorded(self.wrap)
             self.real[id(w)] = x
         return self.copies[id(x)]
 
     def temp(self, shape, dtype=_FLOAT):
-        t = _Temp(shape, dtype, len(self.calls))
+        t = Ref(None, (), None, shape)
+        t.root, t.dtype, t.first = t, dtype, len(self.calls)
+        t.last = t.first
         self.temps.append(t)
-        return Ref(t, (), None, shape)
+        return t
 
-    def view(self, ref: Ref, key) -> Ref:
+    def sub(self, ref: Ref, key) -> Ref:
         """ref[key], one Ref per view, so that a call that writes a view
         it reads is bound to one array for both: numpy checks two arrays
         of one memory for overlap, at ~0.3 us a call."""
-        if ref.views is None:
-            ref.views = {}
+        if ref.subs is None:
+            ref.subs = {}
         # slices are unhashable before Python 3.12
         k = key if type(key) is int else repr(key)
-        v = ref.views.get(k)
+        v = ref.subs.get(k)
         if v is None:
-            arr, t = ref.arr, ref.temp
+            arr, t = ref.arr, ref.root
             if arr is None:
                 arr = np.ndarray(t.shape, t.dtype, _STAND_IN,
                                  strides=(0,) * len(t.shape))
             arr = arr[key]
-            v = ref.views[k] = Ref(t, ref.keys + (key,), arr, arr.shape)
+            v = ref.subs[k] = Ref(t, ref.keys + (key,), arr, arr.shape)
         return v
+
+    def _use(self, x, i):
+        if type(x) is Ref and x.root is not None:
+            x.root.last = max(x.root.last, i)
 
     def ufunc(self, f, inputs, out=None, where=None):
         i = len(self.calls)
@@ -210,21 +196,17 @@ class Recorder:
                           else const(x) for x in inputs])
         shape = None
         for x in operands:
-            if type(x) is Ref and x.temp is not None:
-                x.temp.last = i
+            self._use(x, i)
             if out is None and x.shape != shape:
                 shape = (x.shape if shape is None or not shape
                          else shape if not x.shape
                          else np.broadcast_shapes(shape, x.shape))
         if out is None:
-            t = _Temp(shape, _FLAG if f in _PREDICATES else _FLOAT, i)
-            self.temps.append(t)
-            out = Ref(t, (), None, shape)
+            out = self.temp(shape, _FLAG if f in _PREDICATES else _FLOAT)
         elif type(out) is not Ref:
             out = self.wrap(out)
-        for x in (out, where):
-            if x is not None and x.temp is not None:
-                x.temp.last = i
+        self._use(out, i)
+        self._use(where, i)
         self.calls.append([f, operands, out, where])
         self.lists[-1].append(i)
         return out
@@ -236,16 +218,15 @@ class Recorder:
             return
         if type(src) is not Ref:
             src = self.wrap(src if type(src) is np.ndarray else const(src))
-        i, t = len(self.calls), src.temp
+        i, t = len(self.calls), src.root
         last = self.calls[-1] if i else None
         self.calls.append([None, (src,), dst, None])
         self.lists[-1].append(i)
-        for x in (src, dst):
-            if x.temp is not None:
-                x.temp.last = i
-        if (t is not None and not src.keys and t.first == i - 1
-                and last[0] is not None and last[2] is src
-                and t.shape == dst.shape and t.dtype == dst.arr.dtype):
+        self._use(src, i)
+        self._use(dst, i)
+        if (t is src and t.first == i - 1 and last[0] is not None
+                and last[2] is src and t.shape == dst.shape
+                and t.dtype == dst.arr.dtype):
             self.stores.append(i)
 
     def entry(self, kernel, formula, inputs, out):
@@ -253,14 +234,11 @@ class Recorder:
         self.lists[-1].append((kernel, inputs, out, sub))
         if sub is not None:
             self.lists.append(sub)
-            try:
-                formula(*inputs, out)
-            finally:
-                self.lists.pop()
+            formula(*inputs, out)
+            self.lists.pop()
         # what the kernel is passed lives through its calls
         for x in inputs + (out,):
-            if type(x) is Ref and x.temp is not None:
-                x.temp.last = max(x.temp.last, len(self.calls) - 1)
+            self._use(x, len(self.calls) - 1)
         return out
 
     def place(self):
@@ -269,10 +247,10 @@ class Recorder:
         calls = self.calls
         for i in self.stores:
             src, dst = calls[i][1][0], calls[i][2]
-            if src.temp.last == i:
-                calls[i - 1][2], calls[i], src.temp.first = dst, None, -1
-                if dst.temp is not None:
-                    dst.temp.first = min(dst.temp.first, i - 1)
+            if src.last == i:
+                calls[i - 1][2], calls[i], src.first = dst, None, -1
+                if dst.root is not None:
+                    dst.root.first = min(dst.root.first, i - 1)
         born, dying, live = {}, {}, {}
         for t in self.temps:
             if t.first >= 0:
@@ -280,25 +258,24 @@ class Recorder:
                 dying.setdefault(t.last, []).append(t)
         for i, c in enumerate(calls):
             for t in born.get(i, ()):
-                donor = None
-                if c is not None and c[2].temp is t and not c[2].keys:
-                    for x in c[1]:
-                        if (type(x) is Ref and x.temp in live and not x.keys
-                                and x.temp.last == i
-                                and x.temp.shape == t.shape
-                                and x.temp.dtype is t.dtype):
-                            donor = x.temp
-                            break
+                # a donor: a same-shape operand whose last use is this call
+                donor = next((x for x in c[1] if c[2] is t and type(x) is Ref
+                              and x.root is x and x in live and x.last == i
+                              and x.shape == t.shape and x.dtype is t.dtype),
+                             None) if c is not None else None
                 if donor is not None:
                     live[t] = live.pop(donor)
                 else:
-                    # the lowest span clear of the live ones
+                    # the lowest span clear of the live ones; flags are
+                    # packed eight to a float
+                    n = math.prod(t.shape)
+                    n = n if t.dtype is _FLOAT else -(-n // 8)
                     at = 0
                     for a, b in sorted(live.values()):
-                        if a - at >= t.count:
+                        if a - at >= n:
                             break
                         at = max(at, b)
-                    live[t] = at, at + t.count
+                    live[t] = at, at + n
                 t.slot = live[t][0]
                 self.size = max(self.size, live[t][1])
             for t in dying.get(i, ()):
@@ -306,15 +283,15 @@ class Recorder:
 
     def bind(self, scratch: np.ndarray) -> list:
         """The recorded list, its temporaries placed in scratch; those of
-        one slot share one view, as views of one Ref do (view)."""
+        one slot and shape share one view, as views of one Ref do (sub)."""
         whole = {}
         for t in self.temps:
             if t.slot is not None:
                 key = t.slot, t.shape, t.dtype
                 if key not in whole:
-                    v = scratch[t.slot:t.slot + t.count]
-                    if t.dtype is _FLAG:
-                        v = v.view(bool)[:math.prod(t.shape)]
+                    n = math.prod(t.shape)
+                    v = scratch[t.slot:]
+                    v = v[:n] if t.dtype is _FLOAT else v.view(bool)[:n]
                     whole[key] = v.reshape(t.shape)
                 t.view = whole[key]
         return self._bound(self.lists[0])
@@ -323,17 +300,11 @@ class Recorder:
     def _array(x):
         if type(x) is not Ref:
             return x
-        if x.bound is None:
-            v = x.arr if x.temp is None else x.temp.view
-            for k in () if x.temp is None else x.keys:
-                v = v[k]
-            x.bound = v
-        return x.bound
-
-    def _input(self, x):
-        if type(x) in (float, int):
-            return const(x)
-        return self._array(x) if type(x) is Ref else self.real.get(id(x), x)
+        if x.view is None:
+            x.view = x.arr if x.root is None else x.root.view
+            for k in () if x.root is None else x.keys:
+                x.view = x.view[k]
+        return x.view
 
     def _bound(self, items):
         bound = []
@@ -343,7 +314,10 @@ class Recorder:
                 work = self._array(out)
                 if sub is not None:
                     work = work, self._bound(sub)
-                bound.append((kernel, (*map(self._input, inputs), work)))
+                inputs = [const(x) if type(x) in (float, int)
+                          else self.real.get(id(x), self._array(x))
+                          for x in inputs]
+                bound.append((kernel, (*inputs, work)))
             elif self.calls[item] is not None:
                 f, operands, out, where = self.calls[item]
                 a, out = tuple(map(self._array, operands)), self._array(out)

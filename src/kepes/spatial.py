@@ -6,20 +6,15 @@ matrix dissipation and G the viscous flux.  Two ghost cells per side feed
 the reconstruction and the four-point scalar-dissipation stencil.  The
 state is the stacked (3, n) array of the rows rho, m, E, and rhs comes back
 in that form.  Inside, the cells and their ghosts are one (5, n + 4) cell
-block of the rows rho, beta, u, u^2, p: the stage writes rho, u and p, the
-stencil kernels read those three rows whole, and a cell-pair record forms
-beta and u^2.  The faces run in windows of at most WINDOW faces: per
-window, one FaceMeans record, which holds the window's face pairs as one
-contiguous (2, 5, m) block, is the pair input of the central flux and
-the dissipation, and each flux is written into the window's columns of
-a stacked (3, n + 1) array.  The block, the fluxes and the windows live
-in a stage workspace (_StageWork) that the march holds and every call
-refills in place, by replaying the calls that the workspace records once
-from the kernels' formula code (kepes.record); a one-shot call runs that
-code at once.
-The net flux F - G is formed once, and a shock_outflow boundary writes
-its last face there alone.  All per-face quantities needed by the budget
-diagnostics are returned in a FaceData record, which derives them only
+block of the rows rho, beta, u, u^2, p.  The faces run in windows of at
+most WINDOW faces, each with the FaceMeans record of its face pairs as
+the pair input of its kernels, whose fluxes go to the window's columns
+of stacked (3, n + 1) arrays.  All of it lives in a stage workspace
+(_StageWork) that the march holds and every call refills, by replaying
+the calls recorded once from the kernels' formula code (kepes.record); a
+one-shot call runs that code at once.  The net flux F - G is formed once,
+and a shock_outflow boundary writes its last face there alone.  FaceData
+returns the per-face quantities of the budget diagnostics, derived only
 when read.
 """
 
@@ -218,8 +213,7 @@ def viscous_face_flux(m: FaceMeans, gas: GasModel, dx: float,
 
     tau = (4/3) mu du/dx and q = -kappa dT/dx with mu, kappa evaluated at
     the arithmetic-mean face temperature.  dx is a float or, as the stage
-    passes it, a 0-d array.  work, when given, is the array that takes the
-    result or the recorded calls of the formula (record.run).
+    passes it, a 0-d array.  work is as record.run takes it.
     """
     return run(work, _viscous, m, gas, dx)
 
@@ -267,15 +261,13 @@ class _StageWork:
     It owns the (5, n + 4) cell block (rows rho, beta, u, u^2 and p, two
     ghost cells per side), the central, dissipative and viscous fluxes
     (zero without dissipation or viscosity), the net flux and rhs.  The
-    faces run in windows (_Window) of at most WINDOW faces, which share
-    one buffer of records and one scratch buffer; size is their lengths,
-    for a window of min(n + 1, WINDOW) faces and for the widest window.
-    run() is the stage after its validity
-    check as formula code: a one-shot stage runs it at once, and bind()
-    records it into calls, where each public kernel is one entry, and
-    each record's log means into its _ln_work.  A kernel forms the log
-    means it reads before it writes a temporary, so their temporaries,
-    placed apart, share the scratch.
+    windows (_Window) share one buffer of records, sized for a window of
+    min(n + 1, WINDOW) faces, and one scratch buffer (size: both lengths).
+    run() is the stage after its validity check as formula code, run at
+    once by a one-shot stage; bind() records it into calls, each public
+    kernel one entry, and each record's log means into its _ln_work.  A
+    kernel forms the log means it reads before it writes a temporary, so
+    their temporaries, placed apart, share the scratch.
     """
 
     def __init__(self, n: int, recon: ReconSpec, diss: DissipationSpec,
@@ -320,13 +312,10 @@ class _StageWork:
     def bind(self, grid: Grid1D, gas: GasModel, flux_kind: str,
              bcs: BoundarySpec):
         """Record the calls for the key (grid, gas, flux_kind, bcs)."""
-        if flux_kind not in CENTRAL_FLUXES:
-            raise ValueError(f"unknown flux kind {flux_kind!r}")
         stage = record(self.run, grid, gas, flux_kind, bcs)
-        records = {id(m): m for win in self.windows
-                   for m in (win.cell_means, win.means) if m is not None}
-        lns = [(m, record(_log_mean, *m._ln_sides, m._ln))
-               for m in records.values()]
+        records = {m for win in self.windows
+                   for m in (win.cell_means, win.means)} - {None}
+        lns = [(m, record(_log_mean, *m._ln_sides, m._ln)) for m in records]
         size = max([stage.size] + [rec.size for _, rec in lns])
         if self.scratch.size < size:
             self.scratch = np.empty(size)
@@ -340,6 +329,8 @@ class _StageWork:
     def run(self, grid: Grid1D, gas: GasModel, flux_kind: str,
             bcs: BoundarySpec):
         """The stage after its validity check, as formula code."""
+        if flux_kind not in CENTRAL_FLUXES:
+            raise ValueError(f"unknown flux kind {flux_kind!r}")
         rows, net, rhs = wrap(self.rows), wrap(self.net), wrap(self.rhs)
         call(apply_boundary, _fill_ghosts, rows, bcs, rows)
         # the boundary faces of a scalar stencil reuse the nearest
@@ -363,11 +354,10 @@ class _Window:
     """The faces a .. b - 1 (faces) of the workspace work, which read its
     block columns a .. b + 2: each kernel runs on the window's view of the
     block as on a whole grid's and writes the window's columns of work's
-    fluxes (central, diss, visc and net).  Its records, the cell-pair
-    record (cell_means: first order, the scalar stencil, the viscous flux)
-    and the face record (means: at order 2 the reconstructed faces', else
-    cell_means), take their blocks from work's records.  ends flags
-    whether it holds the grid's first face and its last.
+    fluxes.  The cell-pair record (cell_means: first order, the scalar
+    stencil, the viscous flux) and the face record (means: at order 2 the
+    reconstructed faces', else cell_means) take their blocks from work's
+    records.  ends flags whether it holds the grid's first and last face.
     """
 
     def __init__(self, work, a, b, recon, diss, cell_pairs):
@@ -405,7 +395,7 @@ class _Window:
         recon, diss = self.recon, self.diss
         block, rows = wrap(self.block), wrap(self.rows)
         pairs, means = wrap(self.cell_means), wrap(self.means)
-        central, d_flux, g_flux, net = wrap(self.fluxes)
+        central, d_flux, g_flux, net = map(wrap, self.fluxes)
         if pairs is not None:
             # beta and u^2 once per cell, on the block, then the cell pairs
             _fields(*block)
@@ -447,16 +437,13 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
     holds (a _StageWork of this grid, recon, diss and gas): the call runs
     its calls, recorded again first when the grid, gas, flux or boundaries
     are not those of the last call, and rhs and the returned FaceData's
-    central, diss, visc, net, cells, left and right are arrays of it, so
-    the next call with the same work overwrites them (the zero diss and
-    visc of a stage without dissipation or viscosity stay zero).  Without
-    work, the call builds a workspace of its own and runs the stage's
-    formula code at once, and nothing it returns is shared.
+    arrays are its own, which the next call overwrites (a zero diss or
+    visc stays zero).  Without work,
+    the call runs the stage's formula code at once in a workspace of its
+    own, and nothing it returns is shared.
     """
     held = work is not None
     if not held:
-        if flux_kind not in CENTRAL_FLUXES:
-            raise ValueError(f"unknown flux kind {flux_kind!r}")
         work = _StageWork(grid.n_cells, recon, diss, gas.is_viscous)
     elif work.key != (grid, gas, flux_kind, bcs):
         work.bind(grid, gas, flux_kind, bcs)

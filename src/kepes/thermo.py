@@ -218,52 +218,30 @@ def _stacked(*fields):
     return np.array(np.broadcast_arrays(*fields), dtype=float)
 
 
-class _LogMeans:
-    """rho_ln or beta_ln of a FaceMeans record: the first read of either
-    forms both, by one log_mean call into the record's log-mean block,
-    and stores its rows on the record, where later reads find them until
-    a refill drops them."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, m, owner=None):
-        if m is None:
-            return self
-        log_mean(*m._ln_sides, m._ln, m._ln_work)
-        m.rho_ln, m.beta_ln = m._ln_rows
-        return m.__dict__[self.name]
-
-
 class FaceMeans:
     """Two-point averages of the pairs (left, right), shared by the central
     flux, the dissipation and the entropy-variable jump of one RHS stage.
 
     pairs is one C-contiguous (2, 5, ...) block: pairs[0] and pairs[1]
     hold the fields (rho, beta, u, u^2, p) of the left and the right side
-    of every pair, with beta = rho/(2 p).  left and right are the (rho,
-    u, p) rows of each side and beta_l, beta_r its beta row, all views of
-    pairs.  The pair constructor writes both sides into a new block.
-    Every record holds a (5, ...) bar block whose rows rho_bar, beta_bar,
-    u_bar, u2_bar (the mean of u^2) and p_bar are the half-sum of the two
-    sides (_means), and a (2, ...) log-mean block: rho_ln and beta_ln are
-    its rows, formed on first read by one log_mean call on the
-    contiguous (rho, beta) halves.  The three blocks lie end to end in
-    one buffer of ROWS rows.
+    of every pair, with beta = rho/(2 p); left and right are the (rho, u,
+    p) rows of each side and beta_l, beta_r its beta row.  The rows
+    rho_bar, beta_bar, u_bar, u2_bar (the mean of u^2) and p_bar of the
+    bar block are the half-sum of the two sides (_means), and rho_ln and
+    beta_ln, the rows of the log-mean block, are formed on first read by
+    one log_mean call on the contiguous (rho, beta) halves.  The three
+    blocks lie end to end in one buffer of ROWS rows.
 
-    The stage's workspace (spatial._StageWork) holds its records through
-    a march, one set per stage window: it writes new pairs into the same
-    block every stage and refills the record (_refill), so every array a
-    record hands out is overwritten by the next stage; the calls of a
-    held record's log means (_ln_work) are recorded once per march.  A
-    kernel reads a quantity of the left and the right sides from one
-    evaluation on the record's cells (_side_views): a cell-pair record's
-    cells are the cell rows, so a cell quantity is evaluated once per
-    cell.
+    The stage's workspace (spatial._StageWork) holds one set of records
+    per stage window through a march and refills them every stage
+    (_refill), so every array a record hands out is overwritten by the
+    next stage; a held record's log-mean calls (_ln_work) are recorded
+    once.  A kernel reads a quantity of both sides from one evaluation on
+    the record's cells (_side_views), once per cell for a cell-pair
+    record.
     """
 
     ROWS = 17
-    rho_ln, beta_ln = _LogMeans(), _LogMeans()
 
     def __init__(self, left, right):
         shape = np.broadcast_shapes(*(np.shape(f) for q in (left, right)
@@ -319,10 +297,8 @@ class FaceMeans:
         self.u2_bar, self.p_bar = bar[3], bar[4]
 
     def _refill(self, fields: bool, work=None):
-        """Form the means of the record's new pairs in place (_means, with
-        the bar block as out; work, when given, its recorded calls); the log
-        means of the last pairs are dropped, to be formed again on their
-        next read."""
+        """Form the means of the record's new pairs in place (_means; work
+        as record.run takes it) and drop the log means of the last ones."""
         formed = self.__dict__
         formed.pop("rho_ln", None)
         formed.pop("beta_ln", None)
@@ -330,12 +306,21 @@ class FaceMeans:
 
     def _recorded(self, wrap):
         """The record's stand-in for recorded formula code: a copy whose
-        arrays are stand-ins (wrap), with the rows of the log-mean block
-        as rho_ln and beta_ln, which the kernels form at their entry."""
+        arrays are stand-ins (wrap), rho_ln and beta_ln taken as formed."""
         m = copy.copy(self)
         m.__dict__.update((k, wrap(v)) for k, v in vars(self).items())
         m.rho_ln, m.beta_ln = m._ln_rows
         return m
+
+    def __getattr__(self, name):
+        # rho_ln or beta_ln, not formed since the last refill: the first
+        # read of either forms both, by one log_mean call into the log-mean
+        # block, and stores its rows on the record
+        if name not in ("rho_ln", "beta_ln"):
+            raise AttributeError(name)
+        log_mean(*self._ln_sides, self._ln, self._ln_work)
+        self.rho_ln, self.beta_ln = self._ln_rows
+        return self.__dict__[name]
 
     def _side_views(self, q):
         """The left and the right side of each pair in q, a quantity
@@ -380,8 +365,7 @@ def entropy_vars_jump(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
     Algebraically identical to differencing entropy_vars pointwise, but the
     cancellation noise for near-degenerate jumps (stationary contacts) is
     an order of magnitude smaller, which matters when such jumps are
-    integrated over thousands of steps.  work, when given, is the array
-    that takes the result or the recorded calls of the formula (record.run).
+    integrated over thousands of steps.  work is as record.run takes it.
     """
     # the log means are formed before a temporary of work is written
     m.rho_ln
@@ -426,13 +410,11 @@ def log_mean(a, b, out=None, work=None):
 
     For zeta = (b-a)/(b+a) with zeta^2 below LOG_MEAN_SWITCH the direct
     quotient is replaced by the series
-    (a+b)/2 / (1 + zeta^2/3 + zeta^4/5 + zeta^6/7).  The result is
-    written into out when given; work, when given, is the recorded calls of
-    the formula into out (record.run).
+    (a+b)/2 / (1 + zeta^2/3 + zeta^4/5 + zeta^6/7), written into out
+    when given; work, when given, is out's recorded calls (record.run).
     """
     if work is None:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         if out is None:
             out = np.empty(np.broadcast_shapes(a.shape, b.shape))
         work = out
