@@ -299,9 +299,9 @@ class _StageWork:
         # a record's room, that of a window of min(n + 1, WINDOW) faces
         self.room = FaceMeans.ROWS * min(n + 1, WINDOW)
         self.records = np.empty(self.room * (cell_pairs + (recon.order == 2)))
-        self.windows = [_Window(self, a, b, recon, diss, cell_pairs)
+        self.windows = [_Window(self, a, b, recon, cell_pairs)
                         for a, b in zip(cuts[:-1], cuts[1:])]
-        self.viscous = viscous
+        self.recon, self.diss_spec, self.viscous = recon, diss, viscous
         self.scratch = np.empty(0)
         self.key = self.calls = None
 
@@ -331,14 +331,59 @@ class _StageWork:
         """The stage after its validity check, as formula code."""
         if flux_kind not in CENTRAL_FLUXES:
             raise ValueError(f"unknown flux kind {flux_kind!r}")
-        rows, net, rhs = wrap(self.rows), wrap(self.net), wrap(self.rhs)
-        call(apply_boundary, _fill_ghosts, rows, bcs, rows)
-        # the boundary faces of a scalar stencil reuse the nearest
-        # interior sensor, in the windows that hold them
-        for win in self.windows:
-            win.run(grid.dx, gas, flux_kind, not bcs.is_periodic,
-                    self.viscous)
+        recon, diss, viscous = self.recon, self.diss_spec, self.viscous
+        cells, net, rhs = wrap(self.rows), wrap(self.net), wrap(self.rhs)
+        call(apply_boundary, _fill_ghosts, cells, bcs, cells)
         n = grid.n_cells
+        for win in self.windows:
+            # faces a .. b - 1 read the block columns a .. b + 2: each
+            # kernel runs on that view as on a whole grid's block and
+            # writes the window's columns of the fluxes
+            a, b = win.faces.start, win.faces.stop
+            block = wrap(self.block[:, a:b + 3])
+            rows = block[::2]
+            central, d_flux, g_flux, net_ab = (
+                wrap(f[:, a:b]) for f in (self.central, self.diss,
+                                          self.visc, self.net))
+            pairs, means = wrap(win.cell_means), wrap(win.means)
+            if pairs is not None:
+                # beta and u^2 once per cell, on the block, then the cell
+                # pairs, one view of the block whose side k starts at
+                # column a + k + 1
+                _fields(*block)
+                col, row = self.block.strides[1], self.block.strides[0]
+                pairs.pairs[...] = np.ndarray((2, 5, b - a), float,
+                                              self.block, (a + 1) * col,
+                                              (col, row, col))
+                call(FaceMeans._refill, _means, pairs, False, pairs._bar)
+            if recon.order == 2:
+                # rows rho, u and p of both sides, which reconstruct_face
+                # fills
+                call(reconstruct_face, _reconstruct, rows, recon,
+                     means.pairs[:, ::2])
+                call(FaceMeans._refill, _means, means, True, means._bar)
+            call(CENTRAL_FLUXES[flux_kind], FORMULAS.get(flux_kind), means,
+                 gas, central)
+            if diss.kind == "matrix":
+                call(matrix_dissipation, _matrix, means, gas, diss, flux_kind,
+                     d_flux)
+            elif diss.kind == "scalar":
+                # the stencil differences the cells, whose pairs are the
+                # face pairs only without reconstruction; the cell block's
+                # row 1 holds beta.  The boundary faces reuse the nearest
+                # interior sensor, in the windows that hold them.
+                ends = ((a == 0, b == n + 1) if not bcs.is_periodic
+                        else (False, False))
+                call(jst_dissipation, _jst, rows, pairs, gas, diss, ends,
+                     block[1], d_flux)
+            if viscous:
+                call(viscous_face_flux, _viscous, pairs, gas, grid.dx,
+                     g_flux)
+            # net = F - G.  An inviscid G is zero and x - 0 is x, so it is
+            # not subtracted.
+            np.add(central, d_flux, out=net_ab)
+            if viscous:
+                net_ab -= g_flux
         if bcs.right.kind == "shock_outflow":
             # boundary-flux step: the last face carries the prescribed mass
             # flux and, in momentum and energy, the net flux of the face
@@ -351,80 +396,25 @@ class _StageWork:
 
 
 class _Window:
-    """The faces a .. b - 1 (faces) of the workspace work, which read its
-    block columns a .. b + 2: each kernel runs on the window's view of the
-    block as on a whole grid's and writes the window's columns of work's
-    fluxes.  The cell-pair record (cell_means: first order, the scalar
-    stencil, the viscous flux) and the face record (means: at order 2 the
-    reconstructed faces', else cell_means) take their blocks from work's
-    records.  ends flags whether it holds the grid's first and last face.
-    """
+    """The faces a .. b - 1 (faces) of a stage workspace and their
+    records, whose blocks are the workspace's records: the cell-pair
+    record (cell_means: first order, the scalar stencil, the viscous
+    flux) and the face record (means: at order 2 the reconstructed
+    faces', else cell_means)."""
 
-    def __init__(self, work, a, b, recon, diss, cell_pairs):
+    def __init__(self, work, a, b, recon, cell_pairs):
         faces = b - a
-        self.block = work.block[:, a:b + 3]
-        self.rows = rows = self.block[::2]
         self.faces = slice(a, b)
-        self.ends = (a == 0, b == work.net.shape[1])
-        self.fluxes = tuple(f[:, a:b] for f in (work.central, work.diss,
-                                               work.visc, work.net))
-        self.recon, self.diss = recon, diss
-        records = work.records
-        # face k of the window sits between its cells k+1 and k+2.  These
-        # cell pairs are the face pairs at first order and, at any order,
-        # the pairs that the scalar stencil and the viscous flux difference.
-        self.cell_pairs = self.cell_means = None
+        self.cell_means = None
         if cell_pairs:
+            # face k of the window sits between its cells k+1 and k+2
             self.cell_means = FaceMeans._held(
-                (faces,), records, rows, (..., slice(1, faces + 1)),
-                (..., slice(2, faces + 2)))
-            # the (2, 5, faces) cell pairs as one view of the block, whose
-            # side k starts at column a + k + 1
-            col, row = work.block.strides[1], work.block.strides[0]
-            self.cell_pairs = np.ndarray((2, 5, faces), float, work.block,
-                                         (a + 1) * col, (col, row, col))
+                (faces,), work.records, work.rows[:, a:b + 3],
+                (..., slice(1, faces + 1)), (..., slice(2, faces + 2)))
         self.means = self.cell_means
         if recon.order == 2:
             self.means = FaceMeans._held((faces,),
-                                         records[cell_pairs * work.room:])
-
-    def run(self, dx, gas: GasModel, flux_kind: str, end_rule: bool,
-            viscous: bool):
-        """The window's kernels as formula code; end_rule: whether the JST
-        end rule acts at the grid's ends."""
-        recon, diss = self.recon, self.diss
-        block, rows = wrap(self.block), wrap(self.rows)
-        pairs, means = wrap(self.cell_means), wrap(self.means)
-        central, d_flux, g_flux, net = map(wrap, self.fluxes)
-        if pairs is not None:
-            # beta and u^2 once per cell, on the block, then the cell pairs
-            _fields(*block)
-            pairs.pairs[...] = wrap(self.cell_pairs)
-            call(FaceMeans._refill, _means, pairs, False, pairs._bar)
-        if recon.order == 2:
-            # rows rho, u and p of both sides, which reconstruct_face fills
-            call(reconstruct_face, _reconstruct, rows, recon,
-                 means.pairs[:, ::2])
-            call(FaceMeans._refill, _means, means, True, means._bar)
-        call(CENTRAL_FLUXES[flux_kind], FORMULAS.get(flux_kind), means, gas,
-             central)
-        if diss.kind == "matrix":
-            call(matrix_dissipation, _matrix, means, gas, diss, flux_kind,
-                 d_flux)
-        elif diss.kind == "scalar":
-            # the stencil differences the cells, whose pairs are the face
-            # pairs only without reconstruction; the cell block's row 1
-            # holds beta
-            ends = self.ends if end_rule else (False, False)
-            call(jst_dissipation, _jst, rows, pairs, gas, diss, ends,
-                 block[1], d_flux)
-        if viscous:
-            call(viscous_face_flux, _viscous, pairs, gas, dx, g_flux)
-        # net = F - G.  An inviscid G is zero and x - 0 is x, so it is not
-        # subtracted.
-        np.add(central, d_flux, out=net)
-        if viscous:
-            net -= g_flux
+                                         work.records[cell_pairs * work.room:])
 
 
 def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
