@@ -246,14 +246,11 @@ class FaceMeans:
     def __init__(self, left, right):
         shape = np.broadcast_shapes(*(np.shape(f) for q in (left, right)
                                       for f in q))
-        self._blocks(np.empty(self.ROWS * math.prod(shape)), shape)
+        self._bind(shape, np.empty(self.ROWS * math.prod(shape)))
         for side, state in zip(self.pairs, (left, right)):
             for k, f in zip((0, 2, 4), state):
                 side[k] = f
         _means(self, True, self._bar)
-        # rows taken once the blocks hold values: a row of a single pair is
-        # a scalar
-        self._bind()
 
     @classmethod
     def _held(cls, shape, buf, cells=None, lo=None, hi=None):
@@ -261,40 +258,32 @@ class FaceMeans:
         are the first ROWS rows of the flat buffer buf, which its holder
         fills before each refill; cells, lo and hi as in _bind."""
         self = cls.__new__(cls)
-        self._blocks(buf, shape)
-        self._bind(cells, lo, hi)
+        self._bind(shape, buf, cells, lo, hi)
         return self
 
-    def _blocks(self, buf, shape):
-        k = math.prod(shape)
-        self.pairs = pairs = buf[:10 * k].reshape(2, 5, *shape)
-        self._bar = buf[10 * k:15 * k].reshape(5, *shape)
-        self._ln = ln = buf[15 * k:17 * k].reshape(2, *shape)
-        # rows as 0-d views for a single pair, so they stay the block's
-        self._ln_rows = ln[0, ...], ln[1, ...]
-        self._ln_work = None
-        # the two sides, and the contiguous (rho, beta) halves of both
-        self._sides = pairs[0], pairs[1]
-        self._ln_sides = pairs[0, :2], pairs[1, :2]
-
-    def _bind(self, cells=None, lo=None, hi=None):
+    def _bind(self, shape, buf, cells=None, lo=None, hi=None):
         # cells holds the (rho, u, p) rows that a side quantity is
         # evaluated on, and lo, hi index the left and the right side of
         # each pair in them; by default they are the sides of the pairs,
-        # (3, 2) + shape
-        pairs, bar = self.pairs, self._bar
-        self.shape = shape = pairs.shape[2:]
+        # (3, 2) + shape.  Rows are views, 0-d ones for a single pair.
+        k = math.prod(shape)
+        self.shape = shape
+        self.pairs = pairs = buf[:10 * k].reshape(2, 5, *shape)
+        self._bar = bar = buf[10 * k:15 * k].reshape(5, *shape)
+        self._ln = ln = buf[15 * k:17 * k].reshape(2, *shape)
+        self._ln_rows, self._ln_work = (ln[0, ...], ln[1, ...]), None
+        # the two sides, and the contiguous (rho, beta) halves of both
+        self._sides = left, right = pairs[0], pairs[1]
+        self._ln_sides = pairs[0, :2], pairs[1, :2]
         if cells is None:
             rest = (slice(None),) * len(shape)
             cells, lo, hi = (pairs.swapaxes(0, 1)[::2], (..., 0) + rest,
                              (..., 1) + rest)
         self._cells, self._lo, self._hi = cells, lo, hi
-        left, right = pairs[0], pairs[1]
         self.left, self.right = left[::2], right[::2]
-        # rows are taken by index, which is cheaper than unpacking
-        self.beta_l, self.beta_r = left[1], right[1]
-        self.rho_bar, self.beta_bar, self.u_bar = bar[0], bar[1], bar[2]
-        self.u2_bar, self.p_bar = bar[3], bar[4]
+        self.beta_l, self.beta_r = left[1, ...], right[1, ...]
+        self.rho_bar, self.beta_bar, self.u_bar, self.u2_bar, self.p_bar = (
+            bar[j, ...] for j in range(5))
 
     def _refill(self, fields: bool, work=None):
         """Form the means of the record's new pairs in place (_means; work
