@@ -294,7 +294,13 @@ class Recorder:
                     v = v[:n] if t.dtype is _FLOAT else v.view(bool)[:n]
                     whole[key] = v.reshape(t.shape)
                 t.view = whole[key]
-        return self._bound(self.lists[0])
+        bound = self._bound(self.lists[0])
+        # a temporary is its own root and holds its views: without the
+        # cycle, the stand-ins go with the recorder, and not at a later
+        # collection that would find the scratch of a dropped workspace
+        for t in self.temps:
+            t.root = t.subs = None
+        return bound
 
     @staticmethod
     def _array(x):

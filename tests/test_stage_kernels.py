@@ -10,8 +10,10 @@ and binds no call on a Python float or int.  A grid of several stage
 windows gives bitwise the results of a workspace that runs all its faces
 as one window."""
 
+import gc
 import itertools
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -458,6 +460,28 @@ def test_workspace_size_stops_growing_at_one_window(name):
             records, bound_size(config, widest - 1)[1]), n
     assert all(a < b for a, b in zip(bound_size(config, WINDOW // 2),
                                      bound_size(config, WINDOW - 1)))
+
+
+@pytest.mark.parametrize("name", sorted(HELD_CONFIGS))
+def test_dropped_workspace_freed_at_once(name):
+    # nothing a recorded stage leaves behind refers back to itself, so a
+    # dropped workspace's buffers go at once, not at a later cycle
+    # collection: a process that marches again and again (perfbench)
+    # would otherwise hold stale workspaces, its peak RSS growing run by
+    # run
+    config = HELD_CONFIGS[name]
+    gc.disable()
+    try:
+        work = _StageWork(WINDOW, config.recon, config.diss,
+                          config.gas.is_viscous)
+        work.bind(replace(config.grid, n_cells=WINDOW), config.gas,
+                  config.flux_kind, config.bcs)
+        held = [weakref.ref(a) for a in (work.scratch, work.records,
+                                         work.block)]
+        del work
+        assert [ref() for ref in held] == [None] * 3
+    finally:
+        gc.enable()
 
 
 # The scratch lengths of the hand-placed call lists that the recorded
