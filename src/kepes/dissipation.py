@@ -20,7 +20,8 @@ import numpy as np
 
 from .record import call, empty, run
 from .thermo import (FaceMeans, GasModel, PrimState, _check_finite, _evj,
-                     _stacked, entropy_vars_jump, log_mean, sound_speed)
+                     _sound_speed, _stacked, entropy_vars_jump, log_mean,
+                     sound_speed)
 
 __all__ = [
     "DissipationSpec",
@@ -298,7 +299,8 @@ def _law(speeds, a_f, m: FaceMeans, gas: GasModel, spec: DissipationSpec,
         # the acoustic eigenvalues of the cells, and the jump of each
         # across its face
         cells = m._cells
-        a = call(sound_speed, None, cells, gas, empty(*cells.shape[1:]))
+        a = call(sound_speed, _sound_speed, cells, gas,
+                 empty(*cells.shape[1:]))
         ac = empty(2, *a.shape)
         ac[0] = cells[1] - a
         ac[1] = cells[1] + a

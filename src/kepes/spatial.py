@@ -39,6 +39,7 @@ from .thermo import (
     _fields,
     _log_mean,
     _means,
+    _temperature,
     temperature,
 )
 
@@ -194,7 +195,7 @@ def _viscous(m: FaceMeans, gas: GasModel, dx, out=None):
     """viscous_face_flux's formula, into out (new unless given)."""
     out = empty(3, *m.shape) if out is None else out
     cells = m._cells
-    t_l, t_r = m._side_views(call(temperature, None, cells, gas,
+    t_l, t_r = m._side_views(call(temperature, _temperature, cells, gas,
                                   empty(*cells.shape[1:])))
     t_face = 0.5 * (t_l + t_r)
     mu = gas.viscosity(t_face)

@@ -170,7 +170,11 @@ def cons_to_prim(w, gas: GasModel) -> PrimState:
 
 
 def temperature(q, gas: GasModel, out=None):
-    """T = p / (rho R), written into out when given."""
+    """T = p / (rho R), written into out when given (record.run)."""
+    return run(out, _temperature, q, gas)
+
+
+def _temperature(q, gas: GasModel, out):
     rho, p = q[0], q[2]
     return np.divide(p, np.multiply(rho, gas.gas_constant, out), out)
 
@@ -218,6 +222,22 @@ def _stacked(*fields):
     return np.array(np.broadcast_arrays(*fields), dtype=float)
 
 
+class _LogMeans:
+    """rho_ln or beta_ln of a FaceMeans record: the first read of either
+    forms both, by one log_mean call into the record's log-mean block,
+    and stores its rows on the record until a refill drops them."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, m, owner=None):
+        if m is None:
+            return self
+        log_mean(*m._ln_sides, m._ln, m._ln_work)
+        m.rho_ln, m.beta_ln = m._ln_rows
+        return m.__dict__[self.name]
+
+
 class FaceMeans:
     """Two-point averages of the pairs (left, right), shared by the central
     flux, the dissipation and the entropy-variable jump of one RHS stage.
@@ -242,6 +262,7 @@ class FaceMeans:
     """
 
     ROWS = 17
+    rho_ln, beta_ln = _LogMeans(), _LogMeans()
 
     def __init__(self, left, right):
         shape = np.broadcast_shapes(*(np.shape(f) for q in (left, right)
@@ -300,16 +321,6 @@ class FaceMeans:
         m.__dict__.update((k, wrap(v)) for k, v in vars(self).items())
         m.rho_ln, m.beta_ln = m._ln_rows
         return m
-
-    def __getattr__(self, name):
-        # rho_ln or beta_ln, not formed since the last refill: the first
-        # read of either forms both, by one log_mean call into the log-mean
-        # block, and stores its rows on the record
-        if name not in ("rho_ln", "beta_ln"):
-            raise AttributeError(name)
-        log_mean(*self._ln_sides, self._ln, self._ln_work)
-        self.rho_ln, self.beta_ln = self._ln_rows
-        return self.__dict__[name]
 
     def _side_views(self, q):
         """The left and the right side of each pair in q, a quantity
@@ -370,7 +381,11 @@ def entropy_pair(q, gas: GasModel):
 
 
 def sound_speed(q, gas: GasModel, out=None):
-    """a = sqrt(gamma p / rho), written into out when given."""
+    """a = sqrt(gamma p / rho), written into out when given (record.run)."""
+    return run(out, _sound_speed, q, gas)
+
+
+def _sound_speed(q, gas: GasModel, out):
     rho, p = q[0], q[2]
     return np.sqrt(np.divide(np.multiply(gas.gamma, p, out), rho, out), out)
 
