@@ -217,9 +217,9 @@ def jst_dissipation(cells, m: FaceMeans, gas: GasModel,
     q_{j+1}); beta, when given, is rho / (2 p) of the cells, as the
     stage's cell block holds it.  work is as record.run takes it.
     """
-    # a log mean is formed before any temporary of work is written
-    if spec.beta_average == "logarithmic":
-        m.beta_ln
+    # the beta mean, a log mean or not, is formed before any temporary of
+    # work is written
+    _beta_mean(m, spec.beta_average)
     ends = end_rule if isinstance(end_rule, tuple) else (end_rule,) * 2
     return run(work, _jst, cells, m, gas, spec, ends, beta)
 

@@ -34,8 +34,7 @@ class ReconSpec:
 
 def minmod(a, b):
     """Zero on sign disagreement, else the smaller-magnitude argument."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return _minmod(a, b, np.abs(a), np.abs(b))
 
 

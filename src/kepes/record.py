@@ -124,16 +124,15 @@ class Ref:
     def __abs__(self):
         return _active.ufunc(np.absolute, (self,))
 
-    __add__, __radd__, __iadd__ = (_op(np.add, *k) for k in
-                                   ((), (True,), (False, True)))
-    __sub__, __rsub__, __isub__ = (_op(np.subtract, *k) for k in
-                                   ((), (True,), (False, True)))
-    __mul__, __rmul__, __imul__ = (_op(np.multiply, *k) for k in
-                                   ((), (True,), (False, True)))
-    __truediv__, __rtruediv__, __itruediv__ = (
-        _op(np.divide, *k) for k in ((), (True,), (False, True)))
     __ge__, __gt__ = _op(np.greater_equal), _op(np.greater)
     __le__, __lt__ = _op(np.less_equal), _op(np.less)
+
+
+# a + b, b + a and a += b of each arithmetic ufunc
+for _f, _name in ((np.add, "add"), (np.subtract, "sub"),
+                  (np.multiply, "mul"), (np.divide, "truediv")):
+    for _pre, _k in (("", ()), ("r", (True,)), ("i", (False, True))):
+        setattr(Ref, f"__{_pre}{_name}__", _op(_f, *_k))
 
 
 class Recorder:
