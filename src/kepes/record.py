@@ -185,27 +185,28 @@ class Recorder:
             v = ref.subs[k] = Ref(t, ref.keys + (key,), arr, arr.shape)
         return v
 
-    def _use(self, x, i):
-        if type(x) is Ref and x.root is not None:
-            x.root.last = max(x.root.last, i)
+    @staticmethod
+    def _use(i, *refs):
+        """Mark the temporaries that refs view as used by call i."""
+        for x in refs:
+            if type(x) is Ref and x.root is not None and x.root.last < i:
+                x.root.last = i
 
     def ufunc(self, f, inputs, out=None, where=None):
         i = len(self.calls)
         operands = tuple([x if type(x) is Ref or type(x) is np.ndarray
                           else const(x) for x in inputs])
-        shape = None
-        for x in operands:
-            self._use(x, i)
-            if out is None and x.shape != shape:
-                shape = (x.shape if shape is None or not shape
-                         else shape if not x.shape
-                         else np.broadcast_shapes(shape, x.shape))
         if out is None:
+            shape = None
+            for x in operands:
+                if x.shape != shape:
+                    shape = (x.shape if shape is None or not shape
+                             else shape if not x.shape
+                             else np.broadcast_shapes(shape, x.shape))
             out = self.temp(shape, _FLAG if f in _PREDICATES else _FLOAT)
         elif type(out) is not Ref:
             out = self.wrap(out)
-        self._use(out, i)
-        self._use(where, i)
+        self._use(i, out, where, *operands)
         self.calls.append([f, operands, out, where])
         self.lists[-1].append(i)
         return out
@@ -221,8 +222,7 @@ class Recorder:
         last = self.calls[-1] if i else None
         self.calls.append([None, (src,), dst, None])
         self.lists[-1].append(i)
-        self._use(src, i)
-        self._use(dst, i)
+        self._use(i, src, dst)
         if (t is src and t.first == i - 1 and last[0] is not None
                 and last[2] is src and t.shape == dst.shape
                 and t.dtype == dst.arr.dtype):
@@ -236,8 +236,7 @@ class Recorder:
             formula(*inputs, out)
             self.lists.pop()
         # what the kernel is passed lives through its calls
-        for x in inputs + (out,):
-            self._use(x, len(self.calls) - 1)
+        self._use(len(self.calls) - 1, out, *inputs)
         return out
 
     def place(self):
