@@ -32,15 +32,21 @@ per call kind, alternating which goes first, and for each of rhs, dt,
 rk3, budget and snapshot the medians and quartiles in us per call,
 old/new of the medians and the rounds the new tree won are printed, with
 the median of each tree's one-shot rhs.  The data are
-the config's initial state perturbed by a seeded relative 1e-3.  The
-trees share one heap, so at 10^4 cells one tree's page faults depend on
-the other's allocations: time large grids in separate processes as well.
+the config's initial state perturbed by a seeded relative 1e-3.  Two
+trees in one process share one heap, and at 10^4 cells the first-listed
+tree read 2-4 % faster on identical call lists, so a config of at least
+CHILD_CELLS cells is timed in one child process per tree (this script
+with --child), whose rounds time that tree alone; the tree whose child
+runs first alternates from one such config to the next.  The checks
+above run in this process for every config.
 """
 
 import argparse
 import importlib.util
 import inspect
+import json
 import statistics
+import subprocess
 import sys
 import time
 from dataclasses import replace
@@ -51,7 +57,10 @@ CONFIGS = ([("stationary_shock_m4", 24, law)
             for law in ("roe", "ec1", "kes", "hyb")]
            + [("ns_shock_structure_n50", 50, None), ("sod_viscous", 500, None)]
            + [(name, n, None) for name in ("sod", "ns_shock_structure_n200_d4")
-              for n in (200, 10_000)])
+              for n in (200, 10_000)]
+           + [("sod", 100_000, None)])
+# a config of at least this many cells is timed in child processes
+CHILD_CELLS = 10_000
 # the timed call kinds of each config, in printed order
 KINDS = ("rhs", "dt", "rk3", "budget", "snapshot")
 # the FaceData arrays of the stage that the two trees must give equal
@@ -166,6 +175,50 @@ def time_rounds(timed, n_rounds):
     return us
 
 
+def timed_calls(st, calls, dt, rhs, faces):
+    """{kind: {"march": call, "shot": call}} of one tree's stage st: its
+    march call of each kind and, for a held rhs, its one-shot call; the
+    RK step takes dt and rhs, and the budget sample rhs and faces."""
+    shot, held, budget, dt_call, rk3, snap = st
+    kinds = {"rhs": {"march": calls}, "dt": {"march": dt_call},
+             "rk3": {"march": lambda: rk3(dt, rhs)},
+             # a new FaceData per call
+             "budget": {"march": lambda: budget(rhs, replace(faces))},
+             "snapshot": {"march": snap}}
+    if held:
+        kinds["rhs"]["shot"] = shot
+    return kinds
+
+
+def child(argv):
+    """--child SRC NAME N LAW ROUNDS SEED: time one tree's calls of the
+    config alone and print {kind: {"march"/"shot": us}} as JSON."""
+    src, name, n, law, n_rounds, seed = argv
+    st = stage(load(src, "kepes_child"), name, int(n), law or None,
+               int(seed))
+    calls = st[1] or st[0]
+    rhs, faces = calls()
+    kinds = timed_calls(st, calls, st[3](), rhs.copy(), faces)
+    print(json.dumps({kind: time_rounds(timed, int(n_rounds))
+                      for kind, timed in kinds.items()}))
+
+
+def timed_apart(srcs, name, n, law, args, first):
+    """us per call of both trees' calls of the config, {kind: {(side,
+    key): us}}, each tree timed in a child process of its own, tree
+    first's child first."""
+    us = {}
+    for side in (first, 1 - first):
+        out = subprocess.run(
+            [sys.executable, __file__, "--child", srcs[side], name, str(n),
+             law or "", str(args.rounds), str(args.seed)],
+            check=True, capture_output=True, text=True).stdout
+        for kind, timed in json.loads(out).items():
+            us.setdefault(kind, {}).update(
+                ((side, key), t) for key, t in timed.items())
+    return us
+
+
 def row(label, old, new, shot="-"):
     """The printed line of one call kind: the two trees' us per call."""
     (o1, o2, o3), (n1, n2, n3) = (statistics.quantiles(t, n=4)
@@ -177,15 +230,20 @@ def row(label, old, new, shot="-"):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--child"]:
+        return child(argv[1:])
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old_src")
     ap.add_argument("new_src")
     ap.add_argument("--rounds", type=rounds, default=25)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
+    srcs = (args.old_src, args.new_src)
     trees = (load(args.old_src, "kepes_old"), load(args.new_src, "kepes_new"))
     print("config n call | old us [q1, q3] | new us [q1, q3] | old/new | "
           "one-shot old, new us | new won")
+    apart = 0
     for name, n, law in CONFIGS:
         case = f"{name} {law or ''} n={n}"
         stages = [stage(t, name, n, law, args.seed) for t in trees]
@@ -213,30 +271,33 @@ def main(argv=None):
         steps = [(lambda rk3=stage[4]: rk3(dt, rhs)) for stage in stages]
         if not np.array_equal(steps[0](), steps[1]()):
             sys.exit(f"{case}: rk3 differ")
-        # each tree samples its own stage result, on a new FaceData per call
-        samples = [(lambda budget=budget, rhs=rhs, faces=faces: budget(
-            rhs, replace(faces))) for (_, _, budget, *_), (rhs, faces)
-            in zip(stages, [call() for call in calls])]
         snapshots = [stage[5] for stage in stages]
         if snapshots[0]().bytes() != snapshots[1]().bytes():
             sys.exit(f"{case}: snapshot differ")
-        for kind, pair in zip(KINDS, (calls, [s[3] for s in stages], steps,
-                                      samples, snapshots)):
+        if n >= CHILD_CELLS:
+            us = timed_apart(srcs, name, n, law, args, apart % 2)
+            apart += 1
+        else:
+            # each tree samples its own stage result
+            kinds = [timed_calls(st, call, dt, rhs, faces)
+                     for st, call, (_, faces) in zip(
+                         stages, calls, [call() for call in calls])]
             # each tree's march call and, for rhs, the one-shot call of a
             # tree whose march call is held
-            timed = {(side, "march"): call for side, call in enumerate(pair)}
-            if kind == "rhs":
-                timed.update({(side, "shot"): shot for side, (shot, held, *_)
-                              in enumerate(stages) if held})
-            us = time_rounds(timed, args.rounds)
+            us = {kind: time_rounds(
+                {(side, key): kinds[side][kind][key]
+                 for key in ("march", "shot") for side in (0, 1)
+                 if key in kinds[side][kind]}, args.rounds)
+                for kind in KINDS}
+        for kind in KINDS:
             shot = "-"
             if kind == "rhs":
-                medians = (statistics.median(us.get((side, "shot"),
-                                                    us[side, "march"]))
+                medians = (statistics.median(us[kind].get(
+                    (side, "shot"), us[kind][side, "march"]))
                            for side in (0, 1))
                 shot = ", ".join(f"{m:.1f}" for m in medians)
-            print(row(f"{name} {law or ''} {n} {kind}", us[0, "march"],
-                      us[1, "march"], shot), flush=True)
+            print(row(f"{name} {law or ''} {n} {kind}", us[kind][0, "march"],
+                      us[kind][1, "march"], shot), flush=True)
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ import numpy as np
 from .config import ProblemConfig, _initial_prim, initial_state
 from .diagnostics import budget_report, monotonicity_defect, solution_metrics
 from .riemann import solve_riemann
+from .spatial import _cpus
 from .thermo import physical_entropy, prim_to_cons, temperature
 from .timeint import march
 
@@ -140,8 +141,7 @@ def _write_all(fd, data):
 
 def _spare_cpu() -> bool:
     """Whether os.fork exists and this process may use two CPUs."""
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1)
+    return hasattr(os, "fork") and _cpus() > 1
 
 
 def _planned_snapshots(config: ProblemConfig) -> float:

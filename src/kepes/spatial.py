@@ -12,7 +12,9 @@ the pair input of its kernels, whose fluxes go to the window's columns
 of stacked (3, n + 1) arrays.  All of it lives in a stage workspace
 (_StageWork) that the march holds and every call refills, by replaying
 the calls recorded once from the kernels' formula code (kepes.record); a
-one-shot call runs that code at once.  The net flux F - G is formed once,
+one-shot call runs that code at once.  A held stage of at least LANES
+cells, given a second CPU, replays half its windows on a worker thread
+(_lanes), bitwise as in one lane.  The net flux F - G is formed once,
 and a shock_outflow boundary writes its last face there alone.  FaceData
 returns the per-face quantities of the budget diagnostics, derived only
 when read.
@@ -20,11 +22,15 @@ when read.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from . import thermo
 from .dissipation import (DissipationSpec, _jst, _matrix, jst_dissipation,
                           matrix_dissipation)
 from .fluxes import CENTRAL_FLUXES, FORMULAS
@@ -250,7 +256,60 @@ def _ghost(bc: BoundaryCondition, edge):
 # in one.  See README, "How the RHS is assembled", for the sweep that
 # chose it.
 WINDOW = 8192
+# A workspace of at least LANES cells, given a second CPU, runs its windows
+# in two lanes (_lanes).  A held sod RHS took, in two lanes against one
+# (medians of 40 calls, one process each, 8 alternating pairs), 1.68 / 1.24
+# ms at 10^4 cells, 2.58 / 2.48 at 2*10^4, 5.81 / 6.71 at 5*10^4 and
+# 10.6 / 13.0 at 10^5 (README, "Stage lanes").
+LANES = 50_000
 _HALF = const(0.5)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on, 1 where the platform
+    cannot say: the stage lanes and the writer child's fork ask it."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else 1)
+
+
+def _replay(calls):
+    for f, a in calls:
+        f(*a)
+
+
+def _lanes(first, second):
+    """Replay the bound calls first here and second on a worker thread
+    that lives for this call alone, in a copy of this context (so its
+    np.errstate holds there).  Once both have stopped, an exception of
+    either is raised here, first's before second's.  Both run here while
+    log_mean, which a record looks up at each read, is a wrapper."""
+    if hasattr(thermo.log_mean, "__wrapped__"):
+        return _replay(first + second)
+    raised = []
+
+    def lane():
+        try:
+            _replay(second)
+        except BaseException as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=contextvars.copy_context().run,
+                              args=(lane,))
+    worker.start()
+    try:
+        _replay(first)
+    finally:
+        worker.join()
+    if raised:
+        raise raised.pop()
+
+
+def _own(calls) -> bool:
+    """Whether no callable of the bound calls, or of the calls bound in a
+    kernel's work, is a wrapper (__wrapped__)."""
+    return not any(hasattr(f, "__wrapped__")
+                   or type(a[-1]) is tuple and not _own(a[-1][1])
+                   for f, a in calls)
 
 
 class _StageWork:
@@ -262,13 +321,15 @@ class _StageWork:
     It owns the (5, n + 4) cell block (rows rho, beta, u, u^2 and p, two
     ghost cells per side), the central, dissipative and viscous fluxes
     (zero without dissipation or viscosity), the net flux and rhs.  The
-    windows (_Window) share one buffer of records, sized for a window of
-    min(n + 1, WINDOW) faces, and one scratch buffer (size: both lengths).
-    run() is the stage after its validity check as formula code, run at
-    once by a one-shot stage; bind() records it into calls, each public
-    kernel one entry, and each record's log means into its _ln_work.  A
-    kernel forms the log means it reads before it writes a temporary, so
-    their temporaries, placed apart, share the scratch.
+    windows (_Window) run in one lane (_Lane), or in two from LANES cells
+    given a second CPU (_cpus), each with a buffer of records sized for a
+    window of min(n + 1, WINDOW) faces and a scratch (size: both lengths,
+    the first lane's).  run() is the stage after its validity check as
+    formula code, run at once by a one-shot stage; bind() records it into
+    calls, each public kernel one entry (two lanes of kepes's own kernels,
+    _own, one _lanes entry), and each record's log means into its
+    _ln_work.  A kernel forms the log means it reads before it writes a
+    temporary, so their temporaries, placed apart, share the scratch.
     """
 
     def __init__(self, n: int, recon: ReconSpec, diss: DissipationSpec,
@@ -296,14 +357,15 @@ class _StageWork:
         # strided or broadcast operand whose rows are shorter
         k = -(-(n + 1) // WINDOW)
         cuts = [i * (n + 1) // k for i in range(k + 1)]
-        cell_pairs = recon.order == 1 or diss.kind == "scalar" or viscous
-        # a record's room, that of a window of min(n + 1, WINDOW) faces
+        # the first lane takes the first half of the windows, the odd one
+        # included
+        ends = [0, -(-k // 2), k] if n >= LANES and _cpus() > 1 else [0, k]
         self.room = FaceMeans.ROWS * min(n + 1, WINDOW)
-        self.records = np.empty(self.room * (cell_pairs + (recon.order == 2)))
-        self.windows = [_Window(self, a, b, recon, cell_pairs)
-                        for a, b in zip(cuts[:-1], cuts[1:])]
+        self.lanes = [_Lane(self, cuts[i:j + 1], recon, diss, viscous)
+                      for i, j in zip(ends, ends[1:])]
+        self.windows = [win for lane in self.lanes for win in lane.windows]
+        self.records, self.scratch = self.lanes[0].records, np.empty(0)
         self.recon, self.diss_spec, self.viscous = recon, diss, viscous
-        self.scratch = np.empty(0)
         self.key = self.calls = None
 
     @property
@@ -313,30 +375,48 @@ class _StageWork:
     def bind(self, grid: Grid1D, gas: GasModel, flux_kind: str,
              bcs: BoundarySpec):
         """Record the calls for the key (grid, gas, flux_kind, bcs)."""
-        stage = record(self.run, grid, gas, flux_kind, bcs)
-        records = {m for win in self.windows
-                   for m in (win.cell_means, win.means)} - {None}
-        lns = [(m, record(_log_mean, *m._ln_sides, m._ln)) for m in records]
-        size = max([stage.size] + [rec.size for _, rec in lns])
-        if self.scratch.size < size:
-            self.scratch = np.empty(size)
-        for m, rec in lns:
-            m._ln_work = m._ln, rec.bind(self.scratch)
-        self.calls = stage.bind(self.scratch)
+        key = grid, gas, flux_kind, bcs
+        # the ghosts and the boundary-flux step take no temporary
+        head, tail = record(self._open, *key), record(self._close, *key)
+        recs = [(lane, record(self._faces, lane.windows, *key),
+                 [(m, record(_log_mean, *m._ln_sides, m._ln))
+                  for m in lane.means])
+                for lane in self.lanes]
+        size = max(rec.size for _, stage, lns in recs
+                   for rec in (stage, *(rec for _, rec in lns)))
+        lists = []
+        for lane, stage, lns in recs:
+            if lane.scratch.size < size:
+                lane.scratch = np.empty(size)
+            for m, rec in lns:
+                m._ln_work = m._ln, rec.bind(lane.scratch)
+            lists.append(stage.bind(lane.scratch))
+        self.scratch = self.lanes[0].scratch
+        if len(lists) == 2 and _own(lists[0] + lists[1]):
+            lists = [[(_lanes, tuple(lists))]]
+        self.calls = (head.bind(self.scratch) + sum(lists, [])
+                      + tail.bind(self.scratch))
         # the prologue's operand
         self.gm1 = const(gas.gamma - 1.0)
-        self.key = grid, gas, flux_kind, bcs
+        self.key = key
 
     def run(self, grid: Grid1D, gas: GasModel, flux_kind: str,
             bcs: BoundarySpec):
         """The stage after its validity check, as formula code."""
+        self._open(grid, gas, flux_kind, bcs)
+        self._faces(self.windows, grid, gas, flux_kind, bcs)
+        self._close(grid, gas, flux_kind, bcs)
+
+    def _open(self, grid, gas, flux_kind, bcs):
         if flux_kind not in CENTRAL_FLUXES:
             raise ValueError(f"unknown flux kind {flux_kind!r}")
-        recon, diss, viscous = self.recon, self.diss_spec, self.viscous
-        cells, net, rhs = wrap(self.rows), wrap(self.net), wrap(self.rhs)
+        cells = wrap(self.rows)
         call(apply_boundary, _fill_ghosts, cells, bcs, cells)
+
+    def _faces(self, windows, grid, gas, flux_kind, bcs):
+        recon, diss, viscous = self.recon, self.diss_spec, self.viscous
         n = grid.n_cells
-        for win in self.windows:
+        for win in windows:
             # faces a .. b - 1 read the block columns a .. b + 2: each
             # kernel runs on that view as on a whole grid's block and
             # writes the window's columns of the fluxes
@@ -385,6 +465,9 @@ class _StageWork:
             np.add(central, d_flux, out=net_ab)
             if viscous:
                 net_ab -= g_flux
+
+    def _close(self, grid, gas, flux_kind, bcs):
+        net, rhs, n = wrap(self.net), wrap(self.rhs), grid.n_cells
         if bcs.right.kind == "shock_outflow":
             # boundary-flux step: the last face carries the prescribed mass
             # flux and, in momentum and energy, the net flux of the face
@@ -396,26 +479,41 @@ class _StageWork:
         rhs /= -grid.dx
 
 
+class _Lane:
+    """The windows of a stage workspace between the cuts, whose records
+    (means: each window's, without repeats) share one buffer (records),
+    and the scratch of their recorded calls."""
+
+    def __init__(self, work, cuts, recon, diss, viscous):
+        cell_pairs = recon.order == 1 or diss.kind == "scalar" or viscous
+        self.records = np.empty(work.room * (cell_pairs + (recon.order == 2)))
+        self.windows = [_Window(work, a, b, recon, cell_pairs, self.records)
+                        for a, b in zip(cuts, cuts[1:])]
+        self.means = {m for win in self.windows
+                      for m in (win.cell_means, win.means)} - {None}
+        self.scratch = np.empty(0)
+
+
 class _Window:
     """The faces a .. b - 1 (faces) of a stage workspace and their
-    records, whose blocks are the workspace's records: the cell-pair
-    record (cell_means: first order, the scalar stencil, the viscous
-    flux) and the face record (means: at order 2 the reconstructed
-    faces', else cell_means)."""
+    records, whose blocks are its lane's records: the cell-pair record
+    (cell_means: first order, the scalar stencil, the viscous flux) and
+    the face record (means: at order 2 the reconstructed faces', else
+    cell_means)."""
 
-    def __init__(self, work, a, b, recon, cell_pairs):
+    def __init__(self, work, a, b, recon, cell_pairs, records):
         faces = b - a
         self.faces = slice(a, b)
         self.cell_means = None
         if cell_pairs:
             # face k of the window sits between its cells k+1 and k+2
             self.cell_means = FaceMeans._held(
-                (faces,), work.records, work.rows[:, a:b + 3],
+                (faces,), records, work.rows[:, a:b + 3],
                 (..., slice(1, faces + 1)), (..., slice(2, faces + 2)))
         self.means = self.cell_means
         if recon.order == 2:
             self.means = FaceMeans._held((faces,),
-                                         work.records[cell_pairs * work.room:])
+                                         records[cell_pairs * work.room:])
 
 
 def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,

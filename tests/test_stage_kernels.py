@@ -8,10 +8,14 @@ gives bitwise the results of calls that build their own, returns
 results that share no memory, allocates nothing the size of a face row,
 and binds no call on a Python float or int.  A grid of several stage
 windows gives bitwise the results of a workspace that runs all its faces
-as one window."""
+as one window, in one lane or in two; two lanes raise what one raises,
+leave no thread behind, and keep to the caller's thread while a kernel
+is a wrapper."""
 
+import functools
 import gc
 import itertools
+import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -19,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kepes import spatial
+from kepes import spatial, thermo
 from kepes.config import initial_state
 from kepes.dissipation import (
     MATRIX_LAWS,
@@ -31,6 +35,7 @@ from kepes.fluxes import CENTRAL_FLUXES
 from kepes.presets import preset
 from kepes.reconstruction import ReconSpec, reconstruct_face
 from kepes.spatial import (
+    LANES,
     WINDOW,
     BoundaryCondition,
     BoundarySpec,
@@ -49,6 +54,7 @@ from kepes.thermo import (
     cons_to_prim,
     prim_to_cons,
 )
+from kepes.timeint import march
 
 from conftest import inner_pairs
 
@@ -305,6 +311,8 @@ def test_held_calls_take_array_operands(flux_kind, bc):
 # three balanced windows each: of 5,462 faces, and of 8,191, 8,192 and
 # 8,192 faces
 MULTI_N = (2 * WINDOW + 1, 3 * WINDOW - 2)
+# the fewest cells that run in two lanes given a second CPU
+LANE_N = LANES
 
 
 def single_window(n, recon, diss, viscous, monkeypatch):
@@ -348,21 +356,29 @@ def window_edge_state(rng, n, edges):
     return PrimState(rho, u, p)
 
 
-@pytest.mark.parametrize("n", MULTI_N)
+@pytest.mark.parametrize("n", MULTI_N + (LANE_N,))
 def test_windows_equal_one_window(n, monkeypatch):
     # every dissipation with every reconstruction and boundary set, the
     # central flux and the gas (inviscid, constant and power-law viscosity)
     # cycled: the windowed stage is bitwise the one-window stage, the JST
-    # end rule and the positivity fallback at window edges included
+    # end rule and the positivity fallback at window edges included.  The
+    # grid of LANE_N cells runs in one lane on one CPU and, on two, in two
+    # lanes, whose edge is a window edge.
     grid = Grid1D(n, 0.0, 1.0)
     rng = np.random.default_rng(n)
     fluxes = itertools.cycle(sorted(CENTRAL_FLUXES))
     gases = itertools.cycle(GASES)
+    cpus = itertools.cycle((1, 2) if n == LANE_N else (2,))
     for diss, recon in itertools.product(DISSIPATIONS, RECON_ALL):
         gas = next(gases)
+        lanes = next(cpus)
+        monkeypatch.setattr(spatial, "_cpus", lambda lanes=lanes: lanes)
         work = _StageWork(n, recon, diss, gas.is_viscous)
         one = single_window(n, recon, diss, gas.is_viscous, monkeypatch)
-        assert len(work.windows) == 3
+        if n == LANE_N:
+            assert len(work.lanes) == lanes
+        else:
+            assert len(work.windows) == 3
         edges = [win.faces.start for win in work.windows[1:]]
         cells = prim_to_cons(window_edge_state(rng, n, edges), gas)
         for bc in sorted(MULTI_BOUNDARIES):
@@ -374,11 +390,17 @@ def test_windows_equal_one_window(n, monkeypatch):
                     MULTI_BOUNDARIES[bc])
             rhs, faces = assemble_rhs(*args, work)
             want_rhs, want = assemble_rhs(*args, one)
+            assert lane_pair(work) == (len(work.lanes) == 2), case
             assert np.array_equal(bits(rhs), bits(want_rhs)), f"{case} rhs"
             for name in ("central", "diss", "visc", "net", "cells"):
                 assert np.array_equal(bits(getattr(faces, name)),
                                       bits(getattr(want, name))), \
                     f"{case} {name}"
+
+
+def lane_pair(work):
+    """Whether the workspace's held calls run its two lanes as a pair."""
+    return any(f is spatial._lanes for f, _ in work.calls)
 
 
 def test_invalid_cell_in_last_window_reported_by_global_index():
@@ -393,6 +415,111 @@ def test_invalid_cell_in_last_window_reported_by_global_index():
         assemble_rhs(prim_to_cons(prim, config.gas), config.grid,
                      config.gas, config.flux_kind, config.diss,
                      config.recon, config.bcs, work)
+
+
+# -- two lanes ----------------------------------------------------------------
+
+
+def lane_sod(cpus, monkeypatch):
+    """sod on LANE_N cells, a held workspace of its stage built while
+    _cpus reads cpus, and a cell in the middle of its second lane's faces
+    (of its second half, in one lane)."""
+    monkeypatch.setattr(spatial, "_cpus", lambda: cpus)
+    config = replace(_SOD, grid=Grid1D(LANE_N))
+    work = _StageWork(LANE_N, config.recon, config.diss, False)
+    half = -(-len(work.windows) // 2)
+    cell = (work.windows[half].faces.start + LANE_N) // 2
+    return config, work, cell
+
+
+def stage_args(config, work, w):
+    return (w, config.grid, config.gas, config.flux_kind, config.diss,
+            config.recon, config.bcs, work)
+
+
+def beta_underflow(config, cell):
+    """config's initial state with a valid cell whose beta = rho / (2 p)
+    underflows to 0, so log_mean raises on its faces' pairs: rho = 1e-200
+    and p = 1e125 make beta 5e-326, and no call of the stage overflows
+    before log_mean."""
+    rho, u, p = cons_to_prim(initial_state(config), config.gas)
+    rho[cell], p[cell] = 1e-200, 1e125
+    return prim_to_cons(PrimState(rho, u, p), config.gas)
+
+
+def raised(call):
+    """The type and the message of the exception call() raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_lane_error_raised_once_both_lanes_stop(monkeypatch):
+    # a cell that makes log_mean raise in the second lane: the two-lane
+    # stage raises what the one-lane stage raises, on the caller, after
+    # both lanes stopped, and leaves no thread behind, as after a return;
+    # the caller's np.errstate holds in the worker; the march stops at
+    # the same step
+    seen = []
+    for cpus in (1, 2):
+        config, work, cell = lane_sod(cpus, monkeypatch)
+        good = initial_state(config)
+        bad = beta_underflow(config, cell)
+        threads = threading.active_count()
+        assemble_rhs(*stage_args(config, work, good))
+        assert lane_pair(work) == (cpus == 2)
+        assert threading.active_count() == threads
+        errors = [raised(lambda: assemble_rhs(*stage_args(config, work,
+                                                           bad)))]
+        assert threading.active_count() == threads
+        with np.errstate(under="raise"):
+            errors.append(raised(lambda: assemble_rhs(
+                *stage_args(config, work, bad))))
+        assert threading.active_count() == threads
+        *_, last = march(replace(config, time=replace(config.time,
+                                                      max_steps=3)), bad)
+        seen.append((errors, last.reason, last.step, str(last.error)))
+        assert threading.active_count() == threads
+    assert seen[0] == seen[1]
+    errors, reason, step, message = seen[0]
+    assert errors == [(ValueError, "log_mean requires strictly positive "
+                                   "arguments"),
+                      (FloatingPointError, "underflow encountered in divide")]
+    assert (reason, step) == ("invalid_state", 0)
+    assert message == "stage 1: " + errors[0][1]
+
+
+def test_wrapped_kernel_keeps_one_lane(monkeypatch):
+    # a wrapper with __wrapped__ (functools.wraps: perfbench's tracer, a
+    # test spy) on log_mean, which the records look up at each read, or on
+    # a kernel the stage binds, runs on the caller's thread alone; a spy
+    # without it sees the second lane on another thread
+    caller = threading.get_ident()
+    for target in ("log_mean", "kepec", None):
+        config, work, _ = lane_sod(2, monkeypatch)
+        threads = []
+        real = (CENTRAL_FLUXES["kepec"] if target == "kepec"
+                else thermo.log_mean)
+
+        def spy(*args, real=real):
+            threads.append(threading.get_ident())
+            return real(*args)
+
+        with monkeypatch.context() as patch:
+            if target == "kepec":
+                patch.setitem(CENTRAL_FLUXES, "kepec",
+                              functools.wraps(real)(spy))
+            else:
+                patch.setattr(thermo, "log_mean",
+                              functools.wraps(real)(spy) if target else spy)
+            assemble_rhs(*stage_args(config, work, initial_state(config)))
+        assert len(threads) == len(work.windows), target
+        if target:
+            assert set(threads) == {caller}, target
+        else:
+            assert lane_pair(work) and len(set(threads)) == 2
+            assert threads.count(caller) == len(work.lanes[0].windows)
+        assert lane_pair(work) == (target != "kepec"), target
 
 
 # -- what a held stage allocates ------------------------------------------------
@@ -463,23 +590,33 @@ def test_workspace_size_stops_growing_at_one_window(name):
 
 
 @pytest.mark.parametrize("name", sorted(HELD_CONFIGS))
-def test_dropped_workspace_freed_at_once(name):
+def test_dropped_workspace_freed_at_once(name, monkeypatch):
     # nothing a recorded stage leaves behind refers back to itself, so a
     # dropped workspace's buffers go at once, not at a later cycle
     # collection: a process that marches again and again (perfbench)
     # would otherwise hold stale workspaces, its peak RSS growing run by
-    # run
+    # run.  The workspace of LANE_N cells has two lanes, each with its
+    # records and scratch, and has run once.
     config = HELD_CONFIGS[name]
+    monkeypatch.setattr(spatial, "_cpus", lambda: 2)
     gc.disable()
     try:
-        work = _StageWork(WINDOW, config.recon, config.diss,
-                          config.gas.is_viscous)
-        work.bind(replace(config.grid, n_cells=WINDOW), config.gas,
-                  config.flux_kind, config.bcs)
-        held = [weakref.ref(a) for a in (work.scratch, work.records,
-                                         work.block)]
-        del work
-        assert [ref() for ref in held] == [None] * 3
+        for n in (WINDOW, LANE_N):
+            grid = replace(config.grid, n_cells=n)
+            work = _StageWork(n, config.recon, config.diss,
+                              config.gas.is_viscous)
+            work.bind(grid, config.gas, config.flux_kind, config.bcs)
+            if n == LANE_N:
+                assert lane_pair(work)
+                assemble_rhs(initial_state(replace(config, grid=grid)), grid,
+                             config.gas, config.flux_kind, config.diss,
+                             config.recon, config.bcs, work)
+            held = [weakref.ref(a) for a in (work.scratch, work.records,
+                                             work.block)]
+            held += [weakref.ref(a) for lane in work.lanes
+                     for a in (lane.scratch, lane.records)]
+            del work
+            assert [ref() for ref in held] == [None] * len(held), n
     finally:
         gc.enable()
 
