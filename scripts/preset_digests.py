@@ -17,8 +17,9 @@ two stage windows (spatial.WINDOW), for 5 steps without a snapshot
 interval: ns_shock_structure_n200_d4 (the JST stencil and the viscous
 flux) and stationary_shock_m4 (first order, matrix dissipation,
 shock_outflow).  The sixth marches sod on 10^5 cells for 5 steps, as
-perfbench's sod_large does: thirteen windows, in two stage lanes
-(spatial.LANES) on a host with a spare CPU.  The last line digests all
+perfbench's sod_large does: thirteen windows.  These three and the
+first run their stage in two lanes (spatial.LANES), the second in a
+forked lane process, on a host with a spare CPU.  The last line digests all
 the others.  Run it against
 two checkouts and compare the output to show that a change leaves every
 snapshot, budget.csv and metrics.txt byte-identical:

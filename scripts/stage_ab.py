@@ -38,7 +38,11 @@ tree read 2-4 % faster on identical call lists, so a config of at least
 CHILD_CELLS cells is timed in one child process per tree (this script
 with --child), whose rounds time that tree alone; the tree whose child
 runs first alternates from one such config to the next.  The checks
-above run in this process for every config.
+above run in this process for every config.  A child of a tree whose
+stage runs in two lanes from spatial.LANES cells, at a config of at least
+that many, also times a held stage in one lane (its spatial._cpus read as
+1 while the workspace is built), whose rhs must be np.array_equal to the
+two-lane rhs; its median is printed beside the one-shot medians.
 """
 
 import argparse
@@ -175,6 +179,20 @@ def time_rounds(timed, n_rounds):
     return us
 
 
+def one_lane(tree, name, n, law, seed):
+    """The tree's held stage of the config in one lane, or None where its
+    stage would take one lane anyway (a tree without spatial.LANES, or
+    fewer cells)."""
+    spatial = tree["spatial"]
+    if n < getattr(spatial, "LANES", np.inf):
+        return None
+    cpus, spatial._cpus = spatial._cpus, lambda: 1
+    try:
+        return stage(tree, name, n, law, seed)[1]
+    finally:
+        spatial._cpus = cpus
+
+
 def timed_calls(st, calls, dt, rhs, faces):
     """{kind: {"march": call, "shot": call}} of one tree's stage st: its
     march call of each kind and, for a held rhs, its one-shot call; the
@@ -194,11 +212,16 @@ def child(argv):
     """--child SRC NAME N LAW ROUNDS SEED: time one tree's calls of the
     config alone and print {kind: {"march"/"shot": us}} as JSON."""
     src, name, n, law, n_rounds, seed = argv
-    st = stage(load(src, "kepes_child"), name, int(n), law or None,
-               int(seed))
+    tree = load(src, "kepes_child")
+    st = stage(tree, name, int(n), law or None, int(seed))
     calls = st[1] or st[0]
     rhs, faces = calls()
     kinds = timed_calls(st, calls, st[3](), rhs.copy(), faces)
+    lane = one_lane(tree, name, int(n), law or None, int(seed))
+    if lane:
+        if not np.array_equal(lane()[0], rhs):
+            sys.exit(f"{name} {law or ''} n={n}: one-lane rhs differ")
+        kinds["rhs"]["lane"] = lane
     print(json.dumps({kind: time_rounds(timed, int(n_rounds))
                       for kind, timed in kinds.items()}))
 
@@ -242,7 +265,7 @@ def main(argv=None):
     srcs = (args.old_src, args.new_src)
     trees = (load(args.old_src, "kepes_old"), load(args.new_src, "kepes_new"))
     print("config n call | old us [q1, q3] | new us [q1, q3] | old/new | "
-          "one-shot old, new us | new won")
+          "one-shot old, new us [; one lane old, new us] | new won")
     apart = 0
     for name, n, law in CONFIGS:
         case = f"{name} {law or ''} n={n}"
@@ -296,6 +319,11 @@ def main(argv=None):
                     (side, "shot"), us[kind][side, "march"]))
                            for side in (0, 1))
                 shot = ", ".join(f"{m:.1f}" for m in medians)
+                lanes = [us[kind].get((side, "lane")) for side in (0, 1)]
+                if any(lanes):
+                    shot += "; one lane " + ", ".join(
+                        f"{statistics.median(t):.1f}" if t else "-"
+                        for t in lanes)
             print(row(f"{name} {law or ''} {n} {kind}", us[kind][0, "march"],
                       us[kind][1, "march"], shot), flush=True)
 

@@ -39,7 +39,7 @@ import numpy as np
 from .config import ProblemConfig, _initial_prim, initial_state
 from .diagnostics import budget_report, monotonicity_defect, solution_metrics
 from .riemann import solve_riemann
-from .spatial import _cpus
+from .spatial import _spare_cpu
 from .thermo import physical_entropy, prim_to_cons, temperature
 from .timeint import march
 
@@ -137,11 +137,6 @@ def _write_all(fd, data):
     view = memoryview(data).cast("B")
     while view:
         view = view[os.write(fd, view):]
-
-
-def _spare_cpu() -> bool:
-    """Whether os.fork exists and this process may use two CPUs."""
-    return hasattr(os, "fork") and _cpus() > 1
 
 
 def _planned_snapshots(config: ProblemConfig) -> float:

@@ -13,8 +13,9 @@ of stacked (3, n + 1) arrays.  All of it lives in a stage workspace
 (_StageWork) that the march holds and every call refills, by replaying
 the calls recorded once from the kernels' formula code (kepes.record); a
 one-shot call runs that code at once.  A held stage of at least LANES
-cells, given a second CPU, replays half its windows on a worker thread
-(_lanes), bitwise as in one lane.  The net flux F - G is formed once,
+cells, given a second CPU, replays half its windows in a forked lane
+process (_LaneChild) that writes the cell block and the fluxes in a
+shared mmap, bitwise as in one lane.  The net flux F - G is formed once,
 and a shock_outflow boundary writes its last face there alone.  FaceData
 returns the per-face quantities of the budget diagnostics, derived only
 when read.
@@ -22,9 +23,11 @@ when read.
 
 from __future__ import annotations
 
-import contextvars
+import contextlib
+import mmap
 import os
-import threading
+import pickle
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -257,19 +260,24 @@ def _ghost(bc: BoundaryCondition, edge):
 # chose it.
 WINDOW = 8192
 # A workspace of at least LANES cells, given a second CPU, runs its windows
-# in two lanes (_lanes).  A held sod RHS took, in two lanes against one
-# (medians of 40 calls, one process each, 8 alternating pairs), 1.68 / 1.24
-# ms at 10^4 cells, 2.58 / 2.48 at 2*10^4, 5.81 / 6.71 at 5*10^4 and
-# 10.6 / 13.0 at 10^5 (README, "Stage lanes").
-LANES = 50_000
+# in two lanes (_lanes).  A held sod RHS took 0.71 ms in two lanes against
+# 1.20 in one at 10^4 cells and 7.59 against 12.62 at 10^5, two lanes
+# winning every pair from 10^4 up (README, "Stage lanes").
+LANES = 10_000
 _HALF = const(0.5)
 
 
 def _cpus() -> int:
     """The number of CPUs this process may run on, 1 where the platform
-    cannot say: the stage lanes and the writer child's fork ask it."""
+    cannot say."""
     return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else 1)
+
+
+def _spare_cpu() -> bool:
+    """Whether os.fork exists and this process may use two CPUs: the stage
+    lanes and the writer child's fork ask it."""
+    return hasattr(os, "fork") and _cpus() > 1
 
 
 def _replay(calls):
@@ -277,31 +285,92 @@ def _replay(calls):
         f(*a)
 
 
-def _lanes(first, second):
-    """Replay the bound calls first here and second on a worker thread
-    that lives for this call alone, in a copy of this context (so its
-    np.errstate holds there).  Once both have stopped, an exception of
-    either is raised here, first's before second's.  Both run here while
-    log_mean, which a record looks up at each read, is a wrapper."""
-    if hasattr(thermo.log_mean, "__wrapped__"):
-        return _replay(first + second)
-    raised = []
+class _LaneChild:
+    """A process forked to replay the bound calls of a workspace's second
+    lane, which write its shared mmap and its copy of their records and
+    scratch.  For each command, the caller's np.geterr() pickled, it
+    replays them under that errstate and sends its status, pickled: None,
+    the exception they raised, or a RuntimeError naming one that does not
+    survive pickling.  It ignores SIGINT and leaves through os._exit, on
+    the stop message (None) or once the command pipe ends."""
 
-    def lane():
+    def __init__(self, calls):
+        (cmd_r, self.commands), (st_r, st_w) = os.pipe(), os.pipe()
+        self.parent = os.getpid()
         try:
-            _replay(second)
-        except BaseException as exc:
-            raised.append(exc)
+            self.pid = os.fork()
+        except OSError:
+            for fd in (cmd_r, self.commands, st_r, st_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            try:
+                # imported here: signal's enums take ~1 ms to import
+                import signal
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                os.close(self.commands)
+                cmds, out = open(cmd_r, "rb"), open(st_w, "wb")
+                while (err := pickle.load(cmds)) is not None:
+                    exc = None
+                    with np.errstate(**err):
+                        try:
+                            _replay(calls)
+                        except Exception as raised:
+                            exc = raised
+                    try:
+                        pickle.loads(data := pickle.dumps(exc))
+                    except Exception:
+                        data = pickle.dumps(RuntimeError(
+                            f"{type(exc).__name__}: {exc}"))
+                    out.write(data)
+                    out.flush()
+            finally:
+                os._exit(0)
+        os.close(cmd_r)
+        os.close(st_w)
+        self.status = open(st_r, "rb")
 
-    worker = threading.Thread(target=contextvars.copy_context().run,
-                              args=(lane,))
-    worker.start()
+    def wait(self):
+        """The status of the command sent; a RuntimeError naming the exit
+        status of a child that has gone."""
+        try:
+            return pickle.load(self.status)
+        except (EOFError, pickle.UnpicklingError):
+            return RuntimeError("the stage lane process ended (status "
+                                f"{self.stop()})")
+
+    def stop(self):
+        """In the process that forked it, send the child the stop message
+        (a later fork, the writer child, holds the command pipe open too)
+        and reap it; its exit code, None if it was not running."""
+        if self.pid is None or os.getpid() != self.parent:
+            return None
+        pid, self.pid = self.pid, None
+        with contextlib.suppress(BrokenPipeError):  # it has gone
+            os.write(self.commands, pickle.dumps(None))
+        os.close(self.commands)
+        self.status.close()
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _lanes(first, second, child):
+    """Replay the bound calls first here while the _LaneChild child
+    replays second under this call's np.errstate.  Once both have
+    stopped, an exception of either is raised here, first's before
+    second's.  Both run here once the child has stopped, or while
+    log_mean, which a record looks up at each read, is a wrapper."""
+    if child.pid is None or hasattr(thermo.log_mean, "__wrapped__"):
+        return _replay(first + second)
+    try:
+        os.write(child.commands, pickle.dumps(np.geterr()))
+    except BrokenPipeError:
+        raise child.wait() from None
     try:
         _replay(first)
     finally:
-        worker.join()
-    if raised:
-        raise raised.pop()
+        raised = child.wait()
+    if raised is not None:
+        raise raised
 
 
 def _own(calls) -> bool:
@@ -322,28 +391,38 @@ class _StageWork:
     ghost cells per side), the central, dissipative and viscous fluxes
     (zero without dissipation or viscosity), the net flux and rhs.  The
     windows (_Window) run in one lane (_Lane), or in two from LANES cells
-    given a second CPU (_cpus), each with a buffer of records sized for a
-    window of min(n + 1, WINDOW) faces and a scratch (size: both lengths,
-    the first lane's).  run() is the stage after its validity check as
-    formula code, run at once by a one-shot stage; bind() records it into
-    calls, each public kernel one entry (two lanes of kepes's own kernels,
-    _own, one _lanes entry), and each record's log means into its
-    _ln_work.  A kernel forms the log means it reads before it writes a
-    temporary, so their temporaries, placed apart, share the scratch.
+    given os.fork and a second CPU (_spare_cpu), each with a buffer of
+    records sized for a window of min(n + 1, WINDOW) faces and a scratch
+    (size: both lengths, the first lane's).  run() is the stage after its
+    validity check as formula code, run at once by a one-shot stage;
+    bind() records it into calls, each public kernel one entry (two lanes
+    of kepes's own kernels, _own, one _lanes entry, whose second lane a
+    _LaneChild replays until close() or the next bind), and each record's
+    log means into its _ln_work.  A kernel forms the log means it reads
+    before it writes a temporary, so their temporaries, placed apart,
+    share the scratch.
     """
 
     def __init__(self, n: int, recon: ReconSpec, diss: DissipationSpec,
                  viscous: bool):
-        self.block = np.empty((5, n + 4))
+        # n + 1 faces in k windows of equal size, give or take a face, so
+        # that each window of a larger grid holds more than WINDOW / 2 =
+        # 4,096 faces: numpy buffers, and allocates for, a 2-D call on a
+        # strided or broadcast operand whose rows are shorter
+        k = -(-(n + 1) // WINDOW)
+        two = k > 1 and n >= LANES and _spare_cpu()
+        # the cell block and the four fluxes, each on rows of its own, in
+        # one buffer, for two lanes a shared mmap that the child writes
+        size = 5 * (n + 4) + 12 * (n + 1)
+        buf = np.frombuffer(mmap.mmap(-1, 8 * size)) if two else np.empty(size)
+        self.block = buf[:5 * (n + 4)].reshape(5, n + 4)
+        self.central, self.diss, self.visc, self.net = (
+            buf[5 * (n + 4):].reshape(4, 3, n + 1))
         self.rows = rows = self.block[::2]
         self.inner = inner = rows[:, 2:-2]
         self.rho_p = inner[::2]
         # face k sits between cells k+1 and k+2 of rows
         self.sides = rows[:, 1:n + 3]
-        # each its own array: a caller that writes into one of the
-        # returned fluxes must not change another
-        self.central, self.diss, self.visc, self.net = (
-            np.empty((3, n + 1)) for _ in range(4))
         if diss.kind == "none":
             self.diss[...] = 0.0
         if not viscous:
@@ -351,15 +430,10 @@ class _StageWork:
         self.rhs = rhs = np.empty((3, n))
         # rhs is written last: its first row is the prologue's temporary
         self.prim = (inner[0], inner[1], inner[2], rhs[0])
-        # n + 1 faces in k windows of equal size, give or take a face, so
-        # that each window of a larger grid holds more than WINDOW / 2 =
-        # 4,096 faces: numpy buffers, and allocates for, a 2-D call on a
-        # strided or broadcast operand whose rows are shorter
-        k = -(-(n + 1) // WINDOW)
         cuts = [i * (n + 1) // k for i in range(k + 1)]
         # the first lane takes the first half of the windows, the odd one
         # included
-        ends = [0, -(-k // 2), k] if n >= LANES and _cpus() > 1 else [0, k]
+        ends = [0, -(-k // 2), k] if two else [0, k]
         self.room = FaceMeans.ROWS * min(n + 1, WINDOW)
         self.lanes = [_Lane(self, cuts[i:j + 1], recon, diss, viscous)
                       for i, j in zip(ends, ends[1:])]
@@ -367,6 +441,13 @@ class _StageWork:
         self.records, self.scratch = self.lanes[0].records, np.empty(0)
         self.recon, self.diss_spec, self.viscous = recon, diss, viscous
         self.key = self.calls = None
+        self._stop = None  # the lane process's stop, once one is forked
+
+    def close(self):
+        """Stop the lane process, if one runs: the held calls replay both
+        lanes here from then on."""
+        if self._stop is not None:
+            self._stop()
 
     @property
     def size(self):
@@ -392,8 +473,13 @@ class _StageWork:
                 m._ln_work = m._ln, rec.bind(lane.scratch)
             lists.append(stage.bind(lane.scratch))
         self.scratch = self.lanes[0].scratch
+        self.close()
         if len(lists) == 2 and _own(lists[0] + lists[1]):
-            lists = [[(_lanes, tuple(lists))]]
+            with contextlib.suppress(OSError):  # no fork: both lanes here
+                child = _LaneChild(lists[1])
+                # a dropped workspace stops its child too
+                self._stop = weakref.finalize(self, child.stop)
+                lists = [[(_lanes, (*lists, child))]]
         self.calls = (head.bind(self.scratch) + sum(lists, [])
                       + tail.bind(self.scratch))
         # the prologue's operand

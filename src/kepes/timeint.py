@@ -174,7 +174,8 @@ def march(config, w0: np.ndarray):
     Every evaluation refills the one stage workspace the march builds
     (spatial._StageWork: the cell block, the face-pair records, the
     fluxes, rhs and every temporary), so a stage allocates nothing the
-    size of a face row, and every step writes its RK combinations and
+    size of a face row; the march closes it (its lane process) however
+    it ends.  Every step writes its RK combinations and
     compute_dt's temporaries into two held (3, n) buffers, so it
     allocates the new state alone.  ssp_rk3_step reads each stage's rhs
     before it asks for the next, and a caller reads a yielded state's
@@ -234,3 +235,5 @@ def march(config, w0: np.ndarray):
     except StageError as exc:
         state.reason, state.error = "invalid_state", exc
         yield state
+    finally:
+        work.close()  # its lane process, however the march ends

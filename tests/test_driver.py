@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from kepes import driver
+from kepes import driver, spatial
 from kepes.cli import main
 from kepes.config import config_from_dict
 from kepes.diagnostics import BudgetReport
 from kepes.driver import run
 from kepes.presets import preset
 from kepes.thermo import GasModel, PrimState, physical_entropy, temperature
+
+from conftest import assert_no_children
 
 
 def read_csv(path):
@@ -202,12 +204,6 @@ class TestAbortPath:
         assert result.status == 1
         assert "aborted at t=" in result.message
         assert "cell" in result.message
-
-
-def assert_no_children():
-    """This process has no child left, reaped or not."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def fork_every_snapshot(monkeypatch) -> dict:
@@ -407,6 +403,26 @@ class TestForkedWriter:
             f"the writer of {tmp_path / 'snapshot_0001.csv'} failed "
             f"(status {status})")
         assert names(result.snapshots) == ["snapshot_0000.csv"]
+
+    def test_lanes_and_writer_leave_no_child(self, tmp_path, monkeypatch,
+                                             deadline, forked_writer):
+        # a run in two stage lanes forks its lane process at the first
+        # stage and its writer child at snapshot_0000, which so holds the
+        # lane process's pipes: the run stops and reaps both, and writes
+        # what a run in one lane, in-process, writes
+        cfg = config_from_dict({"preset": "sod", "n_cells": spatial.LANES,
+                                "max_steps": 3, "snapshot_interval": 1e-5})
+        with monkeypatch.context() as patch:
+            patch.setattr(spatial, "_cpus", lambda: 1)
+            patch.setattr(driver, "_spare_cpu", lambda: False)
+            alone = run(cfg, str(tmp_path / "in_process"))
+        assert forked_writer["forks"] == 0
+        monkeypatch.setattr(spatial, "_cpus", lambda: 2)
+        forked = run(cfg, str(tmp_path / "forked"))
+        assert_no_children()
+        assert (forked_writer["forks"], forked_writer["most_alive"]) == (2, 2)
+        assert len(forked.snapshots) == 5
+        assert_same_run(forked, alone)
 
     def test_failed_fork_writes_in_process(self, tmp_path, monkeypatch):
         cfg = config_from_dict(SOD_MARKS)

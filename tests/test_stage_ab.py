@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from kepes.spatial import LANES
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
 
@@ -36,6 +38,11 @@ def test_every_config_timed(stage_ab, capsys):
     for line, label in zip(lines[1:], labels):
         assert line.startswith(label)
         assert line.endswith("/2")
+    # a config of at least LANES cells also times its held stage in one
+    # lane
+    for line, (name, n, law) in zip(lines[1::len(stage_ab.KINDS)],
+                                    stage_ab.CONFIGS):
+        assert ("; one lane " in line) == (n >= LANES), line
     # the budget sample and the snapshot are timed beside the stage, dt
     # and the RK step
     assert stage_ab.KINDS == ("rhs", "dt", "rk3", "budget", "snapshot")

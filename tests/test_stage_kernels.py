@@ -8,13 +8,18 @@ gives bitwise the results of calls that build their own, returns
 results that share no memory, allocates nothing the size of a face row,
 and binds no call on a Python float or int.  A grid of several stage
 windows gives bitwise the results of a workspace that runs all its faces
-as one window, in one lane or in two; two lanes raise what one raises,
-leave no thread behind, and keep to the caller's thread while a kernel
-is a wrapper."""
+as one window, in one lane or in two, the second in a lane process or,
+when it cannot be forked, on the caller; two lanes raise what one
+raises, leave no thread or process behind, and keep to the caller's
+process while a kernel is a wrapper."""
 
 import functools
 import gc
 import itertools
+import mmap
+import os
+import re
+import signal
 import threading
 import tracemalloc
 import weakref
@@ -56,7 +61,7 @@ from kepes.thermo import (
 )
 from kepes.timeint import march
 
-from conftest import inner_pairs
+from conftest import assert_no_children, inner_pairs
 
 N_CELLS = 24
 DISSIPATIONS = ([DissipationSpec(),
@@ -361,23 +366,22 @@ def test_windows_equal_one_window(n, monkeypatch):
     # every dissipation with every reconstruction and boundary set, the
     # central flux and the gas (inviscid, constant and power-law viscosity)
     # cycled: the windowed stage is bitwise the one-window stage, the JST
-    # end rule and the positivity fallback at window edges included.  The
-    # grid of LANE_N cells runs in one lane on one CPU and, on two, in two
-    # lanes, whose edge is a window edge.
+    # end rule and the positivity fallback at window edges included.  Each
+    # grid, of at least LANE_N cells, runs in one lane on one CPU and, on
+    # two, in two lanes, whose edge is a window edge.
     grid = Grid1D(n, 0.0, 1.0)
     rng = np.random.default_rng(n)
     fluxes = itertools.cycle(sorted(CENTRAL_FLUXES))
     gases = itertools.cycle(GASES)
-    cpus = itertools.cycle((1, 2) if n == LANE_N else (2,))
+    cpus = itertools.cycle((1, 2))
     for diss, recon in itertools.product(DISSIPATIONS, RECON_ALL):
         gas = next(gases)
         lanes = next(cpus)
         monkeypatch.setattr(spatial, "_cpus", lambda lanes=lanes: lanes)
         work = _StageWork(n, recon, diss, gas.is_viscous)
         one = single_window(n, recon, diss, gas.is_viscous, monkeypatch)
-        if n == LANE_N:
-            assert len(work.lanes) == lanes
-        else:
+        assert len(work.lanes) == lanes
+        if n != LANE_N:
             assert len(work.windows) == 3
         edges = [win.faces.start for win in work.windows[1:]]
         cells = prim_to_cons(window_edge_state(rng, n, edges), gas)
@@ -454,12 +458,22 @@ def raised(call):
     return type(info.value), str(info.value)
 
 
+def assert_lane_process(running):
+    """This process has a child running and none exited (the held
+    workspace's lane process) if running, and no child otherwise."""
+    if running:
+        assert os.waitpid(-1, os.WNOHANG) == (0, 0)
+    else:
+        assert_no_children()
+
+
 def test_lane_error_raised_once_both_lanes_stop(monkeypatch):
     # a cell that makes log_mean raise in the second lane: the two-lane
     # stage raises what the one-lane stage raises, on the caller, after
-    # both lanes stopped, and leaves no thread behind, as after a return;
-    # the caller's np.errstate holds in the worker; the march stops at
-    # the same step
+    # both lanes stopped, and leaves no thread behind and its lane
+    # process running, as after a return; the caller's np.errstate holds
+    # in the lane process; the march stops at the same step, and it and
+    # the closed workspace leave no process behind
     seen = []
     for cpus in (1, 2):
         config, work, cell = lane_sod(cpus, monkeypatch)
@@ -469,17 +483,22 @@ def test_lane_error_raised_once_both_lanes_stop(monkeypatch):
         assemble_rhs(*stage_args(config, work, good))
         assert lane_pair(work) == (cpus == 2)
         assert threading.active_count() == threads
+        assert_lane_process(cpus == 2)
         errors = [raised(lambda: assemble_rhs(*stage_args(config, work,
                                                            bad)))]
         assert threading.active_count() == threads
+        assert_lane_process(cpus == 2)
         with np.errstate(under="raise"):
             errors.append(raised(lambda: assemble_rhs(
                 *stage_args(config, work, bad))))
         assert threading.active_count() == threads
+        assert_lane_process(cpus == 2)
         *_, last = march(replace(config, time=replace(config.time,
                                                       max_steps=3)), bad)
         seen.append((errors, last.reason, last.step, str(last.error)))
         assert threading.active_count() == threads
+        work.close()
+        assert_no_children()
     assert seen[0] == seen[1]
     errors, reason, step, message = seen[0]
     assert errors == [(ValueError, "log_mean requires strictly positive "
@@ -489,20 +508,43 @@ def test_lane_error_raised_once_both_lanes_stop(monkeypatch):
     assert message == "stage 1: " + errors[0][1]
 
 
+def test_errors_in_both_lanes_raised_once(monkeypatch):
+    # log_mean raises in both lanes: the call raises the first lane's
+    # error once the second lane has stopped and sent its own, so the next
+    # call, on a valid state, runs both lanes afresh and gives the
+    # one-lane result
+    results = []
+    for cpus in (1, 2):
+        config, work, cell = lane_sod(cpus, monkeypatch)
+        bad = beta_underflow(config, cell)
+        bad[:, work.windows[0].faces.stop // 2] = bad[:, cell]
+        with pytest.raises(ValueError, match="log_mean requires"):
+            assemble_rhs(*stage_args(config, work, bad))
+        rhs, _ = assemble_rhs(*stage_args(config, work, perturbed(config)))
+        results.append(bits(rhs))
+        work.close()
+    assert np.array_equal(*results)
+
+
 def test_wrapped_kernel_keeps_one_lane(monkeypatch):
     # a wrapper with __wrapped__ (functools.wraps: perfbench's tracer, a
     # test spy) on log_mean, which the records look up at each read, or on
-    # a kernel the stage binds, runs on the caller's thread alone; a spy
-    # without it sees the second lane on another thread
-    caller = threading.get_ident()
+    # a kernel the stage binds, runs in the caller's process alone; a spy
+    # without it sees the second lane run in another process, the lane
+    # process, so it counts its calls in shared memory
+    caller = os.getpid()
     for target in ("log_mean", "kepec", None):
         config, work, _ = lane_sod(2, monkeypatch)
-        threads = []
+        # the pid and the spy's call count of the caller (row 0) and of
+        # any other process (row 1)
+        seen = np.frombuffer(mmap.mmap(-1, 32), np.int64).reshape(2, 2)
         real = (CENTRAL_FLUXES["kepec"] if target == "kepec"
                 else thermo.log_mean)
 
-        def spy(*args, real=real):
-            threads.append(threading.get_ident())
+        def spy(*args, real=real, seen=seen):
+            row = seen[int(os.getpid() != caller)]
+            row[0] = os.getpid()
+            row[1] += 1
             return real(*args)
 
         with monkeypatch.context() as patch:
@@ -513,13 +555,114 @@ def test_wrapped_kernel_keeps_one_lane(monkeypatch):
                 patch.setattr(thermo, "log_mean",
                               functools.wraps(real)(spy) if target else spy)
             assemble_rhs(*stage_args(config, work, initial_state(config)))
-        assert len(threads) == len(work.windows), target
+        work.close()
+        pids = [pid for pid, count in seen.tolist() for _ in range(count)]
+        assert len(pids) == len(work.windows), target
         if target:
-            assert set(threads) == {caller}, target
+            assert set(pids) == {caller}, target
         else:
-            assert lane_pair(work) and len(set(threads)) == 2
-            assert threads.count(caller) == len(work.lanes[0].windows)
+            assert lane_pair(work) and len(set(pids)) == 2
+            assert pids.count(caller) == len(work.lanes[0].windows)
         assert lane_pair(work) == (target != "kepec"), target
+
+
+def perturbed(config):
+    """config's initial state, perturbed by a seeded relative 1e-3."""
+    w = initial_state(config)
+    return w * (1.0 + 1e-3 * np.random.default_rng(5).uniform(-1, 1, w.shape))
+
+
+def test_failed_fork_replays_both_lanes_here(monkeypatch):
+    # a two-lane workspace whose lane process cannot be forked replays
+    # both lanes on the caller, bitwise as one lane and as the lane
+    # process do, and leaves no process behind
+    results = []
+    for cpus, fork in ((1, True), (2, True), (2, False)):
+        config, work, _ = lane_sod(cpus, monkeypatch)
+        if not fork:
+            def no_fork():
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", no_fork)
+        rhs, faces = assemble_rhs(*stage_args(config, work, perturbed(config)))
+        assert len(work.lanes) == cpus
+        assert lane_pair(work) == (cpus == 2 and fork)
+        results.append([bits(rhs)] + [bits(getattr(faces, name)) for name in
+                                      ("central", "diss", "visc", "net",
+                                       "cells")])
+        work.close()
+        assert_no_children()
+    for got in results[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(got, results[0]))
+
+
+def test_killed_lane_process_raised_then_replayed_here(monkeypatch):
+    # a lane process that dies between calls: the next call reaps it and
+    # raises its exit status, and the calls after it replay both lanes on
+    # the caller, bitwise as before
+    config, work, _ = lane_sod(2, monkeypatch)
+    args = stage_args(config, work, perturbed(config))
+    want = bits(assemble_rhs(*args)[0])
+    pid = next(a[-1].pid for f, a in work.calls if f is spatial._lanes)
+    os.kill(pid, signal.SIGKILL)
+    # wait until it is dead, leaving it to be reaped
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+    message = f"the stage lane process ended (status {-signal.SIGKILL})"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        assemble_rhs(*args)
+    assert_no_children()
+    assert np.array_equal(bits(assemble_rhs(*args)[0]), want)
+
+
+class TwoArgs(Exception):
+    """An exception that pickles but cannot be rebuilt from its args."""
+
+    def __init__(self, where, what):
+        super().__init__(f"{what} {where}")
+
+
+def test_lane_error_that_does_not_pickle_named(monkeypatch):
+    # an exception of the lane process that cannot be pickled (a local
+    # class), or cannot be unpickled, reaches the caller as a RuntimeError
+    # naming its type and message
+    class Local(Exception):
+        pass
+
+    caller, real = os.getpid(), thermo.log_mean
+    for error in (Local("failed in the lane process"),
+                  TwoArgs("the lane process", "failed in")):
+        def failing(*args, error=error):
+            if os.getpid() != caller:
+                raise error
+            return real(*args)
+
+        monkeypatch.setattr(thermo, "log_mean", failing)
+        config, work, _ = lane_sod(2, monkeypatch)
+        name = type(error).__name__
+        with pytest.raises(RuntimeError, match=f"^{name}: failed in the "
+                                               "lane process$"):
+            assemble_rhs(*stage_args(config, work, initial_state(config)))
+        assert lane_pair(work)
+        work.close()
+        assert_no_children()
+
+
+@pytest.mark.parametrize("end", ["max_steps", "invalid_state", "close"])
+def test_march_leaves_no_lane_process(end, monkeypatch):
+    # a march of LANE_N cells in two lanes stops its lane process however
+    # it ends: it returns, ends on an invalid state, or is closed early
+    config, _, cell = lane_sod(2, monkeypatch)
+    config = replace(config, time=replace(config.time, max_steps=2))
+    states = march(config, beta_underflow(config, cell)
+                   if end == "invalid_state" else initial_state(config))
+    first = next(states)
+    assert_lane_process(True)
+    if end == "close":
+        states.close()
+    else:
+        *_, last = [first, *states]
+        assert last.reason == end
+    assert_no_children()
 
 
 # -- what a held stage allocates ------------------------------------------------
@@ -539,9 +682,11 @@ HELD_CONFIGS = {
 
 
 @pytest.mark.parametrize("name", sorted(HELD_CONFIGS))
-def test_held_stage_allocates_no_face_row(name):
+def test_held_stage_allocates_no_face_row(name, monkeypatch):
     # after one warm call, a held stage of several windows writes into its
-    # workspace alone: its traced peak stays below one face row of float64
+    # workspace alone: its traced peak stays below one face row of float64.
+    # It runs in one lane, since tracemalloc sees no lane process.
+    monkeypatch.setattr(spatial, "_cpus", lambda: 1)
     for n in (HELD_N,) + MULTI_N:
         config = HELD_CONFIGS[name]
         config = replace(config, grid=replace(config.grid, n_cells=n))
