@@ -3,23 +3,24 @@
 
 Each preset runs capped at --max-steps, with a snapshot and budget sample
 every min(t_final / 4, 0.03) time units, into a temporary directory.
-Six fixed cases follow.  The first two take the forked writer
+Seven fixed cases follow.  The first two take the forked writer
 (driver._FORK_ROWS) on a host with a spare CPU, forking at their first
 snapshot: sod at 2e4 cells, 6 steps, a snapshot every 2.5e-5 (two mid-run
 marks); and sod_viscous (500 cells) for 120 steps with a snapshot every
 1.25e-4, as in perfbench's budget_dense.  The sixth forks too.  Every
 other digested run plans fewer snapshot rows and writes in-process (the
 stationary_contact and stationary_shock presets plan 3.6e4-3.9e4 at the
-default --max-steps); no digested run forks mid-run.  The third, sod on
-64 periodic cells for 60 steps with a snapshot every 0.02, is the only
-digested run with periodic boundaries.  The next two march 10^4 cells,
-two stage windows (spatial.WINDOW), for 5 steps without a snapshot
-interval: ns_shock_structure_n200_d4 (the JST stencil and the viscous
-flux) and stationary_shock_m4 (first order, matrix dissipation,
-shock_outflow).  The sixth marches sod on 10^5 cells for 5 steps, as
-perfbench's sod_large does: thirteen windows.  These three and the
-first run their stage in two lanes (spatial.LANES), the second in a
-forked lane process, on a host with a spare CPU.  The last line digests all
+default --max-steps); no digested run forks mid-run.  The third marches
+sod on 64 periodic cells for 60 steps with a snapshot every 0.02.  The
+next two march 10^4 cells, two stage windows (spatial.WINDOW), for 5
+steps without a snapshot interval: ns_shock_structure_n200_d4 (the JST
+stencil and the viscous flux) and stationary_shock_m4 (first order,
+matrix dissipation, shock_outflow).  The sixth marches sod on 10^5 cells
+for 5 steps, as perfbench's sod_large does: fourteen windows.  The
+seventh marches sod on 2e4 periodic cells for 5 steps, where each lane
+forms its ghosts from the other lane's cells.  These four and the first
+run their stage in two lanes (spatial.LANES), the second in a forked
+lane process, on a host with a spare CPU.  The last line digests all
 the others.  Run it against
 two checkouts and compare the output to show that a change leaves every
 snapshot, budget.csv and metrics.txt byte-identical:
@@ -76,6 +77,10 @@ def cases(max_steps: int):
     yield "sod_n100000", replace(base,
                                  grid=replace(base.grid, n_cells=100_000),
                                  time=replace(base.time, max_steps=5))
+    yield "sod_periodic_n20000", replace(
+        base, grid=replace(base.grid, n_cells=20_000),
+        bcs=BoundarySpec(periodic, periodic),
+        time=replace(base.time, max_steps=5))
 
 
 def preset_blocks(max_steps: int):

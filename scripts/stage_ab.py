@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """A/B timing of one RHS stage (spatial.assemble_rhs), the CFL step
 (timeint.compute_dt), one SSP-RK3 combination (timeint.ssp_rk3_step), one
-budget sample (diagnostics.budget_report) and the formatting of one
-snapshot (driver._write_blocks) of two source trees:
+budget sample (diagnostics.budget_report), the formatting of one
+snapshot (driver._write_blocks) and the recording of a stage workspace
+(spatial._StageWork and its bind) of two source trees:
 
     python scripts/stage_ab.py OLD_SRC NEW_SRC [--rounds 25] [--seed 0]
 
@@ -21,18 +22,21 @@ a face field cached by an earlier one.  The snapshot is formatted from
 the config's (rho, u, p) rows, every block of it into an in-memory sink,
 the way its tree's writer formats it: a tree that holds the x column as
 text (driver._x_prefixes) formats it once, before the timing, and a tree
-with a block formatter (driver._Fields) holds one.  Per config the two
-trees' rhs must be np.array_equal, and so must their FaceData central,
-diss, visc, net and cells (FACE_FIELDS); the budget rows their face
-records give (diagnostics.budget_report, csv_row) must be equal, which
-holds for trees whose budget_report takes no prim, as must a held call's
-rhs and its tree's one-shot rhs, the two trees' dt and stepped states,
-and the bytes of their snapshots; then each round times a batch of calls
-per call kind, alternating which goes first, and for each of rhs, dt,
-rk3, budget and snapshot the medians and quartiles in us per call,
-old/new of the medians and the rounds the new tree won are printed, with
-the median of each tree's one-shot rhs.  The data are
-the config's initial state perturbed by a seeded relative 1e-3.  Two
+with a block formatter (driver._Fields) holds one.  bind is the
+process time of building the config's workspace and recording its calls
+(_StageWork(...) and bind, a lane process's fork included), measured
+around those two in each call, which then closes the workspace.  Per
+config the two trees' rhs must be np.array_equal, and so must their
+FaceData central, diss, visc, net and cells (FACE_FIELDS); the budget
+rows their face records give (diagnostics.budget_report, csv_row) must
+be equal, which holds for trees whose budget_report takes no prim, as
+must a held call's rhs and its tree's one-shot rhs, the two trees' dt
+and stepped states, and the bytes of their snapshots; then each round
+times a batch of calls per call kind, alternating which goes first, and
+for each of rhs, dt, rk3, budget, snapshot and bind the medians and
+quartiles in us per call, old/new of the medians and the rounds the new
+tree won are printed, with the median of each tree's one-shot rhs.  The
+data are the config's initial state perturbed by a seeded relative 1e-3.  Two
 trees in one process share one heap, and at 10^4 cells the first-listed
 tree read 2-4 % faster on identical call lists, so a config of at least
 CHILD_CELLS cells is timed in one child process per tree (this script
@@ -66,7 +70,7 @@ CONFIGS = ([("stationary_shock_m4", 24, law)
 # a config of at least this many cells is timed in child processes
 CHILD_CELLS = 10_000
 # the timed call kinds of each config, in printed order
-KINDS = ("rhs", "dt", "rk3", "budget", "snapshot")
+KINDS = ("rhs", "dt", "rk3", "budget", "snapshot", "bind")
 # the FaceData arrays of the stage that the two trees must give equal
 FACE_FIELDS = ("central", "diss", "visc", "net", "cells")
 BATCH_S = 0.02
@@ -103,8 +107,9 @@ def snapshot(driver, x, rows, gas):
             prefixes[k]  # the writer formats the x text once
         args = (prefixes, driver._columns(rows, gas), range(len(prefixes)))
     else:
+        # a tree with no _blocks (block indices) writes a range of rows
         args = (driver._Fields(), driver._columns(x, rows, gas),
-                driver._blocks(len(x)))
+                getattr(driver, "_blocks", range)(len(x)))
 
     def call():
         sink = Sink()
@@ -118,7 +123,9 @@ def stage(tree, name, n, law, seed):
     one-shot call and as a call that refills one held workspace (None if
     the tree's assemble_rhs takes none), the budget sample of a result,
     compute_dt, ssp_rk3_step with a stub operator that returns rhs (the
-    timed step's dt and rhs are given later), and the snapshot."""
+    timed step's dt and rhs are given later), the snapshot, and a call
+    that builds and binds a workspace and returns the process time it
+    took (bind)."""
     cfg = tree["presets"].preset(name)
     cfg = replace(cfg, grid=replace(cfg.grid, n_cells=n))
     if law:
@@ -149,8 +156,17 @@ def stage(tree, name, n, law, seed):
                                      *dt_held))
     rk3 = (lambda step_dt, rhs: timeint.ssp_rk3_step(
         w, step_dt, lambda _: rhs, *rk3_held))
+
+    def bind():
+        start = time.process_time()
+        work = spatial._StageWork(n, cfg.recon, cfg.diss, cfg.gas.is_viscous)
+        work.bind(cfg.grid, cfg.gas, cfg.flux_kind, cfg.bcs)
+        spent = time.process_time() - start
+        work.close()
+        return spent
     return ((lambda: spatial.assemble_rhs(*args)), held, budget, dt, rk3,
-            snapshot(tree["driver"], cfg.grid.cell_centers(), rows, cfg.gas))
+            snapshot(tree["driver"], cfg.grid.cell_centers(), rows, cfg.gas),
+            bind)
 
 
 def rounds(text):
@@ -161,21 +177,20 @@ def rounds(text):
     return value
 
 
-def time_rounds(timed, n_rounds):
+def time_rounds(timed, n_rounds, kind=None):
     """us per call of every call in timed, one batch per round, with the
     order reversed every other round; the batch size is set by the first
-    call's time."""
-    first = next(iter(timed.values()))
-    start = time.perf_counter()
-    first()
-    reps = max(1, int(BATCH_S / (time.perf_counter() - start)))
+    call's time.  A bind call returns the time it took, which is summed."""
+    def batch(call, reps):
+        start = time.perf_counter()
+        spent = [call() for _ in range(reps)]
+        return sum(spent) if kind == "bind" else time.perf_counter() - start
+
+    reps = max(1, int(BATCH_S / batch(next(iter(timed.values())), 1)))
     us = {key: [] for key in timed}
     for k in range(n_rounds):
         for key in (list(timed) if k % 2 == 0 else list(timed)[::-1]):
-            start = time.perf_counter()
-            for _ in range(reps):
-                timed[key]()
-            us[key].append((time.perf_counter() - start) / reps * 1e6)
+            us[key].append(batch(timed[key], reps) / reps * 1e6)
     return us
 
 
@@ -197,12 +212,12 @@ def timed_calls(st, calls, dt, rhs, faces):
     """{kind: {"march": call, "shot": call}} of one tree's stage st: its
     march call of each kind and, for a held rhs, its one-shot call; the
     RK step takes dt and rhs, and the budget sample rhs and faces."""
-    shot, held, budget, dt_call, rk3, snap = st
+    shot, held, budget, dt_call, rk3, snap, bind = st
     kinds = {"rhs": {"march": calls}, "dt": {"march": dt_call},
              "rk3": {"march": lambda: rk3(dt, rhs)},
              # a new FaceData per call
              "budget": {"march": lambda: budget(rhs, replace(faces))},
-             "snapshot": {"march": snap}}
+             "snapshot": {"march": snap}, "bind": {"march": bind}}
     if held:
         kinds["rhs"]["shot"] = shot
     return kinds
@@ -222,7 +237,7 @@ def child(argv):
         if not np.array_equal(lane()[0], rhs):
             sys.exit(f"{name} {law or ''} n={n}: one-lane rhs differ")
         kinds["rhs"]["lane"] = lane
-    print(json.dumps({kind: time_rounds(timed, int(n_rounds))
+    print(json.dumps({kind: time_rounds(timed, int(n_rounds), kind)
                       for kind, timed in kinds.items()}))
 
 
@@ -310,7 +325,7 @@ def main(argv=None):
             us = {kind: time_rounds(
                 {(side, key): kinds[side][kind][key]
                  for key in ("march", "shot") for side in (0, 1)
-                 if key in kinds[side][kind]}, args.rounds)
+                 if key in kinds[side][kind]}, args.rounds, kind)
                 for kind in KINDS}
         for kind in KINDS:
             shot = "-"

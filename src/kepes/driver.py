@@ -104,32 +104,24 @@ class _Fields:
         return self.kernel(columns, lo, hi)
 
 
-def _write_blocks(fh, fields, columns, blocks):
-    """Write the rows of the given blocks (indices of _CSV_BLOCK_ROWS
-    rows) of the columns to the binary file fh, formatted by the _Fields
-    fields."""
-    for k in blocks:
-        lo = k * _CSV_BLOCK_ROWS
-        fh.write(fields(columns, lo, min(lo + _CSV_BLOCK_ROWS,
-                                         len(columns[0]))))
+def _write_blocks(fh, fields, columns, rows: range):
+    """Write the rows (a range) of the columns to the binary file fh, in
+    blocks of _CSV_BLOCK_ROWS rows formatted by the _Fields fields."""
+    for lo in rows[::_CSV_BLOCK_ROWS]:
+        fh.write(fields(columns, lo, min(lo + _CSV_BLOCK_ROWS, rows.stop)))
 
 
 def _open_csv(path_or_fd, closefd=True):
     return open(path_or_fd, "wb", closefd=closefd)
 
 
-def _blocks(n_rows: int) -> range:
-    """The blocks of _CSV_BLOCK_ROWS rows of a snapshot of n_rows rows."""
-    return range(-(-n_rows // _CSV_BLOCK_ROWS))
-
-
-def _write_snapshot(path: str, fields, x, prim, gas, n_blocks=None):
-    """Write one snapshot of the cells at x, or with n_blocks its header
-    and first n_blocks blocks, formatted by the _Fields fields."""
+def _write_snapshot(path: str, fields, x, prim, gas, n_rows=None):
+    """Write one snapshot of the cells at x, or with n_rows its header
+    and first n_rows rows, formatted by the _Fields fields."""
     with _open_csv(path) as fh:
         fh.write(_SNAPSHOT_HEADER)
         _write_blocks(fh, fields, _columns(x, prim, gas),
-                      _blocks(len(x))[:n_blocks])
+                      range(len(x))[:n_rows])
 
 
 def _write_all(fd, data):
@@ -153,10 +145,11 @@ class _SnapshotWriter:
     planned snapshots of at least _FORK_ROWS rows in all, the first write
     forks one child for the whole run: write sends it each snapshot's
     (rho, u, p) rows over a pipe and returns, and for the last snapshot
-    formats the second half itself while the child writes the header and
-    the first half.  On exit from its with block, the writer reaps the
-    child.  written lists the snapshots written whole, in order: one sent
-    to the child once the child confirmed it."""
+    formats the rows from n // 2 on itself while the child writes the
+    header and the rows before (each line is formatted on its own, so a
+    split anywhere writes the same bytes).  On exit from its with block,
+    the writer reaps the child.  written lists the snapshots written
+    whole, in order: one sent to the child once the child confirmed it."""
 
     def __init__(self, x, gas, planned: float):
         self.x, self.gas, self.fields = x, gas, _Fields()
@@ -192,12 +185,12 @@ class _SnapshotWriter:
                 with open(r, "rb") as pipe:
                     # one snapshot per message, until the run closes the pipe
                     while head := pipe.read(16):
-                        n_blocks, size = struct.unpack("2q", head)
+                        n_rows, size = struct.unpack("2q", head)
                         path = os.fsdecode(pipe.read(size))
                         if pipe.readinto(rows) != rows.nbytes:
                             raise EOFError(f"{path}: its rows were cut short")
                         _write_snapshot(path, self.fields, self.x, rows,
-                                        self.gas, n_blocks)
+                                        self.gas, n_rows)
                         confirmed[0] += 1
                 status = 0
             except OSError as exc:
@@ -208,12 +201,12 @@ class _SnapshotWriter:
         os.close(r)
         self.child = (pid, w, confirmed)
 
-    def _send(self, path: str, prim, n_blocks: int, whole: bool = True):
+    def _send(self, path: str, prim, n_rows: int, whole: bool = True):
         fd = self.child[1]
         self.sent.append((path, whole))
         name = os.fsencode(path)
         try:
-            _write_all(fd, struct.pack("2q", n_blocks, len(name)) + name)
+            _write_all(fd, struct.pack("2q", n_rows, len(name)) + name)
             for row in prim:
                 _write_all(fd, row)  # each row is contiguous: no copy
         except BrokenPipeError:
@@ -251,16 +244,16 @@ class _SnapshotWriter:
             _write_snapshot(path, self.fields, self.x, prim, self.gas)
             self.written.append(path)
             return
-        blocks = _blocks(len(self.x))
+        n = len(self.x)
         if not last:
-            return self._send(path, prim, len(blocks))
-        half = len(blocks) // 2
+            return self._send(path, prim, n)
+        half = n // 2
         with tempfile.TemporaryFile(
                 dir=os.path.dirname(os.path.abspath(path))) as rest:
             self._send(path, prim, half, whole=False)
             with _open_csv(rest.fileno(), closefd=False) as fh:
                 _write_blocks(fh, self.fields,
-                              _columns(self.x, prim, self.gas), blocks[half:])
+                              _columns(self.x, prim, self.gas), range(half, n))
             self.reap()
             rest.seek(0)
             with open(path, "ab") as fh:

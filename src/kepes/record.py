@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from operator import is_
 
 import numpy as np
 
@@ -81,6 +82,39 @@ def record(formula, *args) -> Recorder:
         _active = outer
     rec.place()
     return rec
+
+
+def moved(calls, move, same: set) -> list:
+    """The bound calls with move applied to every operand, through a
+    kernel's work (out, calls), and to the array that a copy (its
+    __setitem__) or a partial's keywords are bound to; calls itself where
+    move changes nothing.  same holds the ids of entries that move leaves
+    alone, which it skips, and it adds those it finds."""
+    out = []
+    for entry in calls:
+        if id(entry) not in same:
+            f, a = entry
+            if type(f) is partial:
+                kw = {k: move(v) for k, v in f.keywords.items()}
+                if any(kw[k] is not v for k, v in f.keywords.items()):
+                    f = partial(f.func, **kw)
+            elif (type(arr := getattr(f, "__self__", None)) is np.ndarray
+                  and move(arr) is not arr):
+                f = move(arr).__setitem__
+            b = tuple(_moved_work(x, move, same)
+                      if type(x) is tuple and type(x[-1]) is list else move(x)
+                      for x in a)
+            if f is entry[0] and all(map(is_, a, b)):
+                same.add(id(entry))
+            else:
+                entry = f, b
+        out.append(entry)
+    return calls if all(map(is_, out, calls)) else out
+
+
+def _moved_work(work, move, same):
+    out, calls = move(work[0]), moved(work[1], move, same)
+    return work if out is work[0] and calls is work[1] else (out, calls)
 
 
 def _op(f, swap=False, inplace=False):

@@ -12,11 +12,15 @@ the pair input of its kernels, whose fluxes go to the window's columns
 of stacked (3, n + 1) arrays.  All of it lives in a stage workspace
 (_StageWork) that the march holds and every call refills, by replaying
 the calls recorded once from the kernels' formula code (kepes.record); a
-one-shot call runs that code at once.  A held stage of at least LANES
-cells, given a second CPU, replays half its windows in a forked lane
-process (_LaneChild) that writes the cell block and the fluxes in a
-shared mmap, bitwise as in one lane.  The net flux F - G is formed once,
-and a shock_outflow boundary writes its last face there alone.  FaceData
+one-shot call runs that code at once; the calls of a window are
+recorded once per width and moved to the other windows of that width
+(record.moved).  A held stage of at least LANES cells, given a second
+CPU, runs two halves of its faces as two lanes, the second in a forked
+lane process (_LaneChild), in a shared mmap: each lane forms and checks
+its cells and the halo its windows read, fills the ghosts of its end,
+runs its windows and writes the rhs of its cells, bitwise as in one
+lane.  The net flux F - G is formed once, and a shock_outflow boundary
+writes its last face there alone.  FaceData
 returns the per-face quantities of the budget diagnostics, derived only
 when read.
 """
@@ -38,7 +42,7 @@ from .dissipation import (DissipationSpec, _jst, _matrix, jst_dissipation,
                           matrix_dissipation)
 from .fluxes import CENTRAL_FLUXES, FORMULAS
 from .reconstruction import ReconSpec, _reconstruct, reconstruct_face
-from .record import call, const, empty, record, run, wrap
+from .record import call, const, empty, moved, record, run, wrap
 from .thermo import (
     FaceMeans,
     GasModel,
@@ -259,9 +263,9 @@ def _ghost(bc: BoundaryCondition, edge):
 # in one.  See README, "How the RHS is assembled", for the sweep that
 # chose it.
 WINDOW = 8192
-# A workspace of at least LANES cells, given a second CPU, runs its windows
-# in two lanes (_lanes).  A held sod RHS took 0.71 ms in two lanes against
-# 1.20 in one at 10^4 cells and 7.59 against 12.62 at 10^5, two lanes
+# A workspace of at least LANES cells, given a second CPU, runs its faces
+# in two lanes (_lanes).  A held sod RHS took 0.96 ms in two lanes against
+# 1.51 in one at 10^4 cells and 7.55 against 14.71 at 10^5, two lanes
 # winning every pair from 10^4 up (README, "Stage lanes").
 LANES = 10_000
 _HALF = const(0.5)
@@ -280,15 +284,51 @@ def _spare_cpu() -> bool:
     return hasattr(os, "fork") and _cpus() > 1
 
 
-def _replay(calls):
-    for f, a in calls:
-        f(*a)
+def _caught(calls):
+    """Replay the bound calls; the exception they raised, else None."""
+    try:
+        for f, a in calls:
+            f(*a)
+    except Exception as raised:
+        return raised
+    return None
+
+
+def _to_prim(w, rho, u, p, t, gm1):
+    """cons_to_prim's formula: the rows rho, u and p of the conserved
+    (3, m) cells w, the row t taking the temporary."""
+    # rows by index: unpacking an array costs ~0.3 us more
+    r, m = w[0], w[1]
+    rho[...] = r
+    np.divide(m, r, u)
+    np.multiply(_HALF, m, t)
+    np.multiply(t, u, t)
+    np.subtract(w[2], t, t)
+    np.multiply(gm1, t, p)
+
+
+def _check(inner, rho_p, first=0):
+    """Raise InvalidStateError, its cell set, on the first invalid one of
+    the cells first, first + 1, ... whose (rho, u, p) rows are inner
+    (rho_p: rows rho and p).  A valid cell is finite with rho > 0 and
+    p > 0.  The min fails on a rho or p that is not > 0 or is NaN, the max
+    on inf or NaN; u = -inf makes p -inf or NaN.  Only a failure looks for
+    the first bad cell.  (The ufuncs' reduce is ndarray.min and max
+    without their wrapper.)"""
+    if not (np.minimum.reduce(rho_p, None) > 0.0
+            and np.maximum.reduce(inner, None) < np.inf):
+        valid = np.isfinite(inner).all(axis=0) & (inner[::2] > 0.0).all(axis=0)
+        idx = int(np.argmin(valid))
+        exc = InvalidStateError(
+            f"invalid state in cell {first + idx}: rho={inner[0, idx]:.6g}, "
+            f"p={inner[2, idx]:.6g}")
+        exc.cell = first + idx
+        raise exc
 
 
 class _LaneChild:
     """A process forked to replay the bound calls of a workspace's second
-    lane, which write its shared mmap and its copy of their records and
-    scratch.  For each command, the caller's np.geterr() pickled, it
+    lane, which write the workspace's shared mmaps.  For each command, the caller's np.geterr() pickled, it
     replays them under that errstate and sends its status, pickled: None,
     the exception they raised, or a RuntimeError naming one that does not
     survive pickling.  It ignores SIGINT and leaves through os._exit, on
@@ -311,12 +351,8 @@ class _LaneChild:
                 os.close(self.commands)
                 cmds, out = open(cmd_r, "rb"), open(st_w, "wb")
                 while (err := pickle.load(cmds)) is not None:
-                    exc = None
                     with np.errstate(**err):
-                        try:
-                            _replay(calls)
-                        except Exception as raised:
-                            exc = raised
+                        exc = _caught(calls)
                     try:
                         pickle.loads(data := pickle.dumps(exc))
                     except Exception:
@@ -355,22 +391,25 @@ class _LaneChild:
 
 def _lanes(first, second, child):
     """Replay the bound calls first here while the _LaneChild child
-    replays second under this call's np.errstate.  Once both have
-    stopped, an exception of either is raised here, first's before
-    second's.  Both run here once the child has stopped, or while
-    log_mean, which a record looks up at each read, is a wrapper."""
-    if child.pid is None or hasattr(thermo.log_mean, "__wrapped__"):
-        return _replay(first + second)
+    replays second under this call's np.errstate; both run here once the
+    child has stopped, or while log_mean, which a record looks up at each
+    read, is a wrapper.  Once both have stopped, an exception of either
+    is raised here: the invalid state of the lower cell (_check), as one
+    lane checks every cell before its first window, else first's."""
+    here = child.pid is None or hasattr(thermo.log_mean, "__wrapped__")
+    if not here:
+        try:
+            os.write(child.commands, pickle.dumps(np.geterr()))
+        except BrokenPipeError:
+            raise child.wait() from None
+    mine = None
     try:
-        os.write(child.commands, pickle.dumps(np.geterr()))
-    except BrokenPipeError:
-        raise child.wait() from None
-    try:
-        _replay(first)
+        mine = _caught(first)
     finally:
-        raised = child.wait()
-    if raised is not None:
-        raise raised
+        theirs = _caught(second) if here else child.wait()
+    raised = [exc for exc in (mine, theirs) if exc is not None]
+    if raised:
+        raise min(raised, key=lambda exc: getattr(exc, "cell", np.inf))
 
 
 def _own(calls) -> bool:
@@ -389,35 +428,40 @@ class _StageWork:
 
     It owns the (5, n + 4) cell block (rows rho, beta, u, u^2 and p, two
     ghost cells per side), the central, dissipative and viscous fluxes
-    (zero without dissipation or viscosity), the net flux and rhs.  The
-    windows (_Window) run in one lane (_Lane), or in two from LANES cells
-    given os.fork and a second CPU (_spare_cpu), each with a buffer of
-    records sized for a window of min(n + 1, WINDOW) faces and a scratch
-    (size: both lengths, the first lane's).  run() is the stage after its
-    validity check as formula code, run at once by a one-shot stage;
-    bind() records it into calls, each public kernel one entry (two lanes
-    of kepes's own kernels, _own, one _lanes entry, whose second lane a
-    _LaneChild replays until close() or the next bind), and each record's
-    log means into its _ln_work.  A kernel forms the log means it reads
-    before it writes a temporary, so their temporaries, placed apart,
-    share the scratch.
+    (zero without dissipation or viscosity), the net flux and rhs.  Its
+    faces run in one lane (_Lane), or in two from LANES cells given
+    os.fork and a second CPU (_spare_cpu): the faces before cut and the
+    rest, halves give or take a face.  A lane runs its faces in windows
+    (_Window), with a buffer of records sized for a window of
+    min(n + 1, WINDOW) faces and a scratch (size: both lengths, the first
+    lane's).  run() is the stage after its validity check as formula
+    code, run at once by a one-shot stage; bind() records it into calls,
+    each public kernel one entry.  It records the first window of each
+    kind of a lane (its width and, for the JST end rule, the grid ends it
+    holds) and its records' log means (their _ln_work), and moves that
+    list to the lane's other windows of the kind (_moved).  Two lanes of
+    kepes's own kernels (_own) run as one _lanes entry, whose second lane
+    a _LaneChild replays until close() or the next bind: each lane forms
+    and checks its cells (_Lane.open), runs its windows and writes the
+    rhs of the cells between two of its faces but cells cut - 2 and
+    cut - 1, whose rhs the calls after the entry write.  A kernel forms
+    the log means it reads before it writes a temporary, so their
+    temporaries, placed apart, share the scratch.
     """
 
     def __init__(self, n: int, recon: ReconSpec, diss: DissipationSpec,
                  viscous: bool):
-        # n + 1 faces in k windows of equal size, give or take a face, so
-        # that each window of a larger grid holds more than WINDOW / 2 =
-        # 4,096 faces: numpy buffers, and allocates for, a 2-D call on a
-        # strided or broadcast operand whose rows are shorter
-        k = -(-(n + 1) // WINDOW)
-        two = k > 1 and n >= LANES and _spare_cpu()
-        # the cell block and the four fluxes, each on rows of its own, in
-        # one buffer, for two lanes a shared mmap that the child writes
-        size = 5 * (n + 4) + 12 * (n + 1)
-        buf = np.frombuffer(mmap.mmap(-1, 8 * size)) if two else np.empty(size)
+        two = n + 1 > WINDOW and n >= LANES and _spare_cpu()
+        # the cell block, the four fluxes and rhs, each on rows of its
+        # own, in one buffer, for two lanes with the conserved cells 0 and
+        # 1 (edge) last, in a shared mmap that the child writes
+        self.shared = two
+        self.buf = buf = self._new(20 * n + 32 + 6 * two)
         self.block = buf[:5 * (n + 4)].reshape(5, n + 4)
         self.central, self.diss, self.visc, self.net = (
-            buf[5 * (n + 4):].reshape(4, 3, n + 1))
+            buf[5 * (n + 4):17 * n + 32].reshape(4, 3, n + 1))
+        self.rhs = buf[17 * n + 32:20 * n + 32].reshape(3, n)
+        self.edge = buf[20 * n + 32:].reshape(3, 2) if two else None
         self.rows = rows = self.block[::2]
         self.inner = inner = rows[:, 2:-2]
         self.rho_p = inner[::2]
@@ -427,21 +471,29 @@ class _StageWork:
             self.diss[...] = 0.0
         if not viscous:
             self.visc[...] = 0.0
-        self.rhs = rhs = np.empty((3, n))
         # rhs is written last: its first row is the prologue's temporary
-        self.prim = (inner[0], inner[1], inner[2], rhs[0])
-        cuts = [i * (n + 1) // k for i in range(k + 1)]
-        # the first lane takes the first half of the windows, the odd one
-        # included
-        ends = [0, -(-k // 2), k] if two else [0, k]
+        self.prim = (inner[0], inner[1], inner[2], self.rhs[0])
+        # the middle face, or the one before it where a lane of WINDOW + 1
+        # faces would take two windows of WINDOW / 2
+        cut = (n + 1) // 2
+        self.cut = cut = cut - (WINDOW + 1 in (cut, n + 1 - cut))
+        ends = [0, cut, n + 1] if two else [0, n + 1]
         self.room = FaceMeans.ROWS * min(n + 1, WINDOW)
-        self.lanes = [_Lane(self, cuts[i:j + 1], recon, diss, viscous)
-                      for i, j in zip(ends, ends[1:])]
+        self.lanes = [_Lane(self, a, b, recon, diss, viscous)
+                      for a, b in zip(ends, ends[1:])]
         self.windows = [win for lane in self.lanes for win in lane.windows]
         self.records, self.scratch = self.lanes[0].records, np.empty(0)
         self.recon, self.diss_spec, self.viscous = recon, diss, viscous
         self.key = self.calls = None
+        # the cells that the first of two paired lanes forms (_Lane.open)
+        self.given = None
         self._stop = None  # the lane process's stop, once one is forked
+
+    def _new(self, size):
+        """A new float array of size; of two lanes, an mmap's, which goes
+        back to the system with it (README, "Stage lanes")."""
+        return (np.frombuffer(mmap.mmap(-1, 8 * size)) if self.shared
+                else np.empty(size))
 
     def close(self):
         """Stop the lane process, if one runs: the held calls replay both
@@ -457,49 +509,121 @@ class _StageWork:
              bcs: BoundarySpec):
         """Record the calls for the key (grid, gas, flux_kind, bcs)."""
         key = grid, gas, flux_kind, bcs
-        # the ghosts and the boundary-flux step take no temporary
-        head, tail = record(self._open, *key), record(self._close, *key)
-        recs = [(lane, record(self._faces, lane.windows, *key),
-                 [(m, record(_log_mean, *m._ln_sides, m._ln))
-                  for m in lane.means])
-                for lane in self.lanes]
-        size = max(rec.size for _, stage, lns in recs
-                   for rec in (stage, *(rec for _, rec in lns)))
-        lists = []
-        for lane, stage, lns in recs:
+        n, ends = grid.n_cells, (self.diss_spec.kind == "scalar"
+                                 and not bcs.is_periodic)
+
+        def kind(i, win):  # lane, width and, for the JST end rule, ends
+            a, b = win.faces.start, win.faces.stop
+            return i, b - a, ends and (a == 0, b == n + 1)
+
+        # the first window of each kind: it, its calls and its records' log
+        # means, recorded
+        shown = {}
+        for i, lane in enumerate(self.lanes):
+            for win in lane.windows:
+                if kind(i, win) not in shown:
+                    shown[kind(i, win)] = [
+                        win, record(self._faces, [win], *key),
+                        [(m, record(_log_mean, *m._ln_sides, m._ln))
+                         for m in {win.cell_means, win.means} - {None}]]
+        # of two lanes, each forms up to n // 2 + 3 cells with a row of its
+        # scratch (_Lane.open)
+        size = max([(n // 2 + 3) * (len(self.lanes) - 1)]
+                   + [rec.size for _, stage, lns in shown.values()
+                      for rec in (stage, *(rec for _, rec in lns))])
+        lists, seen, same = [], {}, set()
+        for i, lane in enumerate(self.lanes):
             if lane.scratch.size < size:
-                lane.scratch = np.empty(size)
-            for m, rec in lns:
-                m._ln_work = m._ln, rec.bind(lane.scratch)
-            lists.append(stage.bind(lane.scratch))
+                lane.scratch = self._new(size)
+            lists.append([])
+            for win in lane.windows:
+                tpl, stage, lns = item = shown[kind(i, win)]
+                if win is tpl:
+                    for m, rec in lns:
+                        m._ln_work = m._ln, rec.bind(lane.scratch)
+                    item[1] = stage = stage.bind(lane.scratch)
+                lists[i] += (stage if win is tpl
+                             else self._moved(tpl, win, stage, seen, same))
         self.scratch = self.lanes[0].scratch
         self.close()
-        if len(lists) == 2 and _own(lists[0] + lists[1]):
-            with contextlib.suppress(OSError):  # no fork: both lanes here
-                child = _LaneChild(lists[1])
-                # a dropped workspace stops its child too
-                self._stop = weakref.finalize(self, child.stop)
-                lists = [[(_lanes, (*lists, child))]]
-        self.calls = (head.bind(self.scratch) + sum(lists, [])
-                      + tail.bind(self.scratch))
         # the prologue's operand
         self.gm1 = const(gas.gamma - 1.0)
+        self.given = self.calls = None
+        if len(lists) == 2 and _own(lists[0] + lists[1]):
+            with contextlib.suppress(OSError):  # no fork: both lanes here
+                self.calls = self._pair(lists, key)
+        if self.calls is None:
+            self.calls = (record(self._open, *key).bind(self.scratch)
+                          + sum(lists, []) + self._closed(0, n + 1, key))
         self.key = key
+
+    def _closed(self, a, b, key):
+        return record(self._close, a, b, *key).bind(self.scratch)
+
+    def _pair(self, lists, key):
+        """The calls of the bound windows of two lanes run as a pair, the
+        second by a _LaneChild forked here."""
+        cut, n, given = self.cut, key[0].n_cells, [None]
+        # the first lane writes the rhs of the cells before cut - 2, the
+        # second from cut on, and the calls after both the two between:
+        # rhs holds the second lane's cells from cut - 2 on until it has
+        # formed them
+        first, second = (
+            [(lane.open, ())] + calls + self._closed(a, b, key)
+            for lane, calls, (a, b) in zip(self.lanes, lists,
+                                           ((0, cut - 1), (cut, n + 1))))
+        for lane in self.lanes:
+            lane.edges(self, key[3], given)
+        child = _LaneChild(second)
+        # a dropped workspace stops its child too
+        self._stop = weakref.finalize(self, child.stop)
+        self.given = given
+        return ([(_lanes, (first, second, child))]
+                + self._closed(cut - 2, cut + 1, key))
+
+    def _moved(self, tpl, win, calls, seen, same):
+        """The bound calls of the window tpl for the window win of its lane
+        and kind (record.moved, same as it takes it): an array in the
+        buffer, a view of the block or the fluxes, becomes the one as many
+        columns on as win starts after tpl, and tpl's records win's, which
+        take tpl's log-mean calls.  seen holds the offset in the buffer of
+        each array met, None for one outside it."""
+        buf, objs, new = self.buf, {}, {}
+        d = 8 * (win.faces.start - tpl.faces.start)
+        for old, rec in zip((tpl.cell_means, tpl.means),
+                            (win.cell_means, win.means)):
+            if old is not None:
+                objs[id(old)], rec._ln_work = rec, old._ln_work
+
+        def move(x):
+            if type(x) is not np.ndarray:
+                return objs.get(id(x), x)
+            if id(x) not in seen:
+                at = (x.__array_interface__["data"][0]
+                      - buf.__array_interface__["data"][0])
+                seen[id(x)] = at if 0 <= at < buf.nbytes else None
+            if seen[id(x)] is None:
+                return x
+            if id(x) not in new:
+                new[id(x)] = np.ndarray(x.shape, x.dtype, buf,
+                                        seen[id(x)] + d, x.strides)
+            return new[id(x)]
+        return moved(calls, move, same)
 
     def run(self, grid: Grid1D, gas: GasModel, flux_kind: str,
             bcs: BoundarySpec):
         """The stage after its validity check, as formula code."""
         self._open(grid, gas, flux_kind, bcs)
         self._faces(self.windows, grid, gas, flux_kind, bcs)
-        self._close(grid, gas, flux_kind, bcs)
+        self._close(0, grid.n_cells + 1, grid, gas, flux_kind, bcs)
 
     def _open(self, grid, gas, flux_kind, bcs):
-        if flux_kind not in CENTRAL_FLUXES:
-            raise ValueError(f"unknown flux kind {flux_kind!r}")
         cells = wrap(self.rows)
         call(apply_boundary, _fill_ghosts, cells, bcs, cells)
 
     def _faces(self, windows, grid, gas, flux_kind, bcs):
+        if flux_kind not in CENTRAL_FLUXES:
+            raise ValueError(f"unknown flux kind {flux_kind!r}")
         recon, diss, viscous = self.recon, self.diss_spec, self.viscous
         n = grid.n_cells
         for win in windows:
@@ -552,32 +676,71 @@ class _StageWork:
             if viscous:
                 net_ab -= g_flux
 
-    def _close(self, grid, gas, flux_kind, bcs):
-        net, rhs, n = wrap(self.net), wrap(self.rhs), grid.n_cells
-        if bcs.right.kind == "shock_outflow":
+    def _close(self, a, b, grid, gas, flux_kind, bcs):
+        # the rhs of the cells between two of the faces a .. b - 1
+        net, n = wrap(self.net), grid.n_cells
+        rhs = wrap(self.rhs)[:, a:b - 1]
+        if b == n + 1 and bcs.right.kind == "shock_outflow":
             # boundary-flux step: the last face carries the prescribed mass
             # flux and, in momentum and energy, the net flux of the face
             # before it, so the last cell sees zero update in them
             net[0, n:] = bcs.right.mass_flux
             net[1:, n] = net[1:, n - 1]
         # -(net[1:] - net[:-1]) / dx: x / -dx is -(x / dx) bitwise
-        np.subtract(net[:, 1:], net[:, :-1], out=rhs)
+        np.subtract(net[:, a + 1:b], net[:, a:b - 1], out=rhs)
         rhs /= -grid.dx
 
 
 class _Lane:
-    """The windows of a stage workspace between the cuts, whose records
-    (means: each window's, without repeats) share one buffer (records),
-    and the scratch of their recorded calls."""
+    """The faces a .. b - 1 (faces) of a stage workspace, in windows
+    whose records share one buffer (records), and the scratch of their
+    recorded calls.  Of two lanes run as a pair, open() forms the lane's
+    cells in the cell block, as edges() set it."""
 
-    def __init__(self, work, cuts, recon, diss, viscous):
+    def __init__(self, work, a, b, recon, diss, viscous):
+        # k windows of equal size, give or take a face, so that each
+        # window of a larger grid holds more than WINDOW / 2 = 4,096
+        # faces: numpy buffers, and allocates for, a 2-D call on a strided
+        # or broadcast operand whose rows are shorter
+        k = -(-(b - a) // WINDOW)
+        cuts = [a + i * (b - a) // k for i in range(k + 1)]
         cell_pairs = recon.order == 1 or diss.kind == "scalar" or viscous
-        self.records = np.empty(work.room * (cell_pairs + (recon.order == 2)))
+        self.faces = slice(a, b)
+        self.records = work._new(work.room
+                                 * (cell_pairs + (recon.order == 2)))
         self.windows = [_Window(work, a, b, recon, cell_pairs, self.records)
                         for a, b in zip(cuts, cuts[1:])]
-        self.means = {m for win in self.windows
-                      for m in (win.cell_means, win.means)} - {None}
         self.scratch = np.empty(0)
+
+    def edges(self, work, bcs: BoundarySpec, given):
+        """Set what open() forms under the boundaries bcs: the spans of
+        cells the lane's windows read, its own first (an invalid cell of
+        the other end is the other lane's too), as (the list holding
+        their conserved cells, their columns, their rows, its rows rho and
+        p, a scratch row), and the ghosts of its end that copy a cell."""
+        rows, n = work.rows, work.rows.shape[1] - 4
+        a, b = self.faces.start, self.faces.stop
+        # the cells a - 2 .. b and, under periodic boundaries, two cells
+        # at the other end as its end's ghosts: (cells lo .. hi - 1, their
+        # column in rows, the first lane's given cells or the second's copy)
+        spans = ([(0, b + 1, 2, given), (n - 2, n, 0, given)] if a == 0
+                 else [(a - 2, n, a, [work.rhs]), (0, 2, n + 2, [work.edge])])
+        self.spans = [(src, slice(lo, hi), (r := rows[:, col:col + hi - lo]),
+                       r[::2], self.scratch[:hi - lo])
+                      for lo, hi, col, src in spans[:1 + bcs.is_periodic]]
+        bc, ghost, edge = ((bcs.left, rows[:, :2], rows[:, 2:3]) if a == 0
+                           else (bcs.right, rows[:, -2:], rows[:, -3:-2]))
+        self.ghosts = [] if bcs.is_periodic else [(ghost, _ghost(bc, edge))]
+        self.gm1 = work.gm1
+
+    def open(self):
+        """Form the lane's cells in the cell block, a span at a time, each
+        checked before the next (_check), and then copy its ghosts."""
+        for src, cells, rows, rho_p, t in self.spans:
+            _to_prim(src[0][:, cells], *rows, t, self.gm1)
+            _check(rows, rho_p, cells.start)
+        for ghost, edge in self.ghosts:
+            ghost[...] = edge
 
 
 class _Window:
@@ -622,29 +785,19 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
         work = _StageWork(grid.n_cells, recon, diss, gas.is_viscous)
     elif work.key != (grid, gas, flux_kind, bcs):
         work.bind(grid, gas, flux_kind, bcs)
-    # the stage writes rho, u and p (cons_to_prim's formula) into the cell
-    # block and then the ghosts; the records form beta and u^2
-    rho_row, u, p, t = work.prim
-    # rows by index: unpacking an array costs ~0.3 us more
-    rho, m, E = cells[0], cells[1], cells[2]
-    rho_row[...] = rho
-    np.divide(m, rho, u)
-    np.multiply(_HALF, m, t)
-    np.multiply(t, u, t)
-    np.subtract(E, t, t)
-    np.multiply(work.gm1 if held else gas.gamma - 1.0, t, p)
-    # a valid cell is finite with rho > 0 and p > 0.  The min fails on a
-    # rho or p that is not > 0 or is NaN, the max on inf or NaN; u = -inf
-    # makes p -inf or NaN.  Only a failure looks for the first bad cell.
-    # (The ufuncs' reduce is ndarray.min and max without their wrapper.)
-    inner = work.inner
-    if not (np.minimum.reduce(work.rho_p, None) > 0.0
-            and np.maximum.reduce(inner, None) < np.inf):
-        valid = np.isfinite(inner).all(axis=0) & (inner[::2] > 0.0).all(axis=0)
-        idx = int(np.argmin(valid))
-        raise InvalidStateError(
-            f"invalid state in cell {idx}: rho={inner[0, idx]:.6g}, "
-            f"p={inner[2, idx]:.6g}")
+    if held and work.given is not None:
+        # paired lanes form and check their own cells (_Lane.open), the
+        # second from the shared buffer: its cells cut - 2 .. n - 1 in rhs,
+        # whose columns it writes last, and 0 and 1 (its periodic ghosts)
+        cut = work.cut
+        work.rhs[:, cut - 2:] = cells[:, cut - 2:]
+        work.edge[...] = cells[:, :2]
+        work.given[0] = cells
+    else:
+        # the stage writes rho, u and p into the cell block and then the
+        # ghosts; the records form beta and u^2
+        _to_prim(cells, *work.prim, work.gm1 if held else gas.gamma - 1.0)
+        _check(work.inner, work.rho_p)
     if held:
         for f, a in work.calls:
             f(*a)

@@ -1,4 +1,5 @@
 import csv
+import mmap
 import os
 import signal
 from dataclasses import replace
@@ -343,22 +344,50 @@ class TestForkedWriter:
                 in_process.append(os.path.basename(path))
             write_snapshot(path, *args)
 
-        def listed_blocks(fh, fields, columns, blocks):
+        def listed_blocks(fh, fields, columns, rows):
             if os.getpid() == parent:
-                formatted.extend(blocks)
-            write_blocks(fh, fields, columns, blocks)
+                formatted.extend(rows)
+            write_blocks(fh, fields, columns, rows)
 
         monkeypatch.setattr(driver, "_write_snapshot", listed)
         monkeypatch.setattr(driver, "_write_blocks", listed_blocks)
         crossed = run(cfg, str(tmp_path / "crossed"))
         assert_no_children()
         assert writers["forks"] == 1
-        # the child writes every snapshot; the run formats the blocks of
-        # its own half of the last one only
+        # the child writes every snapshot; the run formats the rows of its
+        # own half of the last one only, whatever the block size
         assert in_process == []
-        n_blocks = -(-45 // block_rows)
-        assert formatted == list(range(n_blocks // 2, n_blocks))
+        assert formatted == list(range(45 // 2, 45))
         assert_same_run(crossed, alone)
+
+    def test_one_block_last_snapshot_split(self, tmp_path, monkeypatch):
+        # the last snapshot of 45 rows is one block of _CSV_BLOCK_ROWS, as
+        # budget_dense's 500 rows are: the child writes the header and rows
+        # 0 .. 21 of it, the run formats rows 22 .. 44, and the file is the
+        # one an in-process run writes
+        assert driver._CSV_BLOCK_ROWS >= 45
+        cfg = config_from_dict(SOD_MARKS)
+        alone = run(cfg, str(tmp_path / "in_process"))
+        writers = fork_every_snapshot(monkeypatch)
+        parent, write_blocks = os.getpid(), driver._write_blocks
+        # the rows of the child's one call for less than a whole snapshot
+        cut = np.frombuffer(mmap.mmap(-1, 16), np.int64)
+        formatted = []
+
+        def listed_blocks(fh, fields, columns, rows):
+            if os.getpid() == parent:
+                formatted.append(rows)
+            elif len(rows) < 45:
+                cut[:] = rows.start, rows.stop
+            write_blocks(fh, fields, columns, rows)
+
+        monkeypatch.setattr(driver, "_write_blocks", listed_blocks)
+        split = run(cfg, str(tmp_path / "split"))
+        assert_no_children()
+        assert writers["forks"] == 1
+        assert cut.tolist() == [0, 22]
+        assert formatted == [range(22, 45)]
+        assert_same_run(split, alone)
 
     def test_steady_stop_leaves_no_child(self, tmp_path, monkeypatch):
         # 2 + 1000 planned snapshots of 26 rows fork at the first, and the
@@ -467,10 +496,10 @@ class TestForkedWriter:
         # is raised, not the failed child's
         write_blocks = driver._write_blocks
 
-        def failing_halves(fh, fields, columns, blocks):
-            if len(blocks) != len(driver._blocks(len(columns[0]))):
+        def failing_halves(fh, fields, columns, rows):
+            if len(rows) != len(columns[0]):
                 raise RuntimeError("no rows")
-            write_blocks(fh, fields, columns, blocks)
+            write_blocks(fh, fields, columns, rows)
 
         monkeypatch.setattr(driver, "_CSV_BLOCK_ROWS", 7)
         monkeypatch.setattr(driver, "_write_blocks", failing_halves)

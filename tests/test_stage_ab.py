@@ -43,9 +43,10 @@ def test_every_config_timed(stage_ab, capsys):
     for line, (name, n, law) in zip(lines[1::len(stage_ab.KINDS)],
                                     stage_ab.CONFIGS):
         assert ("; one lane " in line) == (n >= LANES), line
-    # the budget sample and the snapshot are timed beside the stage, dt
-    # and the RK step
-    assert stage_ab.KINDS == ("rhs", "dt", "rk3", "budget", "snapshot")
+    # the budget sample, the snapshot and the workspace's recording are
+    # timed beside the stage, dt and the RK step
+    assert stage_ab.KINDS == ("rhs", "dt", "rk3", "budget", "snapshot",
+                              "bind")
     # both benchmark sizes of the JST path are timed
     assert ("ns_shock_structure_n50", 50, None) in stage_ab.CONFIGS
     assert ("sod_viscous", 500, None) in stage_ab.CONFIGS

@@ -313,11 +313,17 @@ def test_held_calls_take_array_operands(flux_kind, bc):
 
 # -- several windows against one ----------------------------------------------
 
-# three balanced windows each: of 5,462 faces, and of 8,191, 8,192 and
-# 8,192 faces
+# three balanced windows each in one lane: of 5,462 faces, and of 8,191,
+# 8,192 and 8,192 faces
 MULTI_N = (2 * WINDOW + 1, 3 * WINDOW - 2)
 # the fewest cells that run in two lanes given a second CPU
 LANE_N = LANES
+# the windows of each lane, in one lane and in two: the halves of 16,386
+# faces are cut at face 8,192 (one window, and two of 4,097), of 24,575
+# at 12,287 (6,143 or 6,144 faces a window), and of 10,001 at 5,000
+LANE_WINDOWS = {(MULTI_N[0], 1): [3], (MULTI_N[0], 2): [1, 2],
+                (MULTI_N[1], 1): [3], (MULTI_N[1], 2): [2, 2],
+                (LANE_N, 1): [2], (LANE_N, 2): [1, 1]}
 
 
 def single_window(n, recon, diss, viscous, monkeypatch):
@@ -381,8 +387,8 @@ def test_windows_equal_one_window(n, monkeypatch):
         work = _StageWork(n, recon, diss, gas.is_viscous)
         one = single_window(n, recon, diss, gas.is_viscous, monkeypatch)
         assert len(work.lanes) == lanes
-        if n != LANE_N:
-            assert len(work.windows) == 3
+        assert [len(lane.windows) for lane in work.lanes] == \
+            LANE_WINDOWS[n, lanes]
         edges = [win.faces.start for win in work.windows[1:]]
         cells = prim_to_cons(window_edge_state(rng, n, edges), gas)
         for bc in sorted(MULTI_BOUNDARIES):
@@ -524,6 +530,58 @@ def test_errors_in_both_lanes_raised_once(monkeypatch):
         results.append(bits(rhs))
         work.close()
     assert np.array_equal(*results)
+
+
+@pytest.mark.parametrize("n", [LANE_N, 2 * LANE_N + 1])
+def test_invalid_cell_about_the_lane_cut(n, monkeypatch):
+    # one invalid cell (p = -1, or rho = NaN) in a cell that both lanes
+    # form about their cut, at either grid end (under periodic boundaries
+    # the other lane's ghosts too) or deep in either lane: two lanes raise
+    # the message one lane raises, naming that cell, a two-lane march ends
+    # on it at step 0, and no process but the held lane process is left.
+    # Of two bad cells, the lower invalid one is named, whichever lane
+    # forms it, and before the other lane's log_mean error (beta_underflow)
+    base = replace(_SOD, grid=Grid1D(n),
+                   time=replace(_SOD.time, max_steps=3))
+    prim = cons_to_prim(initial_state(base), base.gas)
+    for bc in sorted(MULTI_BOUNDARIES):
+        config = replace(base, bcs=MULTI_BOUNDARIES[bc])
+        works = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(spatial, "_cpus", lambda cpus=cpus: cpus)
+            works.append(_StageWork(n, config.recon, config.diss, False))
+        cut = works[1].cut
+        assert len(works[1].lanes) == 2 and 0 < cut < n
+        deep = (cut // 2, (cut + n) // 2)
+        # (the cell named, {cell: its (rho, p), None where unchanged})
+        cases = [(cell, {cell: bad})
+                 for cell in (cut - 2, cut - 1, cut, 0, n - 1) + deep
+                 for bad in ((None, -1.0), (np.nan, None))]
+        cases += [(deep[1], {n - 1: (None, -1.0), deep[1]: (None, -1.0)}),
+                  (deep[1], {deep[0]: (1e-200, 1e125),
+                             deep[1]: (None, -1.0)})]
+        for cell, bad in cases:
+            case = f"{bc} {bad}"
+            rows = [prim.rho.copy(), prim.u, prim.p.copy()]
+            for k, values in bad.items():
+                for row, value in zip(rows[::2], values):
+                    if value is not None:
+                        row[k] = value
+            w = prim_to_cons(PrimState(*rows), config.gas)
+            errors = [raised(lambda work=work: assemble_rhs(
+                *stage_args(config, work, w))) for work in works]
+            assert lane_pair(works[1]), case
+            assert errors[0] == errors[1], case
+            kind, message = errors[0]
+            assert kind is InvalidStateError, case
+            assert message.startswith(f"invalid state in cell {cell}: "), case
+            *_, last = march(config, w)
+            assert (last.reason, last.step, str(last.error)) == (
+                "invalid_state", 0, "stage 1: " + message), case
+            assert_lane_process(True)
+        for work in works:
+            work.close()
+        assert_no_children()
 
 
 def test_wrapped_kernel_keeps_one_lane(monkeypatch):
@@ -726,8 +784,12 @@ def test_workspace_size_stops_growing_at_one_window(name):
     config = HELD_CONFIGS[name]
     records = bound_size(config, WINDOW - 1)[0]
     for n in (2 * WINDOW, 100_000):
-        k = -(-(n + 1) // WINDOW)
-        widest = -(-(n + 1) // k)
+        # the widest of the balanced windows of each lane (of one, or of
+        # two halves cut by faces)
+        lanes = _StageWork(n, config.recon, config.diss,
+                           config.gas.is_viscous).lanes
+        widest = max(-(-faces // -(-faces // WINDOW)) for faces in
+                     (lane.faces.stop - lane.faces.start for lane in lanes))
         assert bound_size(config, n) == (
             records, bound_size(config, widest - 1)[1]), n
     assert all(a < b for a, b in zip(bound_size(config, WINDOW // 2),
