@@ -11,18 +11,17 @@ most WINDOW faces, each with the FaceMeans record of its face pairs as
 the pair input of its kernels, whose fluxes go to the window's columns
 of stacked (3, n + 1) arrays.  All of it lives in a stage workspace
 (_StageWork) that the march holds and every call refills, by replaying
-the calls recorded once from the kernels' formula code (kepes.record); a
-one-shot call runs that code at once; the calls of a window are
-recorded once per width and moved to the other windows of that width
-(record.moved).  A held stage of at least LANES cells, given a second
-CPU, runs two halves of its faces as two lanes, the second in a forked
-lane process (_LaneChild), in a shared mmap: each lane forms and checks
-its cells and the halo its windows read, fills the ghosts of its end,
-runs its windows and writes the rhs of its cells, bitwise as in one
-lane.  The net flux F - G is formed once, and a shock_outflow boundary
-writes its last face there alone.  FaceData
-returns the per-face quantities of the budget diagnostics, derived only
-when read.
+the calls recorded once from the kernels' formula code (kepes.record),
+one window per lane and width, moved to the lane's other windows of
+that width (record.moved); a one-shot call runs that code at once.  A
+held stage of at least LANES cells, given a second CPU, runs two halves
+of its faces as two lanes, the second in a forked lane process
+(_LaneChild), in a shared mmap: each lane forms and checks its cells
+and the halo its windows read, fills the ghosts of its end, runs its
+windows and writes the rhs of its cells, bitwise as in one lane.  The
+net flux F - G is formed once, and a shock_outflow boundary writes its
+last face there alone.  FaceData returns the per-face quantities of the
+budget diagnostics, derived only when read.
 """
 
 from __future__ import annotations
@@ -454,14 +453,14 @@ class _StageWork:
         two = n + 1 > WINDOW and n >= LANES and _spare_cpu()
         # the cell block, the four fluxes and rhs, each on rows of its
         # own, in one buffer, for two lanes with the conserved cells 0 and
-        # 1 (edge) last, in a shared mmap that the child writes
+        # 1 (head) last, in a shared mmap that the child writes
         self.shared = two
         self.buf = buf = self._new(20 * n + 32 + 6 * two)
         self.block = buf[:5 * (n + 4)].reshape(5, n + 4)
         self.central, self.diss, self.visc, self.net = (
             buf[5 * (n + 4):17 * n + 32].reshape(4, 3, n + 1))
         self.rhs = buf[17 * n + 32:20 * n + 32].reshape(3, n)
-        self.edge = buf[20 * n + 32:].reshape(3, 2) if two else None
+        self.head = buf[20 * n + 32:].reshape(3, 2) if two else None
         self.rows = rows = self.block[::2]
         self.inner = inner = rows[:, 2:-2]
         self.rho_p = inner[::2]
@@ -724,7 +723,7 @@ class _Lane:
         # at the other end as its end's ghosts: (cells lo .. hi - 1, their
         # column in rows, the first lane's given cells or the second's copy)
         spans = ([(0, b + 1, 2, given), (n - 2, n, 0, given)] if a == 0
-                 else [(a - 2, n, a, [work.rhs]), (0, 2, n + 2, [work.edge])])
+                 else [(a - 2, n, a, [work.rhs]), (0, 2, n + 2, [work.head])])
         self.spans = [(src, slice(lo, hi), (r := rows[:, col:col + hi - lo]),
                        r[::2], self.scratch[:hi - lo])
                       for lo, hi, col, src in spans[:1 + bcs.is_periodic]]
@@ -791,7 +790,7 @@ def assemble_rhs(cells, grid: Grid1D, gas: GasModel, flux_kind: str,
         # whose columns it writes last, and 0 and 1 (its periodic ghosts)
         cut = work.cut
         work.rhs[:, cut - 2:] = cells[:, cut - 2:]
-        work.edge[...] = cells[:, :2]
+        work.head[...] = cells[:, :2]
         work.given[0] = cells
     else:
         # the stage writes rho, u and p into the cell block and then the
