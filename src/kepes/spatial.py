@@ -707,8 +707,9 @@ class _Lane:
         self.faces = slice(a, b)
         self.records = work._new(work.room
                                  * (cell_pairs + (recon.order == 2)))
-        self.windows = [_Window(work, a, b, recon, cell_pairs, self.records)
-                        for a, b in zip(cuts, cuts[1:])]
+        self.windows = [_Window(work, lo, hi, recon, cell_pairs,
+                                self.records)
+                        for lo, hi in zip(cuts, cuts[1:])]
         self.scratch = np.empty(0)
 
     def edges(self, work, bcs: BoundarySpec, given):
