@@ -36,13 +36,16 @@ times a batch of calls per call kind, alternating which goes first, and
 for each of rhs, dt, rk3, budget, snapshot and bind the medians and
 quartiles in us per call, old/new of the medians and the rounds the new
 tree won are printed, with the median of each tree's one-shot rhs.  The
-data are the config's initial state perturbed by a seeded relative 1e-3.  Two
-trees in one process share one heap, and at 10^4 cells the first-listed
-tree read 2-4 % faster on identical call lists, so a config of at least
-CHILD_CELLS cells is timed in one child process per tree (this script
-with --child), whose rounds time that tree alone; the tree whose child
-runs first alternates from one such config to the next.  The checks
-above run in this process for every config.  A child of a tree whose
+data are the config's initial state perturbed by a seeded relative
+1e-3.  Two trees in one process share one heap, and at 10^4 cells the
+first-listed tree read 2-4 % faster on identical call lists, so a
+config of at least CHILD_CELLS cells is timed in child processes (this
+script with --child), each timing at most CHILD_ROUNDS rounds of one
+tree alone; the two trees' children take turns, the tree whose child
+runs first alternating from one batch, and from one such config, to
+the next, so that load that comes and goes on the host falls on both
+trees.  The checks above run in this process for every config.  A
+child of a tree whose
 stage runs in two lanes from spatial.LANES cells, at a config of at least
 that many, also times a held stage in one lane (its spatial._cpus read as
 1 while the workspace is built), whose rhs must be np.array_equal to the
@@ -67,8 +70,11 @@ CONFIGS = ([("stationary_shock_m4", 24, law)
            + [(name, n, None) for name in ("sod", "ns_shock_structure_n200_d4")
               for n in (200, 10_000)]
            + [("sod", 100_000, None)])
-# a config of at least this many cells is timed in child processes
+# a config of at least this many cells is timed in child processes, each
+# of at most CHILD_ROUNDS rounds: the trees' children take turns, so load
+# that comes and goes on the host falls on both trees
 CHILD_CELLS = 10_000
+CHILD_ROUNDS = 5
 # the timed call kinds of each config, in printed order
 KINDS = ("rhs", "dt", "rk3", "budget", "snapshot", "bind")
 # the FaceData arrays of the stage that the two trees must give equal
@@ -243,17 +249,22 @@ def child(argv):
 
 def timed_apart(srcs, name, n, law, args, first):
     """us per call of both trees' calls of the config, {kind: {(side,
-    key): us}}, each tree timed in a child process of its own, tree
-    first's child first."""
+    key): us}}, each tree timed in child processes of its own of at most
+    CHILD_ROUNDS rounds each, the two trees' children in turn, tree
+    first's child first and then first in every other batch."""
     us = {}
-    for side in (first, 1 - first):
-        out = subprocess.run(
-            [sys.executable, __file__, "--child", srcs[side], name, str(n),
-             law or "", str(args.rounds), str(args.seed)],
-            check=True, capture_output=True, text=True).stdout
-        for kind, timed in json.loads(out).items():
-            us.setdefault(kind, {}).update(
-                ((side, key), t) for key, t in timed.items())
+    for done in range(0, args.rounds, CHILD_ROUNDS):
+        rounds = min(CHILD_ROUNDS, args.rounds - done)
+        for side in (first, 1 - first):
+            out = subprocess.run(
+                [sys.executable, __file__, "--child", srcs[side], name,
+                 str(n), law or "", str(rounds), str(args.seed)],
+                check=True, capture_output=True, text=True).stdout
+            for kind, timed in json.loads(out).items():
+                for key, t in timed.items():
+                    us.setdefault(kind, {}).setdefault((side, key),
+                                                       []).extend(t)
+        first = 1 - first
     return us
 
 

@@ -466,10 +466,11 @@ class _StageWork:
         self.rho_p = inner[::2]
         # face k sits between cells k+1 and k+2 of rows
         self.sides = rows[:, 1:n + 3]
-        if diss.kind == "none":
-            self.diss[...] = 0.0
-        if not viscous:
-            self.visc[...] = 0.0
+        if not two:  # a new mmap reads zero
+            if diss.kind == "none":
+                self.diss[...] = 0.0
+            if not viscous:
+                self.visc[...] = 0.0
         # rhs is written last: its first row is the prologue's temporary
         self.prim = (inner[0], inner[1], inner[2], self.rhs[0])
         # the middle face, or the one before it where a lane of WINDOW + 1
