@@ -217,9 +217,6 @@ def jst_dissipation(cells, m: FaceMeans, gas: GasModel,
     q_{j+1}); beta, when given, is rho / (2 p) of the cells, as the
     stage's cell block holds it.  work is as record.run takes it.
     """
-    # the beta mean, a log mean or not, is formed before any temporary of
-    # work is written
-    _beta_mean(m, spec.beta_average)
     ends = end_rule if isinstance(end_rule, tuple) else (end_rule,) * 2
     return run(work, _jst, cells, m, gas, spec, ends, beta)
 
@@ -377,7 +374,4 @@ def matrix_dissipation(m: FaceMeans, gas: GasModel, spec: DissipationSpec,
     then R w, formed in place.  The averages (rho, u, a, H) are
     face_average's, and each face quantity is formed once.  work is as
     record.run takes it."""
-    # the log means that entropy_vars_jump reads are formed before a
-    # temporary of work is written
-    m.rho_ln
     return run(work, _matrix, m, gas, spec, flux_kind)

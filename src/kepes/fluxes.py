@@ -7,9 +7,8 @@ remaining averages with logarithmic means so that the two-point condition
 dv . f = d(rho u) holds exactly across any interface.
 Every flux takes the FaceMeans record of its pairs and returns the stacked
 (3, ...) array (f_rho, f_m, f_e); the solver passes the one record it
-builds per stage.  A flux's work is the array that takes the result or,
-for a flux whose formula the stage records (FORMULAS), as record.run
-takes it.
+builds per stage.  Each runs its formula (FORMULAS), which the stage
+records, and takes work as record.run does.
 """
 
 from __future__ import annotations
@@ -18,10 +17,11 @@ from functools import partial
 
 import numpy as np
 
-from .record import empty, run
+from .record import call, empty, run
 from .thermo import (
     FaceMeans,
     _avg,
+    _log_mean,
     _stacked,
     GasModel,
     PrimState,
@@ -42,12 +42,17 @@ __all__ = [
 ]
 
 
-def exact_flux(q: PrimState, gas: GasModel) -> np.ndarray:
-    """Pointwise Euler flux (rho u, p + rho u^2, (E + p) u)."""
+def _exact(q, gas: GasModel):
+    """The rows of exact_flux, as formula code."""
     rho, u, p = q
     f_rho = rho * u
     H = total_enthalpy(q, gas)
-    return _stacked(f_rho, p + f_rho * u, f_rho * H)
+    return f_rho, p + f_rho * u, f_rho * H
+
+
+def exact_flux(q: PrimState, gas: GasModel) -> np.ndarray:
+    """Pointwise Euler flux (rho u, p + rho u^2, (E + p) u)."""
+    return _stacked(*_exact(q, gas))
 
 
 def _kep_family(m: FaceMeans, gas: GasModel, out=None, log=True):
@@ -67,16 +72,47 @@ def _kep_family(m: FaceMeans, gas: GasModel, out=None, log=True):
     return out
 
 
+def _kep(m: FaceMeans, gas: GasModel, out=None):
+    """flux_kep's formula, into out (new unless given)."""
+    out = empty(3, *m.shape) if out is None else out
+    H_bar = _avg(total_enthalpy(m.left, gas), total_enthalpy(m.right, gas))
+    out[0] = m.rho_bar * m.u_bar
+    out[1] = m.p_bar + m.u_bar * out[0]
+    out[2] = out[0] * H_bar
+    return out
+
+
 def flux_kep(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
     """Kinetic-energy-preserving flux built from plain arithmetic averages.
 
     f_rho = rho_bar u_bar, p_tilde = p_bar, f_e = rho_bar u_bar H_bar.
     """
-    out = np.empty((3,) + m.shape) if work is None else work
-    H_bar = _avg(total_enthalpy(m.left, gas), total_enthalpy(m.right, gas))
-    out[0] = m.rho_bar * m.u_bar
-    out[1] = m.p_bar + m.u_bar * out[0]
-    out[2] = out[0] * H_bar
+    return run(work, _kep, m, gas)
+
+
+def _roe_ec(m: FaceMeans, gas: GasModel, out=None):
+    """flux_roe_ec's formula, into out (new unless given)."""
+    g = gas.gamma
+    (rho_l, u_l, p_l), (rho_r, u_r, p_r) = m.left, m.right
+    z1l, z1r = np.sqrt(rho_l / p_l), np.sqrt(rho_r / p_r)
+    z2l, z2r = z1l * u_l, z1r * u_r
+    z3l, z3r = z1l * p_l, z1r * p_r
+
+    z1_bar, z2_bar, z3_bar = _avg(z1l, z1r), _avg(z2l, z2r), _avg(z3l, z3r)
+    z1_ln = call(log_mean, _log_mean, z1l, z1r, empty(*m.shape))
+    z3_ln = call(log_mean, _log_mean, z3l, z3r, empty(*m.shape))
+
+    rho_t = z1_bar * z3_ln
+    u_t = z2_bar / z1_bar
+    p1_t = z3_bar / z1_bar
+    p2_t = (g + 1.0) / (2.0 * g) * z3_ln / z1_ln + (g - 1.0) / (2.0 * g) * p1_t
+    a_t = np.sqrt(g * p2_t / rho_t)
+    H_t = a_t * a_t / (g - 1.0) + 0.5 * u_t * u_t
+
+    out = empty(3, *m.shape) if out is None else out
+    out[0] = rho_t * u_t
+    out[1] = p1_t + u_t * out[0]
+    out[2] = H_t * out[0]
     return out
 
 
@@ -89,30 +125,7 @@ def flux_roe_ec(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
     u_tilde = z2_bar/z1_bar instead of the arithmetic mean.  Its averages
     are means of z, not of (rho, u, beta): it reads only the sides of m.
     """
-    g = gas.gamma
-    (rho_l, u_l, p_l), (rho_r, u_r, p_r) = m.left, m.right
-    wl = np.sqrt(rho_l / p_l)
-    wr = np.sqrt(rho_r / p_r)
-    z1l, z1r = wl, wr
-    z2l, z2r = wl * u_l, wr * u_r
-    z3l, z3r = wl * p_l, wr * p_r
-
-    z1_bar, z2_bar, z3_bar = _avg(z1l, z1r), _avg(z2l, z2r), _avg(z3l, z3r)
-    z1_ln = log_mean(z1l, z1r)
-    z3_ln = log_mean(z3l, z3r)
-
-    rho_t = z1_bar * z3_ln
-    u_t = z2_bar / z1_bar
-    p1_t = z3_bar / z1_bar
-    p2_t = (g + 1.0) / (2.0 * g) * z3_ln / z1_ln + (g - 1.0) / (2.0 * g) * p1_t
-    a_t = np.sqrt(g * p2_t / rho_t)
-    H_t = a_t * a_t / (g - 1.0) + 0.5 * u_t * u_t
-
-    out = np.empty((3,) + m.shape) if work is None else work
-    out[0] = rho_t * u_t
-    out[1] = p1_t + u_t * out[0]
-    out[2] = H_t * out[0]
-    return out
+    return run(work, _roe_ec, m, gas)
 
 
 def flux_kepec_ac(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
@@ -131,9 +144,17 @@ def flux_kepec(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
     Same structure as flux_kepec_ac with the density and beta averages in
     the mass and energy fluxes replaced by logarithmic means.
     """
-    # the log means are formed before a temporary of work is written
-    m.rho_ln
     return run(work, _kep_family, m, gas)
+
+
+def _central_mean(m: FaceMeans, gas: GasModel, out=None):
+    """flux_central_mean's formula, into out (new unless given)."""
+    out = empty(3, *m.shape) if out is None else out
+    for k, (f_l, f_r) in enumerate(zip(_exact(m.left, gas),
+                                       _exact(m.right, gas))):
+        out[k] = f_l + f_r
+    out *= 0.5
+    return out
 
 
 def flux_central_mean(m: FaceMeans, gas: GasModel,
@@ -145,10 +166,7 @@ def flux_central_mean(m: FaceMeans, gas: GasModel,
     record's sides, which are broadcast against each other, so a scalar
     side combines with an array side.
     """
-    out = np.empty((3,) + m.shape) if work is None else work
-    np.add(exact_flux(m.left, gas), exact_flux(m.right, gas), out)
-    out *= 0.5
-    return out
+    return run(work, _central_mean, m, gas)
 
 
 def tadmor_residual(left: PrimState, right: PrimState, flux, gas: GasModel):
@@ -170,7 +188,7 @@ CENTRAL_FLUXES = {
     "kepec": flux_kepec,
     "roe_baseline": flux_central_mean,
 }
-# The formulas of the fluxes that the stage records; the others run as
-# they are, into the stage's array
-FORMULAS = {"kepec_ac": partial(_kep_family, log=False),
-            "kepec": _kep_family}
+# The formula of each flux, which the stage records
+FORMULAS = {"kep": _kep, "roe_ec": _roe_ec,
+            "kepec_ac": partial(_kep_family, log=False),
+            "kepec": _kep_family, "roe_baseline": _central_mean}

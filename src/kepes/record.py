@@ -55,7 +55,7 @@ def wrap(x):
 def call(kernel, formula, *args):
     """kernel(*args) in formula code, args ending with the out that takes
     the result: called at once, or recorded as one entry whose work holds
-    formula(*args)'s calls (is out, with formula None)."""
+    formula(*args)'s calls."""
     if _active is None:
         return kernel(*args)
     return _active.entry(kernel, formula, args[:-1], args[-1])
@@ -263,12 +263,11 @@ class Recorder:
             self.stores.append(i)
 
     def entry(self, kernel, formula, inputs, out):
-        sub = None if formula is None else []
+        sub = []
         self.lists[-1].append((kernel, inputs, out, sub))
-        if sub is not None:
-            self.lists.append(sub)
-            formula(*inputs, out)
-            self.lists.pop()
+        self.lists.append(sub)
+        formula(*inputs, out)
+        self.lists.pop()
         # what the kernel is passed lives through its calls
         self._use(len(self.calls) - 1, out, *inputs)
         return out
@@ -349,9 +348,7 @@ class Recorder:
         for item in items:
             if type(item) is not int:
                 kernel, inputs, out, sub = item
-                work = self._array(out)
-                if sub is not None:
-                    work = work, self._bound(sub)
+                work = self._array(out), self._bound(sub)
                 inputs = [const(x) if type(x) in (float, int)
                           else self.real.get(id(x), self._array(x))
                           for x in inputs]

@@ -36,7 +36,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import thermo
 from .dissipation import (DissipationSpec, _jst, _matrix, jst_dissipation,
                           matrix_dissipation)
 from .fluxes import CENTRAL_FLUXES, FORMULAS
@@ -49,7 +48,6 @@ from .thermo import (
     PrimState,
     _check_states,
     _fields,
-    _log_mean,
     _means,
     _temperature,
     temperature,
@@ -391,11 +389,10 @@ class _LaneChild:
 def _lanes(first, second, child):
     """Replay the bound calls first here while the _LaneChild child
     replays second under this call's np.errstate; both run here once the
-    child has stopped, or while log_mean, which a record looks up at each
-    read, is a wrapper.  Once both have stopped, an exception of either
+    child has stopped.  Once both have stopped, an exception of either
     is raised here: the invalid state of the lower cell (_check), as one
     lane checks every cell before its first window, else first's."""
-    here = child.pid is None or hasattr(thermo.log_mean, "__wrapped__")
+    here = child.pid is None
     if not here:
         try:
             os.write(child.commands, pickle.dumps(np.geterr()))
@@ -437,15 +434,14 @@ class _StageWork:
     code, run at once by a one-shot stage; bind() records it into calls,
     each public kernel one entry.  It records the first window of each
     kind of a lane (its width and, for the JST end rule, the grid ends it
-    holds) and its records' log means (their _ln_work), and moves that
-    list to the lane's other windows of the kind (_moved).  Two lanes of
-    kepes's own kernels (_own) run as one _lanes entry, whose second lane
-    a _LaneChild replays until close() or the next bind: each lane forms
-    and checks its cells (_Lane.open), runs its windows and writes the
-    rhs of the cells between two of its faces but cells cut - 2 and
-    cut - 1, whose rhs the calls after the entry write.  A kernel forms
-    the log means it reads before it writes a temporary, so their
-    temporaries, placed apart, share the scratch.
+    holds) and moves that list to the lane's other windows of the kind
+    (_moved).  A record forms its log means with its other averages, and
+    only where the config reads them (_faces).  Two lanes of kepes's own
+    kernels (_own) run as one _lanes entry, whose second lane a _LaneChild
+    replays until close() or the next bind: each lane forms and checks
+    its cells (_Lane.open), runs its windows and writes the rhs of the
+    cells between two of its faces but cells cut - 2 and cut - 1, whose
+    rhs the calls after the entry write.
     """
 
     def __init__(self, n: int, recon: ReconSpec, diss: DissipationSpec,
@@ -516,31 +512,25 @@ class _StageWork:
             a, b = win.faces.start, win.faces.stop
             return i, b - a, ends and (a == 0, b == n + 1)
 
-        # the first window of each kind: it, its calls and its records' log
-        # means, recorded
+        # the first window of each kind, and its calls recorded
         shown = {}
         for i, lane in enumerate(self.lanes):
             for win in lane.windows:
                 if kind(i, win) not in shown:
-                    shown[kind(i, win)] = [
-                        win, record(self._faces, [win], *key),
-                        [(m, record(_log_mean, *m._ln_sides, m._ln))
-                         for m in {win.cell_means, win.means} - {None}]]
+                    shown[kind(i, win)] = [win,
+                                           record(self._faces, [win], *key)]
         # of two lanes, each forms up to n // 2 + 3 cells with a row of its
         # scratch (_Lane.open)
         size = max([(n // 2 + 3) * (len(self.lanes) - 1)]
-                   + [rec.size for _, stage, lns in shown.values()
-                      for rec in (stage, *(rec for _, rec in lns))])
+                   + [stage.size for _, stage in shown.values()])
         lists, seen, same = [], {}, set()
         for i, lane in enumerate(self.lanes):
             if lane.scratch.size < size:
                 lane.scratch = self._new(size)
             lists.append([])
             for win in lane.windows:
-                tpl, stage, lns = item = shown[kind(i, win)]
+                tpl, stage = item = shown[kind(i, win)]
                 if win is tpl:
-                    for m, rec in lns:
-                        m._ln_work = m._ln, rec.bind(lane.scratch)
                     item[1] = stage = stage.bind(lane.scratch)
                 lists[i] += (stage if win is tpl
                              else self._moved(tpl, win, stage, seen, same))
@@ -585,15 +575,15 @@ class _StageWork:
         """The bound calls of the window tpl for the window win of its lane
         and kind (record.moved, same as it takes it): an array in the
         buffer, a view of the block or the fluxes, becomes the one as many
-        columns on as win starts after tpl, and tpl's records win's, which
-        take tpl's log-mean calls.  seen holds the offset in the buffer of
-        each array met, None for one outside it."""
+        columns on as win starts after tpl, and tpl's records win's.  seen
+        holds the offset in the buffer of each array met, None for one
+        outside it."""
         buf, objs, new = self.buf, {}, {}
         d = 8 * (win.faces.start - tpl.faces.start)
         for old, rec in zip((tpl.cell_means, tpl.means),
                             (win.cell_means, win.means)):
             if old is not None:
-                objs[id(old)], rec._ln_work = rec, old._ln_work
+                objs[id(old)] = rec
 
         def move(x):
             if type(x) is not np.ndarray:
@@ -626,6 +616,15 @@ class _StageWork:
             raise ValueError(f"unknown flux kind {flux_kind!r}")
         recon, diss, viscous = self.recon, self.diss_spec, self.viscous
         n = grid.n_cells
+        # the log means each record forms: the face record's for the kepec
+        # flux and the matrix dissipation, the cell-pair record's for the
+        # scalar form with the logarithmic beta mean; at first order the
+        # two are one record
+        face_ln = flux_kind == "kepec" or diss.kind == "matrix"
+        cell_ln = (diss.kind == "scalar"
+                   and diss.beta_average == "logarithmic")
+        if recon.order == 1:
+            face_ln = cell_ln = face_ln or cell_ln
         for win in windows:
             # faces a .. b - 1 read the block columns a .. b + 2: each
             # kernel runs on that view as on a whole grid's block and
@@ -646,15 +645,17 @@ class _StageWork:
                 pairs.pairs[...] = np.ndarray((2, 5, b - a), float,
                                               self.block, (a + 1) * col,
                                               (col, row, col))
-                call(FaceMeans._refill, _means, pairs, False, pairs._bar)
+                call(FaceMeans._refill, _means, pairs, False, cell_ln,
+                     pairs._bar)
             if recon.order == 2:
                 # rows rho, u and p of both sides, which reconstruct_face
                 # fills
                 call(reconstruct_face, _reconstruct, rows, recon,
                      means.pairs[:, ::2])
-                call(FaceMeans._refill, _means, means, True, means._bar)
-            call(CENTRAL_FLUXES[flux_kind], FORMULAS.get(flux_kind), means,
-                 gas, central)
+                call(FaceMeans._refill, _means, means, True, face_ln,
+                     means._bar)
+            call(CENTRAL_FLUXES[flux_kind], FORMULAS[flux_kind], means, gas,
+                 central)
             if diss.kind == "matrix":
                 call(matrix_dissipation, _matrix, means, gas, diss, flux_kind,
                      d_flux)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .record import empty, run
+from .record import call, empty, run
 
 __all__ = [
     "ViscosityLaw",
@@ -222,22 +222,6 @@ def _stacked(*fields):
     return np.array(np.broadcast_arrays(*fields), dtype=float)
 
 
-class _LogMeans:
-    """rho_ln or beta_ln of a FaceMeans record: the first read of either
-    forms both, by one log_mean call into the record's log-mean block,
-    and stores its rows on the record until a refill drops them."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, m, owner=None):
-        if m is None:
-            return self
-        log_mean(*m._ln_sides, m._ln, m._ln_work)
-        m.rho_ln, m.beta_ln = m._ln_rows
-        return m.__dict__[self.name]
-
-
 class FaceMeans:
     """Two-point averages of the pairs (left, right), shared by the central
     flux, the dissipation and the entropy-variable jump of one RHS stage.
@@ -247,22 +231,21 @@ class FaceMeans:
     of every pair, with beta = rho/(2 p); left and right are the (rho, u,
     p) rows of each side and beta_l, beta_r its beta row.  The rows
     rho_bar, beta_bar, u_bar, u2_bar (the mean of u^2) and p_bar of the
-    bar block are the half-sum of the two sides (_means), and rho_ln and
-    beta_ln, the rows of the log-mean block, are formed on first read by
-    one log_mean call on the contiguous (rho, beta) halves.  The three
-    blocks lie end to end in one buffer of ROWS rows.
+    bar block are the half-sum of the two sides, and rho_ln and beta_ln,
+    the rows of the log-mean block, are formed by one log_mean call on
+    the contiguous (rho, beta) halves (_means).  The three blocks lie end
+    to end in one buffer of ROWS rows.  A record built from pairs forms
+    its log means at once: a pair whose rho or beta is not > 0 raises.
 
     The stage's workspace (spatial._StageWork) holds one set of records
     per stage window through a march and refills them every stage
-    (_refill), so every array a record hands out is overwritten by the
-    next stage; a held record's log-mean calls (_ln_work) are recorded
-    once.  A kernel reads a quantity of both sides from one evaluation on
-    the record's cells (_side_views), once per cell for a cell-pair
-    record.
+    (_refill), the log means only where the stage reads them, so every
+    array a record hands out is overwritten by the next stage.  A kernel
+    reads a quantity of both sides from one evaluation on the record's
+    cells (_side_views), once per cell for a cell-pair record.
     """
 
     ROWS = 17
-    rho_ln, beta_ln = _LogMeans(), _LogMeans()
 
     def __init__(self, left, right):
         shape = np.broadcast_shapes(*(np.shape(f) for q in (left, right)
@@ -271,7 +254,7 @@ class FaceMeans:
         for side, state in zip(self.pairs, (left, right)):
             for k, f in zip((0, 2, 4), state):
                 side[k] = f
-        _means(self, True, self._bar)
+        _means(self, True, True, self._bar)
 
     @classmethod
     def _held(cls, shape, buf, cells=None, lo=None, hi=None):
@@ -292,7 +275,7 @@ class FaceMeans:
         self.pairs = pairs = buf[:10 * k].reshape(2, 5, *shape)
         self._bar = bar = buf[10 * k:15 * k].reshape(5, *shape)
         self._ln = ln = buf[15 * k:17 * k].reshape(2, *shape)
-        self._ln_rows, self._ln_work = (ln[0, ...], ln[1, ...]), None
+        self.rho_ln, self.beta_ln = ln[0, ...], ln[1, ...]
         # the two sides, and the contiguous (rho, beta) halves of both
         self._sides = left, right = pairs[0], pairs[1]
         self._ln_sides = pairs[0, :2], pairs[1, :2]
@@ -306,20 +289,16 @@ class FaceMeans:
         self.rho_bar, self.beta_bar, self.u_bar, self.u2_bar, self.p_bar = (
             bar[j, ...] for j in range(5))
 
-    def _refill(self, fields: bool, work=None):
+    def _refill(self, fields: bool, ln: bool, work=None):
         """Form the means of the record's new pairs in place (_means; work
-        as record.run takes it) and drop the log means of the last ones."""
-        formed = self.__dict__
-        formed.pop("rho_ln", None)
-        formed.pop("beta_ln", None)
-        run(work, _means, self, fields)
+        as record.run takes it)."""
+        run(work, _means, self, fields, ln)
 
     def _recorded(self, wrap):
         """The record's stand-in for recorded formula code: a copy whose
-        arrays are stand-ins (wrap), rho_ln and beta_ln taken as formed."""
+        arrays are stand-ins (wrap)."""
         m = copy.copy(self)
         m.__dict__.update((k, wrap(v)) for k, v in vars(self).items())
-        m.rho_ln, m.beta_ln = m._ln_rows
         return m
 
     def _side_views(self, q):
@@ -335,14 +314,17 @@ def _fields(rho, beta, u, u2, p):
     u2[...] = u * u
 
 
-def _means(m: FaceMeans, fields: bool, out):
+def _means(m: FaceMeans, fields: bool, ln: bool, out):
     """The formula of the bar block out of the record m: beta and u^2 of
     both sides first when fields is set (the caller wrote only rho, u and
-    p), then the half-sum of the two sides."""
+    p), then the half-sum of the two sides, and the log-mean block when
+    ln is set."""
     if fields:
         _fields(*(m.pairs[:, k] for k in range(5)))
     np.add(*m._sides, out=out)
     out *= 0.5
+    if ln:
+        call(log_mean, _log_mean, *m._ln_sides, m._ln)
 
 
 def _evj(m: FaceMeans, gas: GasModel, out=None):
@@ -367,8 +349,6 @@ def entropy_vars_jump(m: FaceMeans, gas: GasModel, work=None) -> np.ndarray:
     an order of magnitude smaller, which matters when such jumps are
     integrated over thousands of steps.  work is as record.run takes it.
     """
-    # the log means are formed before a temporary of work is written
-    m.rho_ln
     return run(work, _evj, m, gas)
 
 
@@ -409,19 +389,18 @@ def _log_mean(a, b, out):
     return out
 
 
-def log_mean(a, b, out=None, work=None):
+def log_mean(a, b, work=None):
     """Logarithmic mean (b - a)/(ln b - ln a), stable as b -> a.
 
     For zeta = (b-a)/(b+a) with zeta^2 below LOG_MEAN_SWITCH the direct
     quotient is replaced by the series
-    (a+b)/2 / (1 + zeta^2/3 + zeta^4/5 + zeta^6/7), written into out
-    when given; work, when given, is out's recorded calls (record.run).
+    (a+b)/2 / (1 + zeta^2/3 + zeta^4/5 + zeta^6/7).  work is as
+    record.run takes it, an array being the out that takes the result.
     """
     if work is None:
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        if out is None:
-            out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-        work = out
+        work = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out = work[0] if type(work) is tuple else work
     # fmin skips a NaN partner, and its reduction a NaN entry: this flags
     # exactly the pairs where a <= 0 or b <= 0.  out, which the formula
     # writes before it reads, takes the elementwise minimum.

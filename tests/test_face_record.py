@@ -23,6 +23,7 @@ from kepes.spatial import (
     BoundaryCondition,
     BoundarySpec,
     Grid1D,
+    _StageWork,
     assemble_rhs,
     viscous_face_flux,
 )
@@ -402,6 +403,8 @@ def count_calls(monkeypatch, name):
 @pytest.mark.parametrize("diss", [
     DissipationSpec(kind="scalar", kappa2=0.5, kappa4=1 / 32),
     *(DissipationSpec(kind="matrix", matrix_law=law) for law in MATRIX_LAWS),
+    DissipationSpec(kind="scalar", kappa2=0.5, kappa4=1 / 32,
+                    beta_average="arithmetic"),
 ])
 def test_one_log_mean_each_for_rho_and_beta(monkeypatch, diss):
     gas = GasModel()
@@ -409,10 +412,19 @@ def test_one_log_mean_each_for_rho_and_beta(monkeypatch, diss):
     cells = prim_to_cons(wide_states(np.random.default_rng(7)), gas)
     log_means = count_calls(monkeypatch, "log_mean")
     entropy = count_calls(monkeypatch, "entropy_vars")
-    rhs, faces = assemble_rhs(cells, grid, gas, "kepec", diss,
-                              ReconSpec(1), BoundarySpec())
-    # rho_ln and beta_ln come from one call on the stacked (rho, beta) pair
-    assert len(log_means) == 1
+    # a record's rho_ln and beta_ln come from one call on the stacked
+    # (rho, beta) pair.  At order 2 the scalar form's logarithmic beta
+    # mean is the cell-pair record's, a second record beside the face
+    # record that the kepec flux reads; at order 1 the two are one.
+    for recon in (ReconSpec(2), ReconSpec(1)):
+        want = 1 + (recon.order == 2 and diss.kind == "scalar"
+                    and diss.beta_average == "logarithmic")
+        work = _StageWork(N_CELLS, recon, diss, gas.is_viscous)
+        for held in (work, None):
+            log_means.clear()
+            rhs, faces = assemble_rhs(cells, grid, gas, "kepec", diss,
+                                      recon, BoundarySpec(), held)
+            assert len(log_means) == want, (recon, held)
     assert len(entropy) == 0
 
     # a budget read through faces still closes
@@ -427,15 +439,17 @@ def test_one_log_mean_each_for_rho_and_beta(monkeypatch, diss):
     assert len(log_means) == 1
 
 
-@pytest.mark.parametrize("flux_kind", ["kep", "roe_baseline"])
+@pytest.mark.parametrize("flux_kind", ["kep", "kepec_ac", "roe_baseline"])
 def test_no_log_mean_without_log_averages(monkeypatch, flux_kind):
-    # neither flux reads a logarithmic mean, so the stacked means stay lazy
+    # no flux of these reads a logarithmic mean, so no record forms one
     gas = GasModel()
     grid = Grid1D(N_CELLS, 0.0, 1.0)
     cells = prim_to_cons(wide_states(np.random.default_rng(7)), gas)
     log_means = count_calls(monkeypatch, "log_mean")
-    assemble_rhs(cells, grid, gas, flux_kind, DissipationSpec(),
-                 ReconSpec(1), BoundarySpec())
+    work = _StageWork(N_CELLS, ReconSpec(1), DissipationSpec(), False)
+    for held in (work, None):
+        assemble_rhs(cells, grid, gas, flux_kind, DissipationSpec(),
+                     ReconSpec(1), BoundarySpec(), held)
     assert len(log_means) == 0
 
 

@@ -22,6 +22,7 @@ import re
 import signal
 import threading
 import tracemalloc
+import types
 import weakref
 from dataclasses import replace
 
@@ -218,9 +219,8 @@ def test_held_workspace_equals_one_shot(flux_kind, bc):
 
 
 def log_means(work):
-    """The log means of each record of the workspace's last window, which
-    holds the last pairs the stage formed, formed on this read where the
-    stage did not form them."""
+    """The log-mean rows of each record of the workspace's last window,
+    which holds the last pairs the stage formed."""
     window = work.windows[-1]
     records = {id(r): r for r in (window.cell_means, window.means)
                if r is not None}
@@ -255,7 +255,7 @@ def test_held_results_share_no_memory(flux_kind, bc):
                         arrays, 2):
                     assert not np.shares_memory(a, b), \
                         f"{case}: {a_name} and {b_name}"
-                # log means first read after the call leave the results
+                # reading the records after the call leaves the results
                 for (name, a), want in zip(results, before):
                     assert np.array_equal(bits(a), want), f"{case}: {name}"
 
@@ -265,16 +265,13 @@ def test_held_results_share_no_memory(flux_kind, bc):
 
 def bound_entries(calls, seen):
     """Every (callable, operands) entry of the bound calls, and of the
-    calls bound in their operands (a kernel's work, a record's log-mean
-    work), each list once."""
+    calls bound in their operands (a kernel's work), each list once."""
     if id(calls) in seen:
         return
     seen.add(id(calls))
     for f, operands in calls:
         yield f, operands
         for x in operands:
-            if isinstance(x, FaceMeans):
-                x = x._ln_work
             for y in (x if isinstance(x, tuple) else (x,)):
                 if isinstance(y, list):
                     yield from bound_entries(y, seen)
@@ -285,7 +282,9 @@ def bound_entries(calls, seen):
 def test_held_calls_take_array_operands(flux_kind, bc):
     # a Python float or int operand costs a ufunc call ~150 ns more than a
     # 0-d array of the same value: no bound call of a held workspace takes
-    # one, and every operand of a numpy call is an array
+    # one, and every operand of a numpy call is an array.  Every kernel
+    # the stage calls is recorded: a Python function's entry carries its
+    # recorded work (out, calls), which the walk descends
     grid = Grid1D(N_CELLS, 0.0, 1.0)
     bcs = BOUNDARIES[bc]
     prim = next(states(np.random.default_rng(9)))
@@ -302,13 +301,22 @@ def test_held_calls_take_array_operands(flux_kind, bc):
                 for f, operands in bound_entries(work.calls, set()):
                     assert not any(type(x) in (float, int)
                                    for x in operands), f"{case}: {f}"
+                    if isinstance(f, types.FunctionType):
+                        assert (type(operands[-1]) is tuple
+                                and type(operands[-1][1]) is list), \
+                            f"{case}: {f}"
                     # a ufunc, or one bound by keyword (functools.partial)
                     funcs.append(getattr(f, "func", f))
                     if isinstance(funcs[-1], np.ufunc):
                         assert all(isinstance(x, np.ndarray)
                                    for x in operands), f"{case}: {f}"
-                # the walk reaches the records' log-mean calls
-                assert np.log in funcs, case
+                # the walk reaches the log-mean calls exactly where the
+                # config reads a log mean
+                reads_ln = (flux_kind in ("kepec", "roe_ec")
+                            or diss.kind == "matrix"
+                            or diss.kind == "scalar"
+                            and diss.beta_average == "logarithmic")
+                assert (np.log in funcs) == reads_ln, case
 
 
 # -- several windows against one ----------------------------------------------
@@ -586,10 +594,10 @@ def test_invalid_cell_about_the_lane_cut(n, monkeypatch):
 
 def test_wrapped_kernel_keeps_one_lane(monkeypatch):
     # a wrapper with __wrapped__ (functools.wraps: perfbench's tracer, a
-    # test spy) on log_mean, which the records look up at each read, or on
-    # a kernel the stage binds, runs in the caller's process alone; a spy
-    # without it sees the second lane run in another process, the lane
-    # process, so it counts its calls in shared memory
+    # test spy) on log_mean or on another kernel the stage binds runs in
+    # the caller's process alone; a spy without it sees the second lane
+    # run in another process, the lane process, so it counts its calls in
+    # shared memory
     caller = os.getpid()
     for target in ("log_mean", "kepec", None):
         config, work, _ = lane_sod(2, monkeypatch)
@@ -621,7 +629,7 @@ def test_wrapped_kernel_keeps_one_lane(monkeypatch):
         else:
             assert lane_pair(work) and len(set(pids)) == 2
             assert pids.count(caller) == len(work.lanes[0].windows)
-        assert lane_pair(work) == (target != "kepec"), target
+        assert lane_pair(work) == (target is None), target
 
 
 def perturbed(config):
