@@ -3,7 +3,7 @@
 
 Each preset runs capped at --max-steps, with a snapshot and budget sample
 every min(t_final / 4, 0.03) time units, into a temporary directory.
-Eleven fixed cases follow.  The first two take the forked writer
+Twelve fixed cases follow.  The first two take the forked writer
 (driver._FORK_ROWS) on a host with a spare CPU, forking at their first
 snapshot: sod at 2e4 cells, 6 steps, a snapshot every 2.5e-5 (two mid-run
 marks); and sod_viscous (500 cells) for 120 steps with a snapshot every
@@ -18,13 +18,16 @@ stencil and the viscous flux) and stationary_shock_m4 (first order,
 matrix dissipation, shock_outflow).  The sixth marches sod on 10^5 cells
 for 5 steps, as perfbench's sod_large does: fourteen windows.  The
 seventh marches sod on 2e4 periodic cells for 5 steps, where each lane
-forms its ghosts from the other lane's cells.  These four and the first
-run their stage in two lanes (spatial.LANES), the second in a forked
-lane process, on a host with a spare CPU.  The last four march sod
-(100 cells) for 20 steps with a snapshot every 0.03 (one mid-run mark),
-each with one of the central fluxes kep, kepec_ac, roe_ec and
-roe_baseline in place of the preset's kepec.  The last line digests all
-the others.  Run it against
+forms its ghosts from the other lane's cells.  The eighth marches
+ns_shock_structure_n200_d4 on 4e4 cells for 5 steps: each of two lanes
+holds three windows, of which one replays the recording of another of
+its width, bound at its own columns (spatial._StageWork.bind), the JST
+stencil's included.  These five and the first run their stage in two
+lanes (spatial.LANES), the second in a forked lane process, on a host
+with a spare CPU.  The last four march sod (100 cells) for 20 steps
+with a snapshot every 0.03 (one mid-run mark), each with one of the
+central fluxes kep, kepec_ac, roe_ec and roe_baseline in place of the
+preset's kepec.  The last line digests all the others.  Run it against
 two checkouts and compare the output to show that a change leaves every
 snapshot, budget.csv and metrics.txt byte-identical:
 
@@ -84,6 +87,10 @@ def cases(max_steps: int):
         base, grid=replace(base.grid, n_cells=20_000),
         bcs=BoundarySpec(periodic, periodic),
         time=replace(base.time, max_steps=5))
+    ns = preset("ns_shock_structure_n200_d4")
+    yield "ns_shock_structure_n200_d4_n40000", replace(
+        ns, grid=replace(ns.grid, n_cells=40_000),
+        time=replace(ns.time, max_steps=5))
     for flux_kind in ("kep", "kepec_ac", "roe_ec", "roe_baseline"):
         yield f"sod_{flux_kind}", replace(
             base, flux_kind=flux_kind, snapshot_interval=0.03,

@@ -172,9 +172,9 @@ def flux_central_mean(m: FaceMeans, gas: GasModel,
 def tadmor_residual(left: PrimState, right: PrimState, flux, gas: GasModel):
     """Two-point entropy-conservation residual dv . f - d(rho u) of the
     stacked flux."""
-    # the record's sides are broadcast against each other
-    m = FaceMeans(left, right)
-    dv = entropy_vars(m.right, gas) - entropy_vars(m.left, gas)
+    # the six side fields broadcast against each other
+    sides = _stacked(*left, *right)
+    dv = entropy_vars(sides[3:], gas) - entropy_vars(sides[:3], gas)
     (rho_l, u_l, _), (rho_r, u_r, _) = left, right
     dpsi = rho_r * u_r - rho_l * u_l
     return dv[0] * flux[0] + dv[1] * flux[1] + dv[2] * flux[2] - dpsi

@@ -12,13 +12,14 @@ replays.  place() puts every temporary in one flat scratch buffer:
   call is the one just recorded and nothing uses its result afterwards;
   otherwise the assignment is recorded as a copy;
 - a Python number becomes a cached read-only 0-d float64 array (const).
+bind() makes the calls on arrays, the temporaries in a scratch; a move
+binds one recording at other places, each operand and record in turn.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from operator import is_
 
 import numpy as np
 
@@ -84,39 +85,6 @@ def record(formula, *args) -> Recorder:
     return rec
 
 
-def moved(calls, move, same: set) -> list:
-    """The bound calls with move applied to every operand, through a
-    kernel's work (out, calls), and to the array that a copy (its
-    __setitem__) or a partial's keywords are bound to; calls itself where
-    move changes nothing.  same holds the ids of entries that move leaves
-    alone, which it skips, and it adds those it finds."""
-    out = []
-    for entry in calls:
-        if id(entry) not in same:
-            f, a = entry
-            if type(f) is partial:
-                kw = {k: move(v) for k, v in f.keywords.items()}
-                if any(kw[k] is not v for k, v in f.keywords.items()):
-                    f = partial(f.func, **kw)
-            elif (type(arr := getattr(f, "__self__", None)) is np.ndarray
-                  and move(arr) is not arr):
-                f = move(arr).__setitem__
-            b = tuple(_moved_work(x, move, same)
-                      if type(x) is tuple and type(x[-1]) is list else move(x)
-                      for x in a)
-            if f is entry[0] and all(map(is_, a, b)):
-                same.add(id(entry))
-            else:
-                entry = f, b
-        out.append(entry)
-    return calls if all(map(is_, out, calls)) else out
-
-
-def _moved_work(work, move, same):
-    out, calls = move(work[0]), moved(work[1], move, same)
-    return work if out is work[0] and calls is work[1] else (out, calls)
-
-
 def _op(f, swap=False, inplace=False):
     if inplace:
         return lambda a, b: _active.ufunc(f, (a, b), a)
@@ -125,10 +93,10 @@ def _op(f, swap=False, inplace=False):
 
 class Ref:
     """The stand-in of an array: an operand (root None, arr the array), a
-    temporary (root itself) or a view of one (keys its indices, arr a
-    zero-stride array of its shape).  subs holds its views, view the array
-    that bind() gives it; a temporary also holds its dtype, the first and
-    the last call that use it, and once placed its slot."""
+    temporary (root itself until placed) or a view of one (keys its
+    indices, arr a zero-stride array of its shape).  subs holds its views,
+    view the array the last bind() gave it; a temporary also holds its
+    dtype, the first and the last call that use it, and its slot."""
 
     __slots__ = ("root", "keys", "arr", "shape", "subs", "view", "dtype",
                  "first", "last", "slot")
@@ -173,12 +141,13 @@ class Recorder:
     """The calls of formula code run on stand-ins, in order: calls holds
     [func, operands, out, where] (func None for a copy), and lists the
     list being recorded, innermost last, of call indices and entries
-    (kernel, inputs, out, list); place() sets size."""
+    (kernel, inputs, out, list); place() sets size.  wrapped tells
+    whether a kernel recorded is a wrapper (__wrapped__)."""
 
     def __init__(self):
         self.calls, self.temps, self.stores, self.lists = [], [], [], [[]]
-        self.copies, self.real = {}, {}
-        self.size = 0
+        self.copies, self.real, self.views = {}, {}, []
+        self.size, self.wrapped, self.scratch = 0, False, None
 
     def wrap(self, x):
         """x's stand-in: a Ref of an array, a tuple of stand-ins, or one
@@ -217,6 +186,8 @@ class Recorder:
                                  strides=(0,) * len(t.shape))
             arr = arr[key]
             v = ref.subs[k] = Ref(t, ref.keys + (key,), arr, arr.shape)
+            if t is not None:
+                self.views.append(v)
         return v
 
     @staticmethod
@@ -263,6 +234,7 @@ class Recorder:
             self.stores.append(i)
 
     def entry(self, kernel, formula, inputs, out):
+        self.wrapped = self.wrapped or hasattr(kernel, "__wrapped__")
         sub = []
         self.lists[-1].append((kernel, inputs, out, sub))
         self.lists.append(sub)
@@ -311,56 +283,70 @@ class Recorder:
                 self.size = max(self.size, live[t][1])
             for t in dying.get(i, ()):
                 live.pop(t, None)
-
-    def bind(self, scratch: np.ndarray) -> list:
-        """The recorded list, its temporaries placed in scratch; those of
-        one slot and shape share one view, as views of one Ref do (sub)."""
-        whole = {}
-        for t in self.temps:
-            if t.slot is not None:
-                key = t.slot, t.shape, t.dtype
-                if key not in whole:
-                    n = math.prod(t.shape)
-                    v = scratch[t.slot:]
-                    v = v[:n] if t.dtype is _FLOAT else v.view(bool)[:n]
-                    whole[key] = v.reshape(t.shape)
-                t.view = whole[key]
-        bound = self._bound(self.lists[0])
         # a temporary is its own root and holds its views: without the
         # cycle, the stand-ins go with the recorder, and not at a later
         # collection that would find the scratch of a dropped workspace
         for t in self.temps:
             t.root = t.subs = None
-        return bound
+
+    def bind(self, scratch: np.ndarray, move=None) -> list:
+        """The recorded list, its temporaries placed in scratch, those of
+        one slot and shape in one view, as views of one Ref are (sub).  A
+        move maps each array and object that the calls are bound to (a
+        record, not its copy: _recorded) to what takes its place, or to
+        itself, once a bind: each operand is one array."""
+        if scratch is not self.scratch:
+            self.scratch, whole = scratch, {}
+            for t in self.temps:
+                if t.slot is not None:
+                    key = t.slot, t.shape, t.dtype
+                    if key not in whole:
+                        n = math.prod(t.shape)
+                        v = scratch[t.slot:]
+                        v = v[:n] if t.dtype is _FLOAT else v.view(bool)[:n]
+                        whole[key] = v.reshape(t.shape)
+                    t.view = whole[key]
+            for x in self.views:
+                v = x.root.view
+                for k in () if v is None else x.keys:
+                    v = v[k]
+                x.view = v
+        return self._bound(self.lists[0], {}, move)
 
     @staticmethod
-    def _array(x):
-        if type(x) is not Ref:
+    def _array(x, views, move):
+        """x's array or object in a bind: a temporary's view or a view of
+        it, or an operand as move maps it, once a bind (views, by id)."""
+        if type(x) is Ref:
+            if x.root is not None or x.arr is None:
+                return x.view
+            x = x.arr
+        if move is None:
             return x
-        if x.view is None:
-            x.view = x.arr if x.root is None else x.root.view
-            for k in () if x.root is None else x.keys:
-                x.view = x.view[k]
-        return x.view
+        v = views.get(id(x), views)
+        if v is views:
+            v = views[id(x)] = move(x)
+        return v
 
-    def _bound(self, items):
-        bound = []
+    def _bound(self, items, views, move):
+        bound, array = [], self._array
         for item in items:
             if type(item) is not int:
                 kernel, inputs, out, sub = item
-                work = self._array(out), self._bound(sub)
-                inputs = [const(x) if type(x) in (float, int)
-                          else self.real.get(id(x), self._array(x))
+                work = array(out, views, move), self._bound(sub, views, move)
+                inputs = [const(x) if type(x) in (float, int) else
+                          array(self.real.get(id(x), x), views, move)
                           for x in inputs]
                 bound.append((kernel, (*inputs, work)))
             elif self.calls[item] is not None:
                 f, operands, out, where = self.calls[item]
-                a, out = tuple(map(self._array, operands)), self._array(out)
+                a = tuple([array(x, views, move) for x in operands])
+                out = array(out, views, move)
                 if f is None:
                     f, a, out = out.__setitem__, (Ellipsis, a[0]), None
                 elif f in _KEYWORD_OUT:
                     f, out = partial(f, out=out), None
                 if where is not None:
-                    f = partial(f, where=self._array(where))
+                    f = partial(f, where=array(where, views, move))
                 bound.append((f, a if out is None else a + (out,)))
         return bound

@@ -12,16 +12,16 @@ the pair input of its kernels, whose fluxes go to the window's columns
 of stacked (3, n + 1) arrays.  All of it lives in a stage workspace
 (_StageWork) that the march holds and every call refills, by replaying
 the calls recorded once from the kernels' formula code (kepes.record),
-one window per lane and width, moved to the lane's other windows of
-that width (record.moved); a one-shot call runs that code at once.  A
-held stage of at least LANES cells, given a second CPU, runs two halves
-of its faces as two lanes, the second in a forked lane process
-(_LaneChild), in a shared mmap: each lane forms and checks its cells
-and the halo its windows read, fills the ghosts of its end, runs its
-windows and writes the rhs of its cells, bitwise as in one lane.  The
-net flux F - G is formed once, and a shock_outflow boundary writes its
-last face there alone.  FaceData returns the per-face quantities of the
-budget diagnostics, derived only when read.
+one window per lane and width, bound at each window of that width; a
+one-shot call runs that code at once.  A held stage of at least LANES
+cells, given a second CPU, runs two halves of its faces as two lanes,
+the second in a forked lane process (_LaneChild), in a shared mmap:
+each lane forms and checks its cells and the halo its windows read,
+fills the ghosts of its end, runs its windows and writes the rhs of its
+cells, bitwise as in one lane.  The net flux F - G is formed once, and
+a shock_outflow boundary writes its last face there alone.  FaceData
+returns the per-face quantities of the budget diagnostics, derived only
+when read.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .dissipation import (DissipationSpec, _jst, _matrix, jst_dissipation,
                           matrix_dissipation)
 from .fluxes import CENTRAL_FLUXES, FORMULAS
 from .reconstruction import ReconSpec, _reconstruct, reconstruct_face
-from .record import call, const, empty, moved, record, run, wrap
+from .record import call, const, empty, record, run, wrap
 from .thermo import (
     FaceMeans,
     GasModel,
@@ -408,14 +408,6 @@ def _lanes(first, second, child):
         raise min(raised, key=lambda exc: getattr(exc, "cell", np.inf))
 
 
-def _own(calls) -> bool:
-    """Whether no callable of the bound calls, or of the calls bound in a
-    kernel's work, is a wrapper (__wrapped__)."""
-    return not any(hasattr(f, "__wrapped__")
-                   or type(a[-1]) is tuple and not _own(a[-1][1])
-                   for f, a in calls)
-
-
 class _StageWork:
     """Every array an RHS stage writes, and the calls it makes, for n
     cells, the reconstruction, the dissipation and whether the gas is
@@ -434,10 +426,10 @@ class _StageWork:
     code, run at once by a one-shot stage; bind() records it into calls,
     each public kernel one entry.  It records the first window of each
     kind of a lane (its width and, for the JST end rule, the grid ends it
-    holds) and moves that list to the lane's other windows of the kind
-    (_moved).  A record forms its log means with its other averages, and
-    only where the config reads them (_faces).  Two lanes of kepes's own
-    kernels (_own) run as one _lanes entry, whose second lane a _LaneChild
+    holds) and binds that recording at each window of the kind (_shift).
+    A record forms its log means with its other averages, and only where
+    the config reads them (_faces).  Two lanes whose recorded kernels are
+    no wrappers run as one _lanes entry, whose second lane a _LaneChild
     replays until close() or the next bind: each lane forms and checks
     its cells (_Lane.open), runs its windows and writes the rhs of the
     cells between two of its faces but cells cut - 2 and cut - 1, whose
@@ -512,34 +504,33 @@ class _StageWork:
             a, b = win.faces.start, win.faces.stop
             return i, b - a, ends and (a == 0, b == n + 1)
 
-        # the first window of each kind, and its calls recorded
-        shown = {}
+        # the first window of each kind, and its recorded calls
+        stages = {}
         for i, lane in enumerate(self.lanes):
             for win in lane.windows:
-                if kind(i, win) not in shown:
-                    shown[kind(i, win)] = [win,
-                                           record(self._faces, [win], *key)]
+                if kind(i, win) not in stages:
+                    stages[kind(i, win)] = win, record(self._faces, [win],
+                                                       *key)
         # of two lanes, each forms up to n // 2 + 3 cells with a row of its
         # scratch (_Lane.open)
         size = max([(n // 2 + 3) * (len(self.lanes) - 1)]
-                   + [stage.size for _, stage in shown.values()])
-        lists, seen, same = [], {}, set()
+                   + [stage.size for _, stage in stages.values()])
+        lists = []
         for i, lane in enumerate(self.lanes):
             if lane.scratch.size < size:
                 lane.scratch = self._new(size)
             lists.append([])
             for win in lane.windows:
-                tpl, stage = item = shown[kind(i, win)]
-                if win is tpl:
-                    item[1] = stage = stage.bind(lane.scratch)
-                lists[i] += (stage if win is tpl
-                             else self._moved(tpl, win, stage, seen, same))
+                tpl, stage = stages[kind(i, win)]
+                lists[i] += stage.bind(lane.scratch, self._shift(tpl, win))
+        wrapped = any(stage.wrapped for _, stage in stages.values())
+        del stages, stage  # the lane process is forked without them
         self.scratch = self.lanes[0].scratch
         self.close()
         # the prologue's operand
         self.gm1 = const(gas.gamma - 1.0)
         self.given = self.calls = None
-        if len(lists) == 2 and _own(lists[0] + lists[1]):
+        if len(lists) == 2 and not wrapped:
             with contextlib.suppress(OSError):  # no fork: both lanes here
                 self.calls = self._pair(lists, key)
         if self.calls is None:
@@ -571,34 +562,29 @@ class _StageWork:
         return ([(_lanes, (first, second, child))]
                 + self._closed(cut - 2, cut + 1, key))
 
-    def _moved(self, tpl, win, calls, seen, same):
-        """The bound calls of the window tpl for the window win of its lane
-        and kind (record.moved, same as it takes it): an array in the
-        buffer, a view of the block or the fluxes, becomes the one as many
-        columns on as win starts after tpl, and tpl's records win's.  seen
-        holds the offset in the buffer of each array met, None for one
-        outside it."""
-        buf, objs, new = self.buf, {}, {}
+    def _shift(self, tpl, win):
+        """None for the window tpl itself, else the move (Recorder.bind) of
+        tpl's recorded calls to the window win of its lane and kind: an
+        array in the buffer, a view of the block or the fluxes, becomes
+        the one as many columns on as win starts after tpl, and tpl's
+        records win's."""
+        if win is tpl:
+            return None
+        buf = self.buf
+        base = buf.__array_interface__["data"][0]
         d = 8 * (win.faces.start - tpl.faces.start)
-        for old, rec in zip((tpl.cell_means, tpl.means),
-                            (win.cell_means, win.means)):
-            if old is not None:
-                objs[id(old)] = rec
+        objs = {id(tpl.cell_means): win.cell_means, id(tpl.means): win.means}
 
         def move(x):
             if type(x) is not np.ndarray:
                 return objs.get(id(x), x)
-            if id(x) not in seen:
-                at = (x.__array_interface__["data"][0]
-                      - buf.__array_interface__["data"][0])
-                seen[id(x)] = at if 0 <= at < buf.nbytes else None
-            if seen[id(x)] is None:
+            # numpy makes buf the base of each view of it; the address of
+            # an array costs ~2 us, and most operands (records) lie outside
+            if x.base is not buf:
                 return x
-            if id(x) not in new:
-                new[id(x)] = np.ndarray(x.shape, x.dtype, buf,
-                                        seen[id(x)] + d, x.strides)
-            return new[id(x)]
-        return moved(calls, move, same)
+            at = x.__array_interface__["data"][0] - base + d
+            return np.ndarray(x.shape, x.dtype, buf, at, x.strides)
+        return move
 
     def run(self, grid: Grid1D, gas: GasModel, flux_kind: str,
             bcs: BoundarySpec):

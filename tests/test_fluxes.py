@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kepes import thermo
 from kepes.fluxes import (
     CENTRAL_FLUXES,
     exact_flux,
@@ -226,3 +227,19 @@ def test_central_mean_is_flux_average(gas):
     f = flux_central_mean(FaceMeans(left, right), gas)
     fl, fr = exact_flux(left, gas), exact_flux(right, gas)
     assert np.isclose(f[2], 0.5 * (fl[2] + fr[2]), rtol=1e-15)
+
+
+def test_tadmor_residual_takes_no_log_mean(gas, monkeypatch):
+    # the residual reads only the two sides, broadcast against each other:
+    # it forms no face average, so no log mean, which nothing would read
+    calls = []
+    monkeypatch.setattr(thermo, "log_mean",
+                        lambda *args: calls.append(args) or log_mean(*args))
+    left, right = random_states(np.random.default_rng(13), 50)
+    f = flux_kepec(FaceMeans(left, right), gas)
+    calls.clear()
+    res = tadmor_residual(left, right, f, gas)
+    assert calls == []
+    assert res.shape == (50,) and np.abs(res).max() < 1e-11
+    assert tadmor_residual(left, PrimState(1.0, 0.2, 1.0), f, gas).shape \
+        == (50,)

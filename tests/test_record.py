@@ -3,8 +3,9 @@ over the ufuncs of the stage kernels, with Python-number operands, views,
 in-place operations, item assignments (of the result just formed, which
 may be retargeted, and of an older one, which is copied) and where=, give
 bitwise the same arrays when replayed from their recorded calls as when
-run at once; every operand of a recorded ufunc call is an array; and no
-two temporaries that are live at once share memory."""
+run at once, and so do they when bound again with a move to a second
+set of inputs; every operand of a recorded ufunc call is an array; and
+no two temporaries that are live at once share memory."""
 
 import itertools
 
@@ -88,6 +89,20 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
+def moved_to(arrays, others):
+    """The move (Recorder.bind) that takes a view of one of arrays to the
+    same view of the array of others in its place, and leaves the rest."""
+
+    def move(x):
+        for a, b in zip(arrays, others):
+            at = (x.__array_interface__["data"][0]
+                  - a.__array_interface__["data"][0])
+            if 0 <= at < a.nbytes:
+                return np.ndarray(x.shape, x.dtype, b, at, x.strides)
+        return x
+    return move
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(step, min_size=1, max_size=25))
 def test_replay_equals_eager(steps):
@@ -105,6 +120,17 @@ def test_replay_equals_eager(steps):
             f(*a)
     for name, g, w in zip(("x", "y", "out"), got, want):
         assert np.array_equal(bits(g), bits(w)), name
+    # the recording bound again, to the same scratch, with a move that
+    # takes each view of x, y and out to the same view of a second set:
+    # its calls leave the first set as it is and make the second eager's
+    with np.errstate(all="ignore"):
+        done = [bits(g).copy() for g in got]
+        other = inputs()
+        for f, a in rec.bind(scratch, moved_to(got, other)):
+            f(*a)
+    for name, g, d, o, w in zip(("x", "y", "out"), got, done, other, want):
+        assert np.array_equal(bits(g), d), name
+        assert np.array_equal(bits(o), bits(w)), f"moved {name}"
     for f, a in calls:
         if isinstance(getattr(f, "func", f), np.ufunc):
             assert all(isinstance(x, np.ndarray) for x in a), f

@@ -40,6 +40,7 @@ from kepes.dissipation import (
 from kepes.fluxes import CENTRAL_FLUXES
 from kepes.presets import preset
 from kepes.reconstruction import ReconSpec, reconstruct_face
+from kepes.record import record
 from kepes.spatial import (
     LANES,
     WINDOW,
@@ -419,6 +420,90 @@ def test_windows_equal_one_window(n, monkeypatch):
 def lane_pair(work):
     """Whether the workspace's held calls run its two lanes as a pair."""
     return any(f is spatial._lanes for f, _ in work.calls)
+
+
+# one lane of four windows of 8,192 faces: an end, two in the middle and an
+# end; and two lanes of three windows, of 6,666, 6,667 and 6,667 faces and
+# of 6,667 each
+RELOCATED = {4 * WINDOW - 1: (1, [4]), 40_000: (2, [3, 3])}
+
+
+def window_calls(work, key):
+    """(window, its bound calls in work's held calls, the calls of its
+    recording afresh bound to its lane's scratch) of each window."""
+    paired = lane_pair(work)
+    calls = work.calls
+    at = len(record(work._open, *key).bind(work.scratch))
+    for i, lane in enumerate(work.lanes):
+        if paired:  # each lane's calls start with its open()
+            calls, at = work.calls[0][1][i], 1
+        for win in lane.windows:
+            fresh = record(work._faces, [win], *key).bind(lane.scratch)
+            yield win, calls[at:at + len(fresh)], fresh
+            at += len(fresh)
+
+
+def entries(calls):
+    """Each bound entry of calls, and of the calls bound in a kernel's
+    work, as its callable, a partial's keywords, its operands, each array
+    by its address, shape, strides and dtype, and for each of its arrays
+    (the target of a copy, the keywords, the operands, a work's out) the
+    index of the first that is the same object."""
+    def layout(x):
+        if isinstance(x, np.ndarray):
+            return (x.__array_interface__["data"][0], x.shape, x.strides,
+                    x.dtype)
+        if isinstance(x, tuple) and x and isinstance(x[-1], list):
+            return layout(x[0]), entries(x[1])
+        return x
+
+    out = []
+    for f, a in calls:
+        kw = f.keywords if isinstance(f, functools.partial) else {}
+        f = f.func if isinstance(f, functools.partial) else f
+        target = getattr(f, "__self__", None)
+        if isinstance(target, np.ndarray):  # a copy
+            f = "__setitem__", layout(target)
+        arrays = [x for x in (target, *kw.values(), *a,
+                              *(x[0] for x in a if isinstance(x, tuple)))
+                  if isinstance(x, np.ndarray)]
+        out.append((f, {k: layout(v) for k, v in kw.items()},
+                    [layout(x) for x in a],
+                    [next(i for i, y in enumerate(arrays) if y is x)
+                     for x in arrays]))
+    return out
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("name", ["ns_shock_structure_n200_d4", "sod",
+                                  "sod_viscous", "stationary_shock_m4"])
+def test_relocated_windows_equal_fresh_recordings(name, periodic,
+                                                  monkeypatch):
+    # a window that is not the first of its lane and kind replays the
+    # recording of that first one, bound at its own place: its calls equal
+    # entry by entry those of its own recording bound to its lane's
+    # scratch, in callables, arrays, records and shared operands
+    config = preset(name)
+    bcs = BOUNDARIES["periodic"] if periodic else config.bcs
+    for n, (cpus, windows) in RELOCATED.items():
+        monkeypatch.setattr(spatial, "_cpus", lambda cpus=cpus: cpus)
+        key = replace(config.grid, n_cells=n), config.gas, config.flux_kind, bcs
+        work = _StageWork(n, config.recon, config.diss, config.gas.is_viscous)
+        try:
+            work.bind(*key)
+            assert [len(lane.windows) for lane in work.lanes] == windows
+            # each lane relocates a window, one that holds no grid end
+            for lane in work.lanes:
+                inner = [w.faces.stop - w.faces.start for w in lane.windows
+                         if w.faces.start > 0 and w.faces.stop < n + 1]
+                assert len(inner) > len(set(inner))
+            for win, got, want in window_calls(work, key):
+                case = f"{n} cells, faces from {win.faces.start}"
+                assert len(got) == len(want), case
+                for k, (g, w) in enumerate(zip(entries(got), entries(want))):
+                    assert g == w, f"{case}: entry {k}"
+        finally:
+            work.close()
 
 
 def test_invalid_cell_in_last_window_reported_by_global_index():
